@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .corpus import (
     RecExample,
@@ -55,6 +54,7 @@ from .recommender import (
     build_artifacts,
     comparison_table,
     evaluate,
+    rank_order,
     score_all,
     train as run_train,
 )
@@ -490,8 +490,7 @@ def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
         rep = model.user_representation(example, item_matrix, word_matrix)
         probs = score_all(rep.vector, item_matrix, model.artifacts.item_ids,
                           model.mask_for(example))
-        order = np.lexsort((np.arange(probs.values.shape[0]), -probs.values))
-        for rank, pos in enumerate(order[:k], start=1):
+        for rank, pos in enumerate(rank_order(probs.values)[:k], start=1):
             entity = model.artifacts.item_ids[int(pos)]
             click.echo(
                 f"{rank}\t{entities.tokens[entity]}\t{entities.names[entity]}"

@@ -7,12 +7,16 @@ mentioned entities feed the preference model as extra user-taste evidence.
 
 from __future__ import annotations
 
+import functools
+import io
 import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .corpus import Conversation, Split
 from .errors import LeakageError, MissingArtifactError, ParseError, ValidationError
@@ -30,6 +34,9 @@ class Bm25Index:
 
     ``doc_entities`` keeps each document's distinct entities in first-mention
     order; retrieval unions these to build the retrieved-entity list.
+
+    ``term_weights`` and ``doc_rank`` are derived on first use and cached;
+    mutate no field after the first ``retrieve``.
     """
 
     k1: float
@@ -53,6 +60,46 @@ class Bm25Index:
     def idf(self, term: int) -> float:
         df = self.df.get(term, 0)
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+
+    @functools.cached_property
+    def term_weights(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per term: ascending doc indices and their BM25 weights.
+
+        A weight is one term's addend in ``bm25_score``, computed with the
+        same operation order, so summing a query's weights in query order
+        reproduces its scores bit for bit. Only postings (tf != 0) get a
+        weight, so an index whose documents are all empty divides by no
+        zero ``avgdl``.
+        """
+        terms: list[int] = []
+        docs: list[int] = []
+        tfs: list[int] = []
+        for doc_idx, counts in enumerate(self.doc_terms):
+            for term, tf in counts.items():
+                if tf != 0:
+                    terms.append(term)
+                    docs.append(doc_idx)
+                    tfs.append(tf)
+        term_arr = np.array(terms, dtype=np.int64)
+        doc_arr = np.array(docs, dtype=np.int64)
+        order = np.lexsort((doc_arr, term_arr))
+        term_arr, doc_arr = term_arr[order], doc_arr[order]
+        tf_arr = np.array(tfs, dtype=np.float64)[order]
+        uniq, starts, which = np.unique(term_arr, return_index=True, return_inverse=True)
+        idf = np.array([self.idf(int(t)) for t in uniq], dtype=np.float64)[which]
+        dl = np.array(self.doc_lens, dtype=np.float64)[doc_arr]
+        length_norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
+        weights = idf * tf_arr * (self.k1 + 1.0) / (tf_arr + length_norm)
+        ends = np.append(starts[1:], term_arr.size)
+        return {int(t): (doc_arr[lo:hi], weights[lo:hi])
+                for t, lo, hi in zip(uniq, starts, ends)}
+
+    @functools.cached_property
+    def doc_rank(self) -> np.ndarray:
+        """Each document's position in ascending ``doc_id`` order."""
+        rank = np.empty(self.n_docs, dtype=np.int64)
+        rank[sorted(range(self.n_docs), key=self.doc_ids.__getitem__)] = np.arange(self.n_docs)
+        return rank
 
 
 @dataclass(frozen=True)
@@ -124,30 +171,35 @@ def retrieve(index: Bm25Index, query: Sequence[int], n: int,
     """Top-n conversations by BM25 with deterministic tie-breaking.
 
     Only documents with positive score (i.e. sharing at least one query
-    entity) are returned; the excluded conversation never is.
+    entity) are returned; the excluded conversation never is. Scoring is
+    term-at-a-time: each query occurrence adds its term's precomputed
+    weights into one score vector, which equals ``bm25_score`` of every
+    document bit for bit.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not query:
         return RetrievalResult(ranked=(), entities=(), empty_query=True)
-    scored: list[tuple[float, str, int]] = []
-    for doc_idx, doc_id in enumerate(index.doc_ids):
-        if doc_id == exclude_id:
-            continue
-        s = bm25_score(index, query, doc_id)
-        if s > 0.0:
-            scored.append((s, doc_id, doc_idx))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    top = scored[:n]
+    weights = index.term_weights
+    scores = np.zeros(index.n_docs)
+    for term in query:
+        posting = weights.get(term)
+        if posting is not None:
+            scores[posting[0]] += posting[1]
+    excluded = index.index_of.get(exclude_id)
+    if excluded is not None:
+        scores[excluded] = 0.0
+    hits = np.flatnonzero(scores > 0.0)
+    top = hits[np.lexsort((index.doc_rank[hits], -scores[hits]))[:n]].tolist()
     entities: list[int] = []
     seen: set[int] = set()
-    for _, _, doc_idx in top:
+    for doc_idx in top:
         for ent in index.doc_entities[doc_idx]:
             if ent not in seen:
                 seen.add(ent)
                 entities.append(ent)
     return RetrievalResult(
-        ranked=tuple((doc_id, s) for s, doc_id, _ in top),
+        ranked=tuple((index.doc_ids[i], float(scores[i])) for i in top),
         entities=tuple(entities),
     )
 
@@ -168,6 +220,16 @@ def _read_exact(fh, n: int) -> bytes:
     if len(buf) != n:
         raise ParseError(f"index truncated: wanted {n} bytes, got {len(buf)}")
     return buf
+
+
+def _read_counted(fh, size: int, count: int, width: int, what: str) -> bytes:
+    """Read ``count`` records of ``width`` bytes, refusing before the read a
+    header-derived count that the rest of a ``size``-byte file cannot hold."""
+    left = size - fh.tell()
+    if count * width > left:
+        raise ParseError(f"index truncated: header claims {count} {what} "
+                         f"({count * width} bytes) but {left} bytes remain")
+    return _read_exact(fh, count * width)
 
 
 def save_index(index: Bm25Index, path: str | Path) -> None:
@@ -200,7 +262,11 @@ def load_index(path: str | Path) -> Bm25Index:
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"retrieval index not found: {path}")
-    with open(path, "rb") as fh:
+    raw = path.read_bytes()
+    size = len(raw)
+    # parsed in memory: each header count is checked against the bytes left,
+    # and tell() on a file object costs a system call
+    with io.BytesIO(raw) as fh:
         if _read_exact(fh, 4) != _MAGIC:
             raise ParseError(f"not a retrieval index: {path}")
         version, k1, b = struct.unpack("<Idd", _read_exact(fh, 20))
@@ -212,22 +278,28 @@ def load_index(path: str | Path) -> Bm25Index:
         doc_entities: list[tuple[int, ...]] = []
         for _ in range(n_docs):
             (id_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            doc_ids.append(_read_exact(fh, id_len).decode("utf-8"))
-            (length,) = struct.unpack("<I", _read_exact(fh, 4))
+            doc_ids.append(_read_counted(fh, size, id_len, 1, "id bytes").decode("utf-8"))
+            length, n_ents = struct.unpack("<II", _read_exact(fh, 8))
             doc_lens.append(length)
-            (n_ents,) = struct.unpack("<I", _read_exact(fh, 4))
-            ents = struct.unpack(f"<{n_ents}I", _read_exact(fh, 4 * n_ents))
+            ents = struct.unpack(f"<{n_ents}I", _read_counted(fh, size, n_ents, 4, "entities"))
             doc_entities.append(tuple(int(e) for e in ents))
         doc_terms: list[Counter] = [Counter() for _ in range(n_docs)]
         df: dict[int, int] = {}
         (n_terms,) = struct.unpack("<I", _read_exact(fh, 4))
         for _ in range(n_terms):
             term, term_df, n_postings = struct.unpack("<III", _read_exact(fh, 12))
+            if term_df != n_postings:
+                raise ParseError(f"term {term} has df {term_df} but {n_postings} postings")
             df[term] = term_df
-            for _ in range(n_postings):
-                doc_idx, tf = struct.unpack("<II", _read_exact(fh, 8))
+            prev = -1
+            for doc_idx, tf in struct.iter_unpack(
+                    "<II", _read_counted(fh, size, n_postings, 8, "postings")):
                 if doc_idx >= n_docs:
                     raise ParseError(f"posting references document {doc_idx} of {n_docs}")
+                if doc_idx <= prev:
+                    raise ParseError(f"postings of term {term} are not strictly "
+                                     f"ascending in document index")
+                prev = doc_idx
                 doc_terms[doc_idx][term] = tf
         if n_docs == 0:
             raise ParseError("index contains no documents")

@@ -1,9 +1,10 @@
 import math
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convrec.corpus import Conversation, Mention, Sentiment, Speaker, Split, Utterance
@@ -197,6 +198,116 @@ def test_random_corpora_match_oracle(data):
     expected = bm25_reference(docs, query)
     got = [bm25_score(index, query, f"c{i:02d}") for i in range(n_docs)]
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_all_empty_index_retrieves_nothing(tmp_path):
+    # avgdl is 0 here; no posting exists, so no length norm divides by it
+    index = build_index([doc_conv("a", []), doc_conv("b", [])])
+    assert index.avgdl == 0.0
+    save_index(index, tmp_path / "empty.idx")
+    for idx in (index, load_index(tmp_path / "empty.idx")):
+        result = retrieve(idx, [1, 2], 3)
+        assert result == retrieve(idx, [1, 2], 3, exclude_id="a")
+        assert result.ranked == ()
+        assert result.entities == ()
+        assert not result.empty_query
+
+
+def test_some_empty_documents_score_like_reference(tmp_path):
+    convs = [doc_conv("a", []), doc_conv("b", [1, 2]), doc_conv("c", []), doc_conv("d", [2])]
+    index = build_index(convs)
+    save_index(index, tmp_path / "mixed.idx")
+    for idx in (index, load_index(tmp_path / "mixed.idx")):
+        result = retrieve(idx, [2, 1, 2], 4)
+        assert [d for d, _ in result.ranked] == ["b", "d"]
+        assert list(result.ranked) == [(d, bm25_score(idx, [2, 1, 2], d)) for d in ("b", "d")]
+        assert result.entities == (1, 2)
+
+
+def _index_bytes(docs, terms):
+    """Raw index file: docs as (id, length, entities), terms as (term, df, postings)."""
+    out = [b"CVRI", struct.pack("<Idd", 1, 1.2, 0.75), struct.pack("<I", len(docs))]
+    for doc_id, length, ents in docs:
+        encoded = doc_id.encode("utf-8")
+        out += [struct.pack("<H", len(encoded)), encoded,
+                struct.pack(f"<II{len(ents)}I", length, len(ents), *ents)]
+    out.append(struct.pack("<I", len(terms)))
+    for term, df, postings in terms:
+        out.append(struct.pack("<III", term, df, len(postings)))
+        out += [struct.pack("<II", d, tf) for d, tf in postings]
+    return b"".join(out)
+
+
+def test_index_bytes_matches_save_index(tmp_path):
+    index = build_index([doc_conv("c0", [1, 2, 1]), doc_conv("c1", [2])])
+    save_index(index, tmp_path / "a.idx")
+    raw = _index_bytes([("c0", 3, [1, 2]), ("c1", 1, [2])],
+                       [(1, 1, [(0, 2)]), (2, 2, [(0, 1), (1, 1)])])
+    assert (tmp_path / "a.idx").read_bytes() == raw
+
+
+_ONE_DOC_HEADER = b"CVRI" + struct.pack("<IddI", 1, 1.2, 0.75, 1)
+
+
+@pytest.mark.parametrize("raw, claim", [
+    # each header count is followed by fewer bytes than it claims; the load
+    # must fail before requesting the read, and say what was claimed
+    (_ONE_DOC_HEADER + struct.pack("<H", 40) + b"c0", "claims 40 id bytes"),
+    (_ONE_DOC_HEADER + struct.pack("<H2sII", 2, b"c0", 1, 2**20), "claims 1048576 entities"),
+    (_ONE_DOC_HEADER + struct.pack("<H2sIII", 2, b"c0", 1, 1, 1)
+     + struct.pack("<IIII", 1, 1, 2**20, 2**20), "claims 1048576 postings"),
+], ids=["id", "entities", "postings"])
+def test_load_bounds_header_counts_by_file_size(tmp_path, raw, claim):
+    assert len(raw) < 100
+    path = tmp_path / "bad.idx"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=claim) as err:
+        load_index(path)
+    assert "wanted" not in str(err.value)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([(1, 1, [(0, 1), (1, 1)])], "term 1 has df 1 but 2 postings"),
+    ([(1, 2, [(1, 1), (0, 1)])], "not strictly ascending"),
+    ([(1, 2, [(0, 1), (0, 1)])], "not strictly ascending"),
+])
+def test_load_rejects_inconsistent_postings(tmp_path, terms, message):
+    path = tmp_path / "bad.idx"
+    path.write_bytes(_index_bytes([("c0", 1, [1]), ("c1", 1, [1])], terms))
+    with pytest.raises(ParseError, match=message):
+        load_index(path)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_retrieve_equals_exhaustive_bm25_score_ranking(data):
+    n_docs = data.draw(st.integers(1, 8))
+    docs = [data.draw(st.lists(st.integers(0, 9), max_size=10)) for _ in range(n_docs)]
+    assume(any(docs))  # bm25_score divides by avgdl, which is 0 for all-empty docs
+    # a hand-built index whose doc_ids are not in sorted order
+    doc_ids = data.draw(st.lists(st.text("abxyz", min_size=1, max_size=3),
+                                 min_size=n_docs, max_size=n_docs, unique=True))
+    df = Counter(t for toks in docs for t in set(toks))
+    index = Bm25Index(k1=1.2, b=0.75, doc_ids=doc_ids,
+                      doc_terms=[Counter(toks) for toks in docs],
+                      doc_lens=[len(toks) for toks in docs],
+                      doc_entities=[tuple(dict.fromkeys(toks)) for toks in docs],
+                      df=dict(df), avgdl=sum(map(len, docs)) / n_docs)
+    # 10..12 are absent from the index; small ranges make repeats likely
+    query = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=8))
+    exclude_id = data.draw(st.none() | st.just("absent") | st.sampled_from(doc_ids))
+    n = data.draw(st.integers(1, 10))
+
+    result = retrieve(index, query, n, exclude_id=exclude_id)
+    scored = sorted(((bm25_score(index, query, d), d) for d in doc_ids if d != exclude_id),
+                    key=lambda t: (-t[0], t[1]))
+    expected = tuple((d, s) for s, d in scored if s > 0.0)[:n]
+    assert result.ranked == expected  # exact: the same float operations in the same order
+    assert all(type(s) is float for _, s in result.ranked)
+    want_entities = dict.fromkeys(e for d, _ in expected
+                                  for e in index.doc_entities[doc_ids.index(d)])
+    assert result.entities == tuple(want_entities)
+    assert not result.empty_query
 
 
 def test_toy_corpus_retrieval_sanity(toy_artifacts, toy_data):
