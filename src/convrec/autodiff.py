@@ -304,6 +304,23 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, tuple(parts), bw)
 
 
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Stack same-shape tensors along a new leading axis: k tensors of shape s -> (k, *s)."""
+    if not parts:
+        raise ShapeError("stack: no inputs")
+    for p in parts:
+        if p.values.shape != parts[0].values.shape:
+            raise ShapeError(f"stack: shapes {[tuple(q.values.shape) for q in parts]} differ")
+    out = Tensor(np.stack([p.values for p in parts]))
+
+    def bw(g: np.ndarray) -> None:
+        for i, p in enumerate(parts):
+            if p.requires_grad:
+                _accum(p, g[i])
+
+    return _record(out, tuple(parts), bw)
+
+
 def lookup(table: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows of a matrix; backward scatter-adds into the table."""
     if table.values.ndim != 2:
@@ -379,46 +396,15 @@ def weighted_sum(weights: Tensor, rows: Tensor) -> Tensor:
     return _record(out, (weights, rows), bw)
 
 
-def neighbor_sum(
-    h: Tensor,
-    src_ids: np.ndarray,
-    dst_ids: np.ndarray,
-    n_out: int,
-    norm: np.ndarray | None = None,
-) -> Tensor:
-    """Structural message aggregation: out[i] = norm[i] * sum of h[j] over edges j->i.
-
-    ``src_ids``/``dst_ids`` are parallel edge arrays indexing rows of ``h`` and
-    rows of the output respectively.
-    """
-    if h.values.ndim != 2:
-        raise ShapeError(f"neighbor_sum: expected a matrix, got shape {h.values.shape}")
-    acc = np.zeros((n_out, h.values.shape[1]), dtype=h.values.dtype)
-    if src_ids.size:
-        np.add.at(acc, dst_ids, h.values[src_ids])
-    if norm is not None:
-        acc *= norm[:, None]
-    out = Tensor(acc)
-
-    def bw(g: np.ndarray) -> None:
-        if h.grad is None:
-            h.grad = np.zeros_like(h.values)
-        gn = g if norm is None else g * norm[:, None]
-        if src_ids.size:
-            np.add.at(h.grad, src_ids, gn[dst_ids])
-
-    return _record(out, (h,), bw)
-
-
 def spmm(a: sp.spmatrix, x: Tensor) -> Tensor:
     """Multiply by a constant sparse matrix: out = a @ x."""
     if x.values.ndim != 2 or a.shape[1] != x.values.shape[0]:
         raise ShapeError(f"spmm: shapes {a.shape} and {x.values.shape} incompatible")
-    at = a.T.tocsr()
     out = Tensor(np.asarray(a @ x.values))
 
     def bw(g: np.ndarray) -> None:
-        _accum(x, np.asarray(at @ g))
+        # a.T shares a's arrays, so no transposed copy is built
+        _accum(x, np.asarray(a.T @ g))
 
     return _record(out, (x,), bw)
 
@@ -461,21 +447,37 @@ def softmax(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def cross_entropy(logits: Tensor, labels: int | Sequence[int]) -> Tensor:
-    """Mean negative log-softmax of the label entries of a logit vector."""
-    if logits.values.ndim != 1:
-        raise ShapeError(f"cross_entropy: expected a vector, got shape {logits.values.shape}")
-    idx = np.atleast_1d(np.asarray(labels, dtype=np.intp))
+def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Sequence[Sequence[int]]) -> Tensor:
+    """Mean negative log-softmax of the label entries of a logit vector.
+
+    For a (B, n) logit matrix, ``labels`` holds one non-empty label list per
+    row, and the result is the mean over rows of each row's vector loss.
+    """
     z = logits.values
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
-    out = Tensor(np.asarray(lse - z[idx].mean()))
+    if z.ndim == 1:
+        rows = [np.atleast_1d(np.asarray(labels, dtype=np.intp))]
+        z = z[None, :]
+    elif z.ndim == 2:
+        if len(labels) != z.shape[0]:
+            raise ShapeError(f"cross_entropy: {len(labels)} label lists for {z.shape[0]} rows")
+        rows = [np.atleast_1d(np.asarray(r, dtype=np.intp)) for r in labels]
+    else:
+        raise ShapeError(f"cross_entropy: expected a vector or a matrix, got shape {z.shape}")
+    sizes = np.asarray([r.size for r in rows])
+    if not sizes.all():
+        raise ShapeError("cross_entropy: empty label list")
+    row_idx = np.repeat(np.arange(len(rows)), sizes)
+    col_idx = np.concatenate(rows)
+    m = z.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    gold_mean = np.bincount(row_idx, weights=z[row_idx, col_idx], minlength=len(rows)) / sizes
+    out = Tensor(np.asarray((lse[:, 0] - gold_mean).mean()))
     p = np.exp(z - lse)
 
     def bw(g: np.ndarray) -> None:
         d = p.copy()
-        np.add.at(d, idx, -1.0 / idx.size)
-        _accum(logits, g * d)
+        np.add.at(d, (row_idx, col_idx), -1.0 / sizes[row_idx])
+        _accum(logits, (g / len(rows)) * d.reshape(logits.values.shape))
 
     return _record(out, (logits,), bw)
 

@@ -46,6 +46,7 @@ from .graphs import (
 )
 from .optim import load_checkpoint, save_checkpoint
 from .recommender import (
+    ABLATION_FLAGS,
     DEFAULT_KS,
     Artifacts,
     Model,
@@ -157,7 +158,7 @@ def parse_without(value: str | None) -> list[str]:
         return []
     flags = [part.strip() for part in value.split(",") if part.strip()]
     for flag in flags:
-        if flag not in ("ig", "rt", "db", "cn"):
+        if flag not in ABLATION_FLAGS:
             raise ValueError(f"unknown ablation flag {flag!r}")
     return flags
 

@@ -76,21 +76,12 @@ def init_rgcn_params(
                       z=z, normalization=normalization)
 
 
-def _relation_norm(graph: TypedGraph, rel: int, params: RgcnParams) -> np.ndarray | None:
-    if params.normalization == NORM_IN_DEGREE:
-        deg = graph.degree(rel)
-        return np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-    if params.z != 1.0:
-        return np.full(graph.n_nodes, 1.0 / params.z)
-    return None
-
-
 def rgcn_forward(graph: TypedGraph, params: RgcnParams) -> Tensor:
     """Two-layer relational convolution over all nodes at once.
 
-    Each layer computes ReLU(sum_r W_r-transformed neighbor sums + self
-    transform) reading only the previous layer, so bipartite graphs update
-    both node sides synchronously.
+    Each layer computes ReLU(sum_r (A_r @ H) W_r + H W_self) with A_r the
+    graph's cached normalized operator of relation r, reading only the
+    previous layer, so bipartite graphs update both node sides synchronously.
     """
     missing = [r for r in graph.relations if r not in params.rel_weights[0]]
     if missing:
@@ -99,15 +90,16 @@ def rgcn_forward(graph: TypedGraph, params: RgcnParams) -> Tensor:
         raise ConfigurationError(
             f"embedding table has {params.embedding.shape[0]} rows, graph has {graph.n_nodes} nodes"
         )
+    in_degree = params.normalization == NORM_IN_DEGREE
+    operators = [graph.relation_operator(rel_idx, in_degree=in_degree, z=params.z)
+                 for rel_idx in range(len(graph.relations))]
     h = params.embedding
     for layer in range(params.n_layers):
         total = ad.matmul(h, params.self_weights[layer])
-        for rel_idx, rel_name in enumerate(graph.relations):
-            src, dst = graph.message_arrays(rel_idx)
-            if src.size == 0:
+        for op, rel_name in zip(operators, graph.relations):
+            if op.nnz == 0:
                 continue
-            norm = _relation_norm(graph, rel_idx, params)
-            agg = ad.neighbor_sum(h, src, dst, graph.n_nodes, norm)
+            agg = ad.spmm(op, h)
             total = ad.add(total, ad.matmul(agg, params.rel_weights[layer][rel_name]))
         h = ad.relu(total)
     return h

@@ -57,6 +57,7 @@ class TypedGraph:
             [tuple(sorted(s)) for s in per_rel] for per_rel in nbr
         ]
         self._messages: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._operators: dict[tuple[int, bool, float], sp.csr_matrix] = {}
 
     def neighbors(self, rel: int, node: int) -> tuple[int, ...]:
         return self._neighbors[rel][node]
@@ -79,6 +80,26 @@ class TypedGraph:
                 np.asarray(dst, dtype=np.intp),
             )
         return self._messages[rel]
+
+    def relation_operator(self, rel: int, *, in_degree: bool = False,
+                          z: float = 1.0) -> sp.csr_matrix:
+        """Normalized message operator of relation ``rel``, built once and cached.
+
+        ``(op @ h)[i]`` is the sum over relation-``rel`` neighbors j of i of
+        ``norm[i] * h[j]``, where ``norm[i]`` is 1 / in-degree of i when
+        ``in_degree`` is set (z is then ignored) and 1 / z otherwise.
+        """
+        key = (rel, True, 1.0) if in_degree else (rel, False, float(z))
+        op = self._operators.get(key)
+        if op is None:
+            src, dst = self.message_arrays(rel)
+            if in_degree:
+                norm = 1.0 / np.bincount(dst, minlength=self.n_nodes)[dst]
+            else:
+                norm = np.full(src.size, 1.0 / z)
+            op = sp.csr_matrix((norm, (dst, src)), shape=(self.n_nodes, self.n_nodes))
+            self._operators[key] = op
+        return op
 
     def degree(self, rel: int) -> np.ndarray:
         return np.asarray([len(self._neighbors[rel][n]) for n in range(self.n_nodes)],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -162,8 +164,14 @@ def _read_exact(fh, n: int) -> bytes:
     return buf
 
 
-def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+def _read_array(fh, size: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Read float64 values of ``shape``, refusing before the read a shape that
+    the rest of a ``size``-byte file cannot hold."""
+    count = math.prod(shape)  # Python ints: no wrap-around
+    left = size - fh.tell()
+    if 8 * count > left:
+        raise ParseError(f"checkpoint truncated: header claims shape {shape} "
+                         f"({8 * count} bytes) but {left} bytes remain")
     raw = _read_exact(fh, 8 * count)
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
@@ -197,6 +205,7 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], AdamState 
     if not path.exists():
         raise MissingArtifactError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4) != _MAGIC:
             raise ParseError(f"not a checkpoint file: {path}")
         version, count = struct.unpack("<II", _read_exact(fh, 8))
@@ -212,15 +221,15 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], AdamState 
             )
             if name in params:
                 raise ParseError(f"duplicate parameter in checkpoint: {name!r}")
-            params[name] = _read_array(fh, shape)
+            params[name] = _read_array(fh, size, shape)
         (opt_flag,) = struct.unpack("<B", _read_exact(fh, 1))
         state: AdamState | None = None
         if opt_flag == 1:
             (step,) = struct.unpack("<Q", _read_exact(fh, 8))
             state = AdamState(step=step)
             for name, arr in params.items():
-                state.m[name] = _read_array(fh, arr.shape)
-                state.v[name] = _read_array(fh, arr.shape)
+                state.m[name] = _read_array(fh, size, arr.shape)
+                state.v[name] = _read_array(fh, size, arr.shape)
         elif opt_flag != 0:
             raise ParseError(f"unknown optimizer flag {opt_flag}")
         return params, state

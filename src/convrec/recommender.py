@@ -277,22 +277,26 @@ def score_all(user_vec: Tensor, item_matrix: Tensor, item_ids: Sequence[int],
 GUARD_EPS = 1e-12
 
 
-def rec_loss(probs: Tensor, gold_positions: Sequence[int]) -> tuple[Tensor, bool]:
-    """Mean over gold items of -log P(gold); flags the small-probability guard.
+def rec_loss(logits: Tensor, gold_positions: Sequence[Sequence[int]]) -> tuple[Tensor, int]:
+    """Batch loss from (B, n_items) logits and one gold-position list per row.
 
-    The guard floors gold probabilities at GUARD_EPS. Exact zeros would make
-    log diverge outright; subnormal values survive the forward pass but
-    overflow its 1/p gradient, which gradient clipping cannot repair once it
-    is infinite.
+    Each example's loss is the mean over its gold items of -log softmax, and
+    the batch loss is the mean over examples. Log-softmax stays finite however
+    small a gold probability gets, so nothing is floored; the second value
+    counts the examples with a gold probability below GUARD_EPS, as a
+    diagnostic.
     """
-    if not gold_positions:
-        raise ValidationError("rec_loss requires at least one gold item")
-    p_gold = ad.take(probs, list(gold_positions))
-    tiny = p_gold.values < GUARD_EPS
-    guarded = bool(np.any(tiny))
-    if guarded:
-        p_gold = ad.add_const(p_gold, np.where(tiny, GUARD_EPS - p_gold.values, 0.0))
-    return ad.scale(ad.mean_all(ad.log(p_gold)), -1.0), guarded
+    if not gold_positions or not all(gold_positions):
+        raise ValidationError("rec_loss requires at least one gold item per example")
+    loss = ad.cross_entropy(logits, gold_positions)
+    z = logits.values
+    m = z.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    guards = sum(
+        int(np.any(np.exp(z[row, golds] - lse[row]) < GUARD_EPS))
+        for row, golds in enumerate(gold_positions)
+    )
+    return loss, guards
 
 
 def rank_order(probs: np.ndarray) -> np.ndarray:
@@ -376,19 +380,24 @@ class TrainResult:
 
 def batch_loss(model: Model, batch: Sequence[RecExample],
                item_matrix: Tensor, word_matrix: Tensor | None) -> tuple[Tensor, int]:
-    """Mean per-example loss over a batch on one shared encoder tape."""
-    total: Tensor | None = None
-    guards = 0
-    for ex in batch:
-        rep = model.user_representation(ex, item_matrix, word_matrix)
-        probs = score_all(rep.vector, item_matrix, model.artifacts.item_ids,
-                          model.mask_for(ex))
-        gold_positions = [model.item_pos[g] for g in sorted(ex.gold_items)]
-        loss, guarded = rec_loss(probs, gold_positions)
-        guards += int(guarded)
-        total = loss if total is None else ad.add(total, loss)
-    assert total is not None, "empty batch"
-    return ad.scale(total, 1.0 / len(batch)), guards
+    """Mean per-example loss over a batch on one shared encoder tape.
+
+    The user vectors are stacked into U (B, d) and scored against the item
+    rows I in one matmul, U I^T; mentioned items get a MASK_LOGIT offset as
+    in score_all.
+    """
+    users = ad.stack([model.user_representation(ex, item_matrix, word_matrix).vector
+                      for ex in batch])
+    item_rows = ad.lookup(item_matrix, model.artifacts.item_ids)
+    logits = ad.matmul(users, ad.transpose(item_rows))
+    offsets = np.zeros(logits.shape)
+    for row, ex in enumerate(batch):
+        masked = model.mask_for(ex)
+        if masked:
+            offsets[row, masked] = MASK_LOGIT
+    logits = ad.add_const(logits, offsets)
+    gold_positions = [[model.item_pos[g] for g in sorted(ex.gold_items)] for ex in batch]
+    return rec_loss(logits, gold_positions)
 
 
 def _param_norms(store: ParamStore) -> dict[str, float]:

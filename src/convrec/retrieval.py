@@ -286,8 +286,13 @@ def load_index(path: str | Path) -> Bm25Index:
         doc_terms: list[Counter] = [Counter() for _ in range(n_docs)]
         df: dict[int, int] = {}
         (n_terms,) = struct.unpack("<I", _read_exact(fh, 4))
+        prev_term = -1
         for _ in range(n_terms):
             term, term_df, n_postings = struct.unpack("<III", _read_exact(fh, 12))
+            if term <= prev_term:
+                raise ParseError(f"term {term} follows term {prev_term}: terms are not "
+                                 f"strictly ascending")
+            prev_term = term
             if term_df != n_postings:
                 raise ParseError(f"term {term} has df {term_df} but {n_postings} postings")
             df[term] = term_df
@@ -303,6 +308,10 @@ def load_index(path: str | Path) -> Bm25Index:
                 doc_terms[doc_idx][term] = tf
         if n_docs == 0:
             raise ParseError("index contains no documents")
+        for doc_id, length, counts in zip(doc_ids, doc_lens, doc_terms):
+            if length != sum(counts.values()):
+                raise ParseError(f"document {doc_id!r} has length {length} but its "
+                                 f"postings' tf sum to {sum(counts.values())}")
         avgdl = sum(doc_lens) / n_docs
         return Bm25Index(k1=k1, b=b, doc_ids=doc_ids, doc_terms=doc_terms,
                          doc_lens=doc_lens, doc_entities=doc_entities, df=df, avgdl=avgdl)

@@ -7,6 +7,7 @@ from scipy import sparse as sp
 from convrec import autodiff as ad
 from convrec.autodiff import Tensor, backward, constant, finite_diff_check
 from convrec.errors import NumericError, ShapeError
+from convrec.graphs import TypedGraph
 from convrec.optim import ParamStore
 
 
@@ -225,30 +226,38 @@ def test_weighted_sum_gradcheck():
     check(f, store, samples_per_param=4)
 
 
-def test_neighbor_sum_matches_dense_adjacency():
-    rng = np.random.default_rng(7)
-    h = rng.normal(size=(5, 3))
-    edges = [(0, 1), (2, 1), (3, 3), (4, 0), (1, 0)]
-    src = np.asarray([e[0] for e in edges], dtype=np.intp)
-    dst = np.asarray([e[1] for e in edges], dtype=np.intp)
-    norm = np.asarray([1.0, 0.5, 1.0, 0.25, 1.0])
-
-    out = ad.neighbor_sum(Tensor(h), src, dst, 5, norm)
+def _relation_graph():
+    # relation 0 has a self-loop (3, 3) and the pair {0, 1} given in both directions
+    edges = [(0, 0, 1), (2, 0, 1), (3, 0, 3), (4, 0, 0), (1, 0, 0), (1, 1, 4)]
     dense = np.zeros((5, 5))
-    for s_, d_ in edges:
-        dense[d_, s_] += 1.0
-    np.testing.assert_allclose(out.values, (dense @ h) * norm[:, None], atol=1e-15)
+    for head, rel, tail in edges:
+        if rel == 0:
+            dense[head, tail] = dense[tail, head] = 1.0
+    return TypedGraph(5, ("r", "s"), edges), dense
 
 
-def test_neighbor_sum_gradcheck():
-    rng = np.random.default_rng(8)
-    store = fd_store(h=rng.normal(size=(5, 3)))
-    src = np.asarray([0, 2, 3, 4, 1, 1], dtype=np.intp)
-    dst = np.asarray([1, 1, 3, 0, 0, 2], dtype=np.intp)
-    norm = np.asarray([0.5, 1.0, 2.0, 1.0, 0.125])
+def test_relation_operator_matches_dense_adjacency():
+    graph, dense = _relation_graph()
+    h = np.random.default_rng(7).normal(size=(5, 3))
+    deg = dense.sum(axis=1)
+    cases = [({}, np.ones(5)), ({"z": 2.5}, np.full(5, 1.0 / 2.5)),
+             ({"in_degree": True}, np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0))]
+    for kwargs, norm in cases:
+        op = graph.relation_operator(0, **kwargs)
+        np.testing.assert_allclose(op.toarray(), dense * norm[:, None], atol=1e-15)
+        out = ad.spmm(op, Tensor(h))
+        np.testing.assert_allclose(out.values, (dense @ h) * norm[:, None], atol=1e-14)
+
+
+def test_relation_operator_gradcheck():
+    graph, _ = _relation_graph()
+    # in-degree values make the operator asymmetric, so the backward must use its transpose
+    op = graph.relation_operator(0, in_degree=True)
+    assert not np.allclose(op.toarray(), op.toarray().T)
+    store = fd_store(h=np.random.default_rng(8).normal(size=(5, 3)))
 
     def f(s):
-        return ad.mean_all(ad.tanh(ad.neighbor_sum(s["h"], src, dst, 5, norm)))
+        return ad.mean_all(ad.tanh(ad.spmm(op, s["h"])))
 
     check(f, store, samples_per_param=6)
 
@@ -310,6 +319,55 @@ def test_cross_entropy_gradcheck():
         return ad.cross_entropy(s["z"], [1, 4])
 
     check(f, store, samples_per_param=6)
+
+
+def test_cross_entropy_rows_are_mean_of_vector_losses():
+    rng = np.random.default_rng(14)
+    z = rng.normal(size=(3, 7))
+    labels = [[2, 5, 5], [0], [6, 1]]
+    fused = ad.cross_entropy(Tensor(z), labels)
+    rows = [float(ad.cross_entropy(Tensor(z[i]), labels[i]).values) for i in range(3)]
+    assert fused.values == pytest.approx(np.mean(rows), abs=1e-12)
+
+
+def test_cross_entropy_gradcheck_masked_multi_gold_rows():
+    rng = np.random.default_rng(15)
+    store = fd_store(z=rng.normal(size=(3, 6)))
+    mask = np.zeros((3, 6))
+    mask[0, [0, 3]] = -1e9
+    mask[2, 5] = -1e9
+
+    def f(s):
+        return ad.cross_entropy(ad.add_const(s["z"], mask), [[1, 4], [0], [2, 2, 4]])
+
+    check(f, store, samples_per_param=18)
+
+
+def test_cross_entropy_rejects_bad_labels():
+    z = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match="2 rows"):
+        ad.cross_entropy(z, [[0]])
+    with pytest.raises(ShapeError, match="empty"):
+        ad.cross_entropy(z, [[0], []])
+    with pytest.raises(ShapeError, match="vector or a matrix"):
+        ad.cross_entropy(Tensor(np.zeros((1, 2, 3))), [[0]])
+
+
+def test_stack_gradcheck_and_shapes():
+    rng = np.random.default_rng(16)
+    store = fd_store(a=rng.normal(size=3), b=rng.normal(size=3))
+    out = ad.stack([Tensor(store["a"].values), Tensor(store["b"].values)])
+    np.testing.assert_array_equal(out.values, np.stack([store["a"].values, store["b"].values]))
+    w = constant(rng.normal(size=(3, 2)))
+
+    def f(s):
+        return ad.mean_all(ad.tanh(ad.matmul(ad.stack([s["a"], s["b"], s["a"]]), w)))
+
+    check(f, store, samples_per_param=3)
+    with pytest.raises(ShapeError):
+        ad.stack([])
+    with pytest.raises(ShapeError):
+        ad.stack([Tensor(np.zeros(2)), Tensor(np.zeros(3))])
 
 
 def test_mul_scalar_gradcheck():

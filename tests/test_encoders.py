@@ -142,6 +142,37 @@ def test_rgcn_gradients_flow():
     assert worst < 1e-4
 
 
+@pytest.mark.parametrize("normalization, z", [(NORM_IN_DEGREE, 1.0), (NORM_CONSTANT, 2.5)])
+def test_rgcn_gradients_flow_normalized(normalization, z):
+    rng = np.random.default_rng(8)
+    graph = random_typed_graph(rng, 6, ("a", "b"), 10)
+    store = ParamStore()
+    params = init_rgcn_params(store, "g", 6, graph.relations, 3, np.random.default_rng(8),
+                              z=z, normalization=normalization)
+
+    def objective(_):
+        return ad.sum_all(rgcn_forward(graph, params))
+
+    worst = ad.finite_diff_check(objective, store, samples_per_param=3, seed=2)
+    assert worst < 1e-4
+
+
+def test_rgcn_reuses_cached_relation_operators():
+    rng = np.random.default_rng(12)
+    graph = random_typed_graph(rng, 7, ("a", "b"), 12)
+    const = init_rgcn_params(ParamStore(), "c", 7, graph.relations, 4, rng, z=2.5)
+    first = rgcn_forward(graph, const).values
+    ops = dict(graph._operators)
+    assert sorted(ops) == [(0, False, 2.5), (1, False, 2.5)]
+    np.testing.assert_array_equal(rgcn_forward(graph, const).values, first)
+    assert all(graph._operators[k] is op for k, op in ops.items())
+    in_deg = init_rgcn_params(ParamStore(), "d", 7, graph.relations, 4, rng,
+                              normalization=NORM_IN_DEGREE)
+    rgcn_forward(graph, in_deg)
+    assert sorted(graph._operators) == [(0, False, 2.5), (0, True, 1.0),
+                                        (1, False, 2.5), (1, True, 1.0)]
+
+
 # ---------------------------------------------------------------------------
 # word-graph convolution vs dense oracle
 

@@ -85,6 +85,22 @@ def test_message_arrays_self_loop_counts_once():
     assert list(zip(dst.tolist(), src.tolist())) == [(0, 0), (0, 1), (1, 0)]
 
 
+def test_relation_operator_holds_destination_norm_and_is_cached():
+    g = TypedGraph(4, ("r",), [(0, 0, 2), (1, 0, 2), (3, 0, 0)])
+    src, dst = g.message_arrays(0)
+    deg = g.degree(0)
+    op = g.relation_operator(0, in_degree=True)
+    assert op.nnz == src.size
+    # values norm[dst] at (dst, src), in message_arrays order
+    np.testing.assert_array_equal(op.toarray()[dst, src], 1.0 / deg[dst])
+    assert g.relation_operator(0, in_degree=True) is op
+    assert g.relation_operator(0, in_degree=True, z=3.0) is op  # z is ignored in this mode
+    const = g.relation_operator(0, z=4.0)
+    assert const is not op and g.relation_operator(0, z=4.0) is const
+    np.testing.assert_array_equal(const.toarray()[dst, src], np.full(src.size, 0.25))
+    assert g.relation_operator(0).nnz == src.size
+
+
 def test_adding_remote_edge_preserves_local_messages():
     # 2-hop locality: rows of untouched destinations keep identical src order
     base = TypedGraph(6, ("r",), [(0, 0, 1), (1, 0, 2)])

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from convrec import autodiff as ad
+from convrec import optim
 from convrec.errors import ConfigurationError, MissingArtifactError, ParseError, StateError
 from convrec.optim import (
     AdamConfig,
@@ -241,6 +244,47 @@ def test_checkpoint_truncation(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(ParseError):
+        read_checkpoint(path)
+
+
+@pytest.fixture
+def small_reads(monkeypatch):
+    """Fail a test, instead of allocating, if the reader asks for a large read."""
+    real = optim._read_exact
+
+    def bounded(fh, n):
+        assert n <= 4096, f"read of {n} bytes requested"
+        return real(fh, n)
+
+    monkeypatch.setattr(optim, "_read_exact", bounded)
+
+
+def _one_param_header(shape):
+    return (b"CVRK" + struct.pack("<IIH", 1, 1, 1) + b"a" + struct.pack("<B", len(shape))
+            + struct.pack(f"<{len(shape)}I", *shape))
+
+
+@pytest.mark.parametrize("shape", [
+    (65536,) * 4,     # 2**64 values: an int64 product wraps to 0
+    (2**20, 2**20),   # 8 TiB of values
+    (5,),             # 40 bytes, 1 left
+], ids=["wraps", "huge", "short"])
+def test_read_checkpoint_bounds_shape_by_file_size(tmp_path, small_reads, shape):
+    raw = _one_param_header(shape) + b"\x00"
+    assert len(raw) < 64
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=r"header claims shape .* but 1 bytes remain"):
+        read_checkpoint(path)
+
+
+def test_read_checkpoint_bounds_adam_state_by_file_size(tmp_path, small_reads):
+    store = make_store()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, AdamState.for_store(store))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8])  # the last v array loses one value
+    with pytest.raises(ParseError, match="header claims shape"):
         read_checkpoint(path)
 
 

@@ -16,6 +16,7 @@ from convrec.recommender import (
     ablate,
     ablation_config,
     aggregate_metrics,
+    batch_loss,
     build_artifacts,
     comparison_table,
     evaluate,
@@ -25,7 +26,7 @@ from convrec.recommender import (
     score_all,
     train,
 )
-from convrec.synthetic import popularity_corpus
+from convrec.synthetic import popularity_corpus, toy_instance
 
 from oracles import brute_force_metrics
 
@@ -77,7 +78,7 @@ def test_score_all_masked_gradients_stay_finite():
     user = store.add("u", np.random.default_rng(2).normal(size=4))
     item_matrix = ad.constant(np.random.default_rng(3).normal(size=(5, 4)))
     probs = score_all(user, item_matrix, [0, 1, 2, 3, 4], masked_positions=[0])
-    loss, _ = rec_loss(probs, [2])
+    loss = ad.scale(ad.mean_all(ad.log(ad.take(probs, [2]))), -1.0)
     ad.backward(loss)
     assert np.isfinite(user.grad).all()
 
@@ -104,50 +105,91 @@ def test_rank_order_breaks_ties_by_position():
 
 
 def test_rec_loss_hand_values():
-    probs = ad.constant(np.array([0.2, 0.3, 0.5]))
-    loss, guarded = rec_loss(probs, [1])
-    assert loss.item() == pytest.approx(-np.log(0.3), abs=1e-12)
-    assert not guarded
-    loss2, _ = rec_loss(probs, [0, 2])
-    assert loss2.item() == pytest.approx(-(np.log(0.2) + np.log(0.5)) / 2, abs=1e-12)
+    # softmax(log p) = p, so each row's loss is -log p of its golds
+    logits = ad.constant(np.log(np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3]])))
+    loss, guards = rec_loss(logits, [[1], [0, 2]])
+    want = (-np.log(0.3) - (np.log(0.1) + np.log(0.3)) / 2) / 2
+    assert loss.item() == pytest.approx(want, abs=1e-12)
+    assert guards == 0
+    single, _ = rec_loss(ad.constant(logits.values[:1]), [[0, 2]])
+    assert single.item() == pytest.approx(-(np.log(0.2) + np.log(0.5)) / 2, abs=1e-12)
 
 
-def test_rec_loss_guard_floors_tiny_probabilities():
-    probs = ad.constant(np.array([1e-15, 1.0 - 2e-15, 1e-15]))
-    loss, guarded = rec_loss(probs, [0])
-    assert guarded
-    assert loss.item() == pytest.approx(-np.log(1e-12), rel=1e-9)
-    assert np.isfinite(loss.item())
+def test_rec_loss_guard_counts_tiny_probabilities():
+    # gold probability ~1e-15 in row 0 only; the loss is its exact -log p, not floored
+    logits = ad.constant(np.array([[np.log(1e-15), 0.0, np.log(1e-15)],
+                                   [0.0, 0.0, 0.0]]))
+    loss, guards = rec_loss(logits, [[0], [2]])
+    assert guards == 1
+    want = (-np.log(1e-15 / (1.0 + 2e-15)) + np.log(3.0)) / 2
+    assert loss.item() == pytest.approx(want, rel=1e-12)
 
 
 def test_rec_loss_guard_keeps_gradient_finite():
-    # a huge logit spread underflows the gold probability to subnormal;
-    # without the floor the 1/p gradient overflows to inf
+    # a logit spread of 715 puts the gold probability below the smallest
+    # normal double; log-softmax keeps the loss and its gradient finite
     store = ParamStore()
-    logits = store.add("logits", np.array([715.0, 0.0, -3.0]))
-    probs = ad.softmax(logits)
-    assert 0.0 < probs.values[1] < 1e-300  # subnormal, not an exact zero
-    loss, guarded = rec_loss(probs, [1])
-    assert guarded
+    logits = store.add("logits", np.array([[715.0, 0.0, -3.0]]))
+    assert 0.0 < ad.softmax(ad.constant(logits.values[0])).values[1] < 1e-300
+    loss, guards = rec_loss(logits, [[1]])
+    assert guards == 1
+    assert loss.item() == pytest.approx(715.0, rel=1e-12)
     ad.backward(loss)
     assert np.isfinite(logits.grad).all()
+    np.testing.assert_allclose(logits.grad, [[1.0, -1.0, 0.0]], atol=1e-12)
 
 
 def test_rec_loss_requires_gold():
     with pytest.raises(ValidationError):
-        rec_loss(ad.constant(np.array([1.0])), [])
+        rec_loss(ad.constant(np.array([[1.0]])), [[]])
+    with pytest.raises(ValidationError):
+        rec_loss(ad.constant(np.zeros((2, 3))), [[1], []])
 
 
 def test_rec_loss_gradcheck_unguarded():
     store = ParamStore()
-    store.add("logits", np.array([0.3, -0.2, 0.8, 0.1]))
+    store.add("logits", np.array([[0.3, -0.2, 0.8, 0.1], [0.5, 0.2, -0.4, 0.9]]))
+    mask = np.array([[0.0, 0.0, 0.0, MASK_LOGIT], [0.0, MASK_LOGIT, 0.0, 0.0]])
 
     def objective(s):
-        loss, _ = rec_loss(ad.softmax(s["logits"]), [0, 2])
+        loss, _ = rec_loss(ad.add_const(s["logits"], mask), [[0, 2], [3]])
         return loss
 
-    worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=0)
+    worst = ad.finite_diff_check(objective, store, samples_per_param=8, seed=0)
     assert worst < 1e-4
+
+
+def test_batch_loss_matches_score_all_route():
+    # ties the training path to the inference path: same masks, same golds
+    data = toy_instance()
+    artifacts = artifacts_of(data)
+    model = Model(artifacts, TrainConfig(dim=8, seed=0))
+    batch = [e for e in artifacts.examples if e.split == Split.TRAIN]
+    assert any(model.mask_for(ex) for ex in batch)
+    item_matrix, word_matrix = model.encoder_outputs()
+    loss, guards = batch_loss(model, batch, item_matrix, word_matrix)
+    per_example = []
+    for ex in batch:
+        rep = model.user_representation(ex, item_matrix, word_matrix)
+        probs = score_all(rep.vector, item_matrix, artifacts.item_ids,
+                          model.mask_for(ex)).values
+        golds = [model.item_pos[g] for g in sorted(ex.gold_items)]
+        per_example.append(-np.mean(np.log(probs[golds])))
+    assert loss.item() == pytest.approx(np.mean(per_example), abs=1e-12)
+    assert guards == 0
+
+
+def test_training_builds_relation_operators_once():
+    artifacts = artifacts_of(popularity_corpus(seed=0, n_users=20, n_items=12,
+                                               n_conversations=60))
+    train(artifacts, small_config(epochs=2, batch_size=4))
+    kg_ops = dict(artifacts.kg._operators)
+    ig_ops = dict(artifacts.interaction.as_typed()._operators)
+    assert len(kg_ops) == len(artifacts.kg.relations)
+    assert len(ig_ops) == len(artifacts.interaction.relations)
+    train(artifacts, small_config(epochs=1, batch_size=4, seed=1))
+    assert artifacts.kg._operators.keys() == kg_ops.keys()
+    assert all(artifacts.kg._operators[k] is op for k, op in kg_ops.items())
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,26 @@ def test_load_rejects_inconsistent_postings(tmp_path, terms, message):
         load_index(path)
 
 
+@pytest.mark.parametrize("terms", [
+    [(1, 1, [(0, 1)]), (1, 1, [(1, 1)])],   # term 1 recorded twice
+    [(2, 1, [(0, 1)]), (1, 1, [(1, 1)])],   # terms descending
+], ids=["duplicate", "descending"])
+def test_load_rejects_terms_not_strictly_ascending(tmp_path, terms):
+    # every document length matches its postings, so only the term order is wrong
+    path = tmp_path / "bad.idx"
+    path.write_bytes(_index_bytes([("c0", 1, [1]), ("c1", 1, [1])], terms))
+    with pytest.raises(ParseError, match="not strictly ascending"):
+        load_index(path)
+
+
+def test_load_rejects_document_length_unlike_its_postings(tmp_path):
+    path = tmp_path / "bad.idx"
+    path.write_bytes(_index_bytes([("c0", 9, [1]), ("c1", 1, [1])],
+                                  [(1, 2, [(0, 1), (1, 1)])]))
+    with pytest.raises(ParseError, match="'c0' has length 9 but its postings' tf sum to 1"):
+        load_index(path)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_retrieve_equals_exhaustive_bm25_score_ranking(data):
