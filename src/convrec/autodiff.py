@@ -78,8 +78,9 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], fn: Callable[[np.ndarray],
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.values.dtype)  # a copy: g may be another node's buffer
+    else:
+        t.grad += g
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -90,8 +91,8 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def backward(root: Tensor) -> None:
     """Populate gradients of everything reachable from a scalar ``root``.
 
-    Gradients of all tape nodes reached in this call are reset before
-    accumulation, so repeated calls on the same tape are bitwise reproducible.
+    Reached nodes restart from ``None`` and copy the first gradient that
+    arrives, so repeated calls on the same tape are bitwise reproducible.
     """
     if root.values.ndim != 0:
         raise ShapeError(f"backward root must be scalar, got shape {root.values.shape}")
@@ -114,10 +115,10 @@ def backward(root: Tensor) -> None:
                 stack.append((parent, False))
 
     for node in topo:
-        node.grad = np.zeros_like(node.values)
+        node.grad = None
     root.grad = np.ones_like(root.values)
     for node in reversed(topo):
-        if node._backward_fn is not None:
+        if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
 
 
@@ -273,7 +274,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     if a.values.ndim != 2:
         raise ShapeError(f"transpose: expected a matrix, got shape {a.values.shape}")
-    out = Tensor(a.values.T.copy())
+    # a view: tape values are never written in place, only parameters are
+    out = Tensor(a.values.T)
 
     def bw(g: np.ndarray) -> None:
         _accum(a, g.T)
@@ -433,16 +435,16 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor) -> Tensor:
-    """Softmax of a vector (max-shifted for stability)."""
-    if a.values.ndim != 1:
-        raise ShapeError(f"softmax: expected a vector, got shape {a.values.shape}")
-    shifted = a.values - a.values.max()
-    e = np.exp(shifted)
-    y = e / e.sum()
+    """Softmax of a vector, or of each row of a matrix (max-shifted for stability)."""
+    if a.values.ndim not in (1, 2):
+        raise ShapeError(f"softmax: expected a vector or a matrix, got shape {a.values.shape}")
+    e = np.exp(a.values - a.values.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, y * (g - np.dot(g, y)))
+        dots = np.dot(g, y) if y.ndim == 1 else np.einsum("ij,ij->i", g, y)[:, None]
+        _accum(a, y * (g - dots))
 
     return _record(out, (a,), bw)
 

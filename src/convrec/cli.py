@@ -15,6 +15,7 @@ from pathlib import Path
 
 import click
 
+from . import autodiff as ad
 from .corpus import (
     RecExample,
     Split,
@@ -489,13 +490,13 @@ def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
             context_words=(), gold_items=frozenset(),
         )
         rep = model.user_representation(example, item_matrix, word_matrix)
-        probs = score_all(rep.vector, item_matrix, model.artifacts.item_ids,
-                          model.mask_for(example))
-        for rank, pos in enumerate(rank_order(probs.values)[:k], start=1):
+        probs = score_all(ad.stack([rep.vector]), item_matrix, model.artifacts.item_ids,
+                          [model.mask_for(example)]).values[0]
+        for rank, pos in enumerate(rank_order(probs)[:k], start=1):
             entity = model.artifacts.item_ids[int(pos)]
             click.echo(
                 f"{rank}\t{entities.tokens[entity]}\t{entities.names[entity]}"
-                f"\t{probs.values[int(pos)]:.6f}"
+                f"\t{probs[int(pos)]:.6f}"
             )
         click.echo("")
 

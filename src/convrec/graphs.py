@@ -198,12 +198,6 @@ class InteractionGraph:
     def n_items(self) -> int:
         return len(self.items)
 
-    def like_degree(self, entity_id: int) -> int:
-        item_idx = self.item_index.get(entity_id)
-        if item_idx is None:
-            return 0
-        return sum(1 for _, rel, i in self.edges if rel == 0 and i == item_idx)
-
     def as_typed(self) -> TypedGraph:
         """View as one TypedGraph: items at rows [0, n_items), users after.
 

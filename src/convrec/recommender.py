@@ -258,20 +258,28 @@ class Model:
         return masked or None
 
 
-def score_all(user_vec: Tensor, item_matrix: Tensor, item_ids: Sequence[int],
-              masked_positions: Sequence[int] | None = None) -> Tensor:
-    """Probability over all items: softmax of dot products with the user vector.
+def item_logits(users: Tensor, item_matrix: Tensor, item_ids: Sequence[int],
+                masks: Sequence[Sequence[int] | None] | None = None) -> Tensor:
+    """(B, n_items) logits U I^T of the user rows U (B, d) against the item rows.
 
-    ``masked_positions`` (already-mentioned items) get a MASK_LOGIT offset,
-    pinning their probability to exactly zero.
+    ``masks[b]`` lists row b's already-mentioned positions, or is None; they
+    get a MASK_LOGIT offset, which pins their probability to exactly zero.
     """
-    item_rows = ad.lookup(item_matrix, list(item_ids))
-    logits = ad.matmul(item_rows, user_vec)
-    if masked_positions:
-        offsets = np.zeros(len(item_ids))
-        offsets[list(masked_positions)] = MASK_LOGIT
-        logits = ad.add_const(logits, offsets)
-    return ad.softmax(logits)
+    if masks is not None and len(masks) != users.shape[0]:
+        raise ValidationError(f"{len(masks)} masks for {users.shape[0]} user rows")
+    item_rows = ad.lookup(item_matrix, item_ids)
+    logits = ad.matmul(users, ad.transpose(item_rows))
+    offsets = np.zeros(logits.shape)
+    for row, masked in enumerate(masks or ()):
+        if masked:
+            offsets[row, masked] = MASK_LOGIT
+    return ad.add_const(logits, offsets)
+
+
+def score_all(users: Tensor, item_matrix: Tensor, item_ids: Sequence[int],
+              masks: Sequence[Sequence[int] | None] | None = None) -> Tensor:
+    """(B, n_items) probabilities: the row softmax of :func:`item_logits`."""
+    return ad.softmax(item_logits(users, item_matrix, item_ids, masks))
 
 
 GUARD_EPS = 1e-12
@@ -289,13 +297,9 @@ def rec_loss(logits: Tensor, gold_positions: Sequence[Sequence[int]]) -> tuple[T
     if not gold_positions or not all(gold_positions):
         raise ValidationError("rec_loss requires at least one gold item per example")
     loss = ad.cross_entropy(logits, gold_positions)
-    z = logits.values
-    m = z.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
-    guards = sum(
-        int(np.any(np.exp(z[row, golds] - lse[row]) < GUARD_EPS))
-        for row, golds in enumerate(gold_positions)
-    )
+    probs = ad.softmax(ad.constant(logits.values)).values
+    guards = sum(int(np.any(probs[row, golds] < GUARD_EPS))
+                 for row, golds in enumerate(gold_positions))
     return loss, guards
 
 
@@ -349,12 +353,17 @@ def evaluate(model: Model, examples: Sequence[RecExample],
     ks = sorted(set(ks))
     item_matrix, word_matrix = model.encoder_outputs()
     rank_lists: list[list[int]] = []
-    for ex in examples:
-        rep = model.user_representation(ex, item_matrix, word_matrix)
-        probs = score_all(rep.vector, item_matrix, model.artifacts.item_ids,
-                          model.mask_for(ex))
-        gold_positions = [model.item_pos[g] for g in sorted(ex.gold_items)]
-        rank_lists.append(_gold_ranks(probs.values, gold_positions))
+    for start in range(0, len(examples), model.config.batch_size):
+        chunk = examples[start:start + model.config.batch_size]
+        # values only: a chunk of live per-example tapes slows every GC pass
+        users = ad.constant(np.stack([
+            model.user_representation(ex, item_matrix, word_matrix).vector.values
+            for ex in chunk]))
+        probs = score_all(users, item_matrix, model.artifacts.item_ids,
+                          [model.mask_for(ex) for ex in chunk])
+        for ex, row in zip(chunk, probs.values):
+            gold_positions = [model.item_pos[g] for g in sorted(ex.gold_items)]
+            rank_lists.append(_gold_ranks(row, gold_positions))
     recall, mrr, pairs = aggregate_metrics(rank_lists, ks)
     label = split_label if split_label is not None else (
         examples[0].split.value if len({e.split for e in examples}) == 1 else "mixed"
@@ -382,20 +391,13 @@ def batch_loss(model: Model, batch: Sequence[RecExample],
                item_matrix: Tensor, word_matrix: Tensor | None) -> tuple[Tensor, int]:
     """Mean per-example loss over a batch on one shared encoder tape.
 
-    The user vectors are stacked into U (B, d) and scored against the item
-    rows I in one matmul, U I^T; mentioned items get a MASK_LOGIT offset as
-    in score_all.
+    The user vectors are stacked into U (B, d) and scored in one
+    :func:`item_logits` call.
     """
     users = ad.stack([model.user_representation(ex, item_matrix, word_matrix).vector
                       for ex in batch])
-    item_rows = ad.lookup(item_matrix, model.artifacts.item_ids)
-    logits = ad.matmul(users, ad.transpose(item_rows))
-    offsets = np.zeros(logits.shape)
-    for row, ex in enumerate(batch):
-        masked = model.mask_for(ex)
-        if masked:
-            offsets[row, masked] = MASK_LOGIT
-    logits = ad.add_const(logits, offsets)
+    logits = item_logits(users, item_matrix, model.artifacts.item_ids,
+                         [model.mask_for(ex) for ex in batch])
     gold_positions = [[model.item_pos[g] for g in sorted(ex.gold_items)] for ex in batch]
     return rec_loss(logits, gold_positions)
 
@@ -446,7 +448,6 @@ def train(artifacts: Artifacts, config: TrainConfig,
                     f"non-finite loss {loss_value} at epoch {epoch}, batch {n_batches}; "
                     f"parameter norms: {_param_norms(model.store)}"
                 )
-            model.store.zero_grads()
             ad.backward(loss)
             adam_step(model.store, state, adam_cfg)
             running += loss_value

@@ -114,3 +114,23 @@ def brute_force_metrics(
         {k: recall[k] / pairs for k in ks},
         {k: mrr[k] / pairs for k in ks},
     )
+
+
+def masked_softmax_scores(
+    item_matrix: np.ndarray,
+    item_ids: list[int],
+    user: np.ndarray,
+    masked: list[int] | None = None,
+) -> np.ndarray:
+    """Softmax over the dot products item_matrix[item_ids] @ user.
+
+    Masked positions get probability exactly 0; the rest are renormalized
+    among themselves.
+    """
+    logits = item_matrix[list(item_ids)] @ user
+    keep = np.ones(logits.shape[0], dtype=bool)
+    keep[list(masked or [])] = False
+    e = np.exp(logits[keep] - logits[keep].max())
+    probs = np.zeros(logits.shape[0])
+    probs[keep] = e / e.sum()
+    return probs

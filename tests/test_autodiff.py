@@ -141,7 +141,7 @@ def test_mismatched_shapes_raise():
     with pytest.raises(ShapeError):
         ad.add_const(a, np.ones((2, 2)))
     with pytest.raises(ShapeError):
-        ad.softmax(Tensor(np.ones((2, 2))))
+        ad.softmax(Tensor(np.ones((2, 2, 2))))
     with pytest.raises(ShapeError):
         ad.weighted_sum(Tensor(np.ones(3)), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):
@@ -290,6 +290,38 @@ def test_softmax_normalizes_and_gradchecks():
         return ad.mean_all(ad.mul(ad.softmax(s["z"]), constant(np.arange(7.0))))
 
     check(f, store, samples_per_param=7)
+
+
+def test_softmax_rows_normalize_and_gradcheck():
+    rng = np.random.default_rng(14)
+    store = fd_store(z=rng.normal(size=(3, 5)))
+
+    y = ad.softmax(Tensor(store["z"].values))
+    np.testing.assert_allclose(y.values.sum(axis=1), 1.0, atol=1e-12)
+    for row, z in zip(y.values, store["z"].values):
+        np.testing.assert_array_equal(row, ad.softmax(Tensor(z)).values)
+
+    weights = constant(rng.normal(size=(3, 5)))
+
+    def f(s):
+        return ad.mean_all(ad.mul(ad.softmax(s["z"]), weights))
+
+    check(f, store, samples_per_param=15)
+
+
+def test_softmax_vector_arithmetic_is_pinned():
+    # attention pooling trains through the vector case: exact forward and backward
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 7, 64, 513):
+        z = rng.normal(size=n) * 10.0
+        g = rng.normal(size=n)
+        x = Tensor(z, requires_grad=True)
+        y = ad.softmax(x)
+        e = np.exp(z - z.max())
+        want = e / e.sum()
+        np.testing.assert_array_equal(y.values, want)
+        backward(ad.sum_all(ad.mul(y, constant(g))))  # hands g to the softmax exactly
+        np.testing.assert_array_equal(x.grad, want * (g - np.dot(g, want)))
 
 
 def test_softmax_handles_large_logits():

@@ -5,10 +5,13 @@ import pytest
 from click.testing import CliRunner
 
 from convrec import cli
+from convrec.corpus import RecExample, Split
 from convrec.errors import NumericError
 from convrec.recommender import Model, TrainConfig, evaluate
 from convrec.retrieval import conversation_tokens, retrieve
 from convrec.synthetic import popularity_corpus, toy_instance, write_inputs
+
+from oracles import masked_softmax_scores
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +341,35 @@ def test_recommend_session(runner, toy_bundle, toy_checkpoint):
     second = [line.split("\t") for line in blocks[1].split("\n")]
     by_token2 = {row[1]: float(row[3]) for row in second}
     assert by_token2["I1"] == 0.0
+
+
+def test_recommend_matches_scoring_oracle(runner, toy_bundle, toy_checkpoint):
+    result = run(runner, ["recommend", "--bundle", str(toy_bundle),
+                          "--checkpoint", str(toy_checkpoint), "--k", "4"],
+                 input="I0 I3\nI1\nI5\n")
+    assert result.exit_code == 0
+    printed = [[line.split("\t") for line in block.split("\n")]
+               for block in result.stdout.strip("\n").split("\n\n")]
+
+    model = cli.load_model(str(toy_bundle), str(toy_checkpoint))
+    entities = model.artifacts.vocab.entities
+    item_ids = model.artifacts.item_ids
+    item_matrix, word_matrix = model.encoder_outputs()
+    context: list[int] = []
+    expected = []
+    for tokens in (["I0", "I3"], ["I1"], ["I5"]):
+        context += [entities.resolve(t) for t in tokens]
+        example = RecExample(
+            conversation_id="(stdin)", user_id="(stdin)", split=Split.TEST,
+            turn_index=len(context), context_entities=tuple(context),
+            context_words=(), gold_items=frozenset(),
+        )
+        rep = model.user_representation(example, item_matrix, word_matrix)
+        probs = masked_softmax_scores(item_matrix.values, item_ids, rep.vector.values,
+                                      model.mask_for(example))
+        top = sorted(range(len(item_ids)), key=lambda i: (-probs[i], i))[:4]
+        expected.append([[entities.tokens[item_ids[i]], f"{probs[i]:.6f}"] for i in top])
+    assert [[[row[1], row[3]] for row in block] for block in printed] == expected
 
 
 def test_recommend_warns_on_unknown_entity(runner, toy_bundle, toy_checkpoint):

@@ -173,9 +173,6 @@ def test_build_interaction_graph_from_conversations():
     assert g.users == ["alice", "bob", "carol"]
     assert g.items == [0, 1]          # only items with sentiment edges
     assert g.n_users == 3 and g.n_items == 2
-    assert g.like_degree(0) == 2      # alice and bob
-    assert g.like_degree(1) == 0      # dislike only
-    assert g.like_degree(3) == 0      # not a node
     expected = {(0, 0, 0), (0, 1, 1), (1, 0, 0)}
     assert set(g.edges) == expected
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -28,7 +29,7 @@ from convrec.recommender import (
 )
 from convrec.synthetic import popularity_corpus, toy_instance
 
-from oracles import brute_force_metrics
+from oracles import brute_force_metrics, masked_softmax_scores
 
 
 def artifacts_of(data):
@@ -50,11 +51,10 @@ def test_score_all_is_softmax_over_dot_products():
     item_matrix = ad.constant(rng.normal(size=(7, 4)))
     user = ad.constant(rng.normal(size=4))
     item_ids = [0, 2, 3, 5]
-    probs = score_all(user, item_matrix, item_ids).values
-    logits = item_matrix.values[item_ids] @ user.values
-    want = np.exp(logits - logits.max())
-    want /= want.sum()
-    np.testing.assert_allclose(probs, want, atol=1e-12)
+    probs = score_all(ad.stack([user]), item_matrix, item_ids).values
+    assert probs.shape == (1, 4)
+    want = masked_softmax_scores(item_matrix.values, item_ids, user.values)
+    np.testing.assert_allclose(probs[0], want, atol=1e-12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -63,22 +63,35 @@ def test_score_all_masking_zeroes_and_renormalizes():
     item_matrix = ad.constant(rng.normal(size=(6, 4)))
     user = ad.constant(rng.normal(size=4))
     item_ids = [0, 1, 2, 3, 4, 5]
-    probs = score_all(user, item_matrix, item_ids, masked_positions=[1, 4]).values
+    probs = score_all(ad.stack([user]), item_matrix, item_ids, [[1, 4]]).values[0]
     assert probs[1] == 0.0 and probs[4] == 0.0
-    keep = [0, 2, 3, 5]
-    logits = item_matrix.values[keep] @ user.values
-    want = np.exp(logits - logits.max())
-    want /= want.sum()
-    np.testing.assert_allclose(probs[keep], want, atol=1e-12)
+    want = masked_softmax_scores(item_matrix.values, item_ids, user.values, [1, 4])
+    np.testing.assert_allclose(probs, want, atol=1e-12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_score_all_rows_are_independent():
+    # each row carries its own mask; rows never see each other's masks
+    rng = np.random.default_rng(5)
+    item_matrix = ad.constant(rng.normal(size=(6, 4)))
+    users = rng.normal(size=(3, 4))
+    item_ids = [5, 0, 2, 3]
+    masks = [[0, 2], None, [3]]
+    probs = score_all(ad.constant(users), item_matrix, item_ids, masks).values
+    for row, (u, masked) in enumerate(zip(users, masks)):
+        want = masked_softmax_scores(item_matrix.values, item_ids, u, masked)
+        np.testing.assert_allclose(probs[row], want, atol=1e-12)
+    with pytest.raises(ValidationError):
+        score_all(ad.constant(users), item_matrix, item_ids, masks[:2])
 
 
 def test_score_all_masked_gradients_stay_finite():
     store = ParamStore()
     user = store.add("u", np.random.default_rng(2).normal(size=4))
     item_matrix = ad.constant(np.random.default_rng(3).normal(size=(5, 4)))
-    probs = score_all(user, item_matrix, [0, 1, 2, 3, 4], masked_positions=[0])
-    loss = ad.scale(ad.mean_all(ad.log(ad.take(probs, [2]))), -1.0)
+    probs = score_all(ad.stack([user]), item_matrix, [0, 1, 2, 3, 4], [[0]])
+    pick = ad.constant(np.eye(5)[:, [2]])
+    loss = ad.scale(ad.mean_all(ad.log(ad.matmul(probs, pick))), -1.0)
     ad.backward(loss)
     assert np.isfinite(user.grad).all()
 
@@ -88,10 +101,13 @@ def test_ranking_invariant_under_positive_scaling():
     item_matrix = ad.constant(rng.normal(size=(9, 4)))
     user = rng.normal(size=4)
     ids = list(range(9))
-    base = rank_items(score_all(ad.constant(user), item_matrix, ids).values, ids)
+
+    def ranked(u):
+        return rank_items(score_all(ad.stack([ad.constant(u)]), item_matrix, ids).values[0], ids)
+
+    base = ranked(user)
     for c in (0.5, 3.0, 117.0):
-        scaled = rank_items(score_all(ad.constant(c * user), item_matrix, ids).values, ids)
-        assert scaled[0] == base[0]  # argmax unchanged by positive scaling
+        assert ranked(c * user)[0] == base[0]  # argmax unchanged by positive scaling
 
 
 def test_rank_order_breaks_ties_by_position():
@@ -159,8 +175,8 @@ def test_rec_loss_gradcheck_unguarded():
     assert worst < 1e-4
 
 
-def test_batch_loss_matches_score_all_route():
-    # ties the training path to the inference path: same masks, same golds
+def test_batch_loss_matches_scoring_oracle():
+    # the training loss is -log of the oracle's probabilities: same masks, same golds
     data = toy_instance()
     artifacts = artifacts_of(data)
     model = Model(artifacts, TrainConfig(dim=8, seed=0))
@@ -171,8 +187,8 @@ def test_batch_loss_matches_score_all_route():
     per_example = []
     for ex in batch:
         rep = model.user_representation(ex, item_matrix, word_matrix)
-        probs = score_all(rep.vector, item_matrix, artifacts.item_ids,
-                          model.mask_for(ex)).values
+        probs = masked_softmax_scores(item_matrix.values, artifacts.item_ids,
+                                      rep.vector.values, model.mask_for(ex))
         golds = [model.item_pos[g] for g in sorted(ex.gold_items)]
         per_example.append(-np.mean(np.log(probs[golds])))
     assert loss.item() == pytest.approx(np.mean(per_example), abs=1e-12)
@@ -254,8 +270,8 @@ def test_evaluate_matches_oracle_on_toy(toy_artifacts):
     ranked_lists, gold_lists = [], []
     for ex in examples:
         rep = model.user_representation(ex, item_matrix, word_matrix)
-        probs = score_all(rep.vector, item_matrix, model.artifacts.item_ids,
-                          model.mask_for(ex)).values
+        probs = masked_softmax_scores(item_matrix.values, model.artifacts.item_ids,
+                                      rep.vector.values, model.mask_for(ex))
         n = len(model.artifacts.item_ids)
         ranked_lists.append(sorted(range(n), key=lambda i: (-probs[i], i)))
         gold_lists.append(sorted(model.item_pos[g] for g in ex.gold_items))
@@ -263,6 +279,18 @@ def test_evaluate_matches_oracle_on_toy(toy_artifacts):
     assert report.recall == oracle_recall
     assert report.mrr == oracle_mrr
     assert report.n_examples == len(examples)
+
+
+def test_evaluate_is_independent_of_chunk_size(toy_artifacts):
+    examples = toy_artifacts.examples
+    reports = []
+    for b in (1, 3, len(examples)):
+        model = Model(toy_artifacts, small_config(batch_size=b))
+        assert any(model.mask_for(e) for e in examples)  # masks are active
+        report = evaluate(model, examples, [1, 3, 6])
+        # the fingerprint covers batch_size; everything measured must agree exactly
+        reports.append(dataclasses.replace(report, config_fingerprint=""))
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_evaluate_split_labels(toy_artifacts):

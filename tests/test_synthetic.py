@@ -9,7 +9,9 @@ from convrec.synthetic import cluster_corpus, popularity_corpus, toy_instance, w
 def like_degrees(data):
     train = [c for c in data.conversations if c.split == Split.TRAIN]
     ig = build_interaction_graph(train, data.vocab.entities)
-    return np.array([ig.like_degree(e) for e in data.vocab.entities.item_ids()])
+    edges = np.asarray(ig.edges).reshape(-1, 3)
+    liked = np.asarray(ig.items, dtype=np.intp)[edges[edges[:, 1] == 0, 2]]
+    return np.bincount(liked, minlength=len(data.vocab.entities))[data.vocab.entities.item_ids()]
 
 
 def test_generators_are_deterministic():
