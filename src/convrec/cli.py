@@ -493,7 +493,7 @@ def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
         probs = score_all(ad.stack([rep.vector]), item_matrix, model.artifacts.item_ids,
                           [model.mask_for(example)]).values[0]
         for rank, pos in enumerate(rank_order(probs)[:k], start=1):
-            entity = model.artifacts.item_ids[int(pos)]
+            entity = int(model.artifacts.item_ids[pos])
             click.echo(
                 f"{rank}\t{entities.tokens[entity]}\t{entities.names[entity]}"
                 f"\t{probs[int(pos)]:.6f}"

@@ -17,69 +17,45 @@ DISLIKE = "dislike"
 INTERACTION_RELATIONS = (LIKE, DISLIKE)
 
 
-class TypedGraph:
-    """Undirected typed graph with per-(relation, node) neighbor lists.
+def _edge_array(edges: np.ndarray | Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """``edges`` as an (E, 3) intp array of (head, relation, tail) rows, in input order."""
+    arr = np.asarray(edges, dtype=np.intp)
+    if arr.size == 0:
+        return arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValidationError(f"edges must be (head, relation, tail) rows, got shape {arr.shape}")
+    return arr
 
-    Edges are stored as (head, relation, tail) triples exactly as given, but
-    message passing treats them symmetrically: an edge makes each endpoint a
-    relation-r neighbor of the other.
+
+class TypedGraph:
+    """Undirected typed graph held as one edge array.
+
+    ``edges`` is a sorted (E, 3) intp array of the distinct (head, relation,
+    tail) triples exactly as given, but message passing treats them
+    symmetrically: an edge makes each endpoint a relation-r neighbor of the
+    other.
     """
 
     def __init__(self, n_nodes: int, relations: Sequence[str],
-                 edges: Iterable[tuple[int, int, int]] = ()):
+                 edges: np.ndarray | Sequence[tuple[int, int, int]] = ()):
         if n_nodes < 0:
             raise ValidationError("node count must be non-negative")
         self.n_nodes = n_nodes
         self.relations = tuple(relations)
         if len(set(self.relations)) != len(self.relations):
             raise ValidationError("duplicate relation names")
-        seen: set[tuple[int, int, int]] = set()
-        ordered: list[tuple[int, int, int]] = []
-        for head, rel, tail in edges:
-            if not (0 <= head < n_nodes and 0 <= tail < n_nodes):
+        arr = _edge_array(edges)
+        heads, rels, tails = arr.T
+        bad_node = (heads < 0) | (heads >= n_nodes) | (tails < 0) | (tails >= n_nodes)
+        bad = bad_node | (rels < 0) | (rels >= len(self.relations))
+        if bad.any():
+            first = int(np.argmax(bad))
+            head, rel, tail = arr[first].tolist()
+            if bad_node[first]:
                 raise ValidationError(f"edge endpoint out of range: ({head}, {rel}, {tail})")
-            if not (0 <= rel < len(self.relations)):
-                raise ValidationError(f"relation index out of range: {rel}")
-            key = (head, rel, tail)
-            if key in seen:
-                continue
-            seen.add(key)
-            ordered.append(key)
-        self.edges = sorted(ordered)
-
-        nbr: list[list[set[int]]] = [
-            [set() for _ in range(n_nodes)] for _ in self.relations
-        ]
-        for head, rel, tail in self.edges:
-            nbr[rel][head].add(tail)
-            nbr[rel][tail].add(head)
-        self._neighbors: list[list[tuple[int, ...]]] = [
-            [tuple(sorted(s)) for s in per_rel] for per_rel in nbr
-        ]
-        self._messages: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+            raise ValidationError(f"relation index out of range: {rel}")
+        self.edges = np.unique(arr, axis=0)
         self._operators: dict[tuple[int, bool, float], sp.csr_matrix] = {}
-
-    def neighbors(self, rel: int, node: int) -> tuple[int, ...]:
-        return self._neighbors[rel][node]
-
-    def message_arrays(self, rel: int) -> tuple[np.ndarray, np.ndarray]:
-        """Parallel (source, destination) index arrays for relation ``rel``.
-
-        Destination order is node id ascending, then neighbor id ascending,
-        which keeps scatter-add accumulation deterministic.
-        """
-        if rel not in self._messages:
-            src: list[int] = []
-            dst: list[int] = []
-            for node in range(self.n_nodes):
-                for other in self._neighbors[rel][node]:
-                    src.append(other)
-                    dst.append(node)
-            self._messages[rel] = (
-                np.asarray(src, dtype=np.intp),
-                np.asarray(dst, dtype=np.intp),
-            )
-        return self._messages[rel]
 
     def relation_operator(self, rel: int, *, in_degree: bool = False,
                           z: float = 1.0) -> sp.csr_matrix:
@@ -87,26 +63,25 @@ class TypedGraph:
 
         ``(op @ h)[i]`` is the sum over relation-``rel`` neighbors j of i of
         ``norm[i] * h[j]``, where ``norm[i]`` is 1 / in-degree of i when
-        ``in_degree`` is set (z is then ignored) and 1 / z otherwise.
+        ``in_degree`` is set (z is then ignored) and 1 / z otherwise. Each
+        distinct neighbor counts once, so a self-loop or a pair given both
+        ways is one entry.
         """
         key = (rel, True, 1.0) if in_degree else (rel, False, float(z))
         op = self._operators.get(key)
         if op is None:
-            src, dst = self.message_arrays(rel)
-            if in_degree:
-                norm = 1.0 / np.bincount(dst, minlength=self.n_nodes)[dst]
-            else:
-                norm = np.full(src.size, 1.0 / z)
-            op = sp.csr_matrix((norm, (dst, src)), shape=(self.n_nodes, self.n_nodes))
+            n = self.n_nodes
+            heads, _, tails = self.edges[self.edges[:, 1] == rel].T
+            # both directions as one key dst * n + src: np.unique sorts by
+            # destination, then source, and keeps each message once
+            keys = np.unique(np.concatenate([heads * n + tails, tails * n + heads]))
+            dst, src = np.divmod(keys, n)
+            in_deg = np.bincount(dst, minlength=n)
+            norm = 1.0 / in_deg[dst] if in_degree else np.full(src.size, 1.0 / z)
+            indptr = np.concatenate([[0], np.cumsum(in_deg)])
+            op = sp.csr_matrix((norm, src, indptr), shape=(n, n))
             self._operators[key] = op
         return op
-
-    def degree(self, rel: int) -> np.ndarray:
-        return np.asarray([len(self._neighbors[rel][n]) for n in range(self.n_nodes)],
-                          dtype=np.float64)
-
-    def n_edges(self) -> int:
-        return len(self.edges)
 
 
 @dataclass
@@ -174,21 +149,27 @@ class InteractionGraph:
     """
 
     def __init__(self, users: Sequence[str], items: Sequence[int],
-                 edges: Iterable[tuple[int, int, int]]):
+                 edges: np.ndarray | Sequence[tuple[int, int, int]]):
         self.users = list(users)
         self.items = list(items)
         self.relations = INTERACTION_RELATIONS
         self.user_index = {u: i for i, u in enumerate(self.users)}
         self.item_index = {e: i for i, e in enumerate(self.items)}
-        self.edges = sorted(set(edges))
+        # sorted distinct (user, relation, item) rows, like TypedGraph.edges
+        self.edges = np.unique(_edge_array(edges), axis=0)
         self._typed: TypedGraph | None = None
-        for user_idx, rel, item_idx in self.edges:
-            if not (0 <= user_idx < len(self.users)):
-                raise ValidationError(f"user index out of range: {user_idx}")
-            if not (0 <= item_idx < len(self.items)):
-                raise ValidationError(f"item index out of range: {item_idx}")
-            if rel not in (0, 1):
-                raise ValidationError(f"relation index out of range: {rel}")
+        user_idx, rel, item_idx = self.edges.T
+        bad_user = (user_idx < 0) | (user_idx >= len(self.users))
+        bad_item = (item_idx < 0) | (item_idx >= len(self.items))
+        bad = bad_user | bad_item | (rel < 0) | (rel > 1)
+        if bad.any():
+            first = int(np.argmax(bad))
+            user, relation, item = self.edges[first].tolist()
+            if bad_user[first]:
+                raise ValidationError(f"user index out of range: {user}")
+            if bad_item[first]:
+                raise ValidationError(f"item index out of range: {item}")
+            raise ValidationError(f"relation index out of range: {relation}")
 
     @property
     def n_users(self) -> int:
@@ -206,11 +187,20 @@ class InteractionGraph:
         two-sided update the encoder needs.
         """
         if self._typed is None:
-            offset = self.n_items
-            edges = [(item_idx, rel, offset + user_idx)
-                     for user_idx, rel, item_idx in self.edges]
+            # (user, rel, item) rows become (item row, rel, user row)
+            edges = self.edges[:, ::-1] + np.array([0, 0, self.n_items])
             self._typed = TypedGraph(self.n_items + self.n_users, INTERACTION_RELATIONS, edges)
         return self._typed
+
+
+def _interaction_graph(users: set[str], triples: set[tuple[str, int, int]]) -> InteractionGraph:
+    """Index users and items in sorted order and re-index (user, rel, item) triples."""
+    user_list = sorted(users)
+    item_list = sorted({item for _, _, item in triples})
+    user_index = {u: i for i, u in enumerate(user_list)}
+    item_index = {e: i for i, e in enumerate(item_list)}
+    edges = [(user_index[u], rel, item_index[e]) for u, rel, e in triples]
+    return InteractionGraph(user_list, item_list, edges)
 
 
 def build_interaction_graph(train_conversations: Iterable[Conversation],
@@ -231,19 +221,14 @@ def build_interaction_graph(train_conversations: Iterable[Conversation],
                 rel = 0 if m.sentiment == Sentiment.LIKE else 1
                 triples.add((conv.user_id, rel, m.entity))
 
-    user_list = sorted(users)
-    item_list = sorted({item for _, _, item in triples})
-    user_index = {u: i for i, u in enumerate(user_list)}
-    item_index = {e: i for i, e in enumerate(item_list)}
-    edges = [(user_index[u], rel, item_index[e]) for u, rel, e in triples]
-    return InteractionGraph(user_list, item_list, edges)
+    return _interaction_graph(users, triples)
 
 
 def save_interaction_graph(graph: InteractionGraph, entities: EntityVocab,
                            path: str | Path) -> None:
     """Persist as ``user_id<TAB>like|dislike<TAB>entity_token`` lines."""
     with open(path, "w", encoding="utf-8") as fh:
-        for user_idx, rel, item_idx in graph.edges:
+        for user_idx, rel, item_idx in graph.edges.tolist():
             token = entities.tokens[graph.items[item_idx]]
             fh.write(f"{graph.users[user_idx]}\t{INTERACTION_RELATIONS[rel]}\t{token}\n")
 
@@ -268,12 +253,7 @@ def load_interaction_graph(path: str | Path, entities: EntityVocab) -> Interacti
                 raise ParseError(f"unknown relation {rel_name!r}", line=lineno)
             users.add(user)
             triples.add((user, INTERACTION_RELATIONS.index(rel_name), entities.resolve(token)))
-    user_list = sorted(users)
-    item_list = sorted({item for _, _, item in triples})
-    user_index = {u: i for i, u in enumerate(user_list)}
-    item_index = {e: i for i, e in enumerate(item_list)}
-    edges = [(user_index[u], rel, item_index[e]) for u, rel, e in triples]
-    return InteractionGraph(user_list, item_list, edges)
+    return _interaction_graph(users, triples)
 
 
 def load_item_kg(path: str | Path, entities: EntityVocab) -> TypedGraph:
@@ -351,7 +331,7 @@ def load_word_graph(path: str | Path, words: WordVocab) -> WordGraph:
 
 def save_word_graph(word_graph: WordGraph, words: WordVocab, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for head, _, tail in word_graph.graph.edges:
+        for head, _, tail in word_graph.graph.edges.tolist():
             a = words.words[word_graph.word_ids[head]]
             b = words.words[word_graph.word_ids[tail]]
             fh.write(f"{a}\t{b}\n")
@@ -359,5 +339,5 @@ def save_word_graph(word_graph: WordGraph, words: WordVocab, path: str | Path) -
 
 def save_kg(graph: TypedGraph, entities: EntityVocab, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for head, rel, tail in graph.edges:
+        for head, rel, tail in graph.edges.tolist():
             fh.write(f"{entities.tokens[head]}\t{graph.relations[rel]}\t{entities.tokens[tail]}\n")

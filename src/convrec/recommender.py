@@ -142,7 +142,11 @@ class Artifacts:
     word_graph: WordGraph | None
     interaction: InteractionGraph | None
     index: Bm25Index | None
-    item_ids: list[int]
+    item_ids: np.ndarray  # entity ids of the items, in scoring order
+
+    def __post_init__(self) -> None:
+        # one intp array, so scoring never converts a list per call
+        self.item_ids = np.asarray(self.item_ids, dtype=np.intp)
 
 
 def build_artifacts(
@@ -179,7 +183,7 @@ class Model:
     def __init__(self, artifacts: Artifacts, config: TrainConfig,
                  rng: np.random.Generator | None = None):
         config.validate()
-        if not artifacts.item_ids:
+        if not len(artifacts.item_ids):
             raise ConfigurationError("entity vocabulary contains no items")
         if rng is None:
             rng = np.random.default_rng(config.seed)
@@ -208,7 +212,7 @@ class Model:
         self.att_params: AttentionParams = init_attention_params(
             self.store, "att", d, rng, gate_mode=config.gate_mode,
         )
-        self.item_pos = {e: i for i, e in enumerate(artifacts.item_ids)}
+        self.item_pos = {e: i for i, e in enumerate(artifacts.item_ids.tolist())}
 
     def encoder_outputs(self) -> tuple[Tensor, Tensor | None]:
         """One forward pass over each graph; shared by a whole batch."""

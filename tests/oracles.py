@@ -51,6 +51,24 @@ def dense_rgcn(
     return h
 
 
+def neighbor_lists(
+    n_nodes: int,
+    edges: list[tuple[int, int, int]],
+    rel: int,
+) -> list[list[int]]:
+    """Sorted relation-``rel`` neighbors of every node.
+
+    Each (head, rel, tail) triple makes head and tail neighbors of each
+    other; a neighbor counts once however many triples join the pair.
+    """
+    nbr: list[set[int]] = [set() for _ in range(n_nodes)]
+    for head, r, tail in edges:
+        if r == rel:
+            nbr[head].add(tail)
+            nbr[tail].add(head)
+    return [sorted(s) for s in nbr]
+
+
 def dense_gcn(
     n_nodes: int,
     edges: list[tuple[int, int]],

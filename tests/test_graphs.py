@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,8 @@ from convrec.graphs import (
     save_word_graph,
 )
 
+from oracles import neighbor_lists
+
 
 def make_entities(n_items=4, n_attrs=2):
     v = EntityVocab()
@@ -36,6 +41,16 @@ def conv(cid, uid, split, mentions):
     return Conversation(conversation_id=cid, user_id=uid, split=split, utterances=utts)
 
 
+def operator_rows(op):
+    """(neighbor columns, values) of every row of a CSR operator, in storage order."""
+    return [(op.indices[a:b].tolist(), op.data[a:b].tolist())
+            for a, b in zip(op.indptr[:-1], op.indptr[1:])]
+
+
+def neighbors(graph, rel):
+    return [cols for cols, _ in operator_rows(graph.relation_operator(rel))]
+
+
 # ---------------------------------------------------------------------------
 # TypedGraph
 
@@ -43,11 +58,11 @@ def conv(cid, uid, split, mentions):
 def test_typed_graph_dedups_and_sorts_edges():
     g = TypedGraph(3, ("r",), [(2, 0, 1), (1, 0, 2), (2, 0, 1), (0, 0, 1)])
     # (1,0,2) and (2,0,1) are distinct triples but the same undirected pair;
-    # triples dedup exactly, neighbor sets dedup the pair
-    assert g.edges == [(0, 0, 1), (1, 0, 2), (2, 0, 1)]
-    assert g.neighbors(0, 1) == (0, 2)
-    assert g.neighbors(0, 2) == (1,)
-    assert g.n_edges() == 3
+    # triples dedup exactly, operator rows dedup the pair
+    assert g.edges.dtype == np.intp
+    assert g.edges.tolist() == [[0, 0, 1], [1, 0, 2], [2, 0, 1]]
+    assert neighbors(g, 0) == [[1], [0, 2], [1]]
+    assert len(g.edges) == 3
 
 
 def test_typed_graph_validates():
@@ -61,55 +76,105 @@ def test_typed_graph_validates():
         TypedGraph(-1, ("r",))
 
 
+def test_typed_graph_errors_name_first_bad_triple_in_input_order():
+    with pytest.raises(ValidationError, match=re.escape("edge endpoint out of range: (0, 0, 9)")):
+        TypedGraph(3, ("r",), [(0, 0, 1), (0, 0, 9), (0, 7, 1), (-1, 0, 0)])
+    with pytest.raises(ValidationError, match="^relation index out of range: 7$"):
+        TypedGraph(3, ("r",), [(2, 0, 1), (0, 7, 1), (0, 0, 9)])
+    # within one triple the endpoint check comes first
+    with pytest.raises(ValidationError, match=re.escape("edge endpoint out of range: (-1, 4, 0)")):
+        TypedGraph(3, ("r",), [(-1, 4, 0)])
+    with pytest.raises(ValidationError, match="rows, got shape"):
+        TypedGraph(3, ("r",), [(0, 1)])
+
+
+def test_typed_graph_memory_does_not_grow_with_node_count():
+    # no per-node objects: 50k nodes with two edges stay far below 1 MB
+    tracemalloc.start()
+    try:
+        TypedGraph(50_000, ("a", "b", "c", "d"), [(0, 0, 1), (2, 3, 49_999)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_typed_graph_is_undirected():
     g = TypedGraph(4, ("a", "b"), [(0, 0, 3), (3, 1, 1)])
-    assert g.neighbors(0, 0) == (3,)
-    assert g.neighbors(0, 3) == (0,)
-    assert g.neighbors(1, 3) == (1,)
-    assert g.neighbors(1, 1) == (3,)
-    np.testing.assert_array_equal(g.degree(0), [1, 0, 0, 1])
+    assert neighbors(g, 0) == [[3], [], [], [0]]
+    assert neighbors(g, 1) == [[], [3], [], [1]]
 
 
-def test_message_arrays_ordered_by_destination():
+def test_relation_operator_rows_ordered_by_destination():
     g = TypedGraph(4, ("r",), [(0, 0, 2), (1, 0, 2), (3, 0, 0)])
-    src, dst = g.message_arrays(0)
-    # destinations ascending; neighbor ids ascending within each destination
-    assert dst.tolist() == sorted(dst.tolist())
-    pairs = list(zip(dst.tolist(), src.tolist()))
+    op = g.relation_operator(0)
+    # rows are destinations; neighbor ids ascend within each row
+    dst = np.repeat(np.arange(4), np.diff(op.indptr))
+    pairs = list(zip(dst.tolist(), op.indices.tolist()))
     assert pairs == [(0, 2), (0, 3), (1, 2), (2, 0), (2, 1), (3, 0)]
 
 
-def test_message_arrays_self_loop_counts_once():
+def test_relation_operator_self_loop_counts_once():
     g = TypedGraph(2, ("r",), [(0, 0, 0), (0, 0, 1)])
-    src, dst = g.message_arrays(0)
-    assert list(zip(dst.tolist(), src.tolist())) == [(0, 0), (0, 1), (1, 0)]
+    assert operator_rows(g.relation_operator(0, in_degree=True)) == [
+        ([0, 1], [0.5, 0.5]), ([0], [1.0])]
 
 
 def test_relation_operator_holds_destination_norm_and_is_cached():
     g = TypedGraph(4, ("r",), [(0, 0, 2), (1, 0, 2), (3, 0, 0)])
-    src, dst = g.message_arrays(0)
-    deg = g.degree(0)
     op = g.relation_operator(0, in_degree=True)
-    assert op.nnz == src.size
-    # values norm[dst] at (dst, src), in message_arrays order
-    np.testing.assert_array_equal(op.toarray()[dst, src], 1.0 / deg[dst])
+    # values norm[dst] in every row: 1 / in-degree of the row's node
+    assert operator_rows(op) == [([2, 3], [0.5, 0.5]), ([2], [1.0]),
+                                 ([0, 1], [0.5, 0.5]), ([0], [1.0])]
     assert g.relation_operator(0, in_degree=True) is op
     assert g.relation_operator(0, in_degree=True, z=3.0) is op  # z is ignored in this mode
     const = g.relation_operator(0, z=4.0)
     assert const is not op and g.relation_operator(0, z=4.0) is const
-    np.testing.assert_array_equal(const.toarray()[dst, src], np.full(src.size, 0.25))
-    assert g.relation_operator(0).nnz == src.size
+    np.testing.assert_array_equal(const.indptr, op.indptr)
+    np.testing.assert_array_equal(const.indices, op.indices)
+    np.testing.assert_array_equal(const.data, np.full(op.nnz, 0.25))
+    assert g.relation_operator(0).nnz == op.nnz == 6
 
 
 def test_adding_remote_edge_preserves_local_messages():
     # 2-hop locality: rows of untouched destinations keep identical src order
-    base = TypedGraph(6, ("r",), [(0, 0, 1), (1, 0, 2)])
-    extended = TypedGraph(6, ("r",), [(0, 0, 1), (1, 0, 2), (4, 0, 5)])
-    src_b, dst_b = base.message_arrays(0)
-    src_e, dst_e = extended.message_arrays(0)
-    keep = dst_e < 4
-    assert np.array_equal(src_e[keep], src_b)
-    assert np.array_equal(dst_e[keep], dst_b)
+    base = TypedGraph(6, ("r",), [(0, 0, 1), (1, 0, 2)]).relation_operator(0)
+    extended = TypedGraph(6, ("r",), [(0, 0, 1), (1, 0, 2), (4, 0, 5)]).relation_operator(0)
+    assert operator_rows(extended)[:4] == operator_rows(base)[:4]
+    assert operator_rows(extended)[4:] == [([5], [1.0]), ([4], [1.0])]
+
+
+@st.composite
+def typed_graphs(draw):
+    """Random graphs with self-loops, pairs given both ways and duplicate triples.
+
+    The last relation never gets an edge; ``n_nodes`` 0 and 1 are included.
+    """
+    n = draw(st.integers(0, 6))
+    n_rel = draw(st.integers(1, 3))
+    triples = []
+    if n:
+        node = st.integers(0, n - 1)
+        triples = draw(st.lists(st.tuples(node, st.integers(0, n_rel - 1), node), max_size=14))
+    triples += [(t, r, h) for h, r, t in triples[::2]] + triples[::3]
+    return n, n_rel + 1, triples
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(typed_graphs(), st.sampled_from([None, 1.0, 2.5]))
+def test_relation_operator_rows_match_neighbor_oracle(graph, z):
+    n, n_rel, triples = graph
+    g = TypedGraph(n, [f"r{i}" for i in range(n_rel)], triples)
+    assert g.edges.shape == (len(set(triples)), 3)
+    assert g.edges.tolist() == [list(t) for t in sorted(set(triples))]
+    for rel in range(n_rel):
+        op = g.relation_operator(rel, in_degree=z is None, z=z or 1.0)
+        assert op.shape == (n, n)
+        rows = operator_rows(op)
+        for (cols, vals), want in zip(rows, neighbor_lists(n, triples, rel), strict=True):
+            assert cols == want
+            norm = 1 / z if z is not None else 1 / max(len(want), 1)
+            assert vals == [norm] * len(want)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +238,7 @@ def test_build_interaction_graph_from_conversations():
     assert g.users == ["alice", "bob", "carol"]
     assert g.items == [0, 1]          # only items with sentiment edges
     assert g.n_users == 3 and g.n_items == 2
-    expected = {(0, 0, 0), (0, 1, 1), (1, 0, 0)}
-    assert set(g.edges) == expected
+    assert g.edges.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 0]]
 
 
 def test_interaction_graph_rejects_non_train():
@@ -189,9 +253,9 @@ def test_interaction_graph_as_typed_layout():
     # items occupy rows [0, 2), users rows [2, 4)
     assert typed.n_nodes == 4
     assert typed.relations == INTERACTION_RELATIONS
-    assert typed.neighbors(0, 0) == (2, 3)   # item row 0 liked by both users
-    assert typed.neighbors(1, 1) == (3,)     # item row 1 disliked by user 1
-    assert typed.neighbors(0, 2) == (0,)
+    assert typed.edges.tolist() == [[0, 0, 2], [0, 0, 3], [1, 1, 3]]
+    assert neighbors(typed, 0) == [[2, 3], [], [0], [0]]   # item row 0 liked by both users
+    assert neighbors(typed, 1) == [[], [3], [], [1]]       # item row 1 disliked by user 1
 
 
 def test_interaction_graph_validates_indices():
@@ -201,6 +265,9 @@ def test_interaction_graph_validates_indices():
         InteractionGraph(["u"], [1], [(0, 0, 4)])
     with pytest.raises(ValidationError):
         InteractionGraph(["u"], [1], [(0, 5, 0)])
+    # the first bad edge in sorted order is named
+    with pytest.raises(ValidationError, match="^item index out of range: 3$"):
+        InteractionGraph(["u", "v"], [1], [(1, 0, 2), (0, 1, 3), (0, 0, 0)])
 
 
 def test_interaction_graph_save_load_round_trip(tmp_path):
@@ -215,7 +282,7 @@ def test_interaction_graph_save_load_round_trip(tmp_path):
     g2 = load_interaction_graph(path, entities)
     assert g2.users == g.users
     assert g2.items == g.items
-    assert g2.edges == g.edges
+    assert g2.edges.tolist() == g.edges.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 2]]
 
     with pytest.raises(MissingArtifactError):
         load_interaction_graph(tmp_path / "absent.tsv", entities)
@@ -235,7 +302,8 @@ def test_load_item_kg(tmp_path):
     kg = load_item_kg(path, entities)
     assert kg.n_nodes == len(entities)
     assert kg.relations == ("actor", "genre")  # sorted, file order irrelevant
-    assert kg.neighbors(1, 4) == (0, 1)        # A0 row is entity 4
+    assert kg.edges.tolist() == [[0, 0, 5], [0, 1, 4], [1, 1, 4]]
+    assert neighbors(kg, 1)[4] == [0, 1]        # A0 row is entity 4
 
     path.write_text("I0\tgenre\n", "utf-8")
     with pytest.raises(ParseError, match="3 tab-separated"):
@@ -264,7 +332,8 @@ def test_save_kg_round_trip(tmp_path):
     save_kg(kg, entities, out)
     kg2 = load_item_kg(out, entities)
     assert kg2.relations == kg.relations
-    assert kg2.edges == kg.edges
+    assert kg2.edges.shape == (2, 3)
+    assert kg2.edges.tolist() == kg.edges.tolist()
 
 
 def build_words(names):
@@ -292,7 +361,7 @@ def test_word_graph_file_round_trip_with_self_edge(tmp_path):
     save_word_graph(wg, words, out)
     wg2 = load_word_graph(out, words)
     assert wg2.word_ids == wg.word_ids
-    assert wg2.graph.edges == wg.graph.edges
+    assert wg2.graph.edges.tolist() == wg.graph.edges.tolist() == [[0, 0, 1], [2, 0, 2]]
     np.testing.assert_allclose(wg2.adjacency.matrix.toarray(),
                                wg.adjacency.matrix.toarray(), atol=0)
 
@@ -310,7 +379,7 @@ def test_toy_interaction_graph_hand_count(toy_data, toy_artifacts):
     ig = toy_artifacts.interaction
     assert ig.users == sorted({c.user_id for c in toy_data.conversations})
     # every edge corresponds to a sentiment mention of an item in train data
-    for user_idx, rel, item_idx in ig.edges:
+    for user_idx, rel, item_idx in ig.edges.tolist():
         assert 0 <= user_idx < ig.n_users
         assert rel in (0, 1)
         assert 0 <= item_idx < ig.n_items
@@ -318,5 +387,5 @@ def test_toy_interaction_graph_hand_count(toy_data, toy_artifacts):
     e = toy_data.vocab.entities.resolve("I2")
     item_idx = ig.item_index[e]
     u1 = ig.user_index["u1"]
-    assert (u1, 0, item_idx) in ig.edges
-    assert (u1, 1, item_idx) in ig.edges
+    assert [u1, 0, item_idx] in ig.edges.tolist()
+    assert [u1, 1, item_idx] in ig.edges.tolist()
