@@ -449,11 +449,14 @@ def softmax(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Sequence[Sequence[int]]) -> Tensor:
+def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Sequence[Sequence[int]]
+                  ) -> tuple[Tensor, np.ndarray]:
     """Mean negative log-softmax of the label entries of a logit vector.
 
     For a (B, n) logit matrix, ``labels`` holds one non-empty label list per
-    row, and the result is the mean over rows of each row's vector loss.
+    row, and the loss is the mean over rows of each row's vector loss. The
+    second value is the softmax of ``logits`` (same shape), which backward
+    uses too; it is not on the tape.
     """
     z = logits.values
     if z.ndim == 1:
@@ -481,7 +484,7 @@ def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Sequence[Sequenc
         np.add.at(d, (row_idx, col_idx), -1.0 / sizes[row_idx])
         _accum(logits, (g / len(rows)) * d.reshape(logits.values.shape))
 
-    return _record(out, (logits,), bw)
+    return _record(out, (logits,), bw), p.reshape(logits.values.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .errors import (
     ConvRecError,
     MissingArtifactError,
     NumericError,
+    ParseError,
     ValidationError,
 )
 from .graphs import (
@@ -109,6 +110,10 @@ def command_errors(missing_exit: int = EXIT_MISSING):
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
                 "yes": True, "no": False}
 
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+# exact types a sidecar value may have per annotation: a JSON true is not an int
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
@@ -129,13 +134,12 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def build_train_config(config_file: str | None, overrides: dict) -> TrainConfig:
     """Layer file values under explicit flag overrides."""
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
     merged: dict = {}
     if config_file:
         for key, raw in parse_config_file(config_file).items():
-            if key not in fields:
+            if key not in _CONFIG_FIELDS:
                 raise ValidationError(f"unknown config key {key!r}")
-            ftype = fields[key].type
+            ftype = _CONFIG_FIELDS[key]
             if ftype == "bool":
                 if raw.lower() not in _BOOL_VALUES:
                     raise ValidationError(f"config key {key!r}: expected boolean, got {raw!r}")
@@ -224,6 +228,8 @@ def load_bundle(bundle_dir: str | Path, index_path: str | Path | None = None) ->
     if not manifest_path.exists():
         raise MissingArtifactError(f"not an artifact bundle (no manifest): {bundle}")
     manifest = json.loads(manifest_path.read_text("utf-8"))
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{manifest_path}: expected a JSON object")
 
     entities = load_entity_vocab(bundle / _BUNDLE_FILES["entities"])
     stopwords = load_stopwords(bundle / _BUNDLE_FILES["stopwords"])
@@ -273,7 +279,16 @@ def load_model(bundle_dir: str, checkpoint_path: str,
     sidecar = _config_sidecar(ckpt)
     if not sidecar.exists():
         raise MissingArtifactError(f"checkpoint config not found: {sidecar}")
-    config = TrainConfig(**json.loads(sidecar.read_text("utf-8")))
+    values = json.loads(sidecar.read_text("utf-8"))
+    if not isinstance(values, dict):
+        raise ParseError(f"{sidecar}: expected a JSON object")
+    for key, value in values.items():
+        if key not in _CONFIG_FIELDS:
+            raise ParseError(f"{sidecar}: unknown config key {key!r}")
+        if type(value) not in _JSON_TYPES[_CONFIG_FIELDS[key]]:
+            raise ParseError(f"{sidecar}: config key {key!r} is not a JSON "
+                             f"{_CONFIG_FIELDS[key]}: {value!r}")
+    config = TrainConfig(**values)
     artifacts = load_bundle(bundle_dir, index_path)
     model = Model(artifacts, config)
     load_checkpoint(ckpt, model.store)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingArtifactError, ParseError, ValidationError
 
@@ -186,49 +186,48 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
         return frozenset(w for w in (line.strip() for line in fh) if w)
 
 
-def load_entity_vocab(path: str | Path) -> EntityVocab:
-    """Parse an ``id<TAB>name<TAB>is_item(0|1)`` file."""
+def _tsv_rows(path: str | Path, n_fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of every non-blank line of a tab-separated file.
+
+    A missing file raises MissingArtifactError naming ``what``; a line with
+    another number of fields raises ParseError.
+    """
     path = Path(path)
     if not path.exists():
-        raise MissingArtifactError(f"entity vocabulary not found: {path}")
-    vocab = EntityVocab()
+        raise MissingArtifactError(f"{what} not found: {path}")
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", line=lineno)
-            token, name, flag = parts
-            if flag not in ("0", "1"):
-                raise ParseError(f"is_item must be 0 or 1, got {flag!r}", line=lineno)
-            vocab.add(token, name, flag == "1")
+            if len(parts) != n_fields:
+                raise ParseError(f"expected {n_fields} tab-separated fields, got {len(parts)}",
+                                 line=lineno)
+            yield lineno, parts
+
+
+def load_entity_vocab(path: str | Path) -> EntityVocab:
+    """Parse an ``id<TAB>name<TAB>is_item(0|1)`` file."""
+    vocab = EntityVocab()
+    for lineno, (token, name, flag) in _tsv_rows(path, 3, "entity vocabulary"):
+        if flag not in ("0", "1"):
+            raise ParseError(f"is_item must be 0 or 1, got {flag!r}", line=lineno)
+        vocab.add(token, name, flag == "1")
     return vocab
 
 
 def load_keyword_lexicon(path: str | Path) -> dict[str, Sentiment]:
     """Parse a ``keyword<TAB>like|dislike`` file; keywords are single tokens."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"keyword lexicon not found: {path}")
     lexicon: dict[str, Sentiment] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 tab-separated fields, got {len(parts)}", line=lineno)
-            keyword, label = parts
-            if label not in (Sentiment.LIKE.value, Sentiment.DISLIKE.value):
-                raise ParseError(f"sentiment must be like or dislike, got {label!r}", line=lineno)
-            keyword = keyword.lower()
-            sentiment = Sentiment(label)
-            if lexicon.get(keyword, sentiment) != sentiment:
-                raise ValidationError(f"keyword {keyword!r} mapped to both sentiments")
-            lexicon[keyword] = sentiment
+    for lineno, (keyword, label) in _tsv_rows(path, 2, "keyword lexicon"):
+        if label not in (Sentiment.LIKE.value, Sentiment.DISLIKE.value):
+            raise ParseError(f"sentiment must be like or dislike, got {label!r}", line=lineno)
+        keyword = keyword.lower()
+        sentiment = Sentiment(label)
+        if lexicon.get(keyword, sentiment) != sentiment:
+            raise ValidationError(f"keyword {keyword!r} mapped to both sentiments")
+        lexicon[keyword] = sentiment
     return lexicon
 
 

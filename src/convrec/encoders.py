@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigurationError
-from .graphs import InteractionGraph, NormalizedAdjacency, TypedGraph
+from .graphs import InteractionGraph, TypedGraph
 from .optim import ParamStore
 
 NORM_CONSTANT = "constant"
@@ -129,11 +130,11 @@ def init_gcn_params(
     return GcnParams(dim=dim, embedding=embedding, weights=weights)
 
 
-def gcn_forward(adjacency: NormalizedAdjacency, params: GcnParams) -> Tensor:
+def gcn_forward(adjacency: sp.csr_matrix, params: GcnParams) -> Tensor:
     """Layered ReLU(A_hat @ V @ W) over the precomputed normalized adjacency."""
     h = params.embedding
     for w in params.weights:
-        h = ad.relu(ad.matmul(ad.spmm(adjacency.matrix, h), w))
+        h = ad.relu(ad.matmul(ad.spmm(adjacency, h), w))
     return h
 
 

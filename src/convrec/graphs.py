@@ -9,8 +9,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse as sp
 
-from .corpus import Conversation, EntityVocab, Sentiment, Split, WordVocab
-from .errors import LeakageError, MissingArtifactError, ParseError, ValidationError
+from .corpus import Conversation, EntityVocab, Sentiment, Split, WordVocab, _tsv_rows
+from .errors import LeakageError, ParseError, ValidationError
 
 LIKE = "like"
 DISLIKE = "dislike"
@@ -25,6 +25,16 @@ def _edge_array(edges: np.ndarray | Sequence[tuple[int, int, int]]) -> np.ndarra
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError(f"edges must be (head, relation, tail) rows, got shape {arr.shape}")
     return arr
+
+
+def _messages(heads: np.ndarray, tails: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (dst, src) messages of undirected pairs over ``n`` nodes.
+
+    Both directions of every pair become one key dst * n + src; np.unique
+    sorts by destination, then source, and keeps each message once, so a
+    self-loop or a pair given both ways is one message.
+    """
+    return np.divmod(np.unique(np.concatenate([heads * n + tails, tails * n + heads])), n)
 
 
 class TypedGraph:
@@ -54,7 +64,11 @@ class TypedGraph:
             if bad_node[first]:
                 raise ValidationError(f"edge endpoint out of range: ({head}, {rel}, {tail})")
             raise ValidationError(f"relation index out of range: {rel}")
-        self.edges = np.unique(arr, axis=0)
+        # rows are in range, so the key (head * R + rel) * n + tail sorts and
+        # de-duplicates them exactly as the rows themselves would
+        n_rel = len(self.relations)
+        rest, tails = np.divmod(np.unique((heads * n_rel + rels) * n_nodes + tails), n_nodes)
+        self.edges = np.stack([*np.divmod(rest, n_rel), tails], axis=1)
         self._operators: dict[tuple[int, bool, float], sp.csr_matrix] = {}
 
     def relation_operator(self, rel: int, *, in_degree: bool = False,
@@ -72,10 +86,7 @@ class TypedGraph:
         if op is None:
             n = self.n_nodes
             heads, _, tails = self.edges[self.edges[:, 1] == rel].T
-            # both directions as one key dst * n + src: np.unique sorts by
-            # destination, then source, and keeps each message once
-            keys = np.unique(np.concatenate([heads * n + tails, tails * n + heads]))
-            dst, src = np.divmod(keys, n)
+            dst, src = _messages(heads, tails, n)
             in_deg = np.bincount(dst, minlength=n)
             norm = 1.0 / in_deg[dst] if in_degree else np.full(src.size, 1.0 / z)
             indptr = np.concatenate([[0], np.cumsum(in_deg)])
@@ -84,59 +95,42 @@ class TypedGraph:
         return op
 
 
-@dataclass
-class NormalizedAdjacency:
-    """Symmetric-normalized word adjacency D^{-1/2} (A + I) D^{-1/2}, kept sparse."""
+def normalize_adjacency(n_nodes: int,
+                        pairs: np.ndarray | Sequence[tuple[int, int]]) -> sp.csr_matrix:
+    """D^{-1/2} (A + I) D^{-1/2} of undirected 0/1 row pairs, as CSR.
 
-    matrix: sp.csr_matrix
-    degrees: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-
-def normalize_adjacency(n_nodes: int, edges: Iterable[tuple[int, int]]) -> NormalizedAdjacency:
-    """Build D^{-1/2} (A + I) D^{-1/2} from an undirected 0/1 edge list.
-
-    Self-loops are forced onto every node first; explicit self-edges in the
-    input collapse into the same single loop.
+    Self-loops are forced onto every node; a self pair in the input
+    collapses into the same single loop, and so does a repeated pair.
     """
-    rows: list[int] = []
-    cols: list[int] = []
-    seen: set[tuple[int, int]] = set()
-    for a, b in edges:
-        for i, j in ((a, b), (b, a)):
-            if i == j or (i, j) in seen:
-                continue
-            seen.add((i, j))
-            rows.append(i)
-            cols.append(j)
-    for i in range(n_nodes):
-        rows.append(i)
-        cols.append(i)
-    data = np.ones(len(rows), dtype=np.float64)
-    adj = sp.csr_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    loops = np.arange(n_nodes)
+    dst, src = _messages(np.concatenate([pairs[:, 0], loops]),
+                         np.concatenate([pairs[:, 1], loops]), n_nodes)
+    degrees = np.bincount(dst, minlength=n_nodes)
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    d_half = sp.diags(inv_sqrt)
-    normalized = (d_half @ adj @ d_half).tocsr()
-    return NormalizedAdjacency(matrix=normalized, degrees=degrees)
+    indptr = np.concatenate([[0], np.cumsum(degrees)])
+    return sp.csr_matrix((inv_sqrt[dst] * inv_sqrt[src], src, indptr), shape=(n_nodes, n_nodes))
 
 
 @dataclass
 class WordGraph:
     """Word graph restricted to words that appear in the edge file.
 
-    ``word_ids[row]`` is the vocabulary id behind graph row ``row``;
-    ``rows`` is the inverse map. Context words outside ``rows`` have no
-    representation and are skipped by the preference module.
+    ``pairs`` is a sorted (E, 2) intp array of the distinct undirected row
+    pairs (min row, max row), self pairs included; ``adjacency`` is their
+    normalized GCN operator. ``word_ids[row]`` is the vocabulary id behind
+    graph row ``row``; ``rows`` is the inverse map. Context words outside
+    ``rows`` have no representation and are skipped by the preference module.
     """
 
-    graph: TypedGraph
-    adjacency: NormalizedAdjacency
+    pairs: np.ndarray
+    adjacency: sp.csr_matrix
     word_ids: list[int]
     rows: dict[int, int]
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.word_ids)
 
 
 class InteractionGraph:
@@ -234,25 +228,13 @@ def save_interaction_graph(graph: InteractionGraph, entities: EntityVocab,
 
 
 def load_interaction_graph(path: str | Path, entities: EntityVocab) -> InteractionGraph:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"interaction graph not found: {path}")
     triples: set[tuple[str, int, int]] = set()
     users: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
-                                 line=lineno)
-            user, rel_name, token = parts
-            if rel_name not in INTERACTION_RELATIONS:
-                raise ParseError(f"unknown relation {rel_name!r}", line=lineno)
-            users.add(user)
-            triples.add((user, INTERACTION_RELATIONS.index(rel_name), entities.resolve(token)))
+    for lineno, (user, rel_name, token) in _tsv_rows(path, 3, "interaction graph"):
+        if rel_name not in INTERACTION_RELATIONS:
+            raise ParseError(f"unknown relation {rel_name!r}", line=lineno)
+        users.add(user)
+        triples.add((user, INTERACTION_RELATIONS.index(rel_name), entities.resolve(token)))
     return _interaction_graph(users, triples)
 
 
@@ -262,26 +244,14 @@ def load_item_kg(path: str | Path, entities: EntityVocab) -> TypedGraph:
     Relation indices are assigned by sorted relation name, so the parameter
     layout is independent of line order in the file.
     """
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"item KG not found: {path}")
     raw_triples: list[tuple[int, str, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
-                                 line=lineno)
-            head, rel, tail = parts
-            try:
-                head_id = entities.resolve(head)
-                tail_id = entities.resolve(tail)
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from None
-            raw_triples.append((head_id, rel, tail_id))
+    for lineno, (head, rel, tail) in _tsv_rows(path, 3, "item KG"):
+        try:
+            head_id = entities.resolve(head)
+            tail_id = entities.resolve(tail)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+        raw_triples.append((head_id, rel, tail_id))
     relations = sorted({rel for _, rel, _ in raw_triples})
     rel_index = {r: i for i, r in enumerate(relations)}
     edges = [(h, rel_index[r], t) for h, r, t in raw_triples]
@@ -294,44 +264,31 @@ def build_word_graph(word_pairs: Iterable[tuple[int, int]]) -> WordGraph:
     Graph nodes are exactly the words the pairs mention, rows ordered by
     ascending vocabulary id.
     """
-    pairs = list(word_pairs)
-    mentioned = {w for pair in pairs for w in pair}
-    word_ids = sorted(mentioned)
-    rows = {w: i for i, w in enumerate(word_ids)}
-    row_edges = [(rows[a], rows[b]) for a, b in pairs]
-    typed_edges = [(min(i, j), 0, max(i, j)) for i, j in row_edges]
-    graph = TypedGraph(len(word_ids), ("related",), typed_edges)
-    adjacency = normalize_adjacency(len(word_ids), row_edges)
-    return WordGraph(graph=graph, adjacency=adjacency, word_ids=word_ids, rows=rows)
+    id_pairs = np.asarray(list(word_pairs), dtype=np.intp).reshape(-1, 2)
+    ids, row_of = np.unique(id_pairs, return_inverse=True)
+    row_pairs = row_of.reshape(-1, 2)
+    n = len(ids)
+    keys = np.unique(row_pairs.min(axis=1) * n + row_pairs.max(axis=1))
+    pairs = np.stack(np.divmod(keys, n), axis=1)
+    word_ids = ids.tolist()
+    return WordGraph(pairs=pairs, adjacency=normalize_adjacency(n, pairs), word_ids=word_ids,
+                     rows={w: i for i, w in enumerate(word_ids)})
 
 
 def load_word_graph(path: str | Path, words: WordVocab) -> WordGraph:
     """Load undirected ``word<TAB>word`` edges and precompute the GCN operator."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"word graph not found: {path}")
     word_pairs: list[tuple[int, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 tab-separated fields, got {len(parts)}",
-                                 line=lineno)
-            try:
-                a = words.resolve(parts[0])
-                b = words.resolve(parts[1])
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from None
-            word_pairs.append((a, b))
+    for lineno, (a, b) in _tsv_rows(path, 2, "word graph"):
+        try:
+            word_pairs.append((words.resolve(a), words.resolve(b)))
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
     return build_word_graph(word_pairs)
 
 
 def save_word_graph(word_graph: WordGraph, words: WordVocab, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for head, _, tail in word_graph.graph.edges.tolist():
+        for head, tail in word_graph.pairs.tolist():
             a = words.words[word_graph.word_ids[head]]
             b = words.words[word_graph.word_ids[tail]]
             fh.write(f"{a}\t{b}\n")

@@ -205,9 +205,9 @@ class Model:
             )
         self.gcn_params: GcnParams | None = None
         wg = artifacts.word_graph
-        if wg is not None and wg.graph.n_nodes > 0:
+        if wg is not None and wg.n_nodes > 0:
             self.gcn_params = init_gcn_params(
-                self.store, "word", wg.graph.n_nodes, d, rng, layers=config.layers,
+                self.store, "word", wg.n_nodes, d, rng, layers=config.layers,
             )
         self.att_params: AttentionParams = init_attention_params(
             self.store, "att", d, rng, gate_mode=config.gate_mode,
@@ -300,8 +300,7 @@ def rec_loss(logits: Tensor, gold_positions: Sequence[Sequence[int]]) -> tuple[T
     """
     if not gold_positions or not all(gold_positions):
         raise ValidationError("rec_loss requires at least one gold item per example")
-    loss = ad.cross_entropy(logits, gold_positions)
-    probs = ad.softmax(ad.constant(logits.values)).values
+    loss, probs = ad.cross_entropy(logits, gold_positions)
     guards = sum(int(np.any(probs[row, golds] < GUARD_EPS))
                  for row, golds in enumerate(gold_positions))
     return loss, guards
@@ -312,16 +311,14 @@ def rank_order(probs: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(probs.shape[0]), -probs))
 
 
-def rank_items(probs: np.ndarray, item_ids: Sequence[int]) -> list[int]:
-    ids = np.asarray(item_ids)
-    return [int(ids[i]) for i in rank_order(probs)]
-
-
 def _gold_ranks(probs: np.ndarray, gold_positions: Iterable[int]) -> list[int]:
-    order = rank_order(probs)
-    rank_at = np.empty(order.shape[0], dtype=np.int64)
-    rank_at[order] = np.arange(1, order.shape[0] + 1)
-    return [int(rank_at[p]) for p in gold_positions]
+    """1-based rank of each gold position in :func:`rank_order`, found by counting.
+
+    Position g is preceded by every item with a higher probability and by
+    every tied item at a lower position.
+    """
+    return [1 + int(np.count_nonzero(probs > probs[g]) + np.count_nonzero(probs[:g] == probs[g]))
+            for g in gold_positions]
 
 
 def aggregate_metrics(rank_lists: Iterable[Sequence[int]],

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse as sp
 
 
 def dense_rgcn(
@@ -88,6 +89,32 @@ def dense_gcn(
     for w in weights:
         h = np.maximum(a_hat @ h @ w, 0.0)
     return h
+
+
+def normalized_adjacency_reference(n_nodes: int, edges: list[tuple[int, int]]) -> sp.csr_matrix:
+    """D^{-1/2} (A + I) D^{-1/2} built pair by pair through a set of seen messages.
+
+    Every pair adds both directions once; self pairs are skipped and then
+    every node gets one forced self-loop.
+    """
+    rows: list[int] = []
+    cols: list[int] = []
+    seen: set[tuple[int, int]] = set()
+    for a, b in edges:
+        for i, j in ((a, b), (b, a)):
+            if i == j or (i, j) in seen:
+                continue
+            seen.add((i, j))
+            rows.append(i)
+            cols.append(j)
+    for i in range(n_nodes):
+        rows.append(i)
+        cols.append(i)
+    data = np.ones(len(rows), dtype=np.float64)
+    adj = sp.csr_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    d_half = sp.diags(1.0 / np.sqrt(degrees))
+    return (d_half @ adj @ d_half).tocsr()
 
 
 def bm25_reference(

@@ -337,10 +337,13 @@ def test_cross_entropy_matches_log_softmax_route():
     z = rng.normal(size=9)
     labels = [2, 5, 5]
 
-    fused = ad.cross_entropy(Tensor(z), labels)
+    fused, p = ad.cross_entropy(Tensor(z), labels)
     probs = ad.softmax(Tensor(z))
     manual = ad.scale(ad.mean_all(ad.log(ad.take(probs, labels))), -1.0)
     assert fused.values == pytest.approx(float(manual.values), abs=1e-12)
+    # the handed-back probabilities are the softmax, in the logits' shape
+    assert p.shape == z.shape
+    np.testing.assert_allclose(p, probs.values, rtol=1e-14, atol=0)
 
 
 def test_cross_entropy_gradcheck():
@@ -348,7 +351,7 @@ def test_cross_entropy_gradcheck():
     store = fd_store(z=rng.normal(size=6))
 
     def f(s):
-        return ad.cross_entropy(s["z"], [1, 4])
+        return ad.cross_entropy(s["z"], [1, 4])[0]
 
     check(f, store, samples_per_param=6)
 
@@ -357,9 +360,11 @@ def test_cross_entropy_rows_are_mean_of_vector_losses():
     rng = np.random.default_rng(14)
     z = rng.normal(size=(3, 7))
     labels = [[2, 5, 5], [0], [6, 1]]
-    fused = ad.cross_entropy(Tensor(z), labels)
-    rows = [float(ad.cross_entropy(Tensor(z[i]), labels[i]).values) for i in range(3)]
+    fused, p = ad.cross_entropy(Tensor(z), labels)
+    rows = [float(ad.cross_entropy(Tensor(z[i]), labels[i])[0].values) for i in range(3)]
     assert fused.values == pytest.approx(np.mean(rows), abs=1e-12)
+    assert p.shape == z.shape
+    np.testing.assert_allclose(p, ad.softmax(Tensor(z)).values, rtol=1e-14, atol=0)
 
 
 def test_cross_entropy_gradcheck_masked_multi_gold_rows():
@@ -370,7 +375,7 @@ def test_cross_entropy_gradcheck_masked_multi_gold_rows():
     mask[2, 5] = -1e9
 
     def f(s):
-        return ad.cross_entropy(ad.add_const(s["z"], mask), [[1, 4], [0], [2, 2, 4]])
+        return ad.cross_entropy(ad.add_const(s["z"], mask), [[1, 4], [0], [2, 2, 4]])[0]
 
     check(f, store, samples_per_param=18)
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,34 @@ def test_eval_empty_split_exits_2(runner, toy_bundle, tmp_path):
                                       "--split", "test"])
     assert result.exit_code == 2
     assert "empty example set" in result.stderr
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ({"dim": 8, "bogus": 1}, "unknown config key 'bogus'"),
+    ({"dim": "x"}, "config key 'dim' is not a JSON int"),
+    ({"dim": True}, "config key 'dim' is not a JSON int"),
+    ({"without_ig": 1}, "config key 'without_ig' is not a JSON bool"),
+    ([8, 1], "expected a JSON object"),
+])
+def test_eval_corrupt_sidecar_exits_2(runner, toy_bundle, toy_checkpoint, tmp_path,
+                                      sidecar, message):
+    ckpt = tmp_path / "model.ckpt"
+    shutil.copy(toy_checkpoint, ckpt)
+    (tmp_path / "model.ckpt.config.json").write_text(json.dumps(sidecar), "utf-8")
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle),
+                                      "--checkpoint", str(ckpt), "--split", "train"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and message in result.stderr
+
+
+def test_eval_manifest_not_an_object_exits_2(runner, toy_bundle, toy_checkpoint, tmp_path):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(toy_bundle, bundle)
+    (bundle / "manifest.json").write_text("[]\n", "utf-8")
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle),
+                                      "--checkpoint", str(toy_checkpoint), "--split", "train"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and "expected a JSON object" in result.stderr
 
 
 # ---------------------------------------------------------------------------

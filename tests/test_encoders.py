@@ -181,12 +181,12 @@ def test_gcn_matches_dense_oracle():
     rng = np.random.default_rng(2)
     pairs = [(int(a), int(b)) for a, b in rng.integers(0, 6, size=(10, 2))]
     wg = build_word_graph(pairs)
-    n = wg.graph.n_nodes
+    n = wg.n_nodes
     store = ParamStore()
     params = init_gcn_params(store, "w", n, 4, rng)
     got = gcn_forward(wg.adjacency, params).values
-    undirected = [(u, v) for u, _, v in wg.graph.edges]
-    want = dense_gcn(n, undirected, params.embedding.values, [w.values for w in params.weights])
+    want = dense_gcn(n, wg.pairs.tolist(), params.embedding.values,
+                     [w.values for w in params.weights])
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 

@@ -23,7 +23,7 @@ from convrec.graphs import (
     save_word_graph,
 )
 
-from oracles import neighbor_lists
+from oracles import neighbor_lists, normalized_adjacency_reference
 
 
 def make_entities(n_items=4, n_attrs=2):
@@ -177,6 +177,19 @@ def test_relation_operator_rows_match_neighbor_oracle(graph, z):
             assert vals == [norm] * len(want)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 10**6), st.integers(1, 6), st.data())
+def test_typed_graph_edges_equal_row_unique(n, n_rel, data):
+    # wide node and relation ranges, so the sort key spans many digits
+    triple = st.tuples(st.integers(0, n - 1), st.integers(0, n_rel - 1), st.integers(0, n - 1))
+    triples = data.draw(st.lists(triple, min_size=1, max_size=20))
+    arr = np.array(triples + triples[::2], dtype=np.intp)
+    edges = TypedGraph(n, [f"r{i}" for i in range(n_rel)], arr).edges
+    want = np.unique(arr, axis=0)
+    assert edges.dtype == want.dtype and edges.shape == want.shape
+    np.testing.assert_array_equal(edges, want)
+
+
 # ---------------------------------------------------------------------------
 # normalized adjacency
 
@@ -195,18 +208,18 @@ def dense_normalized(n, edges):
 def test_normalize_adjacency_matches_dense_oracle():
     edges = [(0, 1), (1, 2), (2, 0), (3, 3), (1, 2)]
     norm = normalize_adjacency(5, edges)
-    np.testing.assert_allclose(norm.matrix.toarray(), dense_normalized(5, edges), atol=1e-15)
+    np.testing.assert_allclose(norm.toarray(), dense_normalized(5, edges), atol=1e-15)
     # isolated node 4: self-loop only, normalized weight 1
-    assert norm.matrix[4, 4] == pytest.approx(1.0)
-    np.testing.assert_array_equal(norm.degrees, [3, 3, 3, 1, 1])
+    assert norm[4, 4] == pytest.approx(1.0)
+    # entries per row of A + I are the degrees
+    np.testing.assert_array_equal(np.diff(norm.indptr), [3, 3, 3, 1, 1])
 
 
 def test_normalize_adjacency_rows_bounded():
     rng = np.random.default_rng(0)
     n = 8
     edges = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(12, 2))]
-    norm = normalize_adjacency(n, edges)
-    m = norm.matrix.toarray()
+    m = normalize_adjacency(n, edges).toarray()
     np.testing.assert_allclose(m, m.T, atol=1e-15)
     assert (m >= 0).all()
     # spectral bound for the symmetric normalization: entries at most 1
@@ -218,7 +231,32 @@ def test_normalize_adjacency_rows_bounded():
 def test_normalize_adjacency_property(n, raw_edges):
     edges = [(a % n, b % n) for a, b in raw_edges]
     norm = normalize_adjacency(n, edges)
-    np.testing.assert_allclose(norm.matrix.toarray(), dense_normalized(n, edges), atol=1e-12)
+    np.testing.assert_allclose(norm.toarray(), dense_normalized(n, edges), atol=1e-12)
+
+
+@st.composite
+def word_pair_lists(draw):
+    """Row pairs with self pairs, duplicates and both orders of a pair.
+
+    One node and no pairs at all are included.
+    """
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=16))
+    loops = [(i, i) for i in draw(st.lists(node, max_size=2))]
+    return n, pairs + [(b, a) for a, b in pairs[::2]] + pairs[::3] + loops
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(word_pair_lists())
+def test_normalize_adjacency_bytes_match_set_reference(graph):
+    n, pairs = graph
+    got = normalize_adjacency(n, pairs)
+    want = normalized_adjacency_reference(n, pairs)
+    assert got.shape == want.shape == (n, n)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +385,18 @@ def test_word_graph_rows_and_membership():
     wg = build_word_graph([(5, 2), (2, 9)])
     assert wg.word_ids == [2, 5, 9]
     assert wg.rows == {2: 0, 5: 1, 9: 2}
-    assert wg.graph.n_nodes == 3
-    assert wg.adjacency.n_nodes == 3
+    assert wg.n_nodes == 3
+    assert wg.adjacency.shape == (3, 3)
+    assert wg.pairs.dtype == np.intp
+    assert wg.pairs.tolist() == [[0, 1], [0, 2]]
+
+
+def test_word_graph_pairs_are_sorted_and_distinct():
+    # both orders, repeats and a repeated self pair each give one (min, max) row
+    wg = build_word_graph([(9, 9), (5, 2), (2, 9), (2, 5), (9, 2), (9, 9)])
+    assert wg.pairs.tolist() == [[0, 1], [0, 2], [2, 2]]
+    np.testing.assert_array_equal(wg.adjacency.toarray(),
+                                  build_word_graph([(2, 5), (2, 9), (9, 9)]).adjacency.toarray())
 
 
 def test_word_graph_file_round_trip_with_self_edge(tmp_path):
@@ -361,9 +409,8 @@ def test_word_graph_file_round_trip_with_self_edge(tmp_path):
     save_word_graph(wg, words, out)
     wg2 = load_word_graph(out, words)
     assert wg2.word_ids == wg.word_ids
-    assert wg2.graph.edges.tolist() == wg.graph.edges.tolist() == [[0, 0, 1], [2, 0, 2]]
-    np.testing.assert_allclose(wg2.adjacency.matrix.toarray(),
-                               wg.adjacency.matrix.toarray(), atol=0)
+    assert wg2.pairs.tolist() == wg.pairs.tolist() == [[0, 1], [2, 2]]
+    np.testing.assert_allclose(wg2.adjacency.toarray(), wg.adjacency.toarray(), atol=0)
 
 
 def test_word_graph_unknown_word(tmp_path):

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convrec import autodiff as ad
 from convrec.corpus import Split
@@ -14,6 +16,7 @@ from convrec.recommender import (
     MetricsReport,
     Model,
     TrainConfig,
+    _gold_ranks,
     ablate,
     ablation_config,
     aggregate_metrics,
@@ -21,7 +24,6 @@ from convrec.recommender import (
     build_artifacts,
     comparison_table,
     evaluate,
-    rank_items,
     rank_order,
     rec_loss,
     score_all,
@@ -103,7 +105,7 @@ def test_ranking_invariant_under_positive_scaling():
     ids = list(range(9))
 
     def ranked(u):
-        return rank_items(score_all(ad.stack([ad.constant(u)]), item_matrix, ids).values[0], ids)
+        return rank_order(score_all(ad.stack([ad.constant(u)]), item_matrix, ids).values[0])
 
     base = ranked(user)
     for c in (0.5, 3.0, 117.0):
@@ -113,7 +115,19 @@ def test_ranking_invariant_under_positive_scaling():
 def test_rank_order_breaks_ties_by_position():
     probs = np.array([0.2, 0.5, 0.2, 0.5, 0.1])
     assert rank_order(probs).tolist() == [1, 3, 0, 2, 4]
-    assert rank_items(probs, [10, 11, 12, 13, 14]) == [11, 13, 10, 12, 14]
+    assert np.array([10, 11, 12, 13, 14])[rank_order(probs)].tolist() == [11, 13, 10, 12, 14]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([0.0, 0.0, 1e-300, 0.125, 0.25, 0.25, 0.5, 1.0]),
+                min_size=1, max_size=12))
+def test_counted_ranks_equal_rank_order_ranks(values):
+    # few distinct values, exact zeros among them: ties everywhere
+    probs = np.array(values)
+    rank_at = np.empty(len(values), dtype=np.int64)
+    rank_at[rank_order(probs)] = np.arange(1, len(values) + 1)
+    positions = list(range(len(values)))
+    assert _gold_ranks(probs, positions) == rank_at.tolist()
 
 
 # ---------------------------------------------------------------------------

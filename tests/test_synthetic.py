@@ -69,7 +69,7 @@ def test_toy_instance_shape():
     data = toy_instance()
     stats = corpus_stats(data.conversations, data.vocab.entities)
     assert stats == {"users": 3, "conversations": 4, "utterances": 12, "items": 6}
-    assert data.word_graph.graph.n_nodes > 0
+    assert data.word_graph.n_nodes > 0
 
 
 def test_write_inputs_round_trips(tmp_path):
