@@ -56,9 +56,6 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
     def __mul__(self, other: "Tensor") -> "Tensor":
         return mul(self, other)
 
@@ -139,19 +136,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    out = Tensor(a.values - b.values)
-
-    def bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -g)
-
-    return _record(out, (a, b), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors."""
     _same_shape(a, b, "mul")
@@ -164,21 +148,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, g * a.values)
 
     return _record(out, (a, b), bw)
-
-
-def mul_scalar(s: Tensor, x: Tensor) -> Tensor:
-    """Broadcast-multiply a 0-d tensor onto a tensor of any shape."""
-    if s.values.ndim != 0:
-        raise ShapeError(f"mul_scalar: first operand must be scalar, got shape {s.values.shape}")
-    out = Tensor(s.values * x.values)
-
-    def bw(g: np.ndarray) -> None:
-        if s.requires_grad:
-            _accum(s, np.sum(g * x.values))
-        if x.requires_grad:
-            _accum(x, g * s.values)
-
-    return _record(out, (s, x), bw)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -230,16 +199,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         _accum(a, g * y * (1.0 - y))
-
-    return _record(out, (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    """Natural log; the caller is responsible for keeping inputs positive."""
-    out = Tensor(np.log(a.values))
-
-    def bw(g: np.ndarray) -> None:
-        _accum(a, g / a.values)
 
     return _record(out, (a,), bw)
 
@@ -306,23 +265,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, tuple(parts), bw)
 
 
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Stack same-shape tensors along a new leading axis: k tensors of shape s -> (k, *s)."""
-    if not parts:
-        raise ShapeError("stack: no inputs")
-    for p in parts:
-        if p.values.shape != parts[0].values.shape:
-            raise ShapeError(f"stack: shapes {[tuple(q.values.shape) for q in parts]} differ")
-    out = Tensor(np.stack([p.values for p in parts]))
-
-    def bw(g: np.ndarray) -> None:
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                _accum(p, g[i])
-
-    return _record(out, tuple(parts), bw)
-
-
 def lookup(table: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows of a matrix; backward scatter-adds into the table."""
     if table.values.ndim != 2:
@@ -340,21 +282,6 @@ def lookup(table: Tensor, indices: Sequence[int]) -> Tensor:
         np.add.at(table.grad, idx, g)
 
     return _record(out, (table,), bw)
-
-
-def take(vec: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather entries of a vector."""
-    if vec.values.ndim != 1:
-        raise ShapeError(f"take: expected a vector, got shape {vec.values.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor(vec.values[idx])
-
-    def bw(g: np.ndarray) -> None:
-        if vec.grad is None:
-            vec.grad = np.zeros_like(vec.values)
-        np.add.at(vec.grad, idx, g)
-
-    return _record(out, (vec,), bw)
 
 
 def scatter_rows(src: Tensor, indices: Sequence[int], n_rows: int) -> Tensor:
@@ -375,27 +302,6 @@ def scatter_rows(src: Tensor, indices: Sequence[int], n_rows: int) -> Tensor:
         _accum(src, g[idx])
 
     return _record(out, (src,), bw)
-
-
-def weighted_sum(weights: Tensor, rows: Tensor) -> Tensor:
-    """Combine rows (n,d) with weights (n,) into a single (d,) vector."""
-    if weights.values.ndim != 1 or rows.values.ndim != 2:
-        raise ShapeError(
-            f"weighted_sum: expected (n,) and (n,d), got {weights.values.shape} and {rows.values.shape}"
-        )
-    if weights.values.shape[0] != rows.values.shape[0]:
-        raise ShapeError(
-            f"weighted_sum: row counts {weights.values.shape[0]} and {rows.values.shape[0]} differ"
-        )
-    out = Tensor(weights.values @ rows.values)
-
-    def bw(g: np.ndarray) -> None:
-        if weights.requires_grad:
-            _accum(weights, rows.values @ g)
-        if rows.requires_grad:
-            _accum(rows, np.outer(weights.values, g))
-
-    return _record(out, (weights, rows), bw)
 
 
 def spmm(a: sp.spmatrix, x: Tensor) -> Tensor:
@@ -447,6 +353,68 @@ def softmax(a: Tensor) -> Tensor:
         _accum(a, y * (g - dots))
 
     return _record(out, (a,), bw)
+
+
+# Segment ops act on B consecutive row segments: segment b is rows
+# offsets[b]:offsets[b + 1], as in a CSR indptr, and may be empty.
+
+
+def _segments(offsets: Sequence[int], n_rows: int, op: str
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check (B + 1,) offsets over ``n_rows`` rows.
+
+    Returns the ids, first rows and row counts of the non-empty segments.
+    Each non-empty segment ends where the next one starts, so
+    ``ufunc.reduceat(x, starts)`` reduces exactly those segments.
+    """
+    off = np.asarray(offsets, dtype=np.intp)
+    counts = off[1:] - off[:-1]
+    if off.ndim != 1 or not off.size or off[0] != 0 or off[-1] != n_rows or (counts < 0).any():
+        raise ShapeError(f"{op}: offsets must rise from 0 to {n_rows} rows")
+    ids = counts.nonzero()[0]
+    return ids, off[ids], counts[ids]
+
+
+def segment_softmax(scores: Tensor, offsets: Sequence[int]) -> Tensor:
+    """Softmax of an (n,) score vector within each segment (max-shifted for stability)."""
+    if scores.values.ndim != 1:
+        raise ShapeError(f"segment_softmax: expected a vector, got shape {scores.values.shape}")
+    _, starts, counts = _segments(offsets, scores.values.shape[0], "segment_softmax")
+    s = scores.values
+    e = np.exp(s - np.repeat(np.maximum.reduceat(s, starts), counts))
+    y = e / np.repeat(np.add.reduceat(e, starts), counts)
+    out = Tensor(y)
+
+    def bw(g: np.ndarray) -> None:
+        _accum(scores, y * (g - np.repeat(np.add.reduceat(g * y, starts), counts)))
+
+    return _record(out, (scores,), bw)
+
+
+def segment_sum(weights: Tensor, rows: Tensor, offsets: Sequence[int]) -> Tensor:
+    """(B, d) weighted row sums: row b sums weights[i] * rows[i] over segment b.
+
+    An empty segment gives a zero row.
+    """
+    if (weights.values.ndim != 1 or rows.values.ndim != 2
+            or weights.values.shape[0] != rows.values.shape[0]):
+        raise ShapeError(
+            f"segment_sum: expected (n,) and (n, d), got {weights.values.shape} and {rows.values.shape}"
+        )
+    ids, starts, counts = _segments(offsets, rows.values.shape[0], "segment_sum")
+    w = weights.values[:, None]
+    vals = np.zeros((len(offsets) - 1, rows.values.shape[1]), dtype=rows.values.dtype)
+    vals[ids] = np.add.reduceat(w * rows.values, starts, axis=0)
+    out = Tensor(vals)
+
+    def bw(g: np.ndarray) -> None:
+        g_rows = np.repeat(g[ids], counts, axis=0)
+        if weights.requires_grad:
+            _accum(weights, np.einsum("nd,nd->n", g_rows, rows.values))
+        if rows.requires_grad:
+            _accum(rows, g_rows * w)
+
+    return _record(out, (weights, rows), bw)
 
 
 def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Sequence[Sequence[int]]

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import click
 
-from . import autodiff as ad
 from .corpus import (
     RecExample,
     Split,
@@ -49,12 +48,10 @@ from .graphs import (
 from .optim import load_checkpoint, save_checkpoint
 from .recommender import (
     ABLATION_FLAGS,
-    DEFAULT_KS,
     Artifacts,
     Model,
     TrainConfig,
     ablate as run_ablate,
-    build_artifacts,
     comparison_table,
     evaluate,
     rank_order,
@@ -504,8 +501,8 @@ def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
             turn_index=len(context), context_entities=tuple(context),
             context_words=(), gold_items=frozenset(),
         )
-        rep = model.user_representation(example, item_matrix, word_matrix)
-        probs = score_all(ad.stack([rep.vector]), item_matrix, model.artifacts.item_ids,
+        users = model.users([example], item_matrix, word_matrix).vector
+        probs = score_all(users, item_matrix, model.artifacts.item_ids,
                           [model.mask_for(example)]).values[0]
         for rank, pos in enumerate(rank_order(probs)[:k], start=1):
             entity = int(model.artifacts.item_ids[pos])

@@ -4,12 +4,18 @@ The entity side pools representations of mentioned plus retrieved entities;
 the word side pools word-graph representations of the conversation's content
 words. A learned sigmoid gate mixes the two pooled vectors into the final
 user representation.
+
+A batch is built at once. Each source's rows are laid out CSR-style: the
+rows of all examples concatenated, and (B + 1) offsets marking where each
+example's rows start. One lookup per source feeds the scores b . tanh(R W)
+of every row; a segment softmax and a segment sum pool them into (B, d).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import accumulate, chain
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,8 +35,8 @@ GATE_SCALAR = "scalar"
 class AttentionParams:
     """Two pooling heads plus the fusion gate.
 
-    ``w_gate`` maps the concatenated (2d,) evidence vector to d gate logits,
-    or to a single logit in scalar mode.
+    ``w_gate`` maps an example's concatenated (2d,) evidence to d gate
+    logits, or to a single logit in scalar mode.
     """
 
     dim: int
@@ -65,130 +71,77 @@ def init_attention_params(
 
 
 @dataclass
-class UserContext:
-    """Representation rows behind one example; None marks an empty source."""
-
-    mentioned: Tensor | None
-    retrieved: Tensor | None
-    words: Tensor | None
-    missing_words: int = 0
-
-
-def gather_context(
-    example: RecExample,
-    item_matrix: Tensor,
-    word_matrix: Tensor | None,
-    retrieval: RetrievalResult | None,
-    word_rows: Mapping[int, int] | None,
-) -> UserContext:
-    """Look up the representation rows the example's context points at.
-
-    Context words absent from the word graph have no representation; they are
-    skipped and counted in ``missing_words``.
-    """
-    mentioned = (
-        ad.lookup(item_matrix, list(example.context_entities))
-        if example.context_entities else None
-    )
-    retrieved = None
-    if retrieval is not None and retrieval.entities:
-        retrieved = ad.lookup(item_matrix, list(retrieval.entities))
-
-    words = None
-    missing = 0
-    if word_matrix is not None and word_rows is not None:
-        rows = []
-        for word_id in example.context_words:
-            row = word_rows.get(word_id)
-            if row is None:
-                missing += 1
-            else:
-                rows.append(row)
-        if rows:
-            words = ad.lookup(word_matrix, rows)
-    else:
-        missing = len(example.context_words)
-    return UserContext(mentioned=mentioned, retrieved=retrieved, words=words,
-                       missing_words=missing)
-
-
-def attention_pool(rows: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Softmax-weighted combination of rows, scored by b . tanh(row @ w)."""
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ShapeError(f"attention_pool: need at least one row, got shape {rows.shape}")
-    scores = ad.matmul(ad.tanh(ad.matmul(rows, w)), b)
-    alpha = ad.softmax(scores)
-    return ad.weighted_sum(alpha, rows)
-
-
-def gate_fuse(v_entity: Tensor, v_word: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor]:
-    """Convex mix gamma * v_entity + (1 - gamma) * v_word; returns (fused, gamma)."""
-    cat = ad.concat([v_entity, v_word])
-    logits = ad.matmul(params.w_gate, cat)
-    if params.gate_mode == GATE_SCALAR:
-        gamma = ad.sigmoid(ad.sum_all(logits))
-        complement = ad.add_const(ad.scale(gamma, -1.0), 1.0)
-        fused = ad.add(ad.mul_scalar(gamma, v_entity), ad.mul_scalar(complement, v_word))
-    else:
-        gamma = ad.sigmoid(logits)
-        complement = ad.add_const(ad.scale(gamma, -1.0), 1.0)
-        fused = ad.add(ad.mul(gamma, v_entity), ad.mul(complement, v_word))
-    return fused, gamma
-
-
-@dataclass
 class UserRep:
-    vector: Tensor
-    gamma: Tensor
-    cold_start: bool
-    missing_words: int
-    n_entity_rows: int
-    n_word_rows: int
+    """A batch's user vectors and what produced them, one row per example."""
+
+    vector: Tensor             # (B, d)
+    gamma: np.ndarray          # (B, d), or (B, 1) in scalar gate mode
+    cold_start: np.ndarray     # (B,) bool: no entity row and no word row
+    missing_words: np.ndarray  # (B,) int: context words without a word-graph row
+
+
+def _layout(groups: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The groups' rows concatenated, and the (B + 1) offsets of each group."""
+    groups = list(groups)
+    offsets = np.fromiter(accumulate(map(len, groups), initial=0), np.intp, len(groups) + 1)
+    return np.fromiter(chain.from_iterable(groups), np.intp, offsets[-1]), offsets
+
+
+def _pool(matrix: Tensor, rows: np.ndarray, offsets: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """(B, d) attention pools: a softmax of b . tanh(r W) over each segment's rows r."""
+    if not rows.size:  # every segment is empty: zero rows, and nothing to record
+        return ad.constant(np.zeros((len(offsets) - 1, w.shape[0])))
+    r = ad.lookup(matrix, rows)
+    alpha = ad.segment_softmax(ad.matmul(ad.tanh(ad.matmul(r, w)), b), offsets)
+    return ad.segment_sum(alpha, r, offsets)
 
 
 def build_user_representation(
-    example: RecExample,
+    examples: Sequence[RecExample],
     item_matrix: Tensor,
     word_matrix: Tensor | None,
-    retrieval: RetrievalResult | None,
+    retrievals: Sequence[RetrievalResult | None],
     params: AttentionParams,
     word_rows: Mapping[int, int] | None,
     *,
     without_rt: bool = False,
     without_cn: bool = False,
 ) -> UserRep:
-    """Full pipeline from context ids to the fused user vector.
+    """User vectors of a batch, from each example's context ids and retrieval.
 
-    Empty sources contribute zero vectors; when every source is empty the
-    result is the zero vector with ``cold_start`` set.
+    ``retrievals[b]`` belongs to ``examples[b]``. Context words absent from
+    the word graph are skipped and counted in ``missing_words``. An empty
+    source pools to a zero row; an example with no rows at all gets the zero
+    vector and ``cold_start``.
     """
-    ctx = gather_context(
-        example,
-        item_matrix,
-        None if without_cn else word_matrix,
-        None if without_rt else retrieval,
-        None if without_cn else word_rows,
-    )
-    entity_parts = [m for m in (ctx.mentioned, ctx.retrieved) if m is not None]
-    n_entity_rows = sum(int(p.shape[0]) for p in entity_parts)
-    if entity_parts:
-        stacked = entity_parts[0] if len(entity_parts) == 1 else ad.concat(entity_parts)
-        v_entity = attention_pool(stacked, params.w_entity, params.b_entity)
-    else:
-        v_entity = ad.constant(np.zeros(params.dim))
+    if len(retrievals) != len(examples):
+        raise ShapeError(f"{len(retrievals)} retrievals for {len(examples)} examples")
+    n, d = len(examples), params.dim
+    entity_rows, entity_offsets = _layout(
+        [*ex.context_entities, *(() if without_rt or r is None else r.entities)]
+        for ex, r in zip(examples, retrievals))
+    v_entity = _pool(item_matrix, entity_rows, entity_offsets, params.w_entity, params.b_entity)
 
-    n_word_rows = 0 if ctx.words is None else int(ctx.words.shape[0])
-    if ctx.words is not None:
-        v_word = attention_pool(ctx.words, params.w_word, params.b_word)
+    if without_cn or word_matrix is None or word_rows is None:
+        words = np.zeros(n + 1, dtype=np.intp)
+        v_word = ad.constant(np.zeros((n, d)))
     else:
-        v_word = ad.constant(np.zeros(params.dim))
+        found, words = _layout([word_rows[w] for w in ex.context_words if w in word_rows]
+                               for ex in examples)
+        v_word = _pool(word_matrix, found, words, params.w_word, params.b_word)
 
-    fused, gamma = gate_fuse(v_entity, v_word, params)
+    # (g, 2d) @ (2d, B): one gate column per example
+    logits = ad.matmul(params.w_gate, ad.concat([ad.transpose(v_entity), ad.transpose(v_word)]))
+    gamma = ad.transpose(ad.sigmoid(logits))
+    # scalar mode spreads each row's one gamma over d by a matmul with ones
+    mix = ad.matmul(gamma, ad.constant(np.ones((1, d)))) if params.gate_mode == GATE_SCALAR else gamma
+    complement = ad.add_const(ad.scale(mix, -1.0), 1.0)
+    fused = ad.add(ad.mul(mix, v_entity), ad.mul(complement, v_word))
+    n_words = words[1:] - words[:-1]
+    n_context_words = np.fromiter((len(ex.context_words) for ex in examples), np.intp, n)
     return UserRep(
         vector=fused,
-        gamma=gamma,
-        cold_start=(n_entity_rows == 0 and n_word_rows == 0),
-        missing_words=ctx.missing_words,
-        n_entity_rows=n_entity_rows,
-        n_word_rows=n_word_rows,
+        gamma=gamma.values,
+        cold_start=(entity_offsets[1:] == entity_offsets[:-1]) & (n_words == 0),
+        missing_words=n_context_words - n_words,
     )

@@ -13,7 +13,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import (
     Conversation,
-    EntityVocab,
     RecExample,
     Split,
     Vocab,
@@ -42,6 +41,7 @@ from .preference import (
     GATE_ELEMENTWISE,
     GATE_SCALAR,
     AttentionParams,
+    UserRep,
     build_user_representation,
     init_attention_params,
 )
@@ -241,14 +241,15 @@ class Model:
             exclude_id=example.conversation_id,
         )
 
-    def user_representation(self, example: RecExample, item_matrix: Tensor,
-                            word_matrix: Tensor | None):
+    def users(self, batch: Sequence[RecExample], item_matrix: Tensor,
+              word_matrix: Tensor | None) -> UserRep:
+        """The batch's user representations, in one build_user_representation call."""
         wg = self.artifacts.word_graph
         return build_user_representation(
-            example,
+            batch,
             item_matrix,
             word_matrix,
-            self.retrieval_for(example),
+            [self.retrieval_for(ex) for ex in batch],
             self.att_params,
             wg.rows if wg is not None else None,
             without_rt=self.config.without_rt,
@@ -301,9 +302,9 @@ def rec_loss(logits: Tensor, gold_positions: Sequence[Sequence[int]]) -> tuple[T
     if not gold_positions or not all(gold_positions):
         raise ValidationError("rec_loss requires at least one gold item per example")
     loss, probs = ad.cross_entropy(logits, gold_positions)
-    guards = sum(int(np.any(probs[row, golds] < GUARD_EPS))
-                 for row, golds in enumerate(gold_positions))
-    return loss, guards
+    rows = np.repeat(np.arange(len(gold_positions)), [len(g) for g in gold_positions])
+    tiny = probs[rows, np.concatenate(gold_positions)] < GUARD_EPS
+    return loss, int(np.unique(rows[tiny]).size)
 
 
 def rank_order(probs: np.ndarray) -> np.ndarray:
@@ -356,10 +357,7 @@ def evaluate(model: Model, examples: Sequence[RecExample],
     rank_lists: list[list[int]] = []
     for start in range(0, len(examples), model.config.batch_size):
         chunk = examples[start:start + model.config.batch_size]
-        # values only: a chunk of live per-example tapes slows every GC pass
-        users = ad.constant(np.stack([
-            model.user_representation(ex, item_matrix, word_matrix).vector.values
-            for ex in chunk]))
+        users = model.users(chunk, item_matrix, word_matrix).vector
         probs = score_all(users, item_matrix, model.artifacts.item_ids,
                           [model.mask_for(ex) for ex in chunk])
         for ex, row in zip(chunk, probs.values):
@@ -392,11 +390,9 @@ def batch_loss(model: Model, batch: Sequence[RecExample],
                item_matrix: Tensor, word_matrix: Tensor | None) -> tuple[Tensor, int]:
     """Mean per-example loss over a batch on one shared encoder tape.
 
-    The user vectors are stacked into U (B, d) and scored in one
-    :func:`item_logits` call.
+    The batch's user vectors U (B, d) are built and scored in one call each.
     """
-    users = ad.stack([model.user_representation(ex, item_matrix, word_matrix).vector
-                      for ex in batch])
+    users = model.users(batch, item_matrix, word_matrix).vector
     logits = item_logits(users, item_matrix, model.artifacts.item_ids,
                          [model.mask_for(ex) for ex in batch])
     gold_positions = [[model.item_pos[g] for g in sorted(ex.gold_items)] for ex in batch]

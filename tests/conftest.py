@@ -4,6 +4,8 @@ import pytest
 from convrec.recommender import Model, TrainConfig, build_artifacts
 from convrec.synthetic import toy_instance, write_inputs
 
+from oracles import user_vector_reference
+
 
 @pytest.fixture(scope="session")
 def toy_data():
@@ -52,3 +54,25 @@ def sample_coords(store, n, seed=0):
         if pick not in coords:
             coords.append(pick)
     return coords
+
+
+def attention_weights(params):
+    """The arrays user_vector_reference takes, from an AttentionParams."""
+    return {name: getattr(params, name).values
+            for name in ("w_entity", "b_entity", "w_word", "b_word", "w_gate")}
+
+
+def reference_users(model, examples, item_matrix, word_matrix):
+    """(B, d) user vectors of a Model's examples, from the per-example oracle."""
+    wg = model.artifacts.word_graph
+    vectors = []
+    for ex in examples:
+        retrieval = model.retrieval_for(ex)
+        entities = [*ex.context_entities, *(retrieval.entities if retrieval else ())]
+        vector, _, _ = user_vector_reference(
+            item_matrix.values,
+            None if word_matrix is None else word_matrix.values,
+            wg.rows if wg is not None else None,
+            entities, list(ex.context_words), attention_weights(model.att_params))
+        vectors.append(vector)
+    return np.array(vectors)

@@ -179,3 +179,61 @@ def masked_softmax_scores(
     probs = np.zeros(logits.shape[0])
     probs[keep] = e / e.sum()
     return probs
+
+
+def softmax_cross_entropy_reference(
+    logits: np.ndarray,
+    labels: list[list[int]],
+) -> tuple[float, np.ndarray]:
+    """Mean over rows of each row's mean -log softmax at its labels, and the gradient.
+
+    ``logits`` is (B, n) with one label list per row; the gradient of a row
+    is its softmax minus 1/len(labels) at each label, over B.
+    """
+    loss = 0.0
+    grad = np.zeros(logits.shape)
+    for row, row_labels in enumerate(labels):
+        e = np.exp(logits[row] - logits[row].max())
+        p = e / e.sum()
+        loss -= np.mean(np.log(p[row_labels]))
+        grad[row] = p
+        for label in row_labels:
+            grad[row, label] -= 1.0 / len(row_labels)
+    return loss / len(labels), grad / len(labels)
+
+
+def user_vector_reference(
+    item_matrix: np.ndarray,
+    word_matrix: np.ndarray | None,
+    word_rows: dict[int, int] | None,
+    entities: list[int],
+    words: list[int],
+    weights: dict[str, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One example's user vector, gate and missing-word count.
+
+    ``entities`` are the item-matrix rows of the mentioned, then the
+    retrieved entities; ``words`` are context word ids, looked up through
+    ``word_rows``. A word without a row is missing, and with no word matrix
+    every word is. Each source is pooled as softmax(tanh(R W) b) . R, an
+    empty source to zeros, and the pools are mixed by
+    gamma = sigmoid(W_gate [v_e; v_w]): one gamma per dimension, or one in
+    all (``w_gate`` with one row).
+    """
+    dim = item_matrix.shape[1]
+
+    def pool(rows: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if len(rows) == 0:
+            return np.zeros(dim)
+        scores = np.tanh(rows @ w) @ b
+        alpha = np.exp(scores - scores.max())
+        alpha /= alpha.sum()
+        return alpha @ rows
+
+    v_entity = pool(item_matrix[list(entities)].reshape(-1, dim),
+                    weights["w_entity"], weights["b_entity"])
+    found = [] if word_matrix is None else [word_rows[w] for w in words if w in word_rows]
+    v_word = np.zeros(dim) if word_matrix is None else pool(
+        word_matrix[found].reshape(-1, dim), weights["w_word"], weights["b_word"])
+    gamma = 1.0 / (1.0 + np.exp(-(weights["w_gate"] @ np.concatenate([v_entity, v_word]))))
+    return gamma * v_entity + (1.0 - gamma) * v_word, gamma, len(words) - len(found)

@@ -275,9 +275,8 @@ def test_criterion_8_degenerate_pipeline_totality():
         probes.append(replace(cold, conversation_id="(empty-retrieval)",
                               context_entities=(unmentioned[0],)))
     for ex in probes:
-        rep = model.user_representation(ex, item_matrix, word_matrix)
-        probs = score_all(ad.stack([rep.vector]), item_matrix, artifacts.item_ids,
-                          [model.mask_for(ex)])
+        probs = score_all(model.users([ex], item_matrix, word_matrix).vector, item_matrix,
+                          artifacts.item_ids, [model.mask_for(ex)])
         if not np.isfinite(probs.values).all():
             ok = False
             notes.append(f"non-finite probabilities for {ex.conversation_id}")
@@ -289,7 +288,7 @@ def test_criterion_8_degenerate_pipeline_totality():
 
     # masked scoring still sums to 1
     ex = next(e for e in test_examples if e.context_entities)
-    probs = score_all(ad.stack([model.user_representation(ex, item_matrix, word_matrix).vector]),
+    probs = score_all(model.users([ex], item_matrix, word_matrix).vector,
                       item_matrix, artifacts.item_ids, [model.mask_for(ex)])
     worst_sum_err = max(worst_sum_err, abs(float(probs.values.sum()) - 1.0))
 

@@ -8,19 +8,25 @@ from convrec.optim import ParamStore
 from convrec.preference import (
     GATE_ELEMENTWISE,
     GATE_SCALAR,
-    attention_pool,
+    _layout,
+    _pool,
     build_user_representation,
-    gather_context,
-    gate_fuse,
     init_attention_params,
 )
 from convrec.retrieval import RetrievalResult
+
+from conftest import attention_weights
+from oracles import user_vector_reference
 
 
 def example(entities=(), words=(), gold=frozenset({0})):
     return RecExample(conversation_id="c", user_id="u", split=Split.TRAIN,
                       turn_index=1, context_entities=tuple(entities),
                       context_words=tuple(words), gold_items=frozenset(gold))
+
+
+def retrieved(*entities):
+    return RetrievalResult(ranked=(("cX", 1.0),), entities=tuple(entities))
 
 
 def make_params(dim=4, gate_mode=GATE_ELEMENTWISE, seed=0):
@@ -37,93 +43,123 @@ def pool_oracle(rows, w, b):
     return alpha @ rows
 
 
+def pool_segments(matrix, groups, params):
+    rows, offsets = _layout(groups)
+    return _pool(ad.constant(matrix), rows, offsets, params.w_entity, params.b_entity).values
+
+
 # ---------------------------------------------------------------------------
-# attention pooling
+# attention pooling: one segment softmax and one segment sum per batch
+
+
+def test_layout_concatenates_rows_with_offsets():
+    rows, offsets = _layout([[3, 1], [], [4, 4, 2]])
+    assert rows.tolist() == [3, 1, 4, 4, 2]
+    assert offsets.tolist() == [0, 2, 2, 5]
+    rows, offsets = _layout([[], []])
+    assert rows.tolist() == [] and offsets.tolist() == [0, 0, 0]
 
 
 def test_attention_pool_matches_formula():
     rng = np.random.default_rng(1)
-    rows = ad.constant(rng.normal(size=(5, 4)))
+    matrix = rng.normal(size=(9, 4))
     _, params = make_params()
-    got = attention_pool(rows, params.w_entity, params.b_entity).values
-    want = pool_oracle(rows.values, params.w_entity.values, params.b_entity.values)
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    groups = [[0, 1, 2, 3, 4], [5, 6], [7, 8, 0]]
+    got = pool_segments(matrix, groups, params)
+    for row, group in zip(got, groups):
+        want = pool_oracle(matrix[group], params.w_entity.values, params.b_entity.values)
+        np.testing.assert_allclose(row, want, atol=1e-12)
 
 
 def test_attention_pool_single_row_is_identity():
     rng = np.random.default_rng(2)
-    row = rng.normal(size=(1, 4))
+    matrix = rng.normal(size=(3, 4))
     _, params = make_params()
-    got = attention_pool(ad.constant(row), params.w_entity, params.b_entity).values
-    np.testing.assert_allclose(got, row[0], atol=1e-12)
+    got = pool_segments(matrix, [[2], [0], [1]], params)
+    np.testing.assert_allclose(got, matrix[[2, 0, 1]], atol=1e-12)
 
 
 def test_attention_pool_output_in_convex_hull():
     rng = np.random.default_rng(3)
-    rows = rng.normal(size=(6, 4))
+    matrix = rng.normal(size=(10, 4))
     _, params = make_params()
-    got = attention_pool(ad.constant(rows), params.w_entity, params.b_entity).values
-    assert (got <= rows.max(axis=0) + 1e-12).all()
-    assert (got >= rows.min(axis=0) - 1e-12).all()
+    groups = [[0, 1, 2, 3, 4, 5], [6, 7, 8, 9]]
+    for row, group in zip(pool_segments(matrix, groups, params), groups):
+        assert (row <= matrix[group].max(axis=0) + 1e-12).all()
+        assert (row >= matrix[group].min(axis=0) - 1e-12).all()
 
 
-def test_attention_pool_rejects_empty():
+def test_attention_pool_empty_segment_is_zero():
+    rng = np.random.default_rng(4)
+    matrix = rng.normal(size=(3, 4))
     _, params = make_params()
-    with pytest.raises(ShapeError, match="at least one row"):
-        attention_pool(ad.constant(np.zeros((0, 4))), params.w_entity, params.b_entity)
-    with pytest.raises(ShapeError):
-        attention_pool(ad.constant(np.zeros(4)), params.w_entity, params.b_entity)
+    got = pool_segments(matrix, [[], [1, 2], []], params)
+    np.testing.assert_array_equal(got[[0, 2]], np.zeros((2, 4)))
+    np.testing.assert_array_equal(pool_segments(matrix, [[], []], params), np.zeros((2, 4)))
 
 
 def test_attention_pool_gradcheck():
     rng = np.random.default_rng(4)
     store, params = make_params()
-    rows_values = rng.normal(size=(4, 4))
+    matrix = store.add("rows", rng.normal(size=(5, 4)))
+    rows, offsets = _layout([[0, 1, 1], [], [4], [2, 3]])
 
     def objective(_):
-        return ad.sum_all(attention_pool(ad.constant(rows_values),
-                                         params.w_entity, params.b_entity))
+        return ad.sum_all(_pool(matrix, rows, offsets, params.w_entity, params.b_entity))
 
     worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=0)
     assert worst < 1e-4
 
 
 # ---------------------------------------------------------------------------
-# gate fusion
+# gate fusion: one-row sources pool to their row, so v_e and v_w are set exactly
+
+
+def gate_batch(ve, vw, params):
+    """User representations of examples b whose only entity and word rows are ve[b] and vw[b]."""
+    n = len(ve)
+    examples = [example([b], [100 + b]) for b in range(n)]
+    return build_user_representation(
+        examples, ad.constant(ve), ad.constant(vw), [None] * n, params,
+        {100 + b: b for b in range(n)})
+
+
+def gate_oracle(ve, vw, params):
+    logits = np.concatenate([ve, vw], axis=1) @ params.w_gate.values.T
+    return 1.0 / (1.0 + np.exp(-logits))
 
 
 def test_gate_fuse_elementwise_oracle():
     rng = np.random.default_rng(5)
     _, params = make_params()
-    ve, vw = rng.normal(size=4), rng.normal(size=4)
-    fused, gamma = gate_fuse(ad.constant(ve), ad.constant(vw), params)
-    g = 1.0 / (1.0 + np.exp(-(params.w_gate.values @ np.concatenate([ve, vw]))))
-    np.testing.assert_allclose(gamma.values, g, atol=1e-12)
-    np.testing.assert_allclose(fused.values, g * ve + (1 - g) * vw, atol=1e-12)
-    assert gamma.shape == (4,)
+    ve, vw = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    rep = gate_batch(ve, vw, params)
+    g = gate_oracle(ve, vw, params)
+    assert rep.gamma.shape == (3, 4)
+    np.testing.assert_allclose(rep.gamma, g, atol=1e-12)
+    np.testing.assert_allclose(rep.vector.values, g * ve + (1 - g) * vw, atol=1e-12)
 
 
 def test_gate_fuse_scalar_oracle():
     rng = np.random.default_rng(6)
     _, params = make_params(gate_mode=GATE_SCALAR)
     assert params.w_gate.shape == (1, 8)
-    ve, vw = rng.normal(size=4), rng.normal(size=4)
-    fused, gamma = gate_fuse(ad.constant(ve), ad.constant(vw), params)
-    g = 1.0 / (1.0 + np.exp(-(params.w_gate.values @ np.concatenate([ve, vw]))[0]))
-    assert gamma.values.shape == ()
-    assert gamma.item() == pytest.approx(g, abs=1e-12)
-    np.testing.assert_allclose(fused.values, g * ve + (1 - g) * vw, atol=1e-12)
+    ve, vw = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    rep = gate_batch(ve, vw, params)
+    g = gate_oracle(ve, vw, params)
+    assert rep.gamma.shape == (3, 1)
+    np.testing.assert_allclose(rep.gamma, g, atol=1e-12)
+    np.testing.assert_allclose(rep.vector.values, g * ve + (1 - g) * vw, atol=1e-12)
 
 
 def test_gate_stays_in_unit_interval():
     rng = np.random.default_rng(7)
     _, params = make_params()
     for _ in range(10):
-        ve, vw = rng.normal(size=4) * 50, rng.normal(size=4) * 50
-        _, gamma = gate_fuse(ad.constant(ve), ad.constant(vw), params)
+        rep = gate_batch(rng.normal(size=(2, 4)) * 50, rng.normal(size=(2, 4)) * 50, params)
         # saturates to the closed interval in float64, never outside it
-        assert (gamma.values >= 0).all() and (gamma.values <= 1).all()
-        assert np.isfinite(gamma.values).all()
+        assert (rep.gamma >= 0).all() and (rep.gamma <= 1).all()
+        assert np.isfinite(rep.gamma).all()
 
 
 def test_init_attention_rejects_unknown_gate_mode():
@@ -134,13 +170,12 @@ def test_init_attention_rejects_unknown_gate_mode():
 
 def test_gate_fuse_gradcheck_both_modes():
     rng = np.random.default_rng(8)
-    ve, vw = rng.normal(size=4), rng.normal(size=4)
+    ve, vw = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
     for mode in (GATE_ELEMENTWISE, GATE_SCALAR):
         store, params = make_params(gate_mode=mode)
 
         def objective(_):
-            fused, _ = gate_fuse(ad.constant(ve), ad.constant(vw), params)
-            return ad.sum_all(fused)
+            return ad.sum_all(gate_batch(ve, vw, params).vector)
 
         worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=1)
         assert worst < 1e-4
@@ -159,32 +194,46 @@ def matrices():
     return item_matrix, word_matrix, word_rows
 
 
+def reference(matrices, params, entities, words, *, word_matrix=True):
+    item_matrix, wm, word_rows = matrices
+    return user_vector_reference(item_matrix.values, wm.values if word_matrix else None,
+                                 word_rows, entities, words, attention_weights(params))
+
+
 def test_gather_context_rows(matrices):
     item_matrix, word_matrix, word_rows = matrices
-    retrieval = RetrievalResult(ranked=(("c9", 1.0),), entities=(5, 6))
-    ctx = gather_context(example([2, 4], [10, 12, 10]), item_matrix, word_matrix,
-                         retrieval, word_rows)
-    np.testing.assert_allclose(ctx.mentioned.values, item_matrix.values[[2, 4]])
-    np.testing.assert_allclose(ctx.retrieved.values, item_matrix.values[[5, 6]])
-    # word sequence keeps duplicates
-    np.testing.assert_allclose(ctx.words.values, word_matrix.values[[0, 2, 0]])
-    assert ctx.missing_words == 0
+    _, params = make_params()
+    # mentioned then retrieved entities; the word sequence keeps duplicates
+    rep = build_user_representation([example([2, 4], [10, 12, 10]), example([7])],
+                                    item_matrix, word_matrix, [retrieved(5, 6), None],
+                                    params, word_rows)
+    vector, gamma, _ = reference(matrices, params, [2, 4, 5, 6], [10, 12, 10])
+    np.testing.assert_allclose(rep.vector.values[0], vector, atol=1e-12)
+    np.testing.assert_allclose(rep.gamma[0], gamma, atol=1e-12)
+    np.testing.assert_allclose(rep.vector.values[1], reference(matrices, params, [7], [])[0],
+                               atol=1e-12)
+    assert rep.missing_words.tolist() == [0, 0]
 
 
 def test_gather_context_counts_missing_words(matrices):
     item_matrix, word_matrix, word_rows = matrices
-    ctx = gather_context(example([], [10, 99, 98]), item_matrix, word_matrix,
-                         None, word_rows)
-    assert ctx.mentioned is None and ctx.retrieved is None
-    assert ctx.missing_words == 2
-    assert ctx.words.shape == (1, 4)
+    _, params = make_params()
+    rep = build_user_representation([example([], [10, 99, 98]), example([1], [97]),
+                                     example([1], [11])],
+                                    item_matrix, word_matrix, [None] * 3, params, word_rows)
+    assert rep.missing_words.tolist() == [2, 1, 0]
+    assert rep.cold_start.tolist() == [False, False, False]
 
 
 def test_gather_context_no_word_graph(matrices):
     item_matrix, _, _ = matrices
-    ctx = gather_context(example([1], [10, 11]), item_matrix, None, None, None)
-    assert ctx.words is None
-    assert ctx.missing_words == 2
+    _, params = make_params()
+    rep = build_user_representation([example([1], [10, 11])], item_matrix, None, [None],
+                                    params, None)
+    assert rep.missing_words.tolist() == [2]
+    np.testing.assert_allclose(rep.vector.values[0],
+                               reference(matrices, params, [1], [10, 11], word_matrix=False)[0],
+                               atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -194,62 +243,60 @@ def test_gather_context_no_word_graph(matrices):
 def test_user_representation_cold_start(matrices):
     item_matrix, word_matrix, word_rows = matrices
     _, params = make_params()
-    rep = build_user_representation(example(), item_matrix, word_matrix, None,
+    rep = build_user_representation([example(), example([3]), example([], [99])],
+                                    item_matrix, word_matrix, [None, None, retrieved()],
                                     params, word_rows)
-    assert rep.cold_start
-    np.testing.assert_array_equal(rep.vector.values, np.zeros(4))
-    assert rep.n_entity_rows == 0 and rep.n_word_rows == 0
+    assert rep.cold_start.tolist() == [True, False, True]
+    assert rep.cold_start.dtype == bool
+    np.testing.assert_array_equal(rep.vector.values[[0, 2]], np.zeros((2, 4)))
+    assert rep.vector.shape == (3, 4)
 
 
 def test_user_representation_entity_only(matrices):
     item_matrix, word_matrix, word_rows = matrices
     _, params = make_params()
-    rep = build_user_representation(example([3]), item_matrix, word_matrix, None,
+    rep = build_user_representation([example([3])], item_matrix, word_matrix, [None],
                                     params, word_rows)
-    assert not rep.cold_start
-    assert rep.n_entity_rows == 1 and rep.n_word_rows == 0
+    assert not rep.cold_start[0]
     # v_word is zero, so the fused vector is gamma * item row
-    g = rep.gamma.values
-    np.testing.assert_allclose(rep.vector.values, g * item_matrix.values[3], atol=1e-12)
+    np.testing.assert_allclose(rep.vector.values[0], rep.gamma[0] * item_matrix.values[3],
+                               atol=1e-12)
 
 
 def test_user_representation_combines_retrieved(matrices):
     item_matrix, word_matrix, word_rows = matrices
     _, params = make_params()
-    retrieval = RetrievalResult(ranked=(("cX", 2.0),), entities=(6, 7))
-    rep = build_user_representation(example([1]), item_matrix, word_matrix,
-                                    retrieval, params, word_rows)
-    assert rep.n_entity_rows == 3
+    rep = build_user_representation([example([1])], item_matrix, word_matrix,
+                                    [retrieved(6, 7)], params, word_rows)
     expected_pool = pool_oracle(item_matrix.values[[1, 6, 7]],
                                 params.w_entity.values, params.b_entity.values)
-    g = rep.gamma.values
-    np.testing.assert_allclose(rep.vector.values, g * expected_pool, atol=1e-12)
+    np.testing.assert_allclose(rep.vector.values[0], rep.gamma[0] * expected_pool, atol=1e-12)
 
 
 def test_user_representation_without_rt(matrices):
     item_matrix, word_matrix, word_rows = matrices
     _, params = make_params()
-    retrieval = RetrievalResult(ranked=(("cX", 2.0),), entities=(6, 7))
-    with_rt = build_user_representation(example([1]), item_matrix, word_matrix,
-                                        retrieval, params, word_rows)
-    wo_rt = build_user_representation(example([1]), item_matrix, word_matrix,
-                                      retrieval, params, word_rows, without_rt=True)
-    none_rt = build_user_representation(example([1]), item_matrix, word_matrix,
-                                        None, params, word_rows)
-    assert wo_rt.n_entity_rows == 1
+    batch = [example([1]), example([2], [10])]
+    retrievals = [retrieved(6, 7), retrieved(3)]
+    with_rt = build_user_representation(batch, item_matrix, word_matrix, retrievals,
+                                        params, word_rows)
+    wo_rt = build_user_representation(batch, item_matrix, word_matrix, retrievals,
+                                      params, word_rows, without_rt=True)
+    none_rt = build_user_representation(batch, item_matrix, word_matrix, [None, None],
+                                        params, word_rows)
     np.testing.assert_array_equal(wo_rt.vector.values, none_rt.vector.values)
-    assert not np.allclose(with_rt.vector.values, wo_rt.vector.values)
+    assert not np.allclose(with_rt.vector.values[0], wo_rt.vector.values[0])
+    assert not np.allclose(with_rt.vector.values[1], wo_rt.vector.values[1])
 
 
 def test_user_representation_without_cn(matrices):
     item_matrix, word_matrix, word_rows = matrices
     _, params = make_params()
-    wo_cn = build_user_representation(example([1], [10, 11]), item_matrix, word_matrix,
-                                      None, params, word_rows, without_cn=True)
-    assert wo_cn.n_word_rows == 0
-    assert wo_cn.missing_words == 2
-    no_words = build_user_representation(example([1]), item_matrix, word_matrix,
-                                         None, params, word_rows)
+    wo_cn = build_user_representation([example([1], [10, 11])], item_matrix, word_matrix,
+                                      [None], params, word_rows, without_cn=True)
+    assert wo_cn.missing_words.tolist() == [2]
+    no_words = build_user_representation([example([1])], item_matrix, word_matrix,
+                                         [None], params, word_rows)
     np.testing.assert_array_equal(wo_cn.vector.values, no_words.vector.values)
 
 
@@ -257,25 +304,77 @@ def test_user_representation_duplicate_entity_rows(matrices):
     # retrieval may resurface a mentioned entity; both rows take part in pooling
     item_matrix, word_matrix, word_rows = matrices
     _, params = make_params()
-    retrieval = RetrievalResult(ranked=(("cX", 1.0),), entities=(1,))
-    rep = build_user_representation(example([1]), item_matrix, word_matrix,
-                                    retrieval, params, word_rows)
-    assert rep.n_entity_rows == 2
+    rep = build_user_representation([example([1])], item_matrix, word_matrix,
+                                    [retrieved(1)], params, word_rows)
     # pooling duplicate rows of the same vector returns that vector
-    g = rep.gamma.values
-    np.testing.assert_allclose(rep.vector.values, g * item_matrix.values[1], atol=1e-12)
+    np.testing.assert_allclose(rep.vector.values[0], rep.gamma[0] * item_matrix.values[1],
+                               atol=1e-12)
+
+
+def test_user_representation_rejects_misaligned_retrievals(matrices):
+    item_matrix, word_matrix, word_rows = matrices
+    _, params = make_params()
+    with pytest.raises(ShapeError, match="1 retrievals for 2 examples"):
+        build_user_representation([example([1]), example([2])], item_matrix, word_matrix,
+                                  [None], params, word_rows)
 
 
 def test_user_representation_gradcheck(matrices):
-    item_matrix, word_matrix, word_rows = matrices
+    _, _, word_rows = matrices
+    rng = np.random.default_rng(10)
     store, params = make_params()
-    retrieval = RetrievalResult(ranked=(("cX", 1.0),), entities=(5,))
-    ex = example([2, 4], [10, 11, 12])
+    item_matrix = store.add("items", rng.normal(size=(8, 4)))
+    word_matrix = store.add("words", rng.normal(size=(3, 4)))
+    batch = [example([2, 4], [10, 11, 12]), example(), example([], [12, 99]), example([4])]
+    retrievals = [retrieved(5), None, None, retrieved(4, 6)]
 
     def objective(_):
-        rep = build_user_representation(ex, item_matrix, word_matrix, retrieval,
+        rep = build_user_representation(batch, item_matrix, word_matrix, retrievals,
                                         params, word_rows)
-        return ad.sum_all(rep.vector)
+        return ad.sum_all(ad.tanh(rep.vector))
 
     worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=2)
     assert worst < 1e-4
+
+
+def test_user_representation_matches_per_example_oracle():
+    # mixed batches: cold start, empty retrieval, missing words and duplicate
+    # rows, under both gate modes and every without_rt / without_cn setting
+    rng = np.random.default_rng(11)
+    dim, n_items, n_words = 5, 12, 6
+    item_matrix = ad.constant(rng.normal(size=(n_items, dim)))
+    word_matrix = ad.constant(rng.normal(size=(n_words, dim)))
+    word_rows = {100 + r: r for r in range(n_words)}  # ids 100 + n_words.. are missing
+    checked = 0
+    for mode in (GATE_ELEMENTWISE, GATE_SCALAR):
+        _, params = make_params(dim=dim, gate_mode=mode, seed=int(rng.integers(1 << 30)))
+        weights = attention_weights(params)
+        for without_rt in (False, True):
+            for without_cn in (False, True):
+                for _ in range(10):
+                    size = int(rng.integers(1, 8))
+                    batch, retrievals = [], []
+                    for _ in range(size):
+                        batch.append(example(
+                            rng.integers(0, n_items, size=rng.integers(0, 4)).tolist(),
+                            (100 + rng.integers(0, n_words + 3,
+                                                size=rng.integers(0, 5))).tolist()))
+                        retrievals.append(None if rng.random() < 0.3 else retrieved(
+                            *rng.integers(0, n_items, size=rng.integers(0, 3)).tolist()))
+                    rep = build_user_representation(
+                        batch, item_matrix, word_matrix, retrievals, params, word_rows,
+                        without_rt=without_rt, without_cn=without_cn)
+                    for b, (ex, r) in enumerate(zip(batch, retrievals)):
+                        entities = [*ex.context_entities,
+                                    *(() if without_rt or r is None else r.entities)]
+                        vector, gamma, missing = user_vector_reference(
+                            item_matrix.values, None if without_cn else word_matrix.values,
+                            word_rows, entities, list(ex.context_words), weights)
+                        np.testing.assert_allclose(rep.vector.values[b], vector,
+                                                   rtol=0, atol=1e-12)
+                        np.testing.assert_allclose(rep.gamma[b], gamma, rtol=0, atol=1e-12)
+                        assert rep.missing_words[b] == missing
+                        assert rep.cold_start[b] == (not entities
+                                                     and missing == len(ex.context_words))
+                        checked += 1
+    assert checked > 100

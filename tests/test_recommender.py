@@ -31,7 +31,8 @@ from convrec.recommender import (
 )
 from convrec.synthetic import popularity_corpus, toy_instance
 
-from oracles import brute_force_metrics, masked_softmax_scores
+from conftest import reference_users
+from oracles import brute_force_metrics, masked_softmax_scores, softmax_cross_entropy_reference
 
 
 def artifacts_of(data):
@@ -51,11 +52,11 @@ def small_config(**overrides):
 def test_score_all_is_softmax_over_dot_products():
     rng = np.random.default_rng(0)
     item_matrix = ad.constant(rng.normal(size=(7, 4)))
-    user = ad.constant(rng.normal(size=4))
+    user = ad.constant(rng.normal(size=(1, 4)))
     item_ids = [0, 2, 3, 5]
-    probs = score_all(ad.stack([user]), item_matrix, item_ids).values
+    probs = score_all(user, item_matrix, item_ids).values
     assert probs.shape == (1, 4)
-    want = masked_softmax_scores(item_matrix.values, item_ids, user.values)
+    want = masked_softmax_scores(item_matrix.values, item_ids, user.values[0])
     np.testing.assert_allclose(probs[0], want, atol=1e-12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -63,11 +64,11 @@ def test_score_all_is_softmax_over_dot_products():
 def test_score_all_masking_zeroes_and_renormalizes():
     rng = np.random.default_rng(1)
     item_matrix = ad.constant(rng.normal(size=(6, 4)))
-    user = ad.constant(rng.normal(size=4))
+    user = ad.constant(rng.normal(size=(1, 4)))
     item_ids = [0, 1, 2, 3, 4, 5]
-    probs = score_all(ad.stack([user]), item_matrix, item_ids, [[1, 4]]).values[0]
+    probs = score_all(user, item_matrix, item_ids, [[1, 4]]).values[0]
     assert probs[1] == 0.0 and probs[4] == 0.0
-    want = masked_softmax_scores(item_matrix.values, item_ids, user.values, [1, 4])
+    want = masked_softmax_scores(item_matrix.values, item_ids, user.values[0], [1, 4])
     np.testing.assert_allclose(probs, want, atol=1e-12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -89,13 +90,18 @@ def test_score_all_rows_are_independent():
 
 def test_score_all_masked_gradients_stay_finite():
     store = ParamStore()
-    user = store.add("u", np.random.default_rng(2).normal(size=4))
+    user = store.add("u", np.random.default_rng(2).normal(size=(1, 4)))
     item_matrix = ad.constant(np.random.default_rng(3).normal(size=(5, 4)))
-    probs = score_all(ad.stack([user]), item_matrix, [0, 1, 2, 3, 4], [[0]])
-    pick = ad.constant(np.eye(5)[:, [2]])
-    loss = ad.scale(ad.mean_all(ad.log(ad.matmul(probs, pick))), -1.0)
-    ad.backward(loss)
+    probs = score_all(user, item_matrix, [0, 1, 2, 3, 4], [[0]])
+    # -log p_2, differentiated in numpy: its gradient in p is -1/p_2 at position 2
+    upstream = np.zeros((1, 5))
+    upstream[0, 2] = -1.0 / probs.values[0, 2]
+    ad.backward(ad.sum_all(ad.mul(probs, ad.constant(upstream))))
     assert np.isfinite(user.grad).all()
+    logits = user.values @ item_matrix.values.T
+    logits[0, 0] = MASK_LOGIT
+    _, grad_logits = softmax_cross_entropy_reference(logits, [[2]])
+    np.testing.assert_allclose(user.grad, grad_logits @ item_matrix.values, rtol=0, atol=1e-12)
 
 
 def test_ranking_invariant_under_positive_scaling():
@@ -105,7 +111,7 @@ def test_ranking_invariant_under_positive_scaling():
     ids = list(range(9))
 
     def ranked(u):
-        return rank_order(score_all(ad.stack([ad.constant(u)]), item_matrix, ids).values[0])
+        return rank_order(score_all(ad.constant(u[None, :]), item_matrix, ids).values[0])
 
     base = ranked(user)
     for c in (0.5, 3.0, 117.0):
@@ -153,6 +159,9 @@ def test_rec_loss_guard_counts_tiny_probabilities():
     assert guards == 1
     want = (-np.log(1e-15 / (1.0 + 2e-15)) + np.log(3.0)) / 2
     assert loss.item() == pytest.approx(want, rel=1e-12)
+    # a row whose two golds are both tiny counts once
+    _, guards = rec_loss(logits, [[0, 2], [2]])
+    assert guards == 1
 
 
 def test_rec_loss_guard_keeps_gradient_finite():
@@ -199,10 +208,9 @@ def test_batch_loss_matches_scoring_oracle():
     item_matrix, word_matrix = model.encoder_outputs()
     loss, guards = batch_loss(model, batch, item_matrix, word_matrix)
     per_example = []
-    for ex in batch:
-        rep = model.user_representation(ex, item_matrix, word_matrix)
+    for ex, user in zip(batch, reference_users(model, batch, item_matrix, word_matrix)):
         probs = masked_softmax_scores(item_matrix.values, artifacts.item_ids,
-                                      rep.vector.values, model.mask_for(ex))
+                                      user, model.mask_for(ex))
         golds = [model.item_pos[g] for g in sorted(ex.gold_items)]
         per_example.append(-np.mean(np.log(probs[golds])))
     assert loss.item() == pytest.approx(np.mean(per_example), abs=1e-12)
@@ -282,10 +290,9 @@ def test_evaluate_matches_oracle_on_toy(toy_artifacts):
 
     item_matrix, word_matrix = model.encoder_outputs()
     ranked_lists, gold_lists = [], []
-    for ex in examples:
-        rep = model.user_representation(ex, item_matrix, word_matrix)
+    for ex, user in zip(examples, reference_users(model, examples, item_matrix, word_matrix)):
         probs = masked_softmax_scores(item_matrix.values, model.artifacts.item_ids,
-                                      rep.vector.values, model.mask_for(ex))
+                                      user, model.mask_for(ex))
         n = len(model.artifacts.item_ids)
         ranked_lists.append(sorted(range(n), key=lambda i: (-probs[i], i)))
         gold_lists.append(sorted(model.item_pos[g] for g in ex.gold_items))

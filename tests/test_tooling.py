@@ -1,0 +1,29 @@
+"""The bench finds convrec's functions by name; a rename must fail here, not print `absent`."""
+
+import ast
+import importlib
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_per_layer_metrics_name_existing_functions():
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))["per_layer"]
+    named = [m["name"].split(".") for m in metrics if m["name"].count(".") >= 2]
+    assert named, "no <module>.<function>.<suffix> metric in BENCHMARK.json"
+    for module, function, *_ in named:
+        fn = getattr(importlib.import_module(f"convrec.{module}"), function, None)
+        assert callable(fn), f"BENCHMARK.json names convrec.{module}.{function}, which is gone"
+
+
+def test_sampled_calls_exist_in_recommender():
+    tree = ast.parse((ROOT / "bench" / "train_worker.py").read_text("utf-8"))
+    values = [ast.literal_eval(node.value) for node in ast.walk(tree)
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "SAMPLED_CALLS" for t in node.targets)]
+    assert len(values) == 1 and values[0], "bench/train_worker.py defines no SAMPLED_CALLS"
+    recommender = importlib.import_module("convrec.recommender")
+    for name in values[0]:
+        assert callable(getattr(recommender, name, None)), (
+            f"SAMPLED_CALLS names convrec.recommender.{name}, which is gone")
