@@ -501,9 +501,10 @@ def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
             turn_index=len(context), context_entities=tuple(context),
             context_words=(), gold_items=frozenset(),
         )
-        users = model.users([example], item_matrix, word_matrix).vector
+        contexts = model.contexts([example])
+        users = model.users(contexts, item_matrix, word_matrix).vector
         probs = score_all(users, item_matrix, model.artifacts.item_ids,
-                          [model.mask_for(example)]).values[0]
+                          [contexts[0].masked]).values[0]
         for rank, pos in enumerate(rank_order(probs)[:k], start=1):
             entity = int(model.artifacts.item_ids[pos])
             click.echo(

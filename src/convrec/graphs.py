@@ -120,7 +120,7 @@ class WordGraph:
     pairs (min row, max row), self pairs included; ``adjacency`` is their
     normalized GCN operator. ``word_ids[row]`` is the vocabulary id behind
     graph row ``row``; ``rows`` is the inverse map. Context words outside
-    ``rows`` have no representation and are skipped by the preference module.
+    ``rows`` have no representation and are skipped by ``Model.contexts``.
     """
 
     pairs: np.ndarray

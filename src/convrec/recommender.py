@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .preference import (
     build_user_representation,
     init_attention_params,
 )
-from .retrieval import Bm25Index, RetrievalResult, build_index, retrieve
+from .retrieval import Bm25Index, build_index, retrieve
 
 DEFAULT_KS = (1, 10, 50)
 
@@ -129,6 +129,20 @@ class MetricsReport:
             "mrr": {str(k): self.mrr[k] for k in sorted(self.mrr)},
         }
         return json.dumps(payload, sort_keys=True)
+
+
+class Context(NamedTuple):
+    """One example compiled to integer rows; none of them depends on a parameter.
+
+    The rows are tuples of ints, which the cyclic garbage collector stops
+    tracking: a compiled split held through a pass leaves it little to scan.
+    """
+
+    entities: tuple[int, ...]  # item-matrix rows: mentioned, then retrieved
+    words: tuple[int, ...]     # word-graph rows of the context words that have one
+    missing_words: int         # context words without a word-graph row
+    masked: tuple[int, ...]    # item positions already mentioned; empty without masking
+    gold: tuple[int, ...]      # gold item positions, ascending
 
 
 @dataclass
@@ -230,45 +244,42 @@ class Model:
             word_matrix = gcn_forward(self.artifacts.word_graph.adjacency, self.gcn_params)
         return item_matrix, word_matrix
 
-    def retrieval_for(self, example: RecExample) -> RetrievalResult | None:
-        cfg = self.config
-        if cfg.without_rt or self.artifacts.index is None:
-            return None
-        return retrieve(
-            self.artifacts.index,
-            list(example.context_entities),
-            cfg.top_n,
-            exclude_id=example.conversation_id,
-        )
+    def contexts(self, examples: Iterable[RecExample]) -> list[Context]:
+        """Each example's rows under this config; the only place an example becomes rows.
 
-    def users(self, batch: Sequence[RecExample], item_matrix: Tensor,
+        Retrieval runs once per example per call, unless ``without_rt`` or no index.
+        """
+        cfg = self.config
+        index = None if cfg.without_rt else self.artifacts.index
+        word_rows = ({} if cfg.without_cn or self.gcn_params is None
+                     else self.artifacts.word_graph.rows)
+        item_pos = self.item_pos
+        compiled = []
+        # tuple([...]): a list comprehension builds a tuple faster than a generator
+        for ex in examples:
+            retrieved = () if index is None else retrieve(
+                index, list(ex.context_entities), cfg.top_n, exclude_id=ex.conversation_id).entities
+            words = tuple([word_rows[w] for w in ex.context_words if w in word_rows])
+            masked = (tuple([item_pos[e] for e in ex.context_entities if e in item_pos])
+                      if cfg.candidate_masking else ())
+            compiled.append(Context((*ex.context_entities, *retrieved), words,
+                                    len(ex.context_words) - len(words), masked,
+                                    tuple(sorted([item_pos[g] for g in ex.gold_items]))))
+        return compiled
+
+    def users(self, batch: Sequence[Context], item_matrix: Tensor,
               word_matrix: Tensor | None) -> UserRep:
         """The batch's user representations, in one build_user_representation call."""
-        wg = self.artifacts.word_graph
-        return build_user_representation(
-            batch,
-            item_matrix,
-            word_matrix,
-            [self.retrieval_for(ex) for ex in batch],
-            self.att_params,
-            wg.rows if wg is not None else None,
-            without_rt=self.config.without_rt,
-            without_cn=self.config.without_cn,
-        )
-
-    def mask_for(self, example: RecExample) -> list[int] | None:
-        if not self.config.candidate_masking:
-            return None
-        masked = [self.item_pos[e] for e in example.context_entities if e in self.item_pos]
-        return masked or None
+        return build_user_representation([c.entities for c in batch], [c.words for c in batch],
+                                         item_matrix, word_matrix, self.att_params)
 
 
 def item_logits(users: Tensor, item_matrix: Tensor, item_ids: Sequence[int],
-                masks: Sequence[Sequence[int] | None] | None = None) -> Tensor:
+                masks: Sequence[Sequence[int]] | None = None) -> Tensor:
     """(B, n_items) logits U I^T of the user rows U (B, d) against the item rows.
 
-    ``masks[b]`` lists row b's already-mentioned positions, or is None; they
-    get a MASK_LOGIT offset, which pins their probability to exactly zero.
+    ``masks[b]`` lists row b's already-mentioned positions (``Context.masked``);
+    they get a MASK_LOGIT offset, which pins their probability to exactly zero.
     """
     if masks is not None and len(masks) != users.shape[0]:
         raise ValidationError(f"{len(masks)} masks for {users.shape[0]} user rows")
@@ -282,7 +293,7 @@ def item_logits(users: Tensor, item_matrix: Tensor, item_ids: Sequence[int],
 
 
 def score_all(users: Tensor, item_matrix: Tensor, item_ids: Sequence[int],
-              masks: Sequence[Sequence[int] | None] | None = None) -> Tensor:
+              masks: Sequence[Sequence[int]] | None = None) -> Tensor:
     """(B, n_items) probabilities: the row softmax of :func:`item_logits`."""
     return ad.softmax(item_logits(users, item_matrix, item_ids, masks))
 
@@ -353,16 +364,15 @@ def evaluate(model: Model, examples: Sequence[RecExample],
     if not examples:
         raise ValidationError("cannot evaluate an empty example set")
     ks = sorted(set(ks))
+    contexts = model.contexts(examples)
     item_matrix, word_matrix = model.encoder_outputs()
     rank_lists: list[list[int]] = []
-    for start in range(0, len(examples), model.config.batch_size):
-        chunk = examples[start:start + model.config.batch_size]
+    for start in range(0, len(contexts), model.config.batch_size):
+        chunk = contexts[start:start + model.config.batch_size]
         users = model.users(chunk, item_matrix, word_matrix).vector
         probs = score_all(users, item_matrix, model.artifacts.item_ids,
-                          [model.mask_for(ex) for ex in chunk])
-        for ex, row in zip(chunk, probs.values):
-            gold_positions = [model.item_pos[g] for g in sorted(ex.gold_items)]
-            rank_lists.append(_gold_ranks(row, gold_positions))
+                          [c.masked for c in chunk])
+        rank_lists.extend(_gold_ranks(row, c.gold) for c, row in zip(chunk, probs.values))
     recall, mrr, pairs = aggregate_metrics(rank_lists, ks)
     label = split_label if split_label is not None else (
         examples[0].split.value if len({e.split for e in examples}) == 1 else "mixed"
@@ -386,7 +396,7 @@ class TrainResult:
     guard_events: int = 0
 
 
-def batch_loss(model: Model, batch: Sequence[RecExample],
+def batch_loss(model: Model, batch: Sequence[Context],
                item_matrix: Tensor, word_matrix: Tensor | None) -> tuple[Tensor, int]:
     """Mean per-example loss over a batch on one shared encoder tape.
 
@@ -394,9 +404,8 @@ def batch_loss(model: Model, batch: Sequence[RecExample],
     """
     users = model.users(batch, item_matrix, word_matrix).vector
     logits = item_logits(users, item_matrix, model.artifacts.item_ids,
-                         [model.mask_for(ex) for ex in batch])
-    gold_positions = [[model.item_pos[g] for g in sorted(ex.gold_items)] for ex in batch]
-    return rec_loss(logits, gold_positions)
+                         [c.masked for c in batch])
+    return rec_loss(logits, [c.gold for c in batch])
 
 
 def _param_norms(store: ParamStore) -> dict[str, float]:
@@ -413,9 +422,9 @@ def train(artifacts: Artifacts, config: TrainConfig,
     config.validate()
     rng = np.random.default_rng(config.seed)
     model = Model(artifacts, config, rng)
-    train_examples = split_view(artifacts.examples, Split.TRAIN)
+    train_contexts = model.contexts(split_view(artifacts.examples, Split.TRAIN))
     valid_examples = split_view(artifacts.examples, Split.VALID)
-    if not train_examples:
+    if not train_contexts:
         raise ValidationError("corpus yields no training examples")
 
     adam_cfg = AdamConfig(lr=config.lr, clip_norm=config.clip)
@@ -431,11 +440,11 @@ def train(artifacts: Artifacts, config: TrainConfig,
     guard_events = 0
 
     for epoch in range(config.epochs):
-        order = rng.permutation(len(train_examples))
+        order = rng.permutation(len(train_contexts))
         running = 0.0
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
-            batch = [train_examples[i] for i in order[start:start + config.batch_size]]
+            batch = [train_contexts[i] for i in order[start:start + config.batch_size]]
             item_matrix, word_matrix = model.encoder_outputs()
             loss, guards = batch_loss(model, batch, item_matrix, word_matrix)
             guard_events += guards

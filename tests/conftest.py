@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from convrec.recommender import Model, TrainConfig, build_artifacts
+from convrec.retrieval import retrieve
 from convrec.synthetic import toy_instance, write_inputs
 
 from oracles import user_vector_reference
@@ -63,12 +64,18 @@ def attention_weights(params):
 
 
 def reference_users(model, examples, item_matrix, word_matrix):
-    """(B, d) user vectors of a Model's examples, from the per-example oracle."""
+    """(B, d) user vectors of a Model's examples, from the per-example oracle.
+
+    Retrieval runs here, straight through ``retrieve``, not through the model.
+    """
     wg = model.artifacts.word_graph
+    index = None if model.config.without_rt else model.artifacts.index
     vectors = []
     for ex in examples:
-        retrieval = model.retrieval_for(ex)
-        entities = [*ex.context_entities, *(retrieval.entities if retrieval else ())]
+        entities = list(ex.context_entities)
+        if index is not None:
+            entities += retrieve(index, list(ex.context_entities), model.config.top_n,
+                                 exclude_id=ex.conversation_id).entities
         vector, _, _ = user_vector_reference(
             item_matrix.values,
             None if word_matrix is None else word_matrix.values,
@@ -76,3 +83,9 @@ def reference_users(model, examples, item_matrix, word_matrix):
             entities, list(ex.context_words), attention_weights(model.att_params))
         vectors.append(vector)
     return np.array(vectors)
+
+
+def masked_positions(item_ids, example):
+    """Item positions of the example's mentioned items: its candidate mask."""
+    position = {int(e): p for p, e in enumerate(item_ids)}
+    return [position[e] for e in example.context_entities if e in position]

@@ -40,7 +40,7 @@ from convrec.recommender import (
 from convrec.retrieval import bm25_score, build_index, retrieve
 from convrec.synthetic import cluster_corpus, popularity_corpus, toy_instance
 
-from conftest import sample_coords
+from conftest import masked_positions, sample_coords
 from oracles import bm25_reference, brute_force_metrics, dense_gcn, dense_rgcn
 from test_retrieval import doc_conv
 
@@ -62,11 +62,11 @@ def test_criterion_1_gradient_correctness():
     start = time.monotonic()
     artifacts = artifacts_of(toy_instance())
     model = Model(artifacts, TrainConfig(dim=8, seed=0))
-    examples = [e for e in artifacts.examples if e.split == Split.TRAIN]
+    contexts = model.contexts(e for e in artifacts.examples if e.split == Split.TRAIN)
 
     def objective(_):
         item_matrix, word_matrix = model.encoder_outputs()
-        loss, _ = batch_loss(model, examples, item_matrix, word_matrix)
+        loss, _ = batch_loss(model, contexts, item_matrix, word_matrix)
         return loss
 
     coords = sample_coords(model.store, 50, seed=0)
@@ -275,8 +275,9 @@ def test_criterion_8_degenerate_pipeline_totality():
         probes.append(replace(cold, conversation_id="(empty-retrieval)",
                               context_entities=(unmentioned[0],)))
     for ex in probes:
-        probs = score_all(model.users([ex], item_matrix, word_matrix).vector, item_matrix,
-                          artifacts.item_ids, [model.mask_for(ex)])
+        probs = score_all(model.users(model.contexts([ex]), item_matrix, word_matrix).vector,
+                          item_matrix, artifacts.item_ids,
+                          [masked_positions(artifacts.item_ids, ex)])
         if not np.isfinite(probs.values).all():
             ok = False
             notes.append(f"non-finite probabilities for {ex.conversation_id}")
@@ -288,8 +289,8 @@ def test_criterion_8_degenerate_pipeline_totality():
 
     # masked scoring still sums to 1
     ex = next(e for e in test_examples if e.context_entities)
-    probs = score_all(model.users([ex], item_matrix, word_matrix).vector,
-                      item_matrix, artifacts.item_ids, [model.mask_for(ex)])
+    probs = score_all(model.users(model.contexts([ex]), item_matrix, word_matrix).vector,
+                      item_matrix, artifacts.item_ids, [masked_positions(artifacts.item_ids, ex)])
     worst_sum_err = max(worst_sum_err, abs(float(probs.values.sum()) - 1.0))
 
     ok = ok and worst_sum_err < 1e-9

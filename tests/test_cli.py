@@ -12,7 +12,7 @@ from convrec.recommender import Model, TrainConfig, evaluate
 from convrec.retrieval import conversation_tokens, retrieve
 from convrec.synthetic import popularity_corpus, toy_instance, write_inputs
 
-from conftest import reference_users
+from conftest import masked_positions, reference_users
 from oracles import masked_softmax_scores
 
 
@@ -396,7 +396,7 @@ def test_recommend_matches_scoring_oracle(runner, toy_bundle, toy_checkpoint):
         )
         user = reference_users(model, [example], item_matrix, word_matrix)[0]
         probs = masked_softmax_scores(item_matrix.values, item_ids, user,
-                                      model.mask_for(example))
+                                      masked_positions(item_ids, example))
         top = sorted(range(len(item_ids)), key=lambda i: (-probs[i], i))[:4]
         expected.append([[entities.tokens[item_ids[i]], f"{probs[i]:.6f}"] for i in top])
     assert [[[row[1], row[3]] for row in block] for block in printed] == expected

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from convrec import autodiff as ad
-from convrec.corpus import RecExample, Split
 from convrec.errors import ShapeError
 from convrec.optim import ParamStore
 from convrec.preference import (
@@ -13,20 +12,9 @@ from convrec.preference import (
     build_user_representation,
     init_attention_params,
 )
-from convrec.retrieval import RetrievalResult
 
 from conftest import attention_weights
 from oracles import user_vector_reference
-
-
-def example(entities=(), words=(), gold=frozenset({0})):
-    return RecExample(conversation_id="c", user_id="u", split=Split.TRAIN,
-                      turn_index=1, context_entities=tuple(entities),
-                      context_words=tuple(words), gold_items=frozenset(gold))
-
-
-def retrieved(*entities):
-    return RetrievalResult(ranked=(("cX", 1.0),), entities=tuple(entities))
 
 
 def make_params(dim=4, gate_mode=GATE_ELEMENTWISE, seed=0):
@@ -117,11 +105,8 @@ def test_attention_pool_gradcheck():
 
 def gate_batch(ve, vw, params):
     """User representations of examples b whose only entity and word rows are ve[b] and vw[b]."""
-    n = len(ve)
-    examples = [example([b], [100 + b]) for b in range(n)]
-    return build_user_representation(
-        examples, ad.constant(ve), ad.constant(vw), [None] * n, params,
-        {100 + b: b for b in range(n)})
+    groups = [[b] for b in range(len(ve))]
+    return build_user_representation(groups, groups, ad.constant(ve), ad.constant(vw), params)
 
 
 def gate_oracle(ve, vw, params):
@@ -182,7 +167,7 @@ def test_gate_fuse_gradcheck_both_modes():
 
 
 # ---------------------------------------------------------------------------
-# context gathering
+# context rows: mentioned then retrieved entities, and the words that have a row
 
 
 @pytest.fixture()
@@ -201,36 +186,36 @@ def reference(matrices, params, entities, words, *, word_matrix=True):
 
 
 def test_gather_context_rows(matrices):
-    item_matrix, word_matrix, word_rows = matrices
+    item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    # mentioned then retrieved entities; the word sequence keeps duplicates
-    rep = build_user_representation([example([2, 4], [10, 12, 10]), example([7])],
-                                    item_matrix, word_matrix, [retrieved(5, 6), None],
-                                    params, word_rows)
+    # mentioned rows 2, 4 then retrieved rows 5, 6; the word rows keep duplicates
+    rep = build_user_representation([[2, 4, 5, 6], [7]], [[0, 2, 0], []],
+                                    item_matrix, word_matrix, params)
     vector, gamma, _ = reference(matrices, params, [2, 4, 5, 6], [10, 12, 10])
     np.testing.assert_allclose(rep.vector.values[0], vector, atol=1e-12)
     np.testing.assert_allclose(rep.gamma[0], gamma, atol=1e-12)
     np.testing.assert_allclose(rep.vector.values[1], reference(matrices, params, [7], [])[0],
                                atol=1e-12)
-    assert rep.missing_words.tolist() == [0, 0]
 
 
 def test_gather_context_counts_missing_words(matrices):
-    item_matrix, word_matrix, word_rows = matrices
+    # words without a row never reach the user side: it pools the found rows only
+    item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    rep = build_user_representation([example([], [10, 99, 98]), example([1], [97]),
-                                     example([1], [11])],
-                                    item_matrix, word_matrix, [None] * 3, params, word_rows)
-    assert rep.missing_words.tolist() == [2, 1, 0]
+    rep = build_user_representation([[], [1], [1]], [[0], [], [1]],
+                                    item_matrix, word_matrix, params)
+    for b, (entities, words, missing) in enumerate(
+            [([], [10, 99, 98], 2), ([1], [97], 1), ([1], [11], 0)]):
+        vector, _, counted = reference(matrices, params, entities, words)
+        assert counted == missing
+        np.testing.assert_allclose(rep.vector.values[b], vector, atol=1e-12)
     assert rep.cold_start.tolist() == [False, False, False]
 
 
 def test_gather_context_no_word_graph(matrices):
     item_matrix, _, _ = matrices
     _, params = make_params()
-    rep = build_user_representation([example([1], [10, 11])], item_matrix, None, [None],
-                                    params, None)
-    assert rep.missing_words.tolist() == [2]
+    rep = build_user_representation([[1]], [[]], item_matrix, None, params)
     np.testing.assert_allclose(rep.vector.values[0],
                                reference(matrices, params, [1], [10, 11], word_matrix=False)[0],
                                atol=1e-12)
@@ -241,11 +226,10 @@ def test_gather_context_no_word_graph(matrices):
 
 
 def test_user_representation_cold_start(matrices):
-    item_matrix, word_matrix, word_rows = matrices
+    item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    rep = build_user_representation([example(), example([3]), example([], [99])],
-                                    item_matrix, word_matrix, [None, None, retrieved()],
-                                    params, word_rows)
+    rep = build_user_representation([[], [3], []], [[], [], []],
+                                    item_matrix, word_matrix, params)
     assert rep.cold_start.tolist() == [True, False, True]
     assert rep.cold_start.dtype == bool
     np.testing.assert_array_equal(rep.vector.values[[0, 2]], np.zeros((2, 4)))
@@ -253,10 +237,9 @@ def test_user_representation_cold_start(matrices):
 
 
 def test_user_representation_entity_only(matrices):
-    item_matrix, word_matrix, word_rows = matrices
+    item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    rep = build_user_representation([example([3])], item_matrix, word_matrix, [None],
-                                    params, word_rows)
+    rep = build_user_representation([[3]], [[]], item_matrix, word_matrix, params)
     assert not rep.cold_start[0]
     # v_word is zero, so the fused vector is gamma * item row
     np.testing.assert_allclose(rep.vector.values[0], rep.gamma[0] * item_matrix.values[3],
@@ -264,73 +247,75 @@ def test_user_representation_entity_only(matrices):
 
 
 def test_user_representation_combines_retrieved(matrices):
-    item_matrix, word_matrix, word_rows = matrices
+    item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    rep = build_user_representation([example([1])], item_matrix, word_matrix,
-                                    [retrieved(6, 7)], params, word_rows)
+    rep = build_user_representation([[1, 6, 7]], [[]], item_matrix, word_matrix, params)
     expected_pool = pool_oracle(item_matrix.values[[1, 6, 7]],
                                 params.w_entity.values, params.b_entity.values)
     np.testing.assert_allclose(rep.vector.values[0], rep.gamma[0] * expected_pool, atol=1e-12)
 
 
 def test_user_representation_without_rt(matrices):
-    item_matrix, word_matrix, word_rows = matrices
+    # without retrieval an example's entity group holds its mentioned rows only
+    item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    batch = [example([1]), example([2], [10])]
-    retrievals = [retrieved(6, 7), retrieved(3)]
-    with_rt = build_user_representation(batch, item_matrix, word_matrix, retrievals,
-                                        params, word_rows)
-    wo_rt = build_user_representation(batch, item_matrix, word_matrix, retrievals,
-                                      params, word_rows, without_rt=True)
-    none_rt = build_user_representation(batch, item_matrix, word_matrix, [None, None],
-                                        params, word_rows)
-    np.testing.assert_array_equal(wo_rt.vector.values, none_rt.vector.values)
+    with_rt = build_user_representation([[1, 6, 7], [2, 3]], [[], [0]],
+                                        item_matrix, word_matrix, params)
+    wo_rt = build_user_representation([[1], [2]], [[], [0]], item_matrix, word_matrix, params)
+    for b, (entities, words) in enumerate([([1], []), ([2], [10])]):
+        np.testing.assert_allclose(wo_rt.vector.values[b],
+                                   reference(matrices, params, entities, words)[0], atol=1e-12)
     assert not np.allclose(with_rt.vector.values[0], wo_rt.vector.values[0])
     assert not np.allclose(with_rt.vector.values[1], wo_rt.vector.values[1])
 
 
 def test_user_representation_without_cn(matrices):
-    item_matrix, word_matrix, word_rows = matrices
+    # without the word graph every word group is empty, and no word matrix is needed
+    item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    wo_cn = build_user_representation([example([1], [10, 11])], item_matrix, word_matrix,
-                                      [None], params, word_rows, without_cn=True)
-    assert wo_cn.missing_words.tolist() == [2]
-    no_words = build_user_representation([example([1])], item_matrix, word_matrix,
-                                         [None], params, word_rows)
+    wo_cn = build_user_representation([[1]], [[]], item_matrix, None, params)
+    no_words = build_user_representation([[1]], [[]], item_matrix, word_matrix, params)
     np.testing.assert_array_equal(wo_cn.vector.values, no_words.vector.values)
+    np.testing.assert_allclose(
+        wo_cn.vector.values[0],
+        reference(matrices, params, [1], [10, 11], word_matrix=False)[0], atol=1e-12)
 
 
 def test_user_representation_duplicate_entity_rows(matrices):
     # retrieval may resurface a mentioned entity; both rows take part in pooling
-    item_matrix, word_matrix, word_rows = matrices
+    item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    rep = build_user_representation([example([1])], item_matrix, word_matrix,
-                                    [retrieved(1)], params, word_rows)
+    rep = build_user_representation([[1, 1]], [[]], item_matrix, word_matrix, params)
     # pooling duplicate rows of the same vector returns that vector
     np.testing.assert_allclose(rep.vector.values[0], rep.gamma[0] * item_matrix.values[1],
                                atol=1e-12)
 
 
-def test_user_representation_rejects_misaligned_retrievals(matrices):
-    item_matrix, word_matrix, word_rows = matrices
+def test_user_representation_rejects_misaligned_groups(matrices):
+    item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    with pytest.raises(ShapeError, match="1 retrievals for 2 examples"):
-        build_user_representation([example([1]), example([2])], item_matrix, word_matrix,
-                                  [None], params, word_rows)
+    with pytest.raises(ShapeError, match="2 entity groups for 1 word groups"):
+        build_user_representation([[1], [2]], [[]], item_matrix, word_matrix, params)
 
 
-def test_user_representation_gradcheck(matrices):
-    _, _, word_rows = matrices
+def test_user_representation_rejects_word_rows_without_word_matrix(matrices):
+    item_matrix, _, _ = matrices
+    _, params = make_params()
+    with pytest.raises(ShapeError, match="2 word rows given without a word matrix"):
+        build_user_representation([[1], []], [[], [0, 1]], item_matrix, None, params)
+
+
+def test_user_representation_gradcheck():
     rng = np.random.default_rng(10)
     store, params = make_params()
     item_matrix = store.add("items", rng.normal(size=(8, 4)))
     word_matrix = store.add("words", rng.normal(size=(3, 4)))
-    batch = [example([2, 4], [10, 11, 12]), example(), example([], [12, 99]), example([4])]
-    retrievals = [retrieved(5), None, None, retrieved(4, 6)]
+    entity_rows = [[2, 4, 5], [], [], [4, 4, 6]]
+    word_rows = [[0, 1, 2], [], [2], []]
 
     def objective(_):
-        rep = build_user_representation(batch, item_matrix, word_matrix, retrievals,
-                                        params, word_rows)
+        rep = build_user_representation(entity_rows, word_rows, item_matrix, word_matrix,
+                                        params)
         return ad.sum_all(ad.tanh(rep.vector))
 
     worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=2)
@@ -339,7 +324,8 @@ def test_user_representation_gradcheck(matrices):
 
 def test_user_representation_matches_per_example_oracle():
     # mixed batches: cold start, empty retrieval, missing words and duplicate
-    # rows, under both gate modes and every without_rt / without_cn setting
+    # rows, under both gate modes and every without_rt / without_cn setting;
+    # an ablated source reaches the user side as empty row groups
     rng = np.random.default_rng(11)
     dim, n_items, n_words = 5, 12, 6
     item_matrix = ad.constant(rng.normal(size=(n_items, dim)))
@@ -351,30 +337,31 @@ def test_user_representation_matches_per_example_oracle():
         weights = attention_weights(params)
         for without_rt in (False, True):
             for without_cn in (False, True):
+                words_matrix = None if without_cn else word_matrix
                 for _ in range(10):
                     size = int(rng.integers(1, 8))
-                    batch, retrievals = [], []
+                    mentioned, retrieved, words = [], [], []
                     for _ in range(size):
-                        batch.append(example(
-                            rng.integers(0, n_items, size=rng.integers(0, 4)).tolist(),
-                            (100 + rng.integers(0, n_words + 3,
-                                                size=rng.integers(0, 5))).tolist()))
-                        retrievals.append(None if rng.random() < 0.3 else retrieved(
-                            *rng.integers(0, n_items, size=rng.integers(0, 3)).tolist()))
-                    rep = build_user_representation(
-                        batch, item_matrix, word_matrix, retrievals, params, word_rows,
-                        without_rt=without_rt, without_cn=without_cn)
-                    for b, (ex, r) in enumerate(zip(batch, retrievals)):
-                        entities = [*ex.context_entities,
-                                    *(() if without_rt or r is None else r.entities)]
+                        mentioned.append(
+                            rng.integers(0, n_items, size=rng.integers(0, 4)).tolist())
+                        words.append((100 + rng.integers(0, n_words + 3,
+                                                         size=rng.integers(0, 5))).tolist())
+                        retrieved.append([] if rng.random() < 0.3 else rng.integers(
+                            0, n_items, size=rng.integers(0, 3)).tolist())
+                    entity_groups = [m + ([] if without_rt else r)
+                                     for m, r in zip(mentioned, retrieved)]
+                    word_groups = [[] if without_cn else [word_rows[w] for w in ws
+                                                          if w in word_rows]
+                                   for ws in words]
+                    rep = build_user_representation(entity_groups, word_groups, item_matrix,
+                                                    words_matrix, params)
+                    for b, (entities, ws) in enumerate(zip(entity_groups, words)):
                         vector, gamma, missing = user_vector_reference(
                             item_matrix.values, None if without_cn else word_matrix.values,
-                            word_rows, entities, list(ex.context_words), weights)
+                            word_rows, entities, ws, weights)
                         np.testing.assert_allclose(rep.vector.values[b], vector,
                                                    rtol=0, atol=1e-12)
                         np.testing.assert_allclose(rep.gamma[b], gamma, rtol=0, atol=1e-12)
-                        assert rep.missing_words[b] == missing
-                        assert rep.cold_start[b] == (not entities
-                                                     and missing == len(ex.context_words))
+                        assert rep.cold_start[b] == (not entities and missing == len(ws))
                         checked += 1
     assert checked > 100

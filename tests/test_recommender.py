@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convrec.recommender
 from convrec import autodiff as ad
-from convrec.corpus import Split
+from convrec.corpus import Split, split_view
 from convrec.errors import ConfigurationError, ValidationError
 from convrec.optim import ParamStore
 from convrec.recommender import (
@@ -29,9 +30,10 @@ from convrec.recommender import (
     score_all,
     train,
 )
+from convrec.retrieval import retrieve
 from convrec.synthetic import popularity_corpus, toy_instance
 
-from conftest import reference_users
+from conftest import masked_positions, reference_users
 from oracles import brute_force_metrics, masked_softmax_scores, softmax_cross_entropy_reference
 
 
@@ -204,13 +206,13 @@ def test_batch_loss_matches_scoring_oracle():
     artifacts = artifacts_of(data)
     model = Model(artifacts, TrainConfig(dim=8, seed=0))
     batch = [e for e in artifacts.examples if e.split == Split.TRAIN]
-    assert any(model.mask_for(ex) for ex in batch)
+    assert any(masked_positions(artifacts.item_ids, ex) for ex in batch)
     item_matrix, word_matrix = model.encoder_outputs()
-    loss, guards = batch_loss(model, batch, item_matrix, word_matrix)
+    loss, guards = batch_loss(model, model.contexts(batch), item_matrix, word_matrix)
     per_example = []
     for ex, user in zip(batch, reference_users(model, batch, item_matrix, word_matrix)):
         probs = masked_softmax_scores(item_matrix.values, artifacts.item_ids,
-                                      user, model.mask_for(ex))
+                                      user, masked_positions(artifacts.item_ids, ex))
         golds = [model.item_pos[g] for g in sorted(ex.gold_items)]
         per_example.append(-np.mean(np.log(probs[golds])))
     assert loss.item() == pytest.approx(np.mean(per_example), abs=1e-12)
@@ -292,7 +294,7 @@ def test_evaluate_matches_oracle_on_toy(toy_artifacts):
     ranked_lists, gold_lists = [], []
     for ex, user in zip(examples, reference_users(model, examples, item_matrix, word_matrix)):
         probs = masked_softmax_scores(item_matrix.values, model.artifacts.item_ids,
-                                      user, model.mask_for(ex))
+                                      user, masked_positions(model.artifacts.item_ids, ex))
         n = len(model.artifacts.item_ids)
         ranked_lists.append(sorted(range(n), key=lambda i: (-probs[i], i)))
         gold_lists.append(sorted(model.item_pos[g] for g in ex.gold_items))
@@ -307,7 +309,7 @@ def test_evaluate_is_independent_of_chunk_size(toy_artifacts):
     reports = []
     for b in (1, 3, len(examples)):
         model = Model(toy_artifacts, small_config(batch_size=b))
-        assert any(model.mask_for(e) for e in examples)  # masks are active
+        assert any(c.masked for c in model.contexts(examples))  # masks are active
         report = evaluate(model, examples, [1, 3, 6])
         # the fingerprint covers batch_size; everything measured must agree exactly
         reports.append(dataclasses.replace(report, config_fingerprint=""))
@@ -369,16 +371,67 @@ def test_model_rejects_itemless_vocab(toy_artifacts):
         Model(empty, small_config())
 
 
-def test_mask_for(toy_artifacts):
-    model = Model(toy_artifacts, small_config())
-    ex = next(e for e in toy_artifacts.examples if e.context_entities)
-    masked = model.mask_for(ex)
-    item_set = set(toy_artifacts.item_ids)
-    expected = [model.item_pos[e] for e in ex.context_entities if e in item_set]
-    assert masked == (expected or None)
+def test_contexts_match_hand_derivation(toy_artifacts):
+    small = artifacts_of(popularity_corpus(seed=0, n_users=20, n_items=12, n_conversations=60))
+    for artifacts in (toy_artifacts, small):
+        items = artifacts.item_ids.tolist()
+        rows = artifacts.word_graph.rows
+        seen = {"retrieved": 0, "words": 0, "missing": 0, "masked": 0}
+        for without_rt in (False, True):
+            for without_cn in (False, True):
+                for masking in (False, True):
+                    model = Model(artifacts, small_config(
+                        top_n=2, without_rt=without_rt, without_cn=without_cn,
+                        candidate_masking=masking))
+                    contexts = model.contexts(artifacts.examples)
+                    assert len(contexts) == len(artifacts.examples)
+                    for ex, got in zip(artifacts.examples, contexts):
+                        retrieved = () if without_rt else retrieve(
+                            artifacts.index, list(ex.context_entities), 2,
+                            exclude_id=ex.conversation_id).entities
+                        words = [] if without_cn else [rows[w] for w in ex.context_words
+                                                       if w in rows]
+                        masked = [items.index(e) for e in ex.context_entities
+                                  if masking and e in items]
+                        assert list(got.entities) == [*ex.context_entities, *retrieved]
+                        assert list(got.words) == words
+                        assert got.missing_words == len(ex.context_words) - len(words)
+                        assert list(got.masked) == masked
+                        assert list(got.gold) == sorted(items.index(g) for g in ex.gold_items)
+                        seen["retrieved"] += len(retrieved)
+                        seen["words"] += len(words)
+                        seen["missing"] += got.missing_words
+                        seen["masked"] += len(masked)
+        assert all(seen.values()), seen
 
-    unmasked_model = Model(toy_artifacts, small_config(candidate_masking=False, seed=1))
-    assert unmasked_model.mask_for(ex) is None
+
+def count_retrieve_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return retrieve(*args, **kwargs)
+
+    monkeypatch.setattr(convrec.recommender, "retrieve", counting)
+    return calls
+
+
+def test_retrieval_runs_once_per_example_per_compile(monkeypatch):
+    artifacts = artifacts_of(popularity_corpus(seed=0, n_users=20, n_items=12,
+                                               n_conversations=60))
+    n_train = len(split_view(artifacts.examples, Split.TRAIN))
+    n_valid = len(split_view(artifacts.examples, Split.VALID))
+    assert n_train and n_valid
+    calls = count_retrieve_calls(monkeypatch)
+    result = train(artifacts, small_config(epochs=3, batch_size=4))
+    # the training split compiles once; validation compiles on each epoch's evaluate
+    assert len(calls) == n_train + 3 * n_valid
+    calls.clear()
+    evaluate(result.model, artifacts.examples)
+    assert len(calls) == len(artifacts.examples)
+    calls.clear()
+    train(artifacts, small_config(epochs=2, batch_size=4, without_rt=True))
+    assert calls == []
 
 
 def test_config_validation_errors():

@@ -27,3 +27,11 @@ def test_sampled_calls_exist_in_recommender():
     for name in values[0]:
         assert callable(getattr(recommender, name, None)), (
             f"SAMPLED_CALLS names convrec.recommender.{name}, which is gone")
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry fails only under `from convrec import *`
+    convrec = importlib.import_module("convrec")
+    missing = [name for name in convrec.__all__ if not hasattr(convrec, name)]
+    assert not missing, f"convrec.__all__ names {missing}, which the package lacks"
+    assert len(set(convrec.__all__)) == len(convrec.__all__)
