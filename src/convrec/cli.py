@@ -15,6 +15,7 @@ from pathlib import Path
 
 import click
 
+from . import autodiff as ad
 from .corpus import (
     RecExample,
     Split,
@@ -466,18 +467,22 @@ def retrieve_command(bundle_dir, index_path, conversation_id, n) -> None:
 @click.option("--bundle", "bundle_dir", required=True, type=click.Path())
 @click.option("--checkpoint", "checkpoint_path", required=True, type=click.Path())
 @click.option("--index-path", "index_path", type=click.Path(), default=None)
-@click.option("--k", type=int, default=10, show_default=True)
+@click.option("--k", type=click.IntRange(min=1), default=10, show_default=True,
+              help="items per answer; a k above the catalog size prints every item")
 @command_errors()
 def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
     """Read entity mentions from stdin; print top-k items after each line.
 
     Mentions accumulate across lines within the session. References are
     comma-separated; a part that is not itself an id or a name is split on
-    whitespace so bare id lists work without commas.
+    whitespace so bare id lists work without commas. Each answer (k ranked
+    lines, then a blank line) is written and flushed at once.
     """
     model = load_model(bundle_dir, checkpoint_path, index_path)
     entities = model.artifacts.vocab.entities
+    item_ids = model.artifacts.item_ids
     item_matrix, word_matrix = model.encoder_outputs()
+    item_rows = ad.lookup(item_matrix, item_ids)
     context: list[int] = []
     for raw in sys.stdin:
         parts = [p.strip() for p in raw.strip().split(",") if p.strip()]
@@ -503,15 +508,12 @@ def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
         )
         contexts = model.contexts([example])
         users = model.users(contexts, item_matrix, word_matrix).vector
-        probs = score_all(users, item_matrix, model.artifacts.item_ids,
-                          [contexts[0].masked]).values[0]
-        for rank, pos in enumerate(rank_order(probs)[:k], start=1):
-            entity = int(model.artifacts.item_ids[pos])
-            click.echo(
-                f"{rank}\t{entities.tokens[entity]}\t{entities.names[entity]}"
-                f"\t{probs[int(pos)]:.6f}"
-            )
-        click.echo("")
+        probs = score_all(users, item_rows, [contexts[0].masked]).values[0]
+        top = rank_order(probs, k)
+        click.echo("".join(
+            f"{rank}\t{entities.tokens[entity]}\t{entities.names[entity]}\t{p:.6f}\n"
+            for rank, (entity, p) in enumerate(zip(item_ids[top].tolist(), probs[top].tolist()),
+                                               start=1)))
 
 
 if __name__ == "__main__":

@@ -274,16 +274,17 @@ class Model:
                                          item_matrix, word_matrix, self.att_params)
 
 
-def item_logits(users: Tensor, item_matrix: Tensor, item_ids: Sequence[int],
+def item_logits(users: Tensor, item_rows: Tensor,
                 masks: Sequence[Sequence[int]] | None = None) -> Tensor:
-    """(B, n_items) logits U I^T of the user rows U (B, d) against the item rows.
+    """(B, n_items) logits U I^T of the user rows U (B, d) against the item rows I.
 
+    ``item_rows`` (n_items, d) holds the item-matrix rows in scoring order,
+    ``ad.lookup(item_matrix, item_ids)``, gathered once per encoder pass.
     ``masks[b]`` lists row b's already-mentioned positions (``Context.masked``);
     they get a MASK_LOGIT offset, which pins their probability to exactly zero.
     """
     if masks is not None and len(masks) != users.shape[0]:
         raise ValidationError(f"{len(masks)} masks for {users.shape[0]} user rows")
-    item_rows = ad.lookup(item_matrix, item_ids)
     logits = ad.matmul(users, ad.transpose(item_rows))
     offsets = np.zeros(logits.shape)
     for row, masked in enumerate(masks or ()):
@@ -292,10 +293,10 @@ def item_logits(users: Tensor, item_matrix: Tensor, item_ids: Sequence[int],
     return ad.add_const(logits, offsets)
 
 
-def score_all(users: Tensor, item_matrix: Tensor, item_ids: Sequence[int],
+def score_all(users: Tensor, item_rows: Tensor,
               masks: Sequence[Sequence[int]] | None = None) -> Tensor:
     """(B, n_items) probabilities: the row softmax of :func:`item_logits`."""
-    return ad.softmax(item_logits(users, item_matrix, item_ids, masks))
+    return ad.softmax(item_logits(users, item_rows, masks))
 
 
 GUARD_EPS = 1e-12
@@ -318,9 +319,21 @@ def rec_loss(logits: Tensor, gold_positions: Sequence[Sequence[int]]) -> tuple[T
     return loss, int(np.unique(rows[tiny]).size)
 
 
-def rank_order(probs: np.ndarray) -> np.ndarray:
-    """Item positions sorted by descending probability, ties by ascending position."""
-    return np.lexsort((np.arange(probs.shape[0]), -probs))
+def rank_order(probs: np.ndarray, k: int) -> np.ndarray:
+    """The first min(k, n) item positions by descending probability, ties by ascending position.
+
+    ``np.partition`` finds the k-th largest probability, and a stable sort
+    orders only the positions at or above it. A NaN there (fewer than k
+    non-NaN probabilities) raises NumericError.
+    """
+    if k < 1:
+        raise ValidationError(f"rank_order needs k >= 1, got {k}")
+    k = min(k, probs.shape[0])
+    kth = -np.partition(-probs, k - 1)[k - 1]
+    if np.isnan(kth):
+        raise NumericError(f"NaN among the top {k} probabilities")
+    top = np.flatnonzero(probs >= kth)
+    return top[np.argsort(-probs[top], kind="stable")[:k]]
 
 
 def _gold_ranks(probs: np.ndarray, gold_positions: Iterable[int]) -> list[int]:
@@ -363,23 +376,27 @@ def evaluate(model: Model, examples: Sequence[RecExample],
     """Recall@k and MRR@k averaged over every (example, gold item) pair."""
     if not examples:
         raise ValidationError("cannot evaluate an empty example set")
-    ks = sorted(set(ks))
-    contexts = model.contexts(examples)
+    label = split_label if split_label is not None else (
+        examples[0].split.value if len({e.split for e in examples}) == 1 else "mixed"
+    )
+    return evaluate_contexts(model, model.contexts(examples), ks, label)
+
+
+def evaluate_contexts(model: Model, contexts: Sequence[Context], ks: Sequence[int],
+                      split_label: str) -> MetricsReport:
+    """:func:`evaluate` on a compiled split: one encoder pass, scored in batch_size chunks."""
     item_matrix, word_matrix = model.encoder_outputs()
+    item_rows = ad.lookup(item_matrix, model.artifacts.item_ids)
     rank_lists: list[list[int]] = []
     for start in range(0, len(contexts), model.config.batch_size):
         chunk = contexts[start:start + model.config.batch_size]
         users = model.users(chunk, item_matrix, word_matrix).vector
-        probs = score_all(users, item_matrix, model.artifacts.item_ids,
-                          [c.masked for c in chunk])
+        probs = score_all(users, item_rows, [c.masked for c in chunk])
         rank_lists.extend(_gold_ranks(row, c.gold) for c, row in zip(chunk, probs.values))
     recall, mrr, pairs = aggregate_metrics(rank_lists, ks)
-    label = split_label if split_label is not None else (
-        examples[0].split.value if len({e.split for e in examples}) == 1 else "mixed"
-    )
     return MetricsReport(
-        split=label,
-        n_examples=len(examples),
+        split=split_label,
+        n_examples=len(contexts),
         n_pairs=pairs,
         recall=recall,
         mrr=mrr,
@@ -403,7 +420,7 @@ def batch_loss(model: Model, batch: Sequence[Context],
     The batch's user vectors U (B, d) are built and scored in one call each.
     """
     users = model.users(batch, item_matrix, word_matrix).vector
-    logits = item_logits(users, item_matrix, model.artifacts.item_ids,
+    logits = item_logits(users, ad.lookup(item_matrix, model.artifacts.item_ids),
                          [c.masked for c in batch])
     return rec_loss(logits, [c.gold for c in batch])
 
@@ -423,7 +440,7 @@ def train(artifacts: Artifacts, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     model = Model(artifacts, config, rng)
     train_contexts = model.contexts(split_view(artifacts.examples, Split.TRAIN))
-    valid_examples = split_view(artifacts.examples, Split.VALID)
+    valid_contexts = model.contexts(split_view(artifacts.examples, Split.VALID))
     if not train_contexts:
         raise ValidationError("corpus yields no training examples")
 
@@ -460,8 +477,8 @@ def train(artifacts: Artifacts, config: TrainConfig,
             n_batches += 1
         epoch_losses.append(running / max(n_batches, 1))
 
-        if valid_examples:
-            report = evaluate(model, valid_examples, ks, split_label=Split.VALID.value)
+        if valid_contexts:
+            report = evaluate_contexts(model, valid_contexts, ks, Split.VALID.value)
             epoch_reports.append(report)
             score = report.recall.get(select_k, 0.0)
             if score > best_score:

@@ -161,6 +161,11 @@ def brute_force_metrics(
     )
 
 
+def rank_order_reference(probs: np.ndarray) -> np.ndarray:
+    """Every position by descending probability, ties by ascending position: one full lexsort."""
+    return np.lexsort((np.arange(probs.shape[0]), -probs))
+
+
 def masked_softmax_scores(
     item_matrix: np.ndarray,
     item_ids: list[int],

@@ -171,7 +171,7 @@ def test_criterion_4_metric_fidelity():
         n_gold = int(rng.integers(1, min(5, n_items) + 1))
         golds = sorted(rng.choice(n_items, size=n_gold, replace=False).tolist())
 
-        order = rank_order(probs)
+        order = rank_order(probs, n_items)
         rank_at = np.empty(n_items, dtype=np.int64)
         rank_at[order] = np.arange(1, n_items + 1)
         recall, mrr, pairs = aggregate_metrics([[int(rank_at[g]) for g in golds]], ks)
@@ -263,6 +263,7 @@ def test_criterion_8_degenerate_pipeline_totality():
     # cold start (empty context), and a context whose retrieval comes back empty
     model = Model(artifacts, base)
     item_matrix, word_matrix = model.encoder_outputs()
+    item_rows = ad.lookup(item_matrix, artifacts.item_ids)
     gold = frozenset({artifacts.item_ids[0]})
     cold = RecExample(conversation_id="(cold)", user_id="(cold)", split=Split.TEST,
                       turn_index=0, context_entities=(), context_words=(),
@@ -276,8 +277,7 @@ def test_criterion_8_degenerate_pipeline_totality():
                               context_entities=(unmentioned[0],)))
     for ex in probes:
         probs = score_all(model.users(model.contexts([ex]), item_matrix, word_matrix).vector,
-                          item_matrix, artifacts.item_ids,
-                          [masked_positions(artifacts.item_ids, ex)])
+                          item_rows, [masked_positions(artifacts.item_ids, ex)])
         if not np.isfinite(probs.values).all():
             ok = False
             notes.append(f"non-finite probabilities for {ex.conversation_id}")
@@ -290,7 +290,7 @@ def test_criterion_8_degenerate_pipeline_totality():
     # masked scoring still sums to 1
     ex = next(e for e in test_examples if e.context_entities)
     probs = score_all(model.users(model.contexts([ex]), item_matrix, word_matrix).vector,
-                      item_matrix, artifacts.item_ids, [masked_positions(artifacts.item_ids, ex)])
+                      item_rows, [masked_positions(artifacts.item_ids, ex)])
     worst_sum_err = max(worst_sum_err, abs(float(probs.values.sum()) - 1.0))
 
     ok = ok and worst_sum_err < 1e-9

@@ -422,3 +422,62 @@ def test_recommend_names_resolve(runner, toy_bundle, toy_checkpoint):
     assert result.stderr == ""  # the name resolved; no warning
     line = result.stdout.strip().split("\n")[0]
     assert line.split("\t")[1] != "I0"  # I0 entered the context, so it is masked
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_recommend_k_below_one_exits_2(runner, toy_bundle, toy_checkpoint, k):
+    result = run(runner, ["recommend", "--bundle", str(toy_bundle),
+                          "--checkpoint", str(toy_checkpoint), "--k", k],
+                 input="I0\n")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+def test_recommend_k_above_catalog_prints_every_item(runner, toy_bundle, toy_checkpoint):
+    n_items = len(cli.load_model(str(toy_bundle), str(toy_checkpoint)).artifacts.item_ids)
+    result = run(runner, ["recommend", "--bundle", str(toy_bundle),
+                          "--checkpoint", str(toy_checkpoint), "--k", str(n_items + 7)],
+                 input="I0\n")
+    assert result.exit_code == 0
+    assert result.stdout.endswith("\n\n")
+    ranked = [line.split("\t") for line in result.stdout.strip("\n").split("\n")]
+    assert [row[0] for row in ranked] == [str(i) for i in range(1, n_items + 1)]
+    assert len({row[1] for row in ranked}) == n_items
+
+
+def test_recommend_writes_each_answer_once(runner, toy_bundle, toy_checkpoint, monkeypatch):
+    # one write (and one flush) per turn wakes a waiting client once, not k + 1 times
+    stdout_writes = []
+    echo = cli.click.echo
+
+    def counting_echo(message=None, file=None, nl=True, err=False, color=None):
+        if not err:
+            stdout_writes.append(message)
+        echo(message, file=file, nl=nl, err=err, color=color)
+
+    monkeypatch.setattr(cli.click, "echo", counting_echo)
+    result = run(runner, ["recommend", "--bundle", str(toy_bundle),
+                          "--checkpoint", str(toy_checkpoint), "--k", "3"],
+                 input="I0\nI1\nI3\n")
+    assert result.exit_code == 0
+    assert len(stdout_writes) == 3
+    assert "".join(m + "\n" for m in stdout_writes) == result.stdout
+    assert [len(block.split("\n")) for block in result.stdout.strip("\n").split("\n\n")] == [3] * 3
+
+
+def test_recommend_nan_scores_exit_4(runner, toy_bundle, toy_checkpoint, monkeypatch):
+    # a model that scores NaN (say, NaN weights in the checkpoint) fails, never prints a short list
+    score_all = cli.score_all
+
+    def nan_scores(*args, **kwargs):
+        probs = score_all(*args, **kwargs)
+        probs.values[...] = float("nan")
+        return probs
+
+    monkeypatch.setattr(cli, "score_all", nan_scores)
+    result = run(runner, ["recommend", "--bundle", str(toy_bundle),
+                          "--checkpoint", str(toy_checkpoint), "--k", "2"],
+                 input="I0\n")
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert "NaN" in result.stderr

@@ -3,13 +3,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import convrec.recommender
 from convrec import autodiff as ad
 from convrec.corpus import Split, split_view
-from convrec.errors import ConfigurationError, ValidationError
+from convrec.errors import ConfigurationError, NumericError, ValidationError
 from convrec.optim import ParamStore
 from convrec.recommender import (
     ABLATION_FLAGS,
@@ -34,7 +34,12 @@ from convrec.retrieval import retrieve
 from convrec.synthetic import popularity_corpus, toy_instance
 
 from conftest import masked_positions, reference_users
-from oracles import brute_force_metrics, masked_softmax_scores, softmax_cross_entropy_reference
+from oracles import (
+    brute_force_metrics,
+    masked_softmax_scores,
+    rank_order_reference,
+    softmax_cross_entropy_reference,
+)
 
 
 def artifacts_of(data):
@@ -56,7 +61,7 @@ def test_score_all_is_softmax_over_dot_products():
     item_matrix = ad.constant(rng.normal(size=(7, 4)))
     user = ad.constant(rng.normal(size=(1, 4)))
     item_ids = [0, 2, 3, 5]
-    probs = score_all(user, item_matrix, item_ids).values
+    probs = score_all(user, ad.lookup(item_matrix, item_ids)).values
     assert probs.shape == (1, 4)
     want = masked_softmax_scores(item_matrix.values, item_ids, user.values[0])
     np.testing.assert_allclose(probs[0], want, atol=1e-12)
@@ -68,7 +73,7 @@ def test_score_all_masking_zeroes_and_renormalizes():
     item_matrix = ad.constant(rng.normal(size=(6, 4)))
     user = ad.constant(rng.normal(size=(1, 4)))
     item_ids = [0, 1, 2, 3, 4, 5]
-    probs = score_all(user, item_matrix, item_ids, [[1, 4]]).values[0]
+    probs = score_all(user, ad.lookup(item_matrix, item_ids), [[1, 4]]).values[0]
     assert probs[1] == 0.0 and probs[4] == 0.0
     want = masked_softmax_scores(item_matrix.values, item_ids, user.values[0], [1, 4])
     np.testing.assert_allclose(probs, want, atol=1e-12)
@@ -82,19 +87,19 @@ def test_score_all_rows_are_independent():
     users = rng.normal(size=(3, 4))
     item_ids = [5, 0, 2, 3]
     masks = [[0, 2], None, [3]]
-    probs = score_all(ad.constant(users), item_matrix, item_ids, masks).values
+    probs = score_all(ad.constant(users), ad.lookup(item_matrix, item_ids), masks).values
     for row, (u, masked) in enumerate(zip(users, masks)):
         want = masked_softmax_scores(item_matrix.values, item_ids, u, masked)
         np.testing.assert_allclose(probs[row], want, atol=1e-12)
     with pytest.raises(ValidationError):
-        score_all(ad.constant(users), item_matrix, item_ids, masks[:2])
+        score_all(ad.constant(users), ad.lookup(item_matrix, item_ids), masks[:2])
 
 
 def test_score_all_masked_gradients_stay_finite():
     store = ParamStore()
     user = store.add("u", np.random.default_rng(2).normal(size=(1, 4)))
     item_matrix = ad.constant(np.random.default_rng(3).normal(size=(5, 4)))
-    probs = score_all(user, item_matrix, [0, 1, 2, 3, 4], [[0]])
+    probs = score_all(user, ad.lookup(item_matrix, [0, 1, 2, 3, 4]), [[0]])
     # -log p_2, differentiated in numpy: its gradient in p is -1/p_2 at position 2
     upstream = np.zeros((1, 5))
     upstream[0, 2] = -1.0 / probs.values[0, 2]
@@ -113,7 +118,8 @@ def test_ranking_invariant_under_positive_scaling():
     ids = list(range(9))
 
     def ranked(u):
-        return rank_order(score_all(ad.constant(u[None, :]), item_matrix, ids).values[0])
+        probs = score_all(ad.constant(u[None, :]), ad.lookup(item_matrix, ids)).values[0]
+        return rank_order(probs, len(ids))
 
     base = ranked(user)
     for c in (0.5, 3.0, 117.0):
@@ -122,18 +128,51 @@ def test_ranking_invariant_under_positive_scaling():
 
 def test_rank_order_breaks_ties_by_position():
     probs = np.array([0.2, 0.5, 0.2, 0.5, 0.1])
-    assert rank_order(probs).tolist() == [1, 3, 0, 2, 4]
-    assert np.array([10, 11, 12, 13, 14])[rank_order(probs)].tolist() == [11, 13, 10, 12, 14]
+    assert rank_order(probs, 5).tolist() == [1, 3, 0, 2, 4]
+    assert np.array([10, 11, 12, 13, 14])[rank_order(probs, 5)].tolist() == [11, 13, 10, 12, 14]
+
+
+# few distinct values, exact zeros (masked items) and 1e-300 among them: ties everywhere
+TIE_HEAVY = st.sampled_from([0.0, 0.0, 1e-300, 0.125, 0.25, 0.25, 0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(TIE_HEAVY, min_size=1, max_size=30),
+                 st.builds(lambda v, n: [v] * n, TIE_HEAVY, st.integers(1, 30))),
+       st.integers(1, 35))
+@example([0.0, 0.0, 0.0], 2)
+@example([1e-300, 0.0, 1e-300, 0.0], 3)
+def test_rank_order_is_the_full_orders_first_k(values, k):
+    probs = np.array(values)
+    n = len(values)
+    full = rank_order_reference(probs)
+    for cut in (k, 1, n, n + 5):
+        assert rank_order(probs, cut).tolist() == full[:cut].tolist()
+
+
+def test_rank_order_is_exact_or_raises_on_nan():
+    # NaN sorts last in both routes; with fewer than k other values there is no k-th
+    probs = np.array([np.nan, 0.25, 0.0, 0.5, np.nan])
+    full = rank_order_reference(probs)
+    for k in (1, 2, 3):
+        assert rank_order(probs, k).tolist() == full[:k].tolist()
+    for k in (4, 5, 9):
+        with pytest.raises(NumericError):
+            rank_order(probs, k)
+
+
+def test_rank_order_rejects_k_below_one():
+    for k in (0, -3):
+        with pytest.raises(ValidationError):
+            rank_order(np.array([0.5, 0.5]), k)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.sampled_from([0.0, 0.0, 1e-300, 0.125, 0.25, 0.25, 0.5, 1.0]),
-                min_size=1, max_size=12))
+@given(st.lists(TIE_HEAVY, min_size=1, max_size=12))
 def test_counted_ranks_equal_rank_order_ranks(values):
-    # few distinct values, exact zeros among them: ties everywhere
     probs = np.array(values)
     rank_at = np.empty(len(values), dtype=np.int64)
-    rank_at[rank_order(probs)] = np.arange(1, len(values) + 1)
+    rank_at[rank_order(probs, len(values))] = np.arange(1, len(values) + 1)
     positions = list(range(len(values)))
     assert _gold_ranks(probs, positions) == rank_at.tolist()
 
@@ -261,7 +300,7 @@ def test_metrics_match_brute_force_oracle_on_synthetic_lists():
         # coarse values force ties; both routes must break them identically
         probs = rng.integers(0, 4, size=n_items) / 4.0
         golds = sorted(rng.choice(n_items, size=rng.integers(1, 4), replace=False).tolist())
-        order = rank_order(probs)
+        order = rank_order(probs, n_items)
         rank_at = {int(p): r + 1 for r, p in enumerate(order)}
         rank_lists.append([rank_at[g] for g in golds])
         ranked_lists.append(sorted(range(n_items), key=lambda i: (-probs[i], i)))
@@ -424,8 +463,8 @@ def test_retrieval_runs_once_per_example_per_compile(monkeypatch):
     assert n_train and n_valid
     calls = count_retrieve_calls(monkeypatch)
     result = train(artifacts, small_config(epochs=3, batch_size=4))
-    # the training split compiles once; validation compiles on each epoch's evaluate
-    assert len(calls) == n_train + 3 * n_valid
+    # the training and validation splits compile once each, before the epoch loop
+    assert len(calls) == n_train + n_valid
     calls.clear()
     evaluate(result.model, artifacts.examples)
     assert len(calls) == len(artifacts.examples)
@@ -514,6 +553,17 @@ def test_train_tracks_best_validation_epoch():
     scores = [r.recall[5] for r in result.epoch_reports]
     # strict improvement rule: the first maximum wins
     assert result.best_epoch == int(np.argmax(scores))
+
+
+def test_train_validation_report_equals_evaluate():
+    # train scores a validation split it compiled once; evaluate compiles its own
+    artifacts = artifacts_of(popularity_corpus(seed=5, n_users=20, n_items=12,
+                                               n_conversations=80))
+    result = train(artifacts, TrainConfig(dim=8, epochs=3, batch_size=8, seed=0), ks=[1, 5])
+    valid = split_view(artifacts.examples, Split.VALID)
+    report = evaluate(result.model, valid, [5, 1], split_label=Split.VALID.value)
+    assert report == result.epoch_reports[result.best_epoch]
+    assert report.to_text() == result.epoch_reports[result.best_epoch].to_text()
 
 
 def test_train_rejects_empty_train_split(toy_data, toy_artifacts):
