@@ -8,6 +8,7 @@ mismatches raise :class:`~convrec.errors.ShapeError` naming both operands.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -242,6 +243,18 @@ def transpose(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """A view of ``a`` with a new shape holding the same number of entries."""
+    if any(s < 0 for s in shape) or math.prod(shape) != a.values.size:
+        raise ShapeError(f"reshape: cannot view shape {a.values.shape} as {tuple(shape)}")
+    out = Tensor(a.values.reshape(shape))
+
+    def bw(g: np.ndarray) -> None:
+        _accum(a, g.reshape(a.values.shape))
+
+    return _record(out, (a,), bw)
+
+
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate along axis 0. All parts must share rank and trailing dims."""
     if not parts:
@@ -292,7 +305,7 @@ def scatter_rows(src: Tensor, indices: Sequence[int], n_rows: int) -> Tensor:
     if src.values.ndim != 2:
         raise ShapeError(f"scatter_rows: expected a matrix, got shape {src.values.shape}")
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.size != len(set(idx.tolist())):
+    if np.unique(idx).size != idx.size:
         raise ShapeError("scatter_rows: duplicate target rows")
     vals = np.zeros((n_rows, src.values.shape[1]), dtype=src.values.dtype)
     vals[idx] = src.values
@@ -442,10 +455,12 @@ def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Sequence[Sequenc
     row_idx = np.repeat(np.arange(len(rows)), sizes)
     col_idx = np.concatenate(rows)
     m = z.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    e = np.exp(z - m)
+    total = e.sum(axis=1, keepdims=True)
+    lse = m + np.log(total)
     gold_mean = np.bincount(row_idx, weights=z[row_idx, col_idx], minlength=len(rows)) / sizes
     out = Tensor(np.asarray((lse[:, 0] - gold_mean).mean()))
-    p = np.exp(z - lse)
+    p = e / total
 
     def bw(g: np.ndarray) -> None:
         d = p.copy()

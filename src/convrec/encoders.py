@@ -81,8 +81,11 @@ def rgcn_forward(graph: TypedGraph, params: RgcnParams) -> Tensor:
     """Two-layer relational convolution over all nodes at once.
 
     Each layer computes ReLU(sum_r (A_r @ H) W_r + H W_self) with A_r the
-    graph's cached normalized operator of relation r, reading only the
-    previous layer, so bipartite graphs update both node sides synchronously.
+    normalized operator of relation r, reading only the previous layer, so
+    bipartite graphs update both node sides synchronously. The graph's cached
+    layer operator stacks every A_r and the identity, so a layer is one
+    sparse product, reshaped to (n, (R + 1) d), times the stacked weights
+    [W_1; ...; W_R; W_self].
     """
     missing = [r for r in graph.relations if r not in params.rel_weights[0]]
     if missing:
@@ -91,18 +94,13 @@ def rgcn_forward(graph: TypedGraph, params: RgcnParams) -> Tensor:
         raise ConfigurationError(
             f"embedding table has {params.embedding.shape[0]} rows, graph has {graph.n_nodes} nodes"
         )
-    in_degree = params.normalization == NORM_IN_DEGREE
-    operators = [graph.relation_operator(rel_idx, in_degree=in_degree, z=params.z)
-                 for rel_idx in range(len(graph.relations))]
+    op = graph.layer_operator(in_degree=params.normalization == NORM_IN_DEGREE, z=params.z)
+    stacked_shape = (graph.n_nodes, (len(graph.relations) + 1) * params.dim)
     h = params.embedding
     for layer in range(params.n_layers):
-        total = ad.matmul(h, params.self_weights[layer])
-        for op, rel_name in zip(operators, graph.relations):
-            if op.nnz == 0:
-                continue
-            agg = ad.spmm(op, h)
-            total = ad.add(total, ad.matmul(agg, params.rel_weights[layer][rel_name]))
-        h = ad.relu(total)
+        weights = ad.concat([*(params.rel_weights[layer][rel] for rel in graph.relations),
+                             params.self_weights[layer]])
+        h = ad.relu(ad.matmul(ad.reshape(ad.spmm(op, h), stacked_shape), weights))
     return h
 
 
@@ -165,6 +163,6 @@ def encode_items(
             f"encoder dims differ: kg={kg_params.dim}, interaction={ig_params.dim}"
         )
     ig_out = rgcn_forward(interaction.as_typed(), ig_params)
-    item_rows = ad.lookup(ig_out, list(range(interaction.n_items)))
+    item_rows = ad.lookup(ig_out, np.arange(interaction.n_items))
     scattered = ad.scatter_rows(item_rows, interaction.items, kg.n_nodes)
     return ad.add(k, scattered)

@@ -70,6 +70,7 @@ class TypedGraph:
         rest, tails = np.divmod(np.unique((heads * n_rel + rels) * n_nodes + tails), n_nodes)
         self.edges = np.stack([*np.divmod(rest, n_rel), tails], axis=1)
         self._operators: dict[tuple[int, bool, float], sp.csr_matrix] = {}
+        self._layer_operators: dict[tuple[bool, float], sp.csr_matrix] = {}
 
     def relation_operator(self, rel: int, *, in_degree: bool = False,
                           z: float = 1.0) -> sp.csr_matrix:
@@ -92,6 +93,26 @@ class TypedGraph:
             indptr = np.concatenate([[0], np.cumsum(in_deg)])
             op = sp.csr_matrix((norm, src, indptr), shape=(n, n))
             self._operators[key] = op
+        return op
+
+    def layer_operator(self, *, in_degree: bool, z: float) -> sp.csr_matrix:
+        """All relation operators and the identity as one ((R + 1) n, n) CSR, built once and cached.
+
+        Row ``i * (R + 1) + r`` is row i of ``relation_operator(r)`` and row
+        ``i * (R + 1) + R`` is the identity row of node i, so ``op @ h``
+        reshaped to (n, (R + 1) d) holds, in row i, each relation's message
+        to i followed by ``h[i]``.
+        """
+        key = (True, 1.0) if in_degree else (False, float(z))
+        op = self._layer_operators.get(key)
+        if op is None:
+            n, n_blocks = self.n_nodes, len(self.relations) + 1
+            blocks = [self.relation_operator(r, in_degree=in_degree, z=z)
+                      for r in range(n_blocks - 1)]
+            stacked = sp.vstack([*blocks, sp.identity(n, format="csr")], format="csr")
+            # block-major rows r * n + i become node-major rows i * (R + 1) + r
+            op = stacked[np.arange(n_blocks * n).reshape(n_blocks, n).T.ravel()]
+            self._layer_operators[key] = op
         return op
 
 

@@ -384,7 +384,10 @@ def evaluate(model: Model, examples: Sequence[RecExample],
 
 def evaluate_contexts(model: Model, contexts: Sequence[Context], ks: Sequence[int],
                       split_label: str) -> MetricsReport:
-    """:func:`evaluate` on a compiled split: one encoder pass, scored in batch_size chunks."""
+    """:func:`evaluate` on a compiled split: one encoder pass, scored in batch_size chunks.
+
+    NaN probabilities raise NumericError: against NaN every gold item would count as rank 1.
+    """
     item_matrix, word_matrix = model.encoder_outputs()
     item_rows = ad.lookup(item_matrix, model.artifacts.item_ids)
     rank_lists: list[list[int]] = []
@@ -392,6 +395,8 @@ def evaluate_contexts(model: Model, contexts: Sequence[Context], ks: Sequence[in
         chunk = contexts[start:start + model.config.batch_size]
         users = model.users(chunk, item_matrix, word_matrix).vector
         probs = score_all(users, item_rows, [c.masked for c in chunk])
+        if np.isnan(probs.values).any():
+            raise NumericError(f"NaN item probabilities on the {split_label} split")
         rank_lists.extend(_gold_ranks(row, c.gold) for c, row in zip(chunk, probs.values))
     recall, mrr, pairs = aggregate_metrics(rank_lists, ks)
     return MetricsReport(

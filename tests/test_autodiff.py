@@ -180,6 +180,26 @@ def test_transpose_concat_gradcheck():
     check(f, store, samples_per_param=4)
 
 
+def test_reshape_is_a_view_and_gradchecks():
+    rng = np.random.default_rng(5)
+    store = fd_store(a=rng.normal(size=(6, 2)), w=rng.normal(size=(4, 3)))
+    view = ad.reshape(store["a"], (3, 4))
+    np.testing.assert_array_equal(view.values, store["a"].values.reshape(3, 4))
+    assert np.shares_memory(view.values, store["a"].values)
+
+    def f(s):
+        return ad.mean_all(ad.tanh(ad.matmul(ad.reshape(s["a"], (3, 4)), s["w"])))
+
+    check(f, store, samples_per_param=6)
+
+
+def test_reshape_rejects_a_size_mismatch():
+    a = Tensor(np.ones((2, 3)))
+    for shape in [(4, 2), (7,), (-1, 6), (-2, -3)]:
+        with pytest.raises(ShapeError, match="reshape"):
+            ad.reshape(a, shape)
+
+
 def test_lookup_gathers_and_accumulates_repeats():
     table = Tensor(np.arange(12, dtype=np.float64).reshape(4, 3), requires_grad=True)
     out = ad.lookup(table, [1, 1, 3])
@@ -210,6 +230,8 @@ def test_scatter_rows_places_and_backprops():
 def test_scatter_rows_rejects_duplicates():
     with pytest.raises(ShapeError):
         ad.scatter_rows(Tensor(np.ones((2, 2))), [1, 1], 3)
+    with pytest.raises(ShapeError, match="duplicate"):
+        ad.scatter_rows(Tensor(np.ones((3, 2))), np.array([4, 0, 4]), 5)
 
 
 def test_weighted_sum_gradcheck():

@@ -229,6 +229,29 @@ def test_eval_matches_module_evaluate(runner, pop_bundle, trained_run):
     assert result.output == report.to_text()
 
 
+def test_eval_nan_checkpoint_exits_4(runner, tmp_path):
+    # NaN weights load (the checkpoint is well formed), but eval must not report them as perfect
+    paths = write_inputs(popularity_corpus(seed=0, n_users=20, n_items=12, n_conversations=60),
+                         tmp_path / "inputs")
+    bundle = tmp_path / "bundle"
+    assert run(runner, ingest_args(paths, bundle)).exit_code == 0
+    out = tmp_path / "run"
+    result = run(runner, ["train", "--bundle", str(bundle), "--out", str(out),
+                          "--dim", "8", "--epochs", "0", "--seed", "0"])
+    assert result.exit_code == 0, result.output
+    model = cli.load_model(str(bundle), str(out / "model.ckpt"))
+    model.store["kg.emb"].values[...] = float("nan")
+    cli.save_model_checkpoint(model, None, out / "model.ckpt")
+    report_path = tmp_path / "report.txt"
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle),
+                                      "--checkpoint", str(out / "model.ckpt"),
+                                      "--split", "test", "--out", str(report_path)])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert "NaN" in result.stderr
+    assert not report_path.exists()
+
+
 def test_eval_missing_checkpoint_exits_3(runner, pop_bundle, tmp_path):
     result = runner.invoke(cli.main, ["eval", "--bundle", str(pop_bundle),
                                       "--checkpoint", str(tmp_path / "none.ckpt")])

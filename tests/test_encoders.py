@@ -164,13 +164,39 @@ def test_rgcn_reuses_cached_relation_operators():
     first = rgcn_forward(graph, const).values
     ops = dict(graph._operators)
     assert sorted(ops) == [(0, False, 2.5), (1, False, 2.5)]
+    layer_op = graph._layer_operators[(False, 2.5)]
+    assert sorted(graph._layer_operators) == [(False, 2.5)]
     np.testing.assert_array_equal(rgcn_forward(graph, const).values, first)
     assert all(graph._operators[k] is op for k, op in ops.items())
+    assert list(graph._layer_operators) == [(False, 2.5)]
+    assert graph._layer_operators[(False, 2.5)] is layer_op
     in_deg = init_rgcn_params(ParamStore(), "d", 7, graph.relations, 4, rng,
                               normalization=NORM_IN_DEGREE)
     rgcn_forward(graph, in_deg)
     assert sorted(graph._operators) == [(0, False, 2.5), (0, True, 1.0),
                                         (1, False, 2.5), (1, True, 1.0)]
+    assert sorted(graph._layer_operators) == [(False, 2.5), (True, 1.0)]
+    assert graph._layer_operators[(False, 2.5)] is layer_op
+
+
+@pytest.mark.parametrize("normalization, z", [(NORM_IN_DEGREE, 1.0), (NORM_CONSTANT, 2.5)])
+def test_rgcn_relation_without_edges_matches_oracle_and_gets_zero_gradient(normalization, z):
+    rng = np.random.default_rng(13)
+    edges = [(int(rng.integers(7)), int(rng.integers(2)), int(rng.integers(7))) for _ in range(12)]
+    graph = TypedGraph(7, ("a", "empty", "b"), [(h, 2 * r, t) for h, r, t in edges])
+    assert graph.relation_operator(1).nnz == 0
+    store = ParamStore()
+    params = init_rgcn_params(store, "g", 7, graph.relations, 4, rng, z=z,
+                              normalization=normalization)
+    out = rgcn_forward(graph, params)
+    rel_w, self_w = weight_arrays(params)
+    want = dense_rgcn(7, rel_edge_dict(graph), params.embedding.values, rel_w, self_w, z=z,
+                      in_degree=normalization == NORM_IN_DEGREE)
+    np.testing.assert_allclose(out.values, want, atol=1e-12)
+    ad.backward(ad.sum_all(ad.mul(out, out)))
+    for layer in params.rel_weights:
+        assert np.array_equal(layer["empty"].grad, np.zeros((4, 4)))
+        assert np.abs(layer["a"].grad).max() > 0 and np.abs(layer["b"].grad).max() > 0
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,32 @@ def test_relation_operator_rows_match_neighbor_oracle(graph, z):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
+@given(typed_graphs(), st.sampled_from([None, 1.0, 2.5]))
+def test_layer_operator_interleaves_relation_operators_and_identity(graph, z):
+    n, n_rel, triples = graph
+    g = TypedGraph(n, [f"r{i}" for i in range(n_rel)], triples)
+    kwargs = {"in_degree": z is None, "z": z or 1.0}
+    op = g.layer_operator(**kwargs)
+    assert op.shape == ((n_rel + 1) * n, n)
+    for rel in range(n_rel):
+        # same entries, same storage order, same values, bit for bit
+        assert operator_rows(op[rel::n_rel + 1]) == operator_rows(g.relation_operator(rel, **kwargs))
+    assert operator_rows(op[n_rel::n_rel + 1]) == [([i], [1.0]) for i in range(n)]
+    assert g.layer_operator(**kwargs) is op
+
+
+def test_layer_operator_is_cached_per_normalization():
+    g = TypedGraph(4, ("r", "s"), [(0, 0, 2), (1, 0, 2), (3, 1, 0)])
+    in_deg = g.layer_operator(in_degree=True, z=1.0)
+    assert g.layer_operator(in_degree=True, z=3.0) is in_deg  # z is ignored in this mode
+    const = g.layer_operator(in_degree=False, z=4.0)
+    assert const is not in_deg and g.layer_operator(in_degree=False, z=4.0) is const
+    assert sorted(g._layer_operators) == [(False, 4.0), (True, 1.0)]
+    np.testing.assert_array_equal(const.indptr, in_deg.indptr)
+    np.testing.assert_array_equal(const.indices, in_deg.indices)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 10**6), st.integers(1, 6), st.data())
 def test_typed_graph_edges_equal_row_unique(n, n_rel, data):
     # wide node and relation ranges, so the sort key spans many digits

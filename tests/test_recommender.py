@@ -262,13 +262,20 @@ def test_training_builds_relation_operators_once():
     artifacts = artifacts_of(popularity_corpus(seed=0, n_users=20, n_items=12,
                                                n_conversations=60))
     train(artifacts, small_config(epochs=2, batch_size=4))
-    kg_ops = dict(artifacts.kg._operators)
-    ig_ops = dict(artifacts.interaction.as_typed()._operators)
-    assert len(kg_ops) == len(artifacts.kg.relations)
-    assert len(ig_ops) == len(artifacts.interaction.relations)
+    graphs = (artifacts.kg, artifacts.interaction.as_typed())
+    rel_ops = [dict(g._operators) for g in graphs]
+    layer_ops = [dict(g._layer_operators) for g in graphs]
+    assert len(rel_ops[0]) == len(artifacts.kg.relations)
+    assert len(rel_ops[1]) == len(artifacts.interaction.relations)
+    # one layer operator per graph and normalization
+    assert [len(ops) for ops in layer_ops] == [1, 1]
     train(artifacts, small_config(epochs=1, batch_size=4, seed=1))
-    assert artifacts.kg._operators.keys() == kg_ops.keys()
-    assert all(artifacts.kg._operators[k] is op for k, op in kg_ops.items())
+    assert artifacts.interaction.as_typed() is graphs[1]
+    for g, rels, layers in zip(graphs, rel_ops, layer_ops):
+        assert g._operators.keys() == rels.keys()
+        assert all(g._operators[k] is op for k, op in rels.items())
+        assert g._layer_operators.keys() == layers.keys()
+        assert all(g._layer_operators[k] is op for k, op in layers.items())
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +370,18 @@ def test_evaluate_split_labels(toy_artifacts):
     assert labeled.split == "anything"
     with pytest.raises(ValidationError):
         evaluate(model, [], [1])
+
+
+def test_evaluate_nan_probabilities_raise():
+    # against NaN every gold item would count as rank 1 and the model would score perfectly
+    artifacts = artifacts_of(popularity_corpus(seed=0, n_users=20, n_items=12,
+                                               n_conversations=60))
+    model = Model(artifacts, small_config())
+    test = split_view(artifacts.examples, "test")
+    assert evaluate(model, test, [1, 10]).recall[1] < 1.0
+    model.store["kg.emb"].values[...] = np.nan
+    with pytest.raises(NumericError, match="NaN"):
+        evaluate(model, test, [1, 10])
 
 
 def test_metrics_report_serialization():
