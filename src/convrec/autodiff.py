@@ -74,9 +74,16 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], fn: Callable[[np.ndarray],
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool) -> None:
+    """Add ``g`` into ``t.grad``.
+
+    ``owned`` says nothing else holds ``g``: a closure built it, or it is (a
+    view of, or a disjoint slice of) the consumed gradient of the node being
+    replayed, handed to this one parent. Only then may ``g`` become
+    ``t.grad`` without a copy.
+    """
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.values.dtype)  # a copy: g may be another node's buffer
+        t.grad = g if owned and g.dtype == t.values.dtype else np.array(g, dtype=t.values.dtype)
     else:
         t.grad += g
 
@@ -89,8 +96,13 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def backward(root: Tensor) -> None:
     """Populate gradients of everything reachable from a scalar ``root``.
 
-    Reached nodes restart from ``None`` and copy the first gradient that
-    arrives, so repeated calls on the same tape are bitwise reproducible.
+    Reached nodes restart from ``None``, so repeated calls on the same tape
+    are bitwise reproducible. Each interior node's gradient is taken off the
+    node and consumed by its closure, which hands it (or arrays it builds)
+    on to the parents without copying; interior nodes read ``None``
+    afterwards. Leaves (parameters and any tensor made with
+    ``requires_grad=True``) keep their gradients, and no two of them share a
+    buffer.
     """
     if root.values.ndim != 0:
         raise ShapeError(f"backward root must be scalar, got shape {root.values.shape}")
@@ -117,7 +129,8 @@ def backward(root: Tensor) -> None:
     root.grad = np.ones_like(root.values)
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
+            g, node.grad = node.grad, None
+            node._backward_fn(g)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +142,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.values + b.values)
 
     def bw(g: np.ndarray) -> None:
+        # g goes to one parent; the other gets a copy (or, when a is b,
+        # adds g onto itself in place: 2g)
         if a.requires_grad:
-            _accum(a, g)
+            _accum(a, g, True)
         if b.requires_grad:
-            _accum(b, g)
+            _accum(b, g, not a.requires_grad)
 
     return _record(out, (a, b), bw)
 
@@ -144,9 +159,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, g * b.values)
+            _accum(a, g * b.values, True)
         if b.requires_grad:
-            _accum(b, g * a.values)
+            _accum(b, g * a.values, True)
 
     return _record(out, (a, b), bw)
 
@@ -155,7 +170,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.values * c)
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, g * c)
+        _accum(a, g * c, True)
 
     return _record(out, (a,), bw)
 
@@ -168,7 +183,7 @@ def add_const(a: Tensor, c) -> Tensor:
     out = Tensor(a.values + c_arr)
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, g)
+        _accum(a, g, True)
 
     return _record(out, (a,), bw)
 
@@ -177,7 +192,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.values, 0))
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, g * (a.values > 0))
+        _accum(a, g * (a.values > 0), True)
 
     return _record(out, (a,), bw)
 
@@ -187,7 +202,7 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, g * (1.0 - y * y))
+        _accum(a, g * (1.0 - y * y), True)
 
     return _record(out, (a,), bw)
 
@@ -199,7 +214,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, g * y * (1.0 - y))
+        _accum(a, g * y * (1.0 - y), True)
 
     return _record(out, (a,), bw)
 
@@ -219,14 +234,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g: np.ndarray) -> None:
         if b.values.ndim == 2:
             if a.requires_grad:
-                _accum(a, g @ b.values.T)
+                _accum(a, g @ b.values.T, True)
             if b.requires_grad:
-                _accum(b, a.values.T @ g)
+                _accum(b, a.values.T @ g, True)
         else:
             if a.requires_grad:
-                _accum(a, np.outer(g, b.values))
+                _accum(a, np.outer(g, b.values), True)
             if b.requires_grad:
-                _accum(b, a.values.T @ g)
+                _accum(b, a.values.T @ g, True)
 
     return _record(out, (a, b), bw)
 
@@ -238,7 +253,7 @@ def transpose(a: Tensor) -> Tensor:
     out = Tensor(a.values.T)
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, g.T)
+        _accum(a, g.T, True)
 
     return _record(out, (a,), bw)
 
@@ -250,7 +265,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(a.values.reshape(shape))
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, g.reshape(a.values.shape))
+        _accum(a, g.reshape(a.values.shape), True)
 
     return _record(out, (a,), bw)
 
@@ -272,7 +287,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
         off = 0
         for p, n in zip(parts, sizes):
             if p.requires_grad:
-                _accum(p, g[off : off + n])
+                _accum(p, g[off : off + n], True)
             off += n
 
     return _record(out, tuple(parts), bw)
@@ -312,7 +327,7 @@ def scatter_rows(src: Tensor, indices: Sequence[int], n_rows: int) -> Tensor:
     out = Tensor(vals)
 
     def bw(g: np.ndarray) -> None:
-        _accum(src, g[idx])
+        _accum(src, g[idx], True)
 
     return _record(out, (src,), bw)
 
@@ -325,7 +340,7 @@ def spmm(a: sp.spmatrix, x: Tensor) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         # a.T shares a's arrays, so no transposed copy is built
-        _accum(x, np.asarray(a.T @ g))
+        _accum(x, np.asarray(a.T @ g), True)
 
     return _record(out, (x,), bw)
 
@@ -338,7 +353,7 @@ def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.values.sum())
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, np.full_like(a.values, g))
+        _accum(a, np.full_like(a.values, g), True)
 
     return _record(out, (a,), bw)
 
@@ -348,7 +363,7 @@ def mean_all(a: Tensor) -> Tensor:
     out = Tensor(a.values.sum() / n)
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, np.full_like(a.values, g / n))
+        _accum(a, np.full_like(a.values, g / n), True)
 
     return _record(out, (a,), bw)
 
@@ -363,7 +378,7 @@ def softmax(a: Tensor) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         dots = np.dot(g, y) if y.ndim == 1 else np.einsum("ij,ij->i", g, y)[:, None]
-        _accum(a, y * (g - dots))
+        _accum(a, y * (g - dots), True)
 
     return _record(out, (a,), bw)
 
@@ -399,7 +414,7 @@ def segment_softmax(scores: Tensor, offsets: Sequence[int]) -> Tensor:
     out = Tensor(y)
 
     def bw(g: np.ndarray) -> None:
-        _accum(scores, y * (g - np.repeat(np.add.reduceat(g * y, starts), counts)))
+        _accum(scores, y * (g - np.repeat(np.add.reduceat(g * y, starts), counts)), True)
 
     return _record(out, (scores,), bw)
 
@@ -423,9 +438,9 @@ def segment_sum(weights: Tensor, rows: Tensor, offsets: Sequence[int]) -> Tensor
     def bw(g: np.ndarray) -> None:
         g_rows = np.repeat(g[ids], counts, axis=0)
         if weights.requires_grad:
-            _accum(weights, np.einsum("nd,nd->n", g_rows, rows.values))
+            _accum(weights, np.einsum("nd,nd->n", g_rows, rows.values), True)
         if rows.requires_grad:
-            _accum(rows, g_rows * w)
+            _accum(rows, g_rows * w, True)
 
     return _record(out, (weights, rows), bw)
 
@@ -465,7 +480,7 @@ def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Sequence[Sequenc
     def bw(g: np.ndarray) -> None:
         d = p.copy()
         np.add.at(d, (row_idx, col_idx), -1.0 / sizes[row_idx])
-        _accum(logits, (g / len(rows)) * d.reshape(logits.values.shape))
+        _accum(logits, (g / len(rows)) * d.reshape(logits.values.shape), True)
 
     return _record(out, (logits,), bw), p.reshape(logits.values.shape)
 

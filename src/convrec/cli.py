@@ -46,7 +46,7 @@ from .graphs import (
     save_kg,
     save_word_graph,
 )
-from .optim import load_checkpoint, save_checkpoint
+from .optim import atomic_write, load_checkpoint, save_checkpoint
 from .recommender import (
     ABLATION_FLAGS,
     Artifacts,
@@ -75,6 +75,11 @@ _BUNDLE_FILES = {
     "stopwords": "stopwords.txt",
     "index": "bm25.idx",
 }
+
+
+# every manifest key and the exact type of its JSON value (a JSON true is not an int)
+_MANIFEST_TYPES = {"format": int, "has_word_graph": bool, "has_index": bool,
+                   "stats": dict, "splits": dict}
 
 
 def _fail(code: int, message: str) -> None:
@@ -228,6 +233,15 @@ def load_bundle(bundle_dir: str | Path, index_path: str | Path | None = None) ->
     manifest = json.loads(manifest_path.read_text("utf-8"))
     if not isinstance(manifest, dict):
         raise ParseError(f"{manifest_path}: expected a JSON object")
+    if set(manifest) != set(_MANIFEST_TYPES):
+        raise ParseError(f"{manifest_path}: keys {sorted(manifest)}, "
+                         f"expected {sorted(_MANIFEST_TYPES)}")
+    for key, kind in _MANIFEST_TYPES.items():
+        if type(manifest[key]) is not kind:
+            raise ParseError(f"{manifest_path}: {key!r} is not a JSON {kind.__name__}: "
+                             f"{manifest[key]!r}")
+    if manifest["format"] != 1:
+        raise ParseError(f"{manifest_path}: unsupported bundle format {manifest['format']}")
 
     entities = load_entity_vocab(bundle / _BUNDLE_FILES["entities"])
     stopwords = load_stopwords(bundle / _BUNDLE_FILES["stopwords"])
@@ -235,13 +249,13 @@ def load_bundle(bundle_dir: str | Path, index_path: str | Path | None = None) ->
                                        stopwords=stopwords)
     kg = load_item_kg(bundle / _BUNDLE_FILES["kg"], entities)
     word_graph = None
-    if manifest.get("has_word_graph"):
+    if manifest["has_word_graph"]:
         word_graph = load_word_graph(bundle / _BUNDLE_FILES["word_graph"], vocab.words)
     interaction = load_interaction_graph(bundle / _BUNDLE_FILES["interaction"], entities)
 
     index = None
     idx_path = Path(index_path) if index_path else bundle / _BUNDLE_FILES["index"]
-    if manifest.get("has_index") or index_path:
+    if manifest["has_index"] or index_path:
         index = load_index(idx_path)
 
     return Artifacts(
@@ -262,11 +276,9 @@ def _config_sidecar(checkpoint_path: Path) -> Path:
 
 def save_model_checkpoint(result_model: Model, state, checkpoint_path: Path) -> None:
     save_checkpoint(checkpoint_path, result_model.store, state)
-    sidecar = _config_sidecar(checkpoint_path)
-    sidecar.write_text(
-        json.dumps(dataclasses.asdict(result_model.config), sort_keys=True) + "\n",
-        "utf-8",
-    )
+    with atomic_write(_config_sidecar(checkpoint_path)) as fh:
+        fh.write((json.dumps(dataclasses.asdict(result_model.config), sort_keys=True)
+                  + "\n").encode("utf-8"))
 
 
 def load_model(bundle_dir: str, checkpoint_path: str,

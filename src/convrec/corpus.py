@@ -127,9 +127,6 @@ class EntityVocab:
     def item_ids(self) -> list[int]:
         return [i for i, flag in enumerate(self.is_item) if flag]
 
-    def attribute_ids(self) -> list[int]:
-        return [i for i, flag in enumerate(self.is_item) if not flag]
-
 
 class WordVocab:
     """Word surface forms densely indexed from 0, grown in registration order."""

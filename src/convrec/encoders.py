@@ -60,6 +60,8 @@ def init_rgcn_params(
 ) -> RgcnParams:
     if normalization not in (NORM_CONSTANT, NORM_IN_DEGREE):
         raise ConfigurationError(f"unknown normalization mode {normalization!r}")
+    if layers < 1:
+        raise ConfigurationError(f"an encoder needs at least one layer, got {layers}")
     if normalization == NORM_CONSTANT and z <= 0:
         raise ConfigurationError(f"normalization constant must be positive, got {z}")
     embedding = store.add(f"{prefix}.emb", uniform_init(rng, (n_nodes, dim), dim))
@@ -77,15 +79,17 @@ def init_rgcn_params(
                       z=z, normalization=normalization)
 
 
-def rgcn_forward(graph: TypedGraph, params: RgcnParams) -> Tensor:
-    """Two-layer relational convolution over all nodes at once.
+def rgcn_forward(graph: TypedGraph, params: RgcnParams, n_rows: int | None = None) -> Tensor:
+    """Layered relational convolution over all nodes at once; returns rows [0, n_rows).
 
     Each layer computes ReLU(sum_r (A_r @ H) W_r + H W_self) with A_r the
     normalized operator of relation r, reading only the previous layer, so
     bipartite graphs update both node sides synchronously. The graph's cached
     layer operator stacks every A_r and the identity, so a layer is one
     sparse product, reshaped to (n, (R + 1) d), times the stacked weights
-    [W_1; ...; W_R; W_self].
+    [W_1; ...; W_R; W_self]. Its rows are node-major, so the last layer
+    computes only the ``n_rows`` (default: all) rows the caller reads by
+    multiplying a leading row block of it.
     """
     missing = [r for r in graph.relations if r not in params.rel_weights[0]]
     if missing:
@@ -94,13 +98,21 @@ def rgcn_forward(graph: TypedGraph, params: RgcnParams) -> Tensor:
         raise ConfigurationError(
             f"embedding table has {params.embedding.shape[0]} rows, graph has {graph.n_nodes} nodes"
         )
+    n, blocks = graph.n_nodes, len(graph.relations) + 1
+    n_rows = n if n_rows is None else n_rows
+    if not 0 <= n_rows <= n:
+        raise ConfigurationError(f"cannot return {n_rows} rows of a {n}-node graph")
     op = graph.layer_operator(in_degree=params.normalization == NORM_IN_DEGREE, z=params.z)
-    stacked_shape = (graph.n_nodes, (len(graph.relations) + 1) * params.dim)
     h = params.embedding
     for layer in range(params.n_layers):
+        if layer == params.n_layers - 1 and n_rows < n:
+            end = op.indptr[n_rows * blocks]  # a CSR row block as views, not a copy
+            op = sp.csr_matrix((op.data[:end], op.indices[:end], op.indptr[: n_rows * blocks + 1]),
+                               shape=(n_rows * blocks, n))
         weights = ad.concat([*(params.rel_weights[layer][rel] for rel in graph.relations),
                              params.self_weights[layer]])
-        h = ad.relu(ad.matmul(ad.reshape(ad.spmm(op, h), stacked_shape), weights))
+        stacked = ad.reshape(ad.spmm(op, h), (op.shape[0] // blocks, blocks * params.dim))
+        h = ad.relu(ad.matmul(stacked, weights))
     return h
 
 
@@ -162,7 +174,6 @@ def encode_items(
         raise ConfigurationError(
             f"encoder dims differ: kg={kg_params.dim}, interaction={ig_params.dim}"
         )
-    ig_out = rgcn_forward(interaction.as_typed(), ig_params)
-    item_rows = ad.lookup(ig_out, np.arange(interaction.n_items))
-    scattered = ad.scatter_rows(item_rows, interaction.items, kg.n_nodes)
-    return ad.add(k, scattered)
+    # items are the interaction graph's leading rows; its user rows are never read
+    item_rows = rgcn_forward(interaction.as_typed(), ig_params, interaction.n_items)
+    return ad.add(k, ad.scatter_rows(item_rows, interaction.items, kg.n_nodes))

@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -52,9 +53,6 @@ class ParamStore:
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._params.items())
-
-    def n_values(self) -> int:
-        return sum(t.values.size for t in self._params.values())
 
     def zero_grads(self) -> None:
         for t in self._params.values():
@@ -176,9 +174,27 @@ def _read_array(fh, size: int, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def save_checkpoint(path: str | Path, store: ParamStore, state: AdamState | None = None) -> None:
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file whose bytes replace ``path`` only once the block completes.
+
+    They go to ``<path>.tmp`` in the same directory, which ``os.replace``
+    then swaps in, so ``path`` holds the old bytes or the new ones, never a
+    part. On an error the temp file is removed and ``path`` is untouched.
+    """
     path = Path(path)
-    with open(path, "wb") as fh:
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_checkpoint(path: str | Path, store: ParamStore, state: AdamState | None = None) -> None:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(store)))
         for name, t in store.items():

@@ -112,6 +112,59 @@ def test_deep_chain_does_not_recurse():
     assert x.grad == pytest.approx(5001.0)
 
 
+def tape_nodes(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def h_into_matmul_and_add(s):
+    h = ad.tanh(s["x"])
+    return ad.add(h, ad.matmul(h, s["m"]))
+
+
+# Tapes on which a leaf's gradient arrives by two routes, the first of them a
+# handed-over buffer or a view of one. x and w are (2, 3), v is (3, 2), m is (3, 3).
+SHARED_ROUTES = {
+    "add(x, x)": lambda s: ad.add(s["x"], s["x"]),
+    "add(reshape(x), reshape(x))": lambda s: ad.add(ad.reshape(s["x"], (3, 2)),
+                                                    ad.reshape(s["x"], (3, 2))),
+    "add(transpose(w), v)": lambda s: ad.add(ad.transpose(s["w"]), s["v"]),
+    "concat([x, x])": lambda s: ad.concat([s["x"], s["x"]]),
+    "mul(x, x)": lambda s: ad.mul(s["x"], s["x"]),
+    "h into matmul and add": h_into_matmul_and_add,
+}
+
+
+@pytest.mark.parametrize("route", list(SHARED_ROUTES))
+def test_handed_over_gradients_share_no_buffer(route):
+    rng = np.random.default_rng(5)
+    store = fd_store(x=rng.normal(size=(2, 3)), w=rng.normal(size=(2, 3)),
+                     v=rng.normal(size=(3, 2)), m=rng.normal(size=(3, 3)))
+
+    def f(s):
+        return ad.sum_all(ad.tanh(SHARED_ROUTES[route](s)))  # tanh: an uneven upstream gradient
+
+    every = [(name, i) for name, t in store.items() for i in range(t.values.size)]
+    check(f, store, coords=every)
+
+    store.zero_grads()
+    root = f(store)
+    backward(root)
+    leaves = [t for _, t in store.items()]
+    interior = [t for t in tape_nodes(root) if t._backward_fn is not None]
+    assert interior and all(t.grad is None for t in interior)
+    for i, a in enumerate(leaves):
+        for b in leaves[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
+        for node in tape_nodes(root):
+            assert not np.shares_memory(a.grad, node.values)
+
+
 # ---------------------------------------------------------------------------
 # per-op gradients and shape errors
 

