@@ -6,7 +6,11 @@ itself (training, evaluation, ablation), synthetic corpora for validation,
 and a command-line front end (cli).
 """
 
-from . import autodiff
+from . import allocator
+
+allocator.fix_thresholds()
+
+from . import autodiff  # noqa: E402
 from .autodiff import Tensor, finite_diff_check
 from .corpus import (
     Conversation,
