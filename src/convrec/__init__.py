@@ -74,7 +74,6 @@ from .preference import (
 )
 from .recommender import (
     Artifacts,
-    Context,
     MetricsReport,
     Model,
     TrainConfig,
@@ -98,7 +97,6 @@ __all__ = [
     "AttentionParams",
     "Bm25Index",
     "ConfigurationError",
-    "Context",
     "Conversation",
     "ConvRecError",
     "EntityVocab",

@@ -16,8 +16,6 @@ from scipy import sparse as sp
 
 from .errors import NumericError, ShapeError
 
-Arrayish = "np.ndarray | float | Sequence[float]"
-
 
 class Tensor:
     """A dense array plus an optional gradient buffer and tape node.
@@ -40,15 +38,8 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.values.ndim
-
     def item(self) -> float:
         return float(self.values)
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -349,25 +340,6 @@ def spmm(a: sp.spmatrix, x: Tensor) -> Tensor:
 # reductions and normalizations
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.values.sum())
-
-    def bw(g: np.ndarray) -> None:
-        _accum(a, np.full_like(a.values, g), True)
-
-    return _record(out, (a,), bw)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.values.size
-    out = Tensor(a.values.sum() / n)
-
-    def bw(g: np.ndarray) -> None:
-        _accum(a, np.full_like(a.values, g / n), True)
-
-    return _record(out, (a,), bw)
-
-
 def softmax(a: Tensor) -> Tensor:
     """Softmax of a vector, or of each row of a matrix (max-shifted for stability)."""
     if a.values.ndim not in (1, 2):
@@ -445,44 +417,38 @@ def segment_sum(weights: Tensor, rows: Tensor, offsets: Sequence[int]) -> Tensor
     return _record(out, (weights, rows), bw)
 
 
-def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Sequence[Sequence[int]]
+def cross_entropy(logits: Tensor, labels: np.ndarray, offsets: Sequence[int]
                   ) -> tuple[Tensor, np.ndarray]:
-    """Mean negative log-softmax of the label entries of a logit vector.
+    """Mean over the rows of a (B, n) logit matrix of each row's mean -log softmax at its labels.
 
-    For a (B, n) logit matrix, ``labels`` holds one non-empty label list per
-    row, and the loss is the mean over rows of each row's vector loss. The
-    second value is the softmax of ``logits`` (same shape), which backward
-    uses too; it is not on the tape.
+    Row b's labels are ``labels[offsets[b]:offsets[b + 1]]``, CSR-style as in
+    the segment ops; no row's list may be empty, and a repeated label counts
+    each time. The second value is the softmax probability at each label,
+    aligned with ``labels``; it is not on the tape.
     """
     z = logits.values
-    if z.ndim == 1:
-        rows = [np.atleast_1d(np.asarray(labels, dtype=np.intp))]
-        z = z[None, :]
-    elif z.ndim == 2:
-        if len(labels) != z.shape[0]:
-            raise ShapeError(f"cross_entropy: {len(labels)} label lists for {z.shape[0]} rows")
-        rows = [np.atleast_1d(np.asarray(r, dtype=np.intp)) for r in labels]
-    else:
-        raise ShapeError(f"cross_entropy: expected a vector or a matrix, got shape {z.shape}")
-    sizes = np.asarray([r.size for r in rows])
-    if not sizes.all():
-        raise ShapeError("cross_entropy: empty label list")
-    row_idx = np.repeat(np.arange(len(rows)), sizes)
-    col_idx = np.concatenate(rows)
+    if z.ndim != 2:
+        raise ShapeError(f"cross_entropy: expected a matrix, got shape {z.shape}")
+    n_rows = z.shape[0]
+    col_idx = np.asarray(labels, dtype=np.intp)
+    ids, _, sizes = _segments(offsets, col_idx.size, "cross_entropy")
+    if ids.size != n_rows or len(offsets) != n_rows + 1:
+        raise ShapeError(f"cross_entropy: {ids.size} non-empty label lists for {n_rows} rows")
+    row_idx = np.repeat(np.arange(n_rows), sizes)
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
     total = e.sum(axis=1, keepdims=True)
     lse = m + np.log(total)
-    gold_mean = np.bincount(row_idx, weights=z[row_idx, col_idx], minlength=len(rows)) / sizes
+    gold_mean = np.bincount(row_idx, weights=z[row_idx, col_idx], minlength=n_rows) / sizes
     out = Tensor(np.asarray((lse[:, 0] - gold_mean).mean()))
     p = e / total
 
     def bw(g: np.ndarray) -> None:
         d = p.copy()
         np.add.at(d, (row_idx, col_idx), -1.0 / sizes[row_idx])
-        _accum(logits, (g / len(rows)) * d.reshape(logits.values.shape), True)
+        _accum(logits, (g / n_rows) * d, True)
 
-    return _record(out, (logits,), bw), p.reshape(logits.values.shape)
+    return _record(out, (logits,), bw), p[row_idx, col_idx]
 
 
 # ---------------------------------------------------------------------------

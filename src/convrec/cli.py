@@ -520,7 +520,7 @@ def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
         )
         contexts = model.contexts([example])
         users = model.users(contexts, item_matrix, word_matrix).vector
-        probs = score_all(users, item_rows, [contexts[0].masked]).values[0]
+        probs = score_all(users, item_rows, contexts.masked).values[0]
         top = rank_order(probs, k)
         click.echo("".join(
             f"{rank}\t{entities.tokens[entity]}\t{entities.names[entity]}\t{p:.6f}\n"

@@ -69,12 +69,11 @@ class TypedGraph:
         n_rel = len(self.relations)
         rest, tails = np.divmod(np.unique((heads * n_rel + rels) * n_nodes + tails), n_nodes)
         self.edges = np.stack([*np.divmod(rest, n_rel), tails], axis=1)
-        self._operators: dict[tuple[int, bool, float], sp.csr_matrix] = {}
         self._layer_operators: dict[tuple[bool, float], sp.csr_matrix] = {}
 
     def relation_operator(self, rel: int, *, in_degree: bool = False,
                           z: float = 1.0) -> sp.csr_matrix:
-        """Normalized message operator of relation ``rel``, built once and cached.
+        """Normalized message operator of relation ``rel``; only :meth:`layer_operator` caches.
 
         ``(op @ h)[i]`` is the sum over relation-``rel`` neighbors j of i of
         ``norm[i] * h[j]``, where ``norm[i]`` is 1 / in-degree of i when
@@ -82,18 +81,13 @@ class TypedGraph:
         distinct neighbor counts once, so a self-loop or a pair given both
         ways is one entry.
         """
-        key = (rel, True, 1.0) if in_degree else (rel, False, float(z))
-        op = self._operators.get(key)
-        if op is None:
-            n = self.n_nodes
-            heads, _, tails = self.edges[self.edges[:, 1] == rel].T
-            dst, src = _messages(heads, tails, n)
-            in_deg = np.bincount(dst, minlength=n)
-            norm = 1.0 / in_deg[dst] if in_degree else np.full(src.size, 1.0 / z)
-            indptr = np.concatenate([[0], np.cumsum(in_deg)])
-            op = sp.csr_matrix((norm, src, indptr), shape=(n, n))
-            self._operators[key] = op
-        return op
+        n = self.n_nodes
+        heads, _, tails = self.edges[self.edges[:, 1] == rel].T
+        dst, src = _messages(heads, tails, n)
+        in_deg = np.bincount(dst, minlength=n)
+        norm = 1.0 / in_deg[dst] if in_degree else np.full(src.size, 1.0 / z)
+        indptr = np.concatenate([[0], np.cumsum(in_deg)])
+        return sp.csr_matrix((norm, src, indptr), shape=(n, n))
 
     def layer_operator(self, *, in_degree: bool, z: float) -> sp.csr_matrix:
         """All relation operators and the identity as one ((R + 1) n, n) CSR, built once and cached.
@@ -140,14 +134,13 @@ class WordGraph:
     ``pairs`` is a sorted (E, 2) intp array of the distinct undirected row
     pairs (min row, max row), self pairs included; ``adjacency`` is their
     normalized GCN operator. ``word_ids[row]`` is the vocabulary id behind
-    graph row ``row``; ``rows`` is the inverse map. Context words outside
-    ``rows`` have no representation and are skipped by ``Model.contexts``.
+    graph row ``row``; ``Model.word_row`` is the inverse intp table, -1 for
+    no row. ``Model.contexts`` counts such words in ``missing_words``.
     """
 
     pairs: np.ndarray
     adjacency: sp.csr_matrix
     word_ids: list[int]
-    rows: dict[int, int]
 
     @property
     def n_nodes(self) -> int:
@@ -168,8 +161,6 @@ class InteractionGraph:
         self.users = list(users)
         self.items = list(items)
         self.relations = INTERACTION_RELATIONS
-        self.user_index = {u: i for i, u in enumerate(self.users)}
-        self.item_index = {e: i for i, e in enumerate(self.items)}
         # sorted distinct (user, relation, item) rows, like TypedGraph.edges
         self.edges = np.unique(_edge_array(edges), axis=0)
         self._typed: TypedGraph | None = None
@@ -291,9 +282,7 @@ def build_word_graph(word_pairs: Iterable[tuple[int, int]]) -> WordGraph:
     n = len(ids)
     keys = np.unique(row_pairs.min(axis=1) * n + row_pairs.max(axis=1))
     pairs = np.stack(np.divmod(keys, n), axis=1)
-    word_ids = ids.tolist()
-    return WordGraph(pairs=pairs, adjacency=normalize_adjacency(n, pairs), word_ids=word_ids,
-                     rows={w: i for i, w in enumerate(word_ids)})
+    return WordGraph(pairs=pairs, adjacency=normalize_adjacency(n, pairs), word_ids=ids.tolist())
 
 
 def load_word_graph(path: str | Path, words: WordVocab) -> WordGraph:

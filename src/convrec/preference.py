@@ -5,18 +5,17 @@ the word side pools word-graph representations of the conversation's content
 words. A learned sigmoid gate mixes the two pooled vectors into the final
 user representation.
 
-The input is integer rows, compiled once per example by ``Model.contexts``.
-A batch is built at once. Each source's rows are laid out CSR-style: the
-rows of all examples concatenated, and (B + 1) offsets marking where each
-example's rows start. One lookup per source feeds the scores b . tanh(R W)
-of every row; a segment softmax and a segment sum pool them into (B, d).
+The input is integer rows, compiled once per split by ``Model.contexts``
+into a ``Contexts`` record. A batch is built at once. Each source arrives
+as a (rows, offsets) CSR pair: the rows of all examples concatenated, and
+(B + 1) offsets marking where each example's rows start. One lookup per
+source feeds the scores b . tanh(R W) of every row; a segment softmax and a
+segment sum pool them into (B, d).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import Sequence
 
 import numpy as np
 
@@ -78,12 +77,6 @@ class UserRep:
     cold_start: np.ndarray  # (B,) bool: no entity row and no word row
 
 
-def _layout(groups: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The groups' rows concatenated, and the (B + 1) offsets of each group."""
-    offsets = np.fromiter(accumulate(map(len, groups), initial=0), np.intp, len(groups) + 1)
-    return np.fromiter(chain.from_iterable(groups), np.intp, offsets[-1]), offsets
-
-
 def _pool(matrix: Tensor | None, rows: np.ndarray, offsets: np.ndarray,
           w: Tensor, b: Tensor) -> Tensor:
     """(B, d) attention pools: a softmax of b . tanh(r W) over each segment's rows r."""
@@ -94,29 +87,27 @@ def _pool(matrix: Tensor | None, rows: np.ndarray, offsets: np.ndarray,
     return ad.segment_sum(alpha, r, offsets)
 
 
-def build_user_representation(
-    entity_rows: Sequence[Sequence[int]],
-    word_rows: Sequence[Sequence[int]],
-    item_matrix: Tensor,
-    word_matrix: Tensor | None,
-    params: AttentionParams,
-) -> UserRep:
-    """User vectors of a batch, from each example's entity rows and word rows.
+def build_user_representation(entities: tuple[np.ndarray, np.ndarray],
+                              words: tuple[np.ndarray, np.ndarray], item_matrix: Tensor,
+                              word_matrix: Tensor | None, params: AttentionParams) -> UserRep:
+    """User vectors of a batch, from its entity rows and word rows.
 
-    ``entity_rows[b]`` indexes ``item_matrix`` and ``word_rows[b]`` indexes
-    ``word_matrix``; both belong to example b. An empty group pools to a zero
-    row; an example with no rows at all gets the zero vector and
-    ``cold_start``.
+    Each source is a (rows, offsets) CSR pair, such as ``Contexts.entities``:
+    example b's rows are ``rows[offsets[b]:offsets[b + 1]]``. Entity rows
+    index ``item_matrix`` and word rows index ``word_matrix``. An empty group
+    pools to a zero row; an example with no rows at all gets the zero vector
+    and ``cold_start``.
     """
-    if len(entity_rows) != len(word_rows):
-        raise ShapeError(f"{len(entity_rows)} entity groups for {len(word_rows)} word groups")
+    entity_rows, entity_offsets = entities
+    word_rows, word_offsets = words
+    if len(entity_offsets) != len(word_offsets):
+        raise ShapeError(f"{len(entity_offsets) - 1} entity groups for "
+                         f"{len(word_offsets) - 1} word groups")
+    if word_matrix is None and len(word_rows):
+        raise ShapeError(f"{len(word_rows)} word rows given without a word matrix")
     d = params.dim
-    entities, entity_offsets = _layout(entity_rows)
-    words, word_offsets = _layout(word_rows)
-    if word_matrix is None and words.size:
-        raise ShapeError(f"{words.size} word rows given without a word matrix")
-    v_entity = _pool(item_matrix, entities, entity_offsets, params.w_entity, params.b_entity)
-    v_word = _pool(word_matrix, words, word_offsets, params.w_word, params.b_word)
+    v_entity = _pool(item_matrix, entity_rows, entity_offsets, params.w_entity, params.b_entity)
+    v_word = _pool(word_matrix, word_rows, word_offsets, params.w_word, params.b_word)
 
     # (g, 2d) @ (2d, B): one gate column per example
     logits = ad.matmul(params.w_gate, ad.concat([ad.transpose(v_entity), ad.transpose(v_word)]))

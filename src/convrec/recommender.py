@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate, chain
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .encoders import (
     init_gcn_params,
     init_rgcn_params,
 )
-from .errors import ConfigurationError, NumericError, ValidationError
+from .errors import ConfigurationError, NumericError, ShapeError, ValidationError
 from .graphs import (
     InteractionGraph,
     TypedGraph,
@@ -131,18 +132,63 @@ class MetricsReport:
         return json.dumps(payload, sort_keys=True)
 
 
-class Context(NamedTuple):
-    """One example compiled to integer rows; none of them depends on a parameter.
+class Segments(NamedTuple):
+    """B groups of ints laid out CSR-style: group b is ``rows[offsets[b]:offsets[b + 1]]``."""
 
-    The rows are tuples of ints, which the cyclic garbage collector stops
-    tracking: a compiled split held through a pass leaves it little to scan.
+    rows: np.ndarray     # every group's ints concatenated, intp
+    offsets: np.ndarray  # (B + 1,) intp, rising from 0 to len(rows)
+
+    @classmethod
+    def of(cls, groups: Sequence[Collection[int]]) -> Segments:
+        offsets = np.fromiter(accumulate(map(len, groups), initial=0), np.intp, len(groups) + 1)
+        return cls(np.fromiter(chain.from_iterable(groups), np.intp, offsets[-1]), offsets)
+
+    def take(self, idx: np.ndarray) -> Segments:
+        """Groups ``idx`` (intp, repeats allowed) in that order, gathered at once."""
+        starts = self.offsets[idx]
+        counts = self.offsets[idx + 1] - starts
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        # row j of output group k is rows[starts[k] + j - offsets[k]]
+        rows = self.rows[np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)]
+        return Segments(rows, offsets)
+
+    def lookup(self, table: np.ndarray) -> Segments:
+        """Each row mapped through the intp ``table``, dropping rows it maps to -1."""
+        mapped = table[self.rows]
+        kept = (mapped >= 0).nonzero()[0]
+        # a group's new offset counts the kept rows before its old one
+        return Segments(mapped[kept], kept.searchsorted(self.offsets))
+
+
+@dataclass(frozen=True)
+class Contexts:
+    """B examples compiled to flat integer arrays; the offsets are checked once, here.
+
+    No row depends on a parameter. Training batches and evaluation chunks are :meth:`take` gathers.
     """
 
-    entities: tuple[int, ...]  # item-matrix rows: mentioned, then retrieved
-    words: tuple[int, ...]     # word-graph rows of the context words that have one
-    missing_words: int         # context words without a word-graph row
-    masked: tuple[int, ...]    # item positions already mentioned; empty without masking
-    gold: tuple[int, ...]      # gold item positions, ascending
+    entities: Segments         # item-matrix rows: mentioned, then retrieved
+    words: Segments            # word-graph rows of the context words that have one
+    masked: Segments           # item positions already mentioned; empty without masking
+    gold: Segments             # gold item positions, ascending
+    missing_words: np.ndarray  # (B,) context words without a word-graph row
+
+    def __post_init__(self) -> None:
+        for name in ("entities", "words", "masked", "gold"):
+            rows, offsets = getattr(self, name)
+            bounds = offsets.tolist()  # plain ints: cheaper to check than numpy reductions
+            if (offsets.shape != (len(self) + 1,) or bounds[0] != 0 or bounds[-1] != len(rows)
+                    or bounds != sorted(bounds)):
+                raise ShapeError(f"Contexts.{name}: offsets must rise from 0 to {len(rows)}")
+
+    def __len__(self) -> int:
+        return len(self.missing_words)
+
+    def take(self, idx: Sequence[int] | np.ndarray) -> Contexts:
+        """Examples ``idx`` in that order (repeats allowed), every field gathered at once."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return Contexts(self.entities.take(idx), self.words.take(idx), self.masked.take(idx),
+                        self.gold.take(idx), self.missing_words[idx])
 
 
 @dataclass
@@ -218,15 +264,19 @@ class Model:
                 layers=config.layers, z=config.z, normalization=config.normalization,
             )
         self.gcn_params: GcnParams | None = None
+        # entity id -> item position, and word id -> word-graph row; -1 where there is none
+        self.item_position = np.full(len(artifacts.vocab.entities), -1, np.intp)
+        self.item_position[artifacts.item_ids] = np.arange(len(artifacts.item_ids))
+        self.word_row = np.full(len(artifacts.vocab.words), -1, np.intp)
         wg = artifacts.word_graph
         if wg is not None and wg.n_nodes > 0:
             self.gcn_params = init_gcn_params(
                 self.store, "word", wg.n_nodes, d, rng, layers=config.layers,
             )
+            self.word_row[wg.word_ids] = np.arange(wg.n_nodes)
         self.att_params: AttentionParams = init_attention_params(
             self.store, "att", d, rng, gate_mode=config.gate_mode,
         )
-        self.item_pos = {e: i for i, e in enumerate(artifacts.item_ids.tolist())}
 
     def encoder_outputs(self) -> tuple[Tensor, Tensor | None]:
         """One forward pass over each graph; shared by a whole batch."""
@@ -244,57 +294,55 @@ class Model:
             word_matrix = gcn_forward(self.artifacts.word_graph.adjacency, self.gcn_params)
         return item_matrix, word_matrix
 
-    def contexts(self, examples: Iterable[RecExample]) -> list[Context]:
-        """Each example's rows under this config; the only place an example becomes rows.
+    def contexts(self, examples: Iterable[RecExample]) -> Contexts:
+        """The examples' rows under this config; the only place an example becomes rows.
 
         Retrieval runs once per example per call, unless ``without_rt`` or no index.
         """
         cfg = self.config
+        examples = list(examples)
         index = None if cfg.without_rt else self.artifacts.index
-        word_rows = ({} if cfg.without_cn or self.gcn_params is None
-                     else self.artifacts.word_graph.rows)
-        item_pos = self.item_pos
-        compiled = []
-        # tuple([...]): a list comprehension builds a tuple faster than a generator
-        for ex in examples:
-            retrieved = () if index is None else retrieve(
-                index, list(ex.context_entities), cfg.top_n, exclude_id=ex.conversation_id).entities
-            words = tuple([word_rows[w] for w in ex.context_words if w in word_rows])
-            masked = (tuple([item_pos[e] for e in ex.context_entities if e in item_pos])
-                      if cfg.candidate_masking else ())
-            compiled.append(Context((*ex.context_entities, *retrieved), words,
-                                    len(ex.context_words) - len(words), masked,
-                                    tuple(sorted([item_pos[g] for g in ex.gold_items]))))
-        return compiled
+        mentioned = Segments.of([ex.context_entities for ex in examples])
+        entities = mentioned if index is None else Segments.of([
+            (*ex.context_entities, *retrieve(index, list(ex.context_entities), cfg.top_n,
+                                             exclude_id=ex.conversation_id).entities)
+            for ex in examples])
+        no_rows = Segments(np.zeros(0, np.intp), np.zeros(len(examples) + 1, np.intp))
+        context_words = Segments.of([ex.context_words for ex in examples])
+        words = no_rows if cfg.without_cn else context_words.lookup(self.word_row)
+        rows, offsets = Segments.of([ex.gold_items for ex in examples]).lookup(self.item_position)
+        of_example = np.arange(len(examples)).repeat(offsets[1:] - offsets[:-1])
+        dropped = context_words.offsets - words.offsets
+        return Contexts(entities, words,
+                        mentioned.lookup(self.item_position) if cfg.candidate_masking else no_rows,
+                        Segments(rows[np.lexsort((rows, of_example))], offsets),
+                        dropped[1:] - dropped[:-1])
 
-    def users(self, batch: Sequence[Context], item_matrix: Tensor,
-              word_matrix: Tensor | None) -> UserRep:
+    def users(self, batch: Contexts, item_matrix: Tensor, word_matrix: Tensor | None) -> UserRep:
         """The batch's user representations, in one build_user_representation call."""
-        return build_user_representation([c.entities for c in batch], [c.words for c in batch],
+        return build_user_representation(batch.entities, batch.words,
                                          item_matrix, word_matrix, self.att_params)
 
 
-def item_logits(users: Tensor, item_rows: Tensor,
-                masks: Sequence[Sequence[int]] | None = None) -> Tensor:
+def item_logits(users: Tensor, item_rows: Tensor, masks: tuple[np.ndarray, np.ndarray]) -> Tensor:
     """(B, n_items) logits U I^T of the user rows U (B, d) against the item rows I.
 
     ``item_rows`` (n_items, d) holds the item-matrix rows in scoring order,
     ``ad.lookup(item_matrix, item_ids)``, gathered once per encoder pass.
-    ``masks[b]`` lists row b's already-mentioned positions (``Context.masked``);
-    they get a MASK_LOGIT offset, which pins their probability to exactly zero.
+    ``masks``, a (positions, offsets) CSR pair such as ``Contexts.masked``, holds
+    each row's already-mentioned positions. They get a MASK_LOGIT offset,
+    which pins their probability to exactly zero.
     """
-    if masks is not None and len(masks) != users.shape[0]:
-        raise ValidationError(f"{len(masks)} masks for {users.shape[0]} user rows")
+    positions, offsets = masks
+    if len(offsets) != users.shape[0] + 1:
+        raise ValidationError(f"{len(offsets) - 1} masks for {users.shape[0]} user rows")
     logits = ad.matmul(users, ad.transpose(item_rows))
-    offsets = np.zeros(logits.shape)
-    for row, masked in enumerate(masks or ()):
-        if masked:
-            offsets[row, masked] = MASK_LOGIT
-    return ad.add_const(logits, offsets)
+    shift = np.zeros(logits.shape)
+    shift[np.arange(users.shape[0]).repeat(offsets[1:] - offsets[:-1]), positions] = MASK_LOGIT
+    return ad.add_const(logits, shift)
 
 
-def score_all(users: Tensor, item_rows: Tensor,
-              masks: Sequence[Sequence[int]] | None = None) -> Tensor:
+def score_all(users: Tensor, item_rows: Tensor, masks: tuple[np.ndarray, np.ndarray]) -> Tensor:
     """(B, n_items) probabilities: the row softmax of :func:`item_logits`."""
     return ad.softmax(item_logits(users, item_rows, masks))
 
@@ -302,8 +350,8 @@ def score_all(users: Tensor, item_rows: Tensor,
 GUARD_EPS = 1e-12
 
 
-def rec_loss(logits: Tensor, gold_positions: Sequence[Sequence[int]]) -> tuple[Tensor, int]:
-    """Batch loss from (B, n_items) logits and one gold-position list per row.
+def rec_loss(logits: Tensor, gold: tuple[np.ndarray, np.ndarray]) -> tuple[Tensor, int]:
+    """Batch loss from (B, n_items) logits and a (positions, offsets) CSR pair of gold positions.
 
     Each example's loss is the mean over its gold items of -log softmax, and
     the batch loss is the mean over examples. Log-softmax stays finite however
@@ -311,12 +359,13 @@ def rec_loss(logits: Tensor, gold_positions: Sequence[Sequence[int]]) -> tuple[T
     counts the examples with a gold probability below GUARD_EPS, as a
     diagnostic.
     """
-    if not gold_positions or not all(gold_positions):
+    positions, offsets = gold
+    if offsets.size < 2 or not np.diff(offsets).all():
         raise ValidationError("rec_loss requires at least one gold item per example")
-    loss, probs = ad.cross_entropy(logits, gold_positions)
-    rows = np.repeat(np.arange(len(gold_positions)), [len(g) for g in gold_positions])
-    tiny = probs[rows, np.concatenate(gold_positions)] < GUARD_EPS
-    return loss, int(np.unique(rows[tiny]).size)
+    loss, gold_probs = ad.cross_entropy(logits, positions, offsets)
+    # every segment is non-empty, so its first row starts each reduction
+    tiny = np.logical_or.reduceat(gold_probs < GUARD_EPS, offsets[:-1])
+    return loss, int(np.count_nonzero(tiny))
 
 
 def rank_order(probs: np.ndarray, k: int) -> np.ndarray:
@@ -336,14 +385,18 @@ def rank_order(probs: np.ndarray, k: int) -> np.ndarray:
     return top[np.argsort(-probs[top], kind="stable")[:k]]
 
 
-def _gold_ranks(probs: np.ndarray, gold_positions: Iterable[int]) -> list[int]:
-    """1-based rank of each gold position in :func:`rank_order`, found by counting.
+def _gold_ranks(probs: np.ndarray, gold: tuple[np.ndarray, np.ndarray]) -> list[int]:
+    """1-based rank in :func:`rank_order` of each gold position of each row, found by counting.
 
+    ``gold`` is a (positions, offsets) CSR pair over the rows of ``probs``.
     Position g is preceded by every item with a higher probability and by
     every tied item at a lower position.
     """
-    return [1 + int(np.count_nonzero(probs > probs[g]) + np.count_nonzero(probs[:g] == probs[g]))
-            for g in gold_positions]
+    positions, offsets = gold
+    p = probs[np.repeat(np.arange(len(probs)), np.diff(offsets))]  # one row per gold item
+    at = p[np.arange(len(positions)), positions][:, None]
+    ahead = (p > at) | ((p == at) & (np.arange(probs.shape[1]) < positions[:, None]))
+    return (1 + np.count_nonzero(ahead, axis=1)).tolist()
 
 
 def aggregate_metrics(rank_lists: Iterable[Sequence[int]],
@@ -382,7 +435,7 @@ def evaluate(model: Model, examples: Sequence[RecExample],
     return evaluate_contexts(model, model.contexts(examples), ks, label)
 
 
-def evaluate_contexts(model: Model, contexts: Sequence[Context], ks: Sequence[int],
+def evaluate_contexts(model: Model, contexts: Contexts, ks: Sequence[int],
                       split_label: str) -> MetricsReport:
     """:func:`evaluate` on a compiled split: one encoder pass, scored in batch_size chunks.
 
@@ -390,14 +443,14 @@ def evaluate_contexts(model: Model, contexts: Sequence[Context], ks: Sequence[in
     """
     item_matrix, word_matrix = model.encoder_outputs()
     item_rows = ad.lookup(item_matrix, model.artifacts.item_ids)
-    rank_lists: list[list[int]] = []
+    rank_lists: list[list[int]] = []  # one flat list per chunk, in example order
     for start in range(0, len(contexts), model.config.batch_size):
-        chunk = contexts[start:start + model.config.batch_size]
+        chunk = contexts.take(np.arange(start, min(start + model.config.batch_size, len(contexts))))
         users = model.users(chunk, item_matrix, word_matrix).vector
-        probs = score_all(users, item_rows, [c.masked for c in chunk])
+        probs = score_all(users, item_rows, chunk.masked)
         if np.isnan(probs.values).any():
             raise NumericError(f"NaN item probabilities on the {split_label} split")
-        rank_lists.extend(_gold_ranks(row, c.gold) for c, row in zip(chunk, probs.values))
+        rank_lists.append(_gold_ranks(probs.values, chunk.gold))
     recall, mrr, pairs = aggregate_metrics(rank_lists, ks)
     return MetricsReport(
         split=split_label,
@@ -418,16 +471,15 @@ class TrainResult:
     guard_events: int = 0
 
 
-def batch_loss(model: Model, batch: Sequence[Context],
+def batch_loss(model: Model, batch: Contexts,
                item_matrix: Tensor, word_matrix: Tensor | None) -> tuple[Tensor, int]:
     """Mean per-example loss over a batch on one shared encoder tape.
 
     The batch's user vectors U (B, d) are built and scored in one call each.
     """
     users = model.users(batch, item_matrix, word_matrix).vector
-    logits = item_logits(users, ad.lookup(item_matrix, model.artifacts.item_ids),
-                         [c.masked for c in batch])
-    return rec_loss(logits, [c.gold for c in batch])
+    logits = item_logits(users, ad.lookup(item_matrix, model.artifacts.item_ids), batch.masked)
+    return rec_loss(logits, batch.gold)
 
 
 def _param_norms(store: ParamStore) -> dict[str, float]:
@@ -466,7 +518,7 @@ def train(artifacts: Artifacts, config: TrainConfig,
         running = 0.0
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
-            batch = [train_contexts[i] for i in order[start:start + config.batch_size]]
+            batch = train_contexts.take(order[start:start + config.batch_size])
             item_matrix, word_matrix = model.encoder_outputs()
             loss, guards = batch_loss(model, batch, item_matrix, word_matrix)
             guard_events += guards

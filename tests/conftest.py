@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convrec import autodiff as ad
 from convrec.recommender import Model, TrainConfig, build_artifacts
 from convrec.retrieval import retrieve
 from convrec.synthetic import toy_instance, write_inputs
@@ -57,6 +58,12 @@ def sample_coords(store, n, seed=0):
     return coords
 
 
+def total(t):
+    """The sum of a tensor's entries as a scalar tape node: a gradient check's objective."""
+    row = ad.reshape(t, (1, t.values.size))
+    return ad.reshape(ad.matmul(row, ad.constant(np.ones(t.values.size))), ())
+
+
 def attention_weights(params):
     """The arrays user_vector_reference takes, from an AttentionParams."""
     return {name: getattr(params, name).values
@@ -79,7 +86,7 @@ def reference_users(model, examples, item_matrix, word_matrix):
         vector, _, _ = user_vector_reference(
             item_matrix.values,
             None if word_matrix is None else word_matrix.values,
-            wg.rows if wg is not None else None,
+            None if wg is None else {w: r for r, w in enumerate(wg.word_ids)},
             entities, list(ex.context_words), attention_weights(model.att_params))
         vectors.append(vector)
     return np.array(vectors)

@@ -27,6 +27,7 @@ from convrec.optim import ParamStore
 from convrec.recommender import (
     ABLATION_FLAGS,
     Model,
+    Segments,
     TrainConfig,
     ablate,
     aggregate_metrics,
@@ -277,7 +278,7 @@ def test_criterion_8_degenerate_pipeline_totality():
                               context_entities=(unmentioned[0],)))
     for ex in probes:
         probs = score_all(model.users(model.contexts([ex]), item_matrix, word_matrix).vector,
-                          item_rows, [masked_positions(artifacts.item_ids, ex)])
+                          item_rows, Segments.of([masked_positions(artifacts.item_ids, ex)]))
         if not np.isfinite(probs.values).all():
             ok = False
             notes.append(f"non-finite probabilities for {ex.conversation_id}")
@@ -290,7 +291,7 @@ def test_criterion_8_degenerate_pipeline_totality():
     # masked scoring still sums to 1
     ex = next(e for e in test_examples if e.context_entities)
     probs = score_all(model.users(model.contexts([ex]), item_matrix, word_matrix).vector,
-                      item_rows, [masked_positions(artifacts.item_ids, ex)])
+                      item_rows, Segments.of([masked_positions(artifacts.item_ids, ex)]))
     worst_sum_err = max(worst_sum_err, abs(float(probs.values.sum()) - 1.0))
 
     ok = ok and worst_sum_err < 1e-9

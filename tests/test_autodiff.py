@@ -10,6 +10,7 @@ from convrec.errors import NumericError, ShapeError
 from convrec.graphs import TypedGraph
 from convrec.optim import ParamStore
 
+from conftest import total
 from oracles import softmax_cross_entropy_reference
 
 
@@ -31,7 +32,7 @@ def check(f, store, tol=1e-6, **kwargs):
 
 def test_sum_gradient_is_ones():
     w = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3), requires_grad=True)
-    backward(ad.sum_all(w))
+    backward(total(w))
     np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
 
 
@@ -49,7 +50,7 @@ def test_quadratic_form_fd_error_below_1e8():
 
     def f(s):
         w = s["w"]
-        return ad.sum_all(ad.mul(w, ad.matmul(a, w)))
+        return total(ad.mul(w, ad.matmul(a, w)))
 
     err = finite_diff_check(f, store, samples_per_param=5)
     assert err < 1e-8
@@ -76,7 +77,7 @@ def test_two_layer_composite_fd_below_1e6():
 
     def f(s):
         h = ad.tanh(ad.matmul(s["x"], s["w1"]))
-        return ad.mean_all(ad.sigmoid(ad.matmul(h, s["w2"])))
+        return total(ad.sigmoid(ad.matmul(h, s["w2"])))
 
     check(f, store, tol=1e-6, eps=1e-5, samples_per_param=6)
 
@@ -90,7 +91,7 @@ def test_backward_requires_scalar_root():
 def test_backward_is_repeatable_bitwise():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    y = ad.sum_all(ad.relu(ad.matmul(x, ad.transpose(x))))
+    y = total(ad.relu(ad.matmul(x, ad.transpose(x))))
     backward(y)
     first = x.grad.copy()
     backward(y)
@@ -147,7 +148,7 @@ def test_handed_over_gradients_share_no_buffer(route):
                      v=rng.normal(size=(3, 2)), m=rng.normal(size=(3, 3)))
 
     def f(s):
-        return ad.sum_all(ad.tanh(SHARED_ROUTES[route](s)))  # tanh: an uneven upstream gradient
+        return total(ad.tanh(SHARED_ROUTES[route](s)))  # tanh: an uneven upstream gradient
 
     every = [(name, i) for name, t in store.items() for i in range(t.values.size)]
     check(f, store, coords=every)
@@ -178,7 +179,7 @@ def test_elementwise_ops_gradcheck():
         x = ad.mul(x, ad.add(s["a"], ad.scale(s["b"], -0.25)))
         x = ad.add_const(x, 1.5)
         x = ad.tanh(x)
-        return ad.mean_all(ad.mul(ad.sigmoid(x), x))
+        return total(ad.mul(ad.sigmoid(x), x))
 
     check(f, store, samples_per_param=4)
 
@@ -217,7 +218,7 @@ def test_matmul_matrix_vector_gradcheck():
     store = fd_store(m=rng.normal(size=(4, 3)), v=rng.normal(size=3))
 
     def f(s):
-        return ad.sum_all(ad.tanh(ad.matmul(s["m"], s["v"])))
+        return total(ad.tanh(ad.matmul(s["m"], s["v"])))
 
     check(f, store, samples_per_param=5)
 
@@ -228,7 +229,7 @@ def test_transpose_concat_gradcheck():
 
     def f(s):
         stacked = ad.concat([s["a"], s["b"], ad.transpose(ad.transpose(s["a"]))])
-        return ad.mean_all(ad.mul(stacked, stacked))
+        return total(ad.mul(stacked, stacked))
 
     check(f, store, samples_per_param=4)
 
@@ -241,7 +242,7 @@ def test_reshape_is_a_view_and_gradchecks():
     assert np.shares_memory(view.values, store["a"].values)
 
     def f(s):
-        return ad.mean_all(ad.tanh(ad.matmul(ad.reshape(s["a"], (3, 4)), s["w"])))
+        return total(ad.tanh(ad.matmul(ad.reshape(s["a"], (3, 4)), s["w"])))
 
     check(f, store, samples_per_param=6)
 
@@ -257,7 +258,7 @@ def test_lookup_gathers_and_accumulates_repeats():
     table = Tensor(np.arange(12, dtype=np.float64).reshape(4, 3), requires_grad=True)
     out = ad.lookup(table, [1, 1, 3])
     np.testing.assert_array_equal(out.values, table.values[[1, 1, 3]])
-    backward(ad.sum_all(out))
+    backward(total(out))
     expected = np.zeros((4, 3))
     expected[1] = 2.0  # row 1 gathered twice
     expected[3] = 1.0
@@ -276,7 +277,7 @@ def test_scatter_rows_places_and_backprops():
     expected[2] = [1.0, 2.0]
     expected[0] = [3.0, 4.0]
     np.testing.assert_array_equal(out.values, expected)
-    backward(ad.sum_all(ad.mul(out, out)))
+    backward(total(ad.mul(out, out)))
     np.testing.assert_allclose(src.grad, 2 * src.values)
 
 
@@ -296,7 +297,7 @@ def test_weighted_sum_gradcheck():
                                rtol=1e-14)
 
     def f(s):
-        return ad.mean_all(ad.tanh(ad.segment_sum(s["w"], s["rows"], [0, 4])))
+        return total(ad.tanh(ad.segment_sum(s["w"], s["rows"], [0, 4])))
 
     check(f, store, samples_per_param=4)
 
@@ -316,7 +317,7 @@ def test_segment_softmax_normalizes_each_segment_and_gradchecks():
     weights = constant(rng.normal(size=6))
 
     def f(s):
-        return ad.sum_all(ad.mul(ad.segment_softmax(s["s"], SEGMENTS), weights))
+        return total(ad.mul(ad.segment_softmax(s["s"], SEGMENTS), weights))
 
     check(f, store, samples_per_param=6)
 
@@ -331,7 +332,7 @@ def test_segment_sum_gradcheck_with_empty_and_one_row_segments():
     np.testing.assert_array_equal(out[1], np.zeros(3))
 
     def f(s):
-        return ad.mean_all(ad.tanh(ad.segment_sum(s["w"], s["rows"], SEGMENTS)))
+        return total(ad.tanh(ad.segment_sum(s["w"], s["rows"], SEGMENTS)))
 
     check(f, store, samples_per_param=18)
 
@@ -341,7 +342,7 @@ def test_segment_ops_on_an_all_empty_batch():
 
     def f(s):
         alpha = ad.segment_softmax(s["s"], [0, 0, 0])
-        return ad.sum_all(ad.segment_sum(alpha, s["rows"], [0, 0, 0]))
+        return total(ad.segment_sum(alpha, s["rows"], [0, 0, 0]))
 
     out = ad.segment_sum(ad.segment_softmax(store["s"], [0, 0, 0]), store["rows"], [0, 0, 0])
     np.testing.assert_array_equal(out.values, np.zeros((2, 3)))
@@ -380,7 +381,7 @@ def test_relation_operator_gradcheck():
     store = fd_store(h=np.random.default_rng(8).normal(size=(5, 3)))
 
     def f(s):
-        return ad.mean_all(ad.tanh(ad.spmm(op, s["h"])))
+        return total(ad.tanh(ad.spmm(op, s["h"])))
 
     check(f, store, samples_per_param=6)
 
@@ -396,7 +397,7 @@ def test_spmm_matches_dense_and_gradchecks():
     np.testing.assert_allclose(out.values, dense @ store["x"].values, atol=1e-14)
 
     def f(s):
-        return ad.mean_all(ad.relu(ad.spmm(a, s["x"])))
+        return total(ad.relu(ad.spmm(a, s["x"])))
 
     check(f, store, samples_per_param=6)
 
@@ -410,7 +411,7 @@ def test_softmax_normalizes_and_gradchecks():
     assert (y.values > 0).all()
 
     def f(s):
-        return ad.mean_all(ad.mul(ad.softmax(s["z"]), constant(np.arange(7.0))))
+        return total(ad.mul(ad.softmax(s["z"]), constant(np.arange(7.0))))
 
     check(f, store, samples_per_param=7)
 
@@ -427,7 +428,7 @@ def test_softmax_rows_normalize_and_gradcheck():
     weights = constant(rng.normal(size=(3, 5)))
 
     def f(s):
-        return ad.mean_all(ad.mul(ad.softmax(s["z"]), weights))
+        return total(ad.mul(ad.softmax(s["z"]), weights))
 
     check(f, store, samples_per_param=15)
 
@@ -443,7 +444,7 @@ def test_softmax_vector_arithmetic_is_pinned():
         e = np.exp(z - z.max())
         want = e / e.sum()
         np.testing.assert_array_equal(y.values, want)
-        backward(ad.sum_all(ad.mul(y, constant(g))))  # hands g to the softmax exactly
+        backward(total(ad.mul(y, constant(g))))  # hands g to the softmax exactly
         np.testing.assert_array_equal(x.grad, want * (g - np.dot(g, want)))
 
 
@@ -457,39 +458,41 @@ def test_softmax_handles_large_logits():
 def test_cross_entropy_matches_log_softmax_route():
     # dual route: fused op vs the numpy -log(softmax) reference, value and gradient
     rng = np.random.default_rng(12)
-    z = rng.normal(size=9)
+    z = rng.normal(size=(1, 9))
     labels = [2, 5, 5]
 
     logits = Tensor(z, requires_grad=True)
-    fused, p = ad.cross_entropy(logits, labels)
-    want, want_grad = softmax_cross_entropy_reference(z[None, :], [labels])
+    fused, p = ad.cross_entropy(logits, labels, [0, 3])
+    want, want_grad = softmax_cross_entropy_reference(z, [labels])
     assert fused.values == pytest.approx(want, abs=1e-12)
     backward(fused)
-    np.testing.assert_allclose(logits.grad, want_grad[0], rtol=0, atol=1e-14)
-    # the handed-back probabilities are the softmax, in the logits' shape
-    assert p.shape == z.shape
-    np.testing.assert_allclose(p, ad.softmax(Tensor(z)).values, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(logits.grad, want_grad, rtol=0, atol=1e-14)
+    # the handed-back probabilities are the softmax at each label, in label order
+    np.testing.assert_allclose(p, ad.softmax(Tensor(z)).values[0, labels], rtol=1e-14, atol=0)
 
 
 def test_cross_entropy_gradcheck():
     rng = np.random.default_rng(13)
-    store = fd_store(z=rng.normal(size=6))
+    store = fd_store(z=rng.normal(size=(1, 6)))
 
     def f(s):
-        return ad.cross_entropy(s["z"], [1, 4])[0]
+        return ad.cross_entropy(s["z"], [1, 4], [0, 2])[0]
 
     check(f, store, samples_per_param=6)
 
 
 def test_cross_entropy_rows_are_mean_of_vector_losses():
+    # a (3, n) batch is the mean of its rows, each taken as a one-row matrix
     rng = np.random.default_rng(14)
     z = rng.normal(size=(3, 7))
     labels = [[2, 5, 5], [0], [6, 1]]
-    fused, p = ad.cross_entropy(Tensor(z), labels)
-    rows = [float(ad.cross_entropy(Tensor(z[i]), labels[i])[0].values) for i in range(3)]
+    fused, p = ad.cross_entropy(Tensor(z), sum(labels, []), [0, 3, 4, 6])
+    rows = [float(ad.cross_entropy(Tensor(z[i:i + 1]), labels[i], [0, len(labels[i])])[0].values)
+            for i in range(3)]
     assert fused.values == pytest.approx(np.mean(rows), abs=1e-12)
-    assert p.shape == z.shape
-    np.testing.assert_allclose(p, ad.softmax(Tensor(z)).values, rtol=1e-14, atol=0)
+    softmax = ad.softmax(Tensor(z)).values
+    want = [softmax[i, label] for i, row in enumerate(labels) for label in row]
+    np.testing.assert_allclose(p, want, rtol=1e-14, atol=0)
 
 
 def test_cross_entropy_gradcheck_masked_multi_gold_rows():
@@ -500,7 +503,8 @@ def test_cross_entropy_gradcheck_masked_multi_gold_rows():
     mask[2, 5] = -1e9
 
     def f(s):
-        return ad.cross_entropy(ad.add_const(s["z"], mask), [[1, 4], [0], [2, 2, 4]])[0]
+        # rows [1, 4], [0] and [2, 2, 4]: a repeated label counts twice
+        return ad.cross_entropy(ad.add_const(s["z"], mask), [1, 4, 0, 2, 2, 4], [0, 2, 3, 6])[0]
 
     check(f, store, samples_per_param=18)
 
@@ -508,17 +512,21 @@ def test_cross_entropy_gradcheck_masked_multi_gold_rows():
 def test_cross_entropy_rejects_bad_labels():
     z = Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError, match="2 rows"):
-        ad.cross_entropy(z, [[0]])
+        ad.cross_entropy(z, [0], [0, 1])
     with pytest.raises(ShapeError, match="empty"):
-        ad.cross_entropy(z, [[0], []])
-    with pytest.raises(ShapeError, match="vector or a matrix"):
-        ad.cross_entropy(Tensor(np.zeros((1, 2, 3))), [[0]])
+        ad.cross_entropy(z, [0], [0, 1, 1])
+    with pytest.raises(ShapeError, match="offsets must rise"):
+        ad.cross_entropy(z, [0, 1], [0, 2, 1])
+    with pytest.raises(ShapeError, match="expected a matrix"):
+        ad.cross_entropy(Tensor(np.zeros(3)), [0], [0, 1])
+    with pytest.raises(ShapeError, match="expected a matrix"):
+        ad.cross_entropy(Tensor(np.zeros((1, 2, 3))), [0], [0, 1])
 
 
 def test_operator_sugar():
     a = Tensor(np.asarray([1.0, 2.0]), requires_grad=True)
     b = Tensor(np.asarray([3.0, 4.0]), requires_grad=True)
-    backward(ad.sum_all((a + b) * b))
+    backward(total((a + b) * b))
     np.testing.assert_allclose(a.grad, b.values)
     np.testing.assert_allclose(b.grad, a.values + 2 * b.values)
 
@@ -526,7 +534,7 @@ def test_operator_sugar():
 def test_constant_receives_no_gradient():
     c = constant(np.ones(3))
     x = Tensor(np.ones(3), requires_grad=True)
-    backward(ad.sum_all(ad.mul(c, x)))
+    backward(total(ad.mul(c, x)))
     assert c.grad is None or not c.requires_grad
     np.testing.assert_array_equal(x.grad, np.ones(3))
 
@@ -538,14 +546,14 @@ def test_constant_receives_no_gradient():
 def test_finite_diff_check_rejects_bad_eps():
     store = fd_store(w=np.ones(2))
     with pytest.raises(ValueError):
-        finite_diff_check(lambda s: ad.sum_all(s["w"]), store, eps=0.0)
+        finite_diff_check(lambda s: total(s["w"]), store, eps=0.0)
 
 
 def test_finite_diff_check_nonfinite_objective():
     store = fd_store(w=np.asarray([0.0]))
 
     def f(s):
-        return ad.sum_all(ad.add_const(s["w"], np.inf))
+        return total(ad.add_const(s["w"], np.inf))
 
     with pytest.raises(NumericError):
         finite_diff_check(f, store)
@@ -555,7 +563,7 @@ def test_finite_diff_check_explicit_coords():
     store = fd_store(w=np.asarray([[1.0, 2.0], [3.0, 4.0]]))
 
     def f(s):
-        return ad.sum_all(ad.mul(s["w"], s["w"]))
+        return total(ad.mul(s["w"], s["w"]))
 
     err = finite_diff_check(f, store, coords=[("w", 0), ("w", 3)])
     assert err < 1e-8
@@ -572,7 +580,7 @@ def test_matmul_gradcheck_property(n, m, seed):
     store = fd_store(a=rng.normal(size=(n, m)), b=rng.normal(size=(m, n)))
 
     def f(s):
-        return ad.mean_all(ad.matmul(s["a"], s["b"]))
+        return total(ad.matmul(s["a"], s["b"]))
 
     check(f, store, samples_per_param=2, seed=seed % 1000)
 
@@ -595,6 +603,6 @@ def test_relu_composition_gradcheck_property(n, seed):
     store = fd_store(x=vals)
 
     def f(s):
-        return ad.mean_all(ad.relu(ad.matmul(s["x"], s["x"])))
+        return total(ad.relu(ad.matmul(s["x"], s["x"])))
 
     check(f, store, tol=1e-5, samples_per_param=2, seed=seed % 1000)

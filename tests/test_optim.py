@@ -17,6 +17,8 @@ from convrec.optim import (
     save_checkpoint,
 )
 
+from conftest import total
+
 
 def make_store():
     store = ParamStore()
@@ -144,7 +146,7 @@ def test_adam_descends_convex_quadratic():
     losses = []
     for _ in range(100):
         w = store["w"]
-        loss = ad.scale(ad.sum_all(ad.mul(w, w)), 0.5)
+        loss = ad.scale(total(ad.mul(w, w)), 0.5)
         losses.append(float(loss.values))
         store.zero_grads()
         ad.backward(loss)

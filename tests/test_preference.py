@@ -7,13 +7,13 @@ from convrec.optim import ParamStore
 from convrec.preference import (
     GATE_ELEMENTWISE,
     GATE_SCALAR,
-    _layout,
     _pool,
     build_user_representation,
     init_attention_params,
 )
+from convrec.recommender import Segments
 
-from conftest import attention_weights
+from conftest import attention_weights, total
 from oracles import user_vector_reference
 
 
@@ -31,8 +31,14 @@ def pool_oracle(rows, w, b):
     return alpha @ rows
 
 
+def user_rep(entity_groups, word_groups, item_matrix, word_matrix, params):
+    """build_user_representation of per-example row groups, laid out as CSR pairs."""
+    return build_user_representation(Segments.of(entity_groups), Segments.of(word_groups),
+                                     item_matrix, word_matrix, params)
+
+
 def pool_segments(matrix, groups, params):
-    rows, offsets = _layout(groups)
+    rows, offsets = Segments.of(groups)
     return _pool(ad.constant(matrix), rows, offsets, params.w_entity, params.b_entity).values
 
 
@@ -41,11 +47,14 @@ def pool_segments(matrix, groups, params):
 
 
 def test_layout_concatenates_rows_with_offsets():
-    rows, offsets = _layout([[3, 1], [], [4, 4, 2]])
+    rows, offsets = Segments.of([[3, 1], [], (4, 4, 2)])
     assert rows.tolist() == [3, 1, 4, 4, 2]
     assert offsets.tolist() == [0, 2, 2, 5]
-    rows, offsets = _layout([[], []])
+    assert rows.dtype == offsets.dtype == np.intp
+    rows, offsets = Segments.of([[], []])
     assert rows.tolist() == [] and offsets.tolist() == [0, 0, 0]
+    rows, offsets = Segments.of([])
+    assert rows.tolist() == [] and offsets.tolist() == [0]
 
 
 def test_attention_pool_matches_formula():
@@ -90,10 +99,10 @@ def test_attention_pool_gradcheck():
     rng = np.random.default_rng(4)
     store, params = make_params()
     matrix = store.add("rows", rng.normal(size=(5, 4)))
-    rows, offsets = _layout([[0, 1, 1], [], [4], [2, 3]])
+    rows, offsets = Segments.of([[0, 1, 1], [], [4], [2, 3]])
 
     def objective(_):
-        return ad.sum_all(_pool(matrix, rows, offsets, params.w_entity, params.b_entity))
+        return total(_pool(matrix, rows, offsets, params.w_entity, params.b_entity))
 
     worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=0)
     assert worst < 1e-4
@@ -106,7 +115,7 @@ def test_attention_pool_gradcheck():
 def gate_batch(ve, vw, params):
     """User representations of examples b whose only entity and word rows are ve[b] and vw[b]."""
     groups = [[b] for b in range(len(ve))]
-    return build_user_representation(groups, groups, ad.constant(ve), ad.constant(vw), params)
+    return user_rep(groups, groups, ad.constant(ve), ad.constant(vw), params)
 
 
 def gate_oracle(ve, vw, params):
@@ -160,7 +169,7 @@ def test_gate_fuse_gradcheck_both_modes():
         store, params = make_params(gate_mode=mode)
 
         def objective(_):
-            return ad.sum_all(gate_batch(ve, vw, params).vector)
+            return total(gate_batch(ve, vw, params).vector)
 
         worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=1)
         assert worst < 1e-4
@@ -189,8 +198,7 @@ def test_gather_context_rows(matrices):
     item_matrix, word_matrix, _ = matrices
     _, params = make_params()
     # mentioned rows 2, 4 then retrieved rows 5, 6; the word rows keep duplicates
-    rep = build_user_representation([[2, 4, 5, 6], [7]], [[0, 2, 0], []],
-                                    item_matrix, word_matrix, params)
+    rep = user_rep([[2, 4, 5, 6], [7]], [[0, 2, 0], []], item_matrix, word_matrix, params)
     vector, gamma, _ = reference(matrices, params, [2, 4, 5, 6], [10, 12, 10])
     np.testing.assert_allclose(rep.vector.values[0], vector, atol=1e-12)
     np.testing.assert_allclose(rep.gamma[0], gamma, atol=1e-12)
@@ -202,8 +210,7 @@ def test_gather_context_counts_missing_words(matrices):
     # words without a row never reach the user side: it pools the found rows only
     item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    rep = build_user_representation([[], [1], [1]], [[0], [], [1]],
-                                    item_matrix, word_matrix, params)
+    rep = user_rep([[], [1], [1]], [[0], [], [1]], item_matrix, word_matrix, params)
     for b, (entities, words, missing) in enumerate(
             [([], [10, 99, 98], 2), ([1], [97], 1), ([1], [11], 0)]):
         vector, _, counted = reference(matrices, params, entities, words)
@@ -215,7 +222,7 @@ def test_gather_context_counts_missing_words(matrices):
 def test_gather_context_no_word_graph(matrices):
     item_matrix, _, _ = matrices
     _, params = make_params()
-    rep = build_user_representation([[1]], [[]], item_matrix, None, params)
+    rep = user_rep([[1]], [[]], item_matrix, None, params)
     np.testing.assert_allclose(rep.vector.values[0],
                                reference(matrices, params, [1], [10, 11], word_matrix=False)[0],
                                atol=1e-12)
@@ -228,8 +235,7 @@ def test_gather_context_no_word_graph(matrices):
 def test_user_representation_cold_start(matrices):
     item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    rep = build_user_representation([[], [3], []], [[], [], []],
-                                    item_matrix, word_matrix, params)
+    rep = user_rep([[], [3], []], [[], [], []], item_matrix, word_matrix, params)
     assert rep.cold_start.tolist() == [True, False, True]
     assert rep.cold_start.dtype == bool
     np.testing.assert_array_equal(rep.vector.values[[0, 2]], np.zeros((2, 4)))
@@ -239,7 +245,7 @@ def test_user_representation_cold_start(matrices):
 def test_user_representation_entity_only(matrices):
     item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    rep = build_user_representation([[3]], [[]], item_matrix, word_matrix, params)
+    rep = user_rep([[3]], [[]], item_matrix, word_matrix, params)
     assert not rep.cold_start[0]
     # v_word is zero, so the fused vector is gamma * item row
     np.testing.assert_allclose(rep.vector.values[0], rep.gamma[0] * item_matrix.values[3],
@@ -249,7 +255,7 @@ def test_user_representation_entity_only(matrices):
 def test_user_representation_combines_retrieved(matrices):
     item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    rep = build_user_representation([[1, 6, 7]], [[]], item_matrix, word_matrix, params)
+    rep = user_rep([[1, 6, 7]], [[]], item_matrix, word_matrix, params)
     expected_pool = pool_oracle(item_matrix.values[[1, 6, 7]],
                                 params.w_entity.values, params.b_entity.values)
     np.testing.assert_allclose(rep.vector.values[0], rep.gamma[0] * expected_pool, atol=1e-12)
@@ -259,9 +265,8 @@ def test_user_representation_without_rt(matrices):
     # without retrieval an example's entity group holds its mentioned rows only
     item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    with_rt = build_user_representation([[1, 6, 7], [2, 3]], [[], [0]],
-                                        item_matrix, word_matrix, params)
-    wo_rt = build_user_representation([[1], [2]], [[], [0]], item_matrix, word_matrix, params)
+    with_rt = user_rep([[1, 6, 7], [2, 3]], [[], [0]], item_matrix, word_matrix, params)
+    wo_rt = user_rep([[1], [2]], [[], [0]], item_matrix, word_matrix, params)
     for b, (entities, words) in enumerate([([1], []), ([2], [10])]):
         np.testing.assert_allclose(wo_rt.vector.values[b],
                                    reference(matrices, params, entities, words)[0], atol=1e-12)
@@ -273,8 +278,8 @@ def test_user_representation_without_cn(matrices):
     # without the word graph every word group is empty, and no word matrix is needed
     item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    wo_cn = build_user_representation([[1]], [[]], item_matrix, None, params)
-    no_words = build_user_representation([[1]], [[]], item_matrix, word_matrix, params)
+    wo_cn = user_rep([[1]], [[]], item_matrix, None, params)
+    no_words = user_rep([[1]], [[]], item_matrix, word_matrix, params)
     np.testing.assert_array_equal(wo_cn.vector.values, no_words.vector.values)
     np.testing.assert_allclose(
         wo_cn.vector.values[0],
@@ -285,7 +290,7 @@ def test_user_representation_duplicate_entity_rows(matrices):
     # retrieval may resurface a mentioned entity; both rows take part in pooling
     item_matrix, word_matrix, _ = matrices
     _, params = make_params()
-    rep = build_user_representation([[1, 1]], [[]], item_matrix, word_matrix, params)
+    rep = user_rep([[1, 1]], [[]], item_matrix, word_matrix, params)
     # pooling duplicate rows of the same vector returns that vector
     np.testing.assert_allclose(rep.vector.values[0], rep.gamma[0] * item_matrix.values[1],
                                atol=1e-12)
@@ -295,14 +300,14 @@ def test_user_representation_rejects_misaligned_groups(matrices):
     item_matrix, word_matrix, _ = matrices
     _, params = make_params()
     with pytest.raises(ShapeError, match="2 entity groups for 1 word groups"):
-        build_user_representation([[1], [2]], [[]], item_matrix, word_matrix, params)
+        user_rep([[1], [2]], [[]], item_matrix, word_matrix, params)
 
 
 def test_user_representation_rejects_word_rows_without_word_matrix(matrices):
     item_matrix, _, _ = matrices
     _, params = make_params()
     with pytest.raises(ShapeError, match="2 word rows given without a word matrix"):
-        build_user_representation([[1], []], [[], [0, 1]], item_matrix, None, params)
+        user_rep([[1], []], [[], [0, 1]], item_matrix, None, params)
 
 
 def test_user_representation_gradcheck():
@@ -314,9 +319,8 @@ def test_user_representation_gradcheck():
     word_rows = [[0, 1, 2], [], [2], []]
 
     def objective(_):
-        rep = build_user_representation(entity_rows, word_rows, item_matrix, word_matrix,
-                                        params)
-        return ad.sum_all(ad.tanh(rep.vector))
+        rep = user_rep(entity_rows, word_rows, item_matrix, word_matrix, params)
+        return total(ad.tanh(rep.vector))
 
     worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=2)
     assert worst < 1e-4
@@ -353,8 +357,8 @@ def test_user_representation_matches_per_example_oracle():
                     word_groups = [[] if without_cn else [word_rows[w] for w in ws
                                                           if w in word_rows]
                                    for ws in words]
-                    rep = build_user_representation(entity_groups, word_groups, item_matrix,
-                                                    words_matrix, params)
+                    rep = user_rep(entity_groups, word_groups, item_matrix, words_matrix,
+                                   params)
                     for b, (entities, ws) in enumerate(zip(entity_groups, words)):
                         vector, gamma, missing = user_vector_reference(
                             item_matrix.values, None if without_cn else word_matrix.values,

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 import convrec.recommender
 from convrec import autodiff as ad
 from convrec.corpus import Split, split_view
-from convrec.errors import ConfigurationError, NumericError, ValidationError
+from convrec.errors import ConfigurationError, NumericError, ShapeError, ValidationError
 from convrec.optim import ParamStore
 from convrec.recommender import (
     ABLATION_FLAGS,
     MASK_LOGIT,
+    Contexts,
     MetricsReport,
     Model,
+    Segments,
     TrainConfig,
     _gold_ranks,
     ablate,
@@ -33,7 +35,7 @@ from convrec.recommender import (
 from convrec.retrieval import retrieve
 from convrec.synthetic import popularity_corpus, toy_instance
 
-from conftest import masked_positions, reference_users
+from conftest import masked_positions, reference_users, total
 from oracles import (
     brute_force_metrics,
     masked_softmax_scores,
@@ -61,7 +63,7 @@ def test_score_all_is_softmax_over_dot_products():
     item_matrix = ad.constant(rng.normal(size=(7, 4)))
     user = ad.constant(rng.normal(size=(1, 4)))
     item_ids = [0, 2, 3, 5]
-    probs = score_all(user, ad.lookup(item_matrix, item_ids)).values
+    probs = score_all(user, ad.lookup(item_matrix, item_ids), Segments.of([[]])).values
     assert probs.shape == (1, 4)
     want = masked_softmax_scores(item_matrix.values, item_ids, user.values[0])
     np.testing.assert_allclose(probs[0], want, atol=1e-12)
@@ -73,7 +75,7 @@ def test_score_all_masking_zeroes_and_renormalizes():
     item_matrix = ad.constant(rng.normal(size=(6, 4)))
     user = ad.constant(rng.normal(size=(1, 4)))
     item_ids = [0, 1, 2, 3, 4, 5]
-    probs = score_all(user, ad.lookup(item_matrix, item_ids), [[1, 4]]).values[0]
+    probs = score_all(user, ad.lookup(item_matrix, item_ids), Segments.of([[1, 4]])).values[0]
     assert probs[1] == 0.0 and probs[4] == 0.0
     want = masked_softmax_scores(item_matrix.values, item_ids, user.values[0], [1, 4])
     np.testing.assert_allclose(probs, want, atol=1e-12)
@@ -86,24 +88,25 @@ def test_score_all_rows_are_independent():
     item_matrix = ad.constant(rng.normal(size=(6, 4)))
     users = rng.normal(size=(3, 4))
     item_ids = [5, 0, 2, 3]
-    masks = [[0, 2], None, [3]]
-    probs = score_all(ad.constant(users), ad.lookup(item_matrix, item_ids), masks).values
+    masks = [[0, 2], [], [3]]
+    probs = score_all(ad.constant(users), ad.lookup(item_matrix, item_ids),
+                      Segments.of(masks)).values
     for row, (u, masked) in enumerate(zip(users, masks)):
         want = masked_softmax_scores(item_matrix.values, item_ids, u, masked)
         np.testing.assert_allclose(probs[row], want, atol=1e-12)
     with pytest.raises(ValidationError):
-        score_all(ad.constant(users), ad.lookup(item_matrix, item_ids), masks[:2])
+        score_all(ad.constant(users), ad.lookup(item_matrix, item_ids), Segments.of(masks[:2]))
 
 
 def test_score_all_masked_gradients_stay_finite():
     store = ParamStore()
     user = store.add("u", np.random.default_rng(2).normal(size=(1, 4)))
     item_matrix = ad.constant(np.random.default_rng(3).normal(size=(5, 4)))
-    probs = score_all(user, ad.lookup(item_matrix, [0, 1, 2, 3, 4]), [[0]])
+    probs = score_all(user, ad.lookup(item_matrix, [0, 1, 2, 3, 4]), Segments.of([[0]]))
     # -log p_2, differentiated in numpy: its gradient in p is -1/p_2 at position 2
     upstream = np.zeros((1, 5))
     upstream[0, 2] = -1.0 / probs.values[0, 2]
-    ad.backward(ad.sum_all(ad.mul(probs, ad.constant(upstream))))
+    ad.backward(total(ad.mul(probs, ad.constant(upstream))))
     assert np.isfinite(user.grad).all()
     logits = user.values @ item_matrix.values.T
     logits[0, 0] = MASK_LOGIT
@@ -118,7 +121,8 @@ def test_ranking_invariant_under_positive_scaling():
     ids = list(range(9))
 
     def ranked(u):
-        probs = score_all(ad.constant(u[None, :]), ad.lookup(item_matrix, ids)).values[0]
+        probs = score_all(ad.constant(u[None, :]), ad.lookup(item_matrix, ids),
+                          Segments.of([[]])).values[0]
         return rank_order(probs, len(ids))
 
     base = ranked(user)
@@ -174,7 +178,7 @@ def test_counted_ranks_equal_rank_order_ranks(values):
     rank_at = np.empty(len(values), dtype=np.int64)
     rank_at[rank_order(probs, len(values))] = np.arange(1, len(values) + 1)
     positions = list(range(len(values)))
-    assert _gold_ranks(probs, positions) == rank_at.tolist()
+    assert _gold_ranks(probs[None, :], Segments.of([positions])) == rank_at.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +188,11 @@ def test_counted_ranks_equal_rank_order_ranks(values):
 def test_rec_loss_hand_values():
     # softmax(log p) = p, so each row's loss is -log p of its golds
     logits = ad.constant(np.log(np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3]])))
-    loss, guards = rec_loss(logits, [[1], [0, 2]])
+    loss, guards = rec_loss(logits, Segments.of([[1], [0, 2]]))
     want = (-np.log(0.3) - (np.log(0.1) + np.log(0.3)) / 2) / 2
     assert loss.item() == pytest.approx(want, abs=1e-12)
     assert guards == 0
-    single, _ = rec_loss(ad.constant(logits.values[:1]), [[0, 2]])
+    single, _ = rec_loss(ad.constant(logits.values[:1]), Segments.of([[0, 2]]))
     assert single.item() == pytest.approx(-(np.log(0.2) + np.log(0.5)) / 2, abs=1e-12)
 
 
@@ -196,12 +200,12 @@ def test_rec_loss_guard_counts_tiny_probabilities():
     # gold probability ~1e-15 in row 0 only; the loss is its exact -log p, not floored
     logits = ad.constant(np.array([[np.log(1e-15), 0.0, np.log(1e-15)],
                                    [0.0, 0.0, 0.0]]))
-    loss, guards = rec_loss(logits, [[0], [2]])
+    loss, guards = rec_loss(logits, Segments.of([[0], [2]]))
     assert guards == 1
     want = (-np.log(1e-15 / (1.0 + 2e-15)) + np.log(3.0)) / 2
     assert loss.item() == pytest.approx(want, rel=1e-12)
     # a row whose two golds are both tiny counts once
-    _, guards = rec_loss(logits, [[0, 2], [2]])
+    _, guards = rec_loss(logits, Segments.of([[0, 2], [2]]))
     assert guards == 1
 
 
@@ -211,7 +215,7 @@ def test_rec_loss_guard_keeps_gradient_finite():
     store = ParamStore()
     logits = store.add("logits", np.array([[715.0, 0.0, -3.0]]))
     assert 0.0 < ad.softmax(ad.constant(logits.values[0])).values[1] < 1e-300
-    loss, guards = rec_loss(logits, [[1]])
+    loss, guards = rec_loss(logits, Segments.of([[1]]))
     assert guards == 1
     assert loss.item() == pytest.approx(715.0, rel=1e-12)
     ad.backward(loss)
@@ -221,9 +225,11 @@ def test_rec_loss_guard_keeps_gradient_finite():
 
 def test_rec_loss_requires_gold():
     with pytest.raises(ValidationError):
-        rec_loss(ad.constant(np.array([[1.0]])), [[]])
+        rec_loss(ad.constant(np.array([[1.0]])), Segments.of([[]]))
     with pytest.raises(ValidationError):
-        rec_loss(ad.constant(np.zeros((2, 3))), [[1], []])
+        rec_loss(ad.constant(np.zeros((2, 3))), Segments.of([[1], []]))
+    with pytest.raises(ValidationError):
+        rec_loss(ad.constant(np.zeros((0, 3))), Segments.of([]))
 
 
 def test_rec_loss_gradcheck_unguarded():
@@ -232,7 +238,7 @@ def test_rec_loss_gradcheck_unguarded():
     mask = np.array([[0.0, 0.0, 0.0, MASK_LOGIT], [0.0, MASK_LOGIT, 0.0, 0.0]])
 
     def objective(s):
-        loss, _ = rec_loss(ad.add_const(s["logits"], mask), [[0, 2], [3]])
+        loss, _ = rec_loss(ad.add_const(s["logits"], mask), Segments.of([[0, 2], [3]]))
         return loss
 
     worst = ad.finite_diff_check(objective, store, samples_per_param=8, seed=0)
@@ -252,7 +258,7 @@ def test_batch_loss_matches_scoring_oracle():
     for ex, user in zip(batch, reference_users(model, batch, item_matrix, word_matrix)):
         probs = masked_softmax_scores(item_matrix.values, artifacts.item_ids,
                                       user, masked_positions(artifacts.item_ids, ex))
-        golds = [model.item_pos[g] for g in sorted(ex.gold_items)]
+        golds = [model.item_position[g] for g in sorted(ex.gold_items)]
         per_example.append(-np.mean(np.log(probs[golds])))
     assert loss.item() == pytest.approx(np.mean(per_example), abs=1e-12)
     assert guards == 0
@@ -263,17 +269,12 @@ def test_training_builds_relation_operators_once():
                                                n_conversations=60))
     train(artifacts, small_config(epochs=2, batch_size=4))
     graphs = (artifacts.kg, artifacts.interaction.as_typed())
-    rel_ops = [dict(g._operators) for g in graphs]
     layer_ops = [dict(g._layer_operators) for g in graphs]
-    assert len(rel_ops[0]) == len(artifacts.kg.relations)
-    assert len(rel_ops[1]) == len(artifacts.interaction.relations)
     # one layer operator per graph and normalization
     assert [len(ops) for ops in layer_ops] == [1, 1]
     train(artifacts, small_config(epochs=1, batch_size=4, seed=1))
     assert artifacts.interaction.as_typed() is graphs[1]
-    for g, rels, layers in zip(graphs, rel_ops, layer_ops):
-        assert g._operators.keys() == rels.keys()
-        assert all(g._operators[k] is op for k, op in rels.items())
+    for g, layers in zip(graphs, layer_ops):
         assert g._layer_operators.keys() == layers.keys()
         assert all(g._layer_operators[k] is op for k, op in layers.items())
 
@@ -343,7 +344,7 @@ def test_evaluate_matches_oracle_on_toy(toy_artifacts):
                                       user, masked_positions(model.artifacts.item_ids, ex))
         n = len(model.artifacts.item_ids)
         ranked_lists.append(sorted(range(n), key=lambda i: (-probs[i], i)))
-        gold_lists.append(sorted(model.item_pos[g] for g in ex.gold_items))
+        gold_lists.append(sorted(model.item_position[g] for g in ex.gold_items))
     oracle_recall, oracle_mrr = brute_force_metrics(ranked_lists, gold_lists, ks)
     assert report.recall == oracle_recall
     assert report.mrr == oracle_mrr
@@ -355,7 +356,7 @@ def test_evaluate_is_independent_of_chunk_size(toy_artifacts):
     reports = []
     for b in (1, 3, len(examples)):
         model = Model(toy_artifacts, small_config(batch_size=b))
-        assert any(c.masked for c in model.contexts(examples))  # masks are active
+        assert model.contexts(examples).masked.rows.size  # masks are active
         report = evaluate(model, examples, [1, 3, 6])
         # the fingerprint covers batch_size; everything measured must agree exactly
         reports.append(dataclasses.replace(report, config_fingerprint=""))
@@ -429,11 +430,17 @@ def test_model_rejects_itemless_vocab(toy_artifacts):
         Model(empty, small_config())
 
 
+def group(segments, b):
+    """Example b's ints in a Segments field of a compiled record."""
+    rows, offsets = segments
+    return rows[offsets[b]:offsets[b + 1]].tolist()
+
+
 def test_contexts_match_hand_derivation(toy_artifacts):
     small = artifacts_of(popularity_corpus(seed=0, n_users=20, n_items=12, n_conversations=60))
     for artifacts in (toy_artifacts, small):
         items = artifacts.item_ids.tolist()
-        rows = artifacts.word_graph.rows
+        rows = {w: r for r, w in enumerate(artifacts.word_graph.word_ids)}
         seen = {"retrieved": 0, "words": 0, "missing": 0, "masked": 0}
         for without_rt in (False, True):
             for without_cn in (False, True):
@@ -443,7 +450,8 @@ def test_contexts_match_hand_derivation(toy_artifacts):
                         candidate_masking=masking))
                     contexts = model.contexts(artifacts.examples)
                     assert len(contexts) == len(artifacts.examples)
-                    for ex, got in zip(artifacts.examples, contexts):
+                    assert contexts.missing_words.shape == (len(artifacts.examples),)
+                    for b, ex in enumerate(artifacts.examples):
                         retrieved = () if without_rt else retrieve(
                             artifacts.index, list(ex.context_entities), 2,
                             exclude_id=ex.conversation_id).entities
@@ -451,16 +459,99 @@ def test_contexts_match_hand_derivation(toy_artifacts):
                                                        if w in rows]
                         masked = [items.index(e) for e in ex.context_entities
                                   if masking and e in items]
-                        assert list(got.entities) == [*ex.context_entities, *retrieved]
-                        assert list(got.words) == words
-                        assert got.missing_words == len(ex.context_words) - len(words)
-                        assert list(got.masked) == masked
-                        assert list(got.gold) == sorted(items.index(g) for g in ex.gold_items)
+                        missing = int(contexts.missing_words[b])
+                        assert group(contexts.entities, b) == [*ex.context_entities, *retrieved]
+                        assert group(contexts.words, b) == words
+                        assert missing == len(ex.context_words) - len(words)
+                        assert group(contexts.masked, b) == masked
+                        assert group(contexts.gold, b) == sorted(items.index(g)
+                                                                 for g in ex.gold_items)
                         seen["retrieved"] += len(retrieved)
                         seen["words"] += len(words)
-                        seen["missing"] += got.missing_words
+                        seen["missing"] += missing
                         seen["masked"] += len(masked)
         assert all(seen.values()), seen
+
+
+def take_pool():
+    """Compiled records of a small corpus's examples plus examples with empty segments.
+
+    The extra examples have no entity, no word, no maskable mention or no
+    word with a row; each model compiles them under a different config.
+    """
+    artifacts = artifacts_of(popularity_corpus(seed=0, n_users=20, n_items=12,
+                                               n_conversations=60))
+    base = artifacts.examples[0]
+    other = next(e for e in range(len(artifacts.vocab.entities))
+                 if not artifacts.vocab.entities.is_item[e])
+    without_row = sorted(set(range(len(artifacts.vocab.words)))
+                         - set(artifacts.word_graph.word_ids))
+    examples = [*artifacts.examples[:40],
+                dataclasses.replace(base, context_entities=(), context_words=()),
+                dataclasses.replace(base, context_entities=(other,)),
+                dataclasses.replace(base, context_words=tuple(without_row[:2]))]
+    configs = [small_config(top_n=2), small_config(without_rt=True, candidate_masking=False),
+               small_config(without_cn=True)]
+    return examples, [Model(artifacts, cfg) for cfg in configs]
+
+
+TAKE_POOL = take_pool()
+
+
+def assert_same_record(got, want):
+    for name in ("entities", "words", "masked", "gold"):
+        for part, expected in zip(getattr(got, name), getattr(want, name)):
+            assert part.dtype == np.intp
+            np.testing.assert_array_equal(part, expected)
+    np.testing.assert_array_equal(got.missing_words, want.missing_words)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.lists(st.integers(0, len(TAKE_POOL[0]) - 1), max_size=12))
+@example(0, [])
+@example(1, [40, 40, 41, 42, 0, 40])
+@example(2, [42, 41, 40])
+def test_take_equals_compiling_the_taken_examples(model_index, idx):
+    examples, models = TAKE_POOL
+    model = models[model_index]
+    compiled = model.contexts(examples)
+    assert_same_record(compiled.take(idx), model.contexts([examples[i] for i in idx]))
+    assert_same_record(compiled.take(np.asarray(idx, dtype=np.intp)),
+                       compiled.take(idx))
+
+
+def test_contexts_reject_inconsistent_offsets():
+    one = Segments.of([[1, 2]])
+    with pytest.raises(ShapeError, match="Contexts.words"):
+        Contexts(one, Segments(np.zeros(1, np.intp), np.array([0, 2])), one, one, np.zeros(1))
+    with pytest.raises(ShapeError, match="Contexts.gold"):
+        Contexts(one, one, one, Segments(np.arange(2), np.array([0, 1, 2])), np.zeros(1))
+    with pytest.raises(ShapeError, match="Contexts.masked"):
+        Contexts(one, one, Segments(np.arange(2), np.array([1, 2])), one, np.zeros(1))
+
+
+def test_train_and_evaluate_call_the_sampled_functions_once_per_batch(toy_artifacts,
+                                                                      monkeypatch):
+    # bench/train_worker.py samples after these three, looked up on convrec.recommender
+    calls = {}
+    for name in ("build_user_representation", "score_all", "adam_step"):
+        def counting(*args, _fn=getattr(convrec.recommender, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(convrec.recommender, name, counting)
+    config = small_config(epochs=1, batch_size=2)
+    n_train = len(split_view(toy_artifacts.examples, Split.TRAIN))
+    n_valid = len(split_view(toy_artifacts.examples, Split.VALID))
+    batches, valid_chunks = -(-n_train // 2), -(-n_valid // 2)
+    result = train(toy_artifacts, config, [1])
+    assert calls == {"build_user_representation": batches + valid_chunks,
+                     "adam_step": batches, **({"score_all": valid_chunks} if n_valid else {})}
+    calls.clear()
+    evaluate(result.model, toy_artifacts.examples, [1])
+    chunks = -(-len(toy_artifacts.examples) // 2)
+    assert chunks > 1
+    assert calls == {"build_user_representation": chunks, "score_all": chunks}
 
 
 def count_retrieve_calls(monkeypatch):
