@@ -2,19 +2,22 @@
 
 Every operation that touches a gradient-requiring input records a backward
 closure on the produced tensor; ``backward`` replays the closures in reverse
-topological order. Shapes are explicit: there is no broadcasting, and shape
+topological order. Inference runs without a tape: inside a :func:`no_grad`
+scope no operation records, so every intermediate is freed as soon as nothing
+holds it. Shapes are explicit: there is no broadcasting, and shape
 mismatches raise :class:`~convrec.errors.ShapeError` naming both operands.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse as sp
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, StateError
 
 
 class Tensor:
@@ -57,8 +60,26 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """A scope in which no operation records: outputs have no parents, no
+    closure and ``requires_grad=False``, even when their inputs are
+    parameters. The previous state comes back on exit, also when the body
+    raises. As ``@no_grad()`` it runs a whole function in the scope.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _record(out: Tensor, parents: tuple[Tensor, ...], fn: Callable[[np.ndarray], None]) -> Tensor:
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = fn
@@ -94,7 +115,12 @@ def backward(root: Tensor) -> None:
     afterwards. Leaves (parameters and any tensor made with
     ``requires_grad=True``) keep their gradients, and no two of them share a
     buffer.
+
+    Raises StateError inside a :func:`no_grad` scope, where no tape exists
+    to replay.
     """
+    if not _recording:
+        raise StateError("backward called inside a no_grad scope")
     if root.values.ndim != 0:
         raise ShapeError(f"backward root must be scalar, got shape {root.values.shape}")
 
@@ -479,7 +505,8 @@ def finite_diff_check(
         raise ValueError("eps must be positive")
 
     def run() -> float:
-        y = f(store)
+        with no_grad():  # only the value is read
+            y = f(store)
         v = float(y.values)
         if not np.isfinite(v):
             raise NumericError(f"objective is not finite: {v}")

@@ -482,13 +482,15 @@ def retrieve_command(bundle_dir, index_path, conversation_id, n) -> None:
 @click.option("--k", type=click.IntRange(min=1), default=10, show_default=True,
               help="items per answer; a k above the catalog size prints every item")
 @command_errors()
+@ad.no_grad()
 def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
     """Read entity mentions from stdin; print top-k items after each line.
 
     Mentions accumulate across lines within the session. References are
     comma-separated; a part that is not itself an id or a name is split on
     whitespace so bare id lists work without commas. Each answer (k ranked
-    lines, then a blank line) is written and flushed at once.
+    lines, then a blank line) is written and flushed at once. The session
+    is forward-only: nothing records a tape.
     """
     model = load_model(bundle_dir, checkpoint_path, index_path)
     entities = model.artifacts.vocab.entities

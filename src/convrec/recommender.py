@@ -435,11 +435,13 @@ def evaluate(model: Model, examples: Sequence[RecExample],
     return evaluate_contexts(model, model.contexts(examples), ks, label)
 
 
+@ad.no_grad()
 def evaluate_contexts(model: Model, contexts: Contexts, ks: Sequence[int],
                       split_label: str) -> MetricsReport:
     """:func:`evaluate` on a compiled split: one encoder pass, scored in batch_size chunks.
 
-    NaN probabilities raise NumericError: against NaN every gold item would count as rank 1.
+    It runs forward-only: nothing records a tape. NaN probabilities raise
+    NumericError: against NaN every gold item would count as rank 1.
     """
     item_matrix, word_matrix = model.encoder_outputs()
     item_rows = ad.lookup(item_matrix, model.artifacts.item_ids)

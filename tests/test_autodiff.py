@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse as sp
 
 from convrec import autodiff as ad
 from convrec.autodiff import Tensor, backward, constant, finite_diff_check
-from convrec.errors import NumericError, ShapeError
+from convrec.errors import NumericError, ShapeError, StateError
 from convrec.graphs import TypedGraph
 from convrec.optim import ParamStore
 
@@ -569,11 +569,87 @@ def test_finite_diff_check_explicit_coords():
     assert err < 1e-8
 
 
+def test_finite_diff_check_records_a_tape_only_for_the_analytic_pass():
+    store = fd_store(w=np.asarray([1.0, -2.0]))
+    recorded = []
+
+    def f(s):
+        y = ad.relu(s["w"])
+        recorded.append(y.requires_grad)
+        return total(y)
+
+    assert finite_diff_check(f, store, coords=[("w", 0), ("w", 1)]) < 1e-8
+    assert recorded == [True] + [False] * 4
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+
+def every_op(w, v):
+    """One output of each primitive on a (2, 3) matrix w and a (3,) vector v."""
+    return [
+        ad.add(w, w), ad.mul(w, w), ad.scale(w, 2.0), ad.add_const(w, 1.0),
+        ad.relu(w), ad.tanh(w), ad.sigmoid(w), ad.matmul(w, v), ad.transpose(w),
+        ad.reshape(w, (3, 2)), ad.concat([w, w]), ad.lookup(w, [1, 0, 1]),
+        ad.scatter_rows(w, [2, 0], 4), ad.spmm(sp.identity(2, format="csr"), w),
+        ad.softmax(w), ad.segment_softmax(v, [0, 1, 1, 3]),
+        ad.segment_sum(v, ad.transpose(w), [0, 2, 2, 3]),
+        ad.cross_entropy(w, np.asarray([0, 2, 1]), [0, 1, 3])[0],
+    ]
+
+
+def test_no_grad_records_nothing_even_from_parameters():
+    rng = np.random.default_rng(0)
+    store = fd_store(w=rng.normal(size=(2, 3)), v=rng.normal(size=3))
+    recorded = every_op(store["w"], store["v"])
+    with ad.no_grad():
+        free = every_op(store["w"], store["v"])
+    assert len(recorded) == len(free) == 18
+    for r, t in zip(recorded, free):
+        assert r.requires_grad and r._parents and r._backward_fn is not None
+        assert not t.requires_grad and t._parents == () and t._backward_fn is None
+        assert np.array_equal(r.values, t.values)
+    assert store["w"].requires_grad and store["v"].requires_grad
+
+
+def test_no_grad_nests_and_restores_the_outer_state():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not ad.relu(x).requires_grad
+        assert not ad.relu(x).requires_grad  # the inner exit restores the outer scope
+    assert ad.relu(x).requires_grad
+
+
+def test_no_grad_restores_recording_when_the_body_raises():
+    x = Tensor(np.asarray([1.0, 2.0]), requires_grad=True)
+    with pytest.raises(ShapeError):
+        with ad.no_grad():
+            ad.add(x, Tensor(np.ones(3)))
+    backward(total(ad.mul(x, x)))
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_inside_no_grad_raises():
+    # a leaked scope must not let a training step run on untouched gradient buffers
+    x = Tensor(np.asarray([1.0, 2.0]), requires_grad=True)
+    y = total(ad.mul(x, x))
+    with ad.no_grad():
+        with pytest.raises(StateError, match="no_grad"):
+            backward(y)
+        with pytest.raises(StateError, match="no_grad"):
+            backward(constant(np.asarray(1.0)))
+    assert x.grad is None
+    backward(y)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
 def test_matmul_gradcheck_property(n, m, seed):
     rng = np.random.default_rng(seed)
@@ -585,7 +661,7 @@ def test_matmul_gradcheck_property(n, m, seed):
     check(f, store, samples_per_param=2, seed=seed % 1000)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12), st.integers(0, 2**31 - 1))
 def test_softmax_is_distribution_property(logits, seed):
     y = ad.softmax(Tensor(np.asarray(logits)))
@@ -593,14 +669,18 @@ def test_softmax_is_distribution_property(logits, seed):
     assert (y.values >= 0).all()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(2, 8), st.integers(0, 2**31 - 1))
+@example(6, 527460465)  # an entry of x @ x within 1.3e-4 of the kink, under the old draw
 def test_relu_composition_gradcheck_property(n, seed):
     rng = np.random.default_rng(seed)
-    # shift away from the ReLU kink so central differences stay two-sided
-    vals = rng.normal(size=(n, n))
-    vals[np.abs(vals) < 0.05] += 0.1
-    store = fd_store(x=vals)
+    # redraw until every entry of x @ x is clear of the ReLU kink, so central
+    # differences stay two-sided: a step of eps = 1e-4 in one entry of x moves
+    # an entry of x @ x by at most 2 eps max|x| + eps^2, far below 0.01
+    x = rng.normal(size=(n, n))
+    while np.abs(x @ x).min() < 0.01:
+        x = rng.normal(size=(n, n))
+    store = fd_store(x=x)
 
     def f(s):
         return total(ad.relu(ad.matmul(s["x"], s["x"])))

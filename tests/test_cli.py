@@ -3,13 +3,15 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from convrec import autodiff as ad
 from convrec import cli
 from convrec.corpus import RecExample, Split
 from convrec.errors import NumericError
-from convrec.recommender import Model, TrainConfig, evaluate
+from convrec.recommender import Model, TrainConfig, evaluate, rank_order, score_all
 from convrec.retrieval import conversation_tokens, retrieve
 from convrec.synthetic import popularity_corpus, toy_instance, write_inputs
 
@@ -464,6 +466,52 @@ def test_recommend_matches_scoring_oracle(runner, toy_bundle, toy_checkpoint):
         top = sorted(range(len(item_ids)), key=lambda i: (-probs[i], i))[:4]
         expected.append([[entities.tokens[item_ids[i]], f"{probs[i]:.6f}"] for i in top])
     assert [[[row[1], row[3]] for row in block] for block in printed] == expected
+
+
+def test_recommend_session_records_no_tape_and_prints_the_recording_route(
+        runner, toy_bundle, toy_checkpoint, monkeypatch):
+    scored = []
+
+    def spy(users, item_rows, masked):
+        scored.append((users, item_rows, score_all(users, item_rows, masked)))
+        return scored[-1][2]
+
+    monkeypatch.setattr(cli, "score_all", spy)
+    turns = (["I0", "I3"], ["I1"], ["I5", "I2"], ["I4"])
+    result = run(runner, ["recommend", "--bundle", str(toy_bundle),
+                          "--checkpoint", str(toy_checkpoint), "--k", "4"],
+                 input="".join(" ".join(t) + "\n" for t in turns))
+    assert result.exit_code == 0
+    assert len(scored) == len(turns)
+    for tensors in scored:
+        assert all(t._parents == () and t._backward_fn is None for t in tensors)
+
+    model = cli.load_model(str(toy_bundle), str(toy_checkpoint))
+    entities = model.artifacts.vocab.entities
+    item_ids = model.artifacts.item_ids
+    item_matrix, word_matrix = model.encoder_outputs()
+    item_rows = ad.lookup(item_matrix, item_ids)
+    context: list[int] = []
+    expected = ""
+    for tokens, (_, _, free) in zip(turns, scored):
+        context += [entities.resolve(t) for t in tokens]
+        example = RecExample(
+            conversation_id="(stdin)", user_id="(stdin)", split=Split.TEST,
+            turn_index=len(context), context_entities=tuple(context),
+            context_words=(), gold_items=frozenset(),
+        )
+        contexts = model.contexts([example])
+        probs = score_all(model.users(contexts, item_matrix, word_matrix).vector,
+                          item_rows, contexts.masked)
+        assert probs._backward_fn is not None
+        assert np.array_equal(probs.values, free.values)
+        p = probs.values[0]
+        top = rank_order(p, 4)
+        expected += "".join(
+            f"{rank}\t{entities.tokens[e]}\t{entities.names[e]}\t{q:.6f}\n"
+            for rank, (e, q) in enumerate(zip(item_ids[top].tolist(), p[top].tolist()), start=1)
+        ) + "\n"
+    assert result.stdout == expected
 
 
 def test_recommend_warns_on_unknown_entity(runner, toy_bundle, toy_checkpoint):

@@ -385,6 +385,68 @@ def test_evaluate_nan_probabilities_raise():
         evaluate(model, test, [1, 10])
 
 
+def test_score_all_is_identical_without_a_tape(toy_artifacts):
+    model = Model(toy_artifacts, small_config())
+    batch = model.contexts(toy_artifacts.examples)
+    assert batch.masked.rows.size
+
+    def probs():
+        item_matrix, word_matrix = model.encoder_outputs()
+        users = model.users(batch, item_matrix, word_matrix).vector
+        return score_all(users, ad.lookup(item_matrix, model.artifacts.item_ids), batch.masked)
+
+    recorded = probs()
+    with ad.no_grad():
+        free = probs()
+    assert recorded._backward_fn is not None
+    assert not free.requires_grad and free._parents == () and free._backward_fn is None
+    assert np.array_equal(recorded.values, free.values)
+
+
+def test_evaluate_records_no_tape_and_reports_what_the_recording_route_does(toy_artifacts,
+                                                                           monkeypatch):
+    scored = []
+
+    def spy(*args, _fn=convrec.recommender.score_all):
+        scored.append(_fn(*args))
+        return scored[-1]
+
+    monkeypatch.setattr(convrec.recommender, "score_all", spy)
+    model = Model(toy_artifacts, small_config(batch_size=3))
+    examples = toy_artifacts.examples
+    report = evaluate(model, examples, [1, 3, 6])
+    free, scored[:] = scored[:], []
+    # the same body without its no_grad scope
+    recording = convrec.recommender.evaluate_contexts.__wrapped__
+    assert recording(model, model.contexts(examples), [1, 3, 6], "train") == report
+    assert len(free) == len(scored) > 1
+    for f, r in zip(free, scored):
+        assert f._parents == () and f._backward_fn is None and r._backward_fn is not None
+        assert np.array_equal(f.values, r.values)
+
+
+def test_a_raising_evaluate_leaves_recording_on():
+    # evaluate raises out of its no_grad scope; the next training step must still backprop
+    artifacts = artifacts_of(popularity_corpus(seed=0, n_users=20, n_items=12,
+                                               n_conversations=60))
+    model, fresh = Model(artifacts, small_config()), Model(artifacts, small_config())
+    batch = model.contexts(split_view(artifacts.examples, Split.TRAIN)[:8])
+    emb = model.store["kg.emb"].values
+    saved = emb.copy()
+    emb[...] = np.nan
+    with pytest.raises(NumericError, match="NaN"):
+        evaluate(model, split_view(artifacts.examples, "test"), [1, 10])
+    emb[...] = saved
+    for m in (model, fresh):
+        for _, t in m.store.items():
+            t.grad = None
+        ad.backward(batch_loss(m, batch, *m.encoder_outputs())[0])
+    for name, t in model.store.items():
+        assert t.grad is not None, name
+        assert np.array_equal(t.grad, fresh.store[name].grad), name
+    assert any(t.grad.any() for _, t in model.store.items())
+
+
 def test_metrics_report_serialization():
     report = MetricsReport(split="test", n_examples=3, n_pairs=4,
                            recall={1: 0.25, 10: 0.75}, mrr={1: 0.25, 10: 0.5},
