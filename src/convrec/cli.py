@@ -21,7 +21,6 @@ from .corpus import (
     Split,
     corpus_stats,
     default_stopwords,
-    derive_examples,
     load_corpus,
     load_entity_vocab,
     load_keyword_lexicon,
@@ -53,6 +52,7 @@ from .recommender import (
     Model,
     TrainConfig,
     ablate as run_ablate,
+    build_artifacts,
     comparison_table,
     evaluate,
     rank_order,
@@ -257,17 +257,7 @@ def load_bundle(bundle_dir: str | Path, index_path: str | Path | None = None) ->
     idx_path = Path(index_path) if index_path else bundle / _BUNDLE_FILES["index"]
     if manifest["has_index"] or index_path:
         index = load_index(idx_path)
-
-    return Artifacts(
-        vocab=vocab,
-        conversations=conversations,
-        examples=derive_examples(conversations, entities),
-        kg=kg,
-        word_graph=word_graph,
-        interaction=interaction,
-        index=index,
-        item_ids=entities.item_ids(),
-    )
+    return build_artifacts(conversations, vocab, kg, word_graph, loaded=(interaction, index))
 
 
 def _config_sidecar(checkpoint_path: Path) -> Path:

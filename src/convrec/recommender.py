@@ -46,7 +46,7 @@ from .preference import (
     build_user_representation,
     init_attention_params,
 )
-from .retrieval import Bm25Index, build_index, retrieve
+from .retrieval import Bm25Index, build_index, retrieve_batch
 
 DEFAULT_KS = (1, 10, 50)
 
@@ -214,16 +214,23 @@ def build_artifacts(
     vocab: Vocab,
     kg: TypedGraph,
     word_graph: WordGraph | None = None,
+    *,
+    loaded: tuple[InteractionGraph | None, Bm25Index | None] | None = None,
 ) -> Artifacts:
-    """Derive examples and training-split structures from a loaded corpus."""
-    train_convs = [c for c in conversations if c.split == Split.TRAIN]
-    interaction = build_interaction_graph(train_convs, vocab.entities) if train_convs else None
-    index = build_index(train_convs) if train_convs else None
-    examples = derive_examples(conversations, vocab.entities)
+    """Derive examples and training-split structures from a loaded corpus.
+
+    ``loaded`` is an (interaction graph, index) pair already read from a
+    bundle, used as given; without it both are built from the training split.
+    """
+    if loaded is None:
+        train_convs = [c for c in conversations if c.split == Split.TRAIN]
+        loaded = ((build_interaction_graph(train_convs, vocab.entities), build_index(train_convs))
+                  if train_convs else (None, None))
+    interaction, index = loaded
     return Artifacts(
         vocab=vocab,
         conversations=list(conversations),
-        examples=examples,
+        examples=derive_examples(conversations, vocab.entities),
         kg=kg,
         word_graph=word_graph,
         interaction=interaction,
@@ -297,16 +304,21 @@ class Model:
     def contexts(self, examples: Iterable[RecExample]) -> Contexts:
         """The examples' rows under this config; the only place an example becomes rows.
 
-        Retrieval runs once per example per call, unless ``without_rt`` or no index.
+        Retrieval runs once per call, one ``retrieve_batch`` over every example,
+        unless ``without_rt`` or no index.
         """
         cfg = self.config
         examples = list(examples)
         index = None if cfg.without_rt else self.artifacts.index
         mentioned = Segments.of([ex.context_entities for ex in examples])
-        entities = mentioned if index is None else Segments.of([
-            (*ex.context_entities, *retrieve(index, list(ex.context_entities), cfg.top_n,
-                                             exclude_id=ex.conversation_id).entities)
-            for ex in examples])
+        entities = mentioned
+        if index is not None:
+            exclude = np.array([index.index_of.get(ex.conversation_id, -1) for ex in examples],
+                               np.intp)
+            docs, _, found = retrieve_batch(index, mentioned, cfg.top_n, exclude)
+            docs, found = docs.tolist(), found.tolist()
+            entities = Segments.of([(*ex.context_entities, *index.entities_of(docs[lo:hi]))
+                                    for ex, lo, hi in zip(examples, found, found[1:])])
         no_rows = Segments(np.zeros(0, np.intp), np.zeros(len(examples) + 1, np.intp))
         context_words = Segments.of([ex.context_words for ex in examples])
         words = no_rows if cfg.without_cn else context_words.lookup(self.word_row)

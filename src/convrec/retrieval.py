@@ -13,19 +13,47 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import Conversation, Split
 from .errors import LeakageError, MissingArtifactError, ParseError, ValidationError
+from .optim import atomic_write
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 _MAGIC = b"CVRI"
 _VERSION = 1
+
+
+# Each chunk of retrieve_batch scores its queries into one dense
+# (queries, documents) float64 array of at most this many bytes. At 512 KiB a
+# chunk's arrays stay in cache, and the heap the package keeps after freeing
+# them (see allocator.py) stays below the training footprint; at 2 MiB the
+# train-retrieval benchmark's peak RSS rose by about 4 MB.
+SCRATCH_BYTES = 1 << 19
+
+
+class Postings(NamedTuple):
+    """Every (term, document) weight, grouped by term: a CSR over the index's terms.
+
+    Term i of the T distinct terms, ascending, is the interval
+    ``[edges[2i], edges[2i + 1]) = [t, t + 1)``, so ``edges.searchsorted(q, "right")``
+    is the slot 2i + 1 exactly when id q is term i. Any other id, negative or
+    beyond the last term included, lands on an even slot, which holds no postings.
+    Slot s's postings are ``[starts[s], starts[s] + sizes[s])`` of ``ranks`` and
+    ``weights``, in ascending document rank.
+    """
+
+    edges: np.ndarray    # (2T,) int64
+    starts: np.ndarray   # (2T + 1,) intp
+    sizes: np.ndarray    # (2T + 1,) intp
+    ranks: np.ndarray    # each posting's document, as its position in doc_id order
+    weights: np.ndarray  # each posting's addend in bm25_score
 
 
 @dataclass
@@ -35,8 +63,8 @@ class Bm25Index:
     ``doc_entities`` keeps each document's distinct entities in first-mention
     order; retrieval unions these to build the retrieved-entity list.
 
-    ``term_weights`` and ``doc_rank`` are derived on first use and cached;
-    mutate no field after the first ``retrieve``.
+    ``postings`` and ``doc_rank`` are derived on first use and cached; mutate
+    no field after the first retrieval.
     """
 
     k1: float
@@ -62,14 +90,13 @@ class Bm25Index:
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
     @functools.cached_property
-    def term_weights(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Per term: ascending doc indices and their BM25 weights.
+    def postings(self) -> Postings:
+        """Each posting's weight, one term's addend in ``bm25_score``.
 
-        A weight is one term's addend in ``bm25_score``, computed with the
-        same operation order, so summing a query's weights in query order
-        reproduces its scores bit for bit. Only postings (tf != 0) get a
-        weight, so an index whose documents are all empty divides by no
-        zero ``avgdl``.
+        The weights use the same operation order as ``bm25_score``, so summing
+        a query's weights in query order reproduces its scores bit for bit.
+        Only postings (tf != 0) get a weight, so an index whose documents are
+        all empty divides by no zero ``avgdl``.
         """
         terms: list[int] = []
         docs: list[int] = []
@@ -81,25 +108,43 @@ class Bm25Index:
                     docs.append(doc_idx)
                     tfs.append(tf)
         term_arr = np.array(terms, dtype=np.int64)
-        doc_arr = np.array(docs, dtype=np.int64)
-        order = np.lexsort((doc_arr, term_arr))
-        term_arr, doc_arr = term_arr[order], doc_arr[order]
+        rank_arr = self.doc_rank[np.array(docs, dtype=np.intp)]
+        order = np.lexsort((rank_arr, term_arr))
+        term_arr, rank_arr = term_arr[order], rank_arr[order]
         tf_arr = np.array(tfs, dtype=np.float64)[order]
-        uniq, starts, which = np.unique(term_arr, return_index=True, return_inverse=True)
+        uniq, which, counts = np.unique(term_arr, return_inverse=True, return_counts=True)
         idf = np.array([self.idf(int(t)) for t in uniq], dtype=np.float64)[which]
-        dl = np.array(self.doc_lens, dtype=np.float64)[doc_arr]
+        dl = np.array(self.doc_lens, dtype=np.float64)[self.by_rank[rank_arr]]
         length_norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
         weights = idf * tf_arr * (self.k1 + 1.0) / (tf_arr + length_norm)
-        ends = np.append(starts[1:], term_arr.size)
-        return {int(t): (doc_arr[lo:hi], weights[lo:hi])
-                for t, lo, hi in zip(uniq, starts, ends)}
+        edges = uniq.repeat(2)
+        edges[1::2] += 1
+        starts = np.zeros(2 * uniq.size + 1, dtype=np.intp)
+        sizes = np.zeros(2 * uniq.size + 1, dtype=np.intp)
+        starts[1::2] = counts.cumsum() - counts
+        sizes[1::2] = counts
+        return Postings(edges, starts, sizes, rank_arr, weights)
 
     @functools.cached_property
     def doc_rank(self) -> np.ndarray:
-        """Each document's position in ascending ``doc_id`` order."""
-        rank = np.empty(self.n_docs, dtype=np.int64)
-        rank[sorted(range(self.n_docs), key=self.doc_ids.__getitem__)] = np.arange(self.n_docs)
+        """Each document's position in ascending ``doc_id`` order, then ``n_docs``.
+
+        The extra last entry is the rank of document -1, none: a spare
+        position past every document.
+        """
+        rank = np.empty(self.n_docs + 1, dtype=np.intp)
+        rank[self.by_rank] = np.arange(self.n_docs)
+        rank[-1] = self.n_docs
         return rank
+
+    @functools.cached_property
+    def by_rank(self) -> np.ndarray:
+        """The document indices in ascending ``doc_id`` order; inverts ``doc_rank``."""
+        return np.array(sorted(range(self.n_docs), key=self.doc_ids.__getitem__), dtype=np.intp)
+
+    def entities_of(self, docs: Iterable[int]) -> tuple[int, ...]:
+        """The documents' distinct entities, in document order, then mention order."""
+        return tuple(dict.fromkeys(chain.from_iterable(map(self.doc_entities.__getitem__, docs))))
 
 
 @dataclass(frozen=True)
@@ -166,41 +211,89 @@ def bm25_score(index: Bm25Index, query: Sequence[int], doc_id: str) -> float:
     return score
 
 
+def retrieve_batch(index: Bm25Index, queries: tuple[np.ndarray, np.ndarray], n: int,
+                   exclude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each query's top-n documents by BM25, as the CSR ``(docs, scores, found)``.
+
+    ``queries`` is ``(rows, offsets)``: query b is the multiset of entity ids
+    ``rows[offsets[b]:offsets[b + 1]]``; ids the index lacks, negative ones
+    included, add nothing. ``exclude[b]`` is a document index that query b
+    never returns, or -1. Query b's documents are ``docs[found[b]:found[b + 1]]``:
+    only positive scores, the highest first, ties to the lower ``doc_id``.
+
+    Every query position adds its term's postings, and ``np.bincount`` sums
+    them in that order from 0.0, so each score equals ``bm25_score`` bit for
+    bit. Queries are scored a chunk at a time into a dense array of at most
+    ``SCRATCH_BYTES``.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    edges, starts, sizes, ranks, weights = index.postings
+    rows = np.asarray(queries[0], dtype=np.int64)
+    offsets = np.asarray(queries[1], dtype=np.intp)
+    bounds = offsets.tolist()
+    n_docs = index.n_docs
+    n_queries = len(bounds) - 1
+    # each query position's postings; an id the index lacks finds an empty slot
+    slot = edges.searchsorted(rows, "right")
+    begin, count = starts[slot], sizes[slot]
+    # a chunk's scores are one flat (queries, stride) array whose last column,
+    # rank n_docs, is a spare that no posting reaches and exclude -1 zeroes
+    stride = n_docs + 1
+    width = min(n, n_docs)
+    top_ranks = np.zeros((n_queries, width), np.intp)
+    top_scores = np.zeros((n_queries, width))
+    step = max(1, SCRATCH_BYTES // (8 * stride))
+    for lo in range(0, n_queries, step):
+        hi = min(lo + step, n_queries)
+        first, last = bounds[lo], bounds[hi]
+        size = count[first:last]
+        # posting j of position i sits at begin[i] + j in the index arrays
+        pos = (begin[first:last] - size.cumsum() + size).repeat(size)
+        pos += np.arange(len(pos))
+        row_start = np.arange(0, (hi - lo) * stride, stride)
+        key = ranks[pos]
+        if hi - lo > 1:  # a one-query chunk's keys are its ranks
+            key += row_start.repeat(offsets[lo + 1:hi + 1] - offsets[lo:hi]).repeat(size)
+        scores = np.bincount(key, weights[pos], (hi - lo) * stride)
+        scores[row_start + index.doc_rank[exclude[lo:hi]]] = 0.0
+        if n_queries == 1:  # one query (a retrieve, a recommend turn): sort its hits once
+            hits = (scores > 0.0).nonzero()[0]
+            top = hits[np.lexsort((hits, -scores[hits]))[:n]]
+            return index.by_rank[top], scores[top], np.array([0, len(top)])
+        # a row's maximum, the lowest rank among equals, is its next document;
+        # zeroing it leaves the rest
+        by_row = scores.reshape(hi - lo, stride)
+        for j in range(width):
+            best = by_row.argmax(axis=1)
+            top_ranks[lo:hi, j] = best
+            best = best + row_start
+            top_scores[lo:hi, j] = top = scores[best]
+            if j + 1 == width or not top.max() > 0.0:
+                break
+            scores[best] = 0.0
+    # positive scores lead each row, so a row's hits stay in rank order
+    hits = top_scores > 0.0
+    found = np.zeros(n_queries + 1, np.intp)
+    found[1:] = hits.sum(axis=1).cumsum()
+    return index.by_rank[top_ranks[hits]], top_scores[hits], found
+
+
 def retrieve(index: Bm25Index, query: Sequence[int], n: int,
              exclude_id: str | None = None) -> RetrievalResult:
     """Top-n conversations by BM25 with deterministic tie-breaking.
 
     Only documents with positive score (i.e. sharing at least one query
-    entity) are returned; the excluded conversation never is. Scoring is
-    term-at-a-time: each query occurrence adds its term's precomputed
-    weights into one score vector, which equals ``bm25_score`` of every
-    document bit for bit.
+    entity) are returned; the excluded conversation never is. This is
+    ``retrieve_batch`` of one query.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not query:
-        return RetrievalResult(ranked=(), entities=(), empty_query=True)
-    weights = index.term_weights
-    scores = np.zeros(index.n_docs)
-    for term in query:
-        posting = weights.get(term)
-        if posting is not None:
-            scores[posting[0]] += posting[1]
-    excluded = index.index_of.get(exclude_id)
-    if excluded is not None:
-        scores[excluded] = 0.0
-    hits = np.flatnonzero(scores > 0.0)
-    top = hits[np.lexsort((index.doc_rank[hits], -scores[hits]))[:n]].tolist()
-    entities: list[int] = []
-    seen: set[int] = set()
-    for doc_idx in top:
-        for ent in index.doc_entities[doc_idx]:
-            if ent not in seen:
-                seen.add(ent)
-                entities.append(ent)
+    docs, scores, _ = retrieve_batch(index, (query, np.array([0, len(query)])), n,
+                                     np.array([index.index_of.get(exclude_id, -1)]))
+    top = docs.tolist()
     return RetrievalResult(
-        ranked=tuple((index.doc_ids[i], float(scores[i])) for i in top),
-        entities=tuple(entities),
+        ranked=tuple(zip(map(index.doc_ids.__getitem__, top), scores.tolist())),
+        entities=index.entities_of(top),
+        empty_query=not len(query),
     )
 
 
@@ -237,7 +330,7 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
     for doc_idx, counts in enumerate(index.doc_terms):
         for term, tf in sorted(counts.items()):
             postings.setdefault(term, []).append((doc_idx, tf))
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Idd", _VERSION, index.k1, index.b))
         fh.write(struct.pack("<I", index.n_docs))

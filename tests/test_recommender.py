@@ -32,7 +32,7 @@ from convrec.recommender import (
     score_all,
     train,
 )
-from convrec.retrieval import retrieve
+from convrec.retrieval import retrieve, retrieve_batch
 from convrec.synthetic import popularity_corpus, toy_instance
 
 from conftest import masked_positions, reference_users, total
@@ -616,33 +616,34 @@ def test_train_and_evaluate_call_the_sampled_functions_once_per_batch(toy_artifa
     assert calls == {"build_user_representation": chunks, "score_all": chunks}
 
 
-def count_retrieve_calls(monkeypatch):
-    calls = []
+def count_retrieve_batch_calls(monkeypatch):
+    """The number of queries in each ``retrieve_batch`` call ``Model.contexts`` makes."""
+    batch_sizes = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return retrieve(*args, **kwargs)
+    def counting(index, queries, n, exclude):
+        batch_sizes.append(len(queries.offsets) - 1)
+        return retrieve_batch(index, queries, n, exclude)
 
-    monkeypatch.setattr(convrec.recommender, "retrieve", counting)
-    return calls
+    monkeypatch.setattr(convrec.recommender, "retrieve_batch", counting)
+    return batch_sizes
 
 
-def test_retrieval_runs_once_per_example_per_compile(monkeypatch):
+def test_retrieval_runs_once_per_compile(monkeypatch):
     artifacts = artifacts_of(popularity_corpus(seed=0, n_users=20, n_items=12,
                                                n_conversations=60))
     n_train = len(split_view(artifacts.examples, Split.TRAIN))
     n_valid = len(split_view(artifacts.examples, Split.VALID))
     assert n_train and n_valid
-    calls = count_retrieve_calls(monkeypatch)
+    batch_sizes = count_retrieve_batch_calls(monkeypatch)
     result = train(artifacts, small_config(epochs=3, batch_size=4))
     # the training and validation splits compile once each, before the epoch loop
-    assert len(calls) == n_train + n_valid
-    calls.clear()
+    assert batch_sizes == [n_train, n_valid]
+    batch_sizes.clear()
     evaluate(result.model, artifacts.examples)
-    assert len(calls) == len(artifacts.examples)
-    calls.clear()
+    assert batch_sizes == [len(artifacts.examples)]
+    batch_sizes.clear()
     train(artifacts, small_config(epochs=2, batch_size=4, without_rt=True))
-    assert calls == []
+    assert batch_sizes == []
 
 
 def test_config_validation_errors():

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import struct
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from convrec import retrieval
 from convrec.corpus import Conversation, Mention, Sentiment, Speaker, Split, Utterance
 from convrec.errors import LeakageError, MissingArtifactError, ParseError, ValidationError
 from convrec.retrieval import (
@@ -16,6 +19,7 @@ from convrec.retrieval import (
     conversation_tokens,
     load_index,
     retrieve,
+    retrieve_batch,
     save_index,
 )
 
@@ -167,6 +171,20 @@ def test_save_is_byte_stable(small_index, tmp_path):
     save_index(index, p1)
     save_index(index, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_interrupted_index_write_keeps_the_previous_file(small_index, tmp_path):
+    index, _ = small_index
+    path = tmp_path / "bm25.idx"
+    save_index(index, path)
+    before = path.read_bytes()
+    # a negative entity id has no u32 encoding, so the write fails at the last
+    # document, after the header and the other documents went out
+    broken = dataclasses.replace(index, doc_entities=[*index.doc_entities[:-1], (-1,)])
+    with pytest.raises(struct.error):
+        save_index(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["bm25.idx"]
 
 
 def test_load_errors(tmp_path):
@@ -328,6 +346,66 @@ def test_retrieve_equals_exhaustive_bm25_score_ranking(data):
                                   for e in index.doc_entities[doc_ids.index(d)])
     assert result.entities == tuple(want_entities)
     assert not result.empty_query
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_retrieve_batch_equals_exhaustive_ranking_and_retrieve(data):
+    # few distinct entities make repeated terms and tied scores likely
+    docs = data.draw(st.lists(st.lists(st.integers(0, 5), max_size=6), min_size=1, max_size=6))
+    assume(any(docs))  # bm25_score divides by avgdl, which is 0 for all-empty docs
+    # copies of a document under other ids force ties, broken by doc_id
+    docs += data.draw(st.lists(st.sampled_from(docs), max_size=2))
+    doc_ids = data.draw(st.lists(st.text("abxyz", min_size=1, max_size=3),
+                                 min_size=len(docs), max_size=len(docs), unique=True))
+    df = Counter(t for toks in docs for t in set(toks))
+    index = Bm25Index(k1=1.2, b=0.75, doc_ids=doc_ids,
+                      doc_terms=[Counter(toks) for toks in docs],
+                      doc_lens=[len(toks) for toks in docs],
+                      doc_entities=[tuple(dict.fromkeys(toks)) for toks in docs],
+                      df=dict(df), avgdl=sum(map(len, docs)) / len(docs))
+    # -3..-1 and 6..8 are ids the index lacks; a query may be empty
+    queries = data.draw(st.lists(st.lists(st.integers(-3, 8), max_size=6),
+                                 min_size=1, max_size=12))
+    exclude = data.draw(st.lists(st.integers(-1, len(docs) - 1),
+                                 min_size=len(queries), max_size=len(queries)))
+    n = data.draw(st.integers(1, 5))
+    rows = np.array([t for q in queries for t in q], dtype=np.intp)
+    offsets = np.cumsum([0, *map(len, queries)])
+    # a scratch of 1-3 score rows splits most batches into several chunks
+    per_chunk = data.draw(st.none() | st.integers(1, 3))
+    scratch = retrieval.SCRATCH_BYTES if per_chunk is None else 8 * (len(docs) + 1) * per_chunk
+    with mock.patch.object(retrieval, "SCRATCH_BYTES", scratch):
+        got_docs, got_scores, found = retrieve_batch(index, (rows, offsets), n, np.array(exclude))
+
+    assert found[0] == 0 and len(found) == len(queries) + 1
+    for b, query in enumerate(queries):
+        lo, hi = found[b], found[b + 1]
+        got = [(doc_ids[d], s)
+               for d, s in zip(got_docs[lo:hi].tolist(), got_scores[lo:hi].tolist())]
+        exclude_id = doc_ids[exclude[b]] if exclude[b] >= 0 else None
+        scored = sorted(((bm25_score(index, query, d), d) for d in doc_ids if d != exclude_id),
+                        key=lambda t: (-t[0], t[1]))
+        assert got == [(d, s) for s, d in scored if s > 0.0][:n]  # exact, not approximate
+        assert tuple(got) == retrieve(index, query, n, exclude_id=exclude_id).ranked
+
+
+def test_retrieve_batch_scores_a_chunk_at_a_time(small_index):
+    index, _ = small_index
+    scratch_sizes = []
+    bincount = np.bincount
+
+    def recording(*args):
+        scores = bincount(*args)
+        scratch_sizes.append(scores.nbytes)
+        return scores
+
+    # four documents and the spare column: 40 bytes a query, so two queries a chunk
+    with mock.patch.object(retrieval, "SCRATCH_BYTES", 100), \
+            mock.patch.object(np, "bincount", recording):
+        _, _, found = retrieve_batch(index, ([1] * 9, np.arange(10)), 1, np.full(9, -1))
+    assert scratch_sizes == [80] * 4 + [40]
+    assert found.tolist() == list(range(10))
 
 
 def test_toy_corpus_retrieval_sanity(toy_artifacts, toy_data):
