@@ -183,13 +183,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.values * c)
+def blend(gate: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """gate * a + (1 - gate) * b, elementwise over same-shape tensors."""
+    _same_shape(gate, a, "blend")
+    _same_shape(gate, b, "blend")
+    keep = 1.0 - gate.values
+    out = Tensor(gate.values * a.values + keep * b.values)
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, g * c, True)
+        if gate.requires_grad:
+            _accum(gate, g * a.values - g * b.values, True)
+        if a.requires_grad:
+            _accum(a, g * gate.values, True)
+        if b.requires_grad:
+            _accum(b, g * keep, True)
 
-    return _record(out, (a,), bw)
+    return _record(out, (gate, a, b), bw)
 
 
 def add_const(a: Tensor, c) -> Tensor:
@@ -225,9 +234,13 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # Stable for both signs of the input.
-    y = np.where(a.values >= 0, 1.0 / (1.0 + np.exp(-a.values)), np.exp(a.values) / (1.0 + np.exp(a.values)))
-    y = y.astype(a.values.dtype, copy=False)
+    """1 / (1 + exp(-a)) for a >= 0 and exp(a) / (1 + exp(a)) below, from one exp.
+
+    e = exp(-|a|) never overflows, and min(a, -a) keeps a NaN's sign, so each
+    entry is the two-branch formula's bit for bit.
+    """
+    e = np.exp(np.minimum(a.values, -a.values))
+    y = np.where(a.values >= 0, 1.0, e) / (1.0 + e)
     out = Tensor(y)
 
     def bw(g: np.ndarray) -> None:
@@ -287,35 +300,40 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along axis 0. All parts must share rank and trailing dims."""
+def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Concatenate along ``axis``. All parts must share rank and every other dim."""
     if not parts:
         raise ShapeError("concat: no inputs")
-    ndim = parts[0].values.ndim
-    for p in parts:
-        if p.values.ndim != ndim or p.values.shape[1:] != parts[0].values.shape[1:]:
-            raise ShapeError(
-                f"concat: incompatible shapes {[tuple(q.values.shape) for q in parts]}"
-            )
-    out = Tensor(np.concatenate([p.values for p in parts], axis=0))
-    sizes = [p.values.shape[0] for p in parts]
+    try:
+        out = Tensor(np.concatenate([p.values for p in parts], axis=axis))
+    except ValueError:  # numpy's own check of ranks, dims and axis
+        raise ShapeError(f"concat: incompatible shapes {[p.values.shape for p in parts]} "
+                         f"along axis {axis}") from None
 
     def bw(g: np.ndarray) -> None:
+        at = [slice(None)] * g.ndim
         off = 0
-        for p, n in zip(parts, sizes):
+        for p in parts:
+            n = p.values.shape[axis]
             if p.requires_grad:
-                _accum(p, g[off : off + n], True)
+                at[axis] = slice(off, off + n)
+                _accum(p, g[tuple(at)], True)
             off += n
 
     return _record(out, tuple(parts), bw)
 
 
 def lookup(table: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of a matrix; backward scatter-adds into the table."""
+    """Gather rows of a matrix; backward scatter-adds into the table.
+
+    The scatter is one buffered ``grad[idx] += g`` when the rows are distinct
+    and ``np.add.at`` when one repeats; both add each entry exactly once.
+    """
     if table.values.ndim != 2:
         raise ShapeError(f"lookup: expected a matrix, got shape {table.values.shape}")
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.values.shape[0]):
+    # as unsigned ints, negative indices are huge: one reduction checks both ends
+    if idx.size and idx.view(np.uintp).max() >= table.values.shape[0]:
         raise ShapeError(
             f"lookup: index out of range for table with {table.values.shape[0]} rows"
         )
@@ -324,7 +342,10 @@ def lookup(table: Tensor, indices: Sequence[int]) -> Tensor:
     def bw(g: np.ndarray) -> None:
         if table.grad is None:
             table.grad = np.zeros_like(table.values)
-        np.add.at(table.grad, idx, g)
+        if np.bincount(idx).max(initial=0) <= 1:  # distinct rows: a buffered add is exact
+            table.grad[idx] += g
+        else:
+            np.add.at(table.grad, idx, g)
 
     return _record(out, (table,), bw)
 
@@ -381,43 +402,58 @@ def softmax(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
-# Segment ops act on B consecutive row segments: segment b is rows
-# offsets[b]:offsets[b + 1], as in a CSR indptr, and may be empty.
+class SegmentLayout:
+    """B consecutive row segments, checked once, when built.
 
-
-def _segments(offsets: Sequence[int], n_rows: int, op: str
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check (B + 1,) offsets over ``n_rows`` rows.
-
-    Returns the ids, first rows and row counts of the non-empty segments.
-    Each non-empty segment ends where the next one starts, so
-    ``ufunc.reduceat(x, starts)`` reduces exactly those segments.
+    Segment b is rows ``offsets[b]:offsets[b + 1]``, as in a CSR indptr, and may
+    be empty. The constructor is the one check of the offsets (a vector, from 0,
+    non-decreasing); segment ops take a layout and compare only its ``n_rows``
+    with their row count. ``ids``, ``starts`` and ``counts`` are the non-empty
+    segments' ids, first rows and sizes, so ``ufunc.reduceat(x, starts)``
+    reduces exactly those segments.
     """
-    off = np.asarray(offsets, dtype=np.intp)
-    counts = off[1:] - off[:-1]
-    if off.ndim != 1 or not off.size or off[0] != 0 or off[-1] != n_rows or (counts < 0).any():
-        raise ShapeError(f"{op}: offsets must rise from 0 to {n_rows} rows")
-    ids = counts.nonzero()[0]
-    return ids, off[ids], counts[ids]
+
+    __slots__ = ("offsets", "n_rows", "ids", "starts", "counts")
+
+    def __init__(self, offsets: Sequence[int]):
+        off = np.asarray(offsets, dtype=np.intp)
+        bounds = off.tolist()  # plain ints: cheaper to check than numpy reductions
+        if off.ndim != 1 or not bounds or bounds[0] != 0 or bounds != sorted(bounds):
+            raise ShapeError("segment offsets must rise from 0 in a vector")
+        counts = off[1:] - off[:-1]
+        self.offsets = off
+        self.n_rows = bounds[-1]
+        self.ids = counts.nonzero()[0]
+        self.starts = off[self.ids]
+        self.counts = counts[self.ids]
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
 
 
-def segment_softmax(scores: Tensor, offsets: Sequence[int]) -> Tensor:
+def _check_rows(layout: SegmentLayout, n_rows: int, op: str) -> None:
+    if layout.n_rows != n_rows:
+        raise ShapeError(f"{op}: offsets end at row {layout.n_rows} of {n_rows} rows")
+
+
+def segment_softmax(scores: Tensor, layout: SegmentLayout) -> Tensor:
     """Softmax of an (n,) score vector within each segment (max-shifted for stability)."""
     if scores.values.ndim != 1:
         raise ShapeError(f"segment_softmax: expected a vector, got shape {scores.values.shape}")
-    _, starts, counts = _segments(offsets, scores.values.shape[0], "segment_softmax")
+    _check_rows(layout, scores.values.shape[0], "segment_softmax")
+    starts, counts = layout.starts, layout.counts
     s = scores.values
-    e = np.exp(s - np.repeat(np.maximum.reduceat(s, starts), counts))
-    y = e / np.repeat(np.add.reduceat(e, starts), counts)
+    e = np.exp(s - np.maximum.reduceat(s, starts).repeat(counts))
+    y = e / np.add.reduceat(e, starts).repeat(counts)
     out = Tensor(y)
 
     def bw(g: np.ndarray) -> None:
-        _accum(scores, y * (g - np.repeat(np.add.reduceat(g * y, starts), counts)), True)
+        _accum(scores, y * (g - np.add.reduceat(g * y, starts).repeat(counts)), True)
 
     return _record(out, (scores,), bw)
 
 
-def segment_sum(weights: Tensor, rows: Tensor, offsets: Sequence[int]) -> Tensor:
+def segment_sum(weights: Tensor, rows: Tensor, layout: SegmentLayout) -> Tensor:
     """(B, d) weighted row sums: row b sums weights[i] * rows[i] over segment b.
 
     An empty segment gives a zero row.
@@ -427,14 +463,15 @@ def segment_sum(weights: Tensor, rows: Tensor, offsets: Sequence[int]) -> Tensor
         raise ShapeError(
             f"segment_sum: expected (n,) and (n, d), got {weights.values.shape} and {rows.values.shape}"
         )
-    ids, starts, counts = _segments(offsets, rows.values.shape[0], "segment_sum")
+    _check_rows(layout, rows.values.shape[0], "segment_sum")
+    ids, starts, counts = layout.ids, layout.starts, layout.counts
     w = weights.values[:, None]
-    vals = np.zeros((len(offsets) - 1, rows.values.shape[1]), dtype=rows.values.dtype)
+    vals = np.zeros((len(layout), rows.values.shape[1]), dtype=rows.values.dtype)
     vals[ids] = np.add.reduceat(w * rows.values, starts, axis=0)
     out = Tensor(vals)
 
     def bw(g: np.ndarray) -> None:
-        g_rows = np.repeat(g[ids], counts, axis=0)
+        g_rows = g[ids].repeat(counts, axis=0)
         if weights.requires_grad:
             _accum(weights, np.einsum("nd,nd->n", g_rows, rows.values), True)
         if rows.requires_grad:
@@ -443,23 +480,24 @@ def segment_sum(weights: Tensor, rows: Tensor, offsets: Sequence[int]) -> Tensor
     return _record(out, (weights, rows), bw)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, offsets: Sequence[int]
+def cross_entropy(logits: Tensor, labels: np.ndarray, layout: SegmentLayout
                   ) -> tuple[Tensor, np.ndarray]:
     """Mean over the rows of a (B, n) logit matrix of each row's mean -log softmax at its labels.
 
-    Row b's labels are ``labels[offsets[b]:offsets[b + 1]]``, CSR-style as in
-    the segment ops; no row's list may be empty, and a repeated label counts
-    each time. The second value is the softmax probability at each label,
-    aligned with ``labels``; it is not on the tape.
+    Row b's labels are segment b of ``labels`` under ``layout``, as in the
+    segment ops; no row's list may be empty, and a repeated label counts each
+    time. The second value is the softmax probability at each label, aligned
+    with ``labels``; it is not on the tape.
     """
     z = logits.values
     if z.ndim != 2:
         raise ShapeError(f"cross_entropy: expected a matrix, got shape {z.shape}")
     n_rows = z.shape[0]
     col_idx = np.asarray(labels, dtype=np.intp)
-    ids, _, sizes = _segments(offsets, col_idx.size, "cross_entropy")
-    if ids.size != n_rows or len(offsets) != n_rows + 1:
-        raise ShapeError(f"cross_entropy: {ids.size} non-empty label lists for {n_rows} rows")
+    _check_rows(layout, col_idx.size, "cross_entropy")
+    sizes = layout.counts
+    if sizes.size != n_rows or len(layout) != n_rows:
+        raise ShapeError(f"cross_entropy: {sizes.size} non-empty label lists for {n_rows} rows")
     row_idx = np.repeat(np.arange(n_rows), sizes)
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)

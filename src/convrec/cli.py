@@ -339,7 +339,7 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
     if word_graph is not None:
         save_word_graph(word_graph, vocab.words, bundle / _BUNDLE_FILES["word_graph"])
     save_interaction_graph(interaction, entities, bundle / _BUNDLE_FILES["interaction"])
-    with open(bundle / _BUNDLE_FILES["stopwords"], "w", encoding="utf-8") as fh:
+    with atomic_write(bundle / _BUNDLE_FILES["stopwords"], text=True) as fh:
         for word in sorted(stopwords):
             fh.write(word + "\n")
     if index is not None:
@@ -356,9 +356,8 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
             s.value: sum(1 for c in conversations if c.split == s) for s in Split
         },
     }
-    (bundle / _BUNDLE_FILES["manifest"]).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", "utf-8"
-    )
+    with atomic_write(bundle / _BUNDLE_FILES["manifest"], text=True) as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     for key in ("users", "conversations", "utterances", "items"):
         click.echo(f"{key}={stats[key]}")
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingArtifactError, ParseError, ValidationError
+from .optim import atomic_write
 
 
 class Speaker(str, Enum):
@@ -381,7 +382,7 @@ def save_corpus(conversations: Iterable[Conversation], entities: EntityVocab,
     Sentiments are written explicitly, so a reload never needs the lexicon.
     """
     ordered = sorted(conversations, key=lambda c: c.conversation_id)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, text=True) as fh:
         for conv in ordered:
             record = {
                 "conversation_id": conv.conversation_id,
@@ -403,7 +404,7 @@ def save_corpus(conversations: Iterable[Conversation], entities: EntityVocab,
 
 
 def save_entity_vocab(entities: EntityVocab, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, text=True) as fh:
         for token, name, flag in zip(entities.tokens, entities.names, entities.is_item):
             fh.write(f"{token}\t{name}\t{1 if flag else 0}\n")
 

@@ -11,6 +11,7 @@ from scipy import sparse as sp
 
 from .corpus import Conversation, EntityVocab, Sentiment, Split, WordVocab, _tsv_rows
 from .errors import LeakageError, ParseError, ValidationError
+from .optim import atomic_write
 
 LIKE = "like"
 DISLIKE = "dislike"
@@ -233,7 +234,7 @@ def build_interaction_graph(train_conversations: Iterable[Conversation],
 def save_interaction_graph(graph: InteractionGraph, entities: EntityVocab,
                            path: str | Path) -> None:
     """Persist as ``user_id<TAB>like|dislike<TAB>entity_token`` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, text=True) as fh:
         for user_idx, rel, item_idx in graph.edges.tolist():
             token = entities.tokens[graph.items[item_idx]]
             fh.write(f"{graph.users[user_idx]}\t{INTERACTION_RELATIONS[rel]}\t{token}\n")
@@ -297,7 +298,7 @@ def load_word_graph(path: str | Path, words: WordVocab) -> WordGraph:
 
 
 def save_word_graph(word_graph: WordGraph, words: WordVocab, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, text=True) as fh:
         for head, tail in word_graph.pairs.tolist():
             a = words.words[word_graph.word_ids[head]]
             b = words.words[word_graph.word_ids[tail]]
@@ -305,6 +306,6 @@ def save_word_graph(word_graph: WordGraph, words: WordVocab, path: str | Path) -
 
 
 def save_kg(graph: TypedGraph, entities: EntityVocab, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, text=True) as fh:
         for head, rel, tail in graph.edges.tolist():
             fh.write(f"{entities.tokens[head]}\t{graph.relations[rel]}\t{entities.tokens[tail]}\n")

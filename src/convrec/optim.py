@@ -8,7 +8,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, TextIO
 
 import numpy as np
 
@@ -175,17 +175,18 @@ def _read_array(fh, size: int, shape: tuple[int, ...]) -> np.ndarray:
 
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
-    """A binary file whose bytes replace ``path`` only once the block completes.
+def atomic_write(path: str | Path, text: bool = False) -> Iterator[BinaryIO | TextIO]:
+    """A binary file, or with ``text`` a UTF-8 text file, that replaces ``path``
+    only once the block completes.
 
-    They go to ``<path>.tmp`` in the same directory, which ``os.replace``
+    Its bytes go to ``<path>.tmp`` in the same directory, which ``os.replace``
     then swaps in, so ``path`` holds the old bytes or the new ones, never a
     part. On an error the temp file is removed and ``path`` is untouched.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "w", encoding="utf-8") if text else open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -8,9 +8,10 @@ user representation.
 The input is integer rows, compiled once per split by ``Model.contexts``
 into a ``Contexts`` record. A batch is built at once. Each source arrives
 as a (rows, offsets) CSR pair: the rows of all examples concatenated, and
-(B + 1) offsets marking where each example's rows start. One lookup per
-source feeds the scores b . tanh(R W) of every row; a segment softmax and a
-segment sum pool them into (B, d).
+(B + 1) offsets marking where each example's rows start, checked once per
+call into an ``ad.SegmentLayout``. One lookup per source feeds the scores
+b . tanh(R W) of every row; a segment softmax and a segment sum, sharing the
+layout, pool them into (B, d). The gate is one ``ad.blend`` of the two pools.
 """
 
 from __future__ import annotations
@@ -77,14 +78,20 @@ class UserRep:
     cold_start: np.ndarray  # (B,) bool: no entity row and no word row
 
 
-def _pool(matrix: Tensor | None, rows: np.ndarray, offsets: np.ndarray,
+def _pool(matrix: Tensor | None, rows: np.ndarray, layout: ad.SegmentLayout,
           w: Tensor, b: Tensor) -> Tensor:
-    """(B, d) attention pools: a softmax of b . tanh(r W) over each segment's rows r."""
-    if not rows.size:  # every segment is empty: zero rows, and nothing to record
-        return ad.constant(np.zeros((len(offsets) - 1, w.shape[0])))
+    """(B, d) attention pools: a softmax of b . tanh(r W) over each segment's rows r.
+
+    ``layout`` is the checked layout of ``rows``; the segment softmax and the
+    segment sum share it.
+    """
+    if len(rows) != layout.n_rows:
+        raise ShapeError(f"{len(rows)} rows for offsets ending at {layout.n_rows}")
+    if not layout.n_rows:  # every segment is empty: zero rows, and nothing to record
+        return ad.constant(np.zeros((len(layout), w.shape[0])))
     r = ad.lookup(matrix, rows)
-    alpha = ad.segment_softmax(ad.matmul(ad.tanh(ad.matmul(r, w)), b), offsets)
-    return ad.segment_sum(alpha, r, offsets)
+    alpha = ad.segment_softmax(ad.matmul(ad.tanh(ad.matmul(r, w)), b), layout)
+    return ad.segment_sum(alpha, r, layout)
 
 
 def build_user_representation(entities: tuple[np.ndarray, np.ndarray],
@@ -94,27 +101,28 @@ def build_user_representation(entities: tuple[np.ndarray, np.ndarray],
 
     Each source is a (rows, offsets) CSR pair, such as ``Contexts.entities``:
     example b's rows are ``rows[offsets[b]:offsets[b + 1]]``. Entity rows
-    index ``item_matrix`` and word rows index ``word_matrix``. An empty group
-    pools to a zero row; an example with no rows at all gets the zero vector
-    and ``cold_start``.
+    index ``item_matrix`` and word rows index ``word_matrix``. Each source's
+    offsets are checked once, into one ``ad.SegmentLayout`` that its pool
+    shares. An empty group pools to a zero row; an example with no rows at
+    all gets the zero vector and ``cold_start``.
     """
     entity_rows, entity_offsets = entities
     word_rows, word_offsets = words
-    if len(entity_offsets) != len(word_offsets):
-        raise ShapeError(f"{len(entity_offsets) - 1} entity groups for "
-                         f"{len(word_offsets) - 1} word groups")
+    entity_layout = ad.SegmentLayout(entity_offsets)
+    word_layout = ad.SegmentLayout(word_offsets)
+    if len(entity_layout) != len(word_layout):
+        raise ShapeError(f"{len(entity_layout)} entity groups for {len(word_layout)} word groups")
     if word_matrix is None and len(word_rows):
         raise ShapeError(f"{len(word_rows)} word rows given without a word matrix")
-    d = params.dim
-    v_entity = _pool(item_matrix, entity_rows, entity_offsets, params.w_entity, params.b_entity)
-    v_word = _pool(word_matrix, word_rows, word_offsets, params.w_word, params.b_word)
+    v_entity = _pool(item_matrix, entity_rows, entity_layout, params.w_entity, params.b_entity)
+    v_word = _pool(word_matrix, word_rows, word_layout, params.w_word, params.b_word)
 
     # (g, 2d) @ (2d, B): one gate column per example
-    logits = ad.matmul(params.w_gate, ad.concat([ad.transpose(v_entity), ad.transpose(v_word)]))
+    logits = ad.matmul(params.w_gate, ad.transpose(ad.concat([v_entity, v_word], axis=1)))
     gamma = ad.transpose(ad.sigmoid(logits))
     # scalar mode spreads each row's one gamma over d by a matmul with ones
+    d = params.dim
     mix = ad.matmul(gamma, ad.constant(np.ones((1, d)))) if params.gate_mode == GATE_SCALAR else gamma
-    complement = ad.add_const(ad.scale(mix, -1.0), 1.0)
-    fused = ad.add(ad.mul(mix, v_entity), ad.mul(complement, v_word))
-    rows = entity_offsets + word_offsets  # flat where an example has no row at all
-    return UserRep(vector=fused, gamma=gamma.values, cold_start=rows[1:] == rows[:-1])
+    rows = entity_layout.offsets + word_layout.offsets  # flat where an example has no row at all
+    return UserRep(vector=ad.blend(mix, v_entity, v_word), gamma=gamma.values,
+                   cold_start=rows[1:] == rows[:-1])

@@ -152,8 +152,15 @@ class Segments(NamedTuple):
         rows = self.rows[np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)]
         return Segments(rows, offsets)
 
+    @classmethod
+    def none(cls, n: int) -> Segments:
+        """n empty groups."""
+        return cls(np.zeros(0, np.intp), np.zeros(n + 1, np.intp))
+
     def lookup(self, table: np.ndarray) -> Segments:
         """Each row mapped through the intp ``table``, dropping rows it maps to -1."""
+        if not len(self.rows):  # nothing to map: the same empty groups
+            return self
         mapped = table[self.rows]
         kept = (mapped >= 0).nonzero()[0]
         # a group's new offset counts the kept rows before its old one
@@ -162,9 +169,12 @@ class Segments(NamedTuple):
 
 @dataclass(frozen=True)
 class Contexts:
-    """B examples compiled to flat integer arrays; the offsets are checked once, here.
+    """B examples compiled to flat integer arrays; each field's offsets are checked here.
 
-    No row depends on a parameter. Training batches and evaluation chunks are :meth:`take` gathers.
+    No row depends on a parameter. Training batches and evaluation chunks are
+    :meth:`take` gathers, and a recommend turn is a record with B = 1. The user
+    side and the loss read a field's offsets through one checked
+    ``ad.SegmentLayout`` per source per call.
     """
 
     entities: Segments         # item-matrix rows: mentioned, then retrieved
@@ -174,10 +184,11 @@ class Contexts:
     missing_words: np.ndarray  # (B,) context words without a word-graph row
 
     def __post_init__(self) -> None:
-        for name in ("entities", "words", "masked", "gold"):
-            rows, offsets = getattr(self, name)
+        shape = (len(self.missing_words) + 1,)
+        for name, (rows, offsets) in zip(("entities", "words", "masked", "gold"),
+                                         (self.entities, self.words, self.masked, self.gold)):
             bounds = offsets.tolist()  # plain ints: cheaper to check than numpy reductions
-            if (offsets.shape != (len(self) + 1,) or bounds[0] != 0 or bounds[-1] != len(rows)
+            if (offsets.shape != shape or bounds[0] != 0 or bounds[-1] != len(rows)
                     or bounds != sorted(bounds)):
                 raise ShapeError(f"Contexts.{name}: offsets must rise from 0 to {len(rows)}")
 
@@ -202,11 +213,13 @@ class Artifacts:
     word_graph: WordGraph | None
     interaction: InteractionGraph | None
     index: Bm25Index | None
-    item_ids: np.ndarray  # entity ids of the items, in scoring order
+    item_ids: np.ndarray  # entity ids of the items, ascending: the scoring order
 
     def __post_init__(self) -> None:
         # one intp array, so scoring never converts a list per call
         self.item_ids = np.asarray(self.item_ids, dtype=np.intp)
+        if (self.item_ids[1:] <= self.item_ids[:-1]).any():
+            raise ValidationError("item ids must ascend")
 
 
 def build_artifacts(
@@ -305,7 +318,8 @@ class Model:
         """The examples' rows under this config; the only place an example becomes rows.
 
         Retrieval runs once per call, one ``retrieve_batch`` over every example,
-        unless ``without_rt`` or no index.
+        unless ``without_rt`` or no index. Each field is one ``Segments.of`` and
+        at most one table lookup, for any number of examples.
         """
         cfg = self.config
         examples = list(examples)
@@ -313,21 +327,22 @@ class Model:
         mentioned = Segments.of([ex.context_entities for ex in examples])
         entities = mentioned
         if index is not None:
-            exclude = np.array([index.index_of.get(ex.conversation_id, -1) for ex in examples],
-                               np.intp)
+            exclude = np.fromiter((index.index_of.get(ex.conversation_id, -1) for ex in examples),
+                                  np.intp, len(examples))
             docs, _, found = retrieve_batch(index, mentioned, cfg.top_n, exclude)
             docs, found = docs.tolist(), found.tolist()
             entities = Segments.of([(*ex.context_entities, *index.entities_of(docs[lo:hi]))
                                     for ex, lo, hi in zip(examples, found, found[1:])])
-        no_rows = Segments(np.zeros(0, np.intp), np.zeros(len(examples) + 1, np.intp))
         context_words = Segments.of([ex.context_words for ex in examples])
-        words = no_rows if cfg.without_cn else context_words.lookup(self.word_row)
-        rows, offsets = Segments.of([ex.gold_items for ex in examples]).lookup(self.item_position)
-        of_example = np.arange(len(examples)).repeat(offsets[1:] - offsets[:-1])
+        words = Segments.none(len(examples)) if cfg.without_cn else context_words.lookup(self.word_row)
         dropped = context_words.offsets - words.offsets
+        # item positions ascend with entity ids (Artifacts.item_ids ascends), so sorted ids
+        # give ascending positions
         return Contexts(entities, words,
-                        mentioned.lookup(self.item_position) if cfg.candidate_masking else no_rows,
-                        Segments(rows[np.lexsort((rows, of_example))], offsets),
+                        mentioned.lookup(self.item_position) if cfg.candidate_masking
+                        else Segments.none(len(examples)),
+                        Segments.of([sorted(ex.gold_items) for ex in examples]).lookup(
+                            self.item_position),
                         dropped[1:] - dropped[:-1])
 
     def users(self, batch: Contexts, item_matrix: Tensor, word_matrix: Tensor | None) -> UserRep:
@@ -372,29 +387,32 @@ def rec_loss(logits: Tensor, gold: tuple[np.ndarray, np.ndarray]) -> tuple[Tenso
     diagnostic.
     """
     positions, offsets = gold
-    if offsets.size < 2 or not np.diff(offsets).all():
+    layout = ad.SegmentLayout(offsets)
+    if not len(layout) or layout.counts.size != len(layout):
         raise ValidationError("rec_loss requires at least one gold item per example")
-    loss, gold_probs = ad.cross_entropy(logits, positions, offsets)
+    loss, gold_probs = ad.cross_entropy(logits, positions, layout)
     # every segment is non-empty, so its first row starts each reduction
-    tiny = np.logical_or.reduceat(gold_probs < GUARD_EPS, offsets[:-1])
+    tiny = np.logical_or.reduceat(gold_probs < GUARD_EPS, layout.starts)
     return loss, int(np.count_nonzero(tiny))
 
 
 def rank_order(probs: np.ndarray, k: int) -> np.ndarray:
     """The first min(k, n) item positions by descending probability, ties by ascending position.
 
-    ``np.partition`` finds the k-th largest probability, and a stable sort
-    orders only the positions at or above it. A NaN there (fewer than k
-    non-NaN probabilities) raises NumericError.
+    A partition of the negated probabilities finds the k-th largest, and a
+    stable sort orders only the positions at or above it. A NaN there (fewer
+    than k non-NaN probabilities) raises NumericError.
     """
     if k < 1:
         raise ValidationError(f"rank_order needs k >= 1, got {k}")
     k = min(k, probs.shape[0])
-    kth = -np.partition(-probs, k - 1)[k - 1]
+    negated = -probs
+    negated.partition(k - 1)
+    kth = -negated[k - 1]
     if np.isnan(kth):
         raise NumericError(f"NaN among the top {k} probabilities")
-    top = np.flatnonzero(probs >= kth)
-    return top[np.argsort(-probs[top], kind="stable")[:k]]
+    top = (probs >= kth).nonzero()[0]
+    return top[(-probs[top]).argsort(kind="stable")[:k]]
 
 
 def _gold_ranks(probs: np.ndarray, gold: tuple[np.ndarray, np.ndarray]) -> list[int]:

@@ -259,7 +259,7 @@ def retrieve_batch(index: Bm25Index, queries: tuple[np.ndarray, np.ndarray], n: 
         scores[row_start + index.doc_rank[exclude[lo:hi]]] = 0.0
         if n_queries == 1:  # one query (a retrieve, a recommend turn): sort its hits once
             hits = (scores > 0.0).nonzero()[0]
-            top = hits[np.lexsort((hits, -scores[hits]))[:n]]
+            top = hits[(-scores[hits]).argsort(kind="stable")[:n]]  # ties keep rank order
             return index.by_rank[top], scores[top], np.array([0, len(top)])
         # a row's maximum, the lowest rank among equals, is its next document;
         # zeroing it leaves the rest

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +36,17 @@ def test_sum_gradient_is_ones():
     w = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3), requires_grad=True)
     backward(total(w))
     np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
+
+
+def test_sigmoid_is_the_two_branch_formula_bit_for_bit_without_warnings():
+    a = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0,
+                  np.inf, -np.inf, np.nan, -np.nan])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.where(a >= 0, 1.0 / (1.0 + np.exp(-a)), np.exp(a) / (1.0 + np.exp(a)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ad.sigmoid(constant(a)).values
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_sigmoid_zero_times_x_gradient():
@@ -176,7 +189,7 @@ def test_elementwise_ops_gradcheck():
 
     def f(s):
         x = ad.add(s["a"], s["b"])
-        x = ad.mul(x, ad.add(s["a"], ad.scale(s["b"], -0.25)))
+        x = ad.mul(x, ad.blend(ad.tanh(s["b"]), s["a"], s["b"]))
         x = ad.add_const(x, 1.5)
         x = ad.tanh(x)
         return total(ad.mul(ad.sigmoid(x), x))
@@ -197,13 +210,13 @@ def test_mismatched_shapes_raise():
     with pytest.raises(ShapeError):
         ad.softmax(Tensor(np.ones((2, 2, 2))))
     with pytest.raises(ShapeError):
-        ad.segment_sum(Tensor(np.ones(3)), Tensor(np.ones((2, 3))), [0, 2])
+        ad.segment_sum(Tensor(np.ones(3)), Tensor(np.ones((2, 3))), ad.SegmentLayout([0, 2]))
     with pytest.raises(ShapeError, match="offsets"):
-        ad.segment_sum(Tensor(np.ones(2)), Tensor(np.ones((2, 3))), [0, 1])
+        ad.segment_sum(Tensor(np.ones(2)), Tensor(np.ones((2, 3))), ad.SegmentLayout([0, 1]))
     with pytest.raises(ShapeError, match="offsets"):
-        ad.segment_softmax(Tensor(np.ones(3)), [0, 2, 1, 3])
+        ad.segment_softmax(Tensor(np.ones(3)), ad.SegmentLayout([0, 2, 1, 3]))
     with pytest.raises(ShapeError):
-        ad.segment_softmax(Tensor(np.ones((3, 1))), [0, 3])
+        ad.segment_softmax(Tensor(np.ones((3, 1))), ad.SegmentLayout([0, 3]))
     with pytest.raises(ShapeError):
         ad.concat([])
 
@@ -288,28 +301,46 @@ def test_scatter_rows_rejects_duplicates():
         ad.scatter_rows(Tensor(np.ones((3, 2))), np.array([4, 0, 4]), 5)
 
 
+@pytest.mark.parametrize("idx", [[4, 0, 2], [1, 3, 1, 1]])
+def test_lookup_backward_matches_add_at_bit_for_bit(idx):
+    # distinct rows take the buffered add, repeated ones np.add.at; both onto a gradient
+    # already holding signed zeros, as a second lookup of the same table finds it
+    rng = np.random.default_rng(21)
+    table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    out = ad.lookup(table, idx)
+    g = rng.normal(size=(len(idx), 3))
+    g[0, 0], g[-1, 2] = -0.0, 0.0
+    start = np.where(rng.random((5, 3)) < 0.5, -0.0, rng.normal(size=(5, 3)))
+    want = start.copy()
+    np.add.at(want, idx, g)
+    table.grad = start.copy()
+    out._backward_fn(g.copy())
+    np.testing.assert_array_equal(table.grad.view(np.uint64), want.view(np.uint64))
+
+
 def test_weighted_sum_gradcheck():
     # one segment over all rows is the plain weighted sum w @ rows
     rng = np.random.default_rng(6)
     store = fd_store(w=rng.normal(size=4), rows=rng.normal(size=(4, 3)))
-    out = ad.segment_sum(store["w"], store["rows"], [0, 4])
+    out = ad.segment_sum(store["w"], store["rows"], ad.SegmentLayout([0, 4]))
     np.testing.assert_allclose(out.values[0], store["w"].values @ store["rows"].values,
                                rtol=1e-14)
 
     def f(s):
-        return total(ad.tanh(ad.segment_sum(s["w"], s["rows"], [0, 4])))
+        return total(ad.tanh(ad.segment_sum(s["w"], s["rows"], ad.SegmentLayout([0, 4]))))
 
     check(f, store, samples_per_param=4)
 
 
 # segments of 2, 0, 1 and 3 rows: an empty segment and a one-row segment
 SEGMENTS = [0, 2, 2, 3, 6]
+EMPTY = ad.SegmentLayout([0, 0, 0])  # two empty segments
 
 
 def test_segment_softmax_normalizes_each_segment_and_gradchecks():
     rng = np.random.default_rng(17)
     store = fd_store(s=rng.normal(size=6))
-    y = ad.segment_softmax(store["s"], SEGMENTS).values
+    y = ad.segment_softmax(store["s"], ad.SegmentLayout(SEGMENTS)).values
     for lo, hi in zip(SEGMENTS, SEGMENTS[1:]):
         want = np.exp(store["s"].values[lo:hi]) / np.exp(store["s"].values[lo:hi]).sum()
         np.testing.assert_allclose(y[lo:hi], want, rtol=1e-14)
@@ -317,7 +348,7 @@ def test_segment_softmax_normalizes_each_segment_and_gradchecks():
     weights = constant(rng.normal(size=6))
 
     def f(s):
-        return total(ad.mul(ad.segment_softmax(s["s"], SEGMENTS), weights))
+        return total(ad.mul(ad.segment_softmax(s["s"], ad.SegmentLayout(SEGMENTS)), weights))
 
     check(f, store, samples_per_param=6)
 
@@ -325,14 +356,14 @@ def test_segment_softmax_normalizes_each_segment_and_gradchecks():
 def test_segment_sum_gradcheck_with_empty_and_one_row_segments():
     rng = np.random.default_rng(18)
     store = fd_store(w=rng.normal(size=6), rows=rng.normal(size=(6, 3)))
-    out = ad.segment_sum(store["w"], store["rows"], SEGMENTS).values
+    out = ad.segment_sum(store["w"], store["rows"], ad.SegmentLayout(SEGMENTS)).values
     w, rows = store["w"].values, store["rows"].values
     want = np.stack([w[lo:hi] @ rows[lo:hi] for lo, hi in zip(SEGMENTS, SEGMENTS[1:])])
     np.testing.assert_allclose(out, want, rtol=1e-14)
     np.testing.assert_array_equal(out[1], np.zeros(3))
 
     def f(s):
-        return total(ad.tanh(ad.segment_sum(s["w"], s["rows"], SEGMENTS)))
+        return total(ad.tanh(ad.segment_sum(s["w"], s["rows"], ad.SegmentLayout(SEGMENTS))))
 
     check(f, store, samples_per_param=18)
 
@@ -341,10 +372,10 @@ def test_segment_ops_on_an_all_empty_batch():
     store = fd_store(s=np.zeros(0), rows=np.zeros((0, 3)))
 
     def f(s):
-        alpha = ad.segment_softmax(s["s"], [0, 0, 0])
-        return total(ad.segment_sum(alpha, s["rows"], [0, 0, 0]))
+        alpha = ad.segment_softmax(s["s"], EMPTY)
+        return total(ad.segment_sum(alpha, s["rows"], EMPTY))
 
-    out = ad.segment_sum(ad.segment_softmax(store["s"], [0, 0, 0]), store["rows"], [0, 0, 0])
+    out = ad.segment_sum(ad.segment_softmax(store["s"], EMPTY), store["rows"], EMPTY)
     np.testing.assert_array_equal(out.values, np.zeros((2, 3)))
     assert finite_diff_check(f, store) == 0.0
     assert store["s"].grad.shape == (0,) and store["rows"].grad.shape == (0, 3)
@@ -462,7 +493,7 @@ def test_cross_entropy_matches_log_softmax_route():
     labels = [2, 5, 5]
 
     logits = Tensor(z, requires_grad=True)
-    fused, p = ad.cross_entropy(logits, labels, [0, 3])
+    fused, p = ad.cross_entropy(logits, labels, ad.SegmentLayout([0, 3]))
     want, want_grad = softmax_cross_entropy_reference(z, [labels])
     assert fused.values == pytest.approx(want, abs=1e-12)
     backward(fused)
@@ -476,7 +507,7 @@ def test_cross_entropy_gradcheck():
     store = fd_store(z=rng.normal(size=(1, 6)))
 
     def f(s):
-        return ad.cross_entropy(s["z"], [1, 4], [0, 2])[0]
+        return ad.cross_entropy(s["z"], [1, 4], ad.SegmentLayout([0, 2]))[0]
 
     check(f, store, samples_per_param=6)
 
@@ -486,8 +517,9 @@ def test_cross_entropy_rows_are_mean_of_vector_losses():
     rng = np.random.default_rng(14)
     z = rng.normal(size=(3, 7))
     labels = [[2, 5, 5], [0], [6, 1]]
-    fused, p = ad.cross_entropy(Tensor(z), sum(labels, []), [0, 3, 4, 6])
-    rows = [float(ad.cross_entropy(Tensor(z[i:i + 1]), labels[i], [0, len(labels[i])])[0].values)
+    fused, p = ad.cross_entropy(Tensor(z), sum(labels, []), ad.SegmentLayout([0, 3, 4, 6]))
+    rows = [float(ad.cross_entropy(Tensor(z[i:i + 1]), labels[i],
+                                   ad.SegmentLayout([0, len(labels[i])]))[0].values)
             for i in range(3)]
     assert fused.values == pytest.approx(np.mean(rows), abs=1e-12)
     softmax = ad.softmax(Tensor(z)).values
@@ -504,7 +536,8 @@ def test_cross_entropy_gradcheck_masked_multi_gold_rows():
 
     def f(s):
         # rows [1, 4], [0] and [2, 2, 4]: a repeated label counts twice
-        return ad.cross_entropy(ad.add_const(s["z"], mask), [1, 4, 0, 2, 2, 4], [0, 2, 3, 6])[0]
+        return ad.cross_entropy(ad.add_const(s["z"], mask), [1, 4, 0, 2, 2, 4],
+                                ad.SegmentLayout([0, 2, 3, 6]))[0]
 
     check(f, store, samples_per_param=18)
 
@@ -512,15 +545,15 @@ def test_cross_entropy_gradcheck_masked_multi_gold_rows():
 def test_cross_entropy_rejects_bad_labels():
     z = Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError, match="2 rows"):
-        ad.cross_entropy(z, [0], [0, 1])
+        ad.cross_entropy(z, [0], ad.SegmentLayout([0, 1]))
     with pytest.raises(ShapeError, match="empty"):
-        ad.cross_entropy(z, [0], [0, 1, 1])
+        ad.cross_entropy(z, [0], ad.SegmentLayout([0, 1, 1]))
     with pytest.raises(ShapeError, match="offsets must rise"):
-        ad.cross_entropy(z, [0, 1], [0, 2, 1])
+        ad.cross_entropy(z, [0, 1], ad.SegmentLayout([0, 2, 1]))
     with pytest.raises(ShapeError, match="expected a matrix"):
-        ad.cross_entropy(Tensor(np.zeros(3)), [0], [0, 1])
+        ad.cross_entropy(Tensor(np.zeros(3)), [0], ad.SegmentLayout([0, 1]))
     with pytest.raises(ShapeError, match="expected a matrix"):
-        ad.cross_entropy(Tensor(np.zeros((1, 2, 3))), [0], [0, 1])
+        ad.cross_entropy(Tensor(np.zeros((1, 2, 3))), [0], ad.SegmentLayout([0, 1]))
 
 
 def test_operator_sugar():
@@ -589,13 +622,13 @@ def test_finite_diff_check_records_a_tape_only_for_the_analytic_pass():
 def every_op(w, v):
     """One output of each primitive on a (2, 3) matrix w and a (3,) vector v."""
     return [
-        ad.add(w, w), ad.mul(w, w), ad.scale(w, 2.0), ad.add_const(w, 1.0),
+        ad.add(w, w), ad.mul(w, w), ad.blend(w, w, w), ad.add_const(w, 1.0),
         ad.relu(w), ad.tanh(w), ad.sigmoid(w), ad.matmul(w, v), ad.transpose(w),
         ad.reshape(w, (3, 2)), ad.concat([w, w]), ad.lookup(w, [1, 0, 1]),
         ad.scatter_rows(w, [2, 0], 4), ad.spmm(sp.identity(2, format="csr"), w),
-        ad.softmax(w), ad.segment_softmax(v, [0, 1, 1, 3]),
-        ad.segment_sum(v, ad.transpose(w), [0, 2, 2, 3]),
-        ad.cross_entropy(w, np.asarray([0, 2, 1]), [0, 1, 3])[0],
+        ad.softmax(w), ad.segment_softmax(v, ad.SegmentLayout([0, 1, 1, 3])),
+        ad.segment_sum(v, ad.transpose(w), ad.SegmentLayout([0, 2, 2, 3])),
+        ad.cross_entropy(w, np.asarray([0, 2, 1]), ad.SegmentLayout([0, 1, 3]))[0],
     ]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import convrec.optim
 from convrec import autodiff as ad
 from convrec import cli
 from convrec.corpus import RecExample, Split
@@ -90,6 +91,44 @@ def test_ingest_writes_bundle_and_stats(runner, tmp_path):
     assert manifest["format"] == 1
     assert manifest["has_word_graph"] and manifest["has_index"]
     assert manifest["splits"]["train"] == 4
+
+
+class _HalfWriter:
+    """A file that takes half of its first write, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("name", ["corpus.jsonl", "entities.tsv", "kg.tsv", "word_graph.tsv",
+                                  "interaction.tsv", "stopwords.txt", "bm25.idx",
+                                  "manifest.json"])
+def test_interrupted_ingest_keeps_the_previous_file(runner, tmp_path, monkeypatch, name):
+    paths = write_inputs(toy_instance(), tmp_path / "inputs")
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / name).write_bytes(b"previous bytes\n")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _HalfWriter(fh) if Path(file).name == name + ".tmp" else fh
+
+    monkeypatch.setattr(convrec.optim, "open", failing_open, raising=False)
+    result = runner.invoke(cli.main, ingest_args(paths, bundle))
+    assert isinstance(result.exception, OSError)
+    assert (bundle / name).read_bytes() == b"previous bytes\n"
+    assert not list(bundle.glob("*.tmp"))
 
 
 def test_ingest_missing_kg_exits_2(runner, tmp_path):

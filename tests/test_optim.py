@@ -146,7 +146,7 @@ def test_adam_descends_convex_quadratic():
     losses = []
     for _ in range(100):
         w = store["w"]
-        loss = ad.scale(total(ad.mul(w, w)), 0.5)
+        loss = ad.mul(total(ad.mul(w, w)), ad.constant(np.asarray(0.5)))
         losses.append(float(loss.values))
         store.zero_grads()
         ad.backward(loss)

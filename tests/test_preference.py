@@ -39,7 +39,8 @@ def user_rep(entity_groups, word_groups, item_matrix, word_matrix, params):
 
 def pool_segments(matrix, groups, params):
     rows, offsets = Segments.of(groups)
-    return _pool(ad.constant(matrix), rows, offsets, params.w_entity, params.b_entity).values
+    return _pool(ad.constant(matrix), rows, ad.SegmentLayout(offsets),
+                 params.w_entity, params.b_entity).values
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +101,34 @@ def test_attention_pool_gradcheck():
     store, params = make_params()
     matrix = store.add("rows", rng.normal(size=(5, 4)))
     rows, offsets = Segments.of([[0, 1, 1], [], [4], [2, 3]])
+    layout = ad.SegmentLayout(offsets)
 
     def objective(_):
-        return total(_pool(matrix, rows, offsets, params.w_entity, params.b_entity))
+        return total(_pool(matrix, rows, layout, params.w_entity, params.b_entity))
 
     worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=0)
     assert worst < 1e-4
+
+
+def test_each_source_layout_is_built_once_per_call(monkeypatch):
+    built = []
+
+    class Counting(ad.SegmentLayout):
+        __slots__ = ()
+
+        def __init__(self, offsets):
+            built.append(np.asarray(offsets).tolist())
+            super().__init__(offsets)
+
+    monkeypatch.setattr(ad, "SegmentLayout", Counting)
+    rng = np.random.default_rng(9)
+    _, params = make_params()
+    items, words = ad.constant(rng.normal(size=(6, 4))), ad.constant(rng.normal(size=(3, 4)))
+    user_rep([[0, 5, 2]], [[]], items, words, params)  # B = 1, as in a recommend turn
+    assert built == [[0, 3], [0, 0]]
+    built.clear()
+    user_rep([[1], [], [2, 3]], [[0, 2], [1], []], items, words, params)
+    assert built == [[0, 1, 1, 3], [0, 2, 3, 3]]
 
 
 # ---------------------------------------------------------------------------

@@ -582,6 +582,33 @@ def test_take_equals_compiling_the_taken_examples(model_index, idx):
                        compiled.take(idx))
 
 
+def test_each_one_example_compile_is_a_take_of_the_whole_split():
+    # retrieval, masking and context words on: a recommend turn compiles one example
+    examples, models = TAKE_POOL
+    model = models[0]
+    compiled = model.contexts(examples)
+    for i, ex in enumerate(examples):
+        assert_same_record(model.contexts([ex]), compiled.take([i]))
+    retrieved = compiled.entities.offsets[1:] - compiled.entities.offsets[:-1] - [
+        len(ex.context_entities) for ex in examples]
+    for part in (retrieved, np.diff(compiled.words.offsets), np.diff(compiled.masked.offsets),
+                 compiled.missing_words):
+        assert part.any() and not part.all()  # some examples have rows, some have none
+
+
+def test_gold_positions_ascend_and_item_ids_must(toy_artifacts):
+    # item positions ascend with entity ids, which the compile's gold sort relies on
+    items = toy_artifacts.item_ids.tolist()
+    entities = toy_artifacts.vocab.entities
+    other = next(e for e in range(len(entities)) if not entities.is_item[e])
+    example = dataclasses.replace(toy_artifacts.examples[0],
+                                  gold_items=frozenset([items[4], other, items[0], items[2]]))
+    gold = Model(toy_artifacts, small_config()).contexts([example]).gold
+    assert gold.rows.tolist() == sorted(items.index(g) for g in example.gold_items if g in items)
+    with pytest.raises(ValidationError, match="ascend"):
+        dataclasses.replace(toy_artifacts, item_ids=toy_artifacts.item_ids[::-1])
+
+
 def test_contexts_reject_inconsistent_offsets():
     one = Segments.of([[1, 2]])
     with pytest.raises(ShapeError, match="Contexts.words"):
