@@ -21,11 +21,12 @@ from .errors import NumericError, ShapeError, StateError
 
 
 class Tensor:
-    """A dense array plus an optional gradient buffer and tape node.
+    """A dense array plus an optional gradient and tape node.
 
-    ``grad`` is allocated lazily by :func:`backward` (or eagerly for trainable
-    parameters, see :class:`convrec.optim.ParamStore`) and always matches
-    ``values`` in shape.
+    ``grad`` is set by :func:`backward`, which hands each reached node the
+    array its consumers built, and always matches ``values`` in shape. A
+    trainable parameter the tape does not reach keeps the read-only zero
+    stand-in of :class:`convrec.optim.ParamStore`.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -46,13 +47,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar for the common elementwise cases.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
 
 
 def constant(values) -> Tensor:
@@ -218,7 +212,8 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.values, 0))
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, g * (a.values > 0), True)
+        g *= a.values > 0  # g is consumed here: masked in place, then handed on
+        _accum(a, g, True)
 
     return _record(out, (a,), bw)
 
@@ -353,13 +348,16 @@ def lookup(table: Tensor, indices: Sequence[int]) -> Tensor:
 def scatter_rows(src: Tensor, indices: Sequence[int], n_rows: int) -> Tensor:
     """Place rows of ``src`` at ``indices`` of an otherwise-zero (n_rows, d) matrix.
 
-    Indices must be distinct; this is placement, not accumulation.
+    Indices must be distinct rows in [0, n_rows); this is placement, not
+    accumulation.
     """
     if src.values.ndim != 2:
         raise ShapeError(f"scatter_rows: expected a matrix, got shape {src.values.shape}")
     idx = np.asarray(indices, dtype=np.intp)
     if np.unique(idx).size != idx.size:
         raise ShapeError("scatter_rows: duplicate target rows")
+    if idx.size and idx.view(np.uintp).max() >= n_rows:
+        raise ShapeError(f"scatter_rows: target row out of range for {n_rows} rows")
     vals = np.zeros((n_rows, src.values.shape[1]), dtype=src.values.dtype)
     vals[idx] = src.values
     out = Tensor(vals)

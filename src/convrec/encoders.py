@@ -156,16 +156,26 @@ def encode_items(
     *,
     without_ig: bool = False,
     without_db: bool = False,
+    n_rows: int | None = None,
 ) -> Tensor:
-    """Entity representation matrix with popularity augmentation.
+    """Rows [0, n_rows) (default: every KG node) of the entity representation
+    matrix with popularity augmentation.
 
     Row e holds the KG encoding of entity e plus, for items the interaction
     graph knows, the interaction-side encoding (elementwise). Entities the
     interaction graph never saw get the KG encoding alone. ``without_db``
     swaps the KG encoding for the raw embedding table; ``without_ig`` drops
-    the interaction term.
+    the interaction term. Every path returns the same ``n_rows`` rows, which
+    must hold every interaction item; the KG encoder's last layer computes
+    only those, so a caller that reads only the leading rows passes their
+    count and the rows past it cost nothing.
     """
-    k = kg_params.embedding if without_db else rgcn_forward(kg, kg_params)
+    n = kg.n_nodes if n_rows is None else n_rows
+    if without_db:
+        emb = kg_params.embedding
+        k = emb if n == emb.shape[0] else ad.lookup(emb, np.arange(n))
+    else:
+        k = rgcn_forward(kg, kg_params, n)
     if without_ig or interaction is None or interaction.n_items == 0:
         return k
     if ig_params is None:
@@ -176,4 +186,4 @@ def encode_items(
         )
     # items are the interaction graph's leading rows; its user rows are never read
     item_rows = rgcn_forward(interaction.as_typed(), ig_params, interaction.n_items)
-    return ad.add(k, ad.scatter_rows(item_rows, interaction.items, kg.n_nodes))
+    return ad.add(k, ad.scatter_rows(item_rows, interaction.items, n))

@@ -17,10 +17,18 @@ from .errors import ConfigurationError, MissingArtifactError, ParseError, StateE
 
 _MAGIC = b"CVRK"
 _VERSION = 1
+# entries per Adam block: the block's six arrays (768 KiB) stay in a core's L2 cache
+_ADAM_BLOCK = 16384
 
 
 class ParamStore:
-    """Named trainable tensors with persistent, pre-allocated gradient buffers.
+    """Named trainable tensors, each holding a gradient of its own shape.
+
+    A parameter starts with, and returns to after every :func:`adam_step`,
+    its zero stand-in: a read-only broadcast zero that holds no buffer.
+    ``backward`` replaces the gradient of every parameter it reaches with
+    the array the tape hands it, so a parameter the loss does not reach
+    keeps an exact zero gradient and no step allocates zeros.
 
     Iteration order is insertion order everywhere (updates, checkpoints,
     gradient norms), which keeps every downstream computation deterministic.
@@ -28,13 +36,14 @@ class ParamStore:
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
+        self._zeros: dict[str, np.ndarray] = {}
 
     def add(self, name: str, values: np.ndarray) -> Tensor:
         if name in self._params:
             raise ConfigurationError(f"duplicate parameter name: {name!r}")
         t = Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
-        t.grad = np.zeros_like(t.values)
         self._params[name] = t
+        self._zeros[name] = t.grad = np.broadcast_to(np.zeros(()), t.values.shape)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -55,8 +64,15 @@ class ParamStore:
         return iter(self._params.items())
 
     def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.grad = np.zeros_like(t.values)
+        """Give every parameter its zero stand-in; nothing is allocated."""
+        for name, t in self._params.items():
+            t.grad = self._zeros[name]
+
+    def scale_grads(self, factor: float) -> None:
+        """Multiply every gradient in place by ``factor``; a zero stand-in stays as it is."""
+        for name, t in self._params.items():
+            if t.grad is not self._zeros[name]:
+                t.grad *= factor
 
     def grad_global_norm(self) -> float:
         total = 0.0
@@ -100,16 +116,19 @@ def clip_gradients(store: ParamStore, max_norm: float) -> float:
     """
     norm = store.grad_global_norm()
     if norm > max_norm and norm > 0.0:
-        factor = max_norm / norm
-        for _, t in store.items():
-            t.grad *= factor
+        store.scale_grads(max_norm / norm)
     return norm
 
 
 def adam_step(store: ParamStore, state: AdamState, config: AdamConfig) -> float:
-    """One clipped, bias-corrected Adam update. Gradients are zeroed afterwards.
+    """One clipped, bias-corrected Adam update, run in place.
 
-    Returns the pre-clip gradient norm, handy for logging.
+    The moments and values are updated in place, block by block, through
+    two scratch buffers of one block, allocated once per call, with the
+    operations of the expression form in the same order, so every update is
+    the same to the bit. Afterwards every parameter holds its zero stand-in
+    (:meth:`ParamStore.zero_grads`). Returns the pre-clip gradient norm,
+    handy for logging.
     """
     for name, t in store.items():
         if t.grad is None:
@@ -121,17 +140,32 @@ def adam_step(store: ParamStore, state: AdamState, config: AdamConfig) -> float:
     state.step += 1
     bc1 = 1.0 - config.beta1 ** state.step
     bc2 = 1.0 - config.beta2 ** state.step
+    # a parameter past _ADAM_BLOCK entries goes in row blocks of about that
+    # many: every op below then reads a block its predecessor left in cache
+    blocks = []
     for name, t in store.items():
-        g = t.grad
-        m = state.m[name]
-        v = state.v[name]
+        arrays = (t.values, t.grad, state.m[name], state.v[name])
+        if t.values.size <= _ADAM_BLOCK:
+            blocks.append(arrays)
+            continue
+        rows = max(1, _ADAM_BLOCK * len(t.values) // t.values.size)
+        blocks += [[x[lo:lo + rows] for x in arrays] for lo in range(0, len(t.values), rows)]
+    size = max((x.size for x, *_ in blocks), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
+    for x, g, m, v in blocks:
+        a = scratch_a[:g.size].reshape(g.shape)
+        b = scratch_b[:g.size].reshape(g.shape)
         m *= config.beta1
-        m += (1.0 - config.beta1) * g
+        m += np.multiply(g, 1.0 - config.beta1, out=a)
         v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        t.values -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        np.multiply(g, g, out=a)
+        v += np.multiply(a, 1.0 - config.beta2, out=a)
+        np.divide(m, bc1, out=b)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += config.eps
+        np.multiply(b, config.lr, out=b)
+        x -= np.divide(b, a, out=b)
     store.zero_grads()
     return norm
 
@@ -249,6 +283,8 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], AdamState 
                 state.v[name] = _read_array(fh, size, arr.shape)
         elif opt_flag != 0:
             raise ParseError(f"unknown optimizer flag {opt_flag}")
+        if fh.tell() != size:
+            raise ParseError(f"checkpoint has {size - fh.tell()} trailing bytes: {path}")
         return params, state
 
 
@@ -268,5 +304,5 @@ def load_checkpoint(path: str | Path, store: ParamStore) -> AdamState | None:
                 f"parameter {name!r}: checkpoint shape {arr.shape} != model shape {t.values.shape}"
             )
         t.values[...] = arr
-        t.grad = np.zeros_like(t.values)
+    store.zero_grads()
     return state

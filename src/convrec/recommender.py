@@ -298,8 +298,12 @@ class Model:
             self.store, "att", d, rng, gate_mode=config.gate_mode,
         )
 
-    def encoder_outputs(self) -> tuple[Tensor, Tensor | None]:
-        """One forward pass over each graph; shared by a whole batch."""
+    def encoder_outputs(self, n_rows: int | None = None) -> tuple[Tensor, Tensor | None]:
+        """One forward pass over each graph; shared by a whole batch.
+
+        The item matrix holds entity rows [0, n_rows), by default all of them;
+        :meth:`rows_read` gives the count a compiled split needs.
+        """
         cfg = self.config
         item_matrix = encode_items(
             self.artifacts.kg,
@@ -308,6 +312,7 @@ class Model:
             self.ig_params,
             without_ig=cfg.without_ig,
             without_db=cfg.without_db,
+            n_rows=n_rows,
         )
         word_matrix = None
         if self.gcn_params is not None and not cfg.without_cn:
@@ -344,6 +349,13 @@ class Model:
                         Segments.of([sorted(ex.gold_items) for ex in examples]).lookup(
                             self.item_position),
                         dropped[1:] - dropped[:-1])
+
+    def rows_read(self, contexts: Contexts) -> int:
+        """Item-matrix rows that scoring, the interaction term and ``contexts``
+        read: 1 + the largest item id, interaction item or entity row."""
+        ig = self.artifacts.interaction
+        return 1 + int(max(self.artifacts.item_ids[-1], contexts.entities.rows.max(initial=0),
+                           max(ig.items, default=0) if ig is not None else 0))
 
     def users(self, batch: Contexts, item_matrix: Tensor, word_matrix: Tensor | None) -> UserRep:
         """The batch's user representations, in one build_user_representation call."""
@@ -473,7 +485,7 @@ def evaluate_contexts(model: Model, contexts: Contexts, ks: Sequence[int],
     It runs forward-only: nothing records a tape. NaN probabilities raise
     NumericError: against NaN every gold item would count as rank 1.
     """
-    item_matrix, word_matrix = model.encoder_outputs()
+    item_matrix, word_matrix = model.encoder_outputs(model.rows_read(contexts))
     item_rows = ad.lookup(item_matrix, model.artifacts.item_ids)
     rank_lists: list[list[int]] = []  # one flat list per chunk, in example order
     for start in range(0, len(contexts), model.config.batch_size):
@@ -532,6 +544,7 @@ def train(artifacts: Artifacts, config: TrainConfig,
     valid_contexts = model.contexts(split_view(artifacts.examples, Split.VALID))
     if not train_contexts:
         raise ValidationError("corpus yields no training examples")
+    n_rows = model.rows_read(train_contexts)  # one shape for every batch
 
     adam_cfg = AdamConfig(lr=config.lr, clip_norm=config.clip)
     state = AdamState.for_store(model.store)
@@ -551,7 +564,7 @@ def train(artifacts: Artifacts, config: TrainConfig,
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = train_contexts.take(order[start:start + config.batch_size])
-            item_matrix, word_matrix = model.encoder_outputs()
+            item_matrix, word_matrix = model.encoder_outputs(n_rows)
             loss, guards = batch_loss(model, batch, item_matrix, word_matrix)
             guard_events += guards
             loss_value = float(loss.values)

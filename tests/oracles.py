@@ -242,3 +242,37 @@ def user_vector_reference(
         word_matrix[found].reshape(-1, dim), weights["w_word"], weights["b_word"])
     gamma = 1.0 / (1.0 + np.exp(-(weights["w_gate"] @ np.concatenate([v_entity, v_word]))))
     return gamma * v_entity + (1.0 - gamma) * v_word, gamma, len(words) - len(found)
+
+
+def adam_reference(
+    values: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray | None],
+    m: dict[str, np.ndarray],
+    v: dict[str, np.ndarray],
+    step: int,
+    *,
+    lr: float,
+    beta1: float,
+    beta2: float,
+    eps: float,
+    clip_norm: float,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, np.ndarray], float]:
+    """One clipped, bias-corrected Adam step in expression form, on new arrays.
+
+    ``step`` counts this step from 1; a None gradient is a zero one. The
+    gradients are scaled by clip_norm / norm when their global norm (summed
+    in ``values`` order) exceeds clip_norm. Returns the new values, first
+    and second moments, and the pre-clip norm.
+    """
+    g = {n: np.zeros(x.shape) if grads[n] is None else grads[n] for n, x in values.items()}
+    norm = math.sqrt(sum(float(np.sum(x * x)) for x in g.values()))
+    if norm > clip_norm and norm > 0.0:
+        g = {n: x * (clip_norm / norm) for n, x in g.items()}
+    new_values, new_m, new_v = {}, {}, {}
+    for n, x in values.items():
+        new_m[n] = m[n] * beta1 + (1.0 - beta1) * g[n]
+        new_v[n] = v[n] * beta2 + (1.0 - beta2) * (g[n] * g[n])
+        m_hat = new_m[n] / (1.0 - beta1 ** step)
+        v_hat = new_v[n] / (1.0 - beta2 ** step)
+        new_values[n] = x - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return new_values, new_m, new_v, norm

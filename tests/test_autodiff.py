@@ -556,12 +556,21 @@ def test_cross_entropy_rejects_bad_labels():
         ad.cross_entropy(Tensor(np.zeros((1, 2, 3))), [0], ad.SegmentLayout([0, 1]))
 
 
-def test_operator_sugar():
+def test_add_then_mul_gradients():
     a = Tensor(np.asarray([1.0, 2.0]), requires_grad=True)
     b = Tensor(np.asarray([3.0, 4.0]), requires_grad=True)
-    backward(total((a + b) * b))
+    backward(total(ad.mul(ad.add(a, b), b)))
     np.testing.assert_allclose(a.grad, b.values)
     np.testing.assert_allclose(b.grad, a.values + 2 * b.values)
+
+
+def test_relu_backward_masks_to_the_same_bits_signed_zeros_included():
+    x = Tensor(np.asarray([[1.5, -2.0, 0.0], [0.25, -0.0, 3.0]]), requires_grad=True)
+    c = np.asarray([[-1.0, -2.0, -3.0], [4.0, 5.0, -6.0]])
+    backward(total(ad.mul(ad.relu(x), constant(c))))
+    want = c * (x.values > 0)
+    assert x.grad.tobytes() == want.tobytes()
+    assert np.signbit(x.grad[0, 1:]).all()  # a negative upstream gradient masks to -0.0
 
 
 def test_constant_receives_no_gradient():

@@ -325,6 +325,18 @@ def test_eval_empty_split_exits_2(runner, toy_bundle, tmp_path):
     assert "empty example set" in result.stderr
 
 
+@pytest.mark.parametrize("extra", [1, 8])
+def test_eval_checkpoint_with_trailing_bytes_exits_2(runner, toy_bundle, toy_checkpoint, tmp_path,
+                                                     extra):
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(toy_checkpoint.read_bytes() + b"\x00" * extra)
+    shutil.copy(toy_checkpoint.with_name("model.ckpt.config.json"), tmp_path)
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle),
+                                      "--checkpoint", str(ckpt), "--split", "train"])
+    assert result.exit_code == 2
+    assert "trailing bytes" in result.stderr
+
+
 @pytest.mark.parametrize("sidecar, message", [
     ({"dim": 8, "bogus": 1}, "unknown config key 'bogus'"),
     ({"dim": "x"}, "config key 'dim' is not a JSON int"),

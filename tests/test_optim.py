@@ -18,6 +18,7 @@ from convrec.optim import (
 )
 
 from conftest import total
+from oracles import adam_reference
 
 
 def make_store():
@@ -156,6 +157,51 @@ def test_adam_descends_convex_quadratic():
     assert losses[-1] < losses[0]
 
 
+@pytest.mark.parametrize("scale, clips", [(5.0, True), (1e-4, False)], ids=["clipped", "unclipped"])
+def test_adam_step_matches_the_expression_form_bit_for_bit(scale, clips):
+    # "c" never receives a gradient, as a group the loss does not reach; "d" and
+    # "e" span several row blocks, and "d" gets a transposed (F-order) gradient
+    rng = np.random.default_rng(7)
+    shapes = {"a": (4, 3), "b": (5,), "c": (2, 2), "d": (1000, 40), "e": (40000,), "s": ()}
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.add(name, rng.normal(size=shape))
+    config = AdamConfig(lr=0.01, clip_norm=0.1)
+    state = AdamState.for_store(store)
+    values = {n: t.values.copy() for n, t in store.items()}
+    m = {n: np.zeros(t.shape) for n, t in store.items()}
+    v = {n: np.zeros(t.shape) for n, t in store.items()}
+    for step in range(1, 7):
+        grads = {name: scale * np.asarray(rng.normal(size=shape)) for name, shape in shapes.items()}
+        grads["c"] = None
+        grads["d"] = np.asarray(grads["d"].T.copy().T)
+        for name, g in grads.items():
+            if g is not None:
+                store[name].grad = g.copy(order="K")
+        norm = adam_step(store, state, config)
+        values, m, v, want_norm = adam_reference(
+            values, grads, m, v, step, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
+            eps=config.eps, clip_norm=config.clip_norm)
+        assert (want_norm > config.clip_norm) == clips
+        assert norm == want_norm
+        for name, t in store.items():
+            assert t.values.tobytes() == values[name].tobytes(), (step, name)
+            assert state.m[name].tobytes() == m[name].tobytes(), (step, name)
+            assert state.v[name].tobytes() == v[name].tobytes(), (step, name)
+            np.testing.assert_array_equal(t.grad, np.zeros(t.shape))
+    assert not state.m["c"].any() and not state.v["c"].any()
+
+
+def test_zero_gradients_are_read_only_and_allocate_nothing():
+    store = make_store()
+    for _, t in store.items():
+        assert not t.grad.flags.writeable and t.grad.strides == (0,) * t.grad.ndim
+    store["a"].grad = np.full((2, 2), 3.0)
+    clip_gradients(store, 0.1)  # scales "a" in place and leaves b's zero as it is
+    np.testing.assert_allclose(store["a"].grad, np.full((2, 2), 0.05))
+    assert store["b"].grad.strides == (0,)
+
+
 def test_lr_zero_is_a_noop_even_with_gradients():
     store = make_store()
     before = {n: t.values.copy() for n, t in store.items()}
@@ -266,6 +312,20 @@ def test_checkpoint_truncation(tmp_path):
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(ParseError):
         read_checkpoint(path)
+
+
+@pytest.mark.parametrize("with_state", [False, True], ids=["params", "adam"])
+def test_checkpoint_loads_exactly_its_own_length(tmp_path, with_state):
+    store = make_store()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, AdamState.for_store(store) if with_state else None)
+    params, _ = read_checkpoint(path)
+    np.testing.assert_array_equal(params["b"], store["b"].values)
+    raw = path.read_bytes()
+    for extra in (b"\x00", b"\x00" * 8):
+        path.write_bytes(raw + extra)
+        with pytest.raises(ParseError, match=f"{len(extra)} trailing bytes"):
+            read_checkpoint(path)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import convrec.recommender
 from convrec import autodiff as ad
 from convrec.corpus import Split, split_view
 from convrec.errors import ConfigurationError, NumericError, ShapeError, ValidationError
+from convrec.graphs import TypedGraph
 from convrec.optim import ParamStore
 from convrec.recommender import (
     ABLATION_FLAGS,
@@ -35,7 +36,7 @@ from convrec.recommender import (
 from convrec.retrieval import retrieve, retrieve_batch
 from convrec.synthetic import popularity_corpus, toy_instance
 
-from conftest import masked_positions, reference_users, total
+from conftest import masked_positions, reference_users, sample_coords, total
 from oracles import (
     brute_force_metrics,
     masked_softmax_scores,
@@ -782,6 +783,94 @@ def test_train_rejects_empty_train_split(toy_data, toy_artifacts):
     )
     with pytest.raises(ValidationError, match="training examples"):
         train(no_train, small_config())
+
+
+# ---------------------------------------------------------------------------
+# the item matrix stops at the rows a split reads
+
+
+def attribute_artifacts():
+    """A popularity corpus whose KG gains attribute entities after the items
+    and genres, as in the catalog layout: no conversation mentions them."""
+    data = popularity_corpus(seed=3, n_users=30, n_items=20, n_conversations=120)
+    entities = data.vocab.entities
+    n_read = len(entities)
+    attrs = [entities.add(f"A{a}", f"attribute {a}", False) for a in range(6)]
+    rng = np.random.default_rng(4)
+    actor = len(data.kg.relations)
+    extra = [(int(item), actor, attrs[int(rng.integers(len(attrs)))])
+             for item in entities.item_ids()]
+    kg = TypedGraph(len(entities), (*data.kg.relations, "actor"),
+                    [*map(tuple, data.kg.edges.tolist()), *extra])
+    return build_artifacts(data.conversations, data.vocab, kg, data.word_graph), n_read
+
+
+@pytest.mark.parametrize("flags", [(), ("ig",), ("db",), ("ig", "db")])
+def test_trimmed_item_matrix_is_the_full_pass_leading_rows(flags):
+    artifacts, n_read = attribute_artifacts()
+    model = Model(artifacts, ablation_config(small_config(), flags))
+    n = model.rows_read(model.contexts(split_view(artifacts.examples, Split.TRAIN)))
+    assert n <= n_read < artifacts.kg.n_nodes
+    full, _ = model.encoder_outputs()
+    part, _ = model.encoder_outputs(n)
+    assert full.shape[0] == artifacts.kg.n_nodes and part.shape[0] == n
+    assert part.values.tobytes() == full.values[:n].tobytes()
+
+
+def test_trimmed_training_loss_gradchecks():
+    artifacts, _ = attribute_artifacts()
+    model = Model(artifacts, small_config())
+    contexts = model.contexts(split_view(artifacts.examples, Split.TRAIN))
+    n = model.rows_read(contexts)
+    assert n < artifacts.kg.n_nodes
+
+    def objective(rows):
+        return lambda _: batch_loss(model, contexts, *model.encoder_outputs(rows))[0]
+
+    # the trimmed product's weight gradient sums fewer rows: check all of it
+    last = [(name, i) for name in model.store.names() if name.startswith("kg.l1.")
+            for i in range(model.store[name].values.size)]
+    assert len(last) == 3 * 8 * 8
+    assert ad.finite_diff_check(objective(n), model.store, coords=last) < 1e-4
+    # elsewhere the check reads as on the full pass; a sampled coordinate with a
+    # near-zero gradient can bind both at the step's roundoff
+    coords = sample_coords(model.store, 50, seed=0)
+    assert {name.split(".")[0] for name, _ in coords} == {"kg", "ig", "word", "att"}
+    assert (ad.finite_diff_check(objective(n), model.store, coords=coords)
+            == pytest.approx(ad.finite_diff_check(objective(None), model.store, coords=coords),
+                             rel=1e-6))
+
+
+def test_an_entity_row_past_the_trimmed_matrix_raises():
+    artifacts, n_read = attribute_artifacts()
+    model = Model(artifacts, small_config())
+    contexts = model.contexts(split_view(artifacts.examples, Split.TRAIN))
+    n = model.rows_read(contexts)
+    item_matrix, word_matrix = model.encoder_outputs(n)
+    attribute = dataclasses.replace(contexts.take([0]),
+                                    entities=Segments.of([[n_read + 2]]))
+    with pytest.raises(ShapeError, match="lookup: index out of range"):
+        model.users(attribute, item_matrix, word_matrix)
+    # evaluate counts the rows of its own record, so the attribute row is read
+    assert model.rows_read(attribute) == n_read + 3
+    model.users(attribute, *model.encoder_outputs(model.rows_read(attribute)))
+
+
+def test_training_leaves_an_unreached_group_bit_unchanged():
+    artifacts, _ = attribute_artifacts()
+    config = small_config(without_ig=True)
+    first, second = train(artifacts, config), train(artifacts, config)
+    fresh = Model(artifacts, config)
+    ig_names = [name for name in fresh.store.names() if name.startswith("ig.")]
+    assert ig_names
+    for name in ig_names:
+        assert first.model.store[name].values.tobytes() == fresh.store[name].values.tobytes()
+    assert any(first.model.store[name].values.tobytes() != fresh.store[name].values.tobytes()
+               for name in fresh.store.names() if name.startswith("kg."))
+    assert first.epoch_losses == second.epoch_losses
+    assert first.epoch_reports == second.epoch_reports
+    for name, t in first.model.store.items():
+        assert t.values.tobytes() == second.model.store[name].values.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
