@@ -42,9 +42,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    def item(self) -> float:
-        return float(self.values)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import MissingArtifactError, ParseError, ValidationError
 from .optim import atomic_write
@@ -184,41 +186,86 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
         return frozenset(w for w in (line.strip() for line in fh) if w)
 
 
-def _tsv_rows(path: str | Path, n_fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of every non-blank line of a tab-separated file.
+def _tsv_rows(path: str | Path, n_fields: int,
+              what: str) -> tuple[list[int], list[list[str]], ParseError | None]:
+    """(line numbers, columns, error) of the non-blank lines of a tab-separated file.
 
-    A missing file raises MissingArtifactError naming ``what``; a line with
-    another number of fields raises ParseError.
+    The file is read whole in text mode, so "\r\n" and "\r" become "\n",
+    and split on "\n" alone, as iterating over the file would; a blank
+    line is one ``str.strip`` empties. ``columns[j][k]`` is field j of the
+    k-th kept line, whose number is ``line numbers[k]``. A missing file
+    raises MissingArtifactError naming ``what``. The first line with
+    another number of fields ends the rows: its ParseError comes back as
+    ``error``, for the caller to raise once the lines before it are
+    checked, so a file's first bad line is the one reported.
     """
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"{what} not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_fields:
-                raise ParseError(f"expected {n_fields} tab-separated fields, got {len(parts)}",
-                                 line=lineno)
-            yield lineno, parts
+        lines = fh.read().split("\n")
+    linenos = [k for k, line in enumerate(lines, start=1) if line and not line.isspace()]
+    kept = [lines[k - 1] for k in linenos]
+    # no list per line: the whole file's fields come from one split
+    tabs = [line.count("\t") for line in kept]
+    error = None
+    if tabs.count(n_fields - 1) != len(tabs):
+        k = next(k for k, n in enumerate(tabs) if n != n_fields - 1)
+        error = ParseError(f"expected {n_fields} tab-separated fields, got {tabs[k] + 1}",
+                           line=linenos[k])
+        del linenos[k:], kept[k:]
+    joined = "\t".join(kept)
+    del lines, kept  # free the lines before their fields are made
+    fields = joined.split("\t") if linenos else []
+    return linenos, [fields[j::n_fields] for j in range(n_fields)], error
+
+
+def _lookup_rows(index: Mapping[str, int], resolve: Callable[[str], int],
+                 columns: Sequence[Sequence[str]],
+                 linenos: Sequence[int] | None = None) -> np.ndarray:
+    """(rows, len(columns)) intp ids of the refs in ``columns``.
+
+    Each ref costs one ``index`` lookup; ``resolve`` sees only a ref the
+    index lacks (an entity name, say) and maps it or raises
+    ValidationError. Refs are checked in line order, left to right, so the
+    error is the first bad ref's; with ``linenos`` given it is prefixed
+    with that ref's line.
+    """
+    width = len(columns)
+    refs = [""] * (width * len(columns[0]))
+    for j, column in enumerate(columns):
+        refs[j::width] = column
+    ids = [index.get(ref) for ref in refs]
+    if None in ids:
+        for k, ref in enumerate(refs):
+            if ids[k] is None:
+                try:
+                    ids[k] = resolve(ref)
+                except ValidationError as exc:
+                    if linenos is None:
+                        raise
+                    raise ValidationError(f"line {linenos[k // width]}: {exc}") from None
+    return np.asarray(ids, dtype=np.intp).reshape(-1, width)
 
 
 def load_entity_vocab(path: str | Path) -> EntityVocab:
     """Parse an ``id<TAB>name<TAB>is_item(0|1)`` file."""
     vocab = EntityVocab()
-    for lineno, (token, name, flag) in _tsv_rows(path, 3, "entity vocabulary"):
+    linenos, (tokens, names, flags), error = _tsv_rows(path, 3, "entity vocabulary")
+    for lineno, token, name, flag in zip(linenos, tokens, names, flags):
         if flag not in ("0", "1"):
             raise ParseError(f"is_item must be 0 or 1, got {flag!r}", line=lineno)
         vocab.add(token, name, flag == "1")
+    if error:
+        raise error
     return vocab
 
 
 def load_keyword_lexicon(path: str | Path) -> dict[str, Sentiment]:
     """Parse a ``keyword<TAB>like|dislike`` file; keywords are single tokens."""
     lexicon: dict[str, Sentiment] = {}
-    for lineno, (keyword, label) in _tsv_rows(path, 2, "keyword lexicon"):
+    linenos, (keywords, labels), error = _tsv_rows(path, 2, "keyword lexicon")
+    for lineno, keyword, label in zip(linenos, keywords, labels):
         if label not in (Sentiment.LIKE.value, Sentiment.DISLIKE.value):
             raise ParseError(f"sentiment must be like or dislike, got {label!r}", line=lineno)
         keyword = keyword.lower()
@@ -226,6 +273,8 @@ def load_keyword_lexicon(path: str | Path) -> dict[str, Sentiment]:
         if lexicon.get(keyword, sentiment) != sentiment:
             raise ValidationError(f"keyword {keyword!r} mapped to both sentiments")
         lexicon[keyword] = sentiment
+    if error:
+        raise error
     return lexicon
 
 
@@ -240,7 +289,7 @@ def _keyword_sentiment(tokens: Sequence[str], lexicon: Mapping[str, Sentiment]) 
     return Sentiment.NEUTRAL
 
 
-def _expect_keys(obj: dict, keys: tuple[str, ...], what: str, lineno: int) -> None:
+def _expect_keys(obj: dict, keys: Collection[str], what: str, lineno: int) -> None:
     missing = [k for k in keys if k not in obj]
     if missing:
         raise ParseError(f"{what} missing field {missing[0]!r}", line=lineno)
@@ -249,35 +298,58 @@ def _expect_keys(obj: dict, keys: tuple[str, ...], what: str, lineno: int) -> No
         raise ParseError(f"{what} has unknown field {extra[0]!r}", line=lineno)
 
 
+# each object's keys, in the order _expect_keys names a missing one
+_RECORD_KEYS = dict.fromkeys(("conversation_id", "user_id", "split", "utterances")).keys()
+_UTTERANCE_KEYS = dict.fromkeys(("speaker", "text", "mentions")).keys()
+_MENTION_KEYS = dict.fromkeys(("entity", "sentiment")).keys()
+# value -> member; a lookup of an unhashable JSON value raises TypeError, not KeyError
+_SPLITS = {s.value: s for s in Split}
+_SPEAKERS = {s.value: s for s in Speaker}
+_SENTIMENTS = {s.value: s for s in Sentiment}
+
+
 def _parse_record(raw: str, lineno: int, entities: EntityVocab,
-                  lexicon: Mapping[str, Sentiment] | None):
+                  lexicon: Mapping[str, Sentiment] | None,
+                  interned: dict[tuple[str, str], Mention]):
+    """(conversation_id, user_id, split, [(speaker, text, mentions, tokens)]) of one line.
+
+    Each check is one C-level operation on the well-formed path: a key-set
+    comparison (``_expect_keys`` runs only on a mismatch, to name the field),
+    a dict lookup for each enum value, ``interned`` for a mention already
+    seen as (entity ref, sentiment) in this load. Mentions are frozen, so
+    sharing them is safe; one whose null sentiment the lexicon decides is
+    built afresh.
+    """
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
     if not isinstance(obj, dict):
         raise ParseError("record is not a JSON object", line=lineno)
-    _expect_keys(obj, ("conversation_id", "user_id", "split", "utterances"), "record", lineno)
+    if obj.keys() != _RECORD_KEYS:
+        _expect_keys(obj, _RECORD_KEYS, "record", lineno)
     conv_id = obj["conversation_id"]
     user_id = obj["user_id"]
     if not isinstance(conv_id, str) or not isinstance(user_id, str):
         raise ParseError("conversation_id and user_id must be strings", line=lineno)
     try:
-        split = Split(obj["split"])
-    except ValueError:
+        split = _SPLITS[obj["split"]]
+    except (KeyError, TypeError):
         raise ParseError(f"unknown split {obj['split']!r}", line=lineno) from None
     utterances = obj["utterances"]
     if not isinstance(utterances, list) or not utterances:
         raise ParseError("utterances must be a non-empty array", line=lineno)
 
+    findall = _TOKEN_RE.findall
     parsed_utts = []
     for utt in utterances:
         if not isinstance(utt, dict):
             raise ParseError("utterance is not a JSON object", line=lineno)
-        _expect_keys(utt, ("speaker", "text", "mentions"), "utterance", lineno)
+        if utt.keys() != _UTTERANCE_KEYS:
+            _expect_keys(utt, _UTTERANCE_KEYS, "utterance", lineno)
         try:
-            speaker = Speaker(utt["speaker"])
-        except ValueError:
+            speaker = _SPEAKERS[utt["speaker"]]
+        except (KeyError, TypeError):
             raise ParseError(f"unknown speaker {utt['speaker']!r}", line=lineno) from None
         text = utt["text"]
         if not isinstance(text, str):
@@ -285,31 +357,41 @@ def _parse_record(raw: str, lineno: int, entities: EntityVocab,
         mentions_raw = utt["mentions"]
         if not isinstance(mentions_raw, list):
             raise ParseError("mentions must be an array", line=lineno)
-        tokens = tokenize(text)
+        tokens = findall(text.lower())
         utterance_sentiment: Sentiment | None = None
         mentions: list[Mention] = []
         for m in mentions_raw:
             if not isinstance(m, dict):
                 raise ParseError("mention is not a JSON object", line=lineno)
-            _expect_keys(m, ("entity", "sentiment"), "mention", lineno)
-            if not isinstance(m["entity"], str):
+            if m.keys() != _MENTION_KEYS:
+                _expect_keys(m, _MENTION_KEYS, "mention", lineno)
+            ref = m["entity"]
+            if not isinstance(ref, str):
                 raise ParseError("mention entity must be a string", line=lineno)
-            entity_id = entities.resolve(m["entity"])
             label = m["sentiment"]
-            if label is None:
-                if lexicon is None:
-                    raise ParseError(
-                        "mention sentiment is null and no keyword lexicon was given", line=lineno
-                    )
-                if utterance_sentiment is None:
-                    utterance_sentiment = _keyword_sentiment(tokens, lexicon)
-                sentiment = utterance_sentiment
-            else:
-                try:
-                    sentiment = Sentiment(label)
-                except ValueError:
-                    raise ParseError(f"unknown sentiment {label!r}", line=lineno) from None
-            mentions.append(Mention(entity=entity_id, sentiment=sentiment))
+            try:
+                mention = interned.get((ref, label))
+            except TypeError:  # an array or object label: unknown below
+                mention = None
+            if mention is None:
+                entity_id = entities.resolve(ref)
+                if label is None:
+                    if lexicon is None:
+                        raise ParseError(
+                            "mention sentiment is null and no keyword lexicon was given",
+                            line=lineno,
+                        )
+                    if utterance_sentiment is None:
+                        utterance_sentiment = _keyword_sentiment(tokens, lexicon)
+                    mention = Mention(entity=entity_id, sentiment=utterance_sentiment)
+                else:
+                    try:
+                        sentiment = _SENTIMENTS[label]
+                    except (KeyError, TypeError):
+                        raise ParseError(f"unknown sentiment {label!r}", line=lineno) from None
+                    mention = interned[ref, label] = Mention(entity=entity_id,
+                                                             sentiment=sentiment)
+            mentions.append(mention)
         parsed_utts.append((speaker, text, tuple(mentions), tokens))
     return conv_id, user_id, split, parsed_utts
 
@@ -323,6 +405,12 @@ def load_corpus(
     words: WordVocab | None = None,
 ) -> tuple[list[Conversation], Vocab]:
     """Load and validate a corpus file against an entity vocabulary.
+
+    The file is read line by line in text mode; one parse pass per line
+    checks every key set, type and enum value of the record and builds it,
+    and the first failure raises ParseError (or ValidationError for an
+    unknown entity or a repeated conversation_id) naming its line. Equal
+    mentions within one load share one Mention object.
 
     Conversations come back sorted by conversation_id, and word ids are
     assigned in that order, so identical inputs always produce identical
@@ -338,11 +426,12 @@ def load_corpus(
 
     records = []
     seen_ids: set[str] = set()
+    interned: dict[tuple[str, str], Mention] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
-            record = _parse_record(raw, lineno, entities, lexicon)
+            record = _parse_record(raw, lineno, entities, lexicon, interned)
             if record[0] in seen_ids:
                 raise ValidationError(f"duplicate conversation_id {record[0]!r}")
             seen_ids.add(record[0])
@@ -363,11 +452,14 @@ def build_conversations(
     which pins word ids for a given corpus.
     """
     ordered = sorted(records, key=lambda r: r[0])
+    word_id = words._index.get
+    register = words.register
     conversations: list[Conversation] = []
     for conv_id, user_id, split, parsed_utts in ordered:
         utts = []
         for speaker, text, mentions, tokens in parsed_utts:
-            content = tuple(words.register(t) for t in tokens if t not in stopwords)
+            content = tuple([i if (i := word_id(t)) is not None else register(t)
+                             for t in tokens if t not in stopwords])
             utts.append(Utterance(speaker=speaker, text=text, mentions=mentions,
                                   content_words=content))
         conversations.append(Conversation(conversation_id=conv_id, user_id=user_id,
@@ -375,32 +467,41 @@ def build_conversations(
     return conversations
 
 
+# the bytes of json.dumps(record, ensure_ascii=False), from one encoder; a record
+# is a fresh tree of str, list and dict, so it cannot hold a cycle
+_ENCODE = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+
+
 def save_corpus(conversations: Iterable[Conversation], entities: EntityVocab,
                 path: str | Path) -> None:
     """Write conversations back to the corpus format, sorted by conversation_id.
 
-    Sentiments are written explicitly, so a reload never needs the lexicon.
+    Each line is the record's ``json.dumps(record, ensure_ascii=False)``,
+    keys in the order :func:`load_corpus` documents. Sentiments are written
+    explicitly, so a reload never needs the lexicon.
     """
     ordered = sorted(conversations, key=lambda c: c.conversation_id)
+    tokens = entities.tokens
     with atomic_write(path, text=True) as fh:
         for conv in ordered:
+            # an enum's ``_value_`` is the plain attribute behind its ``value`` property
             record = {
                 "conversation_id": conv.conversation_id,
                 "user_id": conv.user_id,
-                "split": conv.split.value,
+                "split": conv.split._value_,
                 "utterances": [
                     {
-                        "speaker": u.speaker.value,
+                        "speaker": u.speaker._value_,
                         "text": u.text,
                         "mentions": [
-                            {"entity": entities.tokens[m.entity], "sentiment": m.sentiment.value}
+                            {"entity": tokens[m.entity], "sentiment": m.sentiment._value_}
                             for m in u.mentions
                         ],
                     }
                     for u in conv.utterances
                 ],
             }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(_ENCODE(record) + "\n")
 
 
 def save_entity_vocab(entities: EntityVocab, path: str | Path) -> None:

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse as sp
 
-from .corpus import Conversation, EntityVocab, Sentiment, Split, WordVocab, _tsv_rows
+from .corpus import Conversation, EntityVocab, Sentiment, Split, WordVocab, _lookup_rows, _tsv_rows
 from .errors import LeakageError, ParseError, ValidationError
 from .optim import atomic_write
 
@@ -200,21 +200,28 @@ class InteractionGraph:
         return self._typed
 
 
-def _interaction_graph(users: set[str], triples: set[tuple[str, int, int]]) -> InteractionGraph:
-    """Index users and items in sorted order and re-index (user, rel, item) triples."""
-    user_list = sorted(users)
-    item_list = sorted({item for _, _, item in triples})
+def _interaction_graph(users: Iterable[str], edge_users: Sequence[str],
+                       rels: Sequence[int], items: Sequence[int]) -> InteractionGraph:
+    """Index users and items in sorted order and re-index the (user, rel, item) edges.
+
+    ``users`` names every user, with or without an edge; edge k is
+    (``edge_users[k]``, ``rels[k]``, ``items[k]``).
+    """
+    user_list = sorted(set(users))
     user_index = {u: i for i, u in enumerate(user_list)}
-    item_index = {e: i for i, e in enumerate(item_list)}
-    edges = [(user_index[u], rel, item_index[e]) for u, rel, e in triples]
-    return InteractionGraph(user_list, item_list, edges)
+    item_list, item_rows = np.unique(np.asarray(items, dtype=np.intp), return_inverse=True)
+    user_rows = np.array([user_index[u] for u in edge_users], dtype=np.intp)
+    edges = np.stack([user_rows, np.asarray(rels, dtype=np.intp), item_rows], axis=1)
+    return InteractionGraph(user_list, item_list.tolist(), edges)
 
 
 def build_interaction_graph(train_conversations: Iterable[Conversation],
                             entities: EntityVocab) -> InteractionGraph:
     """Extract deduplicated (user, like/dislike, item) edges from training data."""
     users: set[str] = set()
-    triples: set[tuple[str, int, int]] = set()
+    edge_users: list[str] = []
+    rels: list[int] = []
+    items: list[int] = []
     for conv in train_conversations:
         if conv.split != Split.TRAIN:
             raise LeakageError(
@@ -225,10 +232,10 @@ def build_interaction_graph(train_conversations: Iterable[Conversation],
             for m in utt.mentions:
                 if m.sentiment == Sentiment.NEUTRAL or not entities.is_item[m.entity]:
                     continue
-                rel = 0 if m.sentiment == Sentiment.LIKE else 1
-                triples.add((conv.user_id, rel, m.entity))
-
-    return _interaction_graph(users, triples)
+                edge_users.append(conv.user_id)
+                rels.append(0 if m.sentiment == Sentiment.LIKE else 1)
+                items.append(m.entity)
+    return _interaction_graph(users, edge_users, rels, items)
 
 
 def save_interaction_graph(graph: InteractionGraph, entities: EntityVocab,
@@ -241,43 +248,54 @@ def save_interaction_graph(graph: InteractionGraph, entities: EntityVocab,
 
 
 def load_interaction_graph(path: str | Path, entities: EntityVocab) -> InteractionGraph:
-    triples: set[tuple[str, int, int]] = set()
-    users: set[str] = set()
-    for lineno, (user, rel_name, token) in _tsv_rows(path, 3, "interaction graph"):
-        if rel_name not in INTERACTION_RELATIONS:
-            raise ParseError(f"unknown relation {rel_name!r}", line=lineno)
-        users.add(user)
-        triples.add((user, INTERACTION_RELATIONS.index(rel_name), entities.resolve(token)))
-    return _interaction_graph(users, triples)
+    """Load ``user_id<TAB>like|dislike<TAB>entity_ref`` lines.
+
+    Relations and entity refs are mapped with one dict lookup per field;
+    the first line with an unknown relation or entity is the one reported
+    (an unknown entity's error names the entity, not the line).
+    """
+    linenos, (users, rel_names, refs), error = _tsv_rows(path, 3, "interaction graph")
+    rel_of = {name: i for i, name in enumerate(INTERACTION_RELATIONS)}
+    rels = [rel_of.get(name) for name in rel_names]
+    if None in rels:
+        k = rels.index(None)
+        _lookup_rows(entities._by_token, entities.resolve, [refs[:k]])  # an earlier bad ref
+        raise ParseError(f"unknown relation {rel_names[k]!r}", line=linenos[k])
+    items = _lookup_rows(entities._by_token, entities.resolve, [refs])
+    if error:
+        raise error
+    return _interaction_graph(users, users, rels, items[:, 0])
 
 
 def load_item_kg(path: str | Path, entities: EntityVocab) -> TypedGraph:
     """Load ``head<TAB>relation<TAB>tail`` triples over the entity vocabulary.
 
-    Relation indices are assigned by sorted relation name, so the parameter
-    layout is independent of line order in the file.
+    Heads and tails are mapped to entity ids with one dict lookup each;
+    ``EntityVocab.resolve`` sees only a ref that is not an id token, and
+    the first line it rejects names the error. Relation indices are
+    assigned by sorted relation name, so the parameter layout is
+    independent of line order in the file.
     """
-    raw_triples: list[tuple[int, str, int]] = []
-    for lineno, (head, rel, tail) in _tsv_rows(path, 3, "item KG"):
-        try:
-            head_id = entities.resolve(head)
-            tail_id = entities.resolve(tail)
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        raw_triples.append((head_id, rel, tail_id))
-    relations = sorted({rel for _, rel, _ in raw_triples})
+    linenos, (heads, rels, tails), error = _tsv_rows(path, 3, "item KG")
+    ends = _lookup_rows(entities._by_token, entities.resolve, [heads, tails], linenos)
+    if error:
+        raise error
+    relations = sorted(set(rels))
     rel_index = {r: i for i, r in enumerate(relations)}
-    edges = [(h, rel_index[r], t) for h, r, t in raw_triples]
-    return TypedGraph(len(entities), relations, edges)
+    rel_ids = np.array([rel_index[r] for r in rels], dtype=np.intp)
+    return TypedGraph(len(entities), relations,
+                      np.stack([ends[:, 0], rel_ids, ends[:, 1]], axis=1))
 
 
-def build_word_graph(word_pairs: Iterable[tuple[int, int]]) -> WordGraph:
+def build_word_graph(word_pairs: np.ndarray | Iterable[tuple[int, int]]) -> WordGraph:
     """Assemble a word graph from undirected vocabulary-id edge pairs.
 
     Graph nodes are exactly the words the pairs mention, rows ordered by
     ascending vocabulary id.
     """
-    id_pairs = np.asarray(list(word_pairs), dtype=np.intp).reshape(-1, 2)
+    if not isinstance(word_pairs, np.ndarray):
+        word_pairs = list(word_pairs)
+    id_pairs = np.asarray(word_pairs, dtype=np.intp).reshape(-1, 2)
     ids, row_of = np.unique(id_pairs, return_inverse=True)
     row_pairs = row_of.reshape(-1, 2)
     n = len(ids)
@@ -288,13 +306,11 @@ def build_word_graph(word_pairs: Iterable[tuple[int, int]]) -> WordGraph:
 
 def load_word_graph(path: str | Path, words: WordVocab) -> WordGraph:
     """Load undirected ``word<TAB>word`` edges and precompute the GCN operator."""
-    word_pairs: list[tuple[int, int]] = []
-    for lineno, (a, b) in _tsv_rows(path, 2, "word graph"):
-        try:
-            word_pairs.append((words.resolve(a), words.resolve(b)))
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-    return build_word_graph(word_pairs)
+    linenos, (heads, tails), error = _tsv_rows(path, 2, "word graph")
+    pairs = _lookup_rows(words._index, words.resolve, [heads, tails], linenos)
+    if error:
+        raise error
+    return build_word_graph(pairs)
 
 
 def save_word_graph(word_graph: WordGraph, words: WordVocab, path: str | Path) -> None:

@@ -75,11 +75,24 @@ class ParamStore:
                 t.grad *= factor
 
     def grad_global_norm(self) -> float:
+        """sqrt of the sum, in parameter order, of ``np.sum(g * g)`` over the gradients.
+
+        Every gradient is squared into one scratch buffer per call, sized
+        for the largest, in its memory order (``ravel(order="K")``, a view
+        for a contiguous gradient), which is the layout ``g * g`` would get,
+        so every sum has the expression form's bits. A zero stand-in adds
+        exactly 0.0 and is skipped.
+        """
+        scratch = np.empty(max((t.values.size for t in self._params.values()), default=0))
         total = 0.0
-        for t in self._params.values():
-            if t.grad is None:
+        for name, t in self._params.items():
+            g = t.grad
+            if g is None:
                 raise StateError("gradient buffer missing; run backward first")
-            total += float(np.sum(t.grad * t.grad))
+            if g is self._zeros[name]:
+                continue
+            flat = g.ravel(order="K")
+            total += float(np.sum(np.multiply(flat, flat, out=scratch[:g.size])))
         return float(np.sqrt(total))
 
 

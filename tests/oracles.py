@@ -2,12 +2,17 @@
 
 Everything here is written straight-line from the defining formulas, on
 purpose without reusing any package code, so that agreement between the two
-routes is meaningful.
+routes is meaningful. The file-format references at the end are the
+exception: they build the package's own records, graphs and errors, but
+parse one line and one field at a time, each check its own step.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse as sp
@@ -276,3 +281,215 @@ def adam_reference(
         v_hat = new_v[n] / (1.0 - beta2 ** step)
         new_values[n] = x - lr * m_hat / (np.sqrt(v_hat) + eps)
     return new_values, new_m, new_v, norm
+
+
+# ---------------------------------------------------------------------------
+# file formats: one line, one field, one check at a time
+
+
+def tsv_rows_reference(path, n_fields: int, what: str):
+    """Yield (line number, fields) of every non-blank line, iterating the file."""
+    from convrec.errors import MissingArtifactError, ParseError
+
+    path = Path(path)
+    if not path.exists():
+        raise MissingArtifactError(f"{what} not found: {path}")
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != n_fields:
+                raise ParseError(f"expected {n_fields} tab-separated fields, got {len(parts)}",
+                                 line=lineno)
+            yield lineno, parts
+
+
+def load_entity_vocab_reference(path):
+    from convrec.corpus import EntityVocab
+    from convrec.errors import ParseError
+
+    vocab = EntityVocab()
+    for lineno, (token, name, flag) in tsv_rows_reference(path, 3, "entity vocabulary"):
+        if flag not in ("0", "1"):
+            raise ParseError(f"is_item must be 0 or 1, got {flag!r}", line=lineno)
+        vocab.add(token, name, flag == "1")
+    return vocab
+
+
+def load_item_kg_reference(path, entities):
+    """Resolve each line's head, then its tail, through ``EntityVocab.resolve``."""
+    from convrec.errors import ValidationError
+    from convrec.graphs import TypedGraph
+
+    raw_triples = []
+    for lineno, (head, rel, tail) in tsv_rows_reference(path, 3, "item KG"):
+        try:
+            head_id = entities.resolve(head)
+            tail_id = entities.resolve(tail)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+        raw_triples.append((head_id, rel, tail_id))
+    relations = sorted({rel for _, rel, _ in raw_triples})
+    rel_index = {r: i for i, r in enumerate(relations)}
+    edges = [(h, rel_index[r], t) for h, r, t in raw_triples]
+    return TypedGraph(len(entities), relations, edges)
+
+
+def load_interaction_graph_reference(path, entities):
+    """Collect (user, relation, item) triples in a set, line by line."""
+    from convrec.errors import ParseError
+    from convrec.graphs import INTERACTION_RELATIONS, InteractionGraph
+
+    triples = set()
+    users = set()
+    for lineno, (user, rel_name, token) in tsv_rows_reference(path, 3, "interaction graph"):
+        if rel_name not in INTERACTION_RELATIONS:
+            raise ParseError(f"unknown relation {rel_name!r}", line=lineno)
+        users.add(user)
+        triples.add((user, INTERACTION_RELATIONS.index(rel_name), entities.resolve(token)))
+    user_list = sorted(users)
+    item_list = sorted({item for _, _, item in triples})
+    user_index = {u: i for i, u in enumerate(user_list)}
+    item_index = {e: i for i, e in enumerate(item_list)}
+    edges = [(user_index[u], rel, item_index[e]) for u, rel, e in triples]
+    return InteractionGraph(user_list, item_list, edges)
+
+
+def load_word_graph_reference(path, words):
+    from convrec.errors import ValidationError
+    from convrec.graphs import build_word_graph
+
+    word_pairs = []
+    for lineno, (a, b) in tsv_rows_reference(path, 2, "word graph"):
+        try:
+            word_pairs.append((words.resolve(a), words.resolve(b)))
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+    return build_word_graph(word_pairs)
+
+
+def _expect_keys_reference(obj, keys, what, lineno):
+    from convrec.errors import ParseError
+
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ParseError(f"{what} missing field {missing[0]!r}", line=lineno)
+    extra = [k for k in obj if k not in keys]
+    if extra:
+        raise ParseError(f"{what} has unknown field {extra[0]!r}", line=lineno)
+
+
+def _keyword_sentiment_reference(tokens, lexicon):
+    from convrec.corpus import Sentiment
+
+    likes = sum(1 for t in tokens if lexicon.get(t) == Sentiment.LIKE)
+    dislikes = sum(1 for t in tokens if lexicon.get(t) == Sentiment.DISLIKE)
+    if likes > dislikes:
+        return Sentiment.LIKE
+    if dislikes > likes:
+        return Sentiment.DISLIKE
+    return Sentiment.NEUTRAL
+
+
+def parse_record_reference(raw: str, lineno: int, entities, lexicon):
+    """One corpus line: every key set, enum and type checked field by field."""
+    from convrec.corpus import Mention, Sentiment, Speaker, Split
+    from convrec.errors import ParseError
+
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+    if not isinstance(obj, dict):
+        raise ParseError("record is not a JSON object", line=lineno)
+    _expect_keys_reference(obj, ("conversation_id", "user_id", "split", "utterances"),
+                           "record", lineno)
+    conv_id = obj["conversation_id"]
+    user_id = obj["user_id"]
+    if not isinstance(conv_id, str) or not isinstance(user_id, str):
+        raise ParseError("conversation_id and user_id must be strings", line=lineno)
+    try:
+        split = Split(obj["split"])
+    except ValueError:
+        raise ParseError(f"unknown split {obj['split']!r}", line=lineno) from None
+    utterances = obj["utterances"]
+    if not isinstance(utterances, list) or not utterances:
+        raise ParseError("utterances must be a non-empty array", line=lineno)
+
+    parsed_utts = []
+    for utt in utterances:
+        if not isinstance(utt, dict):
+            raise ParseError("utterance is not a JSON object", line=lineno)
+        _expect_keys_reference(utt, ("speaker", "text", "mentions"), "utterance", lineno)
+        try:
+            speaker = Speaker(utt["speaker"])
+        except ValueError:
+            raise ParseError(f"unknown speaker {utt['speaker']!r}", line=lineno) from None
+        text = utt["text"]
+        if not isinstance(text, str):
+            raise ParseError("utterance text must be a string", line=lineno)
+        mentions_raw = utt["mentions"]
+        if not isinstance(mentions_raw, list):
+            raise ParseError("mentions must be an array", line=lineno)
+        tokens = re.findall(r"[\w']+", text.lower())
+        utterance_sentiment = None
+        mentions = []
+        for m in mentions_raw:
+            if not isinstance(m, dict):
+                raise ParseError("mention is not a JSON object", line=lineno)
+            _expect_keys_reference(m, ("entity", "sentiment"), "mention", lineno)
+            if not isinstance(m["entity"], str):
+                raise ParseError("mention entity must be a string", line=lineno)
+            entity_id = entities.resolve(m["entity"])
+            label = m["sentiment"]
+            if label is None:
+                if lexicon is None:
+                    raise ParseError(
+                        "mention sentiment is null and no keyword lexicon was given", line=lineno
+                    )
+                if utterance_sentiment is None:
+                    utterance_sentiment = _keyword_sentiment_reference(tokens, lexicon)
+                sentiment = utterance_sentiment
+            else:
+                try:
+                    sentiment = Sentiment(label)
+                except ValueError:
+                    raise ParseError(f"unknown sentiment {label!r}", line=lineno) from None
+            mentions.append(Mention(entity=entity_id, sentiment=sentiment))
+        parsed_utts.append((speaker, text, tuple(mentions), tokens))
+    return conv_id, user_id, split, parsed_utts
+
+
+def load_corpus_reference(path, entities, *, stopwords, lexicon=None):
+    """(conversations sorted by id, word list): ``register`` called on every kept token."""
+    from convrec.corpus import Conversation, Utterance, WordVocab
+    from convrec.errors import MissingArtifactError, ValidationError
+
+    path = Path(path)
+    if not path.exists():
+        raise MissingArtifactError(f"corpus not found: {path}")
+    records = []
+    seen_ids = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            record = parse_record_reference(raw, lineno, entities, lexicon)
+            if record[0] in seen_ids:
+                raise ValidationError(f"duplicate conversation_id {record[0]!r}")
+            seen_ids.add(record[0])
+            records.append(record)
+    words = WordVocab()
+    conversations = []
+    for conv_id, user_id, split, parsed_utts in sorted(records, key=lambda r: r[0]):
+        utts = tuple(
+            Utterance(speaker=speaker, text=text, mentions=mentions,
+                      content_words=tuple(words.register(t) for t in tokens
+                                          if t not in stopwords))
+            for speaker, text, mentions, tokens in parsed_utts
+        )
+        conversations.append(Conversation(conversation_id=conv_id, user_id=user_id,
+                                          split=split, utterances=utts))
+    return conversations, words.words

@@ -65,6 +65,26 @@ def test_grad_global_norm():
         store.grad_global_norm()
 
 
+def test_grad_global_norm_equals_the_expression_form_bit_for_bit():
+    # the adam_reference fixture shapes, with C-order, F-order, strided,
+    # reversed and 0-d gradients and a zero stand-in ("c")
+    rng = np.random.default_rng(3)
+    shapes = {"a": (4, 3), "b": (5,), "c": (2, 2), "d": (1000, 40), "e": (40000,), "s": ()}
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.add(name, np.zeros(shape))
+    for step in range(4):
+        grads = {name: 10.0 ** (step - 2) * rng.normal(size=shape)
+                 for name, shape in shapes.items() if name != "c"}
+        grads["d"] = np.asfortranarray(grads["d"])
+        grads["b"] = rng.normal(size=10)[::2]
+        grads["a"] = grads["a"][::-1]
+        for name, g in grads.items():
+            store[name].grad = g
+        want = float(np.sqrt(sum(float(np.sum(t.grad * t.grad)) for _, t in store.items())))
+        assert store.grad_global_norm() == want
+
+
 # ---------------------------------------------------------------------------
 # clipping
 

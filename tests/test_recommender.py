@@ -191,10 +191,10 @@ def test_rec_loss_hand_values():
     logits = ad.constant(np.log(np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3]])))
     loss, guards = rec_loss(logits, Segments.of([[1], [0, 2]]))
     want = (-np.log(0.3) - (np.log(0.1) + np.log(0.3)) / 2) / 2
-    assert loss.item() == pytest.approx(want, abs=1e-12)
+    assert float(loss.values) == pytest.approx(want, abs=1e-12)
     assert guards == 0
     single, _ = rec_loss(ad.constant(logits.values[:1]), Segments.of([[0, 2]]))
-    assert single.item() == pytest.approx(-(np.log(0.2) + np.log(0.5)) / 2, abs=1e-12)
+    assert float(single.values) == pytest.approx(-(np.log(0.2) + np.log(0.5)) / 2, abs=1e-12)
 
 
 def test_rec_loss_guard_counts_tiny_probabilities():
@@ -204,7 +204,7 @@ def test_rec_loss_guard_counts_tiny_probabilities():
     loss, guards = rec_loss(logits, Segments.of([[0], [2]]))
     assert guards == 1
     want = (-np.log(1e-15 / (1.0 + 2e-15)) + np.log(3.0)) / 2
-    assert loss.item() == pytest.approx(want, rel=1e-12)
+    assert float(loss.values) == pytest.approx(want, rel=1e-12)
     # a row whose two golds are both tiny counts once
     _, guards = rec_loss(logits, Segments.of([[0, 2], [2]]))
     assert guards == 1
@@ -218,7 +218,7 @@ def test_rec_loss_guard_keeps_gradient_finite():
     assert 0.0 < ad.softmax(ad.constant(logits.values[0])).values[1] < 1e-300
     loss, guards = rec_loss(logits, Segments.of([[1]]))
     assert guards == 1
-    assert loss.item() == pytest.approx(715.0, rel=1e-12)
+    assert float(loss.values) == pytest.approx(715.0, rel=1e-12)
     ad.backward(loss)
     assert np.isfinite(logits.grad).all()
     np.testing.assert_allclose(logits.grad, [[1.0, -1.0, 0.0]], atol=1e-12)
@@ -261,7 +261,7 @@ def test_batch_loss_matches_scoring_oracle():
                                       user, masked_positions(artifacts.item_ids, ex))
         golds = [model.item_position[g] for g in sorted(ex.gold_items)]
         per_example.append(-np.mean(np.log(probs[golds])))
-    assert loss.item() == pytest.approx(np.mean(per_example), abs=1e-12)
+    assert float(loss.values) == pytest.approx(np.mean(per_example), abs=1e-12)
     assert guards == 0
 
 
