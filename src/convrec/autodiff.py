@@ -365,15 +365,21 @@ def scatter_rows(src: Tensor, indices: Sequence[int], n_rows: int) -> Tensor:
     return _record(out, (src,), bw)
 
 
-def spmm(a: sp.spmatrix, x: Tensor) -> Tensor:
-    """Multiply by a constant sparse matrix: out = a @ x."""
+def spmm(a: sp.spmatrix, a_t: sp.spmatrix, x: Tensor) -> Tensor:
+    """Multiply by a constant sparse matrix: out = a @ x.
+
+    ``a_t`` is ``a``'s transpose, which the backward multiplies by. The
+    caller builds it once, with ``a`` (``a.T``, a CSC over a CSR's arrays),
+    so no call builds a sparse matrix.
+    """
     if x.values.ndim != 2 or a.shape[1] != x.values.shape[0]:
         raise ShapeError(f"spmm: shapes {a.shape} and {x.values.shape} incompatible")
+    if a_t.shape != a.shape[::-1]:
+        raise ShapeError(f"spmm: transpose shape {a_t.shape} does not fit {a.shape}")
     out = Tensor(np.asarray(a @ x.values))
 
     def bw(g: np.ndarray) -> None:
-        # a.T shares a's arrays, so no transposed copy is built
-        _accum(x, np.asarray(a.T @ g), True)
+        _accum(x, np.asarray(a_t @ g), True)
 
     return _record(out, (x,), bw)
 
@@ -383,16 +389,15 @@ def spmm(a: sp.spmatrix, x: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor) -> Tensor:
-    """Softmax of a vector, or of each row of a matrix (max-shifted for stability)."""
-    if a.values.ndim not in (1, 2):
-        raise ShapeError(f"softmax: expected a vector or a matrix, got shape {a.values.shape}")
-    e = np.exp(a.values - a.values.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+    """Softmax of each row of a matrix (max-shifted for stability)."""
+    if a.values.ndim != 2:
+        raise ShapeError(f"softmax: expected a matrix, got shape {a.values.shape}")
+    e = np.exp(a.values - a.values.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
     out = Tensor(y)
 
     def bw(g: np.ndarray) -> None:
-        dots = np.dot(g, y) if y.ndim == 1 else np.einsum("ij,ij->i", g, y)[:, None]
-        _accum(a, y * (g - dots), True)
+        _accum(a, y * (g - np.einsum("ij,ij->i", g, y)[:, None]), True)
 
     return _record(out, (a,), bw)
 
@@ -482,7 +487,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, layout: SegmentLayout
     Row b's labels are segment b of ``labels`` under ``layout``, as in the
     segment ops; no row's list may be empty, and a repeated label counts each
     time. The second value is the softmax probability at each label, aligned
-    with ``labels``; it is not on the tape.
+    with ``labels``; it is not on the tape. The backward subtracts the label
+    weights with one buffered subtract when no row repeats a label, as gold
+    positions never do, and with ``np.add.at`` when one does.
     """
     z = logits.values
     if z.ndim != 2:
@@ -504,7 +511,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, layout: SegmentLayout
 
     def bw(g: np.ndarray) -> None:
         d = p.copy()
-        np.add.at(d, (row_idx, col_idx), -1.0 / sizes[row_idx])
+        cells = row_idx * z.shape[1] + col_idx
+        if np.unique(cells).size == cells.size:  # no (row, label) repeats: a buffered subtract
+            d[row_idx, col_idx] -= 1.0 / sizes[row_idx]  # is exact, as x - w == x + (-w)
+        else:
+            np.add.at(d, (row_idx, col_idx), -1.0 / sizes[row_idx])
         _accum(logits, (g / n_rows) * d, True)
 
     return _record(out, (logits,), bw), p[row_idx, col_idx]

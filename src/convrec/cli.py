@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -264,11 +265,22 @@ def _config_sidecar(checkpoint_path: Path) -> Path:
     return checkpoint_path.with_name(checkpoint_path.name + ".config.json")
 
 
+# the sidecar key, beside the config fields, of the checkpoint's sha256
+_DIGEST_KEY = "checkpoint_sha256"
+
+
+def _file_sha256(path: Path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
 def save_model_checkpoint(result_model: Model, state, checkpoint_path: Path) -> None:
+    """Write the checkpoint, then its sidecar: the config and the checkpoint's sha256."""
     save_checkpoint(checkpoint_path, result_model.store, state)
+    sidecar = {**dataclasses.asdict(result_model.config),
+               _DIGEST_KEY: _file_sha256(checkpoint_path)}
     with atomic_write(_config_sidecar(checkpoint_path)) as fh:
-        fh.write((json.dumps(dataclasses.asdict(result_model.config), sort_keys=True)
-                  + "\n").encode("utf-8"))
+        fh.write((json.dumps(sidecar, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def load_model(bundle_dir: str, checkpoint_path: str,
@@ -282,12 +294,17 @@ def load_model(bundle_dir: str, checkpoint_path: str,
     values = json.loads(sidecar.read_text("utf-8"))
     if not isinstance(values, dict):
         raise ParseError(f"{sidecar}: expected a JSON object")
+    digest = values.pop(_DIGEST_KEY, None)
     for key, value in values.items():
         if key not in _CONFIG_FIELDS:
             raise ParseError(f"{sidecar}: unknown config key {key!r}")
         if type(value) not in _JSON_TYPES[_CONFIG_FIELDS[key]]:
             raise ParseError(f"{sidecar}: config key {key!r} is not a JSON "
                              f"{_CONFIG_FIELDS[key]}: {value!r}")
+    if type(digest) is not str:
+        raise ParseError(f"{sidecar}: no checkpoint sha256 ({_DIGEST_KEY!r})")
+    if _file_sha256(ckpt) != digest:
+        raise ParseError(f"{ckpt}: sha256 does not match its sidecar's; the checkpoint changed")
     config = TrainConfig(**values)
     artifacts = load_bundle(bundle_dir, index_path)
     model = Model(artifacts, config)

@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigurationError
-from .graphs import InteractionGraph, TypedGraph
+from .graphs import InteractionGraph, TypedGraph, WordGraph
 from .optim import ParamStore
 
 NORM_CONSTANT = "constant"
@@ -89,7 +88,8 @@ def rgcn_forward(graph: TypedGraph, params: RgcnParams, n_rows: int | None = Non
     sparse product, reshaped to (n, (R + 1) d), times the stacked weights
     [W_1; ...; W_R; W_self]. Its rows are node-major, so the last layer
     computes only the ``n_rows`` (default: all) rows the caller reads by
-    multiplying a leading row block of it.
+    multiplying a leading row block of it. The graph caches each operator
+    with its transpose, which the product's backward multiplies by.
     """
     missing = [r for r in graph.relations if r not in params.rel_weights[0]]
     if missing:
@@ -102,16 +102,14 @@ def rgcn_forward(graph: TypedGraph, params: RgcnParams, n_rows: int | None = Non
     n_rows = n if n_rows is None else n_rows
     if not 0 <= n_rows <= n:
         raise ConfigurationError(f"cannot return {n_rows} rows of a {n}-node graph")
-    op = graph.layer_operator(in_degree=params.normalization == NORM_IN_DEGREE, z=params.z)
+    norm = {"in_degree": params.normalization == NORM_IN_DEGREE, "z": params.z}
     h = params.embedding
     for layer in range(params.n_layers):
-        if layer == params.n_layers - 1 and n_rows < n:
-            end = op.indptr[n_rows * blocks]  # a CSR row block as views, not a copy
-            op = sp.csr_matrix((op.data[:end], op.indices[:end], op.indptr[: n_rows * blocks + 1]),
-                               shape=(n_rows * blocks, n))
+        rows = n_rows if layer == params.n_layers - 1 else n
+        op, op_t = graph.layer_operator(**norm, n_rows=rows)
         weights = ad.concat([*(params.rel_weights[layer][rel] for rel in graph.relations),
                              params.self_weights[layer]])
-        stacked = ad.reshape(ad.spmm(op, h), (op.shape[0] // blocks, blocks * params.dim))
+        stacked = ad.reshape(ad.spmm(op, op_t, h), (rows, blocks * params.dim))
         h = ad.relu(ad.matmul(stacked, weights))
     return h
 
@@ -140,11 +138,11 @@ def init_gcn_params(
     return GcnParams(dim=dim, embedding=embedding, weights=weights)
 
 
-def gcn_forward(adjacency: sp.csr_matrix, params: GcnParams) -> Tensor:
-    """Layered ReLU(A_hat @ V @ W) over the precomputed normalized adjacency."""
+def gcn_forward(word_graph: WordGraph, params: GcnParams) -> Tensor:
+    """Layered ReLU(A_hat @ V @ W) over the word graph's precomputed normalized adjacency."""
     h = params.embedding
     for w in params.weights:
-        h = ad.relu(ad.matmul(ad.spmm(adjacency, h), w))
+        h = ad.relu(ad.matmul(ad.spmm(word_graph.adjacency, word_graph.adjacency_t, h), w))
     return h
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -70,7 +70,8 @@ class TypedGraph:
         n_rel = len(self.relations)
         rest, tails = np.divmod(np.unique((heads * n_rel + rels) * n_nodes + tails), n_nodes)
         self.edges = np.stack([*np.divmod(rest, n_rel), tails], axis=1)
-        self._layer_operators: dict[tuple[bool, float], sp.csr_matrix] = {}
+        self._layer_operators: dict[tuple[bool, float, int],
+                                    tuple[sp.csr_matrix, sp.csc_matrix]] = {}
 
     def relation_operator(self, rel: int, *, in_degree: bool = False,
                           z: float = 1.0) -> sp.csr_matrix:
@@ -90,25 +91,38 @@ class TypedGraph:
         indptr = np.concatenate([[0], np.cumsum(in_deg)])
         return sp.csr_matrix((norm, src, indptr), shape=(n, n))
 
-    def layer_operator(self, *, in_degree: bool, z: float) -> sp.csr_matrix:
-        """All relation operators and the identity as one ((R + 1) n, n) CSR, built once and cached.
+    def layer_operator(self, *, in_degree: bool, z: float, n_rows: int | None = None
+                       ) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+        """The layer operator of nodes [0, n_rows) (default: all) and its transpose.
 
-        Row ``i * (R + 1) + r`` is row i of ``relation_operator(r)`` and row
-        ``i * (R + 1) + R`` is the identity row of node i, so ``op @ h``
-        reshaped to (n, (R + 1) d) holds, in row i, each relation's message
-        to i followed by ``h[i]``.
+        The full operator stacks all relation operators and the identity into
+        one ((R + 1) n, n) CSR: row ``i * (R + 1) + r`` is row i of
+        ``relation_operator(r)`` and row ``i * (R + 1) + R`` is the identity
+        row of node i, so ``op @ h`` reshaped to (n, (R + 1) d) holds, in row
+        i, each relation's message to i followed by ``h[i]``. With ``n_rows``
+        the CSR is its leading (R + 1) n_rows rows. The transpose is the
+        ``op.T`` scipy returns, a CSC over the CSR's arrays. Both are built
+        once per (normalization, n_rows) and cached, so a training step
+        builds no sparse matrix.
         """
-        key = (True, 1.0) if in_degree else (False, float(z))
-        op = self._layer_operators.get(key)
-        if op is None:
-            n, n_blocks = self.n_nodes, len(self.relations) + 1
-            blocks = [self.relation_operator(r, in_degree=in_degree, z=z)
-                      for r in range(n_blocks - 1)]
-            stacked = sp.vstack([*blocks, sp.identity(n, format="csr")], format="csr")
-            # block-major rows r * n + i become node-major rows i * (R + 1) + r
-            op = stacked[np.arange(n_blocks * n).reshape(n_blocks, n).T.ravel()]
-            self._layer_operators[key] = op
-        return op
+        n, n_blocks = self.n_nodes, len(self.relations) + 1
+        n_rows = n if n_rows is None else n_rows
+        norm = (True, 1.0) if in_degree else (False, float(z))
+        pair = self._layer_operators.get((*norm, n_rows))
+        if pair is None:
+            if n_rows == n:
+                blocks = [self.relation_operator(r, in_degree=in_degree, z=z)
+                          for r in range(n_blocks - 1)]
+                stacked = sp.vstack([*blocks, sp.identity(n, format="csr")], format="csr")
+                # block-major rows r * n + i become node-major rows i * (R + 1) + r
+                op = stacked[np.arange(n_blocks * n).reshape(n_blocks, n).T.ravel()]
+            else:
+                full, _ = self.layer_operator(in_degree=in_degree, z=z)
+                end = full.indptr[n_rows * n_blocks]
+                op = sp.csr_matrix((full.data[:end], full.indices[:end],
+                                    full.indptr[:n_rows * n_blocks + 1]), shape=(n_rows * n_blocks, n))
+            pair = self._layer_operators[(*norm, n_rows)] = (op, op.T)
+        return pair
 
 
 def normalize_adjacency(n_nodes: int,
@@ -134,7 +148,8 @@ class WordGraph:
 
     ``pairs`` is a sorted (E, 2) intp array of the distinct undirected row
     pairs (min row, max row), self pairs included; ``adjacency`` is their
-    normalized GCN operator. ``word_ids[row]`` is the vocabulary id behind
+    normalized GCN operator and ``adjacency_t`` its transpose, a CSC over
+    the same arrays, built once. ``word_ids[row]`` is the vocabulary id behind
     graph row ``row``; ``Model.word_row`` is the inverse intp table, -1 for
     no row. ``Model.contexts`` counts such words in ``missing_words``.
     """
@@ -142,6 +157,10 @@ class WordGraph:
     pairs: np.ndarray
     adjacency: sp.csr_matrix
     word_ids: list[int]
+    adjacency_t: sp.csc_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.adjacency_t = self.adjacency.T
 
     @property
     def n_nodes(self) -> int:
@@ -251,17 +270,17 @@ def load_interaction_graph(path: str | Path, entities: EntityVocab) -> Interacti
     """Load ``user_id<TAB>like|dislike<TAB>entity_ref`` lines.
 
     Relations and entity refs are mapped with one dict lookup per field;
-    the first line with an unknown relation or entity is the one reported
-    (an unknown entity's error names the entity, not the line).
+    the first line with an unknown relation or entity is the one reported,
+    an unknown entity's error prefixed with ``line N:``.
     """
     linenos, (users, rel_names, refs), error = _tsv_rows(path, 3, "interaction graph")
     rel_of = {name: i for i, name in enumerate(INTERACTION_RELATIONS)}
     rels = [rel_of.get(name) for name in rel_names]
     if None in rels:
         k = rels.index(None)
-        _lookup_rows(entities._by_token, entities.resolve, [refs[:k]])  # an earlier bad ref
+        _lookup_rows(entities._by_token, entities.resolve, [refs[:k]], linenos)  # an earlier bad ref
         raise ParseError(f"unknown relation {rel_names[k]!r}", line=linenos[k])
-    items = _lookup_rows(entities._by_token, entities.resolve, [refs])
+    items = _lookup_rows(entities._by_token, entities.resolve, [refs], linenos)
     if error:
         raise error
     return _interaction_graph(users, users, rels, items[:, 0])

@@ -30,15 +30,25 @@ class ParamStore:
     the array the tape hands it, so a parameter the loss does not reach
     keeps an exact zero gradient and no step allocates zeros.
 
+    :meth:`pack`, which :meth:`AdamState.for_store` calls when training
+    starts, moves every parameter's values into one flat float64 arena;
+    each ``values`` is then a view of its slice, so writes into a
+    parameter (a checkpoint load, say) land in the arena, and no parameter
+    can be added.
+
     Iteration order is insertion order everywhere (updates, checkpoints,
-    gradient norms), which keeps every downstream computation deterministic.
+    gradient norms, the arena's layout), which keeps every downstream
+    computation deterministic.
     """
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
         self._zeros: dict[str, np.ndarray] = {}
+        self.arena: np.ndarray | None = None
 
     def add(self, name: str, values: np.ndarray) -> Tensor:
+        if self.arena is not None:
+            raise StateError(f"cannot add parameter {name!r}: the store is packed")
         if name in self._params:
             raise ConfigurationError(f"duplicate parameter name: {name!r}")
         t = Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
@@ -62,6 +72,26 @@ class ParamStore:
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._params.items())
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's slice of ``flat``, laid out as the arena, in its shape."""
+        views, lo = {}, 0
+        for name, t in self._params.items():
+            views[name] = flat[lo:lo + t.values.size].reshape(t.values.shape)
+            lo += t.values.size
+        return views
+
+    def pack(self) -> np.ndarray:
+        """Copy every parameter's values into one flat arena, in store order, and
+        make each ``values`` a view of its slice; returns the arena. Packing a
+        packed store returns its arena."""
+        if self.arena is None:
+            arena = np.empty(sum(t.values.size for t in self._params.values()))
+            for t, view in zip(self._params.values(), self.views(arena).values()):
+                view[...] = t.values
+                t.values = view
+            self.arena = arena
+        return self.arena
 
     def zero_grads(self) -> None:
         """Give every parameter its zero stand-in; nothing is allocated."""
@@ -107,19 +137,23 @@ class AdamConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter plus the shared step count."""
+    """First/second moment estimates per parameter plus the shared step count.
+
+    ``flat`` holds the moments as two arrays laid out as the store's arena;
+    ``m[name]`` and ``v[name]`` are views of them. A state read from a
+    checkpoint holds plain arrays and no ``flat``.
+    """
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
+    flat: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def for_store(cls, store: ParamStore) -> "AdamState":
-        state = cls()
-        for name, t in store.items():
-            state.m[name] = np.zeros_like(t.values)
-            state.v[name] = np.zeros_like(t.values)
-        return state
+        """Zero moments for ``store``, which this packs (:meth:`ParamStore.pack`)."""
+        m, v = np.zeros_like(store.pack()), np.zeros_like(store.arena)
+        return cls(store.views(m), store.views(v), flat=(m, v))
 
 
 def clip_gradients(store: ParamStore, max_norm: float) -> float:
@@ -134,40 +168,61 @@ def clip_gradients(store: ParamStore, max_norm: float) -> float:
 
 
 def adam_step(store: ParamStore, state: AdamState, config: AdamConfig) -> float:
-    """One clipped, bias-corrected Adam update, run in place.
+    """One clipped, bias-corrected Adam update of the whole arena, run in place.
 
-    The moments and values are updated in place, block by block, through
-    two scratch buffers of one block, allocated once per call, with the
-    operations of the expression form in the same order, so every update is
-    the same to the bit. Afterwards every parameter holds its zero stand-in
+    ``state`` comes from :meth:`AdamState.for_store` of ``store``. The arena
+    and the flat moments are updated in ``_ADAM_BLOCK``-sized slices, so
+    every op reads a block its predecessor left in cache. Each block first
+    gathers its gradients into one block-sized scratch, times the clip
+    factor when the clip fires, and zeros for the zero stand-ins; two more
+    scratch buffers hold the intermediates. The operations are those of the
+    expression form, in the same order, so every update is the same to the
+    bit. Afterwards every parameter holds its zero stand-in
     (:meth:`ParamStore.zero_grads`). Returns the pre-clip gradient norm,
     handy for logging.
     """
     for name, t in store.items():
         if t.grad is None:
             raise StateError(f"parameter {name!r} has no gradient; run backward first")
-        if name not in state.m:
+        if name not in state.m or name not in state.v:
             raise StateError(f"optimizer state missing for parameter {name!r}")
+    arena = store.arena
+    if arena is None or state.flat is None or state.flat[0].size != arena.size:
+        raise StateError("optimizer state was not made for this store by AdamState.for_store")
 
-    norm = clip_gradients(store, config.clip_norm)
+    norm = store.grad_global_norm()
+    clip = config.clip_norm / norm if norm > config.clip_norm and norm > 0.0 else None
     state.step += 1
     bc1 = 1.0 - config.beta1 ** state.step
     bc2 = 1.0 - config.beta2 ** state.step
-    # a parameter past _ADAM_BLOCK entries goes in row blocks of about that
-    # many: every op below then reads a block its predecessor left in cache
-    blocks = []
+    # (first arena entry, C-order entries) of every gradient the tape reached
+    spans, lo = [], 0
     for name, t in store.items():
-        arrays = (t.values, t.grad, state.m[name], state.v[name])
-        if t.values.size <= _ADAM_BLOCK:
-            blocks.append(arrays)
-            continue
-        rows = max(1, _ADAM_BLOCK * len(t.values) // t.values.size)
-        blocks += [[x[lo:lo + rows] for x in arrays] for lo in range(0, len(t.values), rows)]
-    size = max((x.size for x, *_ in blocks), default=0)
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
-    for x, g, m, v in blocks:
-        a = scratch_a[:g.size].reshape(g.shape)
-        b = scratch_b[:g.size].reshape(g.shape)
+        if t.grad is not store._zeros[name]:
+            spans.append((lo, t.grad.reshape(-1)))
+        lo += t.values.size
+    spans.append((arena.size, arena[:0]))  # a sentinel past every block
+    m_all, v_all = state.flat
+    g_buf, a_buf, b_buf = (np.empty(min(_ADAM_BLOCK, arena.size)) for _ in range(3))
+    k = 0
+    for lo in range(0, arena.size, _ADAM_BLOCK):
+        hi = min(lo + _ADAM_BLOCK, arena.size)
+        g, a, b = g_buf[:hi - lo], a_buf[:hi - lo], b_buf[:hi - lo]
+        filled = lo
+        while spans[k][0] < hi:
+            start, flat = spans[k]
+            s, e = max(start, lo), min(start + flat.size, hi)
+            g[filled - lo:s - lo] = 0.0
+            if clip is None:
+                g[s - lo:e - lo] = flat[s - start:e - start]
+            else:
+                np.multiply(flat[s - start:e - start], clip, out=g[s - lo:e - lo])
+            filled = e
+            if start + flat.size > hi:  # it goes on in the next block
+                break
+            k += 1
+        g[filled - lo:] = 0.0
+        x, m, v = arena[lo:hi], m_all[lo:hi], v_all[lo:hi]
         m *= config.beta1
         m += np.multiply(g, 1.0 - config.beta1, out=a)
         v *= config.beta2

@@ -316,7 +316,7 @@ class Model:
         )
         word_matrix = None
         if self.gcn_params is not None and not cfg.without_cn:
-            word_matrix = gcn_forward(self.artifacts.word_graph.adjacency, self.gcn_params)
+            word_matrix = gcn_forward(self.artifacts.word_graph, self.gcn_params)
         return item_matrix, word_matrix
 
     def contexts(self, examples: Iterable[RecExample]) -> Contexts:
@@ -553,7 +553,7 @@ def train(artifacts: Artifacts, config: TrainConfig,
 
     best_score = -1.0
     best_epoch = -1
-    best_values: dict[str, np.ndarray] | None = None
+    best_values: np.ndarray | None = None  # a copy of the parameter arena
     epoch_reports: list[MetricsReport] = []
     epoch_losses: list[float] = []
     guard_events = 0
@@ -586,11 +586,10 @@ def train(artifacts: Artifacts, config: TrainConfig,
             if score > best_score:
                 best_score = score
                 best_epoch = epoch
-                best_values = {name: t.values.copy() for name, t in model.store.items()}
+                best_values = model.store.arena.copy()
 
     if best_values is not None:
-        for name, values in best_values.items():
-            model.store[name].values[...] = values
+        model.store.arena[...] = best_values
     else:
         best_epoch = config.epochs - 1
     return TrainResult(model=model, best_epoch=best_epoch,

@@ -339,7 +339,7 @@ def load_item_kg_reference(path, entities):
 
 def load_interaction_graph_reference(path, entities):
     """Collect (user, relation, item) triples in a set, line by line."""
-    from convrec.errors import ParseError
+    from convrec.errors import ParseError, ValidationError
     from convrec.graphs import INTERACTION_RELATIONS, InteractionGraph
 
     triples = set()
@@ -348,7 +348,11 @@ def load_interaction_graph_reference(path, entities):
         if rel_name not in INTERACTION_RELATIONS:
             raise ParseError(f"unknown relation {rel_name!r}", line=lineno)
         users.add(user)
-        triples.add((user, INTERACTION_RELATIONS.index(rel_name), entities.resolve(token)))
+        try:
+            item = entities.resolve(token)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+        triples.add((user, INTERACTION_RELATIONS.index(rel_name), item))
     user_list = sorted(users)
     item_list = sorted({item for _, _, item in triples})
     user_index = {u: i for i, u in enumerate(user_list)}

@@ -118,7 +118,7 @@ def test_criterion_2_message_passing_equivalence():
         wg = build_word_graph(pairs)
         g_store = ParamStore()
         g_params = init_gcn_params(g_store, "w", wg.n_nodes, dim, rng)
-        got_g = gcn_forward(wg.adjacency, g_params).values
+        got_g = gcn_forward(wg, g_params).values
         want_g = dense_gcn(wg.n_nodes, wg.pairs.tolist(),
                            g_params.embedding.values, [w.values for w in g_params.weights])
         worst = max(worst, float(np.abs(got_g - want_g).max()))

@@ -209,6 +209,8 @@ def test_mismatched_shapes_raise():
         ad.add_const(a, np.ones((2, 2)))
     with pytest.raises(ShapeError):
         ad.softmax(Tensor(np.ones((2, 2, 2))))
+    with pytest.raises(ShapeError, match="expected a matrix"):
+        ad.softmax(Tensor(np.ones(3)))  # a vector is a one-row matrix, shape (1, n)
     with pytest.raises(ShapeError):
         ad.segment_sum(Tensor(np.ones(3)), Tensor(np.ones((2, 3))), ad.SegmentLayout([0, 2]))
     with pytest.raises(ShapeError, match="offsets"):
@@ -400,7 +402,7 @@ def test_relation_operator_matches_dense_adjacency():
     for kwargs, norm in cases:
         op = graph.relation_operator(0, **kwargs)
         np.testing.assert_allclose(op.toarray(), dense * norm[:, None], atol=1e-15)
-        out = ad.spmm(op, Tensor(h))
+        out = ad.spmm(op, op.T, Tensor(h))
         np.testing.assert_allclose(out.values, (dense @ h) * norm[:, None], atol=1e-14)
 
 
@@ -412,7 +414,7 @@ def test_relation_operator_gradcheck():
     store = fd_store(h=np.random.default_rng(8).normal(size=(5, 3)))
 
     def f(s):
-        return total(ad.tanh(ad.spmm(op, s["h"])))
+        return total(ad.tanh(ad.spmm(op, op.T, s["h"])))
 
     check(f, store, samples_per_param=6)
 
@@ -424,25 +426,27 @@ def test_spmm_matches_dense_and_gradchecks():
     a = sp.csr_matrix(dense)
     store = fd_store(x=rng.normal(size=(5, 2)))
 
-    out = ad.spmm(a, Tensor(store["x"].values))
+    out = ad.spmm(a, a.T, Tensor(store["x"].values))
     np.testing.assert_allclose(out.values, dense @ store["x"].values, atol=1e-14)
+    with pytest.raises(ShapeError, match="transpose"):
+        ad.spmm(a, a, store["x"])
 
     def f(s):
-        return total(ad.relu(ad.spmm(a, s["x"])))
+        return total(ad.relu(ad.spmm(a, a.T, s["x"])))
 
     check(f, store, samples_per_param=6)
 
 
 def test_softmax_normalizes_and_gradchecks():
     rng = np.random.default_rng(10)
-    store = fd_store(z=rng.normal(size=7))
+    store = fd_store(z=rng.normal(size=(1, 7)))
 
     y = ad.softmax(Tensor(store["z"].values))
     assert y.values.sum() == pytest.approx(1.0, abs=1e-12)
     assert (y.values > 0).all()
 
     def f(s):
-        return total(ad.mul(ad.softmax(s["z"]), constant(np.arange(7.0))))
+        return total(ad.mul(ad.softmax(s["z"]), constant(np.arange(7.0)[None, :])))
 
     check(f, store, samples_per_param=7)
 
@@ -454,7 +458,7 @@ def test_softmax_rows_normalize_and_gradcheck():
     y = ad.softmax(Tensor(store["z"].values))
     np.testing.assert_allclose(y.values.sum(axis=1), 1.0, atol=1e-12)
     for row, z in zip(y.values, store["z"].values):
-        np.testing.assert_array_equal(row, ad.softmax(Tensor(z)).values)
+        np.testing.assert_array_equal(row, ad.softmax(Tensor(z[None, :])).values[0])
 
     weights = constant(rng.normal(size=(3, 5)))
 
@@ -464,26 +468,27 @@ def test_softmax_rows_normalize_and_gradcheck():
     check(f, store, samples_per_param=15)
 
 
-def test_softmax_vector_arithmetic_is_pinned():
-    # attention pooling trains through the vector case: exact forward and backward
+def test_softmax_row_arithmetic_is_pinned():
+    # score_all's rows: exact forward and backward, one row and several
     rng = np.random.default_rng(15)
-    for n in (1, 2, 7, 64, 513):
-        z = rng.normal(size=n) * 10.0
-        g = rng.normal(size=n)
+    for shape in ((1, 1), (1, 2), (1, 7), (3, 64), (2, 513)):
+        z = rng.normal(size=shape) * 10.0
+        g = rng.normal(size=shape)
         x = Tensor(z, requires_grad=True)
         y = ad.softmax(x)
-        e = np.exp(z - z.max())
-        want = e / e.sum()
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        want = e / e.sum(axis=1, keepdims=True)
         np.testing.assert_array_equal(y.values, want)
         backward(total(ad.mul(y, constant(g))))  # hands g to the softmax exactly
-        np.testing.assert_array_equal(x.grad, want * (g - np.dot(g, want)))
+        np.testing.assert_array_equal(
+            x.grad, want * (g - np.einsum("ij,ij->i", g, want)[:, None]))
 
 
 def test_softmax_handles_large_logits():
-    y = ad.softmax(Tensor(np.asarray([1e9, 0.0, -1e9])))
+    y = ad.softmax(Tensor(np.asarray([[1e9, 0.0, -1e9]])))
     assert y.values.sum() == pytest.approx(1.0)
-    assert y.values[0] == pytest.approx(1.0)
-    assert y.values[2] == 0.0
+    assert y.values[0, 0] == pytest.approx(1.0)
+    assert y.values[0, 2] == 0.0
 
 
 def test_cross_entropy_matches_log_softmax_route():
@@ -500,6 +505,26 @@ def test_cross_entropy_matches_log_softmax_route():
     np.testing.assert_allclose(logits.grad, want_grad, rtol=0, atol=1e-14)
     # the handed-back probabilities are the softmax at each label, in label order
     np.testing.assert_allclose(p, ad.softmax(Tensor(z)).values[0, labels], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("labels, offsets", [
+    ([3, 0, 5, 1, 2, 4], [0, 1, 3, 6]),     # distinct (row, label) cells: the buffered subtract
+    ([3, 3, 0, 5, 5, 5], [0, 2, 3, 6]),     # repeated labels: np.add.at
+], ids=["distinct", "repeated"])
+def test_cross_entropy_backward_matches_add_at_bit_for_bit(labels, offsets):
+    rng = np.random.default_rng(31)
+    z = rng.normal(size=(3, 7)) * 5.0
+    logits = Tensor(z, requires_grad=True)
+    layout = ad.SegmentLayout(offsets)
+    loss, _ = ad.cross_entropy(logits, np.asarray(labels), layout)
+    g = np.asarray(rng.normal())
+    loss._backward_fn(g)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    want = e / e.sum(axis=1, keepdims=True)
+    rows = np.repeat(np.arange(3), np.diff(offsets))
+    np.add.at(want, (rows, np.asarray(labels)), -1.0 / layout.counts[rows])
+    want = (g / 3) * want
+    assert logits.grad.tobytes() == want.tobytes()
 
 
 def test_cross_entropy_gradcheck():
@@ -634,7 +659,8 @@ def every_op(w, v):
         ad.add(w, w), ad.mul(w, w), ad.blend(w, w, w), ad.add_const(w, 1.0),
         ad.relu(w), ad.tanh(w), ad.sigmoid(w), ad.matmul(w, v), ad.transpose(w),
         ad.reshape(w, (3, 2)), ad.concat([w, w]), ad.lookup(w, [1, 0, 1]),
-        ad.scatter_rows(w, [2, 0], 4), ad.spmm(sp.identity(2, format="csr"), w),
+        ad.scatter_rows(w, [2, 0], 4),
+        ad.spmm(sp.identity(2, format="csr"), sp.identity(2, format="csc"), w),
         ad.softmax(w), ad.segment_softmax(v, ad.SegmentLayout([0, 1, 1, 3])),
         ad.segment_sum(v, ad.transpose(w), ad.SegmentLayout([0, 2, 2, 3])),
         ad.cross_entropy(w, np.asarray([0, 2, 1]), ad.SegmentLayout([0, 1, 3]))[0],
@@ -706,7 +732,7 @@ def test_matmul_gradcheck_property(n, m, seed):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12), st.integers(0, 2**31 - 1))
 def test_softmax_is_distribution_property(logits, seed):
-    y = ad.softmax(Tensor(np.asarray(logits)))
+    y = ad.softmax(Tensor(np.asarray([logits])))
     assert y.values.sum() == pytest.approx(1.0, abs=1e-9)
     assert (y.values >= 0).all()
 

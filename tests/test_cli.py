@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -331,10 +332,61 @@ def test_eval_checkpoint_with_trailing_bytes_exits_2(runner, toy_bundle, toy_che
     ckpt = tmp_path / "model.ckpt"
     ckpt.write_bytes(toy_checkpoint.read_bytes() + b"\x00" * extra)
     shutil.copy(toy_checkpoint.with_name("model.ckpt.config.json"), tmp_path)
+    args = ["eval", "--bundle", str(toy_bundle), "--checkpoint", str(ckpt), "--split", "train"]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert "sha256 does not match" in result.stderr
+    # with a sidecar digest that matches the longer file, the reader's own check refuses it
+    redigest(ckpt)
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert "trailing bytes" in result.stderr
+
+
+def redigest(ckpt: Path) -> None:
+    """Rewrite the sidecar's checkpoint sha256 to that of the bytes ``ckpt`` holds now."""
+    sidecar = ckpt.with_name(ckpt.name + ".config.json")
+    values = json.loads(sidecar.read_text("utf-8"))
+    values["checkpoint_sha256"] = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    sidecar.write_text(json.dumps(values), "utf-8")
+
+
+def test_train_sidecar_records_the_checkpoint_sha256(trained_run):
+    sidecar = json.loads((trained_run / "model.ckpt.config.json").read_text("utf-8"))
+    want = hashlib.sha256((trained_run / "model.ckpt").read_bytes()).hexdigest()
+    assert sidecar["checkpoint_sha256"] == want
+
+
+def test_eval_checkpoint_with_a_changed_weight_byte_exits_2(runner, toy_bundle, toy_checkpoint,
+                                                            tmp_path):
+    raw = bytearray(toy_checkpoint.read_bytes())
+    raw[-9] ^= 0x01  # the low mantissa bit of the last weight: still a well-formed checkpoint
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(bytes(raw))
+    shutil.copy(toy_checkpoint.with_name("model.ckpt.config.json"), tmp_path)
+    params, _ = convrec.optim.read_checkpoint(ckpt)  # it parses: only the digest tells it apart
+    assert set(params) == set(convrec.optim.read_checkpoint(toy_checkpoint)[0])
+    loads = []
+    original = cli.load_checkpoint
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "load_checkpoint", lambda *a: loads.append(a) or original(*a))
+        result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle),
+                                          "--checkpoint", str(ckpt), "--split", "train"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and "sha256 does not match" in result.stderr
+    assert loads == []  # refused before load_checkpoint
+
+
+def test_eval_sidecar_without_a_digest_exits_2(runner, toy_bundle, toy_checkpoint, tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    shutil.copy(toy_checkpoint, ckpt)
+    values = json.loads(toy_checkpoint.with_name("model.ckpt.config.json").read_text("utf-8"))
+    del values["checkpoint_sha256"]
+    (tmp_path / "model.ckpt.config.json").write_text(json.dumps(values), "utf-8")
     result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle),
                                       "--checkpoint", str(ckpt), "--split", "train"])
     assert result.exit_code == 2
-    assert "trailing bytes" in result.stderr
+    assert result.stderr.startswith("error: ") and "no checkpoint sha256" in result.stderr
 
 
 @pytest.mark.parametrize("sidecar, message", [

@@ -15,7 +15,7 @@ from convrec.encoders import (
     uniform_init,
 )
 from convrec.errors import ConfigurationError
-from convrec.graphs import InteractionGraph, TypedGraph, build_word_graph, normalize_adjacency
+from convrec.graphs import InteractionGraph, TypedGraph, build_word_graph
 from convrec.optim import ParamStore
 
 from conftest import total
@@ -210,16 +210,21 @@ def test_rgcn_reuses_cached_relation_operators():
     graph = random_typed_graph(rng, 7, ("a", "b"), 12)
     const = init_rgcn_params(ParamStore(), "c", 7, graph.relations, 4, rng, z=2.5)
     first = rgcn_forward(graph, const).values
-    layer_op = graph._layer_operators[(False, 2.5)]
-    assert sorted(graph._layer_operators) == [(False, 2.5)]
+    layer_op = graph._layer_operators[(False, 2.5, 7)]
+    assert sorted(graph._layer_operators) == [(False, 2.5, 7)]
     np.testing.assert_array_equal(rgcn_forward(graph, const).values, first)
-    assert list(graph._layer_operators) == [(False, 2.5)]
-    assert graph._layer_operators[(False, 2.5)] is layer_op
+    assert list(graph._layer_operators) == [(False, 2.5, 7)]
+    assert graph._layer_operators[(False, 2.5, 7)] is layer_op
+    rgcn_forward(graph, const, 3)  # the last layer's leading row block, cached beside it
+    assert sorted(graph._layer_operators) == [(False, 2.5, 3), (False, 2.5, 7)]
+    block = graph._layer_operators[(False, 2.5, 3)]
+    rgcn_forward(graph, const, 3)
+    assert graph._layer_operators[(False, 2.5, 3)] is block
     in_deg = init_rgcn_params(ParamStore(), "d", 7, graph.relations, 4, rng,
                               normalization=NORM_IN_DEGREE)
     rgcn_forward(graph, in_deg)
-    assert sorted(graph._layer_operators) == [(False, 2.5), (True, 1.0)]
-    assert graph._layer_operators[(False, 2.5)] is layer_op
+    assert sorted(graph._layer_operators) == [(False, 2.5, 3), (False, 2.5, 7), (True, 1.0, 7)]
+    assert graph._layer_operators[(False, 2.5, 7)] is layer_op
 
 
 @pytest.mark.parametrize("normalization, z", [(NORM_IN_DEGREE, 1.0), (NORM_CONSTANT, 2.5)])
@@ -253,17 +258,18 @@ def test_gcn_matches_dense_oracle():
     n = wg.n_nodes
     store = ParamStore()
     params = init_gcn_params(store, "w", n, 4, rng)
-    got = gcn_forward(wg.adjacency, params).values
+    got = gcn_forward(wg, params).values
     want = dense_gcn(n, wg.pairs.tolist(), params.embedding.values,
                      [w.values for w in params.weights])
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_gcn_single_node():
-    adjacency = normalize_adjacency(1, [])
+    wg = build_word_graph([(0, 0)])
+    assert wg.adjacency.toarray().tolist() == [[1.0]]
     store = ParamStore()
     params = init_gcn_params(store, "w", 1, 3, np.random.default_rng(0))
-    out = gcn_forward(adjacency, params).values
+    out = gcn_forward(wg, params).values
     h = params.embedding.values
     for w in params.weights:
         h = np.maximum(h @ w.values, 0.0)
@@ -271,12 +277,12 @@ def test_gcn_single_node():
 
 
 def test_gcn_gradients_flow():
-    adjacency = normalize_adjacency(4, [(0, 1), (1, 2), (2, 3)])
+    wg = build_word_graph([(0, 1), (1, 2), (2, 3)])
     store = ParamStore()
     params = init_gcn_params(store, "w", 4, 3, np.random.default_rng(5))
 
     def objective(_):
-        return total(gcn_forward(adjacency, params))
+        return total(gcn_forward(wg, params))
 
     worst = ad.finite_diff_check(objective, store, samples_per_param=3, seed=2)
     assert worst < 1e-4

@@ -183,22 +183,35 @@ def test_layer_operator_interleaves_relation_operators_and_identity(graph, z):
     n, n_rel, triples = graph
     g = TypedGraph(n, [f"r{i}" for i in range(n_rel)], triples)
     kwargs = {"in_degree": z is None, "z": z or 1.0}
-    op = g.layer_operator(**kwargs)
+    op, op_t = g.layer_operator(**kwargs)
     assert op.shape == ((n_rel + 1) * n, n)
     for rel in range(n_rel):
         # same entries, same storage order, same values, bit for bit
         assert operator_rows(op[rel::n_rel + 1]) == operator_rows(g.relation_operator(rel, **kwargs))
     assert operator_rows(op[n_rel::n_rel + 1]) == [([i], [1.0]) for i in range(n)]
-    assert g.layer_operator(**kwargs) is op
+    assert g.layer_operator(**kwargs)[0] is op and g.layer_operator(**kwargs)[1] is op_t
+    # the transpose is a CSC over the CSR's own arrays
+    assert op_t.format == "csc" and op_t.shape == (n, (n_rel + 1) * n)
+    assert np.shares_memory(op_t.indptr, op.indptr)
+    assert op.nnz == 0 or (np.shares_memory(op_t.data, op.data)
+                           and np.shares_memory(op_t.indices, op.indices))
+    for n_rows in sorted({0, n // 2, n}):
+        block, block_t = g.layer_operator(**kwargs, n_rows=n_rows)
+        assert g.layer_operator(**kwargs, n_rows=n_rows)[0] is block
+        assert block.shape == ((n_rel + 1) * n_rows, n) and block_t.shape == block.shape[::-1]
+        assert operator_rows(block) == operator_rows(op)[:(n_rel + 1) * n_rows]
+        assert block_t.format == "csc"
+        np.testing.assert_array_equal(block_t.toarray(), block.toarray().T)
 
 
 def test_layer_operator_is_cached_per_normalization():
     g = TypedGraph(4, ("r", "s"), [(0, 0, 2), (1, 0, 2), (3, 1, 0)])
-    in_deg = g.layer_operator(in_degree=True, z=1.0)
-    assert g.layer_operator(in_degree=True, z=3.0) is in_deg  # z is ignored in this mode
-    const = g.layer_operator(in_degree=False, z=4.0)
-    assert const is not in_deg and g.layer_operator(in_degree=False, z=4.0) is const
-    assert sorted(g._layer_operators) == [(False, 4.0), (True, 1.0)]
+    in_deg, _ = g.layer_operator(in_degree=True, z=1.0)
+    assert g.layer_operator(in_degree=True, z=3.0)[0] is in_deg  # z is ignored in this mode
+    const, _ = g.layer_operator(in_degree=False, z=4.0)
+    assert const is not in_deg and g.layer_operator(in_degree=False, z=4.0)[0] is const
+    assert g.layer_operator(in_degree=False, z=4.0, n_rows=4)[0] is const  # n_rows=n is the full one
+    assert sorted(g._layer_operators) == [(False, 4.0, 4), (True, 1.0, 4)]
     np.testing.assert_array_equal(const.indptr, in_deg.indptr)
     np.testing.assert_array_equal(const.indices, in_deg.indices)
 
@@ -352,6 +365,14 @@ def test_interaction_graph_save_load_round_trip(tmp_path):
         load_interaction_graph(tmp_path / "absent.tsv", entities)
     path.write_text("alice\tloves\tI0\n", "utf-8")
     with pytest.raises(ParseError, match="unknown relation"):
+        load_interaction_graph(path, entities)
+    # an unknown entity names its line, as in the KG and word-graph files
+    path.write_text("alice\tlike\tI0\n\nbob\tdislike\tnope\n", "utf-8")
+    with pytest.raises(ValidationError, match="^line 3: unknown entity 'nope'$"):
+        load_interaction_graph(path, entities)
+    # one before a bad relation is still the one reported
+    path.write_text("alice\tlike\tnope\nbob\tloves\tI0\n", "utf-8")
+    with pytest.raises(ValidationError, match="^line 1: unknown entity 'nope'$"):
         load_interaction_graph(path, entities)
 
 

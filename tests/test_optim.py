@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -210,6 +211,94 @@ def test_adam_step_matches_the_expression_form_bit_for_bit(scale, clips):
             assert state.v[name].tobytes() == v[name].tobytes(), (step, name)
             np.testing.assert_array_equal(t.grad, np.zeros(t.shape))
     assert not state.m["c"].any() and not state.v["c"].any()
+
+
+def test_flat_adam_step_matches_the_reference_across_block_boundaries():
+    # the arena is cut into _ADAM_BLOCK slices: "u" (never reached) and "b"
+    # straddle boundaries, "b" spans more than one block, "z" is empty, "f"
+    # gets an F-order gradient and "r" a strided one; steps alternate between
+    # clipped and unclipped
+    block = optim._ADAM_BLOCK
+    rng = np.random.default_rng(11)
+    shapes = {"a": (3, 5), "u": (block,), "z": (0,), "b": (block + 7,), "f": (40, 30),
+              "r": (9,), "s": ()}
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.add(name, rng.normal(size=shape))
+    config = AdamConfig(lr=0.003, clip_norm=1.0)
+    state = AdamState.for_store(store)
+    values = {n: t.values.copy() for n, t in store.items()}
+    m = {n: np.zeros(t.shape) for n, t in store.items()}
+    v = {n: np.zeros(t.shape) for n, t in store.items()}
+    clipped = []
+    for step in range(1, 7):
+        scale = 0.1 if step % 2 else 1e-5
+        grads = {name: scale * rng.normal(size=shape) for name, shape in shapes.items()}
+        grads["u"] = None
+        grads["f"] = np.asfortranarray(grads["f"])
+        grads["r"] = scale * rng.normal(size=27)[::3]
+        for name, g in grads.items():
+            if g is not None:
+                store[name].grad = g.copy(order="K") if name != "r" else g
+        norm = adam_step(store, state, config)
+        values, m, v, want_norm = adam_reference(
+            values, grads, m, v, step, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
+            eps=config.eps, clip_norm=config.clip_norm)
+        assert norm == want_norm
+        clipped.append(want_norm > config.clip_norm)
+        for name, t in store.items():
+            assert t.values.tobytes() == values[name].tobytes(), (step, name)
+            assert state.m[name].tobytes() == m[name].tobytes(), (step, name)
+            assert state.v[name].tobytes() == v[name].tobytes(), (step, name)
+    assert clipped == [True, False] * 3
+    assert store.arena.size == sum(math.prod(shape) for shape in shapes.values())
+    assert store.arena.size > 2 * block
+
+
+def test_packing_makes_every_parameter_a_view_of_one_arena(tmp_path):
+    store = make_store()
+    store.add("s", np.asarray(2.5))
+    before = {name: t.values.copy() for name, t in store.items()}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, AdamState(m={n: np.zeros(t.shape) for n, t in store.items()},
+                                           v={n: np.zeros(t.shape) for n, t in store.items()}))
+    assert store.arena is None  # nothing packs before training starts
+    state = AdamState.for_store(store)
+    arena = store.arena
+    assert store.pack() is arena and arena.dtype == np.float64 and arena.size == 8
+    np.testing.assert_array_equal(arena, np.concatenate([x.ravel() for x in before.values()]))
+    m_flat, v_flat = state.flat
+    for name, t in store.items():
+        assert t.values.base is arena and t.values.shape == before[name].shape
+        np.testing.assert_array_equal(t.values, before[name])
+        assert state.m[name].base is m_flat and state.v[name].base is v_flat
+    # the same checkpoint bytes as before packing
+    packed = tmp_path / "packed.ckpt"
+    save_checkpoint(packed, store, state)
+    assert packed.read_bytes() == path.read_bytes()
+    # load_checkpoint writes through the views into the arena
+    other = make_store()
+    other.add("s", np.asarray(-1.0))
+    save_checkpoint(path, other)
+    load_checkpoint(path, store)
+    np.testing.assert_array_equal(arena, [1.0, -2.0, 3.0, 0.5, 0.25, -0.75, 4.0, -1.0])
+    assert all(t.values.base is arena for _, t in store.items())
+    with pytest.raises(StateError, match="packed"):
+        store.add("late", np.zeros(2))
+    assert "late" not in store
+
+
+def test_adam_step_needs_a_state_made_for_its_store():
+    store = make_store()
+    state = AdamState.for_store(store)
+    store.zero_grads()
+    unpacked = make_store()  # a state read from a checkpoint has no flat moments either
+    with pytest.raises(StateError, match="for_store"):
+        adam_step(unpacked, state, AdamConfig())
+    with pytest.raises(StateError, match="for_store"):
+        adam_step(store, AdamState(m=dict(state.m), v=dict(state.v)), AdamConfig())
+    adam_step(store, state, AdamConfig())
+    assert state.step == 1
 
 
 def test_zero_gradients_are_read_only_and_allocate_nothing():

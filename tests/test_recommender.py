@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import _compressed as sp_compressed
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -215,7 +216,7 @@ def test_rec_loss_guard_keeps_gradient_finite():
     # normal double; log-softmax keeps the loss and its gradient finite
     store = ParamStore()
     logits = store.add("logits", np.array([[715.0, 0.0, -3.0]]))
-    assert 0.0 < ad.softmax(ad.constant(logits.values[0])).values[1] < 1e-300
+    assert 0.0 < ad.softmax(ad.constant(logits.values)).values[0, 1] < 1e-300
     loss, guards = rec_loss(logits, Segments.of([[1]]))
     assert guards == 1
     assert float(loss.values) == pytest.approx(715.0, rel=1e-12)
@@ -271,13 +272,53 @@ def test_training_builds_relation_operators_once():
     train(artifacts, small_config(epochs=2, batch_size=4))
     graphs = (artifacts.kg, artifacts.interaction.as_typed())
     layer_ops = [dict(g._layer_operators) for g in graphs]
-    # one layer operator per graph and normalization
-    assert [len(ops) for ops in layer_ops] == [1, 1]
+    # one normalization per graph; an operator (and its transpose) per row count read
+    assert [{key[:2] for key in ops} for ops in layer_ops] == [{(False, 1.0)}] * 2
+    assert all(1 <= len(ops) <= 3 for ops in layer_ops)
     train(artifacts, small_config(epochs=1, batch_size=4, seed=1))
     assert artifacts.interaction.as_typed() is graphs[1]
     for g, layers in zip(graphs, layer_ops):
         assert g._layer_operators.keys() == layers.keys()
         assert all(g._layer_operators[k] is op for k, op in layers.items())
+
+
+def test_training_builds_no_sparse_matrix_after_its_first_step(monkeypatch):
+    # every operator a step multiplies by, and its transpose, is built once:
+    # from the second step on no CSR or CSC is constructed, and the second
+    # validation pass reuses what the first one built
+    artifacts = artifacts_of(popularity_corpus(seed=3, n_users=20, n_items=12,
+                                               n_conversations=60))
+    built = []
+    compressed = sp_compressed._cs_matrix
+    real_init = compressed.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(compressed, "__init__", counting_init)
+    after_step, after_valid = [], []
+    real_step, real_eval = convrec.recommender.adam_step, convrec.recommender.evaluate_contexts
+
+    def step(*args):
+        norm = real_step(*args)
+        after_step.append(len(built))
+        return norm
+
+    def validate(*args):
+        report = real_eval(*args)
+        after_valid.append((len(after_step), len(built)))
+        return report
+
+    monkeypatch.setattr(convrec.recommender, "adam_step", step)
+    monkeypatch.setattr(convrec.recommender, "evaluate_contexts", validate)
+    train(artifacts, small_config(epochs=2, batch_size=4))
+    (steps, at_first_valid), (_, at_second_valid) = after_valid
+    assert steps >= 3 and len(after_step) == 2 * steps
+    assert after_step[0] > 0 and {"csr_matrix", "csc_matrix"} <= set(built)
+    assert after_step[steps - 1] == after_step[0]  # steps 2.. of epoch 0
+    assert after_step[-1] == after_step[steps] == at_first_valid  # all of epoch 1
+    assert at_second_valid == at_first_valid
 
 
 # ---------------------------------------------------------------------------
