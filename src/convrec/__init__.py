@@ -62,7 +62,6 @@ from .optim import (
     AdamState,
     ParamStore,
     adam_step,
-    clip_gradients,
     load_checkpoint,
     save_checkpoint,
 )
@@ -144,7 +143,6 @@ __all__ = [
     "build_interaction_graph",
     "build_index",
     "build_user_representation",
-    "clip_gradients",
     "derive_examples",
     "encode_items",
     "evaluate",

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse as sp
@@ -402,46 +403,91 @@ def softmax(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
-class SegmentLayout:
-    """B consecutive row segments, checked once, when built.
+class Segments:
+    """B groups of ints laid out CSR-style: group b is ``rows[offsets[b]:offsets[b + 1]]``.
 
-    Segment b is rows ``offsets[b]:offsets[b + 1]``, as in a CSR indptr, and may
-    be empty. The constructor is the one check of the offsets (a vector, from 0,
-    non-decreasing); segment ops take a layout and compare only its ``n_rows``
-    with their row count. ``ids``, ``starts`` and ``counts`` are the non-empty
-    segments' ids, first rows and sizes, so ``ufunc.reduceat(x, starts)``
-    reduces exactly those segments.
+    A group may be empty. ``Segments(rows, offsets)`` is the one check of
+    offsets: a vector rising from 0 to ``len(rows)``, else ShapeError. ``of``,
+    ``none``, ``take`` and ``lookup`` build offsets that are right by
+    construction and skip it.
     """
 
-    __slots__ = ("offsets", "n_rows", "ids", "starts", "counts")
+    __slots__ = ("rows", "offsets", "_nonempty")
 
-    def __init__(self, offsets: Sequence[int]):
-        off = np.asarray(offsets, dtype=np.intp)
-        bounds = off.tolist()  # plain ints: cheaper to check than numpy reductions
-        if off.ndim != 1 or not bounds or bounds[0] != 0 or bounds != sorted(bounds):
-            raise ShapeError("segment offsets must rise from 0 in a vector")
-        counts = off[1:] - off[:-1]
-        self.offsets = off
-        self.n_rows = bounds[-1]
-        self.ids = counts.nonzero()[0]
-        self.starts = off[self.ids]
-        self.counts = counts[self.ids]
+    def __init__(self, rows, offsets):
+        rows = np.asarray(rows, dtype=np.intp)
+        offsets = np.asarray(offsets, dtype=np.intp)
+        bounds = offsets.tolist()  # plain ints: cheaper to check than numpy reductions
+        if (rows.ndim != 1 or offsets.ndim != 1 or not bounds or bounds[0] != 0
+                or bounds[-1] != len(rows) or bounds != sorted(bounds)):
+            raise ShapeError(f"segment offsets must rise from 0 to {len(rows)} in a vector")
+        self.rows, self.offsets, self._nonempty = rows, offsets, None
+
+    @classmethod
+    def _built(cls, rows: np.ndarray, offsets: np.ndarray) -> Segments:
+        """Intp ``rows`` and ``offsets`` that are right by construction, unchecked."""
+        out = cls.__new__(cls)
+        out.rows, out.offsets, out._nonempty = rows, offsets, None
+        return out
+
+    @classmethod
+    def of(cls, groups: Sequence[Collection[int]]) -> Segments:
+        offsets = np.fromiter(accumulate(map(len, groups), initial=0), np.intp, len(groups) + 1)
+        return cls._built(np.fromiter(chain.from_iterable(groups), np.intp, offsets[-1]), offsets)
+
+    @classmethod
+    def none(cls, n: int) -> Segments:
+        """n empty groups."""
+        return cls._built(np.zeros(0, np.intp), np.zeros(n + 1, np.intp))
+
+    def take(self, idx: np.ndarray) -> Segments:
+        """Groups ``idx`` (intp, repeats allowed) in that order, gathered at once."""
+        starts = self.offsets[idx]
+        counts = self.offsets[idx + 1] - starts
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        # row j of output group k is rows[starts[k] + j - offsets[k]]
+        rows = self.rows[np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)]
+        return self._built(rows, offsets)
+
+    def lookup(self, table: np.ndarray) -> Segments:
+        """Each row mapped through the intp ``table``, dropping rows it maps to -1."""
+        if not len(self.rows):  # nothing to map: the same empty groups
+            return self
+        mapped = table[self.rows]
+        kept = (mapped >= 0).nonzero()[0]
+        # a group's new offset counts the kept rows before its old one
+        return self._built(mapped[kept], kept.searchsorted(self.offsets))
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
+    def group_of_rows(self) -> np.ndarray:
+        """The group of each row, in row order."""
+        return np.arange(len(self)).repeat(self.offsets[1:] - self.offsets[:-1])
 
-def _check_rows(layout: SegmentLayout, n_rows: int, op: str) -> None:
-    if layout.n_rows != n_rows:
-        raise ShapeError(f"{op}: offsets end at row {layout.n_rows} of {n_rows} rows")
+    @property
+    def nonempty(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The non-empty groups' ids, first rows and sizes, computed when first
+        read: ``ufunc.reduceat(x, starts)`` reduces exactly those groups."""
+        if self._nonempty is None:
+            sizes = self.offsets[1:] - self.offsets[:-1]
+            ids = sizes.nonzero()[0]
+            self._nonempty = ids, self.offsets[ids], sizes[ids]
+        return self._nonempty
 
 
-def segment_softmax(scores: Tensor, layout: SegmentLayout) -> Tensor:
-    """Softmax of an (n,) score vector within each segment (max-shifted for stability)."""
+def _check_rows(segments: Segments, n_rows: int, op: str) -> None:
+    if len(segments.rows) != n_rows:
+        raise ShapeError(f"{op}: offsets end at row {len(segments.rows)} of {n_rows} rows")
+
+
+def segment_softmax(scores: Tensor, segments: Segments) -> Tensor:
+    """Softmax of an (n,) score vector within each of the segments' groups
+    (max-shifted for stability): entry i scores row i."""
     if scores.values.ndim != 1:
         raise ShapeError(f"segment_softmax: expected a vector, got shape {scores.values.shape}")
-    _check_rows(layout, scores.values.shape[0], "segment_softmax")
-    starts, counts = layout.starts, layout.counts
+    _check_rows(segments, scores.values.shape[0], "segment_softmax")
+    _, starts, counts = segments.nonempty
     s = scores.values
     e = np.exp(s - np.maximum.reduceat(s, starts).repeat(counts))
     y = e / np.add.reduceat(e, starts).repeat(counts)
@@ -453,20 +499,20 @@ def segment_softmax(scores: Tensor, layout: SegmentLayout) -> Tensor:
     return _record(out, (scores,), bw)
 
 
-def segment_sum(weights: Tensor, rows: Tensor, layout: SegmentLayout) -> Tensor:
-    """(B, d) weighted row sums: row b sums weights[i] * rows[i] over segment b.
+def segment_sum(weights: Tensor, rows: Tensor, segments: Segments) -> Tensor:
+    """(B, d) weighted row sums: row b sums weights[i] * rows[i] over group b of ``segments``.
 
-    An empty segment gives a zero row.
+    An empty group gives a zero row.
     """
     if (weights.values.ndim != 1 or rows.values.ndim != 2
             or weights.values.shape[0] != rows.values.shape[0]):
         raise ShapeError(
             f"segment_sum: expected (n,) and (n, d), got {weights.values.shape} and {rows.values.shape}"
         )
-    _check_rows(layout, rows.values.shape[0], "segment_sum")
-    ids, starts, counts = layout.ids, layout.starts, layout.counts
+    _check_rows(segments, rows.values.shape[0], "segment_sum")
+    ids, starts, counts = segments.nonempty
     w = weights.values[:, None]
-    vals = np.zeros((len(layout), rows.values.shape[1]), dtype=rows.values.dtype)
+    vals = np.zeros((len(segments), rows.values.shape[1]), dtype=rows.values.dtype)
     vals[ids] = np.add.reduceat(w * rows.values, starts, axis=0)
     out = Tensor(vals)
 
@@ -480,27 +526,25 @@ def segment_sum(weights: Tensor, rows: Tensor, layout: SegmentLayout) -> Tensor:
     return _record(out, (weights, rows), bw)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, layout: SegmentLayout
-                  ) -> tuple[Tensor, np.ndarray]:
+def cross_entropy(logits: Tensor, labels: Segments) -> tuple[Tensor, np.ndarray]:
     """Mean over the rows of a (B, n) logit matrix of each row's mean -log softmax at its labels.
 
-    Row b's labels are segment b of ``labels`` under ``layout``, as in the
-    segment ops; no row's list may be empty, and a repeated label counts each
-    time. The second value is the softmax probability at each label, aligned
-    with ``labels``; it is not on the tape. The backward subtracts the label
-    weights with one buffered subtract when no row repeats a label, as gold
-    positions never do, and with ``np.add.at`` when one does.
+    Row b's labels are group b of ``labels``; no row's group may be empty,
+    and a repeated label counts each time. The second value is the softmax
+    probability at each label, aligned with ``labels.rows``; it is not on
+    the tape. The backward subtracts the label weights with one buffered
+    subtract when no row repeats a label, as gold positions never do, and
+    with ``np.add.at`` when one does.
     """
     z = logits.values
     if z.ndim != 2:
         raise ShapeError(f"cross_entropy: expected a matrix, got shape {z.shape}")
     n_rows = z.shape[0]
-    col_idx = np.asarray(labels, dtype=np.intp)
-    _check_rows(layout, col_idx.size, "cross_entropy")
-    sizes = layout.counts
-    if sizes.size != n_rows or len(layout) != n_rows:
+    col_idx = labels.rows
+    _, _, sizes = labels.nonempty
+    if sizes.size != n_rows or len(labels) != n_rows:
         raise ShapeError(f"cross_entropy: {sizes.size} non-empty label lists for {n_rows} rows")
-    row_idx = np.repeat(np.arange(n_rows), sizes)
+    row_idx = labels.group_of_rows()
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
     total = e.sum(axis=1, keepdims=True)

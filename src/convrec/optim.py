@@ -98,12 +98,6 @@ class ParamStore:
         for name, t in self._params.items():
             t.grad = self._zeros[name]
 
-    def scale_grads(self, factor: float) -> None:
-        """Multiply every gradient in place by ``factor``; a zero stand-in stays as it is."""
-        for name, t in self._params.items():
-            if t.grad is not self._zeros[name]:
-                t.grad *= factor
-
     def grad_global_norm(self) -> float:
         """sqrt of the sum, in parameter order, of ``np.sum(g * g)`` over the gradients.
 
@@ -154,17 +148,6 @@ class AdamState:
         """Zero moments for ``store``, which this packs (:meth:`ParamStore.pack`)."""
         m, v = np.zeros_like(store.pack()), np.zeros_like(store.arena)
         return cls(store.views(m), store.views(v), flat=(m, v))
-
-
-def clip_gradients(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients in place so their global norm is at most ``max_norm``.
-
-    Returns the pre-clip global norm.
-    """
-    norm = store.grad_global_norm()
-    if norm > max_norm and norm > 0.0:
-        store.scale_grads(max_norm / norm)
-    return norm
 
 
 def adam_step(store: ParamStore, state: AdamState, config: AdamConfig) -> float:

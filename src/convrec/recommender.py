@@ -5,13 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate, chain
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Segments, Tensor
 from .corpus import (
     Conversation,
     RecExample,
@@ -132,49 +131,14 @@ class MetricsReport:
         return json.dumps(payload, sort_keys=True)
 
 
-class Segments(NamedTuple):
-    """B groups of ints laid out CSR-style: group b is ``rows[offsets[b]:offsets[b + 1]]``."""
-
-    rows: np.ndarray     # every group's ints concatenated, intp
-    offsets: np.ndarray  # (B + 1,) intp, rising from 0 to len(rows)
-
-    @classmethod
-    def of(cls, groups: Sequence[Collection[int]]) -> Segments:
-        offsets = np.fromiter(accumulate(map(len, groups), initial=0), np.intp, len(groups) + 1)
-        return cls(np.fromiter(chain.from_iterable(groups), np.intp, offsets[-1]), offsets)
-
-    def take(self, idx: np.ndarray) -> Segments:
-        """Groups ``idx`` (intp, repeats allowed) in that order, gathered at once."""
-        starts = self.offsets[idx]
-        counts = self.offsets[idx + 1] - starts
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        # row j of output group k is rows[starts[k] + j - offsets[k]]
-        rows = self.rows[np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)]
-        return Segments(rows, offsets)
-
-    @classmethod
-    def none(cls, n: int) -> Segments:
-        """n empty groups."""
-        return cls(np.zeros(0, np.intp), np.zeros(n + 1, np.intp))
-
-    def lookup(self, table: np.ndarray) -> Segments:
-        """Each row mapped through the intp ``table``, dropping rows it maps to -1."""
-        if not len(self.rows):  # nothing to map: the same empty groups
-            return self
-        mapped = table[self.rows]
-        kept = (mapped >= 0).nonzero()[0]
-        # a group's new offset counts the kept rows before its old one
-        return Segments(mapped[kept], kept.searchsorted(self.offsets))
-
-
 @dataclass(frozen=True)
 class Contexts:
-    """B examples compiled to flat integer arrays; each field's offsets are checked here.
+    """B examples compiled to flat integer arrays, one ``Segments`` field per source.
 
     No row depends on a parameter. Training batches and evaluation chunks are
-    :meth:`take` gathers, and a recommend turn is a record with B = 1. The user
-    side and the loss read a field's offsets through one checked
-    ``ad.SegmentLayout`` per source per call.
+    :meth:`take` gathers, and a recommend turn is a record with B = 1. A
+    field's offsets are right when it is built, so the user side and the loss
+    take the fields as they are; a record only checks that each has B groups.
     """
 
     entities: Segments         # item-matrix rows: mentioned, then retrieved
@@ -184,13 +148,9 @@ class Contexts:
     missing_words: np.ndarray  # (B,) context words without a word-graph row
 
     def __post_init__(self) -> None:
-        shape = (len(self.missing_words) + 1,)
-        for name, (rows, offsets) in zip(("entities", "words", "masked", "gold"),
-                                         (self.entities, self.words, self.masked, self.gold)):
-            bounds = offsets.tolist()  # plain ints: cheaper to check than numpy reductions
-            if (offsets.shape != shape or bounds[0] != 0 or bounds[-1] != len(rows)
-                    or bounds != sorted(bounds)):
-                raise ShapeError(f"Contexts.{name}: offsets must rise from 0 to {len(rows)}")
+        for name in ("entities", "words", "masked", "gold"):
+            if (n := len(getattr(self, name))) != len(self):
+                raise ShapeError(f"Contexts.{name}: {n} groups for {len(self)} examples")
 
     def __len__(self) -> int:
         return len(self.missing_words)
@@ -363,25 +323,24 @@ class Model:
                                          item_matrix, word_matrix, self.att_params)
 
 
-def item_logits(users: Tensor, item_rows: Tensor, masks: tuple[np.ndarray, np.ndarray]) -> Tensor:
+def item_logits(users: Tensor, item_rows: Tensor, masks: Segments) -> Tensor:
     """(B, n_items) logits U I^T of the user rows U (B, d) against the item rows I.
 
     ``item_rows`` (n_items, d) holds the item-matrix rows in scoring order,
     ``ad.lookup(item_matrix, item_ids)``, gathered once per encoder pass.
-    ``masks``, a (positions, offsets) CSR pair such as ``Contexts.masked``, holds
-    each row's already-mentioned positions. They get a MASK_LOGIT offset,
-    which pins their probability to exactly zero.
+    Group b of ``masks``, a field such as ``Contexts.masked``, holds row b's
+    already-mentioned positions. They get a MASK_LOGIT offset, which pins
+    their probability to exactly zero.
     """
-    positions, offsets = masks
-    if len(offsets) != users.shape[0] + 1:
-        raise ValidationError(f"{len(offsets) - 1} masks for {users.shape[0]} user rows")
+    if len(masks) != users.shape[0]:
+        raise ValidationError(f"{len(masks)} masks for {users.shape[0]} user rows")
     logits = ad.matmul(users, ad.transpose(item_rows))
     shift = np.zeros(logits.shape)
-    shift[np.arange(users.shape[0]).repeat(offsets[1:] - offsets[:-1]), positions] = MASK_LOGIT
+    shift[masks.group_of_rows(), masks.rows] = MASK_LOGIT
     return ad.add_const(logits, shift)
 
 
-def score_all(users: Tensor, item_rows: Tensor, masks: tuple[np.ndarray, np.ndarray]) -> Tensor:
+def score_all(users: Tensor, item_rows: Tensor, masks: Segments) -> Tensor:
     """(B, n_items) probabilities: the row softmax of :func:`item_logits`."""
     return ad.softmax(item_logits(users, item_rows, masks))
 
@@ -389,22 +348,21 @@ def score_all(users: Tensor, item_rows: Tensor, masks: tuple[np.ndarray, np.ndar
 GUARD_EPS = 1e-12
 
 
-def rec_loss(logits: Tensor, gold: tuple[np.ndarray, np.ndarray]) -> tuple[Tensor, int]:
-    """Batch loss from (B, n_items) logits and a (positions, offsets) CSR pair of gold positions.
+def rec_loss(logits: Tensor, gold: Segments) -> tuple[Tensor, int]:
+    """Batch loss from (B, n_items) logits and the gold positions, group b for row b.
 
-    Each example's loss is the mean over its gold items of -log softmax, and
-    the batch loss is the mean over examples. Log-softmax stays finite however
-    small a gold probability gets, so nothing is floored; the second value
-    counts the examples with a gold probability below GUARD_EPS, as a
-    diagnostic.
+    ``gold`` is a field such as ``Contexts.gold``. Each example's loss is the
+    mean over its gold items of -log softmax, and the batch loss is the mean
+    over examples. Log-softmax stays finite however small a gold probability
+    gets, so nothing is floored; the second value counts the examples with a
+    gold probability below GUARD_EPS, as a diagnostic.
     """
-    positions, offsets = gold
-    layout = ad.SegmentLayout(offsets)
-    if not len(layout) or layout.counts.size != len(layout):
+    _, starts, counts = gold.nonempty
+    if not len(gold) or counts.size != len(gold):
         raise ValidationError("rec_loss requires at least one gold item per example")
-    loss, gold_probs = ad.cross_entropy(logits, positions, layout)
-    # every segment is non-empty, so its first row starts each reduction
-    tiny = np.logical_or.reduceat(gold_probs < GUARD_EPS, layout.starts)
+    loss, gold_probs = ad.cross_entropy(logits, gold)
+    # every group is non-empty, so its first row starts each reduction
+    tiny = np.logical_or.reduceat(gold_probs < GUARD_EPS, starts)
     return loss, int(np.count_nonzero(tiny))
 
 
@@ -427,15 +385,15 @@ def rank_order(probs: np.ndarray, k: int) -> np.ndarray:
     return top[(-probs[top]).argsort(kind="stable")[:k]]
 
 
-def _gold_ranks(probs: np.ndarray, gold: tuple[np.ndarray, np.ndarray]) -> list[int]:
+def _gold_ranks(probs: np.ndarray, gold: Segments) -> list[int]:
     """1-based rank in :func:`rank_order` of each gold position of each row, found by counting.
 
-    ``gold`` is a (positions, offsets) CSR pair over the rows of ``probs``.
-    Position g is preceded by every item with a higher probability and by
-    every tied item at a lower position.
+    Group b of ``gold`` holds row b's gold positions. Position g is preceded
+    by every item with a higher probability and by every tied item at a
+    lower position.
     """
-    positions, offsets = gold
-    p = probs[np.repeat(np.arange(len(probs)), np.diff(offsets))]  # one row per gold item
+    positions = gold.rows
+    p = probs[gold.group_of_rows()]  # one row per gold item
     at = p[np.arange(len(positions)), positions][:, None]
     ahead = (p > at) | ((p == at) & (np.arange(probs.shape[1]) < positions[:, None]))
     return (1 + np.count_nonzero(ahead, axis=1)).tolist()

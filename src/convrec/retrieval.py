@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .autodiff import Segments
 from .corpus import Conversation, Split
 from .errors import LeakageError, MissingArtifactError, ParseError, ValidationError
 from .optim import atomic_write
@@ -211,15 +212,15 @@ def bm25_score(index: Bm25Index, query: Sequence[int], doc_id: str) -> float:
     return score
 
 
-def retrieve_batch(index: Bm25Index, queries: tuple[np.ndarray, np.ndarray], n: int,
+def retrieve_batch(index: Bm25Index, queries: Segments, n: int,
                    exclude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each query's top-n documents by BM25, as the CSR ``(docs, scores, found)``.
 
-    ``queries`` is ``(rows, offsets)``: query b is the multiset of entity ids
-    ``rows[offsets[b]:offsets[b + 1]]``; ids the index lacks, negative ones
-    included, add nothing. ``exclude[b]`` is a document index that query b
-    never returns, or -1. Query b's documents are ``docs[found[b]:found[b + 1]]``:
-    only positive scores, the highest first, ties to the lower ``doc_id``.
+    Query b is the multiset of entity ids in group b of ``queries``; ids the
+    index lacks, negative ones included, add nothing. ``exclude[b]`` is a
+    document index that query b never returns, or -1. Query b's documents
+    are ``docs[found[b]:found[b + 1]]``: only positive scores, the highest
+    first, ties to the lower ``doc_id``.
 
     Every query position adds its term's postings, and ``np.bincount`` sums
     them in that order from 0.0, so each score equals ``bm25_score`` bit for
@@ -229,8 +230,7 @@ def retrieve_batch(index: Bm25Index, queries: tuple[np.ndarray, np.ndarray], n: 
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     edges, starts, sizes, ranks, weights = index.postings
-    rows = np.asarray(queries[0], dtype=np.int64)
-    offsets = np.asarray(queries[1], dtype=np.intp)
+    rows, offsets = queries.rows, queries.offsets
     bounds = offsets.tolist()
     n_docs = index.n_docs
     n_queries = len(bounds) - 1
@@ -287,7 +287,7 @@ def retrieve(index: Bm25Index, query: Sequence[int], n: int,
     entity) are returned; the excluded conversation never is. This is
     ``retrieve_batch`` of one query.
     """
-    docs, scores, _ = retrieve_batch(index, (query, np.array([0, len(query)])), n,
+    docs, scores, _ = retrieve_batch(index, Segments.of([query]), n,
                                      np.array([index.index_of.get(exclude_id, -1)]))
     top = docs.tolist()
     return RetrievalResult(

@@ -28,6 +28,11 @@ def check(f, store, tol=1e-6, **kwargs):
     assert err < tol, f"finite-difference mismatch: {err}"
 
 
+def groups(offsets):
+    """Segments over rows 0..n-1 grouped by ``offsets``: the segment ops read only the groups."""
+    return ad.Segments(np.arange(offsets[-1]), offsets)
+
+
 # ---------------------------------------------------------------------------
 # basics
 
@@ -212,15 +217,29 @@ def test_mismatched_shapes_raise():
     with pytest.raises(ShapeError, match="expected a matrix"):
         ad.softmax(Tensor(np.ones(3)))  # a vector is a one-row matrix, shape (1, n)
     with pytest.raises(ShapeError):
-        ad.segment_sum(Tensor(np.ones(3)), Tensor(np.ones((2, 3))), ad.SegmentLayout([0, 2]))
-    with pytest.raises(ShapeError, match="offsets"):
-        ad.segment_sum(Tensor(np.ones(2)), Tensor(np.ones((2, 3))), ad.SegmentLayout([0, 1]))
-    with pytest.raises(ShapeError, match="offsets"):
-        ad.segment_softmax(Tensor(np.ones(3)), ad.SegmentLayout([0, 2, 1, 3]))
+        ad.segment_sum(Tensor(np.ones(3)), Tensor(np.ones((2, 3))), groups([0, 2]))
+    with pytest.raises(ShapeError, match="offsets end at row 1 of 2 rows"):
+        ad.segment_sum(Tensor(np.ones(2)), Tensor(np.ones((2, 3))), groups([0, 1]))
+    with pytest.raises(ShapeError, match="offsets must rise"):  # offsets that fall
+        ad.segment_softmax(Tensor(np.ones(3)), ad.Segments(np.zeros(3), [0, 2, 1, 3]))
     with pytest.raises(ShapeError):
-        ad.segment_softmax(Tensor(np.ones((3, 1))), ad.SegmentLayout([0, 3]))
+        ad.segment_softmax(Tensor(np.ones((3, 1))), groups([0, 3]))
     with pytest.raises(ShapeError):
         ad.concat([])
+
+
+@pytest.mark.parametrize("rows, offsets", [
+    ([0, 1, 2], [0, 2, 1, 3]),  # offsets that fall
+    ([0, 1], [1, 2]),           # not from 0
+    ([0, 1], [0, 1]),           # ending before the last row
+    ([0], [0, 2]),              # ending past it
+    ([], []),                   # no offsets at all
+    ([0, 1], [[0, 2]]),         # offsets as a matrix
+    ([[0], [1]], [0, 2]),       # rows as a matrix
+])
+def test_segments_constructor_rejects_malformed_offsets(rows, offsets):
+    with pytest.raises(ShapeError, match="offsets must rise"):
+        ad.Segments(np.asarray(rows, dtype=np.intp), offsets)
 
 
 def test_shape_error_names_both_shapes():
@@ -324,25 +343,25 @@ def test_weighted_sum_gradcheck():
     # one segment over all rows is the plain weighted sum w @ rows
     rng = np.random.default_rng(6)
     store = fd_store(w=rng.normal(size=4), rows=rng.normal(size=(4, 3)))
-    out = ad.segment_sum(store["w"], store["rows"], ad.SegmentLayout([0, 4]))
+    out = ad.segment_sum(store["w"], store["rows"], groups([0, 4]))
     np.testing.assert_allclose(out.values[0], store["w"].values @ store["rows"].values,
                                rtol=1e-14)
 
     def f(s):
-        return total(ad.tanh(ad.segment_sum(s["w"], s["rows"], ad.SegmentLayout([0, 4]))))
+        return total(ad.tanh(ad.segment_sum(s["w"], s["rows"], groups([0, 4]))))
 
     check(f, store, samples_per_param=4)
 
 
 # segments of 2, 0, 1 and 3 rows: an empty segment and a one-row segment
 SEGMENTS = [0, 2, 2, 3, 6]
-EMPTY = ad.SegmentLayout([0, 0, 0])  # two empty segments
+EMPTY = ad.Segments.none(2)  # two empty segments
 
 
 def test_segment_softmax_normalizes_each_segment_and_gradchecks():
     rng = np.random.default_rng(17)
     store = fd_store(s=rng.normal(size=6))
-    y = ad.segment_softmax(store["s"], ad.SegmentLayout(SEGMENTS)).values
+    y = ad.segment_softmax(store["s"], groups(SEGMENTS)).values
     for lo, hi in zip(SEGMENTS, SEGMENTS[1:]):
         want = np.exp(store["s"].values[lo:hi]) / np.exp(store["s"].values[lo:hi]).sum()
         np.testing.assert_allclose(y[lo:hi], want, rtol=1e-14)
@@ -350,7 +369,7 @@ def test_segment_softmax_normalizes_each_segment_and_gradchecks():
     weights = constant(rng.normal(size=6))
 
     def f(s):
-        return total(ad.mul(ad.segment_softmax(s["s"], ad.SegmentLayout(SEGMENTS)), weights))
+        return total(ad.mul(ad.segment_softmax(s["s"], groups(SEGMENTS)), weights))
 
     check(f, store, samples_per_param=6)
 
@@ -358,14 +377,14 @@ def test_segment_softmax_normalizes_each_segment_and_gradchecks():
 def test_segment_sum_gradcheck_with_empty_and_one_row_segments():
     rng = np.random.default_rng(18)
     store = fd_store(w=rng.normal(size=6), rows=rng.normal(size=(6, 3)))
-    out = ad.segment_sum(store["w"], store["rows"], ad.SegmentLayout(SEGMENTS)).values
+    out = ad.segment_sum(store["w"], store["rows"], groups(SEGMENTS)).values
     w, rows = store["w"].values, store["rows"].values
     want = np.stack([w[lo:hi] @ rows[lo:hi] for lo, hi in zip(SEGMENTS, SEGMENTS[1:])])
     np.testing.assert_allclose(out, want, rtol=1e-14)
     np.testing.assert_array_equal(out[1], np.zeros(3))
 
     def f(s):
-        return total(ad.tanh(ad.segment_sum(s["w"], s["rows"], ad.SegmentLayout(SEGMENTS))))
+        return total(ad.tanh(ad.segment_sum(s["w"], s["rows"], groups(SEGMENTS))))
 
     check(f, store, samples_per_param=18)
 
@@ -381,6 +400,48 @@ def test_segment_ops_on_an_all_empty_batch():
     np.testing.assert_array_equal(out.values, np.zeros((2, 3)))
     assert finite_diff_check(f, store) == 0.0
     assert store["s"].grad.shape == (0,) and store["rows"].grad.shape == (0, 3)
+
+
+def assert_field(field, want):
+    """``field`` is a well-formed CSR of the int lists ``want``, derived arrays included."""
+    rows, offsets = field.rows, field.offsets
+    assert rows.dtype == offsets.dtype == np.intp and rows.ndim == offsets.ndim == 1
+    bounds = offsets.tolist()
+    assert len(field) == len(want) and bounds[0] == 0 and bounds[-1] == len(rows)
+    assert bounds == sorted(bounds)
+    assert [rows[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])] == want
+    ids = [b for b, group in enumerate(want) if group]
+    got_ids, starts, counts = field.nonempty
+    assert got_ids.tolist() == ids
+    assert starts.tolist() == [bounds[b] for b in ids]
+    assert counts.tolist() == [len(want[b]) for b in ids]
+    ad.Segments(rows, offsets)  # the constructor's check agrees
+
+
+@st.composite
+def groups_idx_table(draw):
+    """Groups of rows in [0, 8), group ids into them, and an 8-row table into [-1, 10)."""
+    groups = draw(st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=6))
+    idx = draw(st.lists(st.integers(0, len(groups) - 1), max_size=8) if groups else st.just([]))
+    return groups, idx, draw(st.lists(st.integers(-1, 9), min_size=8, max_size=8))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(groups_idx_table())
+@example(([[1, 2], [], [3]], [2, 0, 2, 1, 1], [-1] * 8))  # repeats; every row dropped
+@example(([[], [4]], [], list(range(8))))  # no group taken
+@example(([], [], [-1] * 8))
+def test_segments_take_and_lookup_match_per_group_lists(case):
+    groups, idx, table = case
+    field = ad.Segments.of(groups)
+    assert_field(field, groups)
+    taken = field.take(np.asarray(idx, dtype=np.intp))
+    assert_field(taken, [groups[i] for i in idx])
+    mapped = field.lookup(np.asarray(table, dtype=np.intp))
+    want = [[table[r] for r in group if table[r] >= 0] for group in groups]
+    assert_field(mapped, want)
+    assert_field(taken.lookup(np.asarray(table, dtype=np.intp)), [want[i] for i in idx])
+    assert_field(ad.Segments.none(len(groups)), [[]] * len(groups))
 
 
 def _relation_graph():
@@ -498,7 +559,7 @@ def test_cross_entropy_matches_log_softmax_route():
     labels = [2, 5, 5]
 
     logits = Tensor(z, requires_grad=True)
-    fused, p = ad.cross_entropy(logits, labels, ad.SegmentLayout([0, 3]))
+    fused, p = ad.cross_entropy(logits, ad.Segments(labels, [0, 3]))
     want, want_grad = softmax_cross_entropy_reference(z, [labels])
     assert fused.values == pytest.approx(want, abs=1e-12)
     backward(fused)
@@ -515,14 +576,14 @@ def test_cross_entropy_backward_matches_add_at_bit_for_bit(labels, offsets):
     rng = np.random.default_rng(31)
     z = rng.normal(size=(3, 7)) * 5.0
     logits = Tensor(z, requires_grad=True)
-    layout = ad.SegmentLayout(offsets)
-    loss, _ = ad.cross_entropy(logits, np.asarray(labels), layout)
+    segments = ad.Segments(labels, offsets)
+    loss, _ = ad.cross_entropy(logits, segments)
     g = np.asarray(rng.normal())
     loss._backward_fn(g)
     e = np.exp(z - z.max(axis=1, keepdims=True))
     want = e / e.sum(axis=1, keepdims=True)
     rows = np.repeat(np.arange(3), np.diff(offsets))
-    np.add.at(want, (rows, np.asarray(labels)), -1.0 / layout.counts[rows])
+    np.add.at(want, (rows, np.asarray(labels)), -1.0 / segments.nonempty[2][rows])
     want = (g / 3) * want
     assert logits.grad.tobytes() == want.tobytes()
 
@@ -532,7 +593,7 @@ def test_cross_entropy_gradcheck():
     store = fd_store(z=rng.normal(size=(1, 6)))
 
     def f(s):
-        return ad.cross_entropy(s["z"], [1, 4], ad.SegmentLayout([0, 2]))[0]
+        return ad.cross_entropy(s["z"], ad.Segments([1, 4], [0, 2]))[0]
 
     check(f, store, samples_per_param=6)
 
@@ -542,9 +603,8 @@ def test_cross_entropy_rows_are_mean_of_vector_losses():
     rng = np.random.default_rng(14)
     z = rng.normal(size=(3, 7))
     labels = [[2, 5, 5], [0], [6, 1]]
-    fused, p = ad.cross_entropy(Tensor(z), sum(labels, []), ad.SegmentLayout([0, 3, 4, 6]))
-    rows = [float(ad.cross_entropy(Tensor(z[i:i + 1]), labels[i],
-                                   ad.SegmentLayout([0, len(labels[i])]))[0].values)
+    fused, p = ad.cross_entropy(Tensor(z), ad.Segments.of(labels))
+    rows = [float(ad.cross_entropy(Tensor(z[i:i + 1]), ad.Segments.of(labels[i:i + 1]))[0].values)
             for i in range(3)]
     assert fused.values == pytest.approx(np.mean(rows), abs=1e-12)
     softmax = ad.softmax(Tensor(z)).values
@@ -561,8 +621,8 @@ def test_cross_entropy_gradcheck_masked_multi_gold_rows():
 
     def f(s):
         # rows [1, 4], [0] and [2, 2, 4]: a repeated label counts twice
-        return ad.cross_entropy(ad.add_const(s["z"], mask), [1, 4, 0, 2, 2, 4],
-                                ad.SegmentLayout([0, 2, 3, 6]))[0]
+        return ad.cross_entropy(ad.add_const(s["z"], mask),
+                                ad.Segments([1, 4, 0, 2, 2, 4], [0, 2, 3, 6]))[0]
 
     check(f, store, samples_per_param=18)
 
@@ -570,15 +630,15 @@ def test_cross_entropy_gradcheck_masked_multi_gold_rows():
 def test_cross_entropy_rejects_bad_labels():
     z = Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError, match="2 rows"):
-        ad.cross_entropy(z, [0], ad.SegmentLayout([0, 1]))
+        ad.cross_entropy(z, ad.Segments([0], [0, 1]))
     with pytest.raises(ShapeError, match="empty"):
-        ad.cross_entropy(z, [0], ad.SegmentLayout([0, 1, 1]))
+        ad.cross_entropy(z, ad.Segments([0], [0, 1, 1]))
     with pytest.raises(ShapeError, match="offsets must rise"):
-        ad.cross_entropy(z, [0, 1], ad.SegmentLayout([0, 2, 1]))
+        ad.cross_entropy(z, ad.Segments([0, 1], [0, 2, 1]))
     with pytest.raises(ShapeError, match="expected a matrix"):
-        ad.cross_entropy(Tensor(np.zeros(3)), [0], ad.SegmentLayout([0, 1]))
+        ad.cross_entropy(Tensor(np.zeros(3)), ad.Segments([0], [0, 1]))
     with pytest.raises(ShapeError, match="expected a matrix"):
-        ad.cross_entropy(Tensor(np.zeros((1, 2, 3))), [0], ad.SegmentLayout([0, 1]))
+        ad.cross_entropy(Tensor(np.zeros((1, 2, 3))), ad.Segments([0], [0, 1]))
 
 
 def test_add_then_mul_gradients():
@@ -661,9 +721,9 @@ def every_op(w, v):
         ad.reshape(w, (3, 2)), ad.concat([w, w]), ad.lookup(w, [1, 0, 1]),
         ad.scatter_rows(w, [2, 0], 4),
         ad.spmm(sp.identity(2, format="csr"), sp.identity(2, format="csc"), w),
-        ad.softmax(w), ad.segment_softmax(v, ad.SegmentLayout([0, 1, 1, 3])),
-        ad.segment_sum(v, ad.transpose(w), ad.SegmentLayout([0, 2, 2, 3])),
-        ad.cross_entropy(w, np.asarray([0, 2, 1]), ad.SegmentLayout([0, 1, 3]))[0],
+        ad.softmax(w), ad.segment_softmax(v, groups([0, 1, 1, 3])),
+        ad.segment_sum(v, ad.transpose(w), groups([0, 2, 2, 3])),
+        ad.cross_entropy(w, ad.Segments([0, 2, 1], [0, 1, 3]))[0],
     ]
 
 

@@ -12,7 +12,6 @@ from convrec.optim import (
     AdamState,
     ParamStore,
     adam_step,
-    clip_gradients,
     load_checkpoint,
     read_checkpoint,
     save_checkpoint,
@@ -84,32 +83,6 @@ def test_grad_global_norm_equals_the_expression_form_bit_for_bit():
             store[name].grad = g
         want = float(np.sqrt(sum(float(np.sum(t.grad * t.grad)) for _, t in store.items())))
         assert store.grad_global_norm() == want
-
-
-# ---------------------------------------------------------------------------
-# clipping
-
-
-def test_clip_noop_when_under_bound():
-    store = make_store()
-    store["a"].grad = np.full((2, 2), 0.01)
-    store["b"].grad = np.full(3, 0.01)
-    norm = clip_gradients(store, 0.1)
-    assert norm == pytest.approx(np.sqrt(7 * 0.01**2))
-    np.testing.assert_array_equal(store["a"].grad, np.full((2, 2), 0.01))
-
-
-def test_clip_scales_to_bound_preserving_direction():
-    store = make_store()
-    store["a"].grad = np.full((2, 2), 3.0)
-    store["b"].grad = np.asarray([4.0, 0.0, 0.0])
-    pre = clip_gradients(store, 0.1)
-    expected_pre = np.sqrt(4 * 9.0 + 16.0)
-    assert pre == pytest.approx(expected_pre)
-    assert store.grad_global_norm() == pytest.approx(0.1)
-    # direction preserved: components keep their ratios
-    ratio = store["a"].grad[0, 0] / store["b"].grad[0]
-    assert ratio == pytest.approx(3.0 / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +278,14 @@ def test_zero_gradients_are_read_only_and_allocate_nothing():
     store = make_store()
     for _, t in store.items():
         assert not t.grad.flags.writeable and t.grad.strides == (0,) * t.grad.ndim
-    store["a"].grad = np.full((2, 2), 3.0)
-    clip_gradients(store, 0.1)  # scales "a" in place and leaves b's zero as it is
-    np.testing.assert_allclose(store["a"].grad, np.full((2, 2), 0.05))
-    assert store["b"].grad.strides == (0,)
+    zero_b, b_values = store["b"].grad, store["b"].values.copy()
+    grad_a = store["a"].grad = np.full((2, 2), 3.0)
+    adam_step(store, AdamState.for_store(store), AdamConfig(clip_norm=0.1))  # the clip fires
+    np.testing.assert_array_equal(grad_a, np.full((2, 2), 3.0))  # read, never scaled in place
+    assert store["b"].grad is zero_b  # b's stand-in was skipped, not written
+    np.testing.assert_array_equal(store["b"].values, b_values)
+    for _, t in store.items():  # every parameter holds its stand-in again
+        assert not t.grad.flags.writeable and t.grad.strides == (0,) * t.grad.ndim
 
 
 def test_lr_zero_is_a_noop_even_with_gradients():

@@ -11,7 +11,8 @@ from convrec.preference import (
     build_user_representation,
     init_attention_params,
 )
-from convrec.recommender import Segments
+from convrec.autodiff import Segments
+from convrec.recommender import Model, TrainConfig, item_logits, rec_loss
 
 from conftest import attention_weights, total
 from oracles import user_vector_reference
@@ -38,9 +39,7 @@ def user_rep(entity_groups, word_groups, item_matrix, word_matrix, params):
 
 
 def pool_segments(matrix, groups, params):
-    rows, offsets = Segments.of(groups)
-    return _pool(ad.constant(matrix), rows, ad.SegmentLayout(offsets),
-                 params.w_entity, params.b_entity).values
+    return _pool(ad.constant(matrix), Segments.of(groups), params.w_entity, params.b_entity).values
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +47,17 @@ def pool_segments(matrix, groups, params):
 
 
 def test_layout_concatenates_rows_with_offsets():
-    rows, offsets = Segments.of([[3, 1], [], (4, 4, 2)])
-    assert rows.tolist() == [3, 1, 4, 4, 2]
-    assert offsets.tolist() == [0, 2, 2, 5]
-    assert rows.dtype == offsets.dtype == np.intp
-    rows, offsets = Segments.of([[], []])
-    assert rows.tolist() == [] and offsets.tolist() == [0, 0, 0]
-    rows, offsets = Segments.of([])
-    assert rows.tolist() == [] and offsets.tolist() == [0]
+    field = Segments.of([[3, 1], [], (4, 4, 2)])
+    assert field.rows.tolist() == [3, 1, 4, 4, 2]
+    assert field.offsets.tolist() == [0, 2, 2, 5]
+    assert field.rows.dtype == field.offsets.dtype == np.intp
+    assert len(field) == 3
+    assert [part.tolist() for part in field.nonempty] == [[0, 2], [0, 2], [2, 3]]
+    field = Segments.of([[], []])
+    assert field.rows.tolist() == [] and field.offsets.tolist() == [0, 0, 0]
+    assert [part.tolist() for part in field.nonempty] == [[], [], []]
+    field = Segments.of([])
+    assert field.rows.tolist() == [] and field.offsets.tolist() == [0] and len(field) == 0
 
 
 def test_attention_pool_matches_formula():
@@ -100,35 +102,45 @@ def test_attention_pool_gradcheck():
     rng = np.random.default_rng(4)
     store, params = make_params()
     matrix = store.add("rows", rng.normal(size=(5, 4)))
-    rows, offsets = Segments.of([[0, 1, 1], [], [4], [2, 3]])
-    layout = ad.SegmentLayout(offsets)
+    source = Segments.of([[0, 1, 1], [], [4], [2, 3]])
 
     def objective(_):
-        return total(_pool(matrix, rows, layout, params.w_entity, params.b_entity))
+        return total(_pool(matrix, source, params.w_entity, params.b_entity))
 
     worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=0)
     assert worst < 1e-4
 
 
-def test_each_source_layout_is_built_once_per_call(monkeypatch):
-    built = []
+def test_offsets_are_checked_once_per_field_built_from_outside(toy_artifacts, monkeypatch):
+    checked = []
+    init = Segments.__init__
 
-    class Counting(ad.SegmentLayout):
-        __slots__ = ()
+    def counting(self, rows, offsets):
+        checked.append(np.asarray(offsets).tolist())
+        init(self, rows, offsets)
 
-        def __init__(self, offsets):
-            built.append(np.asarray(offsets).tolist())
-            super().__init__(offsets)
+    monkeypatch.setattr(Segments, "__init__", counting)
+    model = Model(toy_artifacts, TrainConfig(dim=8, seed=0))
+    assert model.artifacts.index is not None  # the compile retrieves
+    contexts = model.contexts(toy_artifacts.examples)  # of, lookup and none build every field
+    batch = contexts.take([3, 0, 3, 1])
+    item_matrix, word_matrix = model.encoder_outputs(model.rows_read(contexts))
+    item_rows = ad.lookup(item_matrix, model.artifacts.item_ids)
 
-    monkeypatch.setattr(ad, "SegmentLayout", Counting)
-    rng = np.random.default_rng(9)
-    _, params = make_params()
-    items, words = ad.constant(rng.normal(size=(6, 4))), ad.constant(rng.normal(size=(3, 4)))
-    user_rep([[0, 5, 2]], [[]], items, words, params)  # B = 1, as in a recommend turn
-    assert built == [[0, 3], [0, 0]]
-    built.clear()
-    user_rep([[1], [], [2, 3]], [[0, 2], [1], []], items, words, params)
-    assert built == [[0, 1, 1, 3], [0, 2, 3, 3]]
+    def loss(entities, gold):
+        rep = build_user_representation(entities, batch.words, item_matrix, word_matrix,
+                                        model.att_params)
+        loss, _ = rec_loss(item_logits(rep.vector, item_rows, batch.masked), gold)
+        ad.backward(loss)  # the pool, the segment ops and the loss, forward and backward
+
+    loss(batch.entities, batch.gold)
+    assert batch.entities.rows.size and batch.words.rows.size and batch.masked.rows.size
+    assert checked == []
+    entities = Segments(batch.entities.rows, batch.entities.offsets)
+    gold = Segments(batch.gold.rows, batch.gold.offsets)
+    assert checked == [batch.entities.offsets.tolist(), batch.gold.offsets.tolist()]
+    loss(entities, gold)
+    assert len(checked) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -536,8 +536,7 @@ def test_model_rejects_itemless_vocab(toy_artifacts):
 
 def group(segments, b):
     """Example b's ints in a Segments field of a compiled record."""
-    rows, offsets = segments
-    return rows[offsets[b]:offsets[b + 1]].tolist()
+    return segments.rows[segments.offsets[b]:segments.offsets[b + 1]].tolist()
 
 
 def test_contexts_match_hand_derivation(toy_artifacts):
@@ -604,9 +603,10 @@ TAKE_POOL = take_pool()
 
 def assert_same_record(got, want):
     for name in ("entities", "words", "masked", "gold"):
-        for part, expected in zip(getattr(got, name), getattr(want, name)):
-            assert part.dtype == np.intp
-            np.testing.assert_array_equal(part, expected)
+        got_field, want_field = getattr(got, name), getattr(want, name)
+        for part in ("rows", "offsets"):
+            assert getattr(got_field, part).dtype == np.intp
+            np.testing.assert_array_equal(getattr(got_field, part), getattr(want_field, part))
     np.testing.assert_array_equal(got.missing_words, want.missing_words)
 
 
@@ -651,14 +651,28 @@ def test_gold_positions_ascend_and_item_ids_must(toy_artifacts):
         dataclasses.replace(toy_artifacts, item_ids=toy_artifacts.item_ids[::-1])
 
 
-def test_contexts_reject_inconsistent_offsets():
+def test_a_field_with_malformed_offsets_is_refused_when_built():
+    with pytest.raises(ShapeError, match="offsets must rise from 0 to 1"):
+        Segments(np.zeros(1, np.intp), np.array([0, 2]))  # past the last row
+    with pytest.raises(ShapeError, match="offsets must rise from 0 to 2"):
+        Segments(np.arange(2), np.array([1, 2]))  # not from 0
+    with pytest.raises(ShapeError, match="offsets must rise from 0 to 3"):
+        Segments(np.arange(3), np.array([0, 2, 1, 3]))  # falling
+
+
+def test_contexts_reject_a_field_with_the_wrong_number_of_groups():
     one = Segments.of([[1, 2]])
-    with pytest.raises(ShapeError, match="Contexts.words"):
-        Contexts(one, Segments(np.zeros(1, np.intp), np.array([0, 2])), one, one, np.zeros(1))
-    with pytest.raises(ShapeError, match="Contexts.gold"):
-        Contexts(one, one, one, Segments(np.arange(2), np.array([0, 1, 2])), np.zeros(1))
-    with pytest.raises(ShapeError, match="Contexts.masked"):
-        Contexts(one, one, Segments(np.arange(2), np.array([1, 2])), one, np.zeros(1))
+    two = Segments(np.arange(2), np.array([0, 1, 2]))
+    with pytest.raises(ShapeError, match="Contexts.entities: 2 groups for 1 examples"):
+        Contexts(two, one, one, one, np.zeros(1))
+    with pytest.raises(ShapeError, match="Contexts.words: 0 groups"):
+        Contexts(one, Segments.none(0), one, one, np.zeros(1))
+    with pytest.raises(ShapeError, match="Contexts.masked: 2 groups"):
+        Contexts(one, one, two, one, np.zeros(1))
+    with pytest.raises(ShapeError, match="Contexts.gold: 2 groups"):
+        Contexts(one, one, one, two, np.zeros(1))
+    with pytest.raises(ShapeError, match="Contexts.entities: 1 groups for 2 examples"):
+        Contexts(one, one, one, one, np.zeros(2))
 
 
 def test_train_and_evaluate_call_the_sampled_functions_once_per_batch(toy_artifacts,

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convrec import retrieval
+from convrec.autodiff import Segments
 from convrec.corpus import Conversation, Mention, Sentiment, Speaker, Split, Utterance
 from convrec.errors import LeakageError, MissingArtifactError, ParseError, ValidationError
 from convrec.retrieval import (
@@ -370,13 +371,12 @@ def test_retrieve_batch_equals_exhaustive_ranking_and_retrieve(data):
     exclude = data.draw(st.lists(st.integers(-1, len(docs) - 1),
                                  min_size=len(queries), max_size=len(queries)))
     n = data.draw(st.integers(1, 5))
-    rows = np.array([t for q in queries for t in q], dtype=np.intp)
-    offsets = np.cumsum([0, *map(len, queries)])
     # a scratch of 1-3 score rows splits most batches into several chunks
     per_chunk = data.draw(st.none() | st.integers(1, 3))
     scratch = retrieval.SCRATCH_BYTES if per_chunk is None else 8 * (len(docs) + 1) * per_chunk
     with mock.patch.object(retrieval, "SCRATCH_BYTES", scratch):
-        got_docs, got_scores, found = retrieve_batch(index, (rows, offsets), n, np.array(exclude))
+        got_docs, got_scores, found = retrieve_batch(index, Segments.of(queries), n,
+                                                     np.array(exclude))
 
     assert found[0] == 0 and len(found) == len(queries) + 1
     for b, query in enumerate(queries):
@@ -403,7 +403,7 @@ def test_retrieve_batch_scores_a_chunk_at_a_time(small_index):
     # four documents and the spare column: 40 bytes a query, so two queries a chunk
     with mock.patch.object(retrieval, "SCRATCH_BYTES", 100), \
             mock.patch.object(np, "bincount", recording):
-        _, _, found = retrieve_batch(index, ([1] * 9, np.arange(10)), 1, np.full(9, -1))
+        _, _, found = retrieve_batch(index, Segments.of([[1]] * 9), 1, np.full(9, -1))
     assert scratch_sizes == [80] * 4 + [40]
     assert found.tolist() == list(range(10))
 
