@@ -441,7 +441,10 @@ class Segments:
         return cls._built(np.zeros(0, np.intp), np.zeros(n + 1, np.intp))
 
     def take(self, idx: np.ndarray) -> Segments:
-        """Groups ``idx`` (intp, repeats allowed) in that order, gathered at once."""
+        """Groups ``idx`` (intp in [0, B), repeats allowed) in that order, gathered at once."""
+        # as unsigned ints, negative ids are huge: one reduction checks both ends
+        if idx.size and idx.view(np.uintp).max() >= len(self):
+            raise ShapeError(f"take: group id out of range for {len(self)} groups")
         starts = self.offsets[idx]
         counts = self.offsets[idx + 1] - starts
         offsets = np.concatenate([[0], np.cumsum(counts)])

@@ -316,7 +316,10 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], AdamState 
         params: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, name_len).decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len).decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ParseError(f"a parameter name is not UTF-8: {err}") from None
             (rank,) = struct.unpack("<B", _read_exact(fh, 1))
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank)

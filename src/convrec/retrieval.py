@@ -8,11 +8,9 @@ mentioned entities feed the preference model as extra user-taste evidence.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import struct
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -39,56 +37,62 @@ _VERSION = 1
 SCRATCH_BYTES = 1 << 19
 
 
-class Postings(NamedTuple):
-    """Every (term, document) weight, grouped by term: a CSR over the index's terms.
+def _idf(n_docs: int, df: int) -> float:
+    # math.log, not np.log: the two may differ in the last place
+    return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
-    Term i of the T distinct terms, ascending, is the interval
-    ``[edges[2i], edges[2i + 1]) = [t, t + 1)``, so ``edges.searchsorted(q, "right")``
-    is the slot 2i + 1 exactly when id q is term i. Any other id, negative or
-    beyond the last term included, lands on an even slot, which holds no postings.
-    Slot s's postings are ``[starts[s], starts[s] + sizes[s])`` of ``ranks`` and
-    ``weights``, in ascending document rank.
+
+class Postings(NamedTuple):
+    """Each posting's weight, and where a query id finds its term's postings.
+
+    Term i of the T terms is the interval ``[edges[2i], edges[2i + 1]) = [t, t + 1)``,
+    so ``edges.searchsorted(q, "right")`` is the slot 2i + 1 exactly when id q
+    is term i. Any other id, negative or beyond the last term included, lands
+    on an even slot, which holds no postings. Slot s's postings are
+    ``[starts[s], starts[s] + sizes[s])`` of ``docs.rows`` and ``weights``.
     """
 
     edges: np.ndarray    # (2T,) int64
     starts: np.ndarray   # (2T + 1,) intp
     sizes: np.ndarray    # (2T + 1,) intp
-    ranks: np.ndarray    # each posting's document, as its position in doc_id order
-    weights: np.ndarray  # each posting's addend in bm25_score
+    weights: np.ndarray  # each posting's addend in bm25_score, aligned with docs.rows
 
 
 @dataclass
 class Bm25Index:
-    """Forward and inverted statistics for BM25 scoring.
+    """BM25 statistics as term-major arrays.
 
-    ``doc_entities`` keeps each document's distinct entities in first-mention
-    order; retrieval unions these to build the retrieved-entity list.
+    Documents ascend strictly by ``doc_ids``, so a document's index is its
+    tie-break rank. ``doc_entities`` keeps each document's distinct entities
+    in first-mention order; retrieval unions these to build the
+    retrieved-entity list. Group i of ``docs`` holds the ascending indices of
+    the documents that contain ``terms[i]``, and ``tfs`` their term
+    frequencies, each at least 1; a term's df is its group size.
 
-    ``postings`` and ``doc_rank`` are derived on first use and cached; mutate
-    no field after the first retrieval.
+    ``postings`` is derived on first use and cached; mutate no field after
+    the first retrieval.
     """
 
     k1: float
     b: float
     doc_ids: list[str]
-    doc_terms: list[Counter]
-    doc_lens: list[int]
+    doc_lens: np.ndarray                 # (D,) int64: tokens per document
     doc_entities: list[tuple[int, ...]]
-    df: dict[int, int]
-    avgdl: float
-    index_of: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.index_of:
-            self.index_of = {d: i for i, d in enumerate(self.doc_ids)}
+    terms: np.ndarray                    # (T,) int64, ascending
+    docs: Segments                       # T groups of document indices
+    tfs: np.ndarray                      # (P,) int64, aligned with docs.rows
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
-    def idf(self, term: int) -> float:
-        df = self.df.get(term, 0)
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+    @functools.cached_property
+    def index_of(self) -> dict[str, int]:
+        return {d: i for i, d in enumerate(self.doc_ids)}
+
+    @functools.cached_property
+    def avgdl(self) -> float:
+        return int(self.doc_lens.sum()) / self.n_docs
 
     @functools.cached_property
     def postings(self) -> Postings:
@@ -96,52 +100,21 @@ class Bm25Index:
 
         The weights use the same operation order as ``bm25_score``, so summing
         a query's weights in query order reproduces its scores bit for bit.
-        Only postings (tf != 0) get a weight, so an index whose documents are
-        all empty divides by no zero ``avgdl``.
+        Every tf is at least 1, so an index whose documents are all empty has
+        no posting, and no weight divides by its zero ``avgdl``.
         """
-        terms: list[int] = []
-        docs: list[int] = []
-        tfs: list[int] = []
-        for doc_idx, counts in enumerate(self.doc_terms):
-            for term, tf in counts.items():
-                if tf != 0:
-                    terms.append(term)
-                    docs.append(doc_idx)
-                    tfs.append(tf)
-        term_arr = np.array(terms, dtype=np.int64)
-        rank_arr = self.doc_rank[np.array(docs, dtype=np.intp)]
-        order = np.lexsort((rank_arr, term_arr))
-        term_arr, rank_arr = term_arr[order], rank_arr[order]
-        tf_arr = np.array(tfs, dtype=np.float64)[order]
-        uniq, which, counts = np.unique(term_arr, return_inverse=True, return_counts=True)
-        idf = np.array([self.idf(int(t)) for t in uniq], dtype=np.float64)[which]
-        dl = np.array(self.doc_lens, dtype=np.float64)[self.by_rank[rank_arr]]
+        offsets = self.docs.offsets
+        df = offsets[1:] - offsets[:-1]
+        dfs, which = np.unique(df, return_inverse=True)  # one math.log per distinct df
+        idf = np.array([_idf(self.n_docs, d) for d in dfs.tolist()], np.float64)[which].repeat(df)
+        tf = self.tfs.astype(np.float64)
+        dl = self.doc_lens[self.docs.rows].astype(np.float64)
         length_norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-        weights = idf * tf_arr * (self.k1 + 1.0) / (tf_arr + length_norm)
-        edges = uniq.repeat(2)
+        weights = idf * tf * (self.k1 + 1.0) / (tf + length_norm)
+        edges = self.terms.repeat(2)
         edges[1::2] += 1
-        starts = np.zeros(2 * uniq.size + 1, dtype=np.intp)
-        sizes = np.zeros(2 * uniq.size + 1, dtype=np.intp)
-        starts[1::2] = counts.cumsum() - counts
-        sizes[1::2] = counts
-        return Postings(edges, starts, sizes, rank_arr, weights)
-
-    @functools.cached_property
-    def doc_rank(self) -> np.ndarray:
-        """Each document's position in ascending ``doc_id`` order, then ``n_docs``.
-
-        The extra last entry is the rank of document -1, none: a spare
-        position past every document.
-        """
-        rank = np.empty(self.n_docs + 1, dtype=np.intp)
-        rank[self.by_rank] = np.arange(self.n_docs)
-        rank[-1] = self.n_docs
-        return rank
-
-    @functools.cached_property
-    def by_rank(self) -> np.ndarray:
-        """The document indices in ascending ``doc_id`` order; inverts ``doc_rank``."""
-        return np.array(sorted(range(self.n_docs), key=self.doc_ids.__getitem__), dtype=np.intp)
+        bounds = offsets.repeat(2)  # slot s spans [bounds[s], bounds[s + 1])
+        return Postings(edges, bounds[:-1], bounds[1:] - bounds[:-1], weights)
 
     def entities_of(self, docs: Iterable[int]) -> tuple[int, ...]:
         """The documents' distinct entities, in document order, then mention order."""
@@ -171,44 +144,48 @@ def build_index(train_conversations: Iterable[Conversation], *,
     ordered = sorted(train_conversations, key=lambda c: c.conversation_id)
     if not ordered:
         raise ValidationError("cannot build a retrieval index over an empty corpus")
-    doc_ids: list[str] = []
-    doc_terms: list[Counter] = []
-    doc_lens: list[int] = []
-    doc_entities: list[tuple[int, ...]] = []
-    df: dict[int, int] = {}
     for conv in ordered:
         if conv.split != Split.TRAIN:
             raise LeakageError(
                 f"conversation {conv.conversation_id!r} is {conv.split.value}, not train"
             )
-        tokens = conversation_tokens(conv)
-        counts = Counter(tokens)
-        doc_ids.append(conv.conversation_id)
-        doc_terms.append(counts)
-        doc_lens.append(len(tokens))
-        doc_entities.append(tuple(dict.fromkeys(tokens)))
-        for term in counts:
-            df[term] = df.get(term, 0) + 1
-    avgdl = sum(doc_lens) / len(doc_lens)
-    return Bm25Index(k1=k1, b=b, doc_ids=doc_ids, doc_terms=doc_terms,
-                     doc_lens=doc_lens, doc_entities=doc_entities, df=df, avgdl=avgdl)
+    doc_ids = [conv.conversation_id for conv in ordered]
+    if len(set(doc_ids)) < len(doc_ids):  # document order must be strict
+        raise ValidationError("a conversation_id repeats")
+    tokens = [conversation_tokens(conv) for conv in ordered]
+    n_docs = len(tokens)
+    doc_lens = np.fromiter(map(len, tokens), np.int64, n_docs)
+    terms, term_of = np.unique(np.fromiter(chain.from_iterable(tokens), np.int64, doc_lens.sum()),
+                               return_inverse=True)
+    # one (term, document) key per token, term-major; a key's count is its tf
+    keys, tfs = np.unique(term_of * n_docs + np.arange(n_docs).repeat(doc_lens),
+                          return_counts=True)
+    posting_term, rows = np.divmod(keys, n_docs)
+    return Bm25Index(k1=k1, b=b, doc_ids=doc_ids,
+                     doc_lens=doc_lens, doc_entities=[tuple(dict.fromkeys(t)) for t in tokens],
+                     terms=terms,
+                     docs=Segments(rows, posting_term.searchsorted(np.arange(len(terms) + 1))),
+                     tfs=tfs.astype(np.int64))
 
 
 def bm25_score(index: Bm25Index, query: Sequence[int], doc_id: str) -> float:
     """Okapi score of one document for a query multiset of entity ids."""
-    if index.n_docs == 0:
-        raise ValidationError("empty index")
     doc_idx = index.index_of.get(doc_id)
     if doc_idx is None:
         raise ValueError(f"unknown document {doc_id!r}")
-    counts = index.doc_terms[doc_idx]
-    length_norm = index.k1 * (1.0 - index.b + index.b * index.doc_lens[doc_idx] / index.avgdl)
+    held = (index.docs.rows == doc_idx).nonzero()[0]  # the document's postings
+    if not held.size:  # no term to score; avgdl is 0 if every document is empty
+        return 0.0
+    term_idx = index.docs.group_of_rows()[held]
+    df = np.diff(index.docs.offsets)[term_idx]
+    tf_df = dict(zip(index.terms[term_idx].tolist(), zip(index.tfs[held].tolist(), df.tolist())))
+    doc_len = int(index.doc_lens[doc_idx])
+    length_norm = index.k1 * (1.0 - index.b + index.b * doc_len / index.avgdl)
     score = 0.0
     for term in query:
-        tf = counts.get(term, 0)
-        if tf == 0:
-            continue
-        score += index.idf(term) * tf * (index.k1 + 1.0) / (tf + length_norm)
+        if term in tf_df:
+            tf, df = tf_df[term]
+            score += _idf(index.n_docs, df) * tf * (index.k1 + 1.0) / (tf + length_norm)
     return score
 
 
@@ -219,8 +196,8 @@ def retrieve_batch(index: Bm25Index, queries: Segments, n: int,
     Query b is the multiset of entity ids in group b of ``queries``; ids the
     index lacks, negative ones included, add nothing. ``exclude[b]`` is a
     document index that query b never returns, or -1. Query b's documents
-    are ``docs[found[b]:found[b + 1]]``: only positive scores, the highest
-    first, ties to the lower ``doc_id``.
+    are ``docs[found[b]:found[b + 1]]``, as document indices: only positive
+    scores, the highest first, ties to the lower index (the lower ``doc_id``).
 
     Every query position adds its term's postings, and ``np.bincount`` sums
     them in that order from 0.0, so each score equals ``bm25_score`` bit for
@@ -229,7 +206,8 @@ def retrieve_batch(index: Bm25Index, queries: Segments, n: int,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    edges, starts, sizes, ranks, weights = index.postings
+    edges, starts, sizes, weights = index.postings
+    doc_of = index.docs.rows
     rows, offsets = queries.rows, queries.offsets
     bounds = offsets.tolist()
     n_docs = index.n_docs
@@ -238,10 +216,11 @@ def retrieve_batch(index: Bm25Index, queries: Segments, n: int,
     slot = edges.searchsorted(rows, "right")
     begin, count = starts[slot], sizes[slot]
     # a chunk's scores are one flat (queries, stride) array whose last column,
-    # rank n_docs, is a spare that no posting reaches and exclude -1 zeroes
+    # n_docs, is a spare that no posting reaches; exclude -1 lands on the spare
+    # column just before its row's start (the last row's, for the first row)
     stride = n_docs + 1
     width = min(n, n_docs)
-    top_ranks = np.zeros((n_queries, width), np.intp)
+    top_docs = np.zeros((n_queries, width), np.intp)
     top_scores = np.zeros((n_queries, width))
     step = max(1, SCRATCH_BYTES // (8 * stride))
     for lo in range(0, n_queries, step):
@@ -252,31 +231,31 @@ def retrieve_batch(index: Bm25Index, queries: Segments, n: int,
         pos = (begin[first:last] - size.cumsum() + size).repeat(size)
         pos += np.arange(len(pos))
         row_start = np.arange(0, (hi - lo) * stride, stride)
-        key = ranks[pos]
-        if hi - lo > 1:  # a one-query chunk's keys are its ranks
+        key = doc_of[pos]
+        if hi - lo > 1:  # a one-query chunk's keys are its documents
             key += row_start.repeat(offsets[lo + 1:hi + 1] - offsets[lo:hi]).repeat(size)
         scores = np.bincount(key, weights[pos], (hi - lo) * stride)
-        scores[row_start + index.doc_rank[exclude[lo:hi]]] = 0.0
+        scores[row_start + exclude[lo:hi]] = 0.0
         if n_queries == 1:  # one query (a retrieve, a recommend turn): sort its hits once
             hits = (scores > 0.0).nonzero()[0]
-            top = hits[(-scores[hits]).argsort(kind="stable")[:n]]  # ties keep rank order
-            return index.by_rank[top], scores[top], np.array([0, len(top)])
-        # a row's maximum, the lowest rank among equals, is its next document;
+            top = hits[(-scores[hits]).argsort(kind="stable")[:n]]  # ties keep index order
+            return top, scores[top], np.array([0, len(top)])
+        # a row's maximum, the lowest index among equals, is its next document;
         # zeroing it leaves the rest
         by_row = scores.reshape(hi - lo, stride)
         for j in range(width):
             best = by_row.argmax(axis=1)
-            top_ranks[lo:hi, j] = best
+            top_docs[lo:hi, j] = best
             best = best + row_start
             top_scores[lo:hi, j] = top = scores[best]
             if j + 1 == width or not top.max() > 0.0:
                 break
             scores[best] = 0.0
-    # positive scores lead each row, so a row's hits stay in rank order
+    # positive scores lead each row, so a row's hits stay in score order
     hits = top_scores > 0.0
     found = np.zeros(n_queries + 1, np.intp)
     found[1:] = hits.sum(axis=1).cumsum()
-    return index.by_rank[top_ranks[hits]], top_scores[hits], found
+    return top_docs[hits], top_scores[hits], found
 
 
 def retrieve(index: Bm25Index, query: Sequence[int], n: int,
@@ -307,48 +286,39 @@ def retrieve(index: Bm25Index, query: Sequence[int], n: int,
 #   u32 term count; per term: u32 entity id, u32 df, u32 posting count,
 #                              then (u32 doc index, u32 tf) per posting
 
-
-def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ParseError(f"index truncated: wanted {n} bytes, got {len(buf)}")
-    return buf
-
-
-def _read_counted(fh, size: int, count: int, width: int, what: str) -> bytes:
-    """Read ``count`` records of ``width`` bytes, refusing before the read a
-    header-derived count that the rest of a ``size``-byte file cannot hold."""
-    left = size - fh.tell()
-    if count * width > left:
+def _claimed(raw: bytes, pos: int, count: int, width: int, what: str) -> int:
+    """The end of ``count`` records of ``width`` bytes at ``pos``, refusing a
+    header-derived count that the rest of the file cannot hold."""
+    end = pos + count * width
+    if end > len(raw):
         raise ParseError(f"index truncated: header claims {count} {what} "
-                         f"({count * width} bytes) but {left} bytes remain")
-    return _read_exact(fh, count * width)
+                         f"({count * width} bytes) but {len(raw) - pos} bytes remain")
+    return end
+
+
+def _posting_words(df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's group index per posting, and each posting's first u32 word
+    in the term section: term i's 3-word header precedes its postings."""
+    group = np.arange(len(df)).repeat(df)
+    return group, 2 * np.arange(len(group)) + 3 * (group + 1)
 
 
 def save_index(index: Bm25Index, path: str | Path) -> None:
-    postings: dict[int, list[tuple[int, int]]] = {}
-    for doc_idx, counts in enumerate(index.doc_terms):
-        for term, tf in sorted(counts.items()):
-            postings.setdefault(term, []).append((doc_idx, tf))
+    offsets = index.docs.offsets
+    df = offsets[1:] - offsets[:-1]
+    _, at = _posting_words(df)
+    words = np.empty(3 * len(df) + 2 * len(at), "<u4")
+    heads = 3 * np.arange(len(df)) + 2 * offsets[:-1]
+    words[heads], words[heads + 1], words[heads + 2] = index.terms, df, df
+    words[at], words[at + 1] = index.docs.rows, index.tfs
     with atomic_write(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Idd", _VERSION, index.k1, index.b))
-        fh.write(struct.pack("<I", index.n_docs))
-        for doc_idx, doc_id in enumerate(index.doc_ids):
+        fh.write(_MAGIC + struct.pack("<IddI", _VERSION, index.k1, index.b, index.n_docs))
+        # struct refuses an entity outside u32 here; every term is some document's entity
+        for doc_id, length, ents in zip(index.doc_ids, index.doc_lens.tolist(), index.doc_entities):
             encoded = doc_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", index.doc_lens[doc_idx]))
-            ents = index.doc_entities[doc_idx]
-            fh.write(struct.pack("<I", len(ents)))
-            for ent in ents:
-                fh.write(struct.pack("<I", ent))
-        fh.write(struct.pack("<I", len(postings)))
-        for term in sorted(postings):
-            plist = postings[term]
-            fh.write(struct.pack("<III", term, index.df[term], len(plist)))
-            for doc_idx, tf in plist:
-                fh.write(struct.pack("<II", doc_idx, tf))
+            fh.write(struct.pack("<H", len(encoded)) + encoded
+                     + struct.pack(f"<II{len(ents)}I", length, len(ents), *ents))
+        fh.write(struct.pack("<I", len(df)) + words.tobytes())
 
 
 def load_index(path: str | Path) -> Bm25Index:
@@ -356,55 +326,76 @@ def load_index(path: str | Path) -> Bm25Index:
     if not path.exists():
         raise MissingArtifactError(f"retrieval index not found: {path}")
     raw = path.read_bytes()
-    size = len(raw)
-    # parsed in memory: each header count is checked against the bytes left,
-    # and tell() on a file object costs a system call
-    with io.BytesIO(raw) as fh:
-        if _read_exact(fh, 4) != _MAGIC:
-            raise ParseError(f"not a retrieval index: {path}")
-        version, k1, b = struct.unpack("<Idd", _read_exact(fh, 20))
+    if raw[:4] != _MAGIC:
+        raise ParseError(f"not a retrieval index: {path}")
+    id_bytes: list[bytes] = []
+    doc_lens: list[int] = []
+    doc_entities: list[tuple[int, ...]] = []
+    heads: list[tuple[int, int, int]] = []
+    # a fixed-size field past the end fails in unpack_from; a count is checked
+    # against the bytes left before anything it sizes is read
+    try:
+        version, k1, b, n_docs = struct.unpack_from("<IddI", raw, 4)
         if version != _VERSION:
             raise ParseError(f"unsupported index version {version}")
-        (n_docs,) = struct.unpack("<I", _read_exact(fh, 4))
-        doc_ids: list[str] = []
-        doc_lens: list[int] = []
-        doc_entities: list[tuple[int, ...]] = []
-        for _ in range(n_docs):
-            (id_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            doc_ids.append(_read_counted(fh, size, id_len, 1, "id bytes").decode("utf-8"))
-            length, n_ents = struct.unpack("<II", _read_exact(fh, 8))
-            doc_lens.append(length)
-            ents = struct.unpack(f"<{n_ents}I", _read_counted(fh, size, n_ents, 4, "entities"))
-            doc_entities.append(tuple(int(e) for e in ents))
-        doc_terms: list[Counter] = [Counter() for _ in range(n_docs)]
-        df: dict[int, int] = {}
-        (n_terms,) = struct.unpack("<I", _read_exact(fh, 4))
-        prev_term = -1
-        for _ in range(n_terms):
-            term, term_df, n_postings = struct.unpack("<III", _read_exact(fh, 12))
-            if term <= prev_term:
-                raise ParseError(f"term {term} follows term {prev_term}: terms are not "
-                                 f"strictly ascending")
-            prev_term = term
-            if term_df != n_postings:
-                raise ParseError(f"term {term} has df {term_df} but {n_postings} postings")
-            df[term] = term_df
-            prev = -1
-            for doc_idx, tf in struct.iter_unpack(
-                    "<II", _read_counted(fh, size, n_postings, 8, "postings")):
-                if doc_idx >= n_docs:
-                    raise ParseError(f"posting references document {doc_idx} of {n_docs}")
-                if doc_idx <= prev:
-                    raise ParseError(f"postings of term {term} are not strictly "
-                                     f"ascending in document index")
-                prev = doc_idx
-                doc_terms[doc_idx][term] = tf
         if n_docs == 0:
             raise ParseError("index contains no documents")
-        for doc_id, length, counts in zip(doc_ids, doc_lens, doc_terms):
-            if length != sum(counts.values()):
-                raise ParseError(f"document {doc_id!r} has length {length} but its "
-                                 f"postings' tf sum to {sum(counts.values())}")
-        avgdl = sum(doc_lens) / n_docs
-        return Bm25Index(k1=k1, b=b, doc_ids=doc_ids, doc_terms=doc_terms,
-                         doc_lens=doc_lens, doc_entities=doc_entities, df=df, avgdl=avgdl)
+        pos = 28
+        for _ in range(n_docs):
+            (id_len,) = struct.unpack_from("<H", raw, pos)
+            end = _claimed(raw, pos + 2, id_len, 1, "id bytes")
+            id_bytes.append(raw[pos + 2:end])
+            length, n_ents = struct.unpack_from("<II", raw, end)
+            pos = _claimed(raw, end + 8, n_ents, 4, "entities")
+            doc_lens.append(length)
+            doc_entities.append(struct.unpack_from(f"<{n_ents}I", raw, end + 8))
+        (n_terms,) = struct.unpack_from("<I", raw, pos)
+        first = pos = pos + 4
+        for _ in range(n_terms):
+            head = struct.unpack_from("<III", raw, pos)
+            heads.append(head)
+            pos = _claimed(raw, pos + 12, head[2], 8, "postings")
+    except struct.error as err:
+        raise ParseError(f"index truncated: {err}") from None
+    try:
+        doc_ids = [d.decode("utf-8") for d in id_bytes]
+    except UnicodeDecodeError as err:
+        raise ParseError(f"a document id is not UTF-8: {err}") from None
+    for before, doc_id in zip(doc_ids, doc_ids[1:]):
+        if before >= doc_id:
+            raise ParseError(f"document {doc_id!r} follows {before!r}: document ids are "
+                             f"not strictly ascending")
+    if pos != len(raw):
+        raise ParseError(f"index has {len(raw) - pos} trailing bytes: {path}")
+    terms, df, count = np.array(heads, np.int64).reshape(n_terms, 3).T.copy()
+    if (bad := (df != count).nonzero()[0]).size:
+        i = bad[0]
+        raise ParseError(f"term {terms[i]} has df {df[i]} but {count[i]} postings")
+    if (bad := (terms[1:] <= terms[:-1]).nonzero()[0]).size:
+        i = bad[0]
+        raise ParseError(f"term {terms[i + 1]} follows term {terms[i]}: terms are not "
+                         f"strictly ascending")
+    # every posting at once: its (doc, tf) words sit between the term headers
+    group, at = _posting_words(count)
+    words = np.frombuffer(raw, "<u4", (pos - first) // 4, first)
+    rows, tfs = words[at].astype(np.intp), words[at + 1].astype(np.int64)
+    if rows.size and (worst := rows.max()) >= n_docs:
+        raise ParseError(f"posting references document {worst} of {n_docs}")
+    if not tfs.all():
+        raise ParseError("a posting has tf 0")
+    # term-major keys rise strictly exactly when each term's documents do
+    key = group * n_docs + rows
+    if (bad := (key[1:] <= key[:-1]).nonzero()[0]).size:
+        raise ParseError(f"postings of term {terms[group[bad[0] + 1]]} are not strictly "
+                         f"ascending in document index")
+    lens = np.array(doc_lens, np.int64)
+    sums = np.zeros(n_docs, np.int64)
+    np.add.at(sums, rows, tfs)
+    if (bad := (sums != lens).nonzero()[0]).size:
+        i = bad[0]
+        raise ParseError(f"document {doc_ids[i]!r} has length {lens[i]} but its "
+                         f"postings' tf sum to {sums[i]}")
+    offsets = np.zeros(n_terms + 1, np.intp)
+    np.cumsum(count, out=offsets[1:])
+    return Bm25Index(k1=k1, b=b, doc_ids=doc_ids, doc_lens=lens, doc_entities=doc_entities,
+                     terms=terms, docs=Segments(rows, offsets), tfs=tfs)

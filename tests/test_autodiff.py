@@ -444,6 +444,13 @@ def test_segments_take_and_lookup_match_per_group_lists(case):
     assert_field(ad.Segments.none(len(groups)), [[]] * len(groups))
 
 
+@pytest.mark.parametrize("bad", [-1, -2, 3])
+def test_segments_take_refuses_ids_outside_the_groups(bad):
+    field = ad.Segments.of([[1], [2, 2], [3, 3, 3]])
+    with pytest.raises(ShapeError, match="take: group id out of range for 3 groups"):
+        field.take(np.array([0, bad], dtype=np.intp))
+
+
 def _relation_graph():
     # relation 0 has a self-loop (3, 3) and the pair {0, 1} given in both directions
     edges = [(0, 0, 1), (2, 0, 1), (3, 0, 3), (4, 0, 0), (1, 0, 0), (1, 1, 4)]

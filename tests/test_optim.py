@@ -390,6 +390,17 @@ def test_checkpoint_bad_magic(tmp_path):
         read_checkpoint(path)
 
 
+def test_checkpoint_with_a_non_utf8_name(tmp_path):
+    store = make_store()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store)
+    raw = bytearray(path.read_bytes())
+    raw[14] = 0xFF  # the first byte of the first name, after magic, version, count and length
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match="parameter name is not UTF-8"):
+        read_checkpoint(path)
+
+
 def test_checkpoint_truncation(tmp_path):
     store = make_store()
     path = tmp_path / "model.ckpt"

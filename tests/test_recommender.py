@@ -675,6 +675,16 @@ def test_contexts_reject_a_field_with_the_wrong_number_of_groups():
         Contexts(one, one, one, one, np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [-1, -2, 3])
+def test_contexts_take_refuses_ids_outside_the_record(bad):
+    # a negative id does not wrap: -2 once paired the third example's rows with
+    # the second's missing_words
+    field = Segments.of([[1], [2, 2], [3, 3, 3]])
+    contexts = Contexts(field, field, field, field, np.array([10, 20, 30]))
+    with pytest.raises(ShapeError, match="take: group id out of range for 3 groups"):
+        contexts.take([0, bad])
+
+
 def test_train_and_evaluate_call_the_sampled_functions_once_per_batch(toy_artifacts,
                                                                       monkeypatch):
     # bench/train_worker.py samples after these three, looked up on convrec.recommender

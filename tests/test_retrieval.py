@@ -1,12 +1,11 @@
 import dataclasses
 import math
 import struct
-from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convrec import retrieval
@@ -14,7 +13,6 @@ from convrec.autodiff import Segments
 from convrec.corpus import Conversation, Mention, Sentiment, Speaker, Split, Utterance
 from convrec.errors import LeakageError, MissingArtifactError, ParseError, ValidationError
 from convrec.retrieval import (
-    Bm25Index,
     bm25_score,
     build_index,
     conversation_tokens,
@@ -55,10 +53,24 @@ def test_scores_match_reference_oracle(small_index):
 
 def test_idf_value():
     index = build_index([doc_conv("a", [1]), doc_conv("b", [1, 2]), doc_conv("c", [3])])
-    # term 1 appears in 2 of 3 docs
-    assert index.idf(1) == pytest.approx(math.log(1 + (3 - 2 + 0.5) / (2 + 0.5)))
-    # unseen terms take df=0, a large positive idf rather than an error
-    assert index.idf(99) == pytest.approx(math.log(1 + 3.5 / 0.5))
+    # a term's df is its group size: term 1 is in documents a and b
+    assert index.terms.tolist() == [1, 2, 3]
+    assert index.docs.offsets.tolist() == [0, 2, 3, 4]
+    assert index.docs.rows.tolist() == [0, 1, 1, 2]
+    assert index.tfs.tolist() == [1, 1, 1, 1]
+    idf = math.log(1 + (3 - 2 + 0.5) / (2 + 0.5))
+    want = idf * 1 * (1.2 + 1.0) / (1 + 1.2 * (1.0 - 0.75 + 0.75 * 1 / (4 / 3)))
+    assert bm25_score(index, [1], "a") == want
+    assert index.postings.weights[0] == want
+    # an id no document holds adds nothing
+    assert bm25_score(index, [99], "a") == 0.0
+    # df 29 of 29 documents: numpy's vectorised log can round this idf one ulp
+    # away from math.log, and both scoring paths keep math.log's bits
+    index = build_index([doc_conv(f"d{i:02d}", [0]) for i in range(29)])
+    idf = math.log(1 + (29 - 29 + 0.5) / (29 + 0.5))
+    want = idf * 1 * (1.2 + 1.0) / (1 + 1.2 * (1.0 - 0.75 + 0.75 * 1 / 1.0))
+    assert index.postings.weights.tolist() == [want] * 29
+    assert bm25_score(index, [0], "d28") == want
 
 
 def test_ranking_matches_exhaustive_scoring(small_index):
@@ -143,6 +155,12 @@ def test_build_index_rejects_empty():
         build_index([])
 
 
+def test_build_index_rejects_a_repeated_conversation_id():
+    # document ids ascend strictly, so one id names one document
+    with pytest.raises(ValidationError, match="repeats"):
+        build_index([doc_conv("c", [1]), doc_conv("c", [2])])
+
+
 def test_unknown_doc_id(small_index):
     index, _ = small_index
     with pytest.raises(ValueError, match="unknown document"):
@@ -154,16 +172,24 @@ def test_save_load_round_trip(small_index, tmp_path):
     path = tmp_path / "bm25.idx"
     save_index(index, path)
     loaded = load_index(path)
-    assert loaded.doc_ids == index.doc_ids
-    assert loaded.doc_lens == index.doc_lens
-    assert loaded.doc_entities == index.doc_entities
-    assert loaded.df == index.df
-    assert loaded.doc_terms == index.doc_terms
-    assert loaded.avgdl == index.avgdl
-    assert (loaded.k1, loaded.b) == (index.k1, index.b)
+    assert_same_index(loaded, index)
     # identical behaviour, not just identical fields
     q = [1, 2, 5]
     assert retrieve(loaded, q, 10) == retrieve(index, q, 10)
+
+
+def assert_same_index(got, want):
+    """Every field equal, arrays with their dtypes."""
+    assert (got.k1, got.b) == (want.k1, want.b)
+    assert got.doc_ids == want.doc_ids
+    assert got.doc_entities == want.doc_entities
+    for name in ("doc_lens", "terms", "tfs"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    for name in ("rows", "offsets"):
+        assert getattr(got.docs, name).dtype == getattr(want.docs, name).dtype == np.intp
+        np.testing.assert_array_equal(getattr(got.docs, name), getattr(want.docs, name))
+    assert got.avgdl == want.avgdl
 
 
 def test_save_is_byte_stable(small_index, tmp_path):
@@ -201,6 +227,11 @@ def test_load_errors(tmp_path):
     truncated.write_bytes(truncated.read_bytes()[:-6])
     with pytest.raises(ParseError, match="truncated"):
         load_index(truncated)
+    trailing = tmp_path / "trailing.idx"
+    save_index(index, trailing)
+    trailing.write_bytes(trailing.read_bytes() + b"\x00")
+    with pytest.raises(ParseError, match="1 trailing bytes"):
+        load_index(trailing)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -289,6 +320,7 @@ def test_load_bounds_header_counts_by_file_size(tmp_path, raw, claim):
     ([(1, 1, [(0, 1), (1, 1)])], "term 1 has df 1 but 2 postings"),
     ([(1, 2, [(1, 1), (0, 1)])], "not strictly ascending"),
     ([(1, 2, [(0, 1), (0, 1)])], "not strictly ascending"),
+    ([(1, 2, [(0, 1), (1, 0)])], "a posting has tf 0"),
 ])
 def test_load_rejects_inconsistent_postings(tmp_path, terms, message):
     path = tmp_path / "bad.idx"
@@ -317,36 +349,126 @@ def test_load_rejects_document_length_unlike_its_postings(tmp_path):
         load_index(path)
 
 
+@pytest.mark.parametrize("ids", [("c0", "c0"), ("c1", "c0")], ids=["duplicate", "descending"])
+def test_load_rejects_document_ids_not_strictly_ascending(tmp_path, ids):
+    # document order is the tie-break order, and exclude_id must name one document
+    path = tmp_path / "bad.idx"
+    path.write_bytes(_index_bytes([(ids[0], 1, [1]), (ids[1], 1, [1])],
+                                  [(1, 2, [(0, 1), (1, 1)])]))
+    with pytest.raises(ParseError, match="document ids are not strictly ascending"):
+        load_index(path)
+
+
+def test_load_rejects_a_non_utf8_document_id(small_index, tmp_path):
+    index, _ = small_index
+    path = tmp_path / "bm25.idx"
+    save_index(index, path)
+    raw = bytearray(path.read_bytes())
+    raw[30] = 0xFF  # the first byte of the first id, after the 28-byte header and its length
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match="document id is not UTF-8"):
+        load_index(path)
+
+
+@pytest.fixture(scope="module")
+def index_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("indexes")
+
+
+@st.composite
+def indexes(draw):
+    """A built index: 1-5 documents, some empty, under unsorted multi-byte ids."""
+    docs = draw(st.lists(st.lists(st.integers(0, 6) | st.just(2**32 - 1), max_size=5),
+                         min_size=1, max_size=5))
+    doc_ids = draw(st.lists(st.text("ab\u00e9", min_size=1, max_size=3),
+                            min_size=len(docs), max_size=len(docs), unique=True))
+    return build_index([doc_conv(d, toks) for d, toks in zip(doc_ids, docs)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(indexes(), st.data())
+def test_saved_index_loads_to_the_same_arrays_and_saves_the_same_bytes(index_dir, index, data):
+    first, second = index_dir / "first.idx", index_dir / "second.idx"
+    save_index(index, first)
+    loaded = load_index(first)
+    assert_same_index(loaded, index)
+    save_index(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    queries = Segments.of(data.draw(st.lists(st.lists(st.integers(-1, 8), max_size=4),
+                                             min_size=1, max_size=4)))
+    exclude = np.array(data.draw(st.lists(st.integers(-1, index.n_docs - 1),
+                                          min_size=len(queries), max_size=len(queries))))
+    n = data.draw(st.integers(1, 4))
+    for got, want in zip(retrieve_batch(loaded, queries, n, exclude),
+                         retrieve_batch(index, queries, n, exclude)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def mutations(draw, raw):
+    """``raw`` truncated, with 1-4 bytes overwritten, or with one byte inserted.
+
+    Positions are uniform over the file: ``st.integers`` would favour the
+    first bytes, the magic number."""
+    kind = draw(st.sampled_from(["truncate", "overwrite", "insert"]))
+    rnd = draw(st.randoms(use_true_random=True))
+    if kind == "truncate":
+        return raw[:rnd.randrange(len(raw))]
+    if kind == "insert":
+        at = rnd.randrange(len(raw) + 1)
+        return raw[:at] + bytes([rnd.randrange(256)]) + raw[at:]
+    out = bytearray(raw)
+    for _ in range(draw(st.integers(1, 4))):
+        out[rnd.randrange(len(raw))] = rnd.randrange(256)
+    return bytes(out)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(indexes(), st.data())
+def test_mutated_index_bytes_load_exactly_or_raise_parse_error(index_dir, index, data):
+    path, again = index_dir / "mutated.idx", index_dir / "again.idx"
+    save_index(index, path)
+    raw = data.draw(mutations(path.read_bytes()))
+    path.write_bytes(raw)
+    try:
+        loaded = load_index(path)
+    except ParseError:
+        return
+    # what loads is what the bytes say: saving it writes the same bytes back
+    save_index(loaded, again)
+    assert again.read_bytes() == raw
+
+
+def index_with_unsorted_ids(data, docs):
+    """``docs`` indexed under drawn ids in drawn order; build_index sorts them."""
+    doc_ids = data.draw(st.lists(st.text("abxyz", min_size=1, max_size=3),
+                                 min_size=len(docs), max_size=len(docs), unique=True))
+    index = build_index([doc_conv(d, toks) for d, toks in zip(doc_ids, docs)])
+    assert index.doc_ids == sorted(doc_ids)
+    return index, dict(zip(doc_ids, docs))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_retrieve_equals_exhaustive_bm25_score_ranking(data):
     n_docs = data.draw(st.integers(1, 8))
     docs = [data.draw(st.lists(st.integers(0, 9), max_size=10)) for _ in range(n_docs)]
-    assume(any(docs))  # bm25_score divides by avgdl, which is 0 for all-empty docs
-    # a hand-built index whose doc_ids are not in sorted order
-    doc_ids = data.draw(st.lists(st.text("abxyz", min_size=1, max_size=3),
-                                 min_size=n_docs, max_size=n_docs, unique=True))
-    df = Counter(t for toks in docs for t in set(toks))
-    index = Bm25Index(k1=1.2, b=0.75, doc_ids=doc_ids,
-                      doc_terms=[Counter(toks) for toks in docs],
-                      doc_lens=[len(toks) for toks in docs],
-                      doc_entities=[tuple(dict.fromkeys(toks)) for toks in docs],
-                      df=dict(df), avgdl=sum(map(len, docs)) / n_docs)
-    # 10..12 are absent from the index; small ranges make repeats likely
-    query = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=8))
-    exclude_id = data.draw(st.none() | st.just("absent") | st.sampled_from(doc_ids))
+    index, tokens = index_with_unsorted_ids(data, docs)
+    # 10..12 are absent from the index and -1 is negative; small ranges make repeats likely
+    query = data.draw(st.lists(st.integers(-1, 12), max_size=8))
+    exclude_id = data.draw(st.none() | st.just("absent") | st.sampled_from(index.doc_ids))
     n = data.draw(st.integers(1, 10))
 
     result = retrieve(index, query, n, exclude_id=exclude_id)
-    scored = sorted(((bm25_score(index, query, d), d) for d in doc_ids if d != exclude_id),
+    scored = sorted(((bm25_score(index, query, d), d) for d in tokens if d != exclude_id),
                     key=lambda t: (-t[0], t[1]))
     expected = tuple((d, s) for s, d in scored if s > 0.0)[:n]
     assert result.ranked == expected  # exact: the same float operations in the same order
     assert all(type(s) is float for _, s in result.ranked)
-    want_entities = dict.fromkeys(e for d, _ in expected
-                                  for e in index.doc_entities[doc_ids.index(d)])
+    want_entities = dict.fromkeys(e for d, _ in expected for e in tokens[d])
     assert result.entities == tuple(want_entities)
-    assert not result.empty_query
+    assert result.empty_query == (not query)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -354,17 +476,9 @@ def test_retrieve_equals_exhaustive_bm25_score_ranking(data):
 def test_retrieve_batch_equals_exhaustive_ranking_and_retrieve(data):
     # few distinct entities make repeated terms and tied scores likely
     docs = data.draw(st.lists(st.lists(st.integers(0, 5), max_size=6), min_size=1, max_size=6))
-    assume(any(docs))  # bm25_score divides by avgdl, which is 0 for all-empty docs
     # copies of a document under other ids force ties, broken by doc_id
     docs += data.draw(st.lists(st.sampled_from(docs), max_size=2))
-    doc_ids = data.draw(st.lists(st.text("abxyz", min_size=1, max_size=3),
-                                 min_size=len(docs), max_size=len(docs), unique=True))
-    df = Counter(t for toks in docs for t in set(toks))
-    index = Bm25Index(k1=1.2, b=0.75, doc_ids=doc_ids,
-                      doc_terms=[Counter(toks) for toks in docs],
-                      doc_lens=[len(toks) for toks in docs],
-                      doc_entities=[tuple(dict.fromkeys(toks)) for toks in docs],
-                      df=dict(df), avgdl=sum(map(len, docs)) / len(docs))
+    index, _ = index_with_unsorted_ids(data, docs)
     # -3..-1 and 6..8 are ids the index lacks; a query may be empty
     queries = data.draw(st.lists(st.lists(st.integers(-3, 8), max_size=6),
                                  min_size=1, max_size=12))
@@ -379,6 +493,7 @@ def test_retrieve_batch_equals_exhaustive_ranking_and_retrieve(data):
                                                      np.array(exclude))
 
     assert found[0] == 0 and len(found) == len(queries) + 1
+    doc_ids = index.doc_ids
     for b, query in enumerate(queries):
         lo, hi = found[b], found[b + 1]
         got = [(doc_ids[d], s)
