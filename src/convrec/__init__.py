@@ -13,14 +13,12 @@ allocator.fix_thresholds()
 from . import autodiff  # noqa: E402
 from .autodiff import Tensor, finite_diff_check
 from .corpus import (
-    Conversation,
+    Corpus,
     EntityVocab,
-    Mention,
-    RecExample,
+    Examples,
     Sentiment,
     Speaker,
     Split,
-    Utterance,
     Vocab,
     WordVocab,
     derive_examples,
@@ -103,20 +101,19 @@ __all__ = [
     "AttentionParams",
     "Bm25Index",
     "ConfigurationError",
-    "Conversation",
     "ConvRecError",
+    "Corpus",
     "EntityVocab",
+    "Examples",
     "GcnParams",
     "InteractionGraph",
     "LeakageError",
-    "Mention",
     "MetricsReport",
     "MissingArtifactError",
     "Model",
     "NumericError",
     "ParamStore",
     "ParseError",
-    "RecExample",
     "RetrievalResult",
     "RgcnParams",
     "Sentiment",
@@ -129,7 +126,6 @@ __all__ = [
     "TrainResult",
     "TypedGraph",
     "UserRep",
-    "Utterance",
     "ValidationError",
     "Vocab",
     "WordGraph",

@@ -15,10 +15,12 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import autodiff as ad
 from .corpus import (
-    RecExample,
+    SPLITS,
+    Examples,
     Split,
     corpus_stats,
     default_stopwords,
@@ -60,7 +62,7 @@ from .recommender import (
     score_all,
     train as run_train,
 )
-from .retrieval import build_index, conversation_tokens, load_index, retrieve, save_index
+from .retrieval import build_index, load_index, retrieve, save_index
 
 EXIT_USAGE = 2
 EXIT_MISSING = 3
@@ -246,8 +248,7 @@ def load_bundle(bundle_dir: str | Path, index_path: str | Path | None = None) ->
 
     entities = load_entity_vocab(bundle / _BUNDLE_FILES["entities"])
     stopwords = load_stopwords(bundle / _BUNDLE_FILES["stopwords"])
-    conversations, vocab = load_corpus(bundle / _BUNDLE_FILES["corpus"], entities,
-                                       stopwords=stopwords)
+    corpus, vocab = load_corpus(bundle / _BUNDLE_FILES["corpus"], entities, stopwords=stopwords)
     kg = load_item_kg(bundle / _BUNDLE_FILES["kg"], entities)
     word_graph = None
     if manifest["has_word_graph"]:
@@ -258,7 +259,7 @@ def load_bundle(bundle_dir: str | Path, index_path: str | Path | None = None) ->
     idx_path = Path(index_path) if index_path else bundle / _BUNDLE_FILES["index"]
     if manifest["has_index"] or index_path:
         index = load_index(idx_path)
-    return build_artifacts(conversations, vocab, kg, word_graph, loaded=(interaction, index))
+    return build_artifacts(corpus, vocab, kg, word_graph, loaded=(interaction, index))
 
 
 def _config_sidecar(checkpoint_path: Path) -> Path:
@@ -339,18 +340,17 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
     entities = load_entity_vocab(entities_path)
     stopwords = load_stopwords(stopwords_path) if stopwords_path else default_stopwords()
     lexicon = load_keyword_lexicon(lexicon_path) if lexicon_path else None
-    conversations, vocab = load_corpus(corpus_path, entities,
-                                       stopwords=stopwords, lexicon=lexicon)
+    corpus, vocab = load_corpus(corpus_path, entities, stopwords=stopwords, lexicon=lexicon)
     kg = load_item_kg(kg_path, entities)
     word_graph = load_word_graph(word_graph_path, vocab.words) if word_graph_path else None
 
-    train_convs = [c for c in conversations if c.split == Split.TRAIN]
-    interaction = build_interaction_graph(train_convs, entities)
-    index = build_index(train_convs) if train_convs else None
+    train_corpus = split_view(corpus, Split.TRAIN)
+    interaction = build_interaction_graph(train_corpus, entities)
+    index = build_index(train_corpus) if len(train_corpus) else None
 
     bundle = Path(out_dir)
     bundle.mkdir(parents=True, exist_ok=True)
-    save_corpus(conversations, entities, bundle / _BUNDLE_FILES["corpus"])
+    save_corpus(corpus, entities, bundle / _BUNDLE_FILES["corpus"])
     save_entity_vocab(entities, bundle / _BUNDLE_FILES["entities"])
     save_kg(kg, entities, bundle / _BUNDLE_FILES["kg"])
     if word_graph is not None:
@@ -363,15 +363,14 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
         target = Path(index_path) if index_path else bundle / _BUNDLE_FILES["index"]
         save_index(index, target)
 
-    stats = corpus_stats(conversations, entities)
+    stats = corpus_stats(corpus, entities)
+    counts = np.bincount(corpus.splits, minlength=len(SPLITS)).tolist()
     manifest = {
         "format": 1,
         "has_word_graph": word_graph is not None,
         "has_index": index is not None,
         "stats": stats,
-        "splits": {
-            s.value: sum(1 for c in conversations if c.split == s) for s in Split
-        },
+        "splits": {s.value: n for s, n in zip(SPLITS, counts)},
     }
     with atomic_write(bundle / _BUNDLE_FILES["manifest"], text=True) as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -470,10 +469,12 @@ def retrieve_command(bundle_dir, index_path, conversation_id, n) -> None:
     artifacts = load_bundle(bundle_dir, index_path)
     if artifacts.index is None:
         raise MissingArtifactError("bundle has no retrieval index")
-    by_id = {c.conversation_id: c for c in artifacts.conversations}
-    if conversation_id not in by_id:
+    corpus = artifacts.corpus
+    if conversation_id not in corpus.conversation_ids:
         raise ValueError(f"unknown conversation {conversation_id!r}")
-    query = conversation_tokens(by_id[conversation_id])
+    c = corpus.conversation_ids.index(conversation_id)
+    mentions = corpus.conversation_mentions
+    query = mentions.rows[mentions.offsets[c]:mentions.offsets[c + 1]].tolist()
     result = retrieve(artifacts.index, query, n, exclude_id=conversation_id)
     for doc_id, score in result.ranked:
         click.echo(f"{doc_id}\t{score!r}")
@@ -492,7 +493,7 @@ def retrieve_command(bundle_dir, index_path, conversation_id, n) -> None:
 def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
     """Read entity mentions from stdin; print top-k items after each line.
 
-    Mentions accumulate across lines within the session. References are
+    Entity mentions accumulate across lines within the session. References are
     comma-separated; a part that is not itself an id or a name is split on
     whitespace so bare id lists work without commas. Each answer (k ranked
     lines, then a blank line) is written and flushed at once. The session
@@ -521,12 +522,7 @@ def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
                 continue
             if entity not in context:
                 context.append(entity)
-        example = RecExample(
-            conversation_id="(stdin)", user_id="(stdin)", split=Split.TEST,
-            turn_index=len(context), context_entities=tuple(context),
-            context_words=(), gold_items=frozenset(),
-        )
-        contexts = model.contexts([example])
+        contexts = model.contexts(Examples.query(context))
         users = model.users(contexts, item_matrix, word_matrix).vector
         probs = score_all(users, item_rows, contexts.masked).values[0]
         top = rank_order(probs, k)

@@ -1,4 +1,4 @@
-"""Conversation corpus: data model, vocabularies, loading, example derivation.
+"""Conversation corpus: columnar records, vocabularies, loading, example derivation.
 
 A corpus file is newline-delimited JSON, one conversation per line:
 
@@ -19,12 +19,15 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import MissingArtifactError, ParseError, ValidationError
+from .autodiff import Segments
+from .errors import LeakageError, MissingArtifactError, ParseError, ValidationError
 from .optim import atomic_write
 
 
@@ -45,44 +48,93 @@ class Split(str, Enum):
     TEST = "test"
 
 
-@dataclass(frozen=True)
-class Mention:
-    entity: int
-    sentiment: Sentiment
+# a code array holds each member's position in its enum
+SPEAKERS, SENTIMENTS, SPLITS = tuple(Speaker), tuple(Sentiment), tuple(Split)
 
 
-@dataclass(frozen=True)
-class Utterance:
-    speaker: Speaker
-    text: str
-    mentions: tuple[Mention, ...]
-    content_words: tuple[int, ...]
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Conversations as flat arrays, in the layout of Apache Arrow's nested lists.
 
-
-@dataclass(frozen=True)
-class Conversation:
-    conversation_id: str
-    user_id: str
-    split: Split
-    utterances: tuple[Utterance, ...]
-
-
-@dataclass(frozen=True)
-class RecExample:
-    """One recommendation instance: a recommender turn introducing new items.
-
-    ``context_entities`` holds every entity mentioned strictly before
-    ``turn_index``, deduplicated in first-mention order. ``context_words``
-    keeps the full word sequence of those turns, duplicates included.
+    Group c of ``utterances`` holds conversation c's utterances, numbered 0,
+    1, ... across the corpus, so each conversation's are consecutive. Group u
+    of ``mentions`` holds utterance u's entity ids, ``sentiments`` aligned with
+    its rows, and group u of ``words`` its content word ids. Codes index
+    SPLITS, SPEAKERS and SENTIMENTS. A loaded corpus is sorted by
+    conversation_id, as is a ``take`` of ascending conversations.
     """
 
-    conversation_id: str
-    user_id: str
-    split: Split
-    turn_index: int
-    context_entities: tuple[int, ...]
-    context_words: tuple[int, ...]
-    gold_items: frozenset[int]
+    conversation_ids: list[str]
+    user_ids: list[str]
+    splits: np.ndarray       # (C,) int8
+    utterances: Segments     # C groups of utterance indices
+    speakers: np.ndarray     # (U,) int8
+    texts: list[str]         # (U,)
+    mentions: Segments       # U groups of entity ids
+    sentiments: np.ndarray   # (M,) int8, aligned with mentions.rows
+    words: Segments          # U groups of word ids
+
+    def __len__(self) -> int:
+        return len(self.conversation_ids)
+
+    @property
+    def conversation_mentions(self) -> Segments:
+        """C groups: every entity id a conversation mentions, in order, repeats kept."""
+        return self.mentions.regroup(self.utterances.offsets)
+
+    def take(self, idx: Sequence[int] | np.ndarray) -> Corpus:
+        """Conversations ``idx`` in that order, their utterances renumbered from 0."""
+        idx = np.asarray(idx, dtype=np.intp)
+        utts = self.utterances.take(idx)
+        u = utts.rows
+        mention_at = Segments.spans(np.arange(len(self.mentions.rows)),
+                                    self.mentions.offsets[u], self.mentions.offsets[u + 1])
+        words = Segments.spans(self.words.rows, self.words.offsets[u], self.words.offsets[u + 1])
+        ids, users, texts = self.conversation_ids, self.user_ids, self.texts
+        return Corpus([ids[c] for c in idx.tolist()], [users[c] for c in idx.tolist()],
+                      self.splits[idx], Segments(np.arange(len(u)), utts.offsets),
+                      self.speakers[u], [texts[i] for i in u.tolist()],
+                      Segments(self.mentions.rows[mention_at.rows], mention_at.offsets),
+                      self.sentiments[mention_at.rows], words)
+
+
+@dataclass(frozen=True, eq=False)
+class Examples:
+    """N recommendation instances as flat arrays: recommender turns that
+    introduce a new item, or queries such as a recommend turn.
+
+    Example n is turn ``turns[n]`` of corpus conversation ``conversations[n]``
+    (-1: none). Its ``entities`` are those mentioned before that turn, once
+    each, in first-mention order; its ``words`` the content words of those
+    turns, repeats kept; its ``gold`` the items the turn introduces, ascending.
+    """
+
+    conversations: np.ndarray  # (N,) intp
+    turns: np.ndarray          # (N,) intp
+    splits: np.ndarray         # (N,) int8
+    entities: Segments
+    words: Segments
+    gold: Segments
+
+    def __len__(self) -> int:
+        return len(self.conversations)
+
+    @classmethod
+    def query(cls, entities: Sequence[int]) -> Examples:
+        """One example of no conversation whose context is ``entities``: a recommend turn."""
+        return cls(*_QUERY[:3], Segments.of([entities]), *_QUERY[3:])
+
+    def take(self, idx: Sequence[int] | np.ndarray) -> Examples:
+        """Examples ``idx`` in that order (repeats allowed), every field gathered at once."""
+        idx = np.asarray(idx, dtype=np.intp)
+        entities = self.entities.take(idx)  # refuses ids outside [0, N) with ShapeError
+        return Examples(self.conversations[idx], self.turns[idx], self.splits[idx],
+                        entities, self.words.take(idx), self.gold.take(idx))
+
+
+# every field of a one-example query but its entities; no record writes its arrays
+_QUERY = (np.full(1, -1, np.intp), np.zeros(1, np.intp),
+          np.full(1, SPLITS.index(Split.TEST), np.int8), Segments.none(1), Segments.none(1))
 
 
 class EntityVocab:
@@ -302,23 +354,47 @@ def _expect_keys(obj: dict, keys: Collection[str], what: str, lineno: int) -> No
 _RECORD_KEYS = dict.fromkeys(("conversation_id", "user_id", "split", "utterances")).keys()
 _UTTERANCE_KEYS = dict.fromkeys(("speaker", "text", "mentions")).keys()
 _MENTION_KEYS = dict.fromkeys(("entity", "sentiment")).keys()
-# value -> member; a lookup of an unhashable JSON value raises TypeError, not KeyError
-_SPLITS = {s.value: s for s in Split}
-_SPEAKERS = {s.value: s for s in Speaker}
-_SENTIMENTS = {s.value: s for s in Sentiment}
+# value -> code; a lookup of an unhashable JSON value raises TypeError, not KeyError
+_SPLIT_CODES = {s.value: i for i, s in enumerate(SPLITS)}
+_SPEAKER_CODES = {s.value: i for i, s in enumerate(SPEAKERS)}
+_SENTIMENT_CODES = {s.value: i for i, s in enumerate(SENTIMENTS)}
+
+
+def _build_corpus(records: list, stopwords: frozenset[str], words: WordVocab) -> Corpus:
+    """The corpus of ``records`` in conversation_id order, registering content
+    words in that order. A record is (conversation_id, user_id, split code,
+    [(speaker code, text, tokens, entity ids, sentiment codes)]), as
+    ``_parse_record`` returns it; ``records`` is sorted in place."""
+    records.sort(key=itemgetter(0))
+    utts = [u for r in records for u in r[3]]
+    kept = [[t for t in u[2] if t not in stopwords] for u in utts]
+    flat = list(chain.from_iterable(kept))
+    for word in dict.fromkeys(flat):  # first uses, in order
+        words.register(word)
+    mentions = _offsets([len(u[3]) for u in utts])
+    return Corpus(
+        [r[0] for r in records], [r[1] for r in records],
+        np.array([r[2] for r in records], np.int8),
+        Segments(np.arange(len(utts)), _offsets([len(r[3]) for r in records])),
+        np.array([u[0] for u in utts], np.int8), [u[1] for u in utts],
+        Segments(np.fromiter(chain.from_iterable(u[3] for u in utts), np.intp, mentions[-1]),
+                 mentions),
+        np.fromiter(chain.from_iterable(u[4] for u in utts), np.int8, mentions[-1]),
+        Segments(np.fromiter(map(words._index.__getitem__, flat), np.intp, len(flat)),
+                 _offsets(list(map(len, kept)))))
+
+
+def _offsets(counts: Sequence[int]) -> np.ndarray:
+    return np.fromiter(accumulate(counts, initial=0), np.intp, len(counts) + 1)
 
 
 def _parse_record(raw: str, lineno: int, entities: EntityVocab,
-                  lexicon: Mapping[str, Sentiment] | None,
-                  interned: dict[tuple[str, str], Mention]):
-    """(conversation_id, user_id, split, [(speaker, text, mentions, tokens)]) of one line.
+                  lexicon: Mapping[str, Sentiment] | None):
+    """The record :func:`_build_corpus` takes, of one line.
 
     Each check is one C-level operation on the well-formed path: a key-set
     comparison (``_expect_keys`` runs only on a mismatch, to name the field),
-    a dict lookup for each enum value, ``interned`` for a mention already
-    seen as (entity ref, sentiment) in this load. Mentions are frozen, so
-    sharing them is safe; one whose null sentiment the lexicon decides is
-    built afresh.
+    a dict lookup for each enum value and for an entity id token.
     """
     try:
         obj = json.loads(raw)
@@ -333,7 +409,7 @@ def _parse_record(raw: str, lineno: int, entities: EntityVocab,
     if not isinstance(conv_id, str) or not isinstance(user_id, str):
         raise ParseError("conversation_id and user_id must be strings", line=lineno)
     try:
-        split = _SPLITS[obj["split"]]
+        split = _SPLIT_CODES[obj["split"]]
     except (KeyError, TypeError):
         raise ParseError(f"unknown split {obj['split']!r}", line=lineno) from None
     utterances = obj["utterances"]
@@ -341,26 +417,28 @@ def _parse_record(raw: str, lineno: int, entities: EntityVocab,
         raise ParseError("utterances must be a non-empty array", line=lineno)
 
     findall = _TOKEN_RE.findall
-    parsed_utts = []
+    by_token = entities._by_token
+    parsed = []
     for utt in utterances:
         if not isinstance(utt, dict):
             raise ParseError("utterance is not a JSON object", line=lineno)
         if utt.keys() != _UTTERANCE_KEYS:
             _expect_keys(utt, _UTTERANCE_KEYS, "utterance", lineno)
         try:
-            speaker = _SPEAKERS[utt["speaker"]]
+            speaker = _SPEAKER_CODES[utt["speaker"]]
         except (KeyError, TypeError):
             raise ParseError(f"unknown speaker {utt['speaker']!r}", line=lineno) from None
         text = utt["text"]
         if not isinstance(text, str):
             raise ParseError("utterance text must be a string", line=lineno)
-        mentions_raw = utt["mentions"]
-        if not isinstance(mentions_raw, list):
+        mentions = utt["mentions"]
+        if not isinstance(mentions, list):
             raise ParseError("mentions must be an array", line=lineno)
         tokens = findall(text.lower())
-        utterance_sentiment: Sentiment | None = None
-        mentions: list[Mention] = []
-        for m in mentions_raw:
+        decided = None  # the keyword sentiment of the text, once a null label needs it
+        ents: list[int] = []
+        sentiments: list[int] = []
+        for m in mentions:
             if not isinstance(m, dict):
                 raise ParseError("mention is not a JSON object", line=lineno)
             if m.keys() != _MENTION_KEYS:
@@ -368,32 +446,28 @@ def _parse_record(raw: str, lineno: int, entities: EntityVocab,
             ref = m["entity"]
             if not isinstance(ref, str):
                 raise ParseError("mention entity must be a string", line=lineno)
+            entity = by_token.get(ref)
+            if entity is None:
+                entity = entities.resolve(ref)
             label = m["sentiment"]
-            try:
-                mention = interned.get((ref, label))
-            except TypeError:  # an array or object label: unknown below
-                mention = None
-            if mention is None:
-                entity_id = entities.resolve(ref)
-                if label is None:
-                    if lexicon is None:
-                        raise ParseError(
-                            "mention sentiment is null and no keyword lexicon was given",
-                            line=lineno,
-                        )
-                    if utterance_sentiment is None:
-                        utterance_sentiment = _keyword_sentiment(tokens, lexicon)
-                    mention = Mention(entity=entity_id, sentiment=utterance_sentiment)
-                else:
-                    try:
-                        sentiment = _SENTIMENTS[label]
-                    except (KeyError, TypeError):
-                        raise ParseError(f"unknown sentiment {label!r}", line=lineno) from None
-                    mention = interned[ref, label] = Mention(entity=entity_id,
-                                                             sentiment=sentiment)
-            mentions.append(mention)
-        parsed_utts.append((speaker, text, tuple(mentions), tokens))
-    return conv_id, user_id, split, parsed_utts
+            if label is None:
+                if lexicon is None:
+                    raise ParseError(
+                        "mention sentiment is null and no keyword lexicon was given",
+                        line=lineno,
+                    )
+                if decided is None:
+                    decided = _SENTIMENT_CODES[_keyword_sentiment(tokens, lexicon).value]
+                sentiment = decided
+            else:
+                try:
+                    sentiment = _SENTIMENT_CODES[label]
+                except (KeyError, TypeError):
+                    raise ParseError(f"unknown sentiment {label!r}", line=lineno) from None
+            ents.append(entity)
+            sentiments.append(sentiment)
+        parsed.append((speaker, text, tokens, ents, sentiments))
+    return conv_id, user_id, split, parsed
 
 
 def load_corpus(
@@ -403,16 +477,17 @@ def load_corpus(
     stopwords: frozenset[str] | None = None,
     lexicon: Mapping[str, Sentiment] | None = None,
     words: WordVocab | None = None,
-) -> tuple[list[Conversation], Vocab]:
+) -> tuple[Corpus, Vocab]:
     """Load and validate a corpus file against an entity vocabulary.
 
     The file is read line by line in text mode; one parse pass per line
-    checks every key set, type and enum value of the record and builds it,
-    and the first failure raises ParseError (or ValidationError for an
-    unknown entity or a repeated conversation_id) naming its line. Equal
-    mentions within one load share one Mention object.
+    checks every key set, type and enum value of the record and keeps its
+    fields as plain tuples and codes, and the first failure raises
+    ParseError (or ValidationError for an unknown entity or a repeated
+    conversation_id) naming its line. One pass then fills the
+    :class:`Corpus` arrays.
 
-    Conversations come back sorted by conversation_id, and word ids are
+    The corpus comes back sorted by conversation_id, and word ids are
     assigned in that order, so identical inputs always produce identical
     vocabularies. A fresh WordVocab is grown unless one is passed in.
     """
@@ -423,48 +498,18 @@ def load_corpus(
         stopwords = default_stopwords()
     if words is None:
         words = WordVocab()
-
     records = []
     seen_ids: set[str] = set()
-    interned: dict[tuple[str, str], Mention] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
-            record = _parse_record(raw, lineno, entities, lexicon, interned)
+            record = _parse_record(raw, lineno, entities, lexicon)
             if record[0] in seen_ids:
                 raise ValidationError(f"duplicate conversation_id {record[0]!r}")
             seen_ids.add(record[0])
             records.append(record)
-
-    conversations = build_conversations(records, stopwords, words)
-    return conversations, Vocab(entities=entities, words=words)
-
-
-def build_conversations(
-    records: Sequence[tuple[str, str, Split, Sequence[tuple[Speaker, str, tuple[Mention, ...], Sequence[str]]]]],
-    stopwords: frozenset[str],
-    words: WordVocab,
-) -> list[Conversation]:
-    """Assemble Conversation objects from parsed records, registering words.
-
-    Records are processed in conversation_id order regardless of input order,
-    which pins word ids for a given corpus.
-    """
-    ordered = sorted(records, key=lambda r: r[0])
-    word_id = words._index.get
-    register = words.register
-    conversations: list[Conversation] = []
-    for conv_id, user_id, split, parsed_utts in ordered:
-        utts = []
-        for speaker, text, mentions, tokens in parsed_utts:
-            content = tuple([i if (i := word_id(t)) is not None else register(t)
-                             for t in tokens if t not in stopwords])
-            utts.append(Utterance(speaker=speaker, text=text, mentions=mentions,
-                                  content_words=content))
-        conversations.append(Conversation(conversation_id=conv_id, user_id=user_id,
-                                          split=split, utterances=tuple(utts)))
-    return conversations
+    return _build_corpus(records, stopwords, words), Vocab(entities=entities, words=words)
 
 
 # the bytes of json.dumps(record, ensure_ascii=False), from one encoder; a record
@@ -472,36 +517,32 @@ def build_conversations(
 _ENCODE = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 
 
-def save_corpus(conversations: Iterable[Conversation], entities: EntityVocab,
-                path: str | Path) -> None:
-    """Write conversations back to the corpus format, sorted by conversation_id.
+def save_corpus(corpus: Corpus, entities: EntityVocab, path: str | Path) -> None:
+    """Write the corpus back to the corpus format, one line per conversation in corpus order.
 
     Each line is the record's ``json.dumps(record, ensure_ascii=False)``,
     keys in the order :func:`load_corpus` documents. Sentiments are written
     explicitly, so a reload never needs the lexicon.
     """
-    ordered = sorted(conversations, key=lambda c: c.conversation_id)
+    speakers = [SPEAKERS[c].value for c in corpus.speakers.tolist()]
+    texts = corpus.texts
     tokens = entities.tokens
+    sentiments = [s.value for s in SENTIMENTS]
+    mentions = [{"entity": tokens[e], "sentiment": sentiments[s]}
+                for e, s in zip(corpus.mentions.rows.tolist(), corpus.sentiments.tolist())]
+    bounds = corpus.mentions.offsets.tolist()
+    first = corpus.utterances.offsets.tolist()
     with atomic_write(path, text=True) as fh:
-        for conv in ordered:
-            # an enum's ``_value_`` is the plain attribute behind its ``value`` property
-            record = {
-                "conversation_id": conv.conversation_id,
-                "user_id": conv.user_id,
-                "split": conv.split._value_,
-                "utterances": [
-                    {
-                        "speaker": u.speaker._value_,
-                        "text": u.text,
-                        "mentions": [
-                            {"entity": tokens[m.entity], "sentiment": m.sentiment._value_}
-                            for m in u.mentions
-                        ],
-                    }
-                    for u in conv.utterances
-                ],
-            }
-            fh.write(_ENCODE(record) + "\n")
+        for c, (conv_id, user_id, split) in enumerate(zip(
+                corpus.conversation_ids, corpus.user_ids, corpus.splits.tolist())):
+            fh.write(_ENCODE({
+                "conversation_id": conv_id,
+                "user_id": user_id,
+                "split": SPLITS[split].value,
+                "utterances": [{"speaker": speakers[u], "text": texts[u],
+                                "mentions": mentions[bounds[u]:bounds[u + 1]]}
+                               for u in range(first[c], first[c + 1])],
+            }) + "\n")
 
 
 def save_entity_vocab(entities: EntityVocab, path: str | Path) -> None:
@@ -510,60 +551,63 @@ def save_entity_vocab(entities: EntityVocab, path: str | Path) -> None:
             fh.write(f"{token}\t{name}\t{1 if flag else 0}\n")
 
 
-def derive_examples(conversations: Iterable[Conversation],
-                    entities: EntityVocab) -> list[RecExample]:
-    """One RecExample per recommender turn that introduces at least one new item."""
-    examples: list[RecExample] = []
-    for conv in conversations:
-        seen: set[int] = set()
-        context_entities: list[int] = []
-        context_words: list[int] = []
-        for turn_index, utt in enumerate(conv.utterances):
-            if utt.speaker == Speaker.RECOMMENDER:
-                gold: list[int] = []
-                for m in utt.mentions:
-                    if entities.is_item[m.entity] and m.entity not in seen and m.entity not in gold:
-                        gold.append(m.entity)
-                if gold:
-                    examples.append(RecExample(
-                        conversation_id=conv.conversation_id,
-                        user_id=conv.user_id,
-                        split=conv.split,
-                        turn_index=turn_index,
-                        context_entities=tuple(context_entities),
-                        context_words=tuple(context_words),
-                        gold_items=frozenset(gold),
-                    ))
-            for m in utt.mentions:
-                if m.entity not in seen:
-                    seen.add(m.entity)
-                    context_entities.append(m.entity)
-            context_words.extend(utt.content_words)
-    return examples
+def derive_examples(corpus: Corpus, entities: EntityVocab) -> Examples:
+    """One example per recommender turn that introduces at least one new item.
+
+    Examples follow corpus order, then turn order. A turn's gold items are the
+    items it mentions that no earlier turn of its conversation mentions.
+    """
+    ent = corpus.mentions.rows
+    turn_of = corpus.mentions.group_of_rows()  # each mention's utterance
+    # each conversation's first mention of each entity: new, in mention order
+    firsts = corpus.conversation_mentions.first_rows()
+    is_item = np.array(entities.is_item, bool)
+    recommends = corpus.speakers == SPEAKERS.index(Speaker.RECOMMENDER)
+    gold_at = firsts[recommends[turn_of[firsts]] & is_item[ent[firsts]]]
+    gold_turn, gold_ent = turn_of[gold_at], ent[gold_at]
+    order = np.lexsort((gold_ent, gold_turn))  # gold_turn ascends: ids ascend per turn
+    starts = np.flatnonzero(np.diff(gold_turn, prepend=-1))  # each example's first gold
+    runs = np.append(starts, len(order))
+    turns = gold_turn[starts]
+    conversations = corpus.utterances.group_of_rows()[turns]
+    opening = corpus.utterances.offsets[conversations]
+    # the conversation's first mentions before the turn are one run of ``firsts``
+    first_turns = turn_of[firsts]
+    entities_before = Segments.spans(ent[firsts], first_turns.searchsorted(opening),
+                                     first_turns.searchsorted(turns))
+    bounds = corpus.words.offsets
+    words_before = Segments.spans(corpus.words.rows, bounds[opening], bounds[turns])
+    return Examples(conversations, turns - opening, corpus.splits[conversations],
+                    entities_before, words_before,
+                    Segments.spans(gold_ent[order], runs[:-1], runs[1:]))
 
 
-def split_view(examples: Iterable[RecExample], split: Split | str) -> list[RecExample]:
+Records = TypeVar("Records", Corpus, Examples)
+
+
+def split_view(records: Records, split: Split | str) -> Records:
+    """The conversations or examples of one split, in order."""
     try:
-        split = Split(split)
+        code = SPLITS.index(Split(split))
     except ValueError:
         raise ValueError(f"unknown split {split!r}") from None
-    return [ex for ex in examples if ex.split == split]
+    return records.take(np.flatnonzero(records.splits == code))
 
 
-def corpus_stats(conversations: Sequence[Conversation], entities: EntityVocab) -> dict[str, int]:
+def require_split(corpus: Corpus, split: Split) -> None:
+    """Raise LeakageError naming the first conversation of another split."""
+    if (other := np.flatnonzero(corpus.splits != SPLITS.index(split))).size:
+        c = other[0]
+        raise LeakageError(f"conversation {corpus.conversation_ids[c]!r} is "
+                           f"{SPLITS[corpus.splits[c]].value}, not {split.value}")
+
+
+def corpus_stats(corpus: Corpus, entities: EntityVocab) -> dict[str, int]:
     """Headline corpus counts: users, conversations, utterances, distinct items mentioned."""
-    users = {c.user_id for c in conversations}
-    utterances = sum(len(c.utterances) for c in conversations)
-    items = {
-        m.entity
-        for c in conversations
-        for u in c.utterances
-        for m in u.mentions
-        if entities.is_item[m.entity]
-    }
+    mentioned = np.unique(corpus.mentions.rows)
     return {
-        "users": len(users),
-        "conversations": len(conversations),
-        "utterances": utterances,
-        "items": len(items),
+        "users": len(set(corpus.user_ids)),
+        "conversations": len(corpus),
+        "utterances": len(corpus.speakers),
+        "items": int(np.array(entities.is_item, bool)[mentioned].sum()),
     }

@@ -9,8 +9,18 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse as sp
 
-from .corpus import Conversation, EntityVocab, Sentiment, Split, WordVocab, _lookup_rows, _tsv_rows
-from .errors import LeakageError, ParseError, ValidationError
+from .corpus import (
+    SENTIMENTS,
+    Corpus,
+    EntityVocab,
+    Sentiment,
+    Split,
+    WordVocab,
+    _lookup_rows,
+    _tsv_rows,
+    require_split,
+)
+from .errors import ParseError, ValidationError
 from .optim import atomic_write
 
 LIKE = "like"
@@ -234,27 +244,17 @@ def _interaction_graph(users: Iterable[str], edge_users: Sequence[str],
     return InteractionGraph(user_list, item_list.tolist(), edges)
 
 
-def build_interaction_graph(train_conversations: Iterable[Conversation],
-                            entities: EntityVocab) -> InteractionGraph:
+def build_interaction_graph(train: Corpus, entities: EntityVocab) -> InteractionGraph:
     """Extract deduplicated (user, like/dislike, item) edges from training data."""
-    users: set[str] = set()
-    edge_users: list[str] = []
-    rels: list[int] = []
-    items: list[int] = []
-    for conv in train_conversations:
-        if conv.split != Split.TRAIN:
-            raise LeakageError(
-                f"conversation {conv.conversation_id!r} is {conv.split.value}, not train"
-            )
-        users.add(conv.user_id)
-        for utt in conv.utterances:
-            for m in utt.mentions:
-                if m.sentiment == Sentiment.NEUTRAL or not entities.is_item[m.entity]:
-                    continue
-                edge_users.append(conv.user_id)
-                rels.append(0 if m.sentiment == Sentiment.LIKE else 1)
-                items.append(m.entity)
-    return _interaction_graph(users, edge_users, rels, items)
+    require_split(train, Split.TRAIN)
+    ent = train.mentions.rows
+    sentiment = train.sentiments
+    kept = np.flatnonzero((sentiment != SENTIMENTS.index(Sentiment.NEUTRAL))
+                          & np.array(entities.is_item, bool)[ent])
+    users = train.user_ids
+    edge_users = [users[c] for c in train.conversation_mentions.group_of_rows()[kept].tolist()]
+    rels = sentiment[kept] == SENTIMENTS.index(Sentiment.DISLIKE)  # like 0, dislike 1
+    return _interaction_graph(users, edge_users, rels, ent[kept])
 
 
 def save_interaction_graph(graph: InteractionGraph, entities: EntityVocab,

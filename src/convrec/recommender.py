@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
@@ -12,8 +13,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Segments, Tensor
 from .corpus import (
-    Conversation,
-    RecExample,
+    SPLITS,
+    Corpus,
+    Examples,
     Split,
     Vocab,
     derive_examples,
@@ -164,11 +166,13 @@ class Contexts:
 
 @dataclass
 class Artifacts:
-    """Immutable data-side inputs of a run: corpus, graphs, retrieval index."""
+    """Immutable data-side inputs of a run: corpus, graphs, retrieval index.
+
+    ``examples`` is derived when first read, and kept.
+    """
 
     vocab: Vocab
-    conversations: list[Conversation]
-    examples: list[RecExample]
+    corpus: Corpus
     kg: TypedGraph
     word_graph: WordGraph | None
     interaction: InteractionGraph | None
@@ -181,29 +185,32 @@ class Artifacts:
         if (self.item_ids[1:] <= self.item_ids[:-1]).any():
             raise ValidationError("item ids must ascend")
 
+    @functools.cached_property
+    def examples(self) -> Examples:
+        return derive_examples(self.corpus, self.vocab.entities)
+
 
 def build_artifacts(
-    conversations: Sequence[Conversation],
+    corpus: Corpus,
     vocab: Vocab,
     kg: TypedGraph,
     word_graph: WordGraph | None = None,
     *,
     loaded: tuple[InteractionGraph | None, Bm25Index | None] | None = None,
 ) -> Artifacts:
-    """Derive examples and training-split structures from a loaded corpus.
+    """The training-split structures of a loaded corpus.
 
     ``loaded`` is an (interaction graph, index) pair already read from a
     bundle, used as given; without it both are built from the training split.
     """
     if loaded is None:
-        train_convs = [c for c in conversations if c.split == Split.TRAIN]
-        loaded = ((build_interaction_graph(train_convs, vocab.entities), build_index(train_convs))
-                  if train_convs else (None, None))
+        train_corpus = split_view(corpus, Split.TRAIN)
+        loaded = ((build_interaction_graph(train_corpus, vocab.entities), build_index(train_corpus))
+                  if len(train_corpus) else (None, None))
     interaction, index = loaded
     return Artifacts(
         vocab=vocab,
-        conversations=list(conversations),
-        examples=derive_examples(conversations, vocab.entities),
+        corpus=corpus,
         kg=kg,
         word_graph=word_graph,
         interaction=interaction,
@@ -279,35 +286,36 @@ class Model:
             word_matrix = gcn_forward(self.artifacts.word_graph, self.gcn_params)
         return item_matrix, word_matrix
 
-    def contexts(self, examples: Iterable[RecExample]) -> Contexts:
+    def contexts(self, examples: Examples) -> Contexts:
         """The examples' rows under this config; the only place an example becomes rows.
 
         Retrieval runs once per call, one ``retrieve_batch`` over every example,
-        unless ``without_rt`` or no index. Each field is one ``Segments.of`` and
-        at most one table lookup, for any number of examples.
+        unless ``without_rt`` or no index. An example's retrieved entities
+        (its documents' entities, each once) follow its mentioned ones, in one
+        array merge for any number of examples.
         """
         cfg = self.config
-        examples = list(examples)
+        n = len(examples)
         index = None if cfg.without_rt else self.artifacts.index
-        mentioned = Segments.of([ex.context_entities for ex in examples])
-        entities = mentioned
+        entities = mentioned = examples.entities
         if index is not None:
-            exclude = np.fromiter((index.index_of.get(ex.conversation_id, -1) for ex in examples),
-                                  np.intp, len(examples))
+            ids, index_of = self.artifacts.corpus.conversation_ids, index.index_of
+            exclude = np.array([index_of.get(ids[c], -1) if c >= 0 else -1
+                                for c in examples.conversations.tolist()], np.intp)
             docs, _, found = retrieve_batch(index, mentioned, cfg.top_n, exclude)
-            docs, found = docs.tolist(), found.tolist()
-            entities = Segments.of([(*ex.context_entities, *index.entities_of(docs[lo:hi]))
-                                    for ex, lo, hi in zip(examples, found, found[1:])])
-        context_words = Segments.of([ex.context_words for ex in examples])
-        words = Segments.none(len(examples)) if cfg.without_cn else context_words.lookup(self.word_row)
-        dropped = context_words.offsets - words.offsets
-        # item positions ascend with entity ids (Artifacts.item_ids ascends), so sorted ids
-        # give ascending positions
+            # query b's documents are docs[found[b]:found[b + 1]]
+            retrieved = index.doc_entities.take(docs).regroup(found)
+            if cfg.top_n > 1:  # one document's entities are distinct already
+                retrieved = retrieved.distinct()
+            entities = mentioned.concat(retrieved)
+        words = Segments.none(n) if cfg.without_cn else examples.words.lookup(self.word_row)
+        dropped = examples.words.offsets - words.offsets
+        # item positions ascend with entity ids (Artifacts.item_ids ascends), so the
+        # ascending gold ids give ascending positions
         return Contexts(entities, words,
                         mentioned.lookup(self.item_position) if cfg.candidate_masking
-                        else Segments.none(len(examples)),
-                        Segments.of([sorted(ex.gold_items) for ex in examples]).lookup(
-                            self.item_position),
+                        else Segments.none(n),
+                        examples.gold.lookup(self.item_position),
                         dropped[1:] - dropped[:-1])
 
     def rows_read(self, contexts: Contexts) -> int:
@@ -424,15 +432,15 @@ def aggregate_metrics(rank_lists: Iterable[Sequence[int]],
             pairs)
 
 
-def evaluate(model: Model, examples: Sequence[RecExample],
+def evaluate(model: Model, examples: Examples,
              ks: Sequence[int] = DEFAULT_KS, *, split_label: str | None = None) -> MetricsReport:
     """Recall@k and MRR@k averaged over every (example, gold item) pair."""
-    if not examples:
+    if not len(examples):
         raise ValidationError("cannot evaluate an empty example set")
-    label = split_label if split_label is not None else (
-        examples[0].split.value if len({e.split for e in examples}) == 1 else "mixed"
-    )
-    return evaluate_contexts(model, model.contexts(examples), ks, label)
+    if split_label is None:
+        splits = np.unique(examples.splits)
+        split_label = SPLITS[splits[0]].value if len(splits) == 1 else "mixed"
+    return evaluate_contexts(model, model.contexts(examples), ks, split_label)
 
 
 @ad.no_grad()

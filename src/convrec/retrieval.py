@@ -11,15 +11,14 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .autodiff import Segments
-from .corpus import Conversation, Split
-from .errors import LeakageError, MissingArtifactError, ParseError, ValidationError
+from .corpus import Corpus, Split, require_split
+from .errors import MissingArtifactError, ParseError, ValidationError
 from .optim import atomic_write
 
 DEFAULT_K1 = 1.2
@@ -63,8 +62,8 @@ class Bm25Index:
     """BM25 statistics as term-major arrays.
 
     Documents ascend strictly by ``doc_ids``, so a document's index is its
-    tie-break rank. ``doc_entities`` keeps each document's distinct entities
-    in first-mention order; retrieval unions these to build the
+    tie-break rank. Group d of ``doc_entities`` holds document d's posting
+    terms in first-mention order; retrieval unions these to build the
     retrieved-entity list. Group i of ``docs`` holds the ascending indices of
     the documents that contain ``terms[i]``, and ``tfs`` their term
     frequencies, each at least 1; a term's df is its group size.
@@ -77,7 +76,7 @@ class Bm25Index:
     b: float
     doc_ids: list[str]
     doc_lens: np.ndarray                 # (D,) int64: tokens per document
-    doc_entities: list[tuple[int, ...]]
+    doc_entities: Segments               # D groups of entity ids
     terms: np.ndarray                    # (T,) int64, ascending
     docs: Segments                       # T groups of document indices
     tfs: np.ndarray                      # (P,) int64, aligned with docs.rows
@@ -104,7 +103,7 @@ class Bm25Index:
         no posting, and no weight divides by its zero ``avgdl``.
         """
         offsets = self.docs.offsets
-        df = offsets[1:] - offsets[:-1]
+        df = self.docs.sizes
         dfs, which = np.unique(df, return_inverse=True)  # one math.log per distinct df
         idf = np.array([_idf(self.n_docs, d) for d in dfs.tolist()], np.float64)[which].repeat(df)
         tf = self.tfs.astype(np.float64)
@@ -115,10 +114,6 @@ class Bm25Index:
         edges[1::2] += 1
         bounds = offsets.repeat(2)  # slot s spans [bounds[s], bounds[s + 1])
         return Postings(edges, bounds[:-1], bounds[1:] - bounds[:-1], weights)
-
-    def entities_of(self, docs: Iterable[int]) -> tuple[int, ...]:
-        """The documents' distinct entities, in document order, then mention order."""
-        return tuple(dict.fromkeys(chain.from_iterable(map(self.doc_entities.__getitem__, docs))))
 
 
 @dataclass(frozen=True)
@@ -134,35 +129,26 @@ class RetrievalResult:
     empty_query: bool = False
 
 
-def conversation_tokens(conv: Conversation) -> list[int]:
-    return [m.entity for utt in conv.utterances for m in utt.mentions]
+def build_index(train: Corpus, *, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
+    """Index training conversations; anything from another split is leakage.
 
-
-def build_index(train_conversations: Iterable[Conversation], *,
-                k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
-    """Index training conversations; anything from another split is leakage."""
-    ordered = sorted(train_conversations, key=lambda c: c.conversation_id)
-    if not ordered:
+    A document is a conversation, its tokens every entity it mentions.
+    """
+    if not len(train):
         raise ValidationError("cannot build a retrieval index over an empty corpus")
-    for conv in ordered:
-        if conv.split != Split.TRAIN:
-            raise LeakageError(
-                f"conversation {conv.conversation_id!r} is {conv.split.value}, not train"
-            )
-    doc_ids = [conv.conversation_id for conv in ordered]
-    if len(set(doc_ids)) < len(doc_ids):  # document order must be strict
-        raise ValidationError("a conversation_id repeats")
-    tokens = [conversation_tokens(conv) for conv in ordered]
-    n_docs = len(tokens)
-    doc_lens = np.fromiter(map(len, tokens), np.int64, n_docs)
-    terms, term_of = np.unique(np.fromiter(chain.from_iterable(tokens), np.int64, doc_lens.sum()),
-                               return_inverse=True)
+    require_split(train, Split.TRAIN)
+    doc_ids = list(train.conversation_ids)
+    if any(x >= y for x, y in zip(doc_ids, doc_ids[1:])):  # document order must be strict
+        raise ValidationError("conversation ids do not ascend: a conversation_id repeats or "
+                              "is out of order")
+    tokens = train.conversation_mentions
+    n_docs = len(doc_ids)
+    terms, term_of = np.unique(tokens.rows.astype(np.int64), return_inverse=True)
     # one (term, document) key per token, term-major; a key's count is its tf
-    keys, tfs = np.unique(term_of * n_docs + np.arange(n_docs).repeat(doc_lens),
-                          return_counts=True)
+    keys, tfs = np.unique(term_of * n_docs + tokens.group_of_rows(), return_counts=True)
     posting_term, rows = np.divmod(keys, n_docs)
     return Bm25Index(k1=k1, b=b, doc_ids=doc_ids,
-                     doc_lens=doc_lens, doc_entities=[tuple(dict.fromkeys(t)) for t in tokens],
+                     doc_lens=tokens.sizes.astype(np.int64), doc_entities=tokens.distinct(),
                      terms=terms,
                      docs=Segments(rows, posting_term.searchsorted(np.arange(len(terms) + 1))),
                      tfs=tfs.astype(np.int64))
@@ -177,7 +163,7 @@ def bm25_score(index: Bm25Index, query: Sequence[int], doc_id: str) -> float:
     if not held.size:  # no term to score; avgdl is 0 if every document is empty
         return 0.0
     term_idx = index.docs.group_of_rows()[held]
-    df = np.diff(index.docs.offsets)[term_idx]
+    df = index.docs.sizes[term_idx]
     tf_df = dict(zip(index.terms[term_idx].tolist(), zip(index.tfs[held].tolist(), df.tolist())))
     doc_len = int(index.doc_lens[doc_idx])
     length_norm = index.k1 * (1.0 - index.b + index.b * doc_len / index.avgdl)
@@ -268,10 +254,9 @@ def retrieve(index: Bm25Index, query: Sequence[int], n: int,
     """
     docs, scores, _ = retrieve_batch(index, Segments.of([query]), n,
                                      np.array([index.index_of.get(exclude_id, -1)]))
-    top = docs.tolist()
     return RetrievalResult(
-        ranked=tuple(zip(map(index.doc_ids.__getitem__, top), scores.tolist())),
-        entities=index.entities_of(top),
+        ranked=tuple(zip(map(index.doc_ids.__getitem__, docs.tolist()), scores.tolist())),
+        entities=tuple(dict.fromkeys(index.doc_entities.take(docs).rows.tolist())),
         empty_query=not len(query),
     )
 
@@ -304,8 +289,7 @@ def _posting_words(df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_index(index: Bm25Index, path: str | Path) -> None:
-    offsets = index.docs.offsets
-    df = offsets[1:] - offsets[:-1]
+    offsets, df = index.docs.offsets, index.docs.sizes
     _, at = _posting_words(df)
     words = np.empty(3 * len(df) + 2 * len(at), "<u4")
     heads = 3 * np.arange(len(df)) + 2 * offsets[:-1]
@@ -314,10 +298,12 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
     with atomic_write(path) as fh:
         fh.write(_MAGIC + struct.pack("<IddI", _VERSION, index.k1, index.b, index.n_docs))
         # struct refuses an entity outside u32 here; every term is some document's entity
-        for doc_id, length, ents in zip(index.doc_ids, index.doc_lens.tolist(), index.doc_entities):
+        ents, bounds = index.doc_entities.rows.tolist(), index.doc_entities.offsets.tolist()
+        for doc_id, length, lo, hi in zip(index.doc_ids, index.doc_lens.tolist(),
+                                          bounds, bounds[1:]):
             encoded = doc_id.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)) + encoded
-                     + struct.pack(f"<II{len(ents)}I", length, len(ents), *ents))
+                     + struct.pack(f"<II{hi - lo}I", length, hi - lo, *ents[lo:hi]))
         fh.write(struct.pack("<I", len(df)) + words.tobytes())
 
 
@@ -330,7 +316,8 @@ def load_index(path: str | Path) -> Bm25Index:
         raise ParseError(f"not a retrieval index: {path}")
     id_bytes: list[bytes] = []
     doc_lens: list[int] = []
-    doc_entities: list[tuple[int, ...]] = []
+    entities: list[int] = []
+    entity_counts: list[int] = []
     heads: list[tuple[int, int, int]] = []
     # a fixed-size field past the end fails in unpack_from; a count is checked
     # against the bytes left before anything it sizes is read
@@ -338,6 +325,10 @@ def load_index(path: str | Path) -> Bm25Index:
         version, k1, b, n_docs = struct.unpack_from("<IddI", raw, 4)
         if version != _VERSION:
             raise ParseError(f"unsupported index version {version}")
+        if not (math.isfinite(k1) and k1 >= 0.0):
+            raise ParseError(f"k1 must be finite and at least 0, got {k1!r}")
+        if not 0.0 <= b <= 1.0:
+            raise ParseError(f"b must be in [0, 1], got {b!r}")
         if n_docs == 0:
             raise ParseError("index contains no documents")
         pos = 28
@@ -348,7 +339,8 @@ def load_index(path: str | Path) -> Bm25Index:
             length, n_ents = struct.unpack_from("<II", raw, end)
             pos = _claimed(raw, end + 8, n_ents, 4, "entities")
             doc_lens.append(length)
-            doc_entities.append(struct.unpack_from(f"<{n_ents}I", raw, end + 8))
+            entity_counts.append(n_ents)
+            entities.extend(struct.unpack_from(f"<{n_ents}I", raw, end + 8))
         (n_terms,) = struct.unpack_from("<I", raw, pos)
         first = pos = pos + 4
         for _ in range(n_terms):
@@ -395,6 +387,21 @@ def load_index(path: str | Path) -> Bm25Index:
         i = bad[0]
         raise ParseError(f"document {doc_ids[i]!r} has length {lens[i]} but its "
                          f"postings' tf sum to {sums[i]}")
+    bounds = np.zeros(n_docs + 1, np.intp)
+    np.cumsum(entity_counts, out=bounds[1:])
+    doc_entities = Segments(entities, bounds)
+    # each document's entities, sorted, must equal its posting terms, sorted: the
+    # terms once each, as postings hold a (term, document) pair once
+    term = terms[group]
+    ent_doc = doc_entities.group_of_rows()
+    listed = doc_entities.rows[np.lexsort((doc_entities.rows, ent_doc))]
+    held = term[np.lexsort((term, rows))]
+    bad = np.bincount(rows, minlength=n_docs) != doc_entities.sizes
+    n = bounds[bad.argmax()] if bad.any() else len(listed)  # the rows before that line up
+    bad[ent_doc[:n][listed[:n] != held[:n]]] = True
+    if bad.any():
+        raise ParseError(f"document {doc_ids[bad.argmax()]!r} lists entities other than "
+                         f"its posting terms, each once")
     offsets = np.zeros(n_terms + 1, np.intp)
     np.cumsum(count, out=offsets[1:])
     return Bm25Index(k1=k1, b=b, doc_ids=doc_ids, doc_lens=lens, doc_entities=doc_entities,

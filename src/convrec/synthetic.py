@@ -16,19 +16,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import (
-    Conversation,
+    SENTIMENTS,
+    SPEAKERS,
+    SPLITS,
+    Corpus,
     EntityVocab,
-    Mention,
     Sentiment,
     Speaker,
     Split,
     Vocab,
     WordVocab,
-    build_conversations,
+    _build_corpus,
     default_stopwords,
     save_corpus,
     save_entity_vocab,
@@ -37,20 +40,31 @@ from .corpus import (
 from .graphs import TypedGraph, WordGraph, build_word_graph, save_kg, save_word_graph
 
 
+# The generators' authoring records. The package reads only ``SyntheticData.corpus``;
+# these stay for callers that count a corpus from its definition, as the bench does.
+SyntheticMention = NamedTuple("SyntheticMention", [("entity", int), ("sentiment", Sentiment)])
+SyntheticUtterance = NamedTuple("SyntheticUtterance", [
+    ("speaker", Speaker), ("text", str), ("mentions", tuple[SyntheticMention, ...])])
+SyntheticConversation = NamedTuple("SyntheticConversation", [
+    ("conversation_id", str), ("user_id", str), ("split", Split),
+    ("utterances", tuple[SyntheticUtterance, ...])])
+
+
 @dataclass
 class SyntheticData:
-    conversations: list[Conversation]
+    conversations: list[SyntheticConversation]  # in authoring order
+    corpus: Corpus
     vocab: Vocab
     kg: TypedGraph
     word_graph: WordGraph
 
 
-RawUtterance = tuple[Speaker, str, list[tuple[str, Sentiment]]]
+RawTurn = tuple[Speaker, str, list[tuple[str, Sentiment]]]
 
 
 def _assemble(
     entity_rows: list[tuple[str, str, bool]],
-    raw_conversations: list[tuple[str, str, Split, list[RawUtterance]]],
+    raw_conversations: list[tuple[str, str, Split, list[RawTurn]]],
     kg_triples: list[tuple[str, str, str]],
     word_edges: list[tuple[str, str]],
     *,
@@ -60,16 +74,19 @@ def _assemble(
     for token, name, is_item in entity_rows:
         entities.add(token, name, is_item)
 
-    records = []
-    for conv_id, user_id, split, utts in raw_conversations:
-        parsed = []
-        for speaker, text, mentions in utts:
-            resolved = tuple(Mention(entities.resolve(tok), s) for tok, s in mentions)
-            parsed.append((speaker, text, resolved, tokenize(text)))
-        records.append((conv_id, user_id, split, parsed))
-
+    conversations = [
+        SyntheticConversation(conv_id, user_id, split, tuple(
+            SyntheticUtterance(speaker, text, tuple(
+                SyntheticMention(entities.resolve(tok), s) for tok, s in mentions))
+            for speaker, text, mentions in utts))
+        for conv_id, user_id, split, utts in raw_conversations
+    ]
     words = WordVocab()
-    conversations = build_conversations(records, default_stopwords(), words)
+    corpus = _build_corpus([
+        (c.conversation_id, c.user_id, SPLITS.index(c.split),
+         [(SPEAKERS.index(u.speaker), u.text, tokenize(u.text), [m.entity for m in u.mentions],
+           [SENTIMENTS.index(m.sentiment) for m in u.mentions]) for u in c.utterances])
+        for c in conversations], default_stopwords(), words)
 
     relations = sorted({rel for _, rel, _ in kg_triples})
     rel_index = {r: i for i, r in enumerate(relations)}
@@ -85,6 +102,7 @@ def _assemble(
     word_graph = build_word_graph(pairs)
     return SyntheticData(
         conversations=conversations,
+        corpus=corpus,
         vocab=Vocab(entities=entities, words=words),
         kg=kg,
         word_graph=word_graph,
@@ -101,7 +119,7 @@ def write_inputs(data: SyntheticData, directory: str | Path) -> dict[str, Path]:
         "kg": directory / "kg.tsv",
         "word_graph": directory / "word_graph.tsv",
     }
-    save_corpus(data.conversations, data.vocab.entities, paths["corpus"])
+    save_corpus(data.corpus, data.vocab.entities, paths["corpus"])
     save_entity_vocab(data.vocab.entities, paths["entities"])
     save_kg(data.kg, data.vocab.entities, paths["kg"])
     save_word_graph(data.word_graph, data.vocab.words, paths["word_graph"])
@@ -245,7 +263,7 @@ def popularity_corpus(
 
     weights = np.where(np.arange(n_items) < n_popular, boost, 1.0)
     gold_weights = np.where(np.arange(n_items) < n_popular, gold_boost, 1.0)
-    raw: list[tuple[str, str, Split, list[RawUtterance]]] = []
+    raw: list[tuple[str, str, Split, list[RawTurn]]] = []
     for idx in range(n_conversations):
         split = _split_for(idx, n_conversations)
         user = f"u{int(rng.integers(0, n_users))}"
@@ -300,7 +318,7 @@ def cluster_corpus(
     item_cluster = np.minimum(np.arange(n_items) // per_cluster, n_clusters - 1)
     kg_triples = [(_item_token(i), "genre", f"G{i % n_clusters}") for i in range(n_items)]
 
-    raw: list[tuple[str, str, Split, list[RawUtterance]]] = []
+    raw: list[tuple[str, str, Split, list[RawTurn]]] = []
     for idx in range(n_conversations):
         split = _split_for(idx, n_conversations)
         user_num = int(rng.integers(0, n_users))

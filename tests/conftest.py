@@ -16,7 +16,7 @@ def toy_data():
 
 @pytest.fixture(scope="session")
 def toy_artifacts(toy_data):
-    return build_artifacts(toy_data.conversations, toy_data.vocab,
+    return build_artifacts(toy_data.corpus, toy_data.vocab,
                            toy_data.kg, toy_data.word_graph)
 
 

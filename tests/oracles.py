@@ -3,8 +3,10 @@
 Everything here is written straight-line from the defining formulas, on
 purpose without reusing any package code, so that agreement between the two
 routes is meaningful. The file-format references at the end are the
-exception: they build the package's own records, graphs and errors, but
-parse one line and one field at a time, each check its own step.
+exception: they build the package's own graphs and errors, but parse one
+line and one field at a time, each check its own step, into the per-record
+objects below; ``corpus_of`` and ``corpus_records`` convert between those
+and the package's columnar records.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import math
 import re
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 from scipy import sparse as sp
@@ -397,9 +400,152 @@ def _keyword_sentiment_reference(tokens, lexicon):
     return Sentiment.NEUTRAL
 
 
+# ---------------------------------------------------------------------------
+# one object per corpus record, and one per example
+
+
+class Mention(NamedTuple):
+    entity: int
+    sentiment: Any  # a convrec.corpus.Sentiment
+
+
+class Utterance(NamedTuple):
+    speaker: Any  # a convrec.corpus.Speaker
+    text: str
+    mentions: tuple[Mention, ...]
+    content_words: tuple[int, ...]
+
+
+class Conversation(NamedTuple):
+    conversation_id: str
+    user_id: str
+    split: Any  # a convrec.corpus.Split
+    utterances: tuple[Utterance, ...]
+
+
+class RecExample(NamedTuple):
+    """One recommendation instance: a recommender turn introducing new items.
+
+    ``context_entities`` holds every entity mentioned strictly before
+    ``turn_index``, deduplicated in first-mention order. ``context_words``
+    keeps the full word sequence of those turns, duplicates included.
+    """
+
+    conversation_id: str
+    user_id: str
+    split: Any
+    turn_index: int
+    context_entities: tuple[int, ...]
+    context_words: tuple[int, ...]
+    gold_items: frozenset[int]
+
+
+def corpus_of(conversations):
+    """The package's Corpus of these Conversation objects, sorted by conversation_id."""
+    from convrec.autodiff import Segments
+    from convrec.corpus import SENTIMENTS, SPEAKERS, SPLITS, Corpus
+
+    convs = sorted(conversations, key=lambda c: c.conversation_id)
+    utts = [u for c in convs for u in c.utterances]
+    return Corpus(
+        [c.conversation_id for c in convs], [c.user_id for c in convs],
+        np.array([SPLITS.index(c.split) for c in convs], np.int8),
+        Segments(np.arange(len(utts)), np.cumsum([0] + [len(c.utterances) for c in convs])),
+        np.array([SPEAKERS.index(u.speaker) for u in utts], np.int8), [u.text for u in utts],
+        Segments.of([[m.entity for m in u.mentions] for u in utts]),
+        np.array([SENTIMENTS.index(m.sentiment) for u in utts for m in u.mentions], np.int8),
+        Segments.of([u.content_words for u in utts]))
+
+
+def corpus_records(corpus):
+    """The Conversation objects of a package Corpus, in its order."""
+    from convrec.corpus import SENTIMENTS, SPEAKERS, SPLITS
+
+    def group(segments, i):
+        return segments.rows[segments.offsets[i]:segments.offsets[i + 1]].tolist()
+
+    out = []
+    for c, conv_id in enumerate(corpus.conversation_ids):
+        utts = []
+        for u in group(corpus.utterances, c):
+            lo = corpus.mentions.offsets[u]
+            mentions = tuple(Mention(e, SENTIMENTS[corpus.sentiments[lo + k]])
+                             for k, e in enumerate(group(corpus.mentions, u)))
+            utts.append(Utterance(SPEAKERS[corpus.speakers[u]], corpus.texts[u], mentions,
+                                  tuple(group(corpus.words, u))))
+        out.append(Conversation(conv_id, corpus.user_ids[c], SPLITS[corpus.splits[c]],
+                                tuple(utts)))
+    return out
+
+
+def examples_of(records, corpus):
+    """The package's Examples of these RecExample objects; a conversation id the
+    corpus lacks becomes conversation -1."""
+    from convrec.autodiff import Segments
+    from convrec.corpus import SPLITS, Examples
+
+    ids = corpus.conversation_ids
+    return Examples(
+        np.array([ids.index(r.conversation_id) if r.conversation_id in ids else -1
+                  for r in records], np.intp),
+        np.array([r.turn_index for r in records], np.intp),
+        np.array([SPLITS.index(r.split) for r in records], np.int8),
+        Segments.of([r.context_entities for r in records]),
+        Segments.of([r.context_words for r in records]),
+        Segments.of([sorted(r.gold_items) for r in records]))
+
+
+def example_records(examples, corpus):
+    """The RecExample objects of a package Examples record over ``corpus``, in its order."""
+    from convrec.corpus import SPLITS
+
+    def group(segments, i):
+        return tuple(segments.rows[segments.offsets[i]:segments.offsets[i + 1]].tolist())
+
+    return [RecExample(corpus.conversation_ids[c], corpus.user_ids[c], SPLITS[split], turn,
+                       group(examples.entities, n), group(examples.words, n),
+                       frozenset(group(examples.gold, n)))
+            for n, (c, turn, split) in enumerate(zip(examples.conversations.tolist(),
+                                                     examples.turns.tolist(),
+                                                     examples.splits.tolist()))]
+
+
+def derive_examples_reference(conversations, entities):
+    """One RecExample per recommender turn that introduces at least one new item."""
+    from convrec.corpus import Speaker
+
+    examples: list[RecExample] = []
+    for conv in conversations:
+        seen: set[int] = set()
+        context_entities: list[int] = []
+        context_words: list[int] = []
+        for turn_index, utt in enumerate(conv.utterances):
+            if utt.speaker == Speaker.RECOMMENDER:
+                gold: list[int] = []
+                for m in utt.mentions:
+                    if entities.is_item[m.entity] and m.entity not in seen and m.entity not in gold:
+                        gold.append(m.entity)
+                if gold:
+                    examples.append(RecExample(
+                        conversation_id=conv.conversation_id,
+                        user_id=conv.user_id,
+                        split=conv.split,
+                        turn_index=turn_index,
+                        context_entities=tuple(context_entities),
+                        context_words=tuple(context_words),
+                        gold_items=frozenset(gold),
+                    ))
+            for m in utt.mentions:
+                if m.entity not in seen:
+                    seen.add(m.entity)
+                    context_entities.append(m.entity)
+            context_words.extend(utt.content_words)
+    return examples
+
+
 def parse_record_reference(raw: str, lineno: int, entities, lexicon):
     """One corpus line: every key set, enum and type checked field by field."""
-    from convrec.corpus import Mention, Sentiment, Speaker, Split
+    from convrec.corpus import Sentiment, Speaker, Split
     from convrec.errors import ParseError
 
     try:
@@ -468,7 +614,7 @@ def parse_record_reference(raw: str, lineno: int, entities, lexicon):
 
 def load_corpus_reference(path, entities, *, stopwords, lexicon=None):
     """(conversations sorted by id, word list): ``register`` called on every kept token."""
-    from convrec.corpus import Conversation, Utterance, WordVocab
+    from convrec.corpus import WordVocab
     from convrec.errors import MissingArtifactError, ValidationError
 
     path = Path(path)

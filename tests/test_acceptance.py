@@ -15,7 +15,7 @@ import numpy as np
 from scipy import stats
 
 from convrec import autodiff as ad
-from convrec.corpus import RecExample, Sentiment, Speaker, Split
+from convrec.corpus import Sentiment, Speaker, Split, split_view
 from convrec.encoders import (
     gcn_forward,
     init_gcn_params,
@@ -38,12 +38,20 @@ from convrec.recommender import (
     score_all,
     train,
 )
-from convrec.retrieval import bm25_score, build_index, retrieve
+from convrec.retrieval import bm25_score, retrieve
 from convrec.synthetic import cluster_corpus, popularity_corpus, toy_instance
 
 from conftest import masked_positions, sample_coords
-from oracles import bm25_reference, brute_force_metrics, dense_gcn, dense_rgcn
-from test_retrieval import doc_conv
+from oracles import (
+    RecExample,
+    bm25_reference,
+    brute_force_metrics,
+    dense_gcn,
+    dense_rgcn,
+    example_records,
+    examples_of,
+)
+from test_retrieval import build_index, doc_conv
 
 RESULTS: list[str] = []
 
@@ -56,14 +64,14 @@ def verdict(n: int, passed: bool, detail: str) -> None:
 
 
 def artifacts_of(data):
-    return build_artifacts(data.conversations, data.vocab, data.kg, data.word_graph)
+    return build_artifacts(data.corpus, data.vocab, data.kg, data.word_graph)
 
 
 def test_criterion_1_gradient_correctness():
     start = time.monotonic()
     artifacts = artifacts_of(toy_instance())
     model = Model(artifacts, TrainConfig(dim=8, seed=0))
-    contexts = model.contexts(e for e in artifacts.examples if e.split == Split.TRAIN)
+    contexts = model.contexts(split_view(artifacts.examples, Split.TRAIN))
 
     def objective(_):
         item_matrix, word_matrix = model.encoder_outputs()
@@ -229,7 +237,7 @@ def test_criterion_7_determinism():
     data = popularity_corpus(seed=7, n_users=20, n_items=15, n_conversations=120)
     artifacts = artifacts_of(data)
     config = TrainConfig(dim=8, epochs=2, batch_size=32, seed=7)
-    test_examples = [e for e in artifacts.examples if e.split == Split.TEST]
+    test_examples = split_view(artifacts.examples, Split.TEST)
 
     reports = []
     for _ in range(2):
@@ -245,7 +253,7 @@ def test_criterion_8_degenerate_pipeline_totality():
     data = popularity_corpus(seed=8, n_users=12, n_items=10, n_conversations=60)
     artifacts = artifacts_of(data)
     base = TrainConfig(dim=8, epochs=1, batch_size=32, seed=8)
-    test_examples = [e for e in artifacts.examples if e.split == Split.TEST]
+    test_examples = split_view(artifacts.examples, Split.TEST)
 
     ok = True
     notes = []
@@ -269,28 +277,29 @@ def test_criterion_8_degenerate_pipeline_totality():
     cold = RecExample(conversation_id="(cold)", user_id="(cold)", split=Split.TEST,
                       turn_index=0, context_entities=(), context_words=(),
                       gold_items=gold)
-    mentioned = set().union(*(set(index_doc) for index_doc in
-                              (d for d in artifacts.index.doc_entities)))
+    mentioned = set(artifacts.index.doc_entities.rows.tolist())
     unmentioned = [e for e in range(len(artifacts.vocab.entities)) if e not in mentioned]
     probes = [cold]
     if unmentioned:
-        probes.append(replace(cold, conversation_id="(empty-retrieval)",
-                              context_entities=(unmentioned[0],)))
+        probes.append(cold._replace(conversation_id="(empty-retrieval)",
+                                    context_entities=(unmentioned[0],)))
     for ex in probes:
-        probs = score_all(model.users(model.contexts([ex]), item_matrix, word_matrix).vector,
+        compiled = model.contexts(examples_of([ex], artifacts.corpus))
+        probs = score_all(model.users(compiled, item_matrix, word_matrix).vector,
                           item_rows, Segments.of([masked_positions(artifacts.item_ids, ex)]))
         if not np.isfinite(probs.values).all():
             ok = False
             notes.append(f"non-finite probabilities for {ex.conversation_id}")
         worst_sum_err = max(worst_sum_err, abs(float(probs.values.sum()) - 1.0))
-    report = evaluate(model, probes, [1, 5])
+    report = evaluate(model, examples_of(probes, artifacts.corpus), [1, 5])
     if not np.isfinite(list(report.recall.values())).all():
         ok = False
         notes.append("cold-start evaluation produced non-finite metrics")
 
     # masked scoring still sums to 1
-    ex = next(e for e in test_examples if e.context_entities)
-    probs = score_all(model.users(model.contexts([ex]), item_matrix, word_matrix).vector,
+    ex = next(e for e in example_records(test_examples, artifacts.corpus) if e.context_entities)
+    compiled = model.contexts(examples_of([ex], artifacts.corpus))
+    probs = score_all(model.users(compiled, item_matrix, word_matrix).vector,
                       item_rows, Segments.of([masked_positions(artifacts.item_ids, ex)]))
     worst_sum_err = max(worst_sum_err, abs(float(probs.values.sum()) - 1.0))
 

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import math
+import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,16 +12,17 @@ import pytest
 from click.testing import CliRunner
 
 import convrec.optim
+import convrec.recommender
 from convrec import autodiff as ad
 from convrec import cli
-from convrec.corpus import RecExample, Split
+from convrec.corpus import Examples, Split, split_view
 from convrec.errors import NumericError
 from convrec.recommender import Model, TrainConfig, evaluate, rank_order, score_all
-from convrec.retrieval import conversation_tokens, retrieve
+from convrec.retrieval import retrieve
 from convrec.synthetic import popularity_corpus, toy_instance, write_inputs
 
 from conftest import masked_positions, reference_users
-from oracles import masked_softmax_scores
+from oracles import RecExample, corpus_records, masked_softmax_scores
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +271,7 @@ def test_eval_matches_module_evaluate(runner, pop_bundle, trained_run):
                           "--split", "valid", "--k", "1,5"])
     assert result.exit_code == 0
     model = cli.load_model(str(pop_bundle), str(trained_run / "model.ckpt"))
-    examples = [e for e in model.artifacts.examples if e.split.value == "valid"]
+    examples = split_view(model.artifacts.examples, "valid")
     report = evaluate(model, examples, [1, 5], split_label="valid")
     assert result.output == report.to_text()
 
@@ -489,8 +493,9 @@ def test_retrieve_matches_module(runner, toy_bundle):
                           "--conversation", "c2", "--n", "3"])
     assert result.exit_code == 0
     artifacts = cli.load_bundle(toy_bundle)
-    conv = next(c for c in artifacts.conversations if c.conversation_id == "c2")
-    expected = retrieve(artifacts.index, conversation_tokens(conv), 3, exclude_id="c2")
+    conv = next(c for c in corpus_records(artifacts.corpus) if c.conversation_id == "c2")
+    query = [m.entity for u in conv.utterances for m in u.mentions]
+    expected = retrieve(artifacts.index, query, 3, exclude_id="c2")
     lines = result.output.strip().split("\n")
     assert lines[-1].startswith("entities=")
     got_ranked = [tuple(line.split("\t")) for line in lines[:-1]]
@@ -505,6 +510,52 @@ def test_retrieve_unknown_conversation_exits_2(runner, toy_bundle):
                                       "--conversation", "zzz"])
     assert result.exit_code == 2
     assert "unknown conversation" in result.stderr
+
+
+@pytest.mark.parametrize("k1, b, message", [
+    (math.inf, 0.75, "k1 must be finite"), (math.nan, 0.75, "k1 must be finite"),
+    (-1.0, 0.75, "k1 must be finite"), (1.2, 1.5, r"b must be in \[0, 1\]"),
+], ids=["k1=inf", "k1=nan", "k1=-1", "b=1.5"])
+def test_eval_index_with_k1_or_b_out_of_range_exits_2(runner, toy_bundle, toy_checkpoint,
+                                                      tmp_path, k1, b, message):
+    raw = (toy_bundle / "bm25.idx").read_bytes()
+    index = tmp_path / "bm25.idx"
+    index.write_bytes(raw[:8] + struct.pack("<dd", k1, b) + raw[24:])  # f64 k1, f64 b
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle), "--checkpoint",
+                                      str(toy_checkpoint), "--index-path", str(index),
+                                      "--split", "train"])
+    assert result.exit_code == 2
+    assert re.search(message, result.stderr)
+
+
+def test_eval_index_whose_document_lists_a_foreign_entity_exits_2(runner, toy_bundle,
+                                                                  toy_checkpoint, tmp_path):
+    # c0 lists (A0, I0, I1); its first entity's u32 follows the 28-byte header, the
+    # id's length and bytes, and its length and entity count
+    raw = (toy_bundle / "bm25.idx").read_bytes()
+    at = 28 + 2 + 2 + 8
+    assert struct.unpack_from("<3I", raw, at) == (6, 0, 1)
+    index = tmp_path / "bm25.idx"
+    index.write_bytes(raw[:at] + struct.pack("<I", 7) + raw[at + 4:])
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle), "--checkpoint",
+                                      str(toy_checkpoint), "--index-path", str(index),
+                                      "--split", "train"])
+    assert result.exit_code == 2
+    assert "'c0' lists entities other than its posting terms" in result.stderr
+
+
+def test_retrieve_and_recommend_derive_no_examples(runner, toy_bundle, toy_checkpoint,
+                                                    monkeypatch):
+    def derive_examples(*args):
+        raise AssertionError("examples derived")
+
+    monkeypatch.setattr(convrec.recommender, "derive_examples", derive_examples)
+    result = run(runner, ["retrieve", "--bundle", str(toy_bundle), "--conversation", "c2"])
+    assert result.exit_code == 0, result.output
+    result = run(runner, ["recommend", "--bundle", str(toy_bundle),
+                          "--checkpoint", str(toy_checkpoint)], input="I0\n")
+    assert result.exit_code == 0, result.output
+    assert not result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +649,7 @@ def test_recommend_session_records_no_tape_and_prints_the_recording_route(
     expected = ""
     for tokens, (_, _, free) in zip(turns, scored):
         context += [entities.resolve(t) for t in tokens]
-        example = RecExample(
-            conversation_id="(stdin)", user_id="(stdin)", split=Split.TEST,
-            turn_index=len(context), context_entities=tuple(context),
-            context_words=(), gold_items=frozenset(),
-        )
-        contexts = model.contexts([example])
+        contexts = model.contexts(Examples.query(context))
         probs = score_all(model.users(contexts, item_matrix, word_matrix).vector,
                           item_rows, contexts.masked)
         assert probs._backward_fn is not None

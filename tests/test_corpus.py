@@ -1,14 +1,15 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from convrec.corpus import (
-    Conversation,
     EntityVocab,
     Sentiment,
     Speaker,
     Split,
-    Utterance,
     corpus_stats,
     default_stopwords,
     derive_examples,
@@ -21,7 +22,21 @@ from convrec.corpus import (
     split_view,
     tokenize,
 )
-from convrec.errors import MissingArtifactError, ParseError, ValidationError
+from convrec.errors import MissingArtifactError, ParseError, ShapeError, ValidationError
+
+from convrec.synthetic import cluster_corpus, popularity_corpus, toy_instance
+
+from oracles import (
+    Conversation,
+    Mention,
+    Utterance,
+    corpus_of,
+    corpus_records,
+    derive_examples_reference,
+    example_records,
+    examples_of,
+    load_corpus_reference,
+)
 
 
 def entity_file(tmp_path, rows):
@@ -148,12 +163,12 @@ def test_load_corpus_happy_path(tmp_path, vocab):
             utterance("seeker", "hello", []),
         ]),
     ])
-    conversations, built = load_corpus(path, vocab)
+    corpus, built = load_corpus(path, vocab)
     # sorted by conversation_id regardless of file order
-    assert [c.conversation_id for c in conversations] == ["c0", "c1"]
+    assert corpus.conversation_ids == ["c0", "c1"]
+    conversations = corpus_records(corpus)
     c1 = conversations[1]
     assert c1.split == Split.TRAIN
-    assert c1.utterances[0].mentions[0] == pytest.approx(c1.utterances[0].mentions[0])
     assert c1.utterances[0].mentions[0].entity == 0
     assert c1.utterances[0].mentions[0].sentiment == Sentiment.LIKE
     # stopworded content words: "i" dropped, "love space movies" kept
@@ -233,8 +248,8 @@ def test_null_sentiment_derived_from_keywords(tmp_path, vocab):
             utterance("seeker", "love and hate equally", [("I2", None)]),
         ]),
     ])
-    conversations, _ = load_corpus(path, vocab, lexicon=lex)
-    utts = conversations[0].utterances
+    corpus, _ = load_corpus(path, vocab, lexicon=lex)
+    utts = corpus_records(corpus)[0].utterances
     assert utts[0].mentions[0].sentiment == Sentiment.LIKE      # 2 like vs 1 dislike
     assert utts[1].mentions[0].sentiment == Sentiment.DISLIKE   # 2 dislike vs 1 like
     assert utts[2].mentions[0].sentiment == Sentiment.NEUTRAL   # tie
@@ -247,8 +262,8 @@ def test_explicit_sentiment_wins_over_lexicon(tmp_path, vocab):
             utterance("seeker", "i love this", [("I0", "dislike")]),
         ]),
     ])
-    conversations, _ = load_corpus(path, vocab, lexicon=lex)
-    assert conversations[0].utterances[0].mentions[0].sentiment == Sentiment.DISLIKE
+    corpus, _ = load_corpus(path, vocab, lexicon=lex)
+    assert corpus_records(corpus)[0].utterances[0].mentions[0].sentiment == Sentiment.DISLIKE
 
 
 def test_save_corpus_round_trip_is_stable(tmp_path, vocab):
@@ -261,14 +276,14 @@ def test_save_corpus_round_trip_is_stable(tmp_path, vocab):
             utterance("recommender", "try GAMMA", [("I2", "like")]),
         ]),
     ])
-    conversations, _ = load_corpus(path, vocab, lexicon=lex)
+    corpus, _ = load_corpus(path, vocab, lexicon=lex)
     out1 = tmp_path / "normalized.jsonl"
-    save_corpus(conversations, vocab, out1)
+    save_corpus(corpus, vocab, out1)
     # reload without the lexicon: sentiments are now explicit
-    conversations2, _ = load_corpus(out1, vocab)
-    assert conversations2 == conversations
+    corpus2, _ = load_corpus(out1, vocab)
+    assert corpus_records(corpus2) == corpus_records(corpus)
     out2 = tmp_path / "normalized2.jsonl"
-    save_corpus(conversations2, vocab, out2)
+    save_corpus(corpus2, vocab, out2)
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -285,6 +300,12 @@ def conv(cid, uid, split, turns):
     return Conversation(conversation_id=cid, user_id=uid, split=split, utterances=utts)
 
 
+def derive(conversations, vocab):
+    """derive_examples over these conversations, one object per example."""
+    corpus = corpus_of(conversations)
+    return example_records(derive_examples(corpus, vocab), corpus)
+
+
 def make_vocab(n_items, n_attrs):
     v = EntityVocab()
     for i in range(n_items):
@@ -295,7 +316,6 @@ def make_vocab(n_items, n_attrs):
 
 
 def M(entity, sentiment=Sentiment.LIKE):
-    from convrec.corpus import Mention
     return Mention(entity=entity, sentiment=sentiment)
 
 
@@ -308,7 +328,7 @@ def test_derive_examples_contract():
         (Speaker.SEEKER, [M(1, Sentiment.DISLIKE)], [8, 8]),
         (Speaker.RECOMMENDER, [M(2), M(3)], []),
     ])
-    examples = derive_examples([c], v)
+    examples = derive([c], v)
     assert len(examples) == 2
 
     first, second = examples
@@ -335,7 +355,7 @@ def test_derive_examples_skips_turns_without_new_items():
         (Speaker.RECOMMENDER, [M(2, Sentiment.NEUTRAL)], []),  # attribute only
         (Speaker.RECOMMENDER, [M(1)], []),
     ])
-    examples = derive_examples([c], v)
+    examples = derive([c], v)
     assert len(examples) == 1
     assert examples[0].turn_index == 3
     assert examples[0].gold_items == frozenset({1})
@@ -346,22 +366,28 @@ def test_derive_examples_seeker_items_are_not_gold():
     c = conv("c", "u", Split.TRAIN, [
         (Speaker.SEEKER, [M(0), M(1)], []),
     ])
-    assert derive_examples([c], v) == []
+    assert derive([c], v) == []
 
 
 def test_split_view_filters_and_validates(toy_artifacts):
     examples = toy_artifacts.examples
     train = split_view(examples, "train")
-    assert train and all(e.split == Split.TRAIN for e in train)
-    assert split_view(examples, Split.TEST) == []
+    assert len(train) == len(examples) and (train.splits == 0).all()
+    assert len(split_view(examples, Split.TEST)) == 0
     with pytest.raises(ValueError, match="unknown split"):
         split_view(examples, "dev")
+    for bad in (-1, len(examples)):
+        with pytest.raises(ShapeError, match="out of range"):
+            examples.take([0, bad])
+    corpus = toy_artifacts.corpus
+    assert split_view(corpus, "train").conversation_ids == corpus.conversation_ids
+    assert len(split_view(corpus, "valid")) == 0
 
 
 def test_corpus_stats_counting_oracle(toy_data):
     # manual count over the toy corpus: 3 users, 4 conversations,
     # 12 utterances, 6 distinct items mentioned
-    stats = corpus_stats(toy_data.conversations, toy_data.vocab.entities)
+    stats = corpus_stats(toy_data.corpus, toy_data.vocab.entities)
     users = len({c.user_id for c in toy_data.conversations})
     utts = sum(len(c.utterances) for c in toy_data.conversations)
     assert stats == {"users": users, "conversations": len(toy_data.conversations),
@@ -369,3 +395,93 @@ def test_corpus_stats_counting_oracle(toy_data):
     assert stats["users"] == 3
     assert stats["conversations"] == 4
     assert stats["utterances"] == 12
+
+
+# ---------------------------------------------------------------------------
+# derive_examples against the per-record reference
+
+
+def assert_same_examples(got, want):
+    """Every field of two Examples records equal, with its dtype."""
+    for name in ("conversations", "turns", "splits"):
+        got_field, want_field = getattr(got, name), getattr(want, name)
+        assert got_field.dtype == want_field.dtype, name
+        np.testing.assert_array_equal(got_field, want_field)
+    for name in ("entities", "words", "gold"):
+        for part in ("rows", "offsets"):
+            got_part = getattr(getattr(got, name), part)
+            assert got_part.dtype == np.intp, (name, part)
+            np.testing.assert_array_equal(got_part, getattr(getattr(want, name), part))
+
+
+def assert_derives_as_reference(corpus, conversations, entities):
+    """derive_examples of ``corpus`` equals the reference's over ``conversations``,
+    the same corpus as per-record objects."""
+    want = derive_examples_reference(conversations, entities)
+    got = derive_examples(corpus, entities)
+    assert_same_examples(got, examples_of(want, corpus))
+    assert example_records(got, corpus) == want
+    return want
+
+
+@pytest.mark.parametrize("make", [
+    toy_instance,
+    lambda: popularity_corpus(4, n_users=20, n_items=12, n_conversations=120),
+    lambda: cluster_corpus(4, n_users=20, n_items=16, n_conversations=120, n_clusters=4),
+], ids=["toy", "popularity", "cluster"])
+def test_derive_examples_equals_the_reference_on_generated_corpora(make):
+    data = make()
+    want = assert_derives_as_reference(data.corpus, corpus_records(data.corpus),
+                                       data.vocab.entities)
+    assert want
+
+
+DERIVE_ENTITIES = [("I0", "alpha", 1), ("I1", "beta", 1), ("I2", "gamma", 1),
+                   ("A0", "space", 0), ("A1", "noir", 0)]
+# the last two texts are stopwords only, or no words at all
+DERIVE_TEXTS = ["space opera alpha", "gritty noir again", "alpha beta gamma", "the of and", ""]
+derive_mention = st.tuples(st.sampled_from(["I0", "I1", "I2", "I0", "A0", "A1"]),
+                           st.sampled_from(["like", "dislike", "neutral"]))
+derive_turn = st.tuples(st.sampled_from(["seeker", "recommender", "recommender"]),
+                        st.sampled_from(DERIVE_TEXTS), st.lists(derive_mention, max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(["train", "valid", "test"]),
+                          st.lists(derive_turn, min_size=1, max_size=5)),
+                min_size=1, max_size=4),
+       st.permutations(range(4)))
+def test_derive_examples_equals_the_reference_on_loaded_corpora(tmp_path, convs, order):
+    # repeated mentions in a turn, attribute mentions, recommender turns that add no
+    # item and stopword-only texts are all common draws here
+    path = corpus_file(tmp_path, [
+        record(f"c{order[k]}", "u", split, [utterance(*turn) for turn in turns])
+        for k, (split, turns) in enumerate(convs)])
+    entities = load_entity_vocab(entity_file(tmp_path, DERIVE_ENTITIES))
+    stopwords = default_stopwords()
+    corpus, vocab = load_corpus(path, entities, stopwords=stopwords)
+    conversations, words = load_corpus_reference(path, entities, stopwords=stopwords)
+    assert vocab.words.words == words
+    assert_derives_as_reference(corpus, conversations, entities)
+
+
+def test_derive_examples_reference_cases():
+    # each case the hypothesis test draws, pinned: a repeated new item and an attribute
+    # in a recommender turn, a recommender turn with no new item, stopword-only words
+    v = make_vocab(3, 1)
+    convs = [
+        conv("a", "u", Split.TRAIN, [
+            (Speaker.SEEKER, [M(3)], []),
+            (Speaker.RECOMMENDER, [M(0), M(0), M(3), M(1)], []),
+            (Speaker.RECOMMENDER, [M(1), M(3)], [5]),
+            (Speaker.RECOMMENDER, [M(2), M(0)], []),
+        ]),
+        conv("b", "u", Split.TEST, [(Speaker.RECOMMENDER, [M(2), M(2)], [])]),
+    ]
+    corpus = corpus_of(convs)
+    want = assert_derives_as_reference(corpus, convs, v)
+    assert [(e.conversation_id, e.turn_index, e.context_entities, sorted(e.gold_items))
+            for e in want] == [("a", 1, (3,), [0, 1]), ("a", 3, (3, 0, 1), [2]),
+                               ("b", 0, (), [2])]
+    assert_derives_as_reference(corpus_of([]), [], v)

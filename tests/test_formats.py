@@ -25,6 +25,7 @@ from convrec.graphs import load_interaction_graph, load_item_kg, load_word_graph
 from convrec.synthetic import popularity_corpus, write_inputs
 
 from oracles import (
+    corpus_records,
     load_corpus_reference,
     load_entity_vocab_reference,
     load_interaction_graph_reference,
@@ -45,8 +46,8 @@ def outcome(view, load, *args, **kwargs):
 
 
 def corpus_view(result):
-    conversations, vocab = result
-    return conversations, vocab.words.words
+    corpus, vocab = result
+    return corpus_records(corpus), vocab.words.words
 
 
 def kg_view(graph):
@@ -100,10 +101,10 @@ def test_loaders_equal_the_line_by_line_references(tmp_path, seed, with_lexicon)
     entities = load_entity_vocab(paths["entities"])
     assert vocab_view(entities) == vocab_view(load_entity_vocab_reference(paths["entities"]))
 
-    conversations, vocab = load_corpus(paths["corpus"], entities, stopwords=stopwords,
-                                       lexicon=lexicon)
+    corpus, vocab = load_corpus(paths["corpus"], entities, stopwords=stopwords, lexicon=lexicon)
     want, want_words = load_corpus_reference(paths["corpus"], entities, stopwords=stopwords,
                                              lexicon=lexicon)
+    conversations = corpus_records(corpus)
     assert conversations == want
     assert vocab.words.words == want_words
     if with_lexicon:
@@ -126,15 +127,6 @@ def test_loaders_equal_the_line_by_line_references(tmp_path, seed, with_lexicon)
     assert interaction_view(got) == interaction_view(
         load_interaction_graph_reference(interaction, entities))
     assert len(got.edges) > 0
-
-
-def test_mentions_are_shared_within_one_load(tmp_path):
-    data = popularity_corpus(1, n_users=10, n_items=12, n_conversations=60)
-    paths = write_inputs(data, tmp_path)
-    entities = load_entity_vocab(paths["entities"])
-    conversations, _ = load_corpus(paths["corpus"], entities)
-    mentions = [m for c in conversations for u in c.utterances for m in u.mentions]
-    assert len({id(m) for m in mentions}) == len(set(mentions))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convrec.corpus import Conversation, EntityVocab, Mention, Sentiment, Speaker, Split, Utterance, WordVocab
+from convrec.corpus import EntityVocab, Sentiment, Speaker, Split, WordVocab
 from convrec.errors import LeakageError, MissingArtifactError, ParseError, ValidationError
 from convrec.graphs import (
     INTERACTION_RELATIONS,
@@ -23,7 +23,14 @@ from convrec.graphs import (
     save_word_graph,
 )
 
-from oracles import neighbor_lists, normalized_adjacency_reference
+from oracles import (
+    Conversation,
+    Mention,
+    Utterance,
+    corpus_of,
+    neighbor_lists,
+    normalized_adjacency_reference,
+)
 
 
 def make_entities(n_items=4, n_attrs=2):
@@ -311,7 +318,7 @@ def test_build_interaction_graph_from_conversations():
                                         (2, Sentiment.NEUTRAL)]),  # dup + neutral ignored
         conv("c2", "carol", Split.TRAIN, []),                      # isolated user
     ]
-    g = build_interaction_graph(convs, entities)
+    g = build_interaction_graph(corpus_of(convs), entities)
     assert g.users == ["alice", "bob", "carol"]
     assert g.items == [0, 1]          # only items with sentiment edges
     assert g.n_users == 3 and g.n_items == 2
@@ -321,7 +328,8 @@ def test_build_interaction_graph_from_conversations():
 def test_interaction_graph_rejects_non_train():
     entities = make_entities()
     with pytest.raises(LeakageError, match="test"):
-        build_interaction_graph([conv("c", "u", Split.TEST, [(0, Sentiment.LIKE)])], entities)
+        build_interaction_graph(corpus_of([conv("c", "u", Split.TEST, [(0, Sentiment.LIKE)])]),
+                                entities)
 
 
 def test_interaction_graph_as_typed_layout():
@@ -353,7 +361,7 @@ def test_interaction_graph_save_load_round_trip(tmp_path):
         conv("c0", "alice", Split.TRAIN, [(0, Sentiment.LIKE), (1, Sentiment.DISLIKE)]),
         conv("c1", "bob", Split.TRAIN, [(2, Sentiment.LIKE)]),
     ]
-    g = build_interaction_graph(convs, entities)
+    g = build_interaction_graph(corpus_of(convs), entities)
     path = tmp_path / "interaction.tsv"
     save_interaction_graph(g, entities, path)
     g2 = load_interaction_graph(path, entities)

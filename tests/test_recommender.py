@@ -40,6 +40,8 @@ from convrec.synthetic import popularity_corpus, toy_instance
 from conftest import masked_positions, reference_users, sample_coords, total
 from oracles import (
     brute_force_metrics,
+    example_records,
+    examples_of,
     masked_softmax_scores,
     rank_order_reference,
     softmax_cross_entropy_reference,
@@ -47,7 +49,13 @@ from oracles import (
 
 
 def artifacts_of(data):
-    return build_artifacts(data.conversations, data.vocab, data.kg, data.word_graph)
+    return build_artifacts(data.corpus, data.vocab, data.kg, data.word_graph)
+
+
+def records(artifacts, examples=None):
+    """The artifacts' examples (or ``examples``) as one object per example."""
+    return example_records(artifacts.examples if examples is None else examples,
+                           artifacts.corpus)
 
 
 def small_config(**overrides):
@@ -252,10 +260,11 @@ def test_batch_loss_matches_scoring_oracle():
     data = toy_instance()
     artifacts = artifacts_of(data)
     model = Model(artifacts, TrainConfig(dim=8, seed=0))
-    batch = [e for e in artifacts.examples if e.split == Split.TRAIN]
+    train_examples = split_view(artifacts.examples, Split.TRAIN)
+    batch = records(artifacts, train_examples)
     assert any(masked_positions(artifacts.item_ids, ex) for ex in batch)
     item_matrix, word_matrix = model.encoder_outputs()
-    loss, guards = batch_loss(model, model.contexts(batch), item_matrix, word_matrix)
+    loss, guards = batch_loss(model, model.contexts(train_examples), item_matrix, word_matrix)
     per_example = []
     for ex, user in zip(batch, reference_users(model, batch, item_matrix, word_matrix)):
         probs = masked_softmax_scores(item_matrix.values, artifacts.item_ids,
@@ -381,7 +390,8 @@ def test_evaluate_matches_oracle_on_toy(toy_artifacts):
 
     item_matrix, word_matrix = model.encoder_outputs()
     ranked_lists, gold_lists = [], []
-    for ex, user in zip(examples, reference_users(model, examples, item_matrix, word_matrix)):
+    objects = records(toy_artifacts)
+    for ex, user in zip(objects, reference_users(model, objects, item_matrix, word_matrix)):
         probs = masked_softmax_scores(item_matrix.values, model.artifacts.item_ids,
                                       user, masked_positions(model.artifacts.item_ids, ex))
         n = len(model.artifacts.item_ids)
@@ -472,7 +482,7 @@ def test_a_raising_evaluate_leaves_recording_on():
     artifacts = artifacts_of(popularity_corpus(seed=0, n_users=20, n_items=12,
                                                n_conversations=60))
     model, fresh = Model(artifacts, small_config()), Model(artifacts, small_config())
-    batch = model.contexts(split_view(artifacts.examples, Split.TRAIN)[:8])
+    batch = model.contexts(split_view(artifacts.examples, Split.TRAIN).take(np.arange(8)))
     emb = model.store["kg.emb"].values
     saved = emb.copy()
     emb[...] = np.nan
@@ -527,7 +537,7 @@ def test_model_same_seed_same_params(toy_artifacts):
 def test_model_rejects_itemless_vocab(toy_artifacts):
     from convrec.recommender import Artifacts
 
-    empty = Artifacts(vocab=toy_artifacts.vocab, conversations=[], examples=[],
+    empty = Artifacts(vocab=toy_artifacts.vocab, corpus=toy_artifacts.corpus.take([]),
                       kg=toy_artifacts.kg, word_graph=None, interaction=None,
                       index=None, item_ids=[])
     with pytest.raises(ConfigurationError, match="no items"):
@@ -554,7 +564,7 @@ def test_contexts_match_hand_derivation(toy_artifacts):
                     contexts = model.contexts(artifacts.examples)
                     assert len(contexts) == len(artifacts.examples)
                     assert contexts.missing_words.shape == (len(artifacts.examples),)
-                    for b, ex in enumerate(artifacts.examples):
+                    for b, ex in enumerate(records(artifacts)):
                         retrieved = () if without_rt else retrieve(
                             artifacts.index, list(ex.context_entities), 2,
                             exclude_id=ex.conversation_id).entities
@@ -584,15 +594,17 @@ def take_pool():
     """
     artifacts = artifacts_of(popularity_corpus(seed=0, n_users=20, n_items=12,
                                                n_conversations=60))
-    base = artifacts.examples[0]
+    objects = records(artifacts)
+    base = objects[0]
     other = next(e for e in range(len(artifacts.vocab.entities))
                  if not artifacts.vocab.entities.is_item[e])
     without_row = sorted(set(range(len(artifacts.vocab.words)))
                          - set(artifacts.word_graph.word_ids))
-    examples = [*artifacts.examples[:40],
-                dataclasses.replace(base, context_entities=(), context_words=()),
-                dataclasses.replace(base, context_entities=(other,)),
-                dataclasses.replace(base, context_words=tuple(without_row[:2]))]
+    examples = examples_of([*objects[:40],
+                            base._replace(context_entities=(), context_words=()),
+                            base._replace(context_entities=(other,)),
+                            base._replace(context_words=tuple(without_row[:2]))],
+                           artifacts.corpus)
     configs = [small_config(top_n=2), small_config(without_rt=True, candidate_masking=False),
                small_config(without_cn=True)]
     return examples, [Model(artifacts, cfg) for cfg in configs]
@@ -619,7 +631,7 @@ def test_take_equals_compiling_the_taken_examples(model_index, idx):
     examples, models = TAKE_POOL
     model = models[model_index]
     compiled = model.contexts(examples)
-    assert_same_record(compiled.take(idx), model.contexts([examples[i] for i in idx]))
+    assert_same_record(compiled.take(idx), model.contexts(examples.take(idx)))
     assert_same_record(compiled.take(np.asarray(idx, dtype=np.intp)),
                        compiled.take(idx))
 
@@ -629,10 +641,9 @@ def test_each_one_example_compile_is_a_take_of_the_whole_split():
     examples, models = TAKE_POOL
     model = models[0]
     compiled = model.contexts(examples)
-    for i, ex in enumerate(examples):
-        assert_same_record(model.contexts([ex]), compiled.take([i]))
-    retrieved = compiled.entities.offsets[1:] - compiled.entities.offsets[:-1] - [
-        len(ex.context_entities) for ex in examples]
+    for i in range(len(examples)):
+        assert_same_record(model.contexts(examples.take([i])), compiled.take([i]))
+    retrieved = compiled.entities.sizes - examples.entities.sizes
     for part in (retrieved, np.diff(compiled.words.offsets), np.diff(compiled.masked.offsets),
                  compiled.missing_words):
         assert part.any() and not part.all()  # some examples have rows, some have none
@@ -643,9 +654,10 @@ def test_gold_positions_ascend_and_item_ids_must(toy_artifacts):
     items = toy_artifacts.item_ids.tolist()
     entities = toy_artifacts.vocab.entities
     other = next(e for e in range(len(entities)) if not entities.is_item[e])
-    example = dataclasses.replace(toy_artifacts.examples[0],
-                                  gold_items=frozenset([items[4], other, items[0], items[2]]))
-    gold = Model(toy_artifacts, small_config()).contexts([example]).gold
+    example = records(toy_artifacts)[0]._replace(
+        gold_items=frozenset([items[4], other, items[0], items[2]]))
+    gold = Model(toy_artifacts, small_config()).contexts(
+        examples_of([example], toy_artifacts.corpus)).gold
     assert gold.rows.tolist() == sorted(items.index(g) for g in example.gold_items if g in items)
     with pytest.raises(ValidationError, match="ascend"):
         dataclasses.replace(toy_artifacts, item_ids=toy_artifacts.item_ids[::-1])
@@ -833,19 +845,13 @@ def test_train_validation_report_equals_evaluate():
 
 
 def test_train_rejects_empty_train_split(toy_data, toy_artifacts):
-    from convrec.recommender import Artifacts
-    from dataclasses import replace as dc_replace
+    from convrec.corpus import SPLITS
 
-    no_train = Artifacts(
-        vocab=toy_artifacts.vocab,
-        conversations=[],
-        examples=[dc_replace(e, split=Split.TEST) for e in toy_artifacts.examples],
-        kg=toy_artifacts.kg,
-        word_graph=toy_artifacts.word_graph,
-        interaction=toy_artifacts.interaction,
-        index=toy_artifacts.index,
-        item_ids=toy_artifacts.item_ids,
-    )
+    corpus = toy_artifacts.corpus
+    all_test = dataclasses.replace(corpus, splits=np.full(len(corpus), SPLITS.index(Split.TEST),
+                                                          np.int8))
+    no_train = dataclasses.replace(toy_artifacts, corpus=all_test)
+    assert len(no_train.examples) == len(toy_artifacts.examples)
     with pytest.raises(ValidationError, match="training examples"):
         train(no_train, small_config())
 
@@ -867,7 +873,7 @@ def attribute_artifacts():
              for item in entities.item_ids()]
     kg = TypedGraph(len(entities), (*data.kg.relations, "actor"),
                     [*map(tuple, data.kg.edges.tolist()), *extra])
-    return build_artifacts(data.conversations, data.vocab, kg, data.word_graph), n_read
+    return build_artifacts(data.corpus, data.vocab, kg, data.word_graph), n_read
 
 
 @pytest.mark.parametrize("flags", [(), ("ig",), ("db",), ("ig", "db")])

@@ -10,19 +10,18 @@ from hypothesis import strategies as st
 
 from convrec import retrieval
 from convrec.autodiff import Segments
-from convrec.corpus import Conversation, Mention, Sentiment, Speaker, Split, Utterance
+from convrec.corpus import Sentiment, Speaker, Split
 from convrec.errors import LeakageError, MissingArtifactError, ParseError, ValidationError
 from convrec.retrieval import (
     bm25_score,
-    build_index,
-    conversation_tokens,
     load_index,
     retrieve,
     retrieve_batch,
     save_index,
 )
+from convrec.retrieval import build_index as build_corpus_index
 
-from oracles import bm25_reference
+from oracles import Conversation, Mention, Utterance, bm25_reference, corpus_of
 
 
 def doc_conv(cid, entity_ids, split=Split.TRAIN, user="u"):
@@ -30,6 +29,16 @@ def doc_conv(cid, entity_ids, split=Split.TRAIN, user="u"):
                       mentions=tuple(Mention(entity=e, sentiment=Sentiment.NEUTRAL)
                                      for e in entity_ids)),)
     return Conversation(conversation_id=cid, user_id=user, split=split, utterances=utts)
+
+
+def build_index(conversations):
+    """The index of these conversations, through the corpus they make."""
+    return build_corpus_index(corpus_of(conversations))
+
+
+def conversation_tokens(conv):
+    """A document's tokens: every entity the conversation mentions, in order."""
+    return [m.entity for utt in conv.utterances for m in utt.mentions]
 
 
 @pytest.fixture()
@@ -182,13 +191,14 @@ def assert_same_index(got, want):
     """Every field equal, arrays with their dtypes."""
     assert (got.k1, got.b) == (want.k1, want.b)
     assert got.doc_ids == want.doc_ids
-    assert got.doc_entities == want.doc_entities
     for name in ("doc_lens", "terms", "tfs"):
         assert getattr(got, name).dtype == getattr(want, name).dtype, name
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    for name in ("rows", "offsets"):
-        assert getattr(got.docs, name).dtype == getattr(want.docs, name).dtype == np.intp
-        np.testing.assert_array_equal(getattr(got.docs, name), getattr(want.docs, name))
+    for field in ("docs", "doc_entities"):
+        for name in ("rows", "offsets"):
+            got_part, want_part = (getattr(getattr(x, field), name) for x in (got, want))
+            assert got_part.dtype == want_part.dtype == np.intp
+            np.testing.assert_array_equal(got_part, want_part)
     assert got.avgdl == want.avgdl
 
 
@@ -207,7 +217,9 @@ def test_interrupted_index_write_keeps_the_previous_file(small_index, tmp_path):
     before = path.read_bytes()
     # a negative entity id has no u32 encoding, so the write fails at the last
     # document, after the header and the other documents went out
-    broken = dataclasses.replace(index, doc_entities=[*index.doc_entities[:-1], (-1,)])
+    ents = index.doc_entities
+    groups = [ents.rows[lo:hi].tolist() for lo, hi in zip(ents.offsets, ents.offsets[1:])]
+    broken = dataclasses.replace(index, doc_entities=Segments.of([*groups[:-1], [-1]]))
     with pytest.raises(struct.error):
         save_index(broken, path)
     assert path.read_bytes() == before
@@ -370,6 +382,54 @@ def test_load_rejects_a_non_utf8_document_id(small_index, tmp_path):
         load_index(path)
 
 
+@pytest.mark.parametrize("k1, b", [
+    (math.inf, 0.75), (math.nan, 0.75), (-1.0, 0.75), (-math.inf, 0.75),
+    (1.2, 1.5), (1.2, math.nan), (1.2, -0.25), (1.2, math.inf),
+], ids=["k1=inf", "k1=nan", "k1=-1", "k1=-inf", "b=1.5", "b=nan", "b=-0.25", "b=inf"])
+def test_load_rejects_k1_or_b_out_of_range(small_index, tmp_path, k1, b):
+    # the 16 bytes after the magic number and the version: f64 k1, then f64 b
+    index, _ = small_index
+    path = tmp_path / "bm25.idx"
+    save_index(index, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:8] + struct.pack("<dd", k1, b) + raw[24:])
+    with pytest.raises(ParseError, match="k1 must be finite and at least 0" if b == 0.75
+                       else r"b must be in \[0, 1\]"):
+        load_index(path)
+
+
+def test_load_accepts_k1_and_b_at_their_bounds(small_index, tmp_path):
+    index, _ = small_index
+    path = tmp_path / "bm25.idx"
+    for k1, b in ((0.0, 0.0), (0.0, 1.0), (1e6, 1.0)):
+        save_index(dataclasses.replace(index, k1=k1, b=b), path)
+        loaded = load_index(path)
+        assert (loaded.k1, loaded.b) == (k1, b)
+        assert np.isfinite(loaded.postings.weights).all()
+
+
+# c0 = [1, 2, 2, 3] lists entities (1, 2, 3); its first entity's u32 follows the
+# 28-byte header, the id's length and bytes, and its length and entity count
+_C0_ENTITIES = 28 + 2 + 2 + 8
+
+
+@pytest.mark.parametrize("entities", [(7, 2, 3), (1, 2, 2), (3, 2, 1)],
+                         ids=["foreign", "repeated", "reordered"])
+def test_load_checks_document_entities_against_postings(small_index, tmp_path, entities):
+    index, _ = small_index
+    path = tmp_path / "bm25.idx"
+    save_index(index, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:_C0_ENTITIES] + struct.pack("<3I", *entities)
+                     + raw[_C0_ENTITIES + 12:])
+    if entities == (3, 2, 1):  # the same set in another mention order: loads as written
+        loaded = load_index(path)
+        assert loaded.doc_entities.rows[:3].tolist() == [3, 2, 1]
+        return
+    with pytest.raises(ParseError, match="'c0' lists entities other than its posting terms"):
+        load_index(path)
+
+
 @pytest.fixture(scope="module")
 def index_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("indexes")
@@ -441,7 +501,7 @@ def test_mutated_index_bytes_load_exactly_or_raise_parse_error(index_dir, index,
 
 
 def index_with_unsorted_ids(data, docs):
-    """``docs`` indexed under drawn ids in drawn order; build_index sorts them."""
+    """``docs`` indexed under drawn ids in drawn order; their corpus sorts them."""
     doc_ids = data.draw(st.lists(st.text("abxyz", min_size=1, max_size=3),
                                  min_size=len(docs), max_size=len(docs), unique=True))
     index = build_index([doc_conv(d, toks) for d, toks in zip(doc_ids, docs)])

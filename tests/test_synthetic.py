@@ -1,14 +1,13 @@
 import numpy as np
 
-from convrec.corpus import Sentiment, Split, corpus_stats
+from convrec.corpus import Sentiment, Split, corpus_stats, split_view
 from convrec.graphs import build_interaction_graph
 from convrec.recommender import build_artifacts
 from convrec.synthetic import cluster_corpus, popularity_corpus, toy_instance, write_inputs
 
 
 def like_degrees(data):
-    train = [c for c in data.conversations if c.split == Split.TRAIN]
-    ig = build_interaction_graph(train, data.vocab.entities)
+    ig = build_interaction_graph(split_view(data.corpus, Split.TRAIN), data.vocab.entities)
     edges = np.asarray(ig.edges).reshape(-1, 3)
     liked = np.asarray(ig.items, dtype=np.intp)[edges[edges[:, 1] == 0, 2]]
     return np.bincount(liked, minlength=len(data.vocab.entities))[data.vocab.entities.item_ids()]
@@ -57,17 +56,17 @@ def test_generated_corpora_build_artifacts():
     for data in (popularity_corpus(seed=2, n_users=15, n_items=10, n_conversations=40),
                  cluster_corpus(seed=2, n_users=12, n_items=12, n_conversations=40,
                                 n_clusters=3)):
-        artifacts = build_artifacts(data.conversations, data.vocab, data.kg, data.word_graph)
-        assert artifacts.examples
+        artifacts = build_artifacts(data.corpus, data.vocab, data.kg, data.word_graph)
+        assert len(artifacts.examples)
         assert artifacts.interaction is not None and artifacts.interaction.n_items > 0
         assert artifacts.index is not None
-        stats = corpus_stats(data.conversations, data.vocab.entities)
+        stats = corpus_stats(data.corpus, data.vocab.entities)
         assert stats["conversations"] == 40
 
 
 def test_toy_instance_shape():
     data = toy_instance()
-    stats = corpus_stats(data.conversations, data.vocab.entities)
+    stats = corpus_stats(data.corpus, data.vocab.entities)
     assert stats == {"users": 3, "conversations": 4, "utterances": 12, "items": 6}
     assert data.word_graph.n_nodes > 0
 
