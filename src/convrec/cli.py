@@ -40,7 +40,6 @@ from .errors import (
     ValidationError,
 )
 from .graphs import (
-    build_interaction_graph,
     load_interaction_graph,
     load_item_kg,
     load_word_graph,
@@ -52,6 +51,7 @@ from .optim import atomic_write, load_checkpoint, save_checkpoint
 from .recommender import (
     ABLATION_FLAGS,
     Artifacts,
+    MetricsReport,
     Model,
     TrainConfig,
     ablate as run_ablate,
@@ -62,7 +62,7 @@ from .recommender import (
     score_all,
     train as run_train,
 )
-from .retrieval import build_index, load_index, retrieve, save_index
+from .retrieval import load_index, retrieve, save_index
 
 EXIT_USAGE = 2
 EXIT_MISSING = 3
@@ -259,7 +259,8 @@ def load_bundle(bundle_dir: str | Path, index_path: str | Path | None = None) ->
     idx_path = Path(index_path) if index_path else bundle / _BUNDLE_FILES["index"]
     if manifest["has_index"] or index_path:
         index = load_index(idx_path)
-    return build_artifacts(corpus, vocab, kg, word_graph, loaded=(interaction, index))
+    return Artifacts(vocab=vocab, corpus=corpus, kg=kg, word_graph=word_graph,
+                     interaction=interaction, index=index, item_ids=entities.item_ids())
 
 
 def _config_sidecar(checkpoint_path: Path) -> Path:
@@ -275,13 +276,24 @@ def _file_sha256(path: Path) -> str:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step: a failed write keeps the old file."""
+    with atomic_write(path, text=True) as fh:
+        fh.write(text)
+
+
+def _write_report(report: MetricsReport, text_path: Path, json_path: Path) -> None:
+    """The report as text and as one line of JSON, each file written by ``_write_text``."""
+    _write_text(text_path, report.to_text())
+    _write_text(json_path, report.to_json() + "\n")
+
+
 def save_model_checkpoint(result_model: Model, state, checkpoint_path: Path) -> None:
     """Write the checkpoint, then its sidecar: the config and the checkpoint's sha256."""
     save_checkpoint(checkpoint_path, result_model.store, state)
     sidecar = {**dataclasses.asdict(result_model.config),
                _DIGEST_KEY: _file_sha256(checkpoint_path)}
-    with atomic_write(_config_sidecar(checkpoint_path)) as fh:
-        fh.write((json.dumps(sidecar, sort_keys=True) + "\n").encode("utf-8"))
+    _write_text(_config_sidecar(checkpoint_path), json.dumps(sidecar, sort_keys=True) + "\n")
 
 
 def load_model(bundle_dir: str, checkpoint_path: str,
@@ -344,9 +356,7 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
     kg = load_item_kg(kg_path, entities)
     word_graph = load_word_graph(word_graph_path, vocab.words) if word_graph_path else None
 
-    train_corpus = split_view(corpus, Split.TRAIN)
-    interaction = build_interaction_graph(train_corpus, entities)
-    index = build_index(train_corpus) if len(train_corpus) else None
+    artifacts = build_artifacts(corpus, vocab, kg, word_graph)
 
     bundle = Path(out_dir)
     bundle.mkdir(parents=True, exist_ok=True)
@@ -355,25 +365,23 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
     save_kg(kg, entities, bundle / _BUNDLE_FILES["kg"])
     if word_graph is not None:
         save_word_graph(word_graph, vocab.words, bundle / _BUNDLE_FILES["word_graph"])
-    save_interaction_graph(interaction, entities, bundle / _BUNDLE_FILES["interaction"])
-    with atomic_write(bundle / _BUNDLE_FILES["stopwords"], text=True) as fh:
-        for word in sorted(stopwords):
-            fh.write(word + "\n")
-    if index is not None:
+    save_interaction_graph(artifacts.interaction, entities, bundle / _BUNDLE_FILES["interaction"])
+    _write_text(bundle / _BUNDLE_FILES["stopwords"], "".join(w + "\n" for w in sorted(stopwords)))
+    if artifacts.index is not None:
         target = Path(index_path) if index_path else bundle / _BUNDLE_FILES["index"]
-        save_index(index, target)
+        save_index(artifacts.index, target)
 
     stats = corpus_stats(corpus, entities)
     counts = np.bincount(corpus.splits, minlength=len(SPLITS)).tolist()
     manifest = {
         "format": 1,
         "has_word_graph": word_graph is not None,
-        "has_index": index is not None,
+        "has_index": artifacts.index is not None,
         "stats": stats,
         "splits": {s.value: n for s, n in zip(SPLITS, counts)},
     }
-    with atomic_write(bundle / _BUNDLE_FILES["manifest"], text=True) as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_text(bundle / _BUNDLE_FILES["manifest"],
+               json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     for key in ("users", "conversations", "utterances", "items"):
         click.echo(f"{key}={stats[key]}")
 
@@ -395,11 +403,11 @@ def train(bundle_dir, index_path, out_dir, k_list, **params) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for epoch, report in enumerate(result.epoch_reports):
-        (out / f"epoch_{epoch:03d}.metrics.txt").write_text(report.to_text(), "utf-8")
-        (out / f"epoch_{epoch:03d}.metrics.json").write_text(report.to_json() + "\n", "utf-8")
+        _write_report(report, out / f"epoch_{epoch:03d}.metrics.txt",
+                     out / f"epoch_{epoch:03d}.metrics.json")
     save_model_checkpoint(result.model, None, out / "model.ckpt")
     losses = ",".join(repr(x) for x in result.epoch_losses)
-    (out / "train_losses.txt").write_text(losses + "\n", "utf-8")
+    _write_text(out / "train_losses.txt", losses + "\n")
     click.echo(f"best_epoch={result.best_epoch}")
     click.echo(f"guard_events={result.guard_events}")
     if result.epoch_reports:
@@ -425,8 +433,7 @@ def eval_command(bundle_dir, checkpoint_path, index_path, split, k_list, out_pat
     click.echo(report.to_text(), nl=False)
     if out_path:
         out = Path(out_path)
-        out.write_text(report.to_text(), "utf-8")
-        out.with_suffix(out.suffix + ".json").write_text(report.to_json() + "\n", "utf-8")
+        _write_report(report, out, out.with_suffix(out.suffix + ".json"))
 
 
 @main.command()
@@ -454,8 +461,7 @@ def ablate(bundle_dir, index_path, split, k_list, combined, out_dir, **params) -
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name, report in reports.items():
-            (out / f"{name}.metrics.txt").write_text(report.to_text(), "utf-8")
-            (out / f"{name}.metrics.json").write_text(report.to_json() + "\n", "utf-8")
+            _write_report(report, out / f"{name}.metrics.txt", out / f"{name}.metrics.json")
 
 
 @main.command("retrieve")

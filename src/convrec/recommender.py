@@ -195,28 +195,14 @@ def build_artifacts(
     vocab: Vocab,
     kg: TypedGraph,
     word_graph: WordGraph | None = None,
-    *,
-    loaded: tuple[InteractionGraph | None, Bm25Index | None] | None = None,
 ) -> Artifacts:
-    """The training-split structures of a loaded corpus.
-
-    ``loaded`` is an (interaction graph, index) pair already read from a
-    bundle, used as given; without it both are built from the training split.
-    """
-    if loaded is None:
-        train_corpus = split_view(corpus, Split.TRAIN)
-        loaded = ((build_interaction_graph(train_corpus, vocab.entities), build_index(train_corpus))
-                  if len(train_corpus) else (None, None))
-    interaction, index = loaded
-    return Artifacts(
-        vocab=vocab,
-        corpus=corpus,
-        kg=kg,
-        word_graph=word_graph,
-        interaction=interaction,
-        index=index,
-        item_ids=vocab.entities.item_ids(),
-    )
+    """The training-split structures of a loaded corpus: the interaction graph
+    and, when the split has a conversation, the retrieval index."""
+    train_corpus = split_view(corpus, Split.TRAIN)
+    return Artifacts(vocab=vocab, corpus=corpus, kg=kg, word_graph=word_graph,
+                     interaction=build_interaction_graph(train_corpus, vocab.entities),
+                     index=build_index(train_corpus) if len(train_corpus) else None,
+                     item_ids=vocab.entities.item_ids())
 
 
 class Model:
@@ -503,7 +489,6 @@ def train(artifacts: Artifacts, config: TrainConfig,
     Validation metrics drive model selection; when the corpus has no
     validation examples the final epoch wins by default.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     model = Model(artifacts, config, rng)
     train_contexts = model.contexts(split_view(artifacts.examples, Split.TRAIN))

@@ -68,8 +68,8 @@ class Bm25Index:
     the documents that contain ``terms[i]``, and ``tfs`` their term
     frequencies, each at least 1; a term's df is its group size.
 
-    ``postings`` is derived on first use and cached; mutate no field after
-    the first retrieval.
+    ``postings`` is derived on first use, by ``load_index`` at load, and
+    cached; mutate no field after the first retrieval.
     """
 
     k1: float
@@ -121,12 +121,11 @@ class RetrievalResult:
     """Ranked conversations plus the entities they mention.
 
     ``entities`` preserves rank order, then first-mention order within a
-    document, deduplicated. ``empty_query`` marks the undefined-score case.
+    document, deduplicated.
     """
 
     ranked: tuple[tuple[str, float], ...]
     entities: tuple[int, ...]
-    empty_query: bool = False
 
 
 def build_index(train: Corpus, *, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
@@ -257,7 +256,6 @@ def retrieve(index: Bm25Index, query: Sequence[int], n: int,
     return RetrievalResult(
         ranked=tuple(zip(map(index.doc_ids.__getitem__, docs.tolist()), scores.tolist())),
         entities=tuple(dict.fromkeys(index.doc_entities.take(docs).rows.tolist())),
-        empty_query=not len(query),
     )
 
 
@@ -404,5 +402,10 @@ def load_index(path: str | Path) -> Bm25Index:
                          f"its posting terms, each once")
     offsets = np.zeros(n_terms + 1, np.intp)
     np.cumsum(count, out=offsets[1:])
-    return Bm25Index(k1=k1, b=b, doc_ids=doc_ids, doc_lens=lens, doc_entities=doc_entities,
-                     terms=terms, docs=Segments(rows, offsets), tfs=tfs)
+    index = Bm25Index(k1=k1, b=b, doc_ids=doc_ids, doc_lens=lens, doc_entities=doc_entities,
+                      terms=terms, docs=Segments(rows, offsets), tfs=tfs)
+    # a finite but huge k1 overflows a weight's tf * (k1 + 1) or its length norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(index.postings.weights).all():
+            raise ParseError(f"k1 {k1!r} gives a posting a weight that is not finite")
+    return index

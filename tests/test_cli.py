@@ -15,9 +15,17 @@ import convrec.optim
 import convrec.recommender
 from convrec import autodiff as ad
 from convrec import cli
-from convrec.corpus import Examples, Split, split_view
+from convrec.corpus import (
+    Examples,
+    Split,
+    default_stopwords,
+    load_corpus,
+    load_entity_vocab,
+    split_view,
+)
 from convrec.errors import NumericError
-from convrec.recommender import Model, TrainConfig, evaluate, rank_order, score_all
+from convrec.graphs import load_item_kg, load_word_graph
+from convrec.recommender import build_artifacts, evaluate, rank_order, score_all
 from convrec.retrieval import retrieve
 from convrec.synthetic import popularity_corpus, toy_instance, write_inputs
 
@@ -134,6 +142,36 @@ def test_interrupted_ingest_keeps_the_previous_file(runner, tmp_path, monkeypatc
     assert isinstance(result.exception, OSError)
     assert (bundle / name).read_bytes() == b"previous bytes\n"
     assert not list(bundle.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("no_train", [False, True], ids=["toy", "no-train"])
+def test_loaded_bundle_equals_the_built_artifacts(runner, tmp_path, no_train):
+    paths = write_inputs(toy_instance(), tmp_path / "inputs")
+    if no_train:  # every conversation moves to the test split
+        lines = paths["corpus"].read_text("utf-8").splitlines()
+        paths["corpus"].write_text("".join(
+            json.dumps({**json.loads(line), "split": "test"}) + "\n" for line in lines), "utf-8")
+    assert run(runner, ingest_args(paths, tmp_path / "bundle")).exit_code == 0
+    loaded = cli.load_bundle(tmp_path / "bundle")
+    entities = load_entity_vocab(paths["entities"])
+    corpus, vocab = load_corpus(paths["corpus"], entities, stopwords=default_stopwords())
+    built = build_artifacts(corpus, vocab, load_item_kg(paths["kg"], entities),
+                            load_word_graph(paths["word_graph"], vocab.words))
+    assert loaded.interaction.users == built.interaction.users
+    assert loaded.interaction.items == built.interaction.items
+    assert np.array_equal(loaded.interaction.edges, built.interaction.edges)
+    assert np.array_equal(loaded.item_ids, built.item_ids)
+    if loaded.index is None or built.index is None:
+        assert loaded.index is None and built.index is None
+        assert not loaded.interaction.n_items and not built.interaction.n_items
+        return
+    assert loaded.interaction.n_items > 0
+    assert loaded.index.doc_ids == built.index.doc_ids
+    for name in ("doc_lens", "terms", "tfs"):
+        assert np.array_equal(getattr(loaded.index, name), getattr(built.index, name)), name
+    for name in ("docs", "doc_entities"):
+        want, got = getattr(built.index, name), getattr(loaded.index, name)
+        assert np.array_equal(got.rows, want.rows) and np.array_equal(got.offsets, want.offsets)
 
 
 def test_ingest_missing_kg_exits_2(runner, tmp_path):
@@ -309,6 +347,24 @@ def test_interrupted_sidecar_write_keeps_the_previous_file(trained_run, pop_bund
         cli.save_model_checkpoint(model, None, tmp_path / "model.ckpt")
     assert (tmp_path / "model.ckpt.config.json").read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.config.json"]
+
+
+@pytest.mark.parametrize("name", ["report.txt", "report.txt.json"])
+def test_interrupted_eval_report_keeps_the_previous_file(runner, toy_bundle, toy_checkpoint,
+                                                         tmp_path, monkeypatch, name):
+    (tmp_path / name).write_bytes(b"previous bytes\n")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _HalfWriter(fh) if Path(file).name == name + ".tmp" else fh
+
+    monkeypatch.setattr(convrec.optim, "open", failing_open, raising=False)
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle), "--checkpoint",
+                                      str(toy_checkpoint), "--split", "train",
+                                      "--out", str(tmp_path / "report.txt")])
+    assert isinstance(result.exception, OSError)
+    assert (tmp_path / name).read_bytes() == b"previous bytes\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_eval_missing_checkpoint_exits_3(runner, pop_bundle, tmp_path):
@@ -515,7 +571,8 @@ def test_retrieve_unknown_conversation_exits_2(runner, toy_bundle):
 @pytest.mark.parametrize("k1, b, message", [
     (math.inf, 0.75, "k1 must be finite"), (math.nan, 0.75, "k1 must be finite"),
     (-1.0, 0.75, "k1 must be finite"), (1.2, 1.5, r"b must be in \[0, 1\]"),
-], ids=["k1=inf", "k1=nan", "k1=-1", "b=1.5"])
+    (1.7e308, 0.75, "weight that is not finite"), (1e308, 0.75, "weight that is not finite"),
+], ids=["k1=inf", "k1=nan", "k1=-1", "b=1.5", "k1=1.7e308", "k1=1e308"])
 def test_eval_index_with_k1_or_b_out_of_range_exits_2(runner, toy_bundle, toy_checkpoint,
                                                       tmp_path, k1, b, message):
     raw = (toy_bundle / "bm25.idx").read_bytes()

@@ -125,7 +125,6 @@ def test_exclude_id_drops_self(small_index):
 def test_empty_query_flagged(small_index):
     index, _ = small_index
     result = retrieve(index, [], 5)
-    assert result.empty_query
     assert result.ranked == ()
     assert result.entities == ()
 
@@ -272,7 +271,6 @@ def test_all_empty_index_retrieves_nothing(tmp_path):
         assert result == retrieve(idx, [1, 2], 3, exclude_id="a")
         assert result.ranked == ()
         assert result.entities == ()
-        assert not result.empty_query
 
 
 def test_some_empty_documents_score_like_reference(tmp_path):
@@ -402,10 +400,13 @@ def test_load_accepts_k1_and_b_at_their_bounds(small_index, tmp_path):
     index, _ = small_index
     path = tmp_path / "bm25.idx"
     for k1, b in ((0.0, 0.0), (0.0, 1.0), (1e6, 1.0)):
-        save_index(dataclasses.replace(index, k1=k1, b=b), path)
+        built = dataclasses.replace(index, k1=k1, b=b)
+        save_index(built, path)
         loaded = load_index(path)
         assert (loaded.k1, loaded.b) == (k1, b)
         assert np.isfinite(loaded.postings.weights).all()
+        result = retrieve(loaded, [1, 2], 3)
+        assert len(result.ranked) == 3 and result == retrieve(built, [1, 2], 3)
 
 
 # c0 = [1, 2, 2, 3] lists entities (1, 2, 3); its first entity's u32 follows the
@@ -528,7 +529,6 @@ def test_retrieve_equals_exhaustive_bm25_score_ranking(data):
     assert all(type(s) is float for _, s in result.ranked)
     want_entities = dict.fromkeys(e for d, _ in expected for e in tokens[d])
     assert result.entities == tuple(want_entities)
-    assert result.empty_query == (not query)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

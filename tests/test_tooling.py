@@ -1,8 +1,14 @@
-"""The bench finds convrec's functions by name; a rename must fail here, not print `absent`."""
+"""The bench finds convrec's functions by name; a rename must fail here, not print `absent`.
+
+Importing the package stays light: what it loads is pinned here too.
+"""
 
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +41,26 @@ def test_every_exported_name_resolves():
     missing = [name for name in convrec.__all__ if not hasattr(convrec, name)]
     assert not missing, f"convrec.__all__ names {missing}, which the package lacks"
     assert len(set(convrec.__all__)) == len(convrec.__all__)
+
+
+def modules_after(statement):
+    """The modules a fresh interpreter holds after ``statement`` that it did not before."""
+    probe = ("import json, sys; before = set(sys.modules); " + statement
+             + "; print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_importing_the_package_loads_only_the_allocator():
+    loaded = modules_after("import convrec")
+    assert [m for m in loaded if m.split(".")[0] == "convrec"] == ["convrec", "convrec.allocator"]
+    heavy = [m for m in loaded if m.split(".")[0] in ("numpy", "scipy", "click")]
+    assert not heavy, f"import convrec loads {len(heavy)} numpy/scipy/click modules"
+
+
+def test_importing_the_cli_does_not_load_the_generators():
+    loaded = modules_after("import convrec.cli")
+    assert "convrec.cli" in loaded and "convrec.synthetic" not in loaded
