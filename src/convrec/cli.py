@@ -228,7 +228,7 @@ def config_from_params(params: dict) -> TrainConfig:
 # bundle I/O
 
 
-def load_bundle(bundle_dir: str | Path, index_path: str | Path | None = None) -> Artifacts:
+def load_bundle(bundle_dir: str | Path) -> Artifacts:
     bundle = Path(bundle_dir)
     manifest_path = bundle / _BUNDLE_FILES["manifest"]
     if not manifest_path.exists():
@@ -255,10 +255,7 @@ def load_bundle(bundle_dir: str | Path, index_path: str | Path | None = None) ->
         word_graph = load_word_graph(bundle / _BUNDLE_FILES["word_graph"], vocab.words)
     interaction = load_interaction_graph(bundle / _BUNDLE_FILES["interaction"], entities)
 
-    index = None
-    idx_path = Path(index_path) if index_path else bundle / _BUNDLE_FILES["index"]
-    if manifest["has_index"] or index_path:
-        index = load_index(idx_path)
+    index = load_index(bundle / _BUNDLE_FILES["index"]) if manifest["has_index"] else None
     return Artifacts(vocab=vocab, corpus=corpus, kg=kg, word_graph=word_graph,
                      interaction=interaction, index=index, item_ids=entities.item_ids())
 
@@ -288,16 +285,19 @@ def _write_report(report: MetricsReport, text_path: Path, json_path: Path) -> No
     _write_text(json_path, report.to_json() + "\n")
 
 
-def save_model_checkpoint(result_model: Model, state, checkpoint_path: Path) -> None:
-    """Write the checkpoint, then its sidecar: the config and the checkpoint's sha256."""
-    save_checkpoint(checkpoint_path, result_model.store, state)
+def save_model_checkpoint(result_model: Model, unused: None, checkpoint_path: Path) -> None:
+    """Write the checkpoint, then its sidecar: the config and the checkpoint's sha256.
+
+    ``unused`` is always None: the benchmark's worker passes it, by position,
+    where an optimizer state once went, until the benchmark changes.
+    """
+    save_checkpoint(checkpoint_path, result_model.store)
     sidecar = {**dataclasses.asdict(result_model.config),
                _DIGEST_KEY: _file_sha256(checkpoint_path)}
     _write_text(_config_sidecar(checkpoint_path), json.dumps(sidecar, sort_keys=True) + "\n")
 
 
-def load_model(bundle_dir: str, checkpoint_path: str,
-               index_path: str | None = None) -> Model:
+def load_model(bundle_dir: str, checkpoint_path: str) -> Model:
     ckpt = Path(checkpoint_path)
     if not ckpt.exists():
         raise MissingArtifactError(f"checkpoint not found: {ckpt}")
@@ -319,8 +319,7 @@ def load_model(bundle_dir: str, checkpoint_path: str,
     if _file_sha256(ckpt) != digest:
         raise ParseError(f"{ckpt}: sha256 does not match its sidecar's; the checkpoint changed")
     config = TrainConfig(**values)
-    artifacts = load_bundle(bundle_dir, index_path)
-    model = Model(artifacts, config)
+    model = Model(load_bundle(bundle_dir), config)
     load_checkpoint(ckpt, model.store)
     return model
 
@@ -342,12 +341,10 @@ def main() -> None:
 @click.option("--lexicon", "lexicon_path", type=click.Path(), default=None,
               help="keyword sentiment lexicon for corpora without explicit labels")
 @click.option("--stopwords", "stopwords_path", type=click.Path(), default=None)
-@click.option("--index-path", "index_path", type=click.Path(), default=None,
-              help="where to write the retrieval index (default: inside the bundle)")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @command_errors(missing_exit=EXIT_USAGE)
 def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
-           stopwords_path, index_path, out_dir) -> None:
+           stopwords_path, out_dir) -> None:
     """Validate raw inputs and write a normalized artifact bundle."""
     entities = load_entity_vocab(entities_path)
     stopwords = load_stopwords(stopwords_path) if stopwords_path else default_stopwords()
@@ -368,8 +365,7 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
     save_interaction_graph(artifacts.interaction, entities, bundle / _BUNDLE_FILES["interaction"])
     _write_text(bundle / _BUNDLE_FILES["stopwords"], "".join(w + "\n" for w in sorted(stopwords)))
     if artifacts.index is not None:
-        target = Path(index_path) if index_path else bundle / _BUNDLE_FILES["index"]
-        save_index(artifacts.index, target)
+        save_index(artifacts.index, bundle / _BUNDLE_FILES["index"])
 
     stats = corpus_stats(corpus, entities)
     counts = np.bincount(corpus.splits, minlength=len(SPLITS)).tolist()
@@ -388,16 +384,15 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
 
 @main.command()
 @click.option("--bundle", "bundle_dir", required=True, type=click.Path())
-@click.option("--index-path", "index_path", type=click.Path(), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--k", "k_list", default="1,10,50", show_default=True)
 @train_options
 @command_errors()
-def train(bundle_dir, index_path, out_dir, k_list, **params) -> None:
+def train(bundle_dir, out_dir, k_list, **params) -> None:
     """Train on the bundle's training split and keep the best-validation model."""
     config = config_from_params(params)
     ks = parse_ks(k_list)
-    artifacts = load_bundle(bundle_dir, index_path)
+    artifacts = load_bundle(bundle_dir)
     result = run_train(artifacts, config, ks)
 
     out = Path(out_dir)
@@ -417,17 +412,16 @@ def train(bundle_dir, index_path, out_dir, k_list, **params) -> None:
 @main.command("eval")
 @click.option("--bundle", "bundle_dir", required=True, type=click.Path())
 @click.option("--checkpoint", "checkpoint_path", required=True, type=click.Path())
-@click.option("--index-path", "index_path", type=click.Path(), default=None)
 @click.option("--split", type=click.Choice(["train", "valid", "test"]), default="test",
               show_default=True)
 @click.option("--k", "k_list", default="1,10,50", show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="also write the report (text plus .json sibling) here")
 @command_errors()
-def eval_command(bundle_dir, checkpoint_path, index_path, split, k_list, out_path) -> None:
+def eval_command(bundle_dir, checkpoint_path, split, k_list, out_path) -> None:
     """Evaluate a checkpoint on one split."""
     ks = parse_ks(k_list)
-    model = load_model(bundle_dir, checkpoint_path, index_path)
+    model = load_model(bundle_dir, checkpoint_path)
     examples = split_view(model.artifacts.examples, split)
     report = evaluate(model, examples, ks, split_label=split)
     click.echo(report.to_text(), nl=False)
@@ -438,7 +432,6 @@ def eval_command(bundle_dir, checkpoint_path, index_path, split, k_list, out_pat
 
 @main.command()
 @click.option("--bundle", "bundle_dir", required=True, type=click.Path())
-@click.option("--index-path", "index_path", type=click.Path(), default=None)
 @click.option("--split", type=click.Choice(["train", "valid", "test"]), default="test",
               show_default=True)
 @click.option("--k", "k_list", default="1,10,50", show_default=True)
@@ -447,13 +440,13 @@ def eval_command(bundle_dir, checkpoint_path, index_path, split, k_list, out_pat
 @click.option("--out", "out_dir", type=click.Path(), default=None)
 @train_options
 @command_errors()
-def ablate(bundle_dir, index_path, split, k_list, combined, out_dir, **params) -> None:
+def ablate(bundle_dir, split, k_list, combined, out_dir, **params) -> None:
     """Retrain with components disabled and print the comparison table."""
     flags = parse_without(params.get("without"))
     params = dict(params, without=None)  # flags drive variants, not the base config
     config = config_from_params(params)
     ks = parse_ks(k_list)
-    artifacts = load_bundle(bundle_dir, index_path)
+    artifacts = load_bundle(bundle_dir)
     reports = run_ablate(artifacts, config, flags, combined=combined, ks=ks,
                          split=Split(split))
     click.echo(comparison_table(reports, ks), nl=False)
@@ -466,13 +459,12 @@ def ablate(bundle_dir, index_path, split, k_list, combined, out_dir, **params) -
 
 @main.command("retrieve")
 @click.option("--bundle", "bundle_dir", required=True, type=click.Path())
-@click.option("--index-path", "index_path", type=click.Path(), default=None)
 @click.option("--conversation", "conversation_id", required=True)
 @click.option("--n", type=int, default=1, show_default=True)
 @command_errors()
-def retrieve_command(bundle_dir, index_path, conversation_id, n) -> None:
+def retrieve_command(bundle_dir, conversation_id, n) -> None:
     """Show the conversations most similar to one conversation."""
-    artifacts = load_bundle(bundle_dir, index_path)
+    artifacts = load_bundle(bundle_dir)
     if artifacts.index is None:
         raise MissingArtifactError("bundle has no retrieval index")
     corpus = artifacts.corpus
@@ -491,12 +483,11 @@ def retrieve_command(bundle_dir, index_path, conversation_id, n) -> None:
 @main.command()
 @click.option("--bundle", "bundle_dir", required=True, type=click.Path())
 @click.option("--checkpoint", "checkpoint_path", required=True, type=click.Path())
-@click.option("--index-path", "index_path", type=click.Path(), default=None)
 @click.option("--k", type=click.IntRange(min=1), default=10, show_default=True,
               help="items per answer; a k above the catalog size prints every item")
 @command_errors()
 @ad.no_grad()
-def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
+def recommend(bundle_dir, checkpoint_path, k) -> None:
     """Read entity mentions from stdin; print top-k items after each line.
 
     Entity mentions accumulate across lines within the session. References are
@@ -505,7 +496,7 @@ def recommend(bundle_dir, checkpoint_path, index_path, k) -> None:
     lines, then a blank line) is written and flushed at once. The session
     is forward-only: nothing records a tape.
     """
-    model = load_model(bundle_dir, checkpoint_path, index_path)
+    model = load_model(bundle_dir, checkpoint_path)
     entities = model.artifacts.vocab.entities
     item_ids = model.artifacts.item_ids
     item_matrix, word_matrix = model.encoder_outputs()

@@ -22,12 +22,12 @@ from importlib import resources
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Mapping, Sequence, TypeVar
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
 from .autodiff import Segments
-from .errors import LeakageError, MissingArtifactError, ParseError, ValidationError
+from .errors import MissingArtifactError, ParseError, ValidationError
 from .optim import atomic_write
 
 
@@ -61,7 +61,7 @@ class Corpus:
     of ``mentions`` holds utterance u's entity ids, ``sentiments`` aligned with
     its rows, and group u of ``words`` its content word ids. Codes index
     SPLITS, SPEAKERS and SENTIMENTS. A loaded corpus is sorted by
-    conversation_id, as is a ``take`` of ascending conversations.
+    conversation_id.
     """
 
     conversation_ids: list[str]
@@ -81,21 +81,6 @@ class Corpus:
     def conversation_mentions(self) -> Segments:
         """C groups: every entity id a conversation mentions, in order, repeats kept."""
         return self.mentions.regroup(self.utterances.offsets)
-
-    def take(self, idx: Sequence[int] | np.ndarray) -> Corpus:
-        """Conversations ``idx`` in that order, their utterances renumbered from 0."""
-        idx = np.asarray(idx, dtype=np.intp)
-        utts = self.utterances.take(idx)
-        u = utts.rows
-        mention_at = Segments.spans(np.arange(len(self.mentions.rows)),
-                                    self.mentions.offsets[u], self.mentions.offsets[u + 1])
-        words = Segments.spans(self.words.rows, self.words.offsets[u], self.words.offsets[u + 1])
-        ids, users, texts = self.conversation_ids, self.user_ids, self.texts
-        return Corpus([ids[c] for c in idx.tolist()], [users[c] for c in idx.tolist()],
-                      self.splits[idx], Segments(np.arange(len(u)), utts.offsets),
-                      self.speakers[u], [texts[i] for i in u.tolist()],
-                      Segments(self.mentions.rows[mention_at.rows], mention_at.offsets),
-                      self.sentiments[mention_at.rows], words)
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,7 +461,6 @@ def load_corpus(
     *,
     stopwords: frozenset[str] | None = None,
     lexicon: Mapping[str, Sentiment] | None = None,
-    words: WordVocab | None = None,
 ) -> tuple[Corpus, Vocab]:
     """Load and validate a corpus file against an entity vocabulary.
 
@@ -489,15 +473,14 @@ def load_corpus(
 
     The corpus comes back sorted by conversation_id, and word ids are
     assigned in that order, so identical inputs always produce identical
-    vocabularies. A fresh WordVocab is grown unless one is passed in.
+    vocabularies.
     """
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"corpus not found: {path}")
     if stopwords is None:
         stopwords = default_stopwords()
-    if words is None:
-        words = WordVocab()
+    words = WordVocab()
     records = []
     seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -582,24 +565,23 @@ def derive_examples(corpus: Corpus, entities: EntityVocab) -> Examples:
                     Segments.spans(gold_ent[order], runs[:-1], runs[1:]))
 
 
-Records = TypeVar("Records", Corpus, Examples)
-
-
-def split_view(records: Records, split: Split | str) -> Records:
-    """The conversations or examples of one split, in order."""
+def split_view(examples: Examples, split: Split | str) -> Examples:
+    """The examples of one split, in order."""
     try:
         code = SPLITS.index(Split(split))
     except ValueError:
         raise ValueError(f"unknown split {split!r}") from None
-    return records.take(np.flatnonzero(records.splits == code))
+    return examples.take(np.flatnonzero(examples.splits == code))
 
 
-def require_split(corpus: Corpus, split: Split) -> None:
-    """Raise LeakageError naming the first conversation of another split."""
-    if (other := np.flatnonzero(corpus.splits != SPLITS.index(split))).size:
-        c = other[0]
-        raise LeakageError(f"conversation {corpus.conversation_ids[c]!r} is "
-                           f"{SPLITS[corpus.splits[c]].value}, not {split.value}")
+def training_mentions(corpus: Corpus) -> tuple[np.ndarray, Segments, np.ndarray]:
+    """What the training-only structures read: the training conversations'
+    indices, ascending; their entity mentions, one group each, in order; and
+    those mentions' sentiment codes, aligned with the groups' rows."""
+    convs = np.flatnonzero(corpus.splits == SPLITS.index(Split.TRAIN))
+    bounds = corpus.conversation_mentions.offsets
+    at = Segments.spans(np.arange(len(corpus.sentiments)), bounds[convs], bounds[convs + 1])
+    return convs, Segments(corpus.mentions.rows[at.rows], at.offsets), corpus.sentiments[at.rows]
 
 
 def corpus_stats(corpus: Corpus, entities: EntityVocab) -> dict[str, int]:

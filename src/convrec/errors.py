@@ -19,10 +19,6 @@ class ValidationError(ConvRecError):
     """Structurally valid input violated a semantic constraint (dangling id, bad split, ...)."""
 
 
-class LeakageError(ConvRecError):
-    """A non-training conversation reached a training-only artifact (index, interaction graph)."""
-
-
 class ShapeError(ConvRecError):
     """Tensor operands have incompatible shapes."""
 

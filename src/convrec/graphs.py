@@ -14,11 +14,10 @@ from .corpus import (
     Corpus,
     EntityVocab,
     Sentiment,
-    Split,
     WordVocab,
     _lookup_rows,
     _tsv_rows,
-    require_split,
+    training_mentions,
 )
 from .errors import ParseError, ValidationError
 from .optim import atomic_write
@@ -244,15 +243,15 @@ def _interaction_graph(users: Iterable[str], edge_users: Sequence[str],
     return InteractionGraph(user_list, item_list.tolist(), edges)
 
 
-def build_interaction_graph(train: Corpus, entities: EntityVocab) -> InteractionGraph:
-    """Extract deduplicated (user, like/dislike, item) edges from training data."""
-    require_split(train, Split.TRAIN)
-    ent = train.mentions.rows
-    sentiment = train.sentiments
+def build_interaction_graph(corpus: Corpus, entities: EntityVocab) -> InteractionGraph:
+    """Extract deduplicated (user, like/dislike, item) edges from the corpus's
+    training conversations; no other split is read."""
+    convs, mentions, sentiment = training_mentions(corpus)
+    ent = mentions.rows
     kept = np.flatnonzero((sentiment != SENTIMENTS.index(Sentiment.NEUTRAL))
                           & np.array(entities.is_item, bool)[ent])
-    users = train.user_ids
-    edge_users = [users[c] for c in train.conversation_mentions.group_of_rows()[kept].tolist()]
+    users = [corpus.user_ids[c] for c in convs.tolist()]
+    edge_users = [users[k] for k in mentions.group_of_rows()[kept].tolist()]
     rels = sentiment[kept] == SENTIMENTS.index(Sentiment.DISLIKE)  # like 0, dislike 1
     return _interaction_graph(users, edge_users, rels, ent[kept])
 

@@ -6,7 +6,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator, TextIO
 
@@ -131,30 +131,25 @@ class AdamConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter plus the shared step count.
+    """First/second moment estimates, two flat arrays laid out as the store's
+    arena, plus the shared step count."""
 
-    ``flat`` holds the moments as two arrays laid out as the store's arena;
-    ``m[name]`` and ``v[name]`` are views of them. A state read from a
-    checkpoint holds plain arrays and no ``flat``.
-    """
-
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    flat: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def for_store(cls, store: ParamStore) -> "AdamState":
         """Zero moments for ``store``, which this packs (:meth:`ParamStore.pack`)."""
-        m, v = np.zeros_like(store.pack()), np.zeros_like(store.arena)
-        return cls(store.views(m), store.views(v), flat=(m, v))
+        m = np.zeros_like(store.pack())
+        return cls(m, np.zeros_like(m))
 
 
 def adam_step(store: ParamStore, state: AdamState, config: AdamConfig) -> float:
     """One clipped, bias-corrected Adam update of the whole arena, run in place.
 
     ``state`` comes from :meth:`AdamState.for_store` of ``store``. The arena
-    and the flat moments are updated in ``_ADAM_BLOCK``-sized slices, so
+    and the moments are updated in ``_ADAM_BLOCK``-sized slices, so
     every op reads a block its predecessor left in cache. Each block first
     gathers its gradients into one block-sized scratch, times the clip
     factor when the clip fires, and zeros for the zero stand-ins; two more
@@ -167,10 +162,8 @@ def adam_step(store: ParamStore, state: AdamState, config: AdamConfig) -> float:
     for name, t in store.items():
         if t.grad is None:
             raise StateError(f"parameter {name!r} has no gradient; run backward first")
-        if name not in state.m or name not in state.v:
-            raise StateError(f"optimizer state missing for parameter {name!r}")
     arena = store.arena
-    if arena is None or state.flat is None or state.flat[0].size != arena.size:
+    if arena is None or not state.m.size == state.v.size == arena.size:
         raise StateError("optimizer state was not made for this store by AdamState.for_store")
 
     norm = store.grad_global_norm()
@@ -185,7 +178,7 @@ def adam_step(store: ParamStore, state: AdamState, config: AdamConfig) -> float:
             spans.append((lo, t.grad.reshape(-1)))
         lo += t.values.size
     spans.append((arena.size, arena[:0]))  # a sentinel past every block
-    m_all, v_all = state.flat
+    m_all, v_all = state.m, state.v
     g_buf, a_buf, b_buf = (np.empty(min(_ADAM_BLOCK, arena.size)) for _ in range(3))
     k = 0
     for lo in range(0, arena.size, _ADAM_BLOCK):
@@ -232,8 +225,7 @@ def adam_step(store: ParamStore, state: AdamState, config: AdamConfig) -> float:
 #     u16 name length, utf-8 name bytes
 #     u8  rank, then u32 per dimension
 #     float64 little-endian raw values, C order
-#   u8   optimizer flag (0 absent, 1 Adam)
-#   if Adam: u64 step, then per parameter (same order): m values, v values
+#   u8   optimizer flag, always 0: a checkpoint holds parameters only
 
 
 def _write_array(fh, arr: np.ndarray) -> None:
@@ -256,7 +248,10 @@ def _read_array(fh, size: int, shape: tuple[int, ...]) -> np.ndarray:
         raise ParseError(f"checkpoint truncated: header claims shape {shape} "
                          f"({8 * count} bytes) but {left} bytes remain")
     raw = _read_exact(fh, 8 * count)
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    try:
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    except ValueError as err:  # a rank above numpy's limit
+        raise ParseError(f"checkpoint shape of rank {len(shape)}: {err}") from None
 
 
 @contextmanager
@@ -279,7 +274,7 @@ def atomic_write(path: str | Path, text: bool = False) -> Iterator[BinaryIO | Te
         raise
 
 
-def save_checkpoint(path: str | Path, store: ParamStore, state: AdamState | None = None) -> None:
+def save_checkpoint(path: str | Path, store: ParamStore) -> None:
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(store)))
@@ -291,17 +286,10 @@ def save_checkpoint(path: str | Path, store: ParamStore, state: AdamState | None
             for dim in t.values.shape:
                 fh.write(struct.pack("<I", dim))
             _write_array(fh, t.values)
-        if state is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            fh.write(struct.pack("<Q", state.step))
-            for name, t in store.items():
-                _write_array(fh, state.m[name])
-                _write_array(fh, state.v[name])
+        fh.write(struct.pack("<B", 0))
 
 
-def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], AdamState | None]:
+def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint into plain arrays without needing a pre-built store."""
     path = Path(path)
     if not path.exists():
@@ -328,23 +316,16 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], AdamState 
                 raise ParseError(f"duplicate parameter in checkpoint: {name!r}")
             params[name] = _read_array(fh, size, shape)
         (opt_flag,) = struct.unpack("<B", _read_exact(fh, 1))
-        state: AdamState | None = None
-        if opt_flag == 1:
-            (step,) = struct.unpack("<Q", _read_exact(fh, 8))
-            state = AdamState(step=step)
-            for name, arr in params.items():
-                state.m[name] = _read_array(fh, size, arr.shape)
-                state.v[name] = _read_array(fh, size, arr.shape)
-        elif opt_flag != 0:
+        if opt_flag != 0:
             raise ParseError(f"unknown optimizer flag {opt_flag}")
         if fh.tell() != size:
             raise ParseError(f"checkpoint has {size - fh.tell()} trailing bytes: {path}")
-        return params, state
+        return params
 
 
-def load_checkpoint(path: str | Path, store: ParamStore) -> AdamState | None:
+def load_checkpoint(path: str | Path, store: ParamStore) -> None:
     """Load values into an existing store; names and shapes must match exactly."""
-    params, state = read_checkpoint(path)
+    params = read_checkpoint(path)
     if set(params) != set(store.names()):
         missing = sorted(set(store.names()) - set(params))
         extra = sorted(set(params) - set(store.names()))
@@ -359,4 +340,3 @@ def load_checkpoint(path: str | Path, store: ParamStore) -> AdamState | None:
             )
         t.values[...] = arr
     store.zero_grads()
-    return state

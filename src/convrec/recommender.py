@@ -197,11 +197,12 @@ def build_artifacts(
     word_graph: WordGraph | None = None,
 ) -> Artifacts:
     """The training-split structures of a loaded corpus: the interaction graph
-    and, when the split has a conversation, the retrieval index."""
-    train_corpus = split_view(corpus, Split.TRAIN)
+    and, when the split has a conversation, the retrieval index. Both builders
+    read the training conversations alone."""
+    has_train = SPLITS.index(Split.TRAIN) in corpus.splits
     return Artifacts(vocab=vocab, corpus=corpus, kg=kg, word_graph=word_graph,
-                     interaction=build_interaction_graph(train_corpus, vocab.entities),
-                     index=build_index(train_corpus) if len(train_corpus) else None,
+                     interaction=build_interaction_graph(corpus, vocab.entities),
+                     index=build_index(corpus) if has_train else None,
                      item_ids=vocab.entities.item_ids())
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .autodiff import Segments
-from .corpus import Corpus, Split, require_split
+from .corpus import Corpus, training_mentions
 from .errors import MissingArtifactError, ParseError, ValidationError
 from .optim import atomic_write
 
@@ -128,19 +128,19 @@ class RetrievalResult:
     entities: tuple[int, ...]
 
 
-def build_index(train: Corpus, *, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
-    """Index training conversations; anything from another split is leakage.
+def build_index(corpus: Corpus, *, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
+    """Index the corpus's training conversations; no other split is read.
 
     A document is a conversation, its tokens every entity it mentions.
     """
-    if not len(train):
-        raise ValidationError("cannot build a retrieval index over an empty corpus")
-    require_split(train, Split.TRAIN)
-    doc_ids = list(train.conversation_ids)
+    convs, tokens, _ = training_mentions(corpus)
+    if not len(convs):
+        raise ValidationError("cannot build a retrieval index: the corpus has no "
+                              "training conversation")
+    doc_ids = [corpus.conversation_ids[c] for c in convs.tolist()]
     if any(x >= y for x, y in zip(doc_ids, doc_ids[1:])):  # document order must be strict
         raise ValidationError("conversation ids do not ascend: a conversation_id repeats or "
                               "is out of order")
-    tokens = train.conversation_mentions
     n_docs = len(doc_ids)
     terms, term_of = np.unique(tokens.rows.astype(np.int64), return_inverse=True)
     # one (term, document) key per token, term-major; a key's count is its tf

@@ -3,19 +3,32 @@
 ``bench/workloads.py`` counts each split's examples from the generator's
 authoring records, and ``bench/train_worker.py`` passes ``split_view`` of
 ``Artifacts.examples``, by a split's name, to ``len`` and ``evaluate``.
+The benchmark also looks functions up by name (``module.function``, some
+with a ``.label`` suffix); every such name must stay a function of its
+``convrec`` module.
 """
 
+import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from convrec import corpus
+from convrec import cli, corpus
 from convrec.recommender import Model, TrainConfig, build_artifacts, evaluate
-from convrec.synthetic import popularity_corpus
+from convrec.synthetic import popularity_corpus, toy_instance, write_inputs
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+import train_worker  # noqa: E402
 import workloads  # noqa: E402
+
+# names the benchmark reports that no function carries any more: removed from
+# the package, they await the next change to the benchmark
+KNOWN_ABSENT = {"autodiff.neighbor_sum"}
 
 
 @pytest.mark.parametrize("seed", [0, 201])
@@ -32,3 +45,54 @@ def test_bench_counts_equal_derive_examples_and_evaluate_runs(seed):
         assert len(corpus.split_view(artifacts.examples, split)) == examples[split]
         report = evaluate(model, view, workloads.KS, split_label=split)
         assert (report.n_examples, report.n_pairs) == (examples[split], pairs[split])
+
+
+def bench_constant(filename: str, name: str):
+    """The literal value of a module-level constant of a bench file, read without
+    importing it: importing ``run.py`` would set BLAS variables in this process."""
+    tree = ast.parse((BENCH / filename).read_text("utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [name]:
+            value = node.value
+            if isinstance(value, ast.Call) and value.func.id == "frozenset":
+                value = value.args[0]
+            return ast.literal_eval(value)
+    raise AssertionError(f"no constant {name} in bench/{filename}")
+
+
+def bench_function_names() -> set[str]:
+    """Every ``module.function`` the benchmark looks up, labels dropped."""
+    spans = (list(bench_constant("run.py", "LAYER_TIMES"))
+             + list(bench_constant("run.py", "LAYER_CALLS"))
+             + [name for name, _ in bench_constant("run.py", "REPORT_ONLY_TIMES")]
+             + list(bench_constant("tracer.py", "INNER")))
+    sampled = [f"recommender.{name}" for name in bench_constant("train_worker.py",
+                                                                 "SAMPLED_CALLS")]
+    return {".".join(name.split(".")[:2]) for name in spans + sampled}
+
+
+def test_every_function_the_bench_names_exists():
+    names = bench_function_names()
+    assert KNOWN_ABSENT <= names
+    for name in sorted(names):
+        module, function = name.split(".")
+        fn = getattr(importlib.import_module(f"convrec.{module}"), function, None)
+        if name in KNOWN_ABSENT:
+            assert fn is None, f"{name} exists again: drop it from KNOWN_ABSENT"
+        else:
+            assert inspect.isfunction(fn), f"the bench names convrec.{name}"
+
+
+def test_bench_calls_load_save_and_reload_a_model(tmp_path):
+    raw = {key: str(path) for key, path in write_inputs(toy_instance(), tmp_path).items()}
+    bundle = tmp_path / "bundle"
+    train_worker.ingest(cli, raw, bundle)
+    artifacts = cli.load_bundle(bundle)
+    model = Model(artifacts, TrainConfig(dim=8, seed=0))
+    ckpt = tmp_path / "run" / "model.ckpt"
+    ckpt.parent.mkdir()
+    cli.save_model_checkpoint(model, None, ckpt)
+    loaded = cli.load_model(str(bundle), str(ckpt))
+    assert loaded.store.names() == model.store.names()
+    for name, t in model.store.items():
+        np.testing.assert_array_equal(loaded.store[name].values, t.values)

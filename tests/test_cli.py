@@ -403,6 +403,20 @@ def test_eval_checkpoint_with_trailing_bytes_exits_2(runner, toy_bundle, toy_che
     assert "trailing bytes" in result.stderr
 
 
+def test_eval_checkpoint_with_optimizer_flag_1_exits_2(runner, toy_bundle, toy_checkpoint,
+                                                       tmp_path):
+    raw = toy_checkpoint.read_bytes()
+    assert raw[-1] == 0  # the optimizer flag ends every checkpoint convrec writes
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(raw[:-1] + b"\x01")
+    shutil.copy(toy_checkpoint.with_name("model.ckpt.config.json"), tmp_path)
+    redigest(ckpt)  # the digest matches: the reader itself refuses the flag
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle),
+                                      "--checkpoint", str(ckpt), "--split", "train"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and "unknown optimizer flag 1" in result.stderr
+
+
 def redigest(ckpt: Path) -> None:
     """Rewrite the sidecar's checkpoint sha256 to that of the bytes ``ckpt`` holds now."""
     sidecar = ckpt.with_name(ckpt.name + ".config.json")
@@ -424,8 +438,8 @@ def test_eval_checkpoint_with_a_changed_weight_byte_exits_2(runner, toy_bundle, 
     ckpt = tmp_path / "model.ckpt"
     ckpt.write_bytes(bytes(raw))
     shutil.copy(toy_checkpoint.with_name("model.ckpt.config.json"), tmp_path)
-    params, _ = convrec.optim.read_checkpoint(ckpt)  # it parses: only the digest tells it apart
-    assert set(params) == set(convrec.optim.read_checkpoint(toy_checkpoint)[0])
+    params = convrec.optim.read_checkpoint(ckpt)  # it parses: only the digest tells it apart
+    assert set(params) == set(convrec.optim.read_checkpoint(toy_checkpoint))
     loads = []
     original = cli.load_checkpoint
     with pytest.MonkeyPatch.context() as mp:
@@ -561,6 +575,17 @@ def test_retrieve_matches_module(runner, toy_bundle):
     assert "c2" not in [d for d, _ in got_ranked]
 
 
+def test_bundle_without_its_index_file_exits_3(runner, toy_bundle, toy_checkpoint, tmp_path):
+    # the manifest says the bundle has an index; bm25.idx is its one location
+    bundle = shutil.copytree(toy_bundle, tmp_path / "bundle")
+    (bundle / "bm25.idx").unlink()
+    for args in (["retrieve", "--bundle", str(bundle), "--conversation", "c2"],
+                 ["eval", "--bundle", str(bundle), "--checkpoint", str(toy_checkpoint)]):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 3
+        assert "retrieval index not found" in result.stderr
+
+
 def test_retrieve_unknown_conversation_exits_2(runner, toy_bundle):
     result = runner.invoke(cli.main, ["retrieve", "--bundle", str(toy_bundle),
                                       "--conversation", "zzz"])
@@ -575,12 +600,11 @@ def test_retrieve_unknown_conversation_exits_2(runner, toy_bundle):
 ], ids=["k1=inf", "k1=nan", "k1=-1", "b=1.5", "k1=1.7e308", "k1=1e308"])
 def test_eval_index_with_k1_or_b_out_of_range_exits_2(runner, toy_bundle, toy_checkpoint,
                                                       tmp_path, k1, b, message):
-    raw = (toy_bundle / "bm25.idx").read_bytes()
-    index = tmp_path / "bm25.idx"
-    index.write_bytes(raw[:8] + struct.pack("<dd", k1, b) + raw[24:])  # f64 k1, f64 b
-    result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle), "--checkpoint",
-                                      str(toy_checkpoint), "--index-path", str(index),
-                                      "--split", "train"])
+    bundle = shutil.copytree(toy_bundle, tmp_path / "bundle")
+    raw = (bundle / "bm25.idx").read_bytes()
+    (bundle / "bm25.idx").write_bytes(raw[:8] + struct.pack("<dd", k1, b) + raw[24:])  # k1, b
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle), "--checkpoint",
+                                      str(toy_checkpoint), "--split", "train"])
     assert result.exit_code == 2
     assert re.search(message, result.stderr)
 
@@ -589,14 +613,13 @@ def test_eval_index_whose_document_lists_a_foreign_entity_exits_2(runner, toy_bu
                                                                   toy_checkpoint, tmp_path):
     # c0 lists (A0, I0, I1); its first entity's u32 follows the 28-byte header, the
     # id's length and bytes, and its length and entity count
-    raw = (toy_bundle / "bm25.idx").read_bytes()
+    bundle = shutil.copytree(toy_bundle, tmp_path / "bundle")
+    raw = (bundle / "bm25.idx").read_bytes()
     at = 28 + 2 + 2 + 8
     assert struct.unpack_from("<3I", raw, at) == (6, 0, 1)
-    index = tmp_path / "bm25.idx"
-    index.write_bytes(raw[:at] + struct.pack("<I", 7) + raw[at + 4:])
-    result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle), "--checkpoint",
-                                      str(toy_checkpoint), "--index-path", str(index),
-                                      "--split", "train"])
+    (bundle / "bm25.idx").write_bytes(raw[:at] + struct.pack("<I", 7) + raw[at + 4:])
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle), "--checkpoint",
+                                      str(toy_checkpoint), "--split", "train"])
     assert result.exit_code == 2
     assert "'c0' lists entities other than its posting terms" in result.stderr
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convrec.corpus import EntityVocab, Sentiment, Speaker, Split, WordVocab
-from convrec.errors import LeakageError, MissingArtifactError, ParseError, ValidationError
+from convrec.errors import MissingArtifactError, ParseError, ValidationError
 from convrec.graphs import (
     INTERACTION_RELATIONS,
     InteractionGraph,
@@ -325,11 +325,21 @@ def test_build_interaction_graph_from_conversations():
     assert g.edges.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 0]]
 
 
-def test_interaction_graph_rejects_non_train():
+def test_interaction_graph_reads_only_training_conversations():
     entities = make_entities()
-    with pytest.raises(LeakageError, match="test"):
-        build_interaction_graph(corpus_of([conv("c", "u", Split.TEST, [(0, Sentiment.LIKE)])]),
-                                entities)
+    train = [conv("c1", "alice", Split.TRAIN, [(0, Sentiment.LIKE), (1, Sentiment.DISLIKE)]),
+             conv("c3", "bob", Split.TRAIN, [(2, Sentiment.NEUTRAL)]),
+             conv("c5", "alice", Split.TRAIN, [(3, Sentiment.LIKE)])]
+    others = [conv("c0", "carol", Split.TEST, [(0, Sentiment.LIKE)]),   # a user of no train
+              conv("c2", "alice", Split.VALID, [(2, Sentiment.DISLIKE)]),
+              conv("c4", "bob", Split.TEST, [(1, Sentiment.LIKE), (3, Sentiment.DISLIKE)])]
+    mixed = build_interaction_graph(corpus_of(train + others), entities)
+    alone = build_interaction_graph(corpus_of(train), entities)
+    assert mixed.users == alone.users == ["alice", "bob"]
+    assert mixed.items == alone.items == [0, 1, 3]
+    assert mixed.edges.tolist() == alone.edges.tolist() == [[0, 0, 0], [0, 0, 2], [0, 1, 1]]
+    empty = build_interaction_graph(corpus_of(others), entities)
+    assert empty.users == [] and empty.items == [] and empty.edges.size == 0
 
 
 def test_interaction_graph_as_typed_layout():

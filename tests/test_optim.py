@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convrec import autodiff as ad
 from convrec import optim
@@ -16,9 +18,11 @@ from convrec.optim import (
     read_checkpoint,
     save_checkpoint,
 )
+from convrec.recommender import Model, TrainConfig
 
 from conftest import total
 from oracles import adam_reference
+from test_retrieval import mutations
 
 
 def make_store():
@@ -127,9 +131,8 @@ def test_adam_missing_state_or_grad_raises():
     with pytest.raises(StateError):
         adam_step(store, state, AdamConfig())
     store.zero_grads()
-    state.m.pop("b")
     with pytest.raises(StateError):
-        adam_step(store, state, AdamConfig())
+        adam_step(store, AdamState(state.m, state.v[:-1]), AdamConfig())
 
 
 def test_adam_descends_convex_quadratic():
@@ -178,12 +181,13 @@ def test_adam_step_matches_the_expression_form_bit_for_bit(scale, clips):
             eps=config.eps, clip_norm=config.clip_norm)
         assert (want_norm > config.clip_norm) == clips
         assert norm == want_norm
+        got_m, got_v = store.views(state.m), store.views(state.v)
         for name, t in store.items():
             assert t.values.tobytes() == values[name].tobytes(), (step, name)
-            assert state.m[name].tobytes() == m[name].tobytes(), (step, name)
-            assert state.v[name].tobytes() == v[name].tobytes(), (step, name)
+            assert got_m[name].tobytes() == m[name].tobytes(), (step, name)
+            assert got_v[name].tobytes() == v[name].tobytes(), (step, name)
             np.testing.assert_array_equal(t.grad, np.zeros(t.shape))
-    assert not state.m["c"].any() and not state.v["c"].any()
+    assert not got_m["c"].any() and not got_v["c"].any()
 
 
 def test_flat_adam_step_matches_the_reference_across_block_boundaries():
@@ -219,10 +223,11 @@ def test_flat_adam_step_matches_the_reference_across_block_boundaries():
             eps=config.eps, clip_norm=config.clip_norm)
         assert norm == want_norm
         clipped.append(want_norm > config.clip_norm)
+        got_m, got_v = store.views(state.m), store.views(state.v)
         for name, t in store.items():
             assert t.values.tobytes() == values[name].tobytes(), (step, name)
-            assert state.m[name].tobytes() == m[name].tobytes(), (step, name)
-            assert state.v[name].tobytes() == v[name].tobytes(), (step, name)
+            assert got_m[name].tobytes() == m[name].tobytes(), (step, name)
+            assert got_v[name].tobytes() == v[name].tobytes(), (step, name)
     assert clipped == [True, False] * 3
     assert store.arena.size == sum(math.prod(shape) for shape in shapes.values())
     assert store.arena.size > 2 * block
@@ -233,21 +238,19 @@ def test_packing_makes_every_parameter_a_view_of_one_arena(tmp_path):
     store.add("s", np.asarray(2.5))
     before = {name: t.values.copy() for name, t in store.items()}
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store, AdamState(m={n: np.zeros(t.shape) for n, t in store.items()},
-                                           v={n: np.zeros(t.shape) for n, t in store.items()}))
+    save_checkpoint(path, store)
     assert store.arena is None  # nothing packs before training starts
     state = AdamState.for_store(store)
     arena = store.arena
     assert store.pack() is arena and arena.dtype == np.float64 and arena.size == 8
     np.testing.assert_array_equal(arena, np.concatenate([x.ravel() for x in before.values()]))
-    m_flat, v_flat = state.flat
+    assert state.m.shape == state.v.shape == arena.shape and not state.m.any()
     for name, t in store.items():
         assert t.values.base is arena and t.values.shape == before[name].shape
         np.testing.assert_array_equal(t.values, before[name])
-        assert state.m[name].base is m_flat and state.v[name].base is v_flat
     # the same checkpoint bytes as before packing
     packed = tmp_path / "packed.ckpt"
-    save_checkpoint(packed, store, state)
+    save_checkpoint(packed, store)
     assert packed.read_bytes() == path.read_bytes()
     # load_checkpoint writes through the views into the arena
     other = make_store()
@@ -265,11 +268,13 @@ def test_adam_step_needs_a_state_made_for_its_store():
     store = make_store()
     state = AdamState.for_store(store)
     store.zero_grads()
-    unpacked = make_store()  # a state read from a checkpoint has no flat moments either
+    unpacked = make_store()  # no arena: nothing made a state for it
     with pytest.raises(StateError, match="for_store"):
         adam_step(unpacked, state, AdamConfig())
+    bigger = make_store()
+    bigger.add("c", np.zeros(2))
     with pytest.raises(StateError, match="for_store"):
-        adam_step(store, AdamState(m=dict(state.m), v=dict(state.v)), AdamConfig())
+        adam_step(store, AdamState.for_store(bigger), AdamConfig())
     adam_step(store, state, AdamConfig())
     assert state.step == 1
 
@@ -315,8 +320,7 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     restored.add("emb", np.zeros((5, 3)))
     restored.add("w", np.zeros(3))
     restored.add("s", np.asarray(0.0))
-    state = load_checkpoint(path, restored)
-    assert state is None
+    load_checkpoint(path, restored)
     for name in store.names():
         np.testing.assert_array_equal(restored[name].values, store[name].values)
 
@@ -349,32 +353,12 @@ def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypa
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
-def test_checkpoint_with_adam_state_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    store = ParamStore()
-    store.add("w", rng.normal(size=(2, 2)))
-    state = AdamState.for_store(store)
-    state.step = 17
-    state.m["w"] = rng.normal(size=(2, 2))
-    state.v["w"] = rng.random((2, 2))
-    path = tmp_path / "opt.ckpt"
-    save_checkpoint(path, store, state)
-
-    restored_store = ParamStore()
-    restored_store.add("w", np.zeros((2, 2)))
-    restored = load_checkpoint(path, restored_store)
-    assert restored is not None and restored.step == 17
-    np.testing.assert_array_equal(restored.m["w"], state.m["w"])
-    np.testing.assert_array_equal(restored.v["w"], state.v["w"])
-
-
 def test_read_checkpoint_without_store(tmp_path):
     store = make_store()
     path = tmp_path / "raw.ckpt"
     save_checkpoint(path, store)
-    params, state = read_checkpoint(path)
+    params = read_checkpoint(path)
     assert set(params) == {"a", "b"}
-    assert state is None
     np.testing.assert_array_equal(params["a"], store["a"].values)
 
 
@@ -411,12 +395,11 @@ def test_checkpoint_truncation(tmp_path):
         read_checkpoint(path)
 
 
-@pytest.mark.parametrize("with_state", [False, True], ids=["params", "adam"])
-def test_checkpoint_loads_exactly_its_own_length(tmp_path, with_state):
+def test_checkpoint_loads_exactly_its_own_length(tmp_path):
     store = make_store()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store, AdamState.for_store(store) if with_state else None)
-    params, _ = read_checkpoint(path)
+    save_checkpoint(path, store)
+    params = read_checkpoint(path)
     np.testing.assert_array_equal(params["b"], store["b"].values)
     raw = path.read_bytes()
     for extra in (b"\x00", b"\x00" * 8):
@@ -456,14 +439,58 @@ def test_read_checkpoint_bounds_shape_by_file_size(tmp_path, small_reads, shape)
         read_checkpoint(path)
 
 
-def test_read_checkpoint_bounds_adam_state_by_file_size(tmp_path, small_reads):
+def test_read_checkpoint_refuses_an_optimizer_flag_other_than_0(tmp_path, small_reads):
     store = make_store()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store, AdamState.for_store(store))
+    save_checkpoint(path, store)
     raw = path.read_bytes()
-    path.write_bytes(raw[:-8])  # the last v array loses one value
-    with pytest.raises(ParseError, match="header claims shape"):
+    assert raw[-1] == 0  # the flag is the last byte
+    for flag in (1, 2, 255):
+        # an optimizer section after the flag (a step, then m and v of the 7
+        # values), refused before any of it is read
+        path.write_bytes(raw[:-1] + struct.pack("<BQ", flag, 3) + b"\x00" * 8 * 2 * 7)
+        with pytest.raises(ParseError, match=f"^unknown optimizer flag {flag}$"):
+            read_checkpoint(path)
+
+
+def test_read_checkpoint_refuses_a_rank_numpy_cannot_hold(tmp_path):
+    # 70 dimensions whose product fits the one byte left: a zero, then ones
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_one_param_header((0,) + (1,) * 69) + b"\x00")
+    with pytest.raises(ParseError, match="maximum supported dimension"):
         read_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def ckpt_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("checkpoints")
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint_bytes(ckpt_dir, toy_artifacts):
+    """The checkpoint of a toy model (3,673 bytes)."""
+    path = ckpt_dir / "toy.ckpt"
+    save_checkpoint(path, Model(toy_artifacts, TrainConfig(dim=4, seed=0)).store)
+    return path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_checkpoint_bytes_load_exactly_or_raise_parse_error(ckpt_dir,
+                                                                    toy_checkpoint_bytes, data):
+    path, again = ckpt_dir / "mutated.ckpt", ckpt_dir / "again.ckpt"
+    raw = data.draw(mutations(toy_checkpoint_bytes))
+    path.write_bytes(raw)
+    try:
+        params = read_checkpoint(path)
+    except ParseError:
+        return
+    # what loads is what the bytes say: a store of it saves the same bytes back
+    store = ParamStore()
+    for name, values in params.items():
+        store.add(name, values)
+    save_checkpoint(again, store)
+    assert again.read_bytes() == raw
 
 
 def test_load_checkpoint_name_mismatch(tmp_path):

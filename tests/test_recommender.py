@@ -537,7 +537,7 @@ def test_model_same_seed_same_params(toy_artifacts):
 def test_model_rejects_itemless_vocab(toy_artifacts):
     from convrec.recommender import Artifacts
 
-    empty = Artifacts(vocab=toy_artifacts.vocab, corpus=toy_artifacts.corpus.take([]),
+    empty = Artifacts(vocab=toy_artifacts.vocab, corpus=toy_artifacts.corpus,
                       kg=toy_artifacts.kg, word_graph=None, interaction=None,
                       index=None, item_ids=[])
     with pytest.raises(ConfigurationError, match="no items"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from convrec import retrieval
 from convrec.autodiff import Segments
 from convrec.corpus import Sentiment, Speaker, Split
-from convrec.errors import LeakageError, MissingArtifactError, ParseError, ValidationError
+from convrec.errors import MissingArtifactError, ParseError, ValidationError
 from convrec.retrieval import (
     bm25_score,
     load_index,
@@ -153,9 +153,22 @@ def test_entities_rank_then_mention_order():
         assert result.entities == (2, 9, 3, 1)
 
 
-def test_build_index_rejects_non_train():
-    with pytest.raises(LeakageError, match="valid"):
-        build_index([doc_conv("c", [1], split=Split.VALID)])
+def test_build_index_reads_only_training_conversations(tmp_path):
+    def conv(cid, turns, split):
+        first, *rest = [doc_conv(cid, t, split) for t in turns]
+        return first._replace(utterances=sum((c.utterances for c in rest), first.utterances))
+
+    train = [conv("c1", [[1, 2], [], [2, 5]], Split.TRAIN), conv("c3", [[4]], Split.TRAIN),
+             conv("c5", [[], [1, 1]], Split.TRAIN)]
+    others = [conv("c0", [[7, 1], [9]], Split.VALID), conv("c2", [[8]], Split.TEST),
+              conv("c4", [[1], [3, 3]], Split.VALID), conv("c6", [[6]], Split.TEST)]
+    mixed, alone = build_index(train + others), build_index(train)
+    assert mixed.doc_ids == ["c1", "c3", "c5"]
+    save_index(mixed, tmp_path / "mixed.idx")
+    save_index(alone, tmp_path / "alone.idx")
+    assert (tmp_path / "mixed.idx").read_bytes() == (tmp_path / "alone.idx").read_bytes()
+    with pytest.raises(ValidationError, match="no training conversation"):
+        build_index(others)
 
 
 def test_build_index_rejects_empty():

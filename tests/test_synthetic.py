@@ -1,13 +1,13 @@
 import numpy as np
 
-from convrec.corpus import Sentiment, Split, corpus_stats, split_view
+from convrec.corpus import Sentiment, Split, corpus_stats
 from convrec.graphs import build_interaction_graph
 from convrec.recommender import build_artifacts
 from convrec.synthetic import cluster_corpus, popularity_corpus, toy_instance, write_inputs
 
 
 def like_degrees(data):
-    ig = build_interaction_graph(split_view(data.corpus, Split.TRAIN), data.vocab.entities)
+    ig = build_interaction_graph(data.corpus, data.vocab.entities)
     edges = np.asarray(ig.edges).reshape(-1, 3)
     liked = np.asarray(ig.items, dtype=np.intp)[edges[edges[:, 1] == 0, 2]]
     return np.bincount(liked, minlength=len(data.vocab.entities))[data.vocab.entities.item_ids()]
