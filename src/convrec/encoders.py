@@ -109,8 +109,10 @@ def rgcn_forward(graph: TypedGraph, params: RgcnParams, n_rows: int | None = Non
         op, op_t = graph.layer_operator(**norm, n_rows=rows)
         weights = ad.concat([*(params.rel_weights[layer][rel] for rel in graph.relations),
                              params.self_weights[layer]])
-        stacked = ad.reshape(ad.spmm(op, op_t, h), (rows, blocks * params.dim))
-        h = ad.relu(ad.matmul(stacked, weights))
+        # no local holds the (R + 1)-block product: without a tape it is freed
+        # before the next layer builds its own
+        h = ad.relu(ad.matmul(ad.reshape(ad.spmm(op, op_t, h), (rows, blocks * params.dim)),
+                              weights))
     return h
 
 

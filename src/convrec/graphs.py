@@ -37,6 +37,18 @@ def _edge_array(edges: np.ndarray | Sequence[tuple[int, int, int]]) -> np.ndarra
     return arr
 
 
+def _distinct_rows(arr: np.ndarray, n_rel: int, n_tail: int) -> np.ndarray:
+    """The sorted distinct rows of an (E, 3) array of in-range (head, rel, tail) rows.
+
+    Rows in range map one-to-one, in the same order, onto the 1-D key
+    (head * n_rel + rel) * n_tail + tail, so one np.unique of the keys sorts
+    and de-duplicates them.
+    """
+    rest, tails = np.divmod(np.unique((arr[:, 0] * n_rel + arr[:, 1]) * n_tail + arr[:, 2]),
+                            n_tail)
+    return np.stack([*np.divmod(rest, n_rel), tails], axis=1)
+
+
 def _messages(heads: np.ndarray, tails: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct (dst, src) messages of undirected pairs over ``n`` nodes.
 
@@ -74,11 +86,7 @@ class TypedGraph:
             if bad_node[first]:
                 raise ValidationError(f"edge endpoint out of range: ({head}, {rel}, {tail})")
             raise ValidationError(f"relation index out of range: {rel}")
-        # rows are in range, so the key (head * R + rel) * n + tail sorts and
-        # de-duplicates them exactly as the rows themselves would
-        n_rel = len(self.relations)
-        rest, tails = np.divmod(np.unique((heads * n_rel + rels) * n_nodes + tails), n_nodes)
-        self.edges = np.stack([*np.divmod(rest, n_rel), tails], axis=1)
+        self.edges = _distinct_rows(arr, len(self.relations), n_nodes)
         self._layer_operators: dict[tuple[bool, float, int],
                                     tuple[sp.csr_matrix, sp.csc_matrix]] = {}
 
@@ -190,21 +198,22 @@ class InteractionGraph:
         self.users = list(users)
         self.items = list(items)
         self.relations = INTERACTION_RELATIONS
-        # sorted distinct (user, relation, item) rows, like TypedGraph.edges
-        self.edges = np.unique(_edge_array(edges), axis=0)
-        self._typed: TypedGraph | None = None
-        user_idx, rel, item_idx = self.edges.T
-        bad_user = (user_idx < 0) | (user_idx >= len(self.users))
-        bad_item = (item_idx < 0) | (item_idx >= len(self.items))
-        bad = bad_user | bad_item | (rel < 0) | (rel > 1)
+        n_users, n_items = len(self.users), len(self.items)
+        arr = _edge_array(edges)
+        user_idx, rel, item_idx = arr.T
+        bad = ((user_idx < 0) | (user_idx >= n_users) | (rel < 0) | (rel > 1)
+               | (item_idx < 0) | (item_idx >= n_items))
         if bad.any():
-            first = int(np.argmax(bad))
-            user, relation, item = self.edges[first].tolist()
-            if bad_user[first]:
+            # the lexicographically smallest bad edge: the first the sorted edges would hold
+            user, relation, item = min(arr[bad].tolist())
+            if not 0 <= user < n_users:
                 raise ValidationError(f"user index out of range: {user}")
-            if bad_item[first]:
+            if not 0 <= item < n_items:
                 raise ValidationError(f"item index out of range: {item}")
             raise ValidationError(f"relation index out of range: {relation}")
+        # sorted distinct (user, relation, item) rows, like TypedGraph.edges
+        self.edges = _distinct_rows(arr, len(INTERACTION_RELATIONS), n_items)
+        self._typed: TypedGraph | None = None
 
     @property
     def n_users(self) -> int:

@@ -527,6 +527,9 @@ def train(artifacts: Artifacts, config: TrainConfig,
                 )
             ad.backward(loss)
             adam_step(model.store, state, adam_cfg)
+            # the loss and the encoder outputs hold this step's whole tape: drop
+            # it before the next step's forward pass builds its own
+            del loss, item_matrix, word_matrix
             running += loss_value
             n_batches += 1
         epoch_losses.append(running / max(n_batches, 1))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,23 @@ def test_rgcn_reuses_cached_relation_operators():
     rgcn_forward(graph, in_deg)
     assert sorted(graph._layer_operators) == [(False, 2.5, 3), (False, 2.5, 7), (True, 1.0, 7)]
     assert graph._layer_operators[(False, 2.5, 7)] is layer_op
+
+
+def test_rgcn_forward_without_a_tape_holds_one_layer_product_at_a_time():
+    # a layer's (n (R + 1), d) product is freed before the next layer builds its own
+    rng = np.random.default_rng(14)
+    n, relations, d = 1000, ("a", "b", "c"), 32
+    graph = random_typed_graph(rng, n, relations, 3000)
+    params = init_rgcn_params(ParamStore(), "p", n, relations, d, rng, layers=3)
+    graph.layer_operator(in_degree=False, z=1.0)  # cached first: only the pass's arrays count
+    with ad.no_grad():
+        tracemalloc.start()
+        try:
+            rgcn_forward(graph, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.75 * n * (len(relations) + 1) * d * 8
 
 
 @pytest.mark.parametrize("normalization, z", [(NORM_IN_DEGREE, 1.0), (NORM_CONSTANT, 2.5)])

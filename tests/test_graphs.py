@@ -365,6 +365,33 @@ def test_interaction_graph_validates_indices():
         InteractionGraph(["u", "v"], [1], [(1, 0, 2), (0, 1, 3), (0, 0, 0)])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 50), st.integers(1, 10**4), st.data())
+def test_interaction_graph_edges_equal_row_unique_or_name_the_first_bad_row(n_users, n_items,
+                                                                           data):
+    # the edges are np.unique's sorted distinct rows; with an out-of-range row
+    # the error names the first bad one of those sorted rows
+    good = st.tuples(st.integers(0, n_users - 1), st.integers(0, 1), st.integers(0, n_items - 1))
+    any_row = st.tuples(st.integers(-1, n_users), st.integers(-1, 2), st.integers(-1, n_items))
+    rows = data.draw(st.lists(good, min_size=1, max_size=20)) + data.draw(
+        st.lists(any_row, max_size=2))
+    arr = np.array(rows + rows[::2], dtype=np.intp)
+    users, items = [f"u{k}" for k in range(n_users)], list(range(n_items))
+    want = np.unique(arr, axis=0)
+    bad = [(u, r, i) for u, r, i in want.tolist()
+           if not (0 <= u < n_users and 0 <= r <= 1 and 0 <= i < n_items)]
+    if not bad:
+        edges = InteractionGraph(users, items, arr).edges
+        assert edges.dtype == want.dtype and edges.shape == want.shape
+        np.testing.assert_array_equal(edges, want)
+        return
+    u, r, i = bad[0]
+    field, value = (("user", u) if not 0 <= u < n_users else
+                    ("item", i) if not 0 <= i < n_items else ("relation", r))
+    with pytest.raises(ValidationError, match=f"^{field} index out of range: {value}$"):
+        InteractionGraph(users, items, arr)
+
+
 def test_interaction_graph_save_load_round_trip(tmp_path):
     entities = make_entities()
     convs = [

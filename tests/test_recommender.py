@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 
 import numpy as np
@@ -695,6 +696,22 @@ def test_contexts_take_refuses_ids_outside_the_record(bad):
     contexts = Contexts(field, field, field, field, np.array([10, 20, 30]))
     with pytest.raises(ShapeError, match="take: group id out of range for 3 groups"):
         contexts.take([0, bad])
+
+
+def test_no_tape_outlives_its_step(toy_artifacts, monkeypatch):
+    # when an encoder pass starts, for a training step or a validation pass,
+    # no tape node of an earlier step is alive
+    live = []
+    real = Model.encoder_outputs
+
+    def counting(self, *args):
+        live.append(sum(isinstance(obj, ad.Tensor) and obj._backward_fn is not None
+                        for obj in gc.get_objects()))
+        return real(self, *args)
+
+    monkeypatch.setattr(Model, "encoder_outputs", counting)
+    train(toy_artifacts, small_config(epochs=2, batch_size=2))
+    assert len(live) > 2 and live == [0] * len(live)
 
 
 def test_train_and_evaluate_call_the_sampled_functions_once_per_batch(toy_artifacts,
