@@ -47,7 +47,7 @@ from .graphs import (
     save_kg,
     save_word_graph,
 )
-from .optim import atomic_write, load_checkpoint, save_checkpoint
+from .optim import atomic_write, load_checkpoint, open_input, save_checkpoint
 from .recommender import (
     ABLATION_FLAGS,
     Artifacts,
@@ -122,11 +122,8 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (st
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "config file", text=True) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -228,14 +225,22 @@ def config_from_params(params: dict) -> TrainConfig:
 # bundle I/O
 
 
+def _read_json_object(path: Path, what: str) -> dict:
+    """The JSON object ``path`` holds; any other content raises ParseError."""
+    with open_input(path, what, text=True) as fh:
+        try:
+            value = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ParseError(f"{path}: invalid JSON: {err.msg}", line=err.lineno) from None
+    if not isinstance(value, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return value
+
+
 def load_bundle(bundle_dir: str | Path) -> Artifacts:
     bundle = Path(bundle_dir)
     manifest_path = bundle / _BUNDLE_FILES["manifest"]
-    if not manifest_path.exists():
-        raise MissingArtifactError(f"not an artifact bundle (no manifest): {bundle}")
-    manifest = json.loads(manifest_path.read_text("utf-8"))
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{manifest_path}: expected a JSON object")
+    manifest = _read_json_object(manifest_path, "artifact bundle manifest")
     if set(manifest) != set(_MANIFEST_TYPES):
         raise ParseError(f"{manifest_path}: keys {sorted(manifest)}, "
                          f"expected {sorted(_MANIFEST_TYPES)}")
@@ -257,7 +262,7 @@ def load_bundle(bundle_dir: str | Path) -> Artifacts:
 
     index = load_index(bundle / _BUNDLE_FILES["index"]) if manifest["has_index"] else None
     return Artifacts(vocab=vocab, corpus=corpus, kg=kg, word_graph=word_graph,
-                     interaction=interaction, index=index, item_ids=entities.item_ids())
+                     interaction=interaction, index=index)
 
 
 def _config_sidecar(checkpoint_path: Path) -> Path:
@@ -269,7 +274,7 @@ _DIGEST_KEY = "checkpoint_sha256"
 
 
 def _file_sha256(path: Path) -> str:
-    with open(path, "rb") as fh:
+    with open_input(path, "checkpoint") as fh:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
@@ -299,14 +304,9 @@ def save_model_checkpoint(result_model: Model, unused: None, checkpoint_path: Pa
 
 def load_model(bundle_dir: str, checkpoint_path: str) -> Model:
     ckpt = Path(checkpoint_path)
-    if not ckpt.exists():
-        raise MissingArtifactError(f"checkpoint not found: {ckpt}")
+    ckpt_digest = _file_sha256(ckpt)
     sidecar = _config_sidecar(ckpt)
-    if not sidecar.exists():
-        raise MissingArtifactError(f"checkpoint config not found: {sidecar}")
-    values = json.loads(sidecar.read_text("utf-8"))
-    if not isinstance(values, dict):
-        raise ParseError(f"{sidecar}: expected a JSON object")
+    values = _read_json_object(sidecar, "checkpoint config")
     digest = values.pop(_DIGEST_KEY, None)
     for key, value in values.items():
         if key not in _CONFIG_FIELDS:
@@ -316,7 +316,7 @@ def load_model(bundle_dir: str, checkpoint_path: str) -> Model:
                              f"{_CONFIG_FIELDS[key]}: {value!r}")
     if type(digest) is not str:
         raise ParseError(f"{sidecar}: no checkpoint sha256 ({_DIGEST_KEY!r})")
-    if _file_sha256(ckpt) != digest:
+    if ckpt_digest != digest:
         raise ParseError(f"{ckpt}: sha256 does not match its sidecar's; the checkpoint changed")
     config = TrainConfig(**values)
     model = Model(load_bundle(bundle_dir), config)

@@ -27,8 +27,8 @@ from typing import Callable, Collection, Mapping, Sequence
 import numpy as np
 
 from .autodiff import Segments
-from .errors import MissingArtifactError, ParseError, ValidationError
-from .optim import atomic_write
+from .errors import ParseError, ValidationError
+from .optim import atomic_write, open_input
 
 
 class Speaker(str, Enum):
@@ -216,10 +216,7 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"stop-word file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "stop-word file", text=True) as fh:
         return frozenset(w for w in (line.strip() for line in fh) if w)
 
 
@@ -230,16 +227,13 @@ def _tsv_rows(path: str | Path, n_fields: int,
     The file is read whole in text mode, so "\r\n" and "\r" become "\n",
     and split on "\n" alone, as iterating over the file would; a blank
     line is one ``str.strip`` empties. ``columns[j][k]`` is field j of the
-    k-th kept line, whose number is ``line numbers[k]``. A missing file
-    raises MissingArtifactError naming ``what``. The first line with
+    k-th kept line, whose number is ``line numbers[k]``. The file opens with
+    :func:`open_input`, whose errors name ``what``. The first line with
     another number of fields ends the rows: its ParseError comes back as
     ``error``, for the caller to raise once the lines before it are
     checked, so a file's first bad line is the one reported.
     """
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"{what} not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, what, text=True) as fh:
         lines = fh.read().split("\n")
     linenos = [k for k, line in enumerate(lines, start=1) if line and not line.isspace()]
     kept = [lines[k - 1] for k in linenos]
@@ -475,15 +469,12 @@ def load_corpus(
     assigned in that order, so identical inputs always produce identical
     vocabularies.
     """
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"corpus not found: {path}")
     if stopwords is None:
         stopwords = default_stopwords()
     words = WordVocab()
     records = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "corpus", text=True) as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue

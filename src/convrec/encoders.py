@@ -150,7 +150,7 @@ def gcn_forward(word_graph: WordGraph, params: GcnParams) -> Tensor:
 
 def encode_items(
     kg: TypedGraph,
-    interaction: InteractionGraph | None,
+    interaction: InteractionGraph,
     kg_params: RgcnParams,
     ig_params: RgcnParams | None,
     *,
@@ -176,7 +176,7 @@ def encode_items(
         k = emb if n == emb.shape[0] else ad.lookup(emb, np.arange(n))
     else:
         k = rgcn_forward(kg, kg_params, n)
-    if without_ig or interaction is None or interaction.n_items == 0:
+    if without_ig or interaction.n_items == 0:
         return k
     if ig_params is None:
         raise ConfigurationError("interaction graph given but no interaction parameters")

@@ -90,36 +90,20 @@ class TypedGraph:
         self._layer_operators: dict[tuple[bool, float, int],
                                     tuple[sp.csr_matrix, sp.csc_matrix]] = {}
 
-    def relation_operator(self, rel: int, *, in_degree: bool = False,
-                          z: float = 1.0) -> sp.csr_matrix:
-        """Normalized message operator of relation ``rel``; only :meth:`layer_operator` caches.
-
-        ``(op @ h)[i]`` is the sum over relation-``rel`` neighbors j of i of
-        ``norm[i] * h[j]``, where ``norm[i]`` is 1 / in-degree of i when
-        ``in_degree`` is set (z is then ignored) and 1 / z otherwise. Each
-        distinct neighbor counts once, so a self-loop or a pair given both
-        ways is one entry.
-        """
-        n = self.n_nodes
-        heads, _, tails = self.edges[self.edges[:, 1] == rel].T
-        dst, src = _messages(heads, tails, n)
-        in_deg = np.bincount(dst, minlength=n)
-        norm = 1.0 / in_deg[dst] if in_degree else np.full(src.size, 1.0 / z)
-        indptr = np.concatenate([[0], np.cumsum(in_deg)])
-        return sp.csr_matrix((norm, src, indptr), shape=(n, n))
-
     def layer_operator(self, *, in_degree: bool, z: float, n_rows: int | None = None
                        ) -> tuple[sp.csr_matrix, sp.csc_matrix]:
         """The layer operator of nodes [0, n_rows) (default: all) and its transpose.
 
-        The full operator stacks all relation operators and the identity into
-        one ((R + 1) n, n) CSR: row ``i * (R + 1) + r`` is row i of
-        ``relation_operator(r)`` and row ``i * (R + 1) + R`` is the identity
-        row of node i, so ``op @ h`` reshaped to (n, (R + 1) d) holds, in row
-        i, each relation's message to i followed by ``h[i]``. With ``n_rows``
-        the CSR is its leading (R + 1) n_rows rows. The transpose is the
-        ``op.T`` scipy returns, a CSC over the CSR's arrays. Both are built
-        once per (normalization, n_rows) and cached, so a training step
+        The full operator is one ((R + 1) n, n) CSR, built from the edges by
+        one np.unique of the keys row * n + column. Row ``i * (R + 1) + r``
+        holds a 1 / z entry, or with ``in_degree`` a 1 / (row count) one, in
+        column j for each distinct relation-r neighbor j of i: a self-loop or
+        a pair given both ways is one entry. Row ``i * (R + 1) + R`` is node
+        i's identity row. So ``op @ h`` reshaped to (n, (R + 1) d) holds, in
+        row i, each relation's message to i followed by ``h[i]``. With
+        ``n_rows`` the CSR is its leading (R + 1) n_rows rows. The transpose
+        is the ``op.T`` scipy returns, a CSC over the CSR's arrays. Both are
+        built once per (normalization, n_rows) and cached, so a training step
         builds no sparse matrix.
         """
         n, n_blocks = self.n_nodes, len(self.relations) + 1
@@ -128,11 +112,17 @@ class TypedGraph:
         pair = self._layer_operators.get((*norm, n_rows))
         if pair is None:
             if n_rows == n:
-                blocks = [self.relation_operator(r, in_degree=in_degree, z=z)
-                          for r in range(n_blocks - 1)]
-                stacked = sp.vstack([*blocks, sp.identity(n, format="csr")], format="csr")
-                # block-major rows r * n + i become node-major rows i * (R + 1) + r
-                op = stacked[np.arange(n_blocks * n).reshape(n_blocks, n).T.ravel()]
+                heads, rels, tails = self.edges.T
+                nodes = np.arange(n)
+                # each edge's message both ways, then each node's identity entry
+                rows, cols = np.divmod(np.unique(np.concatenate([
+                    (heads * n_blocks + rels) * n + tails, (tails * n_blocks + rels) * n + heads,
+                    (nodes * n_blocks + n_blocks - 1) * n + nodes])), n)
+                counts = np.bincount(rows, minlength=n_blocks * n)
+                data = (1.0 / counts[rows] if in_degree  # an identity row's count is 1
+                        else np.where(rows % n_blocks == n_blocks - 1, 1.0, 1.0 / z))
+                op = sp.csr_matrix((data, cols, np.concatenate([[0], np.cumsum(counts)])),
+                                   shape=(n_blocks * n, n))
             else:
                 full, _ = self.layer_operator(in_degree=in_degree, z=z)
                 end = full.indptr[n_rows * n_blocks]

@@ -120,12 +120,15 @@ class ParamStore:
         return float(np.sqrt(total))
 
 
+# Adam's moment decay rates and the floor added to the root of the second moment
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamConfig:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 0.1
 
 
@@ -169,8 +172,8 @@ def adam_step(store: ParamStore, state: AdamState, config: AdamConfig) -> float:
     norm = store.grad_global_norm()
     clip = config.clip_norm / norm if norm > config.clip_norm and norm > 0.0 else None
     state.step += 1
-    bc1 = 1.0 - config.beta1 ** state.step
-    bc2 = 1.0 - config.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     # (first arena entry, C-order entries) of every gradient the tape reached
     spans, lo = [], 0
     for name, t in store.items():
@@ -199,15 +202,15 @@ def adam_step(store: ParamStore, state: AdamState, config: AdamConfig) -> float:
             k += 1
         g[filled - lo:] = 0.0
         x, m, v = arena[lo:hi], m_all[lo:hi], v_all[lo:hi]
-        m *= config.beta1
-        m += np.multiply(g, 1.0 - config.beta1, out=a)
-        v *= config.beta2
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=a)
+        v *= BETA2
         np.multiply(g, g, out=a)
-        v += np.multiply(a, 1.0 - config.beta2, out=a)
+        v += np.multiply(a, 1.0 - BETA2, out=a)
         np.divide(m, bc1, out=b)
         np.divide(v, bc2, out=a)
         np.sqrt(a, out=a)
-        a += config.eps
+        a += EPS
         np.multiply(b, config.lr, out=b)
         x -= np.divide(b, a, out=b)
     store.zero_grads()
@@ -274,6 +277,27 @@ def atomic_write(path: str | Path, text: bool = False) -> Iterator[BinaryIO | Te
         raise
 
 
+@contextmanager
+def open_input(path: str | Path, what: str, text: bool = False) -> Iterator[BinaryIO | TextIO]:
+    """``path`` open to read, binary or with ``text`` UTF-8 text; every input
+    file the package reads opens here. A file that cannot be opened (missing, a
+    directory) raises MissingArtifactError, and text that is not UTF-8
+    raises ParseError when the block reads it.
+    """
+    path = Path(path)
+    try:
+        fh = open(path, encoding="utf-8") if text else open(path, "rb")
+    except FileNotFoundError:
+        raise MissingArtifactError(f"{what} not found: {path}") from None
+    except OSError as err:
+        raise MissingArtifactError(f"{what} cannot be read: {path}: {err.strerror}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{what} is not UTF-8 text: {path}: {err}") from None
+
+
 def save_checkpoint(path: str | Path, store: ParamStore) -> None:
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
@@ -291,10 +315,7 @@ def save_checkpoint(path: str | Path, store: ParamStore) -> None:
 
 def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint into plain arrays without needing a pre-built store."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"checkpoint not found: {path}")
-    with open(path, "rb") as fh:
+    with open_input(path, "checkpoint") as fh:
         size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4) != _MAGIC:
             raise ParseError(f"not a checkpoint file: {path}")

@@ -168,22 +168,22 @@ class Contexts:
 class Artifacts:
     """Immutable data-side inputs of a run: corpus, graphs, retrieval index.
 
-    ``examples`` is derived when first read, and kept.
+    ``examples`` and ``item_ids`` are derived when first read, and kept. An
+    interaction graph without items is the one "no interactions" case.
     """
 
     vocab: Vocab
     corpus: Corpus
     kg: TypedGraph
     word_graph: WordGraph | None
-    interaction: InteractionGraph | None
+    interaction: InteractionGraph
     index: Bm25Index | None
-    item_ids: np.ndarray  # entity ids of the items, ascending: the scoring order
 
-    def __post_init__(self) -> None:
-        # one intp array, so scoring never converts a list per call
-        self.item_ids = np.asarray(self.item_ids, dtype=np.intp)
-        if (self.item_ids[1:] <= self.item_ids[:-1]).any():
-            raise ValidationError("item ids must ascend")
+    @functools.cached_property
+    def item_ids(self) -> np.ndarray:
+        """The items' entity ids, ascending: the scoring order, as one intp array
+        so scoring never converts a list per call."""
+        return np.array(self.vocab.entities.item_ids(), dtype=np.intp)
 
     @functools.cached_property
     def examples(self) -> Examples:
@@ -202,8 +202,7 @@ def build_artifacts(
     has_train = SPLITS.index(Split.TRAIN) in corpus.splits
     return Artifacts(vocab=vocab, corpus=corpus, kg=kg, word_graph=word_graph,
                      interaction=build_interaction_graph(corpus, vocab.entities),
-                     index=build_index(corpus) if has_train else None,
-                     item_ids=vocab.entities.item_ids())
+                     index=build_index(corpus) if has_train else None)
 
 
 class Model:
@@ -232,7 +231,7 @@ class Model:
         )
         self.ig_params: RgcnParams | None = None
         ig = artifacts.interaction
-        if ig is not None and ig.n_items > 0:
+        if ig.n_items > 0:
             self.ig_params = init_rgcn_params(
                 self.store, "ig", ig.n_items + ig.n_users, ig.relations, d, rng,
                 layers=config.layers, z=config.z, normalization=config.normalization,
@@ -308,9 +307,8 @@ class Model:
     def rows_read(self, contexts: Contexts) -> int:
         """Item-matrix rows that scoring, the interaction term and ``contexts``
         read: 1 + the largest item id, interaction item or entity row."""
-        ig = self.artifacts.interaction
         return 1 + int(max(self.artifacts.item_ids[-1], contexts.entities.rows.max(initial=0),
-                           max(ig.items, default=0) if ig is not None else 0))
+                           max(self.artifacts.interaction.items, default=0)))
 
     def users(self, batch: Contexts, item_matrix: Tensor, word_matrix: Tensor | None) -> UserRep:
         """The batch's user representations, in one build_user_representation call."""
@@ -570,24 +568,19 @@ def ablate(artifacts: Artifacts, config: TrainConfig, flags: Sequence[str],
     """Retrain and evaluate the full model and the requested ablation variants.
 
     By default each flag is knocked out on its own; ``combined`` disables all
-    listed components in a single variant instead.
+    listed components in a single variant instead. Every variant's config is
+    built, and its flags checked, before the first one trains.
     """
-    for flag in flags:
-        if flag not in ABLATION_FLAGS:
-            raise ValueError(f"unknown ablation flag {flag!r}")
-    eval_examples = split_view(artifacts.examples, split)
-
-    def run(cfg: TrainConfig) -> MetricsReport:
-        result = train(artifacts, cfg, ks)
-        return evaluate(result.model, eval_examples, ks, split_label=split.value)
-
-    reports: dict[str, MetricsReport] = {"full": run(config)}
+    variants = {"full": config}
     if combined and flags:
-        name = "wo_" + "+".join(flags)
-        reports[name] = run(ablation_config(config, flags))
+        variants["wo_" + "+".join(flags)] = ablation_config(config, flags)
     else:
-        for flag in flags:
-            reports[f"wo_{flag}"] = run(ablation_config(config, [flag]))
+        variants.update((f"wo_{flag}", ablation_config(config, [flag])) for flag in flags)
+    eval_examples = split_view(artifacts.examples, split)
+    reports: dict[str, MetricsReport] = {}
+    for name, cfg in variants.items():
+        result = train(artifacts, cfg, ks)
+        reports[name] = evaluate(result.model, eval_examples, ks, split_label=split.value)
     return reports
 
 

@@ -18,11 +18,12 @@ import numpy as np
 
 from .autodiff import Segments
 from .corpus import Corpus, training_mentions
-from .errors import MissingArtifactError, ParseError, ValidationError
-from .optim import atomic_write
+from .errors import ParseError, ValidationError
+from .optim import atomic_write, open_input
 
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
+# Okapi BM25's term-frequency saturation and document-length normalization
+K1 = 1.2
+B = 0.75
 
 _MAGIC = b"CVRI"
 _VERSION = 1
@@ -128,8 +129,9 @@ class RetrievalResult:
     entities: tuple[int, ...]
 
 
-def build_index(corpus: Corpus, *, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
-    """Index the corpus's training conversations; no other split is read.
+def build_index(corpus: Corpus) -> Bm25Index:
+    """Index the corpus's training conversations with Okapi's K1 and B; no
+    other split is read.
 
     A document is a conversation, its tokens every entity it mentions.
     """
@@ -146,7 +148,7 @@ def build_index(corpus: Corpus, *, k1: float = DEFAULT_K1, b: float = DEFAULT_B)
     # one (term, document) key per token, term-major; a key's count is its tf
     keys, tfs = np.unique(term_of * n_docs + tokens.group_of_rows(), return_counts=True)
     posting_term, rows = np.divmod(keys, n_docs)
-    return Bm25Index(k1=k1, b=b, doc_ids=doc_ids,
+    return Bm25Index(k1=K1, b=B, doc_ids=doc_ids,
                      doc_lens=tokens.sizes.astype(np.int64), doc_entities=tokens.distinct(),
                      terms=terms,
                      docs=Segments(rows, posting_term.searchsorted(np.arange(len(terms) + 1))),
@@ -306,10 +308,8 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> Bm25Index:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"retrieval index not found: {path}")
-    raw = path.read_bytes()
+    with open_input(path, "retrieval index") as fh:
+        raw = fh.read()
     if raw[:4] != _MAGIC:
         raise ParseError(f"not a retrieval index: {path}")
     id_bytes: list[bytes] = []

@@ -465,10 +465,11 @@ def test_relation_operator_matches_dense_adjacency():
     graph, dense = _relation_graph()
     h = np.random.default_rng(7).normal(size=(5, 3))
     deg = dense.sum(axis=1)
-    cases = [({}, np.ones(5)), ({"z": 2.5}, np.full(5, 1.0 / 2.5)),
-             ({"in_degree": True}, np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0))]
-    for kwargs, norm in cases:
-        op = graph.relation_operator(0, **kwargs)
+    cases = [((False, 1.0), np.ones(5)), ((False, 2.5), np.full(5, 1.0 / 2.5)),
+             ((True, 1.0), np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0))]
+    for (in_degree, z), norm in cases:
+        # relation 0's row block of the layer operator: rows i * (R + 1)
+        op = graph.layer_operator(in_degree=in_degree, z=z)[0][0::3]
         np.testing.assert_allclose(op.toarray(), dense * norm[:, None], atol=1e-15)
         out = ad.spmm(op, op.T, Tensor(h))
         np.testing.assert_allclose(out.values, (dense @ h) * norm[:, None], atol=1e-14)
@@ -477,7 +478,7 @@ def test_relation_operator_matches_dense_adjacency():
 def test_relation_operator_gradcheck():
     graph, _ = _relation_graph()
     # in-degree values make the operator asymmetric, so the backward must use its transpose
-    op = graph.relation_operator(0, in_degree=True)
+    op = graph.layer_operator(in_degree=True, z=1.0)[0][0::3]  # relation 0's row block
     assert not np.allclose(op.toarray(), op.toarray().T)
     store = fd_store(h=np.random.default_rng(8).normal(size=(5, 3)))
 

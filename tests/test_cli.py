@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convrec.optim
 import convrec.recommender
@@ -23,7 +25,7 @@ from convrec.corpus import (
     load_entity_vocab,
     split_view,
 )
-from convrec.errors import NumericError
+from convrec.errors import ConvRecError, NumericError
 from convrec.graphs import load_item_kg, load_word_graph
 from convrec.recommender import build_artifacts, evaluate, rank_order, score_all
 from convrec.retrieval import retrieve
@@ -31,6 +33,7 @@ from convrec.synthetic import popularity_corpus, toy_instance, write_inputs
 
 from conftest import masked_positions, reference_users
 from oracles import RecExample, corpus_records, masked_softmax_scores
+from test_retrieval import mutations
 
 
 @pytest.fixture(scope="module")
@@ -822,3 +825,87 @@ def test_recommend_nan_scores_exit_4(runner, toy_bundle, toy_checkpoint, monkeyp
     assert result.exit_code == 4
     assert result.stdout == ""
     assert "NaN" in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# damaged and unreadable inputs
+
+BUNDLE_TEXT_FILES = ("manifest.json", "corpus.jsonl", "entities.tsv", "kg.tsv",
+                     "word_graph.tsv", "interaction.tsv", "stopwords.txt")
+
+
+@pytest.fixture(scope="module")
+def scratch_run(tmp_path_factory, toy_bundle, toy_checkpoint):
+    """A copy of the toy bundle and of its checkpoint and sidecar, for tests that damage files."""
+    root = tmp_path_factory.mktemp("scratch_run")
+    shutil.copytree(toy_bundle, root / "bundle")
+    for path in (toy_checkpoint, cli._config_sidecar(toy_checkpoint)):
+        shutil.copy(path, root / path.name)
+    return root / "bundle", root / toy_checkpoint.name
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([*BUNDLE_TEXT_FILES, "model.ckpt.config.json"]), st.data())
+def test_a_mutated_text_file_loads_or_raises_a_convrec_error(scratch_run, name, data):
+    # bundle files through load_bundle, the sidecar through load_model
+    bundle, ckpt = scratch_run
+    path = bundle / name if name in BUNDLE_TEXT_FILES else ckpt.with_name(name)
+    raw = path.read_bytes()
+    path.write_bytes(data.draw(mutations(raw)))
+    try:
+        if path.parent == bundle:
+            cli.load_bundle(bundle)
+        else:
+            cli.load_model(str(bundle), str(ckpt))
+    except ConvRecError:
+        pass
+    finally:
+        path.write_bytes(raw)
+
+
+@pytest.mark.parametrize("option", ["--corpus", "--entities", "--kg", "--word-graph",
+                                    "--lexicon", "--stopwords"])
+def test_ingest_exits_2_for_an_input_that_is_a_directory(runner, tmp_path, option):
+    args = ingest_args(write_inputs(toy_instance(), tmp_path / "inputs"), tmp_path / "bundle")
+    if option in args:
+        args[args.index(option) + 1] = str(tmp_path)
+    else:
+        args += [option, str(tmp_path)]
+    result = run(runner, args)
+    assert result.exit_code == 2, result.output
+    assert f"cannot be read: {tmp_path}" in result.stderr
+
+
+def test_train_exits_3_for_a_config_that_is_a_directory(runner, toy_bundle, tmp_path):
+    result = run(runner, ["train", "--bundle", str(toy_bundle), "--out", str(tmp_path / "out"),
+                          "--config", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "config file cannot be read" in result.stderr
+
+
+@pytest.mark.parametrize("name", sorted(cli._BUNDLE_FILES.values()))
+def test_eval_exits_3_for_a_bundle_file_that_is_a_directory(runner, scratch_run, name):
+    bundle, ckpt = scratch_run
+    path = bundle / name
+    aside = path.with_name(name + ".aside")
+    path.rename(aside)
+    path.mkdir()
+    try:
+        result = run(runner, ["eval", "--bundle", str(bundle), "--checkpoint", str(ckpt),
+                              "--k", "1,3"])
+    finally:
+        path.rmdir()
+        aside.rename(path)
+    assert result.exit_code == 3, result.output
+    assert f"cannot be read: {path}" in result.stderr
+
+
+def test_eval_exits_3_for_a_checkpoint_that_is_a_directory_beside_its_sidecar(
+        runner, scratch_run, tmp_path):
+    bundle, ckpt = scratch_run
+    fake = tmp_path / ckpt.name
+    fake.mkdir()
+    shutil.copy(cli._config_sidecar(ckpt), cli._config_sidecar(fake))
+    result = run(runner, ["eval", "--bundle", str(bundle), "--checkpoint", str(fake)])
+    assert result.exit_code == 3, result.output
+    assert f"checkpoint cannot be read: {fake}" in result.stderr

@@ -251,7 +251,7 @@ def test_rgcn_relation_without_edges_matches_oracle_and_gets_zero_gradient(norma
     rng = np.random.default_rng(13)
     edges = [(int(rng.integers(7)), int(rng.integers(2)), int(rng.integers(7))) for _ in range(12)]
     graph = TypedGraph(7, ("a", "empty", "b"), [(h, 2 * r, t) for h, r, t in edges])
-    assert graph.relation_operator(1).nnz == 0
+    assert graph.layer_operator(in_degree=False, z=1.0)[0][1::4].nnz == 0  # relation 1's rows
     store = ParamStore()
     params = init_rgcn_params(store, "g", 7, graph.relations, 4, rng, z=z,
                               normalization=normalization)
@@ -355,8 +355,9 @@ def test_encode_items_without_db(aug_setup):
 
 
 def test_encode_items_no_interaction_graph(aug_setup):
+    # a graph without items is the one "no interactions" case
     kg, _, kg_params, _ = aug_setup
-    out = encode_items(kg, None, kg_params, None).values
+    out = encode_items(kg, InteractionGraph(["u0"], [], []), kg_params, None).values
     np.testing.assert_allclose(out, rgcn_forward(kg, kg_params).values, atol=1e-12)
 
 

@@ -10,6 +10,9 @@ from convrec import autodiff as ad
 from convrec import optim
 from convrec.errors import ConfigurationError, MissingArtifactError, ParseError, StateError
 from convrec.optim import (
+    BETA1,
+    BETA2,
+    EPS,
     AdamConfig,
     AdamState,
     ParamStore,
@@ -177,8 +180,8 @@ def test_adam_step_matches_the_expression_form_bit_for_bit(scale, clips):
                 store[name].grad = g.copy(order="K")
         norm = adam_step(store, state, config)
         values, m, v, want_norm = adam_reference(
-            values, grads, m, v, step, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-            eps=config.eps, clip_norm=config.clip_norm)
+            values, grads, m, v, step, lr=config.lr, beta1=BETA1, beta2=BETA2, eps=EPS,
+            clip_norm=config.clip_norm)
         assert (want_norm > config.clip_norm) == clips
         assert norm == want_norm
         got_m, got_v = store.views(state.m), store.views(state.v)
@@ -219,8 +222,8 @@ def test_flat_adam_step_matches_the_reference_across_block_boundaries():
                 store[name].grad = g.copy(order="K") if name != "r" else g
         norm = adam_step(store, state, config)
         values, m, v, want_norm = adam_reference(
-            values, grads, m, v, step, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-            eps=config.eps, clip_norm=config.clip_norm)
+            values, grads, m, v, step, lr=config.lr, beta1=BETA1, beta2=BETA2, eps=EPS,
+            clip_norm=config.clip_norm)
         assert norm == want_norm
         clipped.append(want_norm > config.clip_norm)
         got_m, got_v = store.views(state.m), store.views(state.v)

@@ -536,11 +536,16 @@ def test_model_same_seed_same_params(toy_artifacts):
 
 
 def test_model_rejects_itemless_vocab(toy_artifacts):
+    from convrec.corpus import EntityVocab, Vocab
+    from convrec.graphs import InteractionGraph
     from convrec.recommender import Artifacts
 
-    empty = Artifacts(vocab=toy_artifacts.vocab, corpus=toy_artifacts.corpus,
-                      kg=toy_artifacts.kg, word_graph=None, interaction=None,
-                      index=None, item_ids=[])
+    entities = EntityVocab()
+    entities.add("A0", "an attribute", False)
+    empty = Artifacts(vocab=Vocab(entities, toy_artifacts.vocab.words),
+                      corpus=toy_artifacts.corpus, kg=TypedGraph(1, ("r",)), word_graph=None,
+                      interaction=InteractionGraph([], [], []), index=None)
+    assert empty.item_ids.dtype == np.intp and not len(empty.item_ids)
     with pytest.raises(ConfigurationError, match="no items"):
         Model(empty, small_config())
 
@@ -660,8 +665,9 @@ def test_gold_positions_ascend_and_item_ids_must(toy_artifacts):
     gold = Model(toy_artifacts, small_config()).contexts(
         examples_of([example], toy_artifacts.corpus)).gold
     assert gold.rows.tolist() == sorted(items.index(g) for g in example.gold_items if g in items)
-    with pytest.raises(ValidationError, match="ascend"):
-        dataclasses.replace(toy_artifacts, item_ids=toy_artifacts.item_ids[::-1])
+    # the ids ascend by construction: derived from the vocabulary, never passed in
+    assert np.array_equal(toy_artifacts.item_ids, np.flatnonzero(entities.is_item))
+    assert "item_ids" not in {f.name for f in dataclasses.fields(toy_artifacts)}
 
 
 def test_a_field_with_malformed_offsets_is_refused_when_built():
