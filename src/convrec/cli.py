@@ -273,11 +273,6 @@ def _config_sidecar(checkpoint_path: Path) -> Path:
 _DIGEST_KEY = "checkpoint_sha256"
 
 
-def _file_sha256(path: Path) -> str:
-    with open_input(path, "checkpoint") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
-
-
 def _write_text(path: Path, text: str) -> None:
     """Replace ``path`` with ``text`` in one step: a failed write keeps the old file."""
     with atomic_write(path, text=True) as fh:
@@ -296,15 +291,18 @@ def save_model_checkpoint(result_model: Model, unused: None, checkpoint_path: Pa
     ``unused`` is always None: the benchmark's worker passes it, by position,
     where an optimizer state once went, until the benchmark changes.
     """
-    save_checkpoint(checkpoint_path, result_model.store)
     sidecar = {**dataclasses.asdict(result_model.config),
-               _DIGEST_KEY: _file_sha256(checkpoint_path)}
+               _DIGEST_KEY: save_checkpoint(checkpoint_path, result_model.store)}
     _write_text(_config_sidecar(checkpoint_path), json.dumps(sidecar, sort_keys=True) + "\n")
 
 
 def load_model(bundle_dir: str, checkpoint_path: str) -> Model:
+    """The model a checkpoint and its sidecar describe, over the bundle's artifacts.
+
+    The checkpoint is read once, after the model is built: its bytes are
+    hashed against the sidecar's digest, then parsed into the store.
+    """
     ckpt = Path(checkpoint_path)
-    ckpt_digest = _file_sha256(ckpt)
     sidecar = _config_sidecar(ckpt)
     values = _read_json_object(sidecar, "checkpoint config")
     digest = values.pop(_DIGEST_KEY, None)
@@ -316,11 +314,14 @@ def load_model(bundle_dir: str, checkpoint_path: str) -> Model:
                              f"{_CONFIG_FIELDS[key]}: {value!r}")
     if type(digest) is not str:
         raise ParseError(f"{sidecar}: no checkpoint sha256 ({_DIGEST_KEY!r})")
-    if ckpt_digest != digest:
-        raise ParseError(f"{ckpt}: sha256 does not match its sidecar's; the checkpoint changed")
     config = TrainConfig(**values)
+    config.validate()
     model = Model(load_bundle(bundle_dir), config)
-    load_checkpoint(ckpt, model.store)
+    with open_input(ckpt, "checkpoint") as fh:
+        raw = fh.read()
+    if hashlib.sha256(raw).hexdigest() != digest:
+        raise ParseError(f"{ckpt}: sha256 does not match its sidecar's; the checkpoint changed")
+    load_checkpoint(raw, model.store)
     return model
 
 

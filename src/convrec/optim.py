@@ -1,14 +1,16 @@
-"""Trainable parameter store, Adam, gradient clipping, and checkpoints."""
+"""Trainable parameter store, Adam, gradient clipping, checkpoints, and file I/O."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from .autodiff import Tensor
 from .errors import ConfigurationError, MissingArtifactError, ParseError, StateError
 
 _MAGIC = b"CVRK"
-_VERSION = 1
+_VERSION = 2
 # entries per Adam block: the block's six arrays (768 KiB) stay in a core's L2 cache
 _ADAM_BLOCK = 16384
 
@@ -217,46 +219,6 @@ def adam_step(store: ParamStore, state: AdamState, config: AdamConfig) -> float:
     return norm
 
 
-# ---------------------------------------------------------------------------
-# checkpoint serialization
-#
-# Layout (all integers little-endian):
-#   4s   magic "CVRK"
-#   u32  format version
-#   u32  parameter count
-#   per parameter, in store order:
-#     u16 name length, utf-8 name bytes
-#     u8  rank, then u32 per dimension
-#     float64 little-endian raw values, C order
-#   u8   optimizer flag, always 0: a checkpoint holds parameters only
-
-
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))
-
-
-def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ParseError(f"checkpoint truncated: wanted {n} bytes, got {len(buf)}")
-    return buf
-
-
-def _read_array(fh, size: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Read float64 values of ``shape``, refusing before the read a shape that
-    the rest of a ``size``-byte file cannot hold."""
-    count = math.prod(shape)  # Python ints: no wrap-around
-    left = size - fh.tell()
-    if 8 * count > left:
-        raise ParseError(f"checkpoint truncated: header claims shape {shape} "
-                         f"({8 * count} bytes) but {left} bytes remain")
-    raw = _read_exact(fh, 8 * count)
-    try:
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    except ValueError as err:  # a rank above numpy's limit
-        raise ParseError(f"checkpoint shape of rank {len(shape)}: {err}") from None
-
-
 @contextmanager
 def atomic_write(path: str | Path, text: bool = False) -> Iterator[BinaryIO | TextIO]:
     """A binary file, or with ``text`` a UTF-8 text file, that replaces ``path``
@@ -298,55 +260,120 @@ def open_input(path: str | Path, what: str, text: bool = False) -> Iterator[Bina
             raise ParseError(f"{what} is not UTF-8 text: {path}: {err}") from None
 
 
-def save_checkpoint(path: str | Path, store: ParamStore) -> None:
+
+
+# ---------------------------------------------------------------------------
+# named-array containers (bm25.idx, model.ckpt), after the safetensors layout:
+# 4-byte magic, u32 version, u64 header length, then the header, compact ASCII
+# JSON {name: {"dtype", "shape", "range"}} in write order, padded with spaces to
+# an 8-byte boundary, then each array's little-endian C-order bytes; "range" is
+# its [start, end) in the data, and the ranges tile the data in order
+
+_PREFIX = struct.Struct("<4sIQ")
+# the only dtypes an array may have: no object dtype, so nothing is unpickled
+_DTYPES = ("<f8", "<i8", "|u1")
+
+
+def _header_bytes(arrays: Iterable[tuple[str, np.ndarray]]) -> bytes:
+    """The one header a container of the named ``arrays`` may hold."""
+    header, end = {}, 0
+    for name, a in arrays:
+        if a.dtype.str not in _DTYPES:
+            raise ValueError(f"array {name!r} has dtype {a.dtype.str}, not one of {_DTYPES}")
+        header[name] = {"dtype": a.dtype.str, "shape": a.shape, "range": [end, end + a.nbytes]}
+        end += a.nbytes
+    text = json.dumps(header, separators=(",", ":")).encode("ascii")
+    return text + b" " * (-len(text) % 8)
+
+
+def _unique_names(pairs: list[tuple[str, object]]) -> dict:
+    if len(names := dict(pairs)) < len(pairs):
+        raise ParseError("container header names an array twice")
+    return names
+
+
+def save_arrays(path: str | Path, magic: bytes, version: int,
+                arrays: dict[str, np.ndarray]) -> str:
+    """Write ``arrays``, in order, as a container (through :func:`atomic_write`);
+    returns the sha256 of the bytes written."""
+    arrays = {name: np.asarray(a, order="C") for name, a in arrays.items()}
+    head = _header_bytes(arrays.items())
+    digest = hashlib.sha256()
     with atomic_write(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(store)))
-        for name, t in store.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", t.values.ndim))
-            for dim in t.values.shape:
-                fh.write(struct.pack("<I", dim))
-            _write_array(fh, t.values)
-        fh.write(struct.pack("<B", 0))
+        for part in (_PREFIX.pack(magic, version, len(head)) + head, *arrays.values()):
+            fh.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
-def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint into plain arrays without needing a pre-built store."""
-    with open_input(path, "checkpoint") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if _read_exact(fh, 4) != _MAGIC:
-            raise ParseError(f"not a checkpoint file: {path}")
-        version, count = struct.unpack("<II", _read_exact(fh, 8))
-        if version != _VERSION:
-            raise ParseError(f"unsupported checkpoint version {version}")
-        params: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            try:
-                name = _read_exact(fh, name_len).decode("utf-8")
-            except UnicodeDecodeError as err:
-                raise ParseError(f"a parameter name is not UTF-8: {err}") from None
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1))
-            shape = tuple(
-                struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank)
-            )
-            if name in params:
-                raise ParseError(f"duplicate parameter in checkpoint: {name!r}")
-            params[name] = _read_array(fh, size, shape)
-        (opt_flag,) = struct.unpack("<B", _read_exact(fh, 1))
-        if opt_flag != 0:
-            raise ParseError(f"unknown optimizer flag {opt_flag}")
-        if fh.tell() != size:
-            raise ParseError(f"checkpoint has {size - fh.tell()} trailing bytes: {path}")
-        return params
+def read_arrays(raw: bytes, magic: bytes, version: int, what: str) -> dict[str, np.ndarray]:
+    """The arrays of container bytes ``raw``, in order, each a read-only view of ``raw``.
+
+    Bytes that :func:`save_arrays` would not write for the arrays they hold
+    raise ParseError, so what loads saves back to ``raw``. No array is made
+    before its bytes are known to be there.
+    """
+    if len(raw) < _PREFIX.size or raw[:4] != magic:
+        raise ParseError(f"not a {what}")
+    _, got, size = _PREFIX.unpack_from(raw)
+    if got != version:
+        raise ParseError(f"unsupported {what} version {got}")
+    left = len(raw) - _PREFIX.size
+    if size > left:
+        raise ParseError(f"{what} truncated: header claims {size} bytes but {left} bytes remain")
+    start = _PREFIX.size + size
+    head = raw[_PREFIX.size:start]
+    try:
+        header = json.loads(head.decode("ascii"), object_pairs_hook=_unique_names)
+    except (ValueError, RecursionError) as err:
+        raise ParseError(f"{what} header is not ASCII JSON: {err}") from None
+    if not isinstance(header, dict):
+        raise ParseError(f"{what} header is not a JSON object")
+    arrays, end, left = {}, 0, len(raw) - start
+    for name, entry in header.items():
+        if not (isinstance(entry, dict) and entry.get("dtype") in _DTYPES
+                and type(shape := entry.get("shape")) is list
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise ParseError(f"{what} array {name!r} has no dtype of {_DTYPES} and shape "
+                             f"of sizes >= 0: {entry!r}")
+        dtype, count = np.dtype(entry["dtype"]), math.prod(shape)  # Python ints: no wrap
+        if dtype.itemsize * count > left - end:
+            raise ParseError(f"{what} truncated: header claims shape {tuple(shape)} "
+                             f"({dtype.itemsize * count} bytes) but {left - end} bytes remain")
+        try:
+            arrays[name] = np.frombuffer(raw, dtype, count, start + end).reshape(shape)
+        except ValueError as err:  # a rank above numpy's limit
+            raise ParseError(f"{what} array {name!r} of shape {tuple(shape)}: {err}") from None
+        end += dtype.itemsize * count
+    if end != left:
+        raise ParseError(f"{what} has {left - end} trailing bytes")
+    # the byte ranges, key order, spacing and escapes: all as the writer puts them
+    if _header_bytes(arrays.items()) != head:
+        raise ParseError(f"{what} header is not the one its arrays are written with")
+    return arrays
 
 
-def load_checkpoint(path: str | Path, store: ParamStore) -> None:
-    """Load values into an existing store; names and shapes must match exactly."""
-    params = read_checkpoint(path)
+def save_checkpoint(path: str | Path, store: ParamStore) -> str:
+    """Write every parameter, in store order; returns the sha256 of the bytes written."""
+    return save_arrays(path, _MAGIC, _VERSION, {name: t.values for name, t in store.items()})
+
+
+def read_checkpoint(source: str | Path | bytes) -> dict[str, np.ndarray]:
+    """A checkpoint file's, or its bytes', parameters, each a read-only float64 view."""
+    if not isinstance(source, bytes):
+        with open_input(source, "checkpoint") as fh:
+            source = fh.read()
+    params = read_arrays(source, _MAGIC, _VERSION, "checkpoint")
+    for name, arr in params.items():
+        if arr.dtype.str != "<f8":
+            raise ParseError(f"checkpoint parameter {name!r} has dtype {arr.dtype.str}, not <f8")
+    return params
+
+
+def load_checkpoint(source: str | Path | bytes, store: ParamStore) -> None:
+    """Load a checkpoint's values into an existing store; names and shapes must match
+    exactly."""
+    params = read_checkpoint(source)
     if set(params) != set(store.names()):
         missing = sorted(set(store.names()) - set(params))
         extra = sorted(set(params) - set(store.names()))

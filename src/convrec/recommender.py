@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
@@ -82,16 +83,16 @@ class TrainConfig:
             raise ConfigurationError("dim, layers, and batch_size must be positive")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be non-negative")
-        if self.lr < 0 or self.clip <= 0:
-            raise ConfigurationError("lr must be non-negative and clip positive")
+        if not (0 <= self.lr < math.inf and 0 < self.clip < math.inf):
+            raise ConfigurationError("lr must be finite and non-negative, clip finite and positive")
         if self.top_n < 1:
             raise ConfigurationError("top_n must be at least 1")
         if self.gate_mode not in (GATE_ELEMENTWISE, GATE_SCALAR):
             raise ConfigurationError(f"unknown gate mode {self.gate_mode!r}")
         if self.normalization not in (NORM_CONSTANT, NORM_IN_DEGREE):
             raise ConfigurationError(f"unknown normalization {self.normalization!r}")
-        if self.z <= 0:
-            raise ConfigurationError("z must be positive")
+        if not 0 < self.z < math.inf:
+            raise ConfigurationError("z must be finite and positive")
 
     def fingerprint(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode("utf-8")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -18,15 +17,15 @@ import numpy as np
 
 from .autodiff import Segments
 from .corpus import Corpus, training_mentions
-from .errors import ParseError, ValidationError
-from .optim import atomic_write, open_input
+from .errors import ParseError, ShapeError, ValidationError
+from .optim import open_input, read_arrays, save_arrays
 
 # Okapi BM25's term-frequency saturation and document-length normalization
 K1 = 1.2
 B = 0.75
 
 _MAGIC = b"CVRI"
-_VERSION = 1
+_VERSION = 2
 
 
 # Each chunk of retrieve_batch scores its queries into one dense
@@ -262,148 +261,97 @@ def retrieve(index: Bm25Index, query: Sequence[int], n: int,
 
 
 # ---------------------------------------------------------------------------
-# index persistence
-#
-# Layout (little-endian):
-#   4s "CVRI", u32 version, f64 k1, f64 b, u32 doc count
-#   per document: u16 id length + utf-8 id, u32 token count,
-#                 u32 distinct-entity count + u32 per entity (mention order)
-#   u32 term count; per term: u32 entity id, u32 df, u32 posting count,
-#                              then (u32 doc index, u32 tf) per posting
+# index persistence: a container (optim.save_arrays) of the index's arrays;
+# each Segments is its rows and its offsets, the ids their UTF-8 bytes
 
-def _claimed(raw: bytes, pos: int, count: int, width: int, what: str) -> int:
-    """The end of ``count`` records of ``width`` bytes at ``pos``, refusing a
-    header-derived count that the rest of the file cannot hold."""
-    end = pos + count * width
-    if end > len(raw):
-        raise ParseError(f"index truncated: header claims {count} {what} "
-                         f"({count * width} bytes) but {len(raw) - pos} bytes remain")
-    return end
-
-
-def _posting_words(df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each term's group index per posting, and each posting's first u32 word
-    in the term section: term i's 3-word header precedes its postings."""
-    group = np.arange(len(df)).repeat(df)
-    return group, 2 * np.arange(len(group)) + 3 * (group + 1)
+_ARRAYS = (("k1", "<f8", 0), ("b", "<f8", 0), ("doc_lens", "<i8", 1),
+           ("doc_id_offsets", "<i8", 1), ("doc_entities", "<i8", 1),
+           ("doc_entity_offsets", "<i8", 1), ("terms", "<i8", 1), ("term_offsets", "<i8", 1),
+           ("postings", "<i8", 1), ("tfs", "<i8", 1), ("doc_ids", "|u1", 1))
 
 
 def save_index(index: Bm25Index, path: str | Path) -> None:
-    offsets, df = index.docs.offsets, index.docs.sizes
-    _, at = _posting_words(df)
-    words = np.empty(3 * len(df) + 2 * len(at), "<u4")
-    heads = 3 * np.arange(len(df)) + 2 * offsets[:-1]
-    words[heads], words[heads + 1], words[heads + 2] = index.terms, df, df
-    words[at], words[at + 1] = index.docs.rows, index.tfs
-    with atomic_write(path) as fh:
-        fh.write(_MAGIC + struct.pack("<IddI", _VERSION, index.k1, index.b, index.n_docs))
-        # struct refuses an entity outside u32 here; every term is some document's entity
-        ents, bounds = index.doc_entities.rows.tolist(), index.doc_entities.offsets.tolist()
-        for doc_id, length, lo, hi in zip(index.doc_ids, index.doc_lens.tolist(),
-                                          bounds, bounds[1:]):
-            encoded = doc_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)) + encoded
-                     + struct.pack(f"<II{hi - lo}I", length, hi - lo, *ents[lo:hi]))
-        fh.write(struct.pack("<I", len(df)) + words.tobytes())
+    encoded = [d.encode("utf-8") for d in index.doc_ids]
+    save_arrays(path, _MAGIC, _VERSION, {
+        "k1": np.array(index.k1, np.float64), "b": np.array(index.b, np.float64),
+        "doc_lens": index.doc_lens, "doc_id_offsets": np.cumsum([0, *map(len, encoded)]),
+        "doc_entities": index.doc_entities.rows, "doc_entity_offsets": index.doc_entities.offsets,
+        "terms": index.terms, "term_offsets": index.docs.offsets,
+        "postings": index.docs.rows, "tfs": index.tfs,
+        "doc_ids": np.frombuffer(b"".join(encoded), np.uint8)})
 
 
 def load_index(path: str | Path) -> Bm25Index:
     with open_input(path, "retrieval index") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ParseError(f"not a retrieval index: {path}")
-    id_bytes: list[bytes] = []
-    doc_lens: list[int] = []
-    entities: list[int] = []
-    entity_counts: list[int] = []
-    heads: list[tuple[int, int, int]] = []
-    # a fixed-size field past the end fails in unpack_from; a count is checked
-    # against the bytes left before anything it sizes is read
+        arrays = read_arrays(fh.read(), _MAGIC, _VERSION, "retrieval index")
+    held = tuple((name, a.dtype.str, a.ndim) for name, a in arrays.items())
+    if held != _ARRAYS:
+        raise ParseError(f"retrieval index holds arrays {held}, expected {_ARRAYS}")
+    k1, b = float(arrays["k1"]), float(arrays["b"])
+    if not (math.isfinite(k1) and k1 >= 0.0):
+        raise ParseError(f"k1 must be finite and at least 0, got {k1!r}")
+    if not 0.0 <= b <= 1.0:
+        raise ParseError(f"b must be in [0, 1], got {b!r}")
     try:
-        version, k1, b, n_docs = struct.unpack_from("<IddI", raw, 4)
-        if version != _VERSION:
-            raise ParseError(f"unsupported index version {version}")
-        if not (math.isfinite(k1) and k1 >= 0.0):
-            raise ParseError(f"k1 must be finite and at least 0, got {k1!r}")
-        if not 0.0 <= b <= 1.0:
-            raise ParseError(f"b must be in [0, 1], got {b!r}")
-        if n_docs == 0:
-            raise ParseError("index contains no documents")
-        pos = 28
-        for _ in range(n_docs):
-            (id_len,) = struct.unpack_from("<H", raw, pos)
-            end = _claimed(raw, pos + 2, id_len, 1, "id bytes")
-            id_bytes.append(raw[pos + 2:end])
-            length, n_ents = struct.unpack_from("<II", raw, end)
-            pos = _claimed(raw, end + 8, n_ents, 4, "entities")
-            doc_lens.append(length)
-            entity_counts.append(n_ents)
-            entities.extend(struct.unpack_from(f"<{n_ents}I", raw, end + 8))
-        (n_terms,) = struct.unpack_from("<I", raw, pos)
-        first = pos = pos + 4
-        for _ in range(n_terms):
-            head = struct.unpack_from("<III", raw, pos)
-            heads.append(head)
-            pos = _claimed(raw, pos + 12, head[2], 8, "postings")
-    except struct.error as err:
-        raise ParseError(f"index truncated: {err}") from None
+        ids = Segments(arrays["doc_ids"], arrays["doc_id_offsets"])
+        doc_entities = Segments(arrays["doc_entities"], arrays["doc_entity_offsets"])
+        docs = Segments(arrays["postings"], arrays["term_offsets"])
+    except ShapeError as err:
+        raise ParseError(f"retrieval index: {err}") from None
+    lens, terms, tfs, rows = arrays["doc_lens"], arrays["terms"], arrays["tfs"], docs.rows
+    n_docs = len(ids)
+    if n_docs == 0:
+        raise ParseError("index contains no documents")
+    if not (len(lens) == len(doc_entities) == n_docs and len(terms) == len(docs)
+            and len(tfs) == len(rows)):
+        raise ParseError("retrieval index arrays disagree in length: "
+                         f"{[(name, len(a)) for name, a in arrays.items() if a.ndim]}")
+    blob, bounds = arrays["doc_ids"].tobytes(), ids.offsets.tolist()
     try:
-        doc_ids = [d.decode("utf-8") for d in id_bytes]
+        doc_ids = [blob[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
     except UnicodeDecodeError as err:
         raise ParseError(f"a document id is not UTF-8: {err}") from None
     for before, doc_id in zip(doc_ids, doc_ids[1:]):
         if before >= doc_id:
             raise ParseError(f"document {doc_id!r} follows {before!r}: document ids are "
                              f"not strictly ascending")
-    if pos != len(raw):
-        raise ParseError(f"index has {len(raw) - pos} trailing bytes: {path}")
-    terms, df, count = np.array(heads, np.int64).reshape(n_terms, 3).T.copy()
-    if (bad := (df != count).nonzero()[0]).size:
-        i = bad[0]
-        raise ParseError(f"term {terms[i]} has df {df[i]} but {count[i]} postings")
     if (bad := (terms[1:] <= terms[:-1]).nonzero()[0]).size:
         i = bad[0]
         raise ParseError(f"term {terms[i + 1]} follows term {terms[i]}: terms are not "
                          f"strictly ascending")
-    # every posting at once: its (doc, tf) words sit between the term headers
-    group, at = _posting_words(count)
-    words = np.frombuffer(raw, "<u4", (pos - first) // 4, first)
-    rows, tfs = words[at].astype(np.intp), words[at + 1].astype(np.int64)
-    if rows.size and (worst := rows.max()) >= n_docs:
+    if terms.size and terms[0] < 0:
+        raise ParseError(f"term {terms[0]} is negative")
+    if rows.size and not 0 <= rows.min() <= rows.max() < n_docs:
+        worst = rows.min() if rows.min() < 0 else rows.max()
         raise ParseError(f"posting references document {worst} of {n_docs}")
-    if not tfs.all():
-        raise ParseError("a posting has tf 0")
+    if tfs.size and (least := tfs.min()) < 1:
+        raise ParseError(f"a posting has tf {least}")
     # term-major keys rise strictly exactly when each term's documents do
+    group = docs.group_of_rows()
     key = group * n_docs + rows
     if (bad := (key[1:] <= key[:-1]).nonzero()[0]).size:
         raise ParseError(f"postings of term {terms[group[bad[0] + 1]]} are not strictly "
                          f"ascending in document index")
-    lens = np.array(doc_lens, np.int64)
     sums = np.zeros(n_docs, np.int64)
     np.add.at(sums, rows, tfs)
     if (bad := (sums != lens).nonzero()[0]).size:
         i = bad[0]
         raise ParseError(f"document {doc_ids[i]!r} has length {lens[i]} but its "
                          f"postings' tf sum to {sums[i]}")
-    bounds = np.zeros(n_docs + 1, np.intp)
-    np.cumsum(entity_counts, out=bounds[1:])
-    doc_entities = Segments(entities, bounds)
     # each document's entities, sorted, must equal its posting terms, sorted: the
     # terms once each, as postings hold a (term, document) pair once
     term = terms[group]
     ent_doc = doc_entities.group_of_rows()
     listed = doc_entities.rows[np.lexsort((doc_entities.rows, ent_doc))]
-    held = term[np.lexsort((term, rows))]
+    held_terms = term[np.lexsort((term, rows))]
     bad = np.bincount(rows, minlength=n_docs) != doc_entities.sizes
-    n = bounds[bad.argmax()] if bad.any() else len(listed)  # the rows before that line up
-    bad[ent_doc[:n][listed[:n] != held[:n]]] = True
+    n = doc_entities.offsets[bad.argmax()] if bad.any() else len(listed)  # rows that line up
+    bad[ent_doc[:n][listed[:n] != held_terms[:n]]] = True
     if bad.any():
         raise ParseError(f"document {doc_ids[bad.argmax()]!r} lists entities other than "
                          f"its posting terms, each once")
-    offsets = np.zeros(n_terms + 1, np.intp)
-    np.cumsum(count, out=offsets[1:])
     index = Bm25Index(k1=k1, b=b, doc_ids=doc_ids, doc_lens=lens, doc_entities=doc_entities,
-                      terms=terms, docs=Segments(rows, offsets), tfs=tfs)
+                      terms=terms, docs=docs, tfs=tfs)
     # a finite but huge k1 overflows a weight's tf * (k1 + 1) or its length norm
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(index.postings.weights).all():

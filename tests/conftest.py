@@ -1,7 +1,12 @@
+from contextlib import contextmanager
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from convrec import autodiff as ad
+from convrec import optim
 from convrec.recommender import Model, TrainConfig, build_artifacts
 from convrec.retrieval import retrieve
 from convrec.synthetic import toy_instance, write_inputs
@@ -96,3 +101,23 @@ def masked_positions(item_ids, example):
     """Item positions of the example's mentioned items: its candidate mask."""
     position = {int(e): p for p, e in enumerate(item_ids)}
     return [position[e] for e in example.context_entities if e in position]
+
+
+@contextmanager
+def disk_full_after_first_write():
+    """Inside the block an atomic write raises OSError("disk full") at its second
+    ``write``; yields the sizes of the writes that went out."""
+    real, written = optim.atomic_write, []
+
+    @contextmanager
+    def failing(path, text=False):
+        with real(path, text) as fh:
+            def write(data):
+                if written:
+                    raise OSError("disk full")
+                written.append(fh.write(data))
+
+            yield SimpleNamespace(write=write)
+
+    with mock.patch.object(optim, "atomic_write", failing):
+        yield written

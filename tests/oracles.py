@@ -286,6 +286,21 @@ def adam_reference(
     return new_values, new_m, new_v, norm
 
 
+def container_reference(magic: bytes, entries: dict[str, tuple[str, tuple[int, ...]]],
+                        data: bytes, version: int = 2) -> bytes:
+    """A named-array container, straight from its layout: ``entries`` maps each
+    name to its (dtype, shape), in order; ``data`` follows the header as given,
+    so it may hold fewer or more bytes than the header claims."""
+    header, end = {}, 0
+    for name, (dtype, shape) in entries.items():
+        size = int(dtype[-1]) * math.prod(shape)
+        header[name] = {"dtype": dtype, "shape": list(shape), "range": [end, end + size]}
+        end += size
+    text = json.dumps(header, separators=(",", ":")).encode("ascii")
+    text += b" " * (-len(text) % 8)  # the data starts on an 8-byte boundary
+    return magic + version.to_bytes(4, "little") + len(text).to_bytes(8, "little") + text + data
+
+
 # ---------------------------------------------------------------------------
 # file formats: one line, one field, one check at a time
 

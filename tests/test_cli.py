@@ -33,7 +33,7 @@ from convrec.synthetic import popularity_corpus, toy_instance, write_inputs
 
 from conftest import masked_positions, reference_users
 from oracles import RecExample, corpus_records, masked_softmax_scores
-from test_retrieval import mutations
+from test_retrieval import mutations, rewrite_index
 
 
 @pytest.fixture(scope="module")
@@ -406,18 +406,52 @@ def test_eval_checkpoint_with_trailing_bytes_exits_2(runner, toy_bundle, toy_che
     assert "trailing bytes" in result.stderr
 
 
-def test_eval_checkpoint_with_optimizer_flag_1_exits_2(runner, toy_bundle, toy_checkpoint,
-                                                       tmp_path):
-    raw = toy_checkpoint.read_bytes()
-    assert raw[-1] == 0  # the optimizer flag ends every checkpoint convrec writes
+def test_eval_version_1_checkpoint_exits_2(runner, toy_bundle, toy_checkpoint, tmp_path):
+    # parameter a = [0.5] in the version-1 layout: a count, then per parameter
+    # its name, rank, dimensions and values, then an optimizer flag byte
     ckpt = tmp_path / "model.ckpt"
-    ckpt.write_bytes(raw[:-1] + b"\x01")
+    ckpt.write_bytes(b"CVRK" + struct.pack("<IIH1sBId", 1, 1, 1, b"a", 1, 1, 0.5) + b"\x00")
     shutil.copy(toy_checkpoint.with_name("model.ckpt.config.json"), tmp_path)
-    redigest(ckpt)  # the digest matches: the reader itself refuses the flag
+    redigest(ckpt)  # the digest matches: the reader itself refuses the version
     result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle),
                                       "--checkpoint", str(ckpt), "--split", "train"])
     assert result.exit_code == 2
-    assert result.stderr.startswith("error: ") and "unknown optimizer flag 1" in result.stderr
+    assert result.stderr == "error: unsupported checkpoint version 1\n"
+
+
+def test_eval_version_1_index_exits_2(runner, toy_bundle, toy_checkpoint, tmp_path):
+    # one document c0 = [1] in the version-1 layout
+    bundle = shutil.copytree(toy_bundle, tmp_path / "bundle")
+    (bundle / "bm25.idx").write_bytes(b"CVRI" + struct.pack("<IddI", 1, 1.2, 0.75, 1)
+                                      + struct.pack("<H2sIII", 2, b"c0", 1, 1, 1)
+                                      + struct.pack("<IIIIII", 1, 1, 1, 1, 0, 1))
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle), "--checkpoint",
+                                      str(toy_checkpoint), "--split", "train"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: unsupported retrieval index version 1\n"
+
+
+def test_train_refuses_a_z_that_is_not_finite(runner, toy_bundle, tmp_path):
+    for z in ("nan", "inf"):
+        result = run(runner, ["train", "--bundle", str(toy_bundle), "--out", str(tmp_path),
+                              "--z", z] + TRAIN_FLAGS)
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: z must be finite and positive\n"
+
+
+@pytest.mark.parametrize("key", ["lr", "clip", "z"])
+def test_eval_sidecar_with_a_nan_setting_exits_2(runner, toy_bundle, toy_checkpoint, tmp_path,
+                                                 key):
+    ckpt = tmp_path / "model.ckpt"
+    shutil.copy(toy_checkpoint, ckpt)
+    values = json.loads(toy_checkpoint.with_name("model.ckpt.config.json").read_text("utf-8"))
+    values[key] = math.nan
+    (tmp_path / "model.ckpt.config.json").write_text(json.dumps(values), "utf-8")
+    assert f'"{key}": NaN' in (tmp_path / "model.ckpt.config.json").read_text("utf-8")
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle),
+                                      "--checkpoint", str(ckpt), "--split", "train"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ") and "must be finite" in result.stderr
 
 
 def redigest(ckpt: Path) -> None:
@@ -437,7 +471,7 @@ def test_train_sidecar_records_the_checkpoint_sha256(trained_run):
 def test_eval_checkpoint_with_a_changed_weight_byte_exits_2(runner, toy_bundle, toy_checkpoint,
                                                             tmp_path):
     raw = bytearray(toy_checkpoint.read_bytes())
-    raw[-9] ^= 0x01  # the low mantissa bit of the last weight: still a well-formed checkpoint
+    raw[-8] ^= 0x01  # the low mantissa bit of the last weight: still a well-formed checkpoint
     ckpt = tmp_path / "model.ckpt"
     ckpt.write_bytes(bytes(raw))
     shutil.copy(toy_checkpoint.with_name("model.ckpt.config.json"), tmp_path)
@@ -604,8 +638,7 @@ def test_retrieve_unknown_conversation_exits_2(runner, toy_bundle):
 def test_eval_index_with_k1_or_b_out_of_range_exits_2(runner, toy_bundle, toy_checkpoint,
                                                       tmp_path, k1, b, message):
     bundle = shutil.copytree(toy_bundle, tmp_path / "bundle")
-    raw = (bundle / "bm25.idx").read_bytes()
-    (bundle / "bm25.idx").write_bytes(raw[:8] + struct.pack("<dd", k1, b) + raw[24:])  # k1, b
+    rewrite_index(bundle / "bm25.idx", k1=np.array(k1), b=np.array(b))
     result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle), "--checkpoint",
                                       str(toy_checkpoint), "--split", "train"])
     assert result.exit_code == 2
@@ -614,13 +647,12 @@ def test_eval_index_with_k1_or_b_out_of_range_exits_2(runner, toy_bundle, toy_ch
 
 def test_eval_index_whose_document_lists_a_foreign_entity_exits_2(runner, toy_bundle,
                                                                   toy_checkpoint, tmp_path):
-    # c0 lists (A0, I0, I1); its first entity's u32 follows the 28-byte header, the
-    # id's length and bytes, and its length and entity count
+    # c0, the first document, lists (A0, I0, I1)
     bundle = shutil.copytree(toy_bundle, tmp_path / "bundle")
-    raw = (bundle / "bm25.idx").read_bytes()
-    at = 28 + 2 + 2 + 8
-    assert struct.unpack_from("<3I", raw, at) == (6, 0, 1)
-    (bundle / "bm25.idx").write_bytes(raw[:at] + struct.pack("<I", 7) + raw[at + 4:])
+    rows = cli.load_index(bundle / "bm25.idx").doc_entities.rows.copy()
+    assert rows[:3].tolist() == [6, 0, 1]
+    rows[0] = 7
+    rewrite_index(bundle / "bm25.idx", doc_entities=rows)
     result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle), "--checkpoint",
                                       str(toy_checkpoint), "--split", "train"])
     assert result.exit_code == 2

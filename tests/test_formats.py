@@ -338,7 +338,7 @@ def test_word_graph_loader_matches_reference(tmp_path, text):
 # sha256 of every file `convrec ingest` writes for pinned_inputs(); a change to a
 # writer, or a loader that reads the inputs differently, shows up here
 BUNDLE_SHA256 = {
-    "bm25.idx": "f34d142043e7ed7faff2cb5fac373c44ad4fe7230a41e0db69ef38c3719fc06f",
+    "bm25.idx": "25e75a2ad3a54580b7dad27eacc5085eb26a1413e06600cba10746a8df217c01",
     "corpus.jsonl": "fd96e4bfa6004ffbba036b7037c010f5e4e31447ebe10dd75585ea37eff6e504",
     "entities.tsv": "79ef43bd14d867400322b4ab2f409ce1ebb44e190bcb6fbe00bb997e30b2eb25",
     "interaction.tsv": "729e1550fb67eda514d2f45a14c41357de7e5d4398ab05569baabe73dee06631",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -18,13 +19,15 @@ from convrec.optim import (
     ParamStore,
     adam_step,
     load_checkpoint,
+    read_arrays,
     read_checkpoint,
+    save_arrays,
     save_checkpoint,
 )
 from convrec.recommender import Model, TrainConfig
 
-from conftest import total
-from oracles import adam_reference
+from conftest import disk_full_after_first_write, total
+from oracles import adam_reference, container_reference
 from test_retrieval import mutations
 
 
@@ -336,21 +339,13 @@ def test_checkpoint_saves_identical_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, make_store())
     before = path.read_bytes()
     changed = make_store()
     changed["a"].values += 1.0
-    written = []
-
-    def fail_on_second(fh, arr):
-        if written:
-            raise OSError("disk full")
-        written.append(fh.write(arr.tobytes()))
-
-    monkeypatch.setattr(optim, "_write_array", fail_on_second)
-    with pytest.raises(OSError, match="disk full"):
+    with disk_full_after_first_write() as written, pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, changed)
     assert written and path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
@@ -382,9 +377,10 @@ def test_checkpoint_with_a_non_utf8_name(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store)
     raw = bytearray(path.read_bytes())
-    raw[14] = 0xFF  # the first byte of the first name, after magic, version, count and length
+    assert raw[16:19] == b'{"a'
+    raw[18] = 0xFF  # the first name's first byte, in the header after the 16-byte prefix
     path.write_bytes(bytes(raw))
-    with pytest.raises(ParseError, match="parameter name is not UTF-8"):
+    with pytest.raises(ParseError, match="checkpoint header is not ASCII JSON"):
         read_checkpoint(path)
 
 
@@ -411,21 +407,7 @@ def test_checkpoint_loads_exactly_its_own_length(tmp_path):
             read_checkpoint(path)
 
 
-@pytest.fixture
-def small_reads(monkeypatch):
-    """Fail a test, instead of allocating, if the reader asks for a large read."""
-    real = optim._read_exact
-
-    def bounded(fh, n):
-        assert n <= 4096, f"read of {n} bytes requested"
-        return real(fh, n)
-
-    monkeypatch.setattr(optim, "_read_exact", bounded)
-
-
-def _one_param_header(shape):
-    return (b"CVRK" + struct.pack("<IIH", 1, 1, 1) + b"a" + struct.pack("<B", len(shape))
-            + struct.pack(f"<{len(shape)}I", *shape))
+CKPT_MAGIC, CKPT_VERSION = b"CVRK", 2
 
 
 @pytest.mark.parametrize("shape", [
@@ -433,35 +415,135 @@ def _one_param_header(shape):
     (2**20, 2**20),   # 8 TiB of values
     (5,),             # 40 bytes, 1 left
 ], ids=["wraps", "huge", "short"])
-def test_read_checkpoint_bounds_shape_by_file_size(tmp_path, small_reads, shape):
-    raw = _one_param_header(shape) + b"\x00"
-    assert len(raw) < 64
+def test_read_checkpoint_bounds_shape_by_file_size(tmp_path, shape):
+    raw = container_reference(CKPT_MAGIC, {"a": ("<f8", shape)}, b"\x00")
+    assert len(raw) < 128
     path = tmp_path / "bad.ckpt"
     path.write_bytes(raw)
     with pytest.raises(ParseError, match=r"header claims shape .* but 1 bytes remain"):
         read_checkpoint(path)
 
 
-def test_read_checkpoint_refuses_an_optimizer_flag_other_than_0(tmp_path, small_reads):
-    store = make_store()
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store)
-    raw = path.read_bytes()
-    assert raw[-1] == 0  # the flag is the last byte
-    for flag in (1, 2, 255):
-        # an optimizer section after the flag (a step, then m and v of the 7
-        # values), refused before any of it is read
-        path.write_bytes(raw[:-1] + struct.pack("<BQ", flag, 3) + b"\x00" * 8 * 2 * 7)
-        with pytest.raises(ParseError, match=f"^unknown optimizer flag {flag}$"):
-            read_checkpoint(path)
-
-
 def test_read_checkpoint_refuses_a_rank_numpy_cannot_hold(tmp_path):
-    # 70 dimensions whose product fits the one byte left: a zero, then ones
+    # 70 dimensions whose product, 0, the data holds: a zero, then ones
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(_one_param_header((0,) + (1,) * 69) + b"\x00")
+    path.write_bytes(container_reference(CKPT_MAGIC, {"a": ("<f8", (0,) + (1,) * 69)}, b""))
     with pytest.raises(ParseError, match="maximum supported dimension"):
         read_checkpoint(path)
+
+
+def test_read_checkpoint_refuses_a_parameter_that_is_not_float64(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    save_arrays(path, CKPT_MAGIC, CKPT_VERSION, {"a": np.zeros(2), "n": np.arange(3)})
+    with pytest.raises(ParseError, match="^checkpoint parameter 'n' has dtype <i8, not <f8$"):
+        read_checkpoint(path)
+
+
+def test_read_checkpoint_refuses_a_version_1_checkpoint(tmp_path):
+    # parameter a = [0.5] in the version-1 layout: a count, then per parameter
+    # its name, rank, dimensions and values, then an optimizer flag byte
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"CVRK" + struct.pack("<IIH1sBId", 1, 1, 1, b"a", 1, 1, 0.5) + b"\x00")
+    with pytest.raises(ParseError, match="^unsupported checkpoint version 1$"):
+        read_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# the named-array container under both files
+
+
+def sample_arrays():
+    """One array of every dtype and rank the files hold, an odd-length one included."""
+    return {"k1": np.array(1.25), "ids": np.frombuffer("c0\u00e9".encode(), np.uint8),
+            "rows": np.array([3, -1, 2**40], np.int64), "empty": np.zeros(0, np.int64),
+            "w": np.arange(6.0).reshape(2, 3)}
+
+
+def test_save_arrays_writes_the_documented_layout(tmp_path):
+    arrays = sample_arrays()
+    path = tmp_path / "x.bin"
+    digest = save_arrays(path, b"TEST", 7, arrays)
+    raw = path.read_bytes()
+    entries = {n: (a.dtype.str, a.shape) for n, a in arrays.items()}
+    assert raw == container_reference(b"TEST", entries,
+                                      b"".join(a.tobytes() for a in arrays.values()), version=7)
+    assert digest == hashlib.sha256(raw).hexdigest()
+    assert int.from_bytes(raw[8:16], "little") % 8 == 0  # the data starts 8-byte aligned
+    loaded = read_arrays(raw, b"TEST", 7, "test file")
+    assert list(loaded) == list(arrays)
+    for name, a in arrays.items():
+        assert loaded[name].dtype == a.dtype and not loaded[name].flags.writeable
+        np.testing.assert_array_equal(loaded[name], a)
+
+
+def with_header(raw, edit):
+    """``raw`` with its header text passed through ``edit`` and padded again."""
+    size = int.from_bytes(raw[8:16], "little")
+    text = edit(raw[16:16 + size].rstrip(b" "))
+    text += b" " * (-len(text) % 8)
+    return raw[:8] + len(text).to_bytes(8, "little") + text + raw[16 + size:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.replace(b'"w"', b'"k1"'), "names an array twice"),
+    (lambda h: h.replace(b'"k1"', b'"k\\u0031"'), "not the one its arrays are written with"),
+    (lambda h: h.replace(b":", b": "), "not the one its arrays are written with"),
+    (lambda h: h + b" " * 8, "not the one its arrays are written with"),
+    (lambda h: h.replace(b'"range":[0,8]', b'"range":[0,8.0]'),
+     "not the one its arrays are written with"),
+    (lambda h: h.replace(b'{"dtype":"<f8","shape":[]', b'{"shape":[],"dtype":"<f8"'),
+     "not the one its arrays are written with"),
+    (lambda h: h.replace(b'"dtype":"<f8","shape":[]', b'"dtype":"<f4","shape":[2]'),
+     "array 'k1' has no dtype of"),
+    (lambda h: h.replace(b'"dtype":"<f8","shape":[]', b'"dtype":"|O","shape":[]'),
+     "array 'k1' has no dtype of"),
+    (lambda h: h.replace(b'"shape":[]', b'"shape":[true]'), "array 'k1' has no dtype of"),
+    (lambda h: h.replace(b'"shape":[2,3]', b'"shape":[-2,-3]'), "array 'w' has no dtype of"),
+    (lambda h: h.replace(b'"shape":[0]', b'"shape":[0,9223372036854775808]'),
+     "array 'empty' of shape"),
+    (lambda h: b"[" + h + b"]", "header is not a JSON object"),
+    (lambda h: h[:-1], "header is not ASCII JSON"),
+], ids=["duplicate-name", "escaped-name", "spaces", "padding", "float-range", "key-order",
+        "f4", "object", "bool-size", "negative-size", "huge-empty", "not-an-object", "cut"])
+def test_read_arrays_refuses_a_header_the_writer_would_not_write(tmp_path, edit, message):
+    path = tmp_path / "x.bin"
+    save_arrays(path, b"TEST", 7, sample_arrays())
+    with pytest.raises(ParseError, match=message):
+        read_arrays(with_header(path.read_bytes(), edit), b"TEST", 7, "test file")
+
+
+def test_read_arrays_bounds_the_header_length_by_the_bytes_left(tmp_path):
+    path = tmp_path / "x.bin"
+    save_arrays(path, b"TEST", 7, sample_arrays())
+    raw = path.read_bytes()
+    for size in (len(raw) - 15, 2**63):
+        bad = raw[:8] + size.to_bytes(8, "little") + raw[16:]
+        with pytest.raises(ParseError, match=f"header claims {size} bytes but {len(raw) - 16}"):
+            read_arrays(bad, b"TEST", 7, "test file")
+    for cut in range(16):
+        with pytest.raises(ParseError, match="^not a test file$"):
+            read_arrays(raw[:cut], b"TEST", 7, "test file")
+
+
+@pytest.fixture(scope="module")
+def sample_container(tmp_path_factory):
+    path = tmp_path_factory.mktemp("containers") / "x.bin"
+    save_arrays(path, b"TEST", 7, sample_arrays())
+    return path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_container_bytes_load_exactly_or_raise_parse_error(sample_container, data):
+    raw = data.draw(mutations(sample_container.read_bytes()))
+    try:
+        arrays = read_arrays(raw, b"TEST", 7, "test file")
+    except ParseError:
+        return
+    # what loads is what the bytes say: writing it gives the same bytes back
+    again = sample_container.with_name("again.bin")
+    assert save_arrays(again, b"TEST", 7, arrays) == hashlib.sha256(raw).hexdigest()
+    assert again.read_bytes() == raw
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ from convrec import retrieval
 from convrec.autodiff import Segments
 from convrec.corpus import Sentiment, Speaker, Split
 from convrec.errors import MissingArtifactError, ParseError, ValidationError
+from convrec.optim import read_arrays, save_arrays
 from convrec.retrieval import (
     bm25_score,
     load_index,
@@ -21,7 +22,15 @@ from convrec.retrieval import (
 )
 from convrec.retrieval import build_index as build_corpus_index
 
-from oracles import Conversation, Mention, Utterance, bm25_reference, corpus_of
+from conftest import disk_full_after_first_write
+from oracles import (
+    Conversation,
+    Mention,
+    Utterance,
+    bm25_reference,
+    container_reference,
+    corpus_of,
+)
 
 
 def doc_conv(cid, entity_ids, split=Split.TRAIN, user="u"):
@@ -227,14 +236,10 @@ def test_interrupted_index_write_keeps_the_previous_file(small_index, tmp_path):
     path = tmp_path / "bm25.idx"
     save_index(index, path)
     before = path.read_bytes()
-    # a negative entity id has no u32 encoding, so the write fails at the last
-    # document, after the header and the other documents went out
-    ents = index.doc_entities
-    groups = [ents.rows[lo:hi].tolist() for lo, hi in zip(ents.offsets, ents.offsets[1:])]
-    broken = dataclasses.replace(index, doc_entities=Segments.of([*groups[:-1], [-1]]))
-    with pytest.raises(struct.error):
-        save_index(broken, path)
-    assert path.read_bytes() == before
+    changed = dataclasses.replace(index, k1=2.0)
+    with disk_full_after_first_write() as written, pytest.raises(OSError, match="disk full"):
+        save_index(changed, path)
+    assert written and path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["bm25.idx"]
 
 
@@ -297,77 +302,115 @@ def test_some_empty_documents_score_like_reference(tmp_path):
         assert result.entities == (1, 2)
 
 
-def _index_bytes(docs, terms):
-    """Raw index file: docs as (id, length, entities), terms as (term, df, postings)."""
-    out = [b"CVRI", struct.pack("<Idd", 1, 1.2, 0.75), struct.pack("<I", len(docs))]
-    for doc_id, length, ents in docs:
-        encoded = doc_id.encode("utf-8")
-        out += [struct.pack("<H", len(encoded)), encoded,
-                struct.pack(f"<II{len(ents)}I", length, len(ents), *ents)]
-    out.append(struct.pack("<I", len(terms)))
-    for term, df, postings in terms:
-        out.append(struct.pack("<III", term, df, len(postings)))
-        out += [struct.pack("<II", d, tf) for d, tf in postings]
-    return b"".join(out)
+INDEX_MAGIC, INDEX_VERSION = b"CVRI", 2
+
+
+def index_arrays(docs, terms, k1=1.2, b=0.75):
+    """The arrays of an index file: docs as (id, length, entities), terms as
+    (term, postings as (document index, tf)), in file order."""
+    encoded = [doc_id.encode("utf-8") for doc_id, _, _ in docs]
+    postings = [posting for _, group in terms for posting in group]
+    return {
+        "k1": np.array(k1), "b": np.array(b),
+        "doc_lens": np.array([length for _, length, _ in docs], np.int64),
+        "doc_id_offsets": np.cumsum([0] + [len(e) for e in encoded]),
+        "doc_entities": np.array([e for _, _, ents in docs for e in ents], np.int64),
+        "doc_entity_offsets": np.cumsum([0] + [len(ents) for _, _, ents in docs]),
+        "terms": np.array([term for term, _ in terms], np.int64),
+        "term_offsets": np.cumsum([0] + [len(group) for _, group in terms]),
+        "postings": np.array([d for d, _ in postings], np.int64),
+        "tfs": np.array([tf for _, tf in postings], np.int64),
+        "doc_ids": np.frombuffer(b"".join(encoded), np.uint8),
+    }
+
+
+def write_index(path, docs, terms):
+    save_arrays(path, INDEX_MAGIC, INDEX_VERSION, index_arrays(docs, terms))
+
+
+def rewrite_index(path, **changes):
+    """Write the index file at ``path`` back with the named arrays replaced."""
+    arrays = read_arrays(path.read_bytes(), INDEX_MAGIC, INDEX_VERSION, "retrieval index")
+    save_arrays(path, INDEX_MAGIC, INDEX_VERSION, {**arrays, **changes})
 
 
 def test_index_bytes_matches_save_index(tmp_path):
     index = build_index([doc_conv("c0", [1, 2, 1]), doc_conv("c1", [2])])
     save_index(index, tmp_path / "a.idx")
-    raw = _index_bytes([("c0", 3, [1, 2]), ("c1", 1, [2])],
-                       [(1, 1, [(0, 2)]), (2, 2, [(0, 1), (1, 1)])])
-    assert (tmp_path / "a.idx").read_bytes() == raw
+    write_index(tmp_path / "b.idx", [("c0", 3, [1, 2]), ("c1", 1, [2])],
+                [(1, [(0, 2)]), (2, [(0, 1), (1, 1)])])
+    assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
 
 
-_ONE_DOC_HEADER = b"CVRI" + struct.pack("<IddI", 1, 1.2, 0.75, 1)
-
-
-@pytest.mark.parametrize("raw, claim", [
-    # each header count is followed by fewer bytes than it claims; the load
-    # must fail before requesting the read, and say what was claimed
-    (_ONE_DOC_HEADER + struct.pack("<H", 40) + b"c0", "claims 40 id bytes"),
-    (_ONE_DOC_HEADER + struct.pack("<H2sII", 2, b"c0", 1, 2**20), "claims 1048576 entities"),
-    (_ONE_DOC_HEADER + struct.pack("<H2sIII", 2, b"c0", 1, 1, 1)
-     + struct.pack("<IIII", 1, 1, 2**20, 2**20), "claims 1048576 postings"),
+@pytest.mark.parametrize("name, claim", [
+    ("doc_ids", 40), ("doc_entities", 2**20), ("postings", 2**20),
 ], ids=["id", "entities", "postings"])
-def test_load_bounds_header_counts_by_file_size(tmp_path, raw, claim):
-    assert len(raw) < 100
+def test_load_bounds_header_counts_by_file_size(tmp_path, name, claim):
+    # an array claims more entries than the bytes after it hold; the load must
+    # fail before it sizes anything by the claim, and say what was claimed
+    arrays = index_arrays([("c0", 1, [1])], [(1, [(0, 1)])])
+    entries = {n: (a.dtype.str, (claim,) if n == name else a.shape) for n, a in arrays.items()}
+    raw = container_reference(INDEX_MAGIC, entries, b"".join(a.tobytes() for a in arrays.values()))
+    assert len(raw) < 1000
     path = tmp_path / "bad.idx"
     path.write_bytes(raw)
-    with pytest.raises(ParseError, match=claim) as err:
+    with pytest.raises(ParseError, match=rf"header claims shape \({claim},\)"):
         load_index(path)
-    assert "wanted" not in str(err.value)
+
+
+def test_load_refuses_a_version_1_index(tmp_path):
+    # one document c0 = [1], in the version-1 layout: a header, then per
+    # document and per term their u32 counts and fields
+    path = tmp_path / "bm25.idx"
+    path.write_bytes(b"CVRI" + struct.pack("<IddI", 1, 1.2, 0.75, 1)
+                     + struct.pack("<H2sIII", 2, b"c0", 1, 1, 1)
+                     + struct.pack("<IIIIII", 1, 1, 1, 1, 0, 1))
+    with pytest.raises(ParseError, match="^unsupported retrieval index version 1$"):
+        load_index(path)
 
 
 @pytest.mark.parametrize("terms, message", [
-    ([(1, 1, [(0, 1), (1, 1)])], "term 1 has df 1 but 2 postings"),
-    ([(1, 2, [(1, 1), (0, 1)])], "not strictly ascending"),
-    ([(1, 2, [(0, 1), (0, 1)])], "not strictly ascending"),
-    ([(1, 2, [(0, 1), (1, 0)])], "a posting has tf 0"),
+    ([(1, [(0, 1), (1, -1)])], "a posting has tf -1"),
+    ([(1, [(1, 1), (0, 1)])], "not strictly ascending"),
+    ([(1, [(0, 1), (0, 1)])], "not strictly ascending"),
+    ([(1, [(0, 1), (1, 0)])], "a posting has tf 0"),
 ])
 def test_load_rejects_inconsistent_postings(tmp_path, terms, message):
     path = tmp_path / "bad.idx"
-    path.write_bytes(_index_bytes([("c0", 1, [1]), ("c1", 1, [1])], terms))
+    write_index(path, [("c0", 1, [1]), ("c1", 1, [1])], terms)
     with pytest.raises(ParseError, match=message):
         load_index(path)
 
 
+@pytest.mark.parametrize("docs, terms, message", [
+    ([("c0", 1, [1]), ("c1", 1, [1])], [(1, [(-1, 1), (1, 1)])],
+     "posting references document -1 of 2"),
+    ([("c0", 1, [1]), ("c1", 1, [1])], [(1, [(0, 1), (2, 1)])],
+     "posting references document 2 of 2"),
+    ([("c0", 1, [-1])], [(-1, [(0, 1)])], "term -1 is negative"),
+], ids=["negative-document", "document-past-the-end", "negative-term"])
+def test_load_rejects_postings_outside_their_ranges(tmp_path, docs, terms, message):
+    path = tmp_path / "bad.idx"
+    write_index(path, docs, terms)
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        load_index(path)
+
+
 @pytest.mark.parametrize("terms", [
-    [(1, 1, [(0, 1)]), (1, 1, [(1, 1)])],   # term 1 recorded twice
-    [(2, 1, [(0, 1)]), (1, 1, [(1, 1)])],   # terms descending
+    [(1, [(0, 1)]), (1, [(1, 1)])],   # term 1 recorded twice
+    [(2, [(0, 1)]), (1, [(1, 1)])],   # terms descending
 ], ids=["duplicate", "descending"])
 def test_load_rejects_terms_not_strictly_ascending(tmp_path, terms):
     # every document length matches its postings, so only the term order is wrong
     path = tmp_path / "bad.idx"
-    path.write_bytes(_index_bytes([("c0", 1, [1]), ("c1", 1, [1])], terms))
+    write_index(path, [("c0", 1, [1]), ("c1", 1, [1])], terms)
     with pytest.raises(ParseError, match="not strictly ascending"):
         load_index(path)
 
 
 def test_load_rejects_document_length_unlike_its_postings(tmp_path):
     path = tmp_path / "bad.idx"
-    path.write_bytes(_index_bytes([("c0", 9, [1]), ("c1", 1, [1])],
-                                  [(1, 2, [(0, 1), (1, 1)])]))
+    write_index(path, [("c0", 9, [1]), ("c1", 1, [1])], [(1, [(0, 1), (1, 1)])])
     with pytest.raises(ParseError, match="'c0' has length 9 but its postings' tf sum to 1"):
         load_index(path)
 
@@ -376,9 +419,24 @@ def test_load_rejects_document_length_unlike_its_postings(tmp_path):
 def test_load_rejects_document_ids_not_strictly_ascending(tmp_path, ids):
     # document order is the tie-break order, and exclude_id must name one document
     path = tmp_path / "bad.idx"
-    path.write_bytes(_index_bytes([(ids[0], 1, [1]), (ids[1], 1, [1])],
-                                  [(1, 2, [(0, 1), (1, 1)])]))
+    write_index(path, [(ids[0], 1, [1]), (ids[1], 1, [1])], [(1, [(0, 1), (1, 1)])])
     with pytest.raises(ParseError, match="document ids are not strictly ascending"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("doc_id_offsets", [0, 2, 1, 6, 8], "segment offsets must rise"),
+    ("term_offsets", [0, 2, 3, 4, 5, 6], "segment offsets must rise"),
+    ("doc_lens", [4, 2, 1], "disagree in length"),
+    ("tfs", [1, 3, 2, 1, 1, 1], "disagree in length"),
+], ids=["id-offsets", "term-offsets", "doc-lens", "tfs"])
+def test_load_rejects_arrays_that_do_not_fit_together(small_index, tmp_path, name, value,
+                                                      message):
+    index, _ = small_index
+    path = tmp_path / "bm25.idx"
+    save_index(index, path)
+    rewrite_index(path, **{name: np.array(value, np.int64)})
+    with pytest.raises(ParseError, match=message):
         load_index(path)
 
 
@@ -387,7 +445,7 @@ def test_load_rejects_a_non_utf8_document_id(small_index, tmp_path):
     path = tmp_path / "bm25.idx"
     save_index(index, path)
     raw = bytearray(path.read_bytes())
-    raw[30] = 0xFF  # the first byte of the first id, after the 28-byte header and its length
+    raw[-8] = 0xFF  # the first byte of the first id: the 8 bytes of c0..c3 end the file
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match="document id is not UTF-8"):
         load_index(path)
@@ -398,12 +456,9 @@ def test_load_rejects_a_non_utf8_document_id(small_index, tmp_path):
     (1.2, 1.5), (1.2, math.nan), (1.2, -0.25), (1.2, math.inf),
 ], ids=["k1=inf", "k1=nan", "k1=-1", "k1=-inf", "b=1.5", "b=nan", "b=-0.25", "b=inf"])
 def test_load_rejects_k1_or_b_out_of_range(small_index, tmp_path, k1, b):
-    # the 16 bytes after the magic number and the version: f64 k1, then f64 b
     index, _ = small_index
     path = tmp_path / "bm25.idx"
-    save_index(index, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:8] + struct.pack("<dd", k1, b) + raw[24:])
+    save_index(dataclasses.replace(index, k1=k1, b=b), path)
     with pytest.raises(ParseError, match="k1 must be finite and at least 0" if b == 0.75
                        else r"b must be in \[0, 1\]"):
         load_index(path)
@@ -422,20 +477,16 @@ def test_load_accepts_k1_and_b_at_their_bounds(small_index, tmp_path):
         assert len(result.ranked) == 3 and result == retrieve(built, [1, 2], 3)
 
 
-# c0 = [1, 2, 2, 3] lists entities (1, 2, 3); its first entity's u32 follows the
-# 28-byte header, the id's length and bytes, and its length and entity count
-_C0_ENTITIES = 28 + 2 + 2 + 8
-
-
 @pytest.mark.parametrize("entities", [(7, 2, 3), (1, 2, 2), (3, 2, 1)],
                          ids=["foreign", "repeated", "reordered"])
 def test_load_checks_document_entities_against_postings(small_index, tmp_path, entities):
+    # c0 = [1, 2, 2, 3] lists entities (1, 2, 3), the first three
     index, _ = small_index
     path = tmp_path / "bm25.idx"
     save_index(index, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:_C0_ENTITIES] + struct.pack("<3I", *entities)
-                     + raw[_C0_ENTITIES + 12:])
+    rows = index.doc_entities.rows.copy()
+    rows[:3] = entities
+    rewrite_index(path, doc_entities=rows)
     if entities == (3, 2, 1):  # the same set in another mention order: loads as written
         loaded = load_index(path)
         assert loaded.doc_entities.rows[:3].tolist() == [3, 2, 1]

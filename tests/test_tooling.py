@@ -64,3 +64,15 @@ def test_importing_the_package_loads_only_the_allocator():
 def test_importing_the_cli_does_not_load_the_generators():
     loaded = modules_after("import convrec.cli")
     assert "convrec.cli" in loaded and "convrec.synthetic" not in loaded
+
+
+def test_only_optim_packs_binary_fields():
+    # every binary file goes through optim's one container reader and writer
+    importers = []
+    for path in sorted((ROOT / "src" / "convrec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "struct" in names:
+                importers.append(path.stem)
+    assert importers == ["optim"], f"convrec modules importing struct: {importers}"
