@@ -39,14 +39,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .graphs import (
-    load_interaction_graph,
-    load_item_kg,
-    load_word_graph,
-    save_interaction_graph,
-    save_kg,
-    save_word_graph,
-)
+from .graphs import load_item_kg, load_word_graph, save_kg, save_word_graph
 from .optim import atomic_write, load_checkpoint, open_input, save_checkpoint
 from .recommender import (
     ABLATION_FLAGS,
@@ -62,7 +55,7 @@ from .recommender import (
     score_all,
     train as run_train,
 )
-from .retrieval import load_index, retrieve, save_index
+from .retrieval import retrieve
 
 EXIT_USAGE = 2
 EXIT_MISSING = 3
@@ -74,15 +67,14 @@ _BUNDLE_FILES = {
     "entities": "entities.tsv",
     "kg": "kg.tsv",
     "word_graph": "word_graph.tsv",
-    "interaction": "interaction.tsv",
     "stopwords": "stopwords.txt",
-    "index": "bm25.idx",
 }
 
 
 # every manifest key and the exact type of its JSON value (a JSON true is not an int)
-_MANIFEST_TYPES = {"format": int, "has_word_graph": bool, "has_index": bool,
-                   "stats": dict, "splits": dict}
+_MANIFEST_TYPES = {"format": int, "has_word_graph": bool, "stats": dict, "splits": dict}
+# the one bundle format this version reads; a bundle of another is ingested again
+_BUNDLE_FORMAT = 2
 
 
 def _fail(code: int, message: str) -> None:
@@ -238,9 +230,14 @@ def _read_json_object(path: Path, what: str) -> dict:
 
 
 def load_bundle(bundle_dir: str | Path) -> Artifacts:
+    """The bundle's parsed inputs, and what ``build_artifacts`` derives from them:
+    the bundle stores no interaction graph and no retrieval index."""
     bundle = Path(bundle_dir)
     manifest_path = bundle / _BUNDLE_FILES["manifest"]
     manifest = _read_json_object(manifest_path, "artifact bundle manifest")
+    # the format first: another format's manifest may have other keys
+    if type(manifest.get("format")) is int and manifest["format"] != _BUNDLE_FORMAT:
+        raise ParseError(f"{manifest_path}: unsupported bundle format {manifest['format']}")
     if set(manifest) != set(_MANIFEST_TYPES):
         raise ParseError(f"{manifest_path}: keys {sorted(manifest)}, "
                          f"expected {sorted(_MANIFEST_TYPES)}")
@@ -248,8 +245,6 @@ def load_bundle(bundle_dir: str | Path) -> Artifacts:
         if type(manifest[key]) is not kind:
             raise ParseError(f"{manifest_path}: {key!r} is not a JSON {kind.__name__}: "
                              f"{manifest[key]!r}")
-    if manifest["format"] != 1:
-        raise ParseError(f"{manifest_path}: unsupported bundle format {manifest['format']}")
 
     entities = load_entity_vocab(bundle / _BUNDLE_FILES["entities"])
     stopwords = load_stopwords(bundle / _BUNDLE_FILES["stopwords"])
@@ -258,11 +253,7 @@ def load_bundle(bundle_dir: str | Path) -> Artifacts:
     word_graph = None
     if manifest["has_word_graph"]:
         word_graph = load_word_graph(bundle / _BUNDLE_FILES["word_graph"], vocab.words)
-    interaction = load_interaction_graph(bundle / _BUNDLE_FILES["interaction"], entities)
-
-    index = load_index(bundle / _BUNDLE_FILES["index"]) if manifest["has_index"] else None
-    return Artifacts(vocab=vocab, corpus=corpus, kg=kg, word_graph=word_graph,
-                     interaction=interaction, index=index)
+    return build_artifacts(corpus, vocab, kg, word_graph)
 
 
 def _config_sidecar(checkpoint_path: Path) -> Path:
@@ -354,8 +345,6 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
     kg = load_item_kg(kg_path, entities)
     word_graph = load_word_graph(word_graph_path, vocab.words) if word_graph_path else None
 
-    artifacts = build_artifacts(corpus, vocab, kg, word_graph)
-
     bundle = Path(out_dir)
     bundle.mkdir(parents=True, exist_ok=True)
     save_corpus(corpus, entities, bundle / _BUNDLE_FILES["corpus"])
@@ -363,17 +352,13 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
     save_kg(kg, entities, bundle / _BUNDLE_FILES["kg"])
     if word_graph is not None:
         save_word_graph(word_graph, vocab.words, bundle / _BUNDLE_FILES["word_graph"])
-    save_interaction_graph(artifacts.interaction, entities, bundle / _BUNDLE_FILES["interaction"])
     _write_text(bundle / _BUNDLE_FILES["stopwords"], "".join(w + "\n" for w in sorted(stopwords)))
-    if artifacts.index is not None:
-        save_index(artifacts.index, bundle / _BUNDLE_FILES["index"])
 
     stats = corpus_stats(corpus, entities)
     counts = np.bincount(corpus.splits, minlength=len(SPLITS)).tolist()
     manifest = {
-        "format": 1,
+        "format": _BUNDLE_FORMAT,
         "has_word_graph": word_graph is not None,
-        "has_index": artifacts.index is not None,
         "stats": stats,
         "splits": {s.value: n for s, n in zip(SPLITS, counts)},
     }

@@ -19,12 +19,10 @@ from .corpus import (
     _tsv_rows,
     training_mentions,
 )
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .optim import atomic_write
 
-LIKE = "like"
-DISLIKE = "dislike"
-INTERACTION_RELATIONS = (LIKE, DISLIKE)
+INTERACTION_RELATIONS = ("like", "dislike")
 
 
 def _edge_array(edges: np.ndarray | Sequence[tuple[int, int, int]]) -> np.ndarray:
@@ -227,61 +225,26 @@ class InteractionGraph:
         return self._typed
 
 
-def _interaction_graph(users: Iterable[str], edge_users: Sequence[str],
-                       rels: Sequence[int], items: Sequence[int]) -> InteractionGraph:
-    """Index users and items in sorted order and re-index the (user, rel, item) edges.
-
-    ``users`` names every user, with or without an edge; edge k is
-    (``edge_users[k]``, ``rels[k]``, ``items[k]``).
-    """
-    user_list = sorted(set(users))
-    user_index = {u: i for i, u in enumerate(user_list)}
-    item_list, item_rows = np.unique(np.asarray(items, dtype=np.intp), return_inverse=True)
-    user_rows = np.array([user_index[u] for u in edge_users], dtype=np.intp)
-    edges = np.stack([user_rows, np.asarray(rels, dtype=np.intp), item_rows], axis=1)
-    return InteractionGraph(user_list, item_list.tolist(), edges)
-
-
 def build_interaction_graph(corpus: Corpus, entities: EntityVocab) -> InteractionGraph:
     """Extract deduplicated (user, like/dislike, item) edges from the corpus's
-    training conversations; no other split is read."""
+    training conversations; no other split is read.
+
+    Every training user is a node, with or without an edge; users and items
+    are indexed in sorted order.
+    """
     convs, mentions, sentiment = training_mentions(corpus)
     ent = mentions.rows
     kept = np.flatnonzero((sentiment != SENTIMENTS.index(Sentiment.NEUTRAL))
                           & np.array(entities.is_item, bool)[ent])
     users = [corpus.user_ids[c] for c in convs.tolist()]
-    edge_users = [users[k] for k in mentions.group_of_rows()[kept].tolist()]
+    user_list = sorted(set(users))
+    user_index = {u: i for i, u in enumerate(user_list)}
+    conv_user = np.array([user_index[u] for u in users], dtype=np.intp)
     rels = sentiment[kept] == SENTIMENTS.index(Sentiment.DISLIKE)  # like 0, dislike 1
-    return _interaction_graph(users, edge_users, rels, ent[kept])
-
-
-def save_interaction_graph(graph: InteractionGraph, entities: EntityVocab,
-                           path: str | Path) -> None:
-    """Persist as ``user_id<TAB>like|dislike<TAB>entity_token`` lines."""
-    with atomic_write(path, text=True) as fh:
-        for user_idx, rel, item_idx in graph.edges.tolist():
-            token = entities.tokens[graph.items[item_idx]]
-            fh.write(f"{graph.users[user_idx]}\t{INTERACTION_RELATIONS[rel]}\t{token}\n")
-
-
-def load_interaction_graph(path: str | Path, entities: EntityVocab) -> InteractionGraph:
-    """Load ``user_id<TAB>like|dislike<TAB>entity_ref`` lines.
-
-    Relations and entity refs are mapped with one dict lookup per field;
-    the first line with an unknown relation or entity is the one reported,
-    an unknown entity's error prefixed with ``line N:``.
-    """
-    linenos, (users, rel_names, refs), error = _tsv_rows(path, 3, "interaction graph")
-    rel_of = {name: i for i, name in enumerate(INTERACTION_RELATIONS)}
-    rels = [rel_of.get(name) for name in rel_names]
-    if None in rels:
-        k = rels.index(None)
-        _lookup_rows(entities._by_token, entities.resolve, [refs[:k]], linenos)  # an earlier bad ref
-        raise ParseError(f"unknown relation {rel_names[k]!r}", line=linenos[k])
-    items = _lookup_rows(entities._by_token, entities.resolve, [refs], linenos)
-    if error:
-        raise error
-    return _interaction_graph(users, users, rels, items[:, 0])
+    item_list, item_rows = np.unique(ent[kept].astype(np.intp), return_inverse=True)
+    edges = np.stack([conv_user[mentions.group_of_rows()[kept]], rels.astype(np.intp), item_rows],
+                     axis=1)
+    return InteractionGraph(user_list, item_list.tolist(), edges)
 
 
 def load_item_kg(path: str | Path, entities: EntityVocab) -> TypedGraph:

@@ -263,7 +263,7 @@ def open_input(path: str | Path, what: str, text: bool = False) -> Iterator[Bina
 
 
 # ---------------------------------------------------------------------------
-# named-array containers (bm25.idx, model.ckpt), after the safetensors layout:
+# named-array containers (model.ckpt), after the safetensors layout:
 # 4-byte magic, u32 version, u64 header length, then the header, compact ASCII
 # JSON {name: {"dtype", "shape", "range"}} in write order, padded with spaces to
 # an 8-byte boundary, then each array's little-endian C-order bytes; "range" is

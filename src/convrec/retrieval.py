@@ -10,22 +10,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .autodiff import Segments
 from .corpus import Corpus, training_mentions
-from .errors import ParseError, ShapeError, ValidationError
-from .optim import open_input, read_arrays, save_arrays
+from .errors import ValidationError
 
 # Okapi BM25's term-frequency saturation and document-length normalization
 K1 = 1.2
 B = 0.75
-
-_MAGIC = b"CVRI"
-_VERSION = 2
 
 
 # Each chunk of retrieve_batch scores its queries into one dense
@@ -68,12 +63,10 @@ class Bm25Index:
     the documents that contain ``terms[i]``, and ``tfs`` their term
     frequencies, each at least 1; a term's df is its group size.
 
-    ``postings`` is derived on first use, by ``load_index`` at load, and
-    cached; mutate no field after the first retrieval.
+    ``postings`` is derived on first use and cached; mutate no field after
+    the first retrieval. Scores use Okapi's ``K1`` and ``B``.
     """
 
-    k1: float
-    b: float
     doc_ids: list[str]
     doc_lens: np.ndarray                 # (D,) int64: tokens per document
     doc_entities: Segments               # D groups of entity ids
@@ -108,8 +101,8 @@ class Bm25Index:
         idf = np.array([_idf(self.n_docs, d) for d in dfs.tolist()], np.float64)[which].repeat(df)
         tf = self.tfs.astype(np.float64)
         dl = self.doc_lens[self.docs.rows].astype(np.float64)
-        length_norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-        weights = idf * tf * (self.k1 + 1.0) / (tf + length_norm)
+        length_norm = K1 * (1.0 - B + B * dl / self.avgdl)
+        weights = idf * tf * (K1 + 1.0) / (tf + length_norm)
         edges = self.terms.repeat(2)
         edges[1::2] += 1
         bounds = offsets.repeat(2)  # slot s spans [bounds[s], bounds[s + 1])
@@ -147,9 +140,8 @@ def build_index(corpus: Corpus) -> Bm25Index:
     # one (term, document) key per token, term-major; a key's count is its tf
     keys, tfs = np.unique(term_of * n_docs + tokens.group_of_rows(), return_counts=True)
     posting_term, rows = np.divmod(keys, n_docs)
-    return Bm25Index(k1=K1, b=B, doc_ids=doc_ids,
-                     doc_lens=tokens.sizes.astype(np.int64), doc_entities=tokens.distinct(),
-                     terms=terms,
+    return Bm25Index(doc_ids=doc_ids, doc_lens=tokens.sizes.astype(np.int64),
+                     doc_entities=tokens.distinct(), terms=terms,
                      docs=Segments(rows, posting_term.searchsorted(np.arange(len(terms) + 1))),
                      tfs=tfs.astype(np.int64))
 
@@ -166,12 +158,12 @@ def bm25_score(index: Bm25Index, query: Sequence[int], doc_id: str) -> float:
     df = index.docs.sizes[term_idx]
     tf_df = dict(zip(index.terms[term_idx].tolist(), zip(index.tfs[held].tolist(), df.tolist())))
     doc_len = int(index.doc_lens[doc_idx])
-    length_norm = index.k1 * (1.0 - index.b + index.b * doc_len / index.avgdl)
+    length_norm = K1 * (1.0 - B + B * doc_len / index.avgdl)
     score = 0.0
     for term in query:
         if term in tf_df:
             tf, df = tf_df[term]
-            score += _idf(index.n_docs, df) * tf * (index.k1 + 1.0) / (tf + length_norm)
+            score += _idf(index.n_docs, df) * tf * (K1 + 1.0) / (tf + length_norm)
     return score
 
 
@@ -258,102 +250,3 @@ def retrieve(index: Bm25Index, query: Sequence[int], n: int,
         ranked=tuple(zip(map(index.doc_ids.__getitem__, docs.tolist()), scores.tolist())),
         entities=tuple(dict.fromkeys(index.doc_entities.take(docs).rows.tolist())),
     )
-
-
-# ---------------------------------------------------------------------------
-# index persistence: a container (optim.save_arrays) of the index's arrays;
-# each Segments is its rows and its offsets, the ids their UTF-8 bytes
-
-_ARRAYS = (("k1", "<f8", 0), ("b", "<f8", 0), ("doc_lens", "<i8", 1),
-           ("doc_id_offsets", "<i8", 1), ("doc_entities", "<i8", 1),
-           ("doc_entity_offsets", "<i8", 1), ("terms", "<i8", 1), ("term_offsets", "<i8", 1),
-           ("postings", "<i8", 1), ("tfs", "<i8", 1), ("doc_ids", "|u1", 1))
-
-
-def save_index(index: Bm25Index, path: str | Path) -> None:
-    encoded = [d.encode("utf-8") for d in index.doc_ids]
-    save_arrays(path, _MAGIC, _VERSION, {
-        "k1": np.array(index.k1, np.float64), "b": np.array(index.b, np.float64),
-        "doc_lens": index.doc_lens, "doc_id_offsets": np.cumsum([0, *map(len, encoded)]),
-        "doc_entities": index.doc_entities.rows, "doc_entity_offsets": index.doc_entities.offsets,
-        "terms": index.terms, "term_offsets": index.docs.offsets,
-        "postings": index.docs.rows, "tfs": index.tfs,
-        "doc_ids": np.frombuffer(b"".join(encoded), np.uint8)})
-
-
-def load_index(path: str | Path) -> Bm25Index:
-    with open_input(path, "retrieval index") as fh:
-        arrays = read_arrays(fh.read(), _MAGIC, _VERSION, "retrieval index")
-    held = tuple((name, a.dtype.str, a.ndim) for name, a in arrays.items())
-    if held != _ARRAYS:
-        raise ParseError(f"retrieval index holds arrays {held}, expected {_ARRAYS}")
-    k1, b = float(arrays["k1"]), float(arrays["b"])
-    if not (math.isfinite(k1) and k1 >= 0.0):
-        raise ParseError(f"k1 must be finite and at least 0, got {k1!r}")
-    if not 0.0 <= b <= 1.0:
-        raise ParseError(f"b must be in [0, 1], got {b!r}")
-    try:
-        ids = Segments(arrays["doc_ids"], arrays["doc_id_offsets"])
-        doc_entities = Segments(arrays["doc_entities"], arrays["doc_entity_offsets"])
-        docs = Segments(arrays["postings"], arrays["term_offsets"])
-    except ShapeError as err:
-        raise ParseError(f"retrieval index: {err}") from None
-    lens, terms, tfs, rows = arrays["doc_lens"], arrays["terms"], arrays["tfs"], docs.rows
-    n_docs = len(ids)
-    if n_docs == 0:
-        raise ParseError("index contains no documents")
-    if not (len(lens) == len(doc_entities) == n_docs and len(terms) == len(docs)
-            and len(tfs) == len(rows)):
-        raise ParseError("retrieval index arrays disagree in length: "
-                         f"{[(name, len(a)) for name, a in arrays.items() if a.ndim]}")
-    blob, bounds = arrays["doc_ids"].tobytes(), ids.offsets.tolist()
-    try:
-        doc_ids = [blob[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
-    except UnicodeDecodeError as err:
-        raise ParseError(f"a document id is not UTF-8: {err}") from None
-    for before, doc_id in zip(doc_ids, doc_ids[1:]):
-        if before >= doc_id:
-            raise ParseError(f"document {doc_id!r} follows {before!r}: document ids are "
-                             f"not strictly ascending")
-    if (bad := (terms[1:] <= terms[:-1]).nonzero()[0]).size:
-        i = bad[0]
-        raise ParseError(f"term {terms[i + 1]} follows term {terms[i]}: terms are not "
-                         f"strictly ascending")
-    if terms.size and terms[0] < 0:
-        raise ParseError(f"term {terms[0]} is negative")
-    if rows.size and not 0 <= rows.min() <= rows.max() < n_docs:
-        worst = rows.min() if rows.min() < 0 else rows.max()
-        raise ParseError(f"posting references document {worst} of {n_docs}")
-    if tfs.size and (least := tfs.min()) < 1:
-        raise ParseError(f"a posting has tf {least}")
-    # term-major keys rise strictly exactly when each term's documents do
-    group = docs.group_of_rows()
-    key = group * n_docs + rows
-    if (bad := (key[1:] <= key[:-1]).nonzero()[0]).size:
-        raise ParseError(f"postings of term {terms[group[bad[0] + 1]]} are not strictly "
-                         f"ascending in document index")
-    sums = np.zeros(n_docs, np.int64)
-    np.add.at(sums, rows, tfs)
-    if (bad := (sums != lens).nonzero()[0]).size:
-        i = bad[0]
-        raise ParseError(f"document {doc_ids[i]!r} has length {lens[i]} but its "
-                         f"postings' tf sum to {sums[i]}")
-    # each document's entities, sorted, must equal its posting terms, sorted: the
-    # terms once each, as postings hold a (term, document) pair once
-    term = terms[group]
-    ent_doc = doc_entities.group_of_rows()
-    listed = doc_entities.rows[np.lexsort((doc_entities.rows, ent_doc))]
-    held_terms = term[np.lexsort((term, rows))]
-    bad = np.bincount(rows, minlength=n_docs) != doc_entities.sizes
-    n = doc_entities.offsets[bad.argmax()] if bad.any() else len(listed)  # rows that line up
-    bad[ent_doc[:n][listed[:n] != held_terms[:n]]] = True
-    if bad.any():
-        raise ParseError(f"document {doc_ids[bad.argmax()]!r} lists entities other than "
-                         f"its posting terms, each once")
-    index = Bm25Index(k1=k1, b=b, doc_ids=doc_ids, doc_lens=lens, doc_entities=doc_entities,
-                      terms=terms, docs=docs, tfs=tfs)
-    # a finite but huge k1 overflows a weight's tf * (k1 + 1) or its length norm
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(index.postings.weights).all():
-            raise ParseError(f"k1 {k1!r} gives a posting a weight that is not finite")
-    return index

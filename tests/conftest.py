@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from convrec import autodiff as ad
 from convrec import optim
@@ -121,3 +122,22 @@ def disk_full_after_first_write():
 
     with mock.patch.object(optim, "atomic_write", failing):
         yield written
+
+
+@st.composite
+def mutations(draw, raw):
+    """``raw`` truncated, with 1-4 bytes overwritten, or with one byte inserted.
+
+    Positions are uniform over the file: ``st.integers`` would favour the
+    first bytes, the magic number."""
+    kind = draw(st.sampled_from(["truncate", "overwrite", "insert"]))
+    rnd = draw(st.randoms(use_true_random=True))
+    if kind == "truncate":
+        return raw[:rnd.randrange(len(raw))]
+    if kind == "insert":
+        at = rnd.randrange(len(raw) + 1)
+        return raw[:at] + bytes([rnd.randrange(256)]) + raw[at:]
+    out = bytearray(raw)
+    for _ in range(draw(st.integers(1, 4))):
+        out[rnd.randrange(len(raw))] = rnd.randrange(256)
+    return bytes(out)

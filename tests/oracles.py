@@ -355,30 +355,6 @@ def load_item_kg_reference(path, entities):
     return TypedGraph(len(entities), relations, edges)
 
 
-def load_interaction_graph_reference(path, entities):
-    """Collect (user, relation, item) triples in a set, line by line."""
-    from convrec.errors import ParseError, ValidationError
-    from convrec.graphs import INTERACTION_RELATIONS, InteractionGraph
-
-    triples = set()
-    users = set()
-    for lineno, (user, rel_name, token) in tsv_rows_reference(path, 3, "interaction graph"):
-        if rel_name not in INTERACTION_RELATIONS:
-            raise ParseError(f"unknown relation {rel_name!r}", line=lineno)
-        users.add(user)
-        try:
-            item = entities.resolve(token)
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        triples.add((user, INTERACTION_RELATIONS.index(rel_name), item))
-    user_list = sorted(users)
-    item_list = sorted({item for _, _, item in triples})
-    user_index = {u: i for i, u in enumerate(user_list)}
-    item_index = {e: i for i, e in enumerate(item_list)}
-    edges = [(user_index[u], rel, item_index[e]) for u, rel, e in triples]
-    return InteractionGraph(user_list, item_list, edges)
-
-
 def load_word_graph_reference(path, words):
     from convrec.errors import ValidationError
     from convrec.graphs import build_word_graph

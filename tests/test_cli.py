@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import re
 import shutil
 import struct
 from pathlib import Path
@@ -27,13 +26,19 @@ from convrec.corpus import (
 )
 from convrec.errors import ConvRecError, NumericError
 from convrec.graphs import load_item_kg, load_word_graph
-from convrec.recommender import build_artifacts, evaluate, rank_order, score_all
+from convrec.recommender import (
+    Model,
+    TrainConfig,
+    build_artifacts,
+    evaluate,
+    rank_order,
+    score_all,
+)
 from convrec.retrieval import retrieve
 from convrec.synthetic import popularity_corpus, toy_instance, write_inputs
 
-from conftest import masked_positions, reference_users
+from conftest import masked_positions, mutations, reference_users
 from oracles import RecExample, corpus_records, masked_softmax_scores
-from test_retrieval import mutations, rewrite_index
 
 
 @pytest.fixture(scope="module")
@@ -100,12 +105,13 @@ def test_ingest_writes_bundle_and_stats(runner, tmp_path):
     assert "conversations=4" in result.output
     assert "utterances=12" in result.output
     assert "items=6" in result.output
-    for name in ("manifest.json", "corpus.jsonl", "entities.tsv", "kg.tsv",
-                 "word_graph.tsv", "interaction.tsv", "stopwords.txt", "bm25.idx"):
-        assert (bundle / name).exists(), name
+    # the interaction graph and the retrieval index are rebuilt at load, not stored
+    assert sorted(p.name for p in bundle.iterdir()) == [
+        "corpus.jsonl", "entities.tsv", "kg.tsv", "manifest.json", "stopwords.txt",
+        "word_graph.tsv"]
     manifest = json.loads((bundle / "manifest.json").read_text("utf-8"))
-    assert manifest["format"] == 1
-    assert manifest["has_word_graph"] and manifest["has_index"]
+    assert manifest["format"] == 2
+    assert manifest["has_word_graph"] and "has_index" not in manifest
     assert manifest["splits"]["train"] == 4
 
 
@@ -128,8 +134,7 @@ class _HalfWriter:
 
 
 @pytest.mark.parametrize("name", ["corpus.jsonl", "entities.tsv", "kg.tsv", "word_graph.tsv",
-                                  "interaction.tsv", "stopwords.txt", "bm25.idx",
-                                  "manifest.json"])
+                                  "stopwords.txt", "manifest.json"])
 def test_interrupted_ingest_keeps_the_previous_file(runner, tmp_path, monkeypatch, name):
     paths = write_inputs(toy_instance(), tmp_path / "inputs")
     bundle = tmp_path / "bundle"
@@ -147,15 +152,26 @@ def test_interrupted_ingest_keeps_the_previous_file(runner, tmp_path, monkeypatc
     assert not list(bundle.glob("*.tmp"))
 
 
-@pytest.mark.parametrize("no_train", [False, True], ids=["toy", "no-train"])
-def test_loaded_bundle_equals_the_built_artifacts(runner, tmp_path, no_train):
+# a training conversation whose one item mention is neutral: its user has no edge
+EDGELESS_USER = {"conversation_id": "c9", "user_id": "u_neutral", "split": "train",
+                 "utterances": [{"speaker": "seeker", "text": "have you seen item five",
+                                 "mentions": [{"entity": "I5", "sentiment": "neutral"}]}]}
+
+
+@pytest.mark.parametrize("case", ["toy", "no-train", "edge-less-user"])
+def test_loaded_bundle_equals_the_built_artifacts(runner, tmp_path, case):
     paths = write_inputs(toy_instance(), tmp_path / "inputs")
-    if no_train:  # every conversation moves to the test split
-        lines = paths["corpus"].read_text("utf-8").splitlines()
-        paths["corpus"].write_text("".join(
-            json.dumps({**json.loads(line), "split": "test"}) + "\n" for line in lines), "utf-8")
-    assert run(runner, ingest_args(paths, tmp_path / "bundle")).exit_code == 0
-    loaded = cli.load_bundle(tmp_path / "bundle")
+    records = [json.loads(line) for line in paths["corpus"].read_text("utf-8").splitlines()]
+    if case == "no-train":  # every conversation moves to the test split
+        records = [{**record, "split": "test"} for record in records]
+    if case == "edge-less-user":
+        records.append(EDGELESS_USER)
+    paths["corpus"].write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    bundle = tmp_path / "bundle"
+    assert run(runner, ingest_args(paths, bundle)).exit_code == 0
+    for stale in ("bm25.idx", "interaction.tsv"):  # format-1 files: nothing reads them
+        (bundle / stale).write_bytes(b"stale\n")
+    loaded = cli.load_bundle(bundle)
     entities = load_entity_vocab(paths["entities"])
     corpus, vocab = load_corpus(paths["corpus"], entities, stopwords=default_stopwords())
     built = build_artifacts(corpus, vocab, load_item_kg(paths["kg"], entities),
@@ -164,9 +180,18 @@ def test_loaded_bundle_equals_the_built_artifacts(runner, tmp_path, no_train):
     assert loaded.interaction.items == built.interaction.items
     assert np.array_equal(loaded.interaction.edges, built.interaction.edges)
     assert np.array_equal(loaded.item_ids, built.item_ids)
+    shapes = [{name: t.values.shape for name, t in Model(a, TrainConfig(dim=8)).store.items()}
+              for a in (loaded, built)]
+    assert shapes[0] == shapes[1]
+    if case == "edge-less-user":
+        assert loaded.interaction.users[-1] == "u_neutral"
     if loaded.index is None or built.index is None:
         assert loaded.index is None and built.index is None
         assert not loaded.interaction.n_items and not built.interaction.n_items
+        result = runner.invoke(cli.main, ["retrieve", "--bundle", str(bundle),
+                                          "--conversation", "c2"])
+        assert result.exit_code == 3
+        assert result.stderr == "error: bundle has no retrieval index\n"
         return
     assert loaded.interaction.n_items > 0
     assert loaded.index.doc_ids == built.index.doc_ids
@@ -419,18 +444,6 @@ def test_eval_version_1_checkpoint_exits_2(runner, toy_bundle, toy_checkpoint, t
     assert result.stderr == "error: unsupported checkpoint version 1\n"
 
 
-def test_eval_version_1_index_exits_2(runner, toy_bundle, toy_checkpoint, tmp_path):
-    # one document c0 = [1] in the version-1 layout
-    bundle = shutil.copytree(toy_bundle, tmp_path / "bundle")
-    (bundle / "bm25.idx").write_bytes(b"CVRI" + struct.pack("<IddI", 1, 1.2, 0.75, 1)
-                                      + struct.pack("<H2sIII", 2, b"c0", 1, 1, 1)
-                                      + struct.pack("<IIIIII", 1, 1, 1, 1, 0, 1))
-    result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle), "--checkpoint",
-                                      str(toy_checkpoint), "--split", "train"])
-    assert result.exit_code == 2
-    assert result.stderr == "error: unsupported retrieval index version 1\n"
-
-
 def test_train_refuses_a_z_that_is_not_finite(runner, toy_bundle, tmp_path):
     for z in ("nan", "inf"):
         result = run(runner, ["train", "--bundle", str(toy_bundle), "--out", str(tmp_path),
@@ -533,10 +546,10 @@ DROP = object()  # a manifest change that deletes the key
 
 @pytest.mark.parametrize("change, message", [
     ({"has_word_graph": "no"}, "'has_word_graph' is not a JSON bool"),
-    ({"has_index": 1}, "'has_index' is not a JSON bool"),
+    ({"has_index": True}, "keys"),
     ({"format": True}, "'format' is not a JSON int"),
     ({"stats": []}, "'stats' is not a JSON dict"),
-    ({"format": 2}, "unsupported bundle format 2"),
+    ({"format": 1, "has_index": True}, "unsupported bundle format 1"),
     ({"format": DROP}, "keys"),
     ({"extra": 1}, "keys"),
 ])
@@ -612,51 +625,11 @@ def test_retrieve_matches_module(runner, toy_bundle):
     assert "c2" not in [d for d, _ in got_ranked]
 
 
-def test_bundle_without_its_index_file_exits_3(runner, toy_bundle, toy_checkpoint, tmp_path):
-    # the manifest says the bundle has an index; bm25.idx is its one location
-    bundle = shutil.copytree(toy_bundle, tmp_path / "bundle")
-    (bundle / "bm25.idx").unlink()
-    for args in (["retrieve", "--bundle", str(bundle), "--conversation", "c2"],
-                 ["eval", "--bundle", str(bundle), "--checkpoint", str(toy_checkpoint)]):
-        result = runner.invoke(cli.main, args)
-        assert result.exit_code == 3
-        assert "retrieval index not found" in result.stderr
-
-
 def test_retrieve_unknown_conversation_exits_2(runner, toy_bundle):
     result = runner.invoke(cli.main, ["retrieve", "--bundle", str(toy_bundle),
                                       "--conversation", "zzz"])
     assert result.exit_code == 2
     assert "unknown conversation" in result.stderr
-
-
-@pytest.mark.parametrize("k1, b, message", [
-    (math.inf, 0.75, "k1 must be finite"), (math.nan, 0.75, "k1 must be finite"),
-    (-1.0, 0.75, "k1 must be finite"), (1.2, 1.5, r"b must be in \[0, 1\]"),
-    (1.7e308, 0.75, "weight that is not finite"), (1e308, 0.75, "weight that is not finite"),
-], ids=["k1=inf", "k1=nan", "k1=-1", "b=1.5", "k1=1.7e308", "k1=1e308"])
-def test_eval_index_with_k1_or_b_out_of_range_exits_2(runner, toy_bundle, toy_checkpoint,
-                                                      tmp_path, k1, b, message):
-    bundle = shutil.copytree(toy_bundle, tmp_path / "bundle")
-    rewrite_index(bundle / "bm25.idx", k1=np.array(k1), b=np.array(b))
-    result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle), "--checkpoint",
-                                      str(toy_checkpoint), "--split", "train"])
-    assert result.exit_code == 2
-    assert re.search(message, result.stderr)
-
-
-def test_eval_index_whose_document_lists_a_foreign_entity_exits_2(runner, toy_bundle,
-                                                                  toy_checkpoint, tmp_path):
-    # c0, the first document, lists (A0, I0, I1)
-    bundle = shutil.copytree(toy_bundle, tmp_path / "bundle")
-    rows = cli.load_index(bundle / "bm25.idx").doc_entities.rows.copy()
-    assert rows[:3].tolist() == [6, 0, 1]
-    rows[0] = 7
-    rewrite_index(bundle / "bm25.idx", doc_entities=rows)
-    result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle), "--checkpoint",
-                                      str(toy_checkpoint), "--split", "train"])
-    assert result.exit_code == 2
-    assert "'c0' lists entities other than its posting terms" in result.stderr
 
 
 def test_retrieve_and_recommend_derive_no_examples(runner, toy_bundle, toy_checkpoint,
@@ -863,7 +836,7 @@ def test_recommend_nan_scores_exit_4(runner, toy_bundle, toy_checkpoint, monkeyp
 # damaged and unreadable inputs
 
 BUNDLE_TEXT_FILES = ("manifest.json", "corpus.jsonl", "entities.tsv", "kg.tsv",
-                     "word_graph.tsv", "interaction.tsv", "stopwords.txt")
+                     "word_graph.tsv", "stopwords.txt")
 
 
 @pytest.fixture(scope="module")

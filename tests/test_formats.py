@@ -21,14 +21,13 @@ from convrec.corpus import (
     load_entity_vocab,
 )
 from convrec.errors import ConvRecError
-from convrec.graphs import load_interaction_graph, load_item_kg, load_word_graph
+from convrec.graphs import load_item_kg, load_word_graph
 from convrec.synthetic import popularity_corpus, write_inputs
 
 from oracles import (
     corpus_records,
     load_corpus_reference,
     load_entity_vocab_reference,
-    load_interaction_graph_reference,
     load_item_kg_reference,
     load_word_graph_reference,
 )
@@ -52,10 +51,6 @@ def corpus_view(result):
 
 def kg_view(graph):
     return graph.n_nodes, graph.relations, graph.edges.tolist()
-
-
-def interaction_view(graph):
-    return graph.users, graph.items, graph.edges.tolist()
 
 
 def word_graph_view(graph):
@@ -117,16 +112,6 @@ def test_loaders_equal_the_line_by_line_references(tmp_path, seed, with_lexicon)
     got_words = load_word_graph(paths["word_graph"], vocab.words)
     assert word_graph_view(got_words) == word_graph_view(
         load_word_graph_reference(paths["word_graph"], vocab.words))
-
-    interaction = tmp_path / "interaction.tsv"
-    interaction.write_text("".join(
-        f"{c.user_id}\t{m.sentiment.value}\t{entities.tokens[m.entity]}\n"
-        for c in conversations for u in c.utterances for m in u.mentions
-        if m.sentiment != Sentiment.NEUTRAL), "utf-8")
-    got = load_interaction_graph(interaction, entities)
-    assert interaction_view(got) == interaction_view(
-        load_interaction_graph_reference(interaction, entities))
-    assert len(got.edges) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +292,6 @@ def test_item_kg_loader_matches_reference(tmp_path, text):
 
 
 @ROBUST
-@given(text=tsv_text([["u0", "u1", "u0", "u\x0c"], ["like", "dislike", "like", "love", ""],
-                      REFS]))
-def test_interaction_graph_loader_matches_reference(tmp_path, text):
-    path = tmp_path / "interaction.tsv"
-    path.write_bytes(text.encode("utf-8"))
-    entities = entities_fixture()
-    got = outcome(interaction_view, load_interaction_graph, path, entities)
-    want = outcome(interaction_view, load_interaction_graph_reference, path, entities)
-    assert got == want
-
-
-@ROBUST
 @given(text=tsv_text([["space", "films", "films", "nope", "sp\u2028ace"],
                       ["space", "films", "love", "", "films\x85"]]))
 def test_word_graph_loader_matches_reference(tmp_path, text):
@@ -338,12 +311,10 @@ def test_word_graph_loader_matches_reference(tmp_path, text):
 # sha256 of every file `convrec ingest` writes for pinned_inputs(); a change to a
 # writer, or a loader that reads the inputs differently, shows up here
 BUNDLE_SHA256 = {
-    "bm25.idx": "25e75a2ad3a54580b7dad27eacc5085eb26a1413e06600cba10746a8df217c01",
     "corpus.jsonl": "fd96e4bfa6004ffbba036b7037c010f5e4e31447ebe10dd75585ea37eff6e504",
     "entities.tsv": "79ef43bd14d867400322b4ab2f409ce1ebb44e190bcb6fbe00bb997e30b2eb25",
-    "interaction.tsv": "729e1550fb67eda514d2f45a14c41357de7e5d4398ab05569baabe73dee06631",
     "kg.tsv": "ed7de7ed3ab6b3bedfcc3e8c4090db43b6a926ba964c37ce56b74100dea1152e",
-    "manifest.json": "c5baf60253cb6222df122efab70b14e692b062f1b25ad4b4061803a8a2d0b1bd",
+    "manifest.json": "36bee79d544d926156b5522fc97393c7caf98e1c9380a84e7bdce3e7ad7305d3",
     "stopwords.txt": "1dc35c995e26fc2729be7f52f43de7944039e94c1c69bac3d237829a54518971",
     "word_graph.tsv": "be09568a8b98b1c936c10e1be7a52b55ba803631792149fe51a9b18a40ae9055",
 }

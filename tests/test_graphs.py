@@ -14,11 +14,9 @@ from convrec.graphs import (
     TypedGraph,
     build_interaction_graph,
     build_word_graph,
-    load_interaction_graph,
     load_item_kg,
     load_word_graph,
     normalize_adjacency,
-    save_interaction_graph,
     save_kg,
     save_word_graph,
 )
@@ -393,35 +391,6 @@ def test_interaction_graph_edges_equal_row_unique_or_name_the_first_bad_row(n_us
                     ("item", i) if not 0 <= i < n_items else ("relation", r))
     with pytest.raises(ValidationError, match=f"^{field} index out of range: {value}$"):
         InteractionGraph(users, items, arr)
-
-
-def test_interaction_graph_save_load_round_trip(tmp_path):
-    entities = make_entities()
-    convs = [
-        conv("c0", "alice", Split.TRAIN, [(0, Sentiment.LIKE), (1, Sentiment.DISLIKE)]),
-        conv("c1", "bob", Split.TRAIN, [(2, Sentiment.LIKE)]),
-    ]
-    g = build_interaction_graph(corpus_of(convs), entities)
-    path = tmp_path / "interaction.tsv"
-    save_interaction_graph(g, entities, path)
-    g2 = load_interaction_graph(path, entities)
-    assert g2.users == g.users
-    assert g2.items == g.items
-    assert g2.edges.tolist() == g.edges.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 2]]
-
-    with pytest.raises(MissingArtifactError):
-        load_interaction_graph(tmp_path / "absent.tsv", entities)
-    path.write_text("alice\tloves\tI0\n", "utf-8")
-    with pytest.raises(ParseError, match="unknown relation"):
-        load_interaction_graph(path, entities)
-    # an unknown entity names its line, as in the KG and word-graph files
-    path.write_text("alice\tlike\tI0\n\nbob\tdislike\tnope\n", "utf-8")
-    with pytest.raises(ValidationError, match="^line 3: unknown entity 'nope'$"):
-        load_interaction_graph(path, entities)
-    # one before a bad relation is still the one reported
-    path.write_text("alice\tlike\tnope\nbob\tloves\tI0\n", "utf-8")
-    with pytest.raises(ValidationError, match="^line 1: unknown entity 'nope'$"):
-        load_interaction_graph(path, entities)
 
 
 # ---------------------------------------------------------------------------

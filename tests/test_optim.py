@@ -26,9 +26,8 @@ from convrec.optim import (
 )
 from convrec.recommender import Model, TrainConfig
 
-from conftest import disk_full_after_first_write, total
+from conftest import disk_full_after_first_write, mutations, total
 from oracles import adam_reference, container_reference
-from test_retrieval import mutations
 
 
 def make_store():
