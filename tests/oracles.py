@@ -634,3 +634,30 @@ def load_corpus_reference(path, entities, *, stopwords, lexicon=None):
         conversations.append(Conversation(conversation_id=conv_id, user_id=user_id,
                                           split=split, utterances=utts))
     return conversations, words.words
+
+
+def interaction_graph_reference(conversations, entities):
+    """The training conversations' (user, relation, item) triples, one mention at a time.
+
+    Every training user is a node, with or without an edge; a neutral mention
+    or a mention of a non-item adds no edge."""
+    from convrec.corpus import Sentiment, Split
+    from convrec.graphs import INTERACTION_RELATIONS, InteractionGraph
+
+    users = set()
+    triples = set()
+    for conv in conversations:
+        if conv.split != Split.TRAIN:
+            continue
+        users.add(conv.user_id)
+        for utt in conv.utterances:
+            for m in utt.mentions:
+                if m.sentiment != Sentiment.NEUTRAL and entities.is_item[m.entity]:
+                    triples.add((conv.user_id, INTERACTION_RELATIONS.index(m.sentiment.value),
+                                 m.entity))
+    user_list = sorted(users)
+    item_list = sorted({item for _, _, item in triples})
+    user_index = {u: i for i, u in enumerate(user_list)}
+    item_index = {e: i for i, e in enumerate(item_list)}
+    edges = [(user_index[u], rel, item_index[e]) for u, rel, e in triples]
+    return InteractionGraph(user_list, item_list, edges)

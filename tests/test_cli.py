@@ -188,10 +188,6 @@ def test_loaded_bundle_equals_the_built_artifacts(runner, tmp_path, case):
     if loaded.index is None or built.index is None:
         assert loaded.index is None and built.index is None
         assert not loaded.interaction.n_items and not built.interaction.n_items
-        result = runner.invoke(cli.main, ["retrieve", "--bundle", str(bundle),
-                                          "--conversation", "c2"])
-        assert result.exit_code == 3
-        assert result.stderr == "error: bundle has no retrieval index\n"
         return
     assert loaded.interaction.n_items > 0
     assert loaded.index.doc_ids == built.index.doc_ids
@@ -623,6 +619,22 @@ def test_retrieve_matches_module(runner, toy_bundle):
     tokens = [artifacts.vocab.entities.tokens[e] for e in expected.entities]
     assert lines[-1] == "entities=" + ",".join(tokens)
     assert "c2" not in [d for d, _ in got_ranked]
+
+
+def test_bundle_without_its_index_file_exits_3(runner, tmp_path):
+    # the index is built from the training conversations: a bundle with none has no index
+    paths = write_inputs(toy_instance(), tmp_path / "inputs")
+    lines = paths["corpus"].read_text("utf-8").splitlines()
+    paths["corpus"].write_text("".join(
+        json.dumps({**json.loads(line), "split": "test"}) + "\n" for line in lines), "utf-8")
+    bundle = tmp_path / "bundle"
+    assert run(runner, ingest_args(paths, bundle)).exit_code == 0
+    assert cli.load_bundle(bundle).index is None
+    for conversation in ("c0", "c2"):
+        result = runner.invoke(cli.main, ["retrieve", "--bundle", str(bundle),
+                                          "--conversation", conversation])
+        assert result.exit_code == 3
+        assert result.stderr == "error: bundle has no retrieval index\n"
 
 
 def test_retrieve_unknown_conversation_exits_2(runner, toy_bundle):

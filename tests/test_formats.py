@@ -21,11 +21,12 @@ from convrec.corpus import (
     load_entity_vocab,
 )
 from convrec.errors import ConvRecError
-from convrec.graphs import load_item_kg, load_word_graph
+from convrec.graphs import build_interaction_graph, load_item_kg, load_word_graph
 from convrec.synthetic import popularity_corpus, write_inputs
 
 from oracles import (
     corpus_records,
+    interaction_graph_reference,
     load_corpus_reference,
     load_entity_vocab_reference,
     load_item_kg_reference,
@@ -51,6 +52,10 @@ def corpus_view(result):
 
 def kg_view(graph):
     return graph.n_nodes, graph.relations, graph.edges.tolist()
+
+
+def interaction_view(graph):
+    return graph.users, graph.items, graph.edges.tolist()
 
 
 def word_graph_view(graph):
@@ -288,6 +293,27 @@ def test_item_kg_loader_matches_reference(tmp_path, text):
     entities = entities_fixture()
     got = outcome(kg_view, load_item_kg, path, entities)
     want = outcome(kg_view, load_item_kg_reference, path, entities)
+    assert got == want
+
+
+@ROBUST
+@given(text=corpus_text())
+def test_interaction_graph_loader_matches_reference(tmp_path, text):
+    # a bundle stores no interaction graph: it is built from the bundle's corpus file
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    entities = entities_fixture()
+
+    def load(path):
+        corpus, _ = load_corpus(path, entities, stopwords=frozenset())
+        return build_interaction_graph(corpus, entities)
+
+    def reference(path):
+        conversations, _ = load_corpus_reference(path, entities, stopwords=frozenset())
+        return interaction_graph_reference(conversations, entities)
+
+    got = outcome(interaction_view, load, path)
+    want = outcome(interaction_view, reference, path)
     assert got == want
 
 

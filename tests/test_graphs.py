@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convrec.corpus import EntityVocab, Sentiment, Speaker, Split, WordVocab
+from convrec.corpus import (
+    EntityVocab,
+    Sentiment,
+    Speaker,
+    Split,
+    WordVocab,
+    load_corpus,
+    save_corpus,
+)
 from convrec.errors import MissingArtifactError, ParseError, ValidationError
 from convrec.graphs import (
     INTERACTION_RELATIONS,
@@ -391,6 +399,28 @@ def test_interaction_graph_edges_equal_row_unique_or_name_the_first_bad_row(n_us
                     ("item", i) if not 0 <= i < n_items else ("relation", r))
     with pytest.raises(ValidationError, match=f"^{field} index out of range: {value}$"):
         InteractionGraph(users, items, arr)
+
+
+def test_interaction_graph_save_load_round_trip(tmp_path):
+    # a bundle saves the graph as its corpus file, and loading rebuilds the graph from it
+    entities = make_entities()
+    convs = [
+        conv("c0", "alice", Split.TRAIN, [(0, Sentiment.LIKE), (1, Sentiment.DISLIKE)]),
+        conv("c1", "bob", Split.TRAIN, [(2, Sentiment.LIKE)]),
+        conv("c2", "carol", Split.TRAIN, [(3, Sentiment.NEUTRAL)]),  # a user with no edge
+    ]
+    corpus = corpus_of(convs)
+    g = build_interaction_graph(corpus, entities)
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus, entities, path)
+    loaded, _ = load_corpus(path, entities, stopwords=frozenset())
+    g2 = build_interaction_graph(loaded, entities)
+    assert g2.users == g.users == ["alice", "bob", "carol"]
+    assert g2.items == g.items == [0, 1, 2]
+    assert g2.edges.tolist() == g.edges.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 2]]
+
+    with pytest.raises(MissingArtifactError):
+        load_corpus(tmp_path / "absent.jsonl", entities, stopwords=frozenset())
 
 
 # ---------------------------------------------------------------------------

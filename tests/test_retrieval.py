@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from convrec import retrieval
 from convrec.autodiff import Segments
-from convrec.corpus import Sentiment, Speaker, Split
+from convrec.corpus import EntityVocab, Sentiment, Speaker, Split, load_corpus, save_corpus
 from convrec.errors import ValidationError
 from convrec.retrieval import bm25_score, retrieve, retrieve_batch
 from convrec.retrieval import build_index as build_corpus_index
@@ -26,6 +26,17 @@ def doc_conv(cid, entity_ids, split=Split.TRAIN, user="u"):
 def build_index(conversations):
     """The index of these conversations, through the corpus they make."""
     return build_corpus_index(corpus_of(conversations))
+
+
+def saved_and_loaded(conversations, path):
+    """The corpus of these conversations, saved to ``path`` and loaded back: the
+    one form in which a bundle keeps its retrieval index."""
+    entities = EntityVocab()
+    for e in range(10):
+        entities.add(f"E{e}", f"entity {e}", True)
+    save_corpus(corpus_of(conversations), entities, path)
+    corpus, _ = load_corpus(path, entities, stopwords=frozenset())
+    return corpus
 
 
 def conversation_tokens(conv):
@@ -178,6 +189,16 @@ def test_unknown_doc_id(small_index):
         bm25_score(index, [1], "nope")
 
 
+def test_save_load_round_trip(small_index, tmp_path):
+    index, tokens = small_index
+    convs = [doc_conv(d, toks) for d, toks in tokens.items()]
+    loaded = build_corpus_index(saved_and_loaded(convs, tmp_path / "corpus.jsonl"))
+    assert_same_index(loaded, index)
+    # identical behaviour, not just identical fields
+    q = [1, 2, 5]
+    assert retrieve(loaded, q, 10) == retrieve(index, q, 10)
+
+
 def assert_same_index(got, want):
     """Every field equal, arrays with their dtypes."""
     assert got.doc_ids == want.doc_ids
@@ -234,6 +255,36 @@ def index_with_unsorted_ids(data, docs):
     index = build_index([doc_conv(d, toks) for d, toks in zip(doc_ids, docs)])
     assert index.doc_ids == sorted(doc_ids)
     return index, dict(zip(doc_ids, docs))
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpora")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_saved_index_loads_to_the_same_arrays_and_saves_the_same_bytes(corpus_dir, data):
+    # 1-5 documents, some empty, under unsorted multi-byte ids
+    docs = data.draw(st.lists(st.lists(st.integers(0, 9), max_size=5), min_size=1, max_size=5))
+    doc_ids = data.draw(st.lists(st.text("ab\u00e9", min_size=1, max_size=3),
+                                 min_size=len(docs), max_size=len(docs), unique=True))
+    convs = [doc_conv(d, toks) for d, toks in zip(doc_ids, docs)]
+    index = build_index(convs)
+    first, second = corpus_dir / "first.jsonl", corpus_dir / "second.jsonl"
+    loaded = build_corpus_index(saved_and_loaded(convs, first))
+    assert_same_index(loaded, index)
+    saved_and_loaded(convs, second)
+    assert second.read_bytes() == first.read_bytes()
+    queries = Segments.of(data.draw(st.lists(st.lists(st.integers(-1, 11), max_size=4),
+                                             min_size=1, max_size=4)))
+    exclude = np.array(data.draw(st.lists(st.integers(-1, index.n_docs - 1),
+                                          min_size=len(queries), max_size=len(queries))))
+    n = data.draw(st.integers(1, 4))
+    for got, want in zip(retrieve_batch(loaded, queries, n, exclude),
+                         retrieve_batch(index, queries, n, exclude)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
