@@ -352,10 +352,10 @@ def scatter_rows(src: Tensor, indices: Sequence[int], n_rows: int) -> Tensor:
     if src.values.ndim != 2:
         raise ShapeError(f"scatter_rows: expected a matrix, got shape {src.values.shape}")
     idx = np.asarray(indices, dtype=np.intp)
-    if np.unique(idx).size != idx.size:
-        raise ShapeError("scatter_rows: duplicate target rows")
     if idx.size and idx.view(np.uintp).max() >= n_rows:
         raise ShapeError(f"scatter_rows: target row out of range for {n_rows} rows")
+    if (np.bincount(idx, minlength=n_rows) > 1).any():
+        raise ShapeError("scatter_rows: duplicate target rows")
     vals = np.zeros((n_rows, src.values.shape[1]), dtype=src.values.dtype)
     vals[idx] = src.values
     out = Tensor(vals)

@@ -176,7 +176,7 @@ def encode_items(
         k = emb if n == emb.shape[0] else ad.lookup(emb, np.arange(n))
     else:
         k = rgcn_forward(kg, kg_params, n)
-    if without_ig or interaction.n_items == 0:
+    if without_ig or not interaction.items.size:
         return k
     if ig_params is None:
         raise ConfigurationError("interaction graph given but no interaction parameters")
@@ -185,5 +185,5 @@ def encode_items(
             f"encoder dims differ: kg={kg_params.dim}, interaction={ig_params.dim}"
         )
     # items are the interaction graph's leading rows; its user rows are never read
-    item_rows = rgcn_forward(interaction.as_typed(), ig_params, interaction.n_items)
+    item_rows = rgcn_forward(interaction, ig_params, interaction.items.size)
     return ad.add(k, ad.scatter_rows(item_rows, interaction.items, n))

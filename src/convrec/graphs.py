@@ -1,4 +1,5 @@
-"""Graph structures: item KG, word graph with GCN normalization, interaction graph."""
+"""Graph structures: the typed item KG, the word graph with GCN normalization,
+and the interaction graph, a typed graph over items and users."""
 
 from __future__ import annotations
 
@@ -172,62 +173,28 @@ class WordGraph:
         return len(self.word_ids)
 
 
-class InteractionGraph:
+class InteractionGraph(TypedGraph):
     """Bipartite user-item graph with like/dislike edges from training data.
 
-    Users are indexed by sorted user_id; items hold entity-vocabulary ids and
-    only items with at least one sentiment edge are nodes. The graph is fully
-    determined by the set of (user, sentiment, item) mentions, so conversation
-    order never matters.
+    It is one TypedGraph over items at rows [0, len(items)) and users after
+    them, so both node sides update through the same relation weights in a
+    single message-passing call: the synchronous two-sided update the encoder
+    needs. ``users`` holds the sorted user ids; ``items`` holds, as an
+    ascending intp array, the entity ids of the items with at least one
+    sentiment edge. The graph is fully determined by the set of (user,
+    sentiment, item) mentions, so conversation order never matters.
     """
 
-    def __init__(self, users: Sequence[str], items: Sequence[int],
+    def __init__(self, users: Sequence[str], items: np.ndarray | Sequence[int],
                  edges: np.ndarray | Sequence[tuple[int, int, int]]):
         self.users = list(users)
-        self.items = list(items)
-        self.relations = INTERACTION_RELATIONS
-        n_users, n_items = len(self.users), len(self.items)
-        arr = _edge_array(edges)
-        user_idx, rel, item_idx = arr.T
-        bad = ((user_idx < 0) | (user_idx >= n_users) | (rel < 0) | (rel > 1)
-               | (item_idx < 0) | (item_idx >= n_items))
-        if bad.any():
-            # the lexicographically smallest bad edge: the first the sorted edges would hold
-            user, relation, item = min(arr[bad].tolist())
-            if not 0 <= user < n_users:
-                raise ValidationError(f"user index out of range: {user}")
-            if not 0 <= item < n_items:
-                raise ValidationError(f"item index out of range: {item}")
-            raise ValidationError(f"relation index out of range: {relation}")
-        # sorted distinct (user, relation, item) rows, like TypedGraph.edges
-        self.edges = _distinct_rows(arr, len(INTERACTION_RELATIONS), n_items)
-        self._typed: TypedGraph | None = None
-
-    @property
-    def n_users(self) -> int:
-        return len(self.users)
-
-    @property
-    def n_items(self) -> int:
-        return len(self.items)
-
-    def as_typed(self) -> TypedGraph:
-        """View as one TypedGraph: items at rows [0, n_items), users after.
-
-        Both node sides then update through the same relation weights in a
-        single message-passing call, which is exactly the synchronous
-        two-sided update the encoder needs.
-        """
-        if self._typed is None:
-            # (user, rel, item) rows become (item row, rel, user row)
-            edges = self.edges[:, ::-1] + np.array([0, 0, self.n_items])
-            self._typed = TypedGraph(self.n_items + self.n_users, INTERACTION_RELATIONS, edges)
-        return self._typed
+        self.items = np.asarray(items, dtype=np.intp)
+        super().__init__(len(self.items) + len(self.users), INTERACTION_RELATIONS, edges)
 
 
 def build_interaction_graph(corpus: Corpus, entities: EntityVocab) -> InteractionGraph:
-    """Extract deduplicated (user, like/dislike, item) edges from the corpus's
-    training conversations; no other split is read.
+    """The (item row, like/dislike, user row) edges of the corpus's training
+    conversations; no other split is read.
 
     Every training user is a node, with or without an edge; users and items
     are indexed in sorted order.
@@ -241,10 +208,10 @@ def build_interaction_graph(corpus: Corpus, entities: EntityVocab) -> Interactio
     user_index = {u: i for i, u in enumerate(user_list)}
     conv_user = np.array([user_index[u] for u in users], dtype=np.intp)
     rels = sentiment[kept] == SENTIMENTS.index(Sentiment.DISLIKE)  # like 0, dislike 1
-    item_list, item_rows = np.unique(ent[kept].astype(np.intp), return_inverse=True)
-    edges = np.stack([conv_user[mentions.group_of_rows()[kept]], rels.astype(np.intp), item_rows],
-                     axis=1)
-    return InteractionGraph(user_list, item_list.tolist(), edges)
+    items, item_rows = np.unique(ent[kept].astype(np.intp), return_inverse=True)
+    user_rows = len(items) + conv_user[mentions.group_of_rows()[kept]]
+    return InteractionGraph(user_list, items,
+                            np.stack([item_rows, rels.astype(np.intp), user_rows], axis=1))
 
 
 def load_item_kg(path: str | Path, entities: EntityVocab) -> TypedGraph:

@@ -232,9 +232,9 @@ class Model:
         )
         self.ig_params: RgcnParams | None = None
         ig = artifacts.interaction
-        if ig.n_items > 0:
+        if ig.items.size:
             self.ig_params = init_rgcn_params(
-                self.store, "ig", ig.n_items + ig.n_users, ig.relations, d, rng,
+                self.store, "ig", ig.n_nodes, ig.relations, d, rng,
                 layers=config.layers, z=config.z, normalization=config.normalization,
             )
         self.gcn_params: GcnParams | None = None
@@ -309,7 +309,7 @@ class Model:
         """Item-matrix rows that scoring, the interaction term and ``contexts``
         read: 1 + the largest item id, interaction item or entity row."""
         return 1 + int(max(self.artifacts.item_ids[-1], contexts.entities.rows.max(initial=0),
-                           max(self.artifacts.interaction.items, default=0)))
+                           self.artifacts.interaction.items.max(initial=0)))
 
     def users(self, batch: Contexts, item_matrix: Tensor, word_matrix: Tensor | None) -> UserRep:
         """The batch's user representations, in one build_user_representation call."""

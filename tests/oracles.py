@@ -637,12 +637,14 @@ def load_corpus_reference(path, entities, *, stopwords, lexicon=None):
 
 
 def interaction_graph_reference(conversations, entities):
-    """The training conversations' (user, relation, item) triples, one mention at a time.
+    """The training conversations' interaction graph, one mention at a time, as
+    (users, items, node count, sorted distinct (item row, relation, user row) triples).
 
     Every training user is a node, with or without an edge; a neutral mention
-    or a mention of a non-item adds no edge."""
+    or a mention of a non-item adds no edge. Items take rows [0, n_items) by
+    ascending entity id, and users the rows after them by sorted user id."""
     from convrec.corpus import Sentiment, Split
-    from convrec.graphs import INTERACTION_RELATIONS, InteractionGraph
+    from convrec.graphs import INTERACTION_RELATIONS
 
     users = set()
     triples = set()
@@ -657,7 +659,7 @@ def interaction_graph_reference(conversations, entities):
                                  m.entity))
     user_list = sorted(users)
     item_list = sorted({item for _, _, item in triples})
-    user_index = {u: i for i, u in enumerate(user_list)}
-    item_index = {e: i for i, e in enumerate(item_list)}
-    edges = [(user_index[u], rel, item_index[e]) for u, rel, e in triples]
-    return InteractionGraph(user_list, item_list, edges)
+    item_row = {e: i for i, e in enumerate(item_list)}
+    user_row = {u: len(item_list) + i for i, u in enumerate(user_list)}
+    edges = sorted([item_row[e], rel, user_row[u]] for u, rel, e in triples)
+    return user_list, item_list, len(item_list) + len(user_list), edges

@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convrec import cli, corpus
+from convrec import cli, corpus, encoders
 from convrec.recommender import Model, TrainConfig, build_artifacts, evaluate
 from convrec.synthetic import popularity_corpus, toy_instance, write_inputs
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
+import tracer  # noqa: E402
 import train_worker  # noqa: E402
 import workloads  # noqa: E402
 
@@ -97,3 +98,20 @@ def test_bench_calls_load_save_and_reload_a_model(tmp_path):
     assert loaded.store.names() == model.store.names()
     for name, t in model.store.items():
         np.testing.assert_array_equal(loaded.store[name].values, t.values)
+
+
+def test_bench_labels_one_kg_and_one_ig_rgcn_call_per_encoder_pass(monkeypatch):
+    # the per-layer metrics encoders.rgcn_forward.kg and .ig split one encoder
+    # pass's R-GCN calls by the bench's own label
+    data = popularity_corpus(0, n_users=20, n_items=15, n_conversations=80)
+    model = Model(build_artifacts(data.corpus, data.vocab, data.kg, data.word_graph),
+                  TrainConfig(dim=8, seed=0))
+    forward, labels = encoders.rgcn_forward, []
+
+    def labelled(*args, **kwargs):
+        labels.append(tracer.Tracer._graph_label(args, kwargs))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(encoders, "rgcn_forward", labelled)
+    model.encoder_outputs()
+    assert sorted(labels) == ["ig", "kg"]

@@ -177,7 +177,7 @@ def test_loaded_bundle_equals_the_built_artifacts(runner, tmp_path, case):
     built = build_artifacts(corpus, vocab, load_item_kg(paths["kg"], entities),
                             load_word_graph(paths["word_graph"], vocab.words))
     assert loaded.interaction.users == built.interaction.users
-    assert loaded.interaction.items == built.interaction.items
+    assert np.array_equal(loaded.interaction.items, built.interaction.items)
     assert np.array_equal(loaded.interaction.edges, built.interaction.edges)
     assert np.array_equal(loaded.item_ids, built.item_ids)
     shapes = [{name: t.values.shape for name, t in Model(a, TrainConfig(dim=8)).store.items()}
@@ -187,9 +187,9 @@ def test_loaded_bundle_equals_the_built_artifacts(runner, tmp_path, case):
         assert loaded.interaction.users[-1] == "u_neutral"
     if loaded.index is None or built.index is None:
         assert loaded.index is None and built.index is None
-        assert not loaded.interaction.n_items and not built.interaction.n_items
+        assert not loaded.interaction.items.size and not built.interaction.items.size
         return
-    assert loaded.interaction.n_items > 0
+    assert loaded.interaction.items.size > 0
     assert loaded.index.doc_ids == built.index.doc_ids
     for name in ("doc_lens", "terms", "tfs"):
         assert np.array_equal(getattr(loaded.index, name), getattr(built.index, name)), name

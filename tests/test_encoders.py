@@ -315,12 +315,13 @@ def test_gcn_gradients_flow():
 def aug_setup():
     rng = np.random.default_rng(9)
     kg = TypedGraph(6, ("genre",), [(0, 0, 4), (1, 0, 4), (2, 0, 5)])
-    # items 0..3 are graph entities; interaction graph covers items 0 and 2
+    # items 0..3 are graph entities; interaction graph covers items 0 and 2 (rows 0
+    # and 1), liked by users u0 and u1 (rows 2 and 3), and item 2 disliked by u1
     interaction = InteractionGraph(["u0", "u1"], [0, 2],
-                                   [(0, 0, 0), (1, 0, 0), (1, 1, 1)])
+                                   [(0, 0, 2), (0, 0, 3), (1, 1, 3)])
     store = ParamStore()
     kg_params = init_rgcn_params(store, "kg", 6, ("genre",), 4, rng)
-    ig_params = init_rgcn_params(store, "ig", interaction.as_typed().n_nodes,
+    ig_params = init_rgcn_params(store, "ig", interaction.n_nodes,
                                  ("like", "dislike"), 4, rng)
     return kg, interaction, kg_params, ig_params
 
@@ -328,7 +329,7 @@ def aug_setup():
 def test_encode_items_adds_interaction_rows(aug_setup):
     kg, interaction, kg_params, ig_params = aug_setup
     base = rgcn_forward(kg, kg_params).values
-    ig_out = rgcn_forward(interaction.as_typed(), ig_params).values
+    ig_out = rgcn_forward(interaction, ig_params).values
     full = encode_items(kg, interaction, kg_params, ig_params).values
     assert full.shape == base.shape
     np.testing.assert_allclose(full[0], base[0] + ig_out[0], atol=1e-12)
@@ -347,7 +348,7 @@ def test_encode_items_without_ig(aug_setup):
 def test_encode_items_without_db(aug_setup):
     kg, interaction, kg_params, ig_params = aug_setup
     out = encode_items(kg, interaction, kg_params, ig_params, without_db=True).values
-    ig_out = rgcn_forward(interaction.as_typed(), ig_params).values
+    ig_out = rgcn_forward(interaction, ig_params).values
     want = kg_params.embedding.values.copy()
     want[0] += ig_out[0]
     want[2] += ig_out[1]
@@ -365,7 +366,7 @@ def test_encode_items_config_errors(aug_setup):
     kg, interaction, kg_params, _ = aug_setup
     with pytest.raises(ConfigurationError, match="no interaction parameters"):
         encode_items(kg, interaction, kg_params, None)
-    small = init_rgcn_params(ParamStore(), "ig", interaction.as_typed().n_nodes,
+    small = init_rgcn_params(ParamStore(), "ig", interaction.n_nodes,
                              ("like", "dislike"), 2, np.random.default_rng(0))
     with pytest.raises(ConfigurationError, match="dims differ"):
         encode_items(kg, interaction, kg_params, small)
@@ -376,7 +377,7 @@ def test_encode_items_gradients_flow(aug_setup):
     store = ParamStore()
     rng = np.random.default_rng(3)
     kg_p = init_rgcn_params(store, "kg", 6, ("genre",), 3, rng)
-    ig_p = init_rgcn_params(store, "ig", interaction.as_typed().n_nodes,
+    ig_p = init_rgcn_params(store, "ig", interaction.n_nodes,
                             ("like", "dislike"), 3, rng)
 
     def objective(_):

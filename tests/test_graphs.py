@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convrec import graphs
 from convrec.corpus import (
     EntityVocab,
     Sentiment,
@@ -18,7 +19,6 @@ from convrec.corpus import (
 from convrec.errors import MissingArtifactError, ParseError, ValidationError
 from convrec.graphs import (
     INTERACTION_RELATIONS,
-    InteractionGraph,
     TypedGraph,
     build_interaction_graph,
     build_word_graph,
@@ -318,7 +318,11 @@ def test_normalize_adjacency_bytes_match_set_reference(graph):
 # interaction graph
 
 
-def test_build_interaction_graph_from_conversations():
+def test_build_interaction_graph_from_conversations(monkeypatch):
+    # the builder checks and de-duplicates the edges once, in TypedGraph
+    distinct_rows, calls = graphs._distinct_rows, []
+    monkeypatch.setattr(graphs, "_distinct_rows",
+                        lambda *args: calls.append(args) or distinct_rows(*args))
     entities = make_entities()
     convs = [
         conv("c0", "alice", Split.TRAIN, [(0, Sentiment.LIKE), (1, Sentiment.DISLIKE),
@@ -329,9 +333,12 @@ def test_build_interaction_graph_from_conversations():
     ]
     g = build_interaction_graph(corpus_of(convs), entities)
     assert g.users == ["alice", "bob", "carol"]
-    assert g.items == [0, 1]          # only items with sentiment edges
-    assert g.n_users == 3 and g.n_items == 2
-    assert g.edges.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 0]]
+    assert g.items.dtype == np.intp
+    assert g.items.tolist() == [0, 1]          # only items with sentiment edges
+    assert g.n_nodes == 5
+    # (item row, relation, user row): alice, bob and carol are rows 2, 3 and 4
+    assert g.edges.tolist() == [[0, 0, 2], [0, 0, 3], [1, 1, 2]]
+    assert len(calls) == 1
 
 
 def test_interaction_graph_reads_only_training_conversations():
@@ -345,60 +352,26 @@ def test_interaction_graph_reads_only_training_conversations():
     mixed = build_interaction_graph(corpus_of(train + others), entities)
     alone = build_interaction_graph(corpus_of(train), entities)
     assert mixed.users == alone.users == ["alice", "bob"]
-    assert mixed.items == alone.items == [0, 1, 3]
-    assert mixed.edges.tolist() == alone.edges.tolist() == [[0, 0, 0], [0, 0, 2], [0, 1, 1]]
+    assert mixed.items.tolist() == alone.items.tolist() == [0, 1, 3]
+    assert mixed.edges.tolist() == alone.edges.tolist() == [[0, 0, 3], [1, 1, 3], [2, 0, 3]]
     empty = build_interaction_graph(corpus_of(others), entities)
-    assert empty.users == [] and empty.items == [] and empty.edges.size == 0
+    assert empty.users == [] and not empty.items.size and empty.edges.size == 0
+    assert empty.n_nodes == 0
 
 
-def test_interaction_graph_as_typed_layout():
-    g = InteractionGraph(["u0", "u1"], [7, 9], [(0, 0, 0), (1, 1, 1), (1, 0, 0)])
-    typed = g.as_typed()
+def test_interaction_graph_typed_layout():
+    entities = make_entities()
+    g = build_interaction_graph(corpus_of([
+        conv("c0", "u0", Split.TRAIN, [(0, Sentiment.LIKE)]),
+        conv("c1", "u1", Split.TRAIN, [(2, Sentiment.DISLIKE), (0, Sentiment.LIKE)]),
+    ]), entities)
     # items occupy rows [0, 2), users rows [2, 4)
-    assert typed.n_nodes == 4
-    assert typed.relations == INTERACTION_RELATIONS
-    assert typed.edges.tolist() == [[0, 0, 2], [0, 0, 3], [1, 1, 3]]
-    assert neighbors(typed, 0) == [[2, 3], [], [0], [0]]   # item row 0 liked by both users
-    assert neighbors(typed, 1) == [[], [3], [], [1]]       # item row 1 disliked by user 1
-
-
-def test_interaction_graph_validates_indices():
-    with pytest.raises(ValidationError):
-        InteractionGraph(["u"], [1], [(2, 0, 0)])
-    with pytest.raises(ValidationError):
-        InteractionGraph(["u"], [1], [(0, 0, 4)])
-    with pytest.raises(ValidationError):
-        InteractionGraph(["u"], [1], [(0, 5, 0)])
-    # the first bad edge in sorted order is named
-    with pytest.raises(ValidationError, match="^item index out of range: 3$"):
-        InteractionGraph(["u", "v"], [1], [(1, 0, 2), (0, 1, 3), (0, 0, 0)])
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(1, 50), st.integers(1, 10**4), st.data())
-def test_interaction_graph_edges_equal_row_unique_or_name_the_first_bad_row(n_users, n_items,
-                                                                           data):
-    # the edges are np.unique's sorted distinct rows; with an out-of-range row
-    # the error names the first bad one of those sorted rows
-    good = st.tuples(st.integers(0, n_users - 1), st.integers(0, 1), st.integers(0, n_items - 1))
-    any_row = st.tuples(st.integers(-1, n_users), st.integers(-1, 2), st.integers(-1, n_items))
-    rows = data.draw(st.lists(good, min_size=1, max_size=20)) + data.draw(
-        st.lists(any_row, max_size=2))
-    arr = np.array(rows + rows[::2], dtype=np.intp)
-    users, items = [f"u{k}" for k in range(n_users)], list(range(n_items))
-    want = np.unique(arr, axis=0)
-    bad = [(u, r, i) for u, r, i in want.tolist()
-           if not (0 <= u < n_users and 0 <= r <= 1 and 0 <= i < n_items)]
-    if not bad:
-        edges = InteractionGraph(users, items, arr).edges
-        assert edges.dtype == want.dtype and edges.shape == want.shape
-        np.testing.assert_array_equal(edges, want)
-        return
-    u, r, i = bad[0]
-    field, value = (("user", u) if not 0 <= u < n_users else
-                    ("item", i) if not 0 <= i < n_items else ("relation", r))
-    with pytest.raises(ValidationError, match=f"^{field} index out of range: {value}$"):
-        InteractionGraph(users, items, arr)
+    assert isinstance(g, TypedGraph)
+    assert g.n_nodes == 4
+    assert g.relations == INTERACTION_RELATIONS
+    assert g.edges.tolist() == [[0, 0, 2], [0, 0, 3], [1, 1, 3]]
+    assert neighbors(g, 0) == [[2, 3], [], [0], [0]]   # item row 0 liked by both users
+    assert neighbors(g, 1) == [[], [3], [], [1]]       # item row 1 disliked by user 1
 
 
 def test_interaction_graph_save_load_round_trip(tmp_path):
@@ -416,8 +389,8 @@ def test_interaction_graph_save_load_round_trip(tmp_path):
     loaded, _ = load_corpus(path, entities, stopwords=frozenset())
     g2 = build_interaction_graph(loaded, entities)
     assert g2.users == g.users == ["alice", "bob", "carol"]
-    assert g2.items == g.items == [0, 1, 2]
-    assert g2.edges.tolist() == g.edges.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 2]]
+    assert g2.items.tolist() == g.items.tolist() == [0, 1, 2]
+    assert g2.edges.tolist() == g.edges.tolist() == [[0, 0, 3], [1, 1, 3], [2, 0, 4]]
 
     with pytest.raises(MissingArtifactError):
         load_corpus(tmp_path / "absent.jsonl", entities, stopwords=frozenset())
@@ -518,14 +491,15 @@ def test_toy_interaction_graph_hand_count(toy_data, toy_artifacts):
     # from the toy corpus construction: 3 users, likes/dislikes over 6 items
     ig = toy_artifacts.interaction
     assert ig.users == sorted({c.user_id for c in toy_data.conversations})
-    # every edge corresponds to a sentiment mention of an item in train data
-    for user_idx, rel, item_idx in ig.edges.tolist():
-        assert 0 <= user_idx < ig.n_users
+    # every edge joins an item row to a user row, items first
+    n_items = ig.items.size
+    assert ig.n_nodes == n_items + len(ig.users)
+    for item_row, rel, user_row in ig.edges.tolist():
+        assert 0 <= item_row < n_items
         assert rel in (0, 1)
-        assert 0 <= item_idx < ig.n_items
+        assert n_items <= user_row < ig.n_nodes
     # I2 is liked then disliked by u1 in c1: both edges must exist
-    e = toy_data.vocab.entities.resolve("I2")
-    item_idx = ig.items.index(e)
-    u1 = ig.users.index("u1")
-    assert [u1, 0, item_idx] in ig.edges.tolist()
-    assert [u1, 1, item_idx] in ig.edges.tolist()
+    item_row = ig.items.tolist().index(toy_data.vocab.entities.resolve("I2"))
+    u1 = n_items + ig.users.index("u1")
+    assert [item_row, 0, u1] in ig.edges.tolist()
+    assert [item_row, 1, u1] in ig.edges.tolist()

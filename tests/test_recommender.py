@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import convrec.recommender
 from convrec import autodiff as ad
+from convrec import encoders, graphs
 from convrec.corpus import Split, split_view
 from convrec.errors import ConfigurationError, NumericError, ShapeError, ValidationError
 from convrec.graphs import TypedGraph
@@ -276,20 +277,32 @@ def test_batch_loss_matches_scoring_oracle():
     assert guards == 0
 
 
-def test_training_builds_relation_operators_once():
+def test_training_builds_relation_operators_once(monkeypatch):
     artifacts = artifacts_of(popularity_corpus(seed=0, n_users=20, n_items=12,
                                                n_conversations=60))
-    train(artifacts, small_config(epochs=2, batch_size=4))
-    graphs = (artifacts.kg, artifacts.interaction.as_typed())
-    layer_ops = [dict(g._layer_operators) for g in graphs]
+    # every encoder pass hands rgcn_forward the interaction graph itself, and no
+    # pass checks or de-duplicates edges again
+    forward, seen = encoders.rgcn_forward, []
+    monkeypatch.setattr(encoders, "rgcn_forward",
+                        lambda graph, *args: seen.append(graph) or forward(graph, *args))
+    distinct_rows, distinct_calls = graphs._distinct_rows, []
+    monkeypatch.setattr(graphs, "_distinct_rows",
+                        lambda *args: distinct_calls.append(args) or distinct_rows(*args))
+    model = train(artifacts, small_config(epochs=2, batch_size=4)).model
+    typed = (artifacts.kg, artifacts.interaction)
+    layer_ops = [dict(g._layer_operators) for g in typed]
     # one normalization per graph; an operator (and its transpose) per row count read
     assert [{key[:2] for key in ops} for ops in layer_ops] == [{(False, 1.0)}] * 2
     assert all(1 <= len(ops) <= 3 for ops in layer_ops)
     train(artifacts, small_config(epochs=1, batch_size=4, seed=1))
-    assert artifacts.interaction.as_typed() is graphs[1]
-    for g, layers in zip(graphs, layer_ops):
+    evaluate(model, split_view(artifacts.examples, "test"))
+    for g, layers in zip(typed, layer_ops):
         assert g._layer_operators.keys() == layers.keys()
         assert all(g._layer_operators[k] is op for k, op in layers.items())
+    interaction_side = [g for g in seen if g is not artifacts.kg]
+    assert interaction_side and all(g is artifacts.interaction for g in interaction_side)
+    assert len(interaction_side) == len(seen) // 2
+    assert distinct_calls == []
 
 
 def test_training_builds_no_sparse_matrix_after_its_first_step(monkeypatch):

@@ -8,8 +8,7 @@ from convrec.synthetic import cluster_corpus, popularity_corpus, toy_instance, w
 
 def like_degrees(data):
     ig = build_interaction_graph(data.corpus, data.vocab.entities)
-    edges = np.asarray(ig.edges).reshape(-1, 3)
-    liked = np.asarray(ig.items, dtype=np.intp)[edges[edges[:, 1] == 0, 2]]
+    liked = ig.items[ig.edges[ig.edges[:, 1] == 0, 0]]  # (item row, relation, user row)
     return np.bincount(liked, minlength=len(data.vocab.entities))[data.vocab.entities.item_ids()]
 
 
@@ -58,7 +57,7 @@ def test_generated_corpora_build_artifacts():
                                 n_clusters=3)):
         artifacts = build_artifacts(data.corpus, data.vocab, data.kg, data.word_graph)
         assert len(artifacts.examples)
-        assert artifacts.interaction is not None and artifacts.interaction.n_items > 0
+        assert artifacts.interaction.items.size > 0
         assert artifacts.index is not None
         stats = corpus_stats(data.corpus, data.vocab.entities)
         assert stats["conversations"] == 40
