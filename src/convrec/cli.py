@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -19,17 +20,22 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import (
+    SENTIMENTS,
+    SPEAKERS,
     SPLITS,
+    Corpus,
+    EntityVocab,
     Examples,
     Split,
+    Vocab,
+    WordVocab,
+    _offsets,
     corpus_stats,
     default_stopwords,
     load_corpus,
     load_entity_vocab,
     load_keyword_lexicon,
     load_stopwords,
-    save_corpus,
-    save_entity_vocab,
     split_view,
 )
 from .errors import (
@@ -39,8 +45,15 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .graphs import load_item_kg, load_word_graph, save_kg, save_word_graph
-from .optim import atomic_write, load_checkpoint, open_input, save_checkpoint
+from .graphs import TypedGraph, WordGraph, build_word_graph, load_item_kg, load_word_graph
+from .optim import (
+    atomic_write,
+    load_checkpoint,
+    open_input,
+    read_arrays,
+    save_arrays,
+    save_checkpoint,
+)
 from .recommender import (
     ABLATION_FLAGS,
     Artifacts,
@@ -61,20 +74,36 @@ EXIT_USAGE = 2
 EXIT_MISSING = 3
 EXIT_NUMERIC = 4
 
-_BUNDLE_FILES = {
-    "manifest": "manifest.json",
-    "corpus": "corpus.jsonl",
-    "entities": "entities.tsv",
-    "kg": "kg.tsv",
-    "word_graph": "word_graph.tsv",
-    "stopwords": "stopwords.txt",
-}
-
+# a bundle: the manifest, and one named-array container of the parsed inputs
+_BUNDLE_FILES = {"manifest": "manifest.json", "arrays": "arrays.bin"}
 
 # every manifest key and the exact type of its JSON value (a JSON true is not an int)
-_MANIFEST_TYPES = {"format": int, "has_word_graph": bool, "stats": dict, "splits": dict}
-# the one bundle format this version reads; a bundle of another is ingested again
-_BUNDLE_FORMAT = 2
+_MANIFEST_TYPES = {"format": int, "has_word_graph": bool, "stats": dict, "splits": dict,
+                   "arrays_sha256": str}
+# the one bundle format this version reads, also the container's version; a
+# bundle of another is ingested again
+_BUNDLE_FORMAT = 3
+_ARRAYS_MAGIC = b"CVRB"
+# the files of the text formats before it, which ingest removes when it writes over one
+_OLD_FORMAT_FILES = {2: ("corpus.jsonl", "entities.tsv", "kg.tsv", "word_graph.tsv",
+                         "stopwords.txt")}
+_OLD_FORMAT_FILES[1] = _OLD_FORMAT_FILES[2] + ("interaction.tsv", "bm25.idx")
+# the string lists of the container; each is two arrays, its UTF-8 bytes
+# "<name>.utf8" and their "<name>.offsets"
+_STRING_LISTS = ("corpus.conversation_ids", "corpus.user_ids", "corpus.texts",
+                 "entities.tokens", "entities.names", "words", "kg.relations")
+# every array of the container: its dtype and the shape of one row; a code is |u1
+_LAYOUT = {
+    **{f"{name}.utf8": ("|u1", ()) for name in _STRING_LISTS},
+    **{f"{name}.offsets": ("<i8", ()) for name in _STRING_LISTS},
+    **dict.fromkeys(("corpus.splits", "corpus.speakers", "corpus.sentiments",
+                     "entities.is_item"), ("|u1", ())),
+    **dict.fromkeys(("corpus.utterances.offsets", "corpus.mentions.rows",
+                     "corpus.mentions.offsets", "corpus.words.rows", "corpus.words.offsets"),
+                    ("<i8", ())),
+    "kg.edges": ("<i8", (3,)),
+    "word_graph.pairs": ("<i8", (2,)),
+}
 
 
 def _fail(code: int, message: str) -> None:
@@ -229,9 +258,134 @@ def _read_json_object(path: Path, what: str) -> dict:
     return value
 
 
+def _pack_strings(name: str, strings: list[str]) -> dict[str, np.ndarray]:
+    encoded = [text.encode("utf-8") for text in strings]
+    return {f"{name}.utf8": np.frombuffer(b"".join(encoded), np.uint8),
+            f"{name}.offsets": _offsets(list(map(len, encoded)))}
+
+
+def _bundle_arrays(corpus: Corpus, vocab: Vocab, kg: TypedGraph,
+                   word_graph: WordGraph | None) -> dict[str, np.ndarray]:
+    """The container's arrays: every ``Corpus`` field, the vocabularies, the KG and
+    the word graph's pairs as vocabulary ids."""
+    entities = vocab.entities
+    arrays = {
+        **_pack_strings("corpus.conversation_ids", corpus.conversation_ids),
+        **_pack_strings("corpus.user_ids", corpus.user_ids),
+        "corpus.splits": corpus.splits.view(np.uint8),
+        "corpus.utterances.offsets": corpus.utterances.offsets,
+        "corpus.speakers": corpus.speakers.view(np.uint8),
+        **_pack_strings("corpus.texts", corpus.texts),
+        "corpus.mentions.rows": corpus.mentions.rows,
+        "corpus.mentions.offsets": corpus.mentions.offsets,
+        "corpus.sentiments": corpus.sentiments.view(np.uint8),
+        "corpus.words.rows": corpus.words.rows,
+        "corpus.words.offsets": corpus.words.offsets,
+        **_pack_strings("entities.tokens", entities.tokens),
+        **_pack_strings("entities.names", entities.names),
+        "entities.is_item": np.array(entities.is_item, np.uint8),
+        **_pack_strings("words", vocab.words.words),
+        **_pack_strings("kg.relations", list(kg.relations)),
+        "kg.edges": kg.edges,
+    }
+    if word_graph is not None:
+        arrays["word_graph.pairs"] = np.asarray(word_graph.word_ids, np.intp)[word_graph.pairs]
+    return arrays
+
+
+def _unpack_bundle(arrays: dict[str, np.ndarray],
+                   path: Path) -> tuple[Corpus, Vocab, TypedGraph, WordGraph | None]:
+    """The parsed inputs ``_bundle_arrays`` packed, each array checked whole:
+    dtypes and shapes, offsets, ids and codes in range, UTF-8 strings and
+    strictly ascending conversation ids. A check that fails raises ParseError;
+    a repeated entity id, or a KG edge out of range, ValidationError. Arrays
+    come out as copies: a view would keep the whole container's bytes alive."""
+
+    def bad(message: str) -> ParseError:
+        return ParseError(f"{path}: {message}")
+
+    for name, a in arrays.items():
+        if name not in _LAYOUT or (a.dtype.str, a.shape[1:]) != _LAYOUT[name] or not a.ndim:
+            raise bad(f"array {name!r} is not one of the bundle's, or has another dtype or shape")
+    missing = [name for name in _LAYOUT if name not in arrays and name != "word_graph.pairs"]
+    if missing:
+        raise bad(f"no array {missing[0]!r}")
+
+    def offsets(name: str, n_groups: int, n_rows: int) -> np.ndarray:
+        a = arrays[name]
+        if not (n_groups >= 0 and len(a) == n_groups + 1 and a[0] == 0 and a[-1] == n_rows
+                and (a[1:] >= a[:-1]).all()):
+            raise bad(f"array {name!r} is not {n_groups + 1} offsets rising from 0 to {n_rows}")
+        return a.copy()
+
+    def ids(name: str, n: int) -> np.ndarray:
+        a = arrays[name]
+        # as unsigned ints, negative ids are huge: one reduction checks both ends
+        if a.size and a.view(np.uint64).max() >= n:
+            raise bad(f"array {name!r} holds an id outside [0, {n})")
+        return a.copy()
+
+    def codes(name: str, n: int, count: int) -> np.ndarray:
+        a = arrays[name]
+        if len(a) != count or (a.size and a.max() >= n):
+            raise bad(f"array {name!r} is not {count} codes below {n}")
+        return a.astype(np.int8)
+
+    def strings(name: str, count: int | None = None) -> list[str]:
+        blob, n_offsets = arrays[f"{name}.utf8"], len(arrays[f"{name}.offsets"])
+        bounds = offsets(f"{name}.offsets", n_offsets - 1 if count is None else count, len(blob))
+        raw = blob.tobytes()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise bad(f"array {name + '.utf8'!r} is not UTF-8") from None
+        if len(text) < len(raw):  # multi-byte characters: byte offsets to character offsets
+            lead = (blob & 0xC0) != 0x80  # each character's first byte
+            if not lead[bounds[bounds < len(blob)]].all():
+                raise bad(f"array {name + '.offsets'!r} splits a character")
+            bounds = np.concatenate(([0], np.cumsum(lead)))[bounds]
+        bounds = bounds.tolist()
+        return list(map(text.__getitem__, map(slice, bounds, bounds[1:])))
+
+    tokens = strings("entities.tokens")
+    n_entities = len(tokens)
+    entities = EntityVocab()
+    for token, name, flag in zip(tokens, strings("entities.names", n_entities),
+                                 codes("entities.is_item", 2, n_entities).tolist()):
+        entities.add(token, name, flag == 1)  # a repeated token raises ValidationError
+    words, word_list = WordVocab(), strings("words")
+    for word in word_list:
+        words.register(word)
+    if len(words) < len(word_list):
+        raise bad("array 'words.utf8' holds a word twice")
+    conversation_ids = strings("corpus.conversation_ids")
+    if not all(map(operator.lt, conversation_ids, conversation_ids[1:])):
+        raise bad("conversation ids are not strictly ascending")
+    n_conv, n_utt = len(conversation_ids), len(arrays["corpus.speakers"])
+    mention_rows = ids("corpus.mentions.rows", n_entities)
+    word_rows = ids("corpus.words.rows", len(words))
+    corpus = Corpus(
+        conversation_ids, strings("corpus.user_ids", n_conv),
+        codes("corpus.splits", len(SPLITS), n_conv),
+        ad.Segments._built(np.arange(n_utt),
+                           offsets("corpus.utterances.offsets", n_conv, n_utt)),
+        codes("corpus.speakers", len(SPEAKERS), n_utt), strings("corpus.texts", n_utt),
+        ad.Segments._built(mention_rows,
+                           offsets("corpus.mentions.offsets", n_utt, len(mention_rows))),
+        codes("corpus.sentiments", len(SENTIMENTS), len(mention_rows)),
+        ad.Segments._built(word_rows, offsets("corpus.words.offsets", n_utt, len(word_rows))))
+    kg = TypedGraph(n_entities, strings("kg.relations"), arrays["kg.edges"])
+    word_graph = None
+    if "word_graph.pairs" in arrays:
+        word_graph = build_word_graph(ids("word_graph.pairs", len(words)))
+    return corpus, Vocab(entities=entities, words=words), kg, word_graph
+
+
 def load_bundle(bundle_dir: str | Path) -> Artifacts:
     """The bundle's parsed inputs, and what ``build_artifacts`` derives from them:
-    the bundle stores no interaction graph and no retrieval index."""
+    the bundle stores no interaction graph and no retrieval index. No text but
+    the manifest is parsed: the container holds the inputs as arrays, read once
+    and hashed against the manifest's digest before any is checked."""
     bundle = Path(bundle_dir)
     manifest_path = bundle / _BUNDLE_FILES["manifest"]
     manifest = _read_json_object(manifest_path, "artifact bundle manifest")
@@ -246,14 +400,20 @@ def load_bundle(bundle_dir: str | Path) -> Artifacts:
             raise ParseError(f"{manifest_path}: {key!r} is not a JSON {kind.__name__}: "
                              f"{manifest[key]!r}")
 
-    entities = load_entity_vocab(bundle / _BUNDLE_FILES["entities"])
-    stopwords = load_stopwords(bundle / _BUNDLE_FILES["stopwords"])
-    corpus, vocab = load_corpus(bundle / _BUNDLE_FILES["corpus"], entities, stopwords=stopwords)
-    kg = load_item_kg(bundle / _BUNDLE_FILES["kg"], entities)
-    word_graph = None
-    if manifest["has_word_graph"]:
-        word_graph = load_word_graph(bundle / _BUNDLE_FILES["word_graph"], vocab.words)
-    return build_artifacts(corpus, vocab, kg, word_graph)
+    path = bundle / _BUNDLE_FILES["arrays"]
+    with open_input(path, "bundle arrays") as fh:
+        raw = fh.read()
+    if hashlib.sha256(raw).hexdigest() != manifest["arrays_sha256"]:
+        raise ParseError(f"{path}: sha256 does not match the manifest's; the file changed")
+    arrays = read_arrays(raw, _ARRAYS_MAGIC, _BUNDLE_FORMAT, f"bundle arrays {path}")
+    if ("word_graph.pairs" in arrays) != manifest["has_word_graph"]:
+        raise ParseError(f"{path}: holds a word graph: {'word_graph.pairs' in arrays}, "
+                         f"the manifest's has_word_graph: {manifest['has_word_graph']}")
+    try:
+        parsed = _unpack_bundle(arrays, path)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return build_artifacts(*parsed)
 
 
 def _config_sidecar(checkpoint_path: Path) -> Path:
@@ -346,14 +506,16 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
     word_graph = load_word_graph(word_graph_path, vocab.words) if word_graph_path else None
 
     bundle = Path(out_dir)
+    try:  # the files of an older bundle this one replaces, known by its format
+        old_format = _read_json_object(bundle / _BUNDLE_FILES["manifest"],
+                                       "artifact bundle manifest").get("format")
+        stale = _OLD_FORMAT_FILES.get(old_format, ()) if type(old_format) is int else ()
+    except ConvRecError:
+        stale = ()
     bundle.mkdir(parents=True, exist_ok=True)
-    save_corpus(corpus, entities, bundle / _BUNDLE_FILES["corpus"])
-    save_entity_vocab(entities, bundle / _BUNDLE_FILES["entities"])
-    save_kg(kg, entities, bundle / _BUNDLE_FILES["kg"])
-    if word_graph is not None:
-        save_word_graph(word_graph, vocab.words, bundle / _BUNDLE_FILES["word_graph"])
-    _write_text(bundle / _BUNDLE_FILES["stopwords"], "".join(w + "\n" for w in sorted(stopwords)))
-
+    # the container, then the manifest that records its sha256
+    digest = save_arrays(bundle / _BUNDLE_FILES["arrays"], _ARRAYS_MAGIC, _BUNDLE_FORMAT,
+                         _bundle_arrays(corpus, vocab, kg, word_graph))
     stats = corpus_stats(corpus, entities)
     counts = np.bincount(corpus.splits, minlength=len(SPLITS)).tolist()
     manifest = {
@@ -361,9 +523,15 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
         "has_word_graph": word_graph is not None,
         "stats": stats,
         "splits": {s.value: n for s, n in zip(SPLITS, counts)},
+        "arrays_sha256": digest,
     }
     _write_text(bundle / _BUNDLE_FILES["manifest"],
-               json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+                json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    inputs = {Path(p).resolve() for p in (corpus_path, entities_path, kg_path, word_graph_path,
+                                          lexicon_path, stopwords_path) if p}
+    for path in (bundle / name for name in stale):
+        if path.is_file() and path.resolve() not in inputs:
+            path.unlink()
     for key in ("users", "conversations", "utterances", "items"):
         click.echo(f"{key}={stats[key]}")
 

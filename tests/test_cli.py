@@ -12,6 +12,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convrec.corpus
+import convrec.graphs
 import convrec.optim
 import convrec.recommender
 from convrec import autodiff as ad
@@ -24,7 +26,7 @@ from convrec.corpus import (
     load_entity_vocab,
     split_view,
 )
-from convrec.errors import ConvRecError, NumericError
+from convrec.errors import ConvRecError, NumericError, ParseError
 from convrec.graphs import load_item_kg, load_word_graph
 from convrec.recommender import (
     Model,
@@ -106,13 +108,57 @@ def test_ingest_writes_bundle_and_stats(runner, tmp_path):
     assert "utterances=12" in result.output
     assert "items=6" in result.output
     # the interaction graph and the retrieval index are rebuilt at load, not stored
-    assert sorted(p.name for p in bundle.iterdir()) == [
-        "corpus.jsonl", "entities.tsv", "kg.tsv", "manifest.json", "stopwords.txt",
-        "word_graph.tsv"]
+    assert sorted(p.name for p in bundle.iterdir()) == ["arrays.bin", "manifest.json"]
     manifest = json.loads((bundle / "manifest.json").read_text("utf-8"))
-    assert manifest["format"] == 2
+    assert manifest["format"] == 3
     assert manifest["has_word_graph"] and "has_index" not in manifest
     assert manifest["splits"]["train"] == 4
+    raw = (bundle / "arrays.bin").read_bytes()
+    assert manifest["arrays_sha256"] == hashlib.sha256(raw).hexdigest()
+    assert raw[:4] == b"CVRB"
+
+
+def test_two_ingests_write_byte_identical_bundles(runner, tmp_path):
+    paths = write_inputs(toy_instance(), tmp_path / "inputs")
+    bundles = [tmp_path / "a", tmp_path / "b"]
+    for bundle in bundles:
+        assert run(runner, ingest_args(paths, bundle)).exit_code == 0
+    for name in ("arrays.bin", "manifest.json"):
+        assert (bundles[0] / name).read_bytes() == (bundles[1] / name).read_bytes()
+
+
+def older_bundle(bundle, version):
+    """A format-1 or format-2 bundle's files, as an older ingest left them."""
+    bundle.mkdir(parents=True, exist_ok=True)
+    for name in cli._OLD_FORMAT_FILES[version]:
+        if not (bundle / name).exists():
+            (bundle / name).write_bytes(b"older bundle\n")
+    (bundle / "manifest.json").write_text(json.dumps(
+        {"format": version, "has_word_graph": True, "stats": {}, "splits": {}}), "utf-8")
+
+
+def test_ingest_over_a_format_2_bundle_leaves_only_format_3_files(runner, tmp_path):
+    paths = write_inputs(toy_instance(), tmp_path / "inputs")
+    bundle = tmp_path / "bundle"
+    older_bundle(bundle, 2)
+    assert run(runner, ingest_args(paths, bundle)).exit_code == 0
+    assert sorted(p.name for p in bundle.iterdir()) == ["arrays.bin", "manifest.json"]
+    assert len(cli.load_bundle(bundle).corpus) == 4
+
+
+def test_ingest_over_an_older_bundle_keeps_its_own_inputs(runner, tmp_path):
+    # the raw inputs sit in the bundle directory under format-1 names: only the rest goes
+    bundle = tmp_path / "bundle"
+    paths = write_inputs(toy_instance(), bundle)
+    paths["stopwords"] = bundle / "stopwords.txt"
+    paths["stopwords"].write_text("the\n", "utf-8")
+    raw = {path: path.read_bytes() for path in paths.values()}
+    older_bundle(bundle, 1)
+    args = ingest_args(paths, bundle) + ["--stopwords", str(paths["stopwords"])]
+    assert run(runner, args).exit_code == 0
+    assert sorted(p.name for p in bundle.iterdir()) == sorted(
+        ["arrays.bin", "manifest.json"] + [path.name for path in paths.values()])
+    assert {path: path.read_bytes() for path in paths.values()} == raw
 
 
 class _HalfWriter:
@@ -133,8 +179,7 @@ class _HalfWriter:
         self.fh.close()
 
 
-@pytest.mark.parametrize("name", ["corpus.jsonl", "entities.tsv", "kg.tsv", "word_graph.tsv",
-                                  "stopwords.txt", "manifest.json"])
+@pytest.mark.parametrize("name", ["arrays.bin", "manifest.json"])
 def test_interrupted_ingest_keeps_the_previous_file(runner, tmp_path, monkeypatch, name):
     paths = write_inputs(toy_instance(), tmp_path / "inputs")
     bundle = tmp_path / "bundle"
@@ -548,6 +593,10 @@ DROP = object()  # a manifest change that deletes the key
     ({"format": 1, "has_index": True}, "unsupported bundle format 1"),
     ({"format": DROP}, "keys"),
     ({"extra": 1}, "keys"),
+    ({"format": 2}, "unsupported bundle format 2"),
+    ({"arrays_sha256": 0}, "'arrays_sha256' is not a JSON str"),
+    ({"arrays_sha256": "0" * 64}, "sha256 does not match the manifest's"),
+    ({"has_word_graph": False}, "has_word_graph"),
 ])
 def test_eval_bad_manifest_exits_2(runner, toy_bundle, toy_checkpoint, tmp_path, change, message):
     bundle = tmp_path / "bundle"
@@ -847,8 +896,7 @@ def test_recommend_nan_scores_exit_4(runner, toy_bundle, toy_checkpoint, monkeyp
 # ---------------------------------------------------------------------------
 # damaged and unreadable inputs
 
-BUNDLE_TEXT_FILES = ("manifest.json", "corpus.jsonl", "entities.tsv", "kg.tsv",
-                     "word_graph.tsv", "stopwords.txt")
+BUNDLE_FILES = ("manifest.json", "arrays.bin")
 
 
 @pytest.fixture(scope="module")
@@ -862,22 +910,148 @@ def scratch_run(tmp_path_factory, toy_bundle, toy_checkpoint):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from([*BUNDLE_TEXT_FILES, "model.ckpt.config.json"]), st.data())
+@given(st.sampled_from([*BUNDLE_FILES, "model.ckpt.config.json"]), st.data())
 def test_a_mutated_text_file_loads_or_raises_a_convrec_error(scratch_run, name, data):
-    # bundle files through load_bundle, the sidecar through load_model
+    # bundle files through load_bundle, the sidecar through load_model; the
+    # manifest's digest refuses every container whose bytes changed
     bundle, ckpt = scratch_run
-    path = bundle / name if name in BUNDLE_TEXT_FILES else ckpt.with_name(name)
+    path = bundle / name if name in BUNDLE_FILES else ckpt.with_name(name)
     raw = path.read_bytes()
-    path.write_bytes(data.draw(mutations(raw)))
+    mutated = data.draw(mutations(raw))
+    path.write_bytes(mutated)
     try:
         if path.parent == bundle:
             cli.load_bundle(bundle)
         else:
             cli.load_model(str(bundle), str(ckpt))
+        assert name != "arrays.bin" or mutated == raw, "a changed container loaded"
     except ConvRecError:
         pass
     finally:
         path.write_bytes(raw)
+
+
+def with_digest(bundle, raw):
+    """Write container bytes ``raw`` into ``bundle`` with the manifest's digest of
+    them: a bundle only the container's own checks can refuse."""
+    (bundle / "arrays.bin").write_bytes(raw)
+    manifest = json.loads((bundle / "manifest.json").read_text("utf-8"))
+    manifest["arrays_sha256"] = hashlib.sha256(raw).hexdigest()
+    (bundle / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+
+
+def data_start(raw):
+    """Where a container's array bytes begin: after the prefix and the header."""
+    return 16 + struct.unpack_from("<Q", raw, 8)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_mutated_container_under_its_own_digest_loads_or_raises_a_convrec_error(
+        toy_bundle, tmp_path_factory, data):
+    # the array bytes change, the header stays: what the checks after read_arrays see
+    bundle = tmp_path_factory.mktemp("digested")
+    shutil.copytree(toy_bundle, bundle, dirs_exist_ok=True)
+    raw = (toy_bundle / "arrays.bin").read_bytes()
+    with_digest(bundle, raw[:data_start(raw)] + data.draw(mutations(raw[data_start(raw):])))
+    try:
+        cli.load_bundle(bundle)
+    except ConvRecError:
+        pass
+
+
+def test_the_digest_refuses_a_container_that_would_load_as_another_bundle(toy_bundle,
+                                                                          tmp_path):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(toy_bundle, bundle)
+    raw = (bundle / "arrays.bin").read_bytes()
+    header = json.loads(raw[16:data_start(raw)])
+    at = data_start(raw) + header["corpus.texts.utf8"]["range"][0]
+    changed = raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:]  # an ASCII letter, another one
+    (bundle / "arrays.bin").write_bytes(changed)
+    with pytest.raises(ParseError, match="sha256 does not match the manifest's"):
+        cli.load_bundle(bundle)
+    with_digest(bundle, changed)
+    texts = cli.load_bundle(bundle).corpus.texts
+    assert texts[0] != cli.load_bundle(toy_bundle).corpus.texts[0]
+
+
+def set_strings(arrays, name, values):
+    encoded = [v.encode("utf-8") if isinstance(v, str) else v for v in values]
+    arrays[f"{name}.utf8"] = np.frombuffer(b"".join(encoded), np.uint8)
+    arrays[f"{name}.offsets"] = np.cumsum([0] + [len(v) for v in encoded])
+
+
+def assign(name, at, value):
+    def edit(arrays):
+        arrays[name][at] = value
+    return edit
+
+
+# each edit breaks one check of the container that the digest cannot see
+CONTAINER_EDITS = {
+    "ids out of order": (lambda a: set_strings(a, "corpus.conversation_ids",
+                                               ["c1", "c0", "c2", "c3"]), "strictly ascending"),
+    "repeated id": (lambda a: set_strings(a, "corpus.conversation_ids", ["c0", "c0", "c2", "c3"]),
+                    "strictly ascending"),
+    "one user short": (lambda a: set_strings(a, "corpus.user_ids", ["u0", "u1", "u2"]),
+                       "'corpus.user_ids.offsets' is not 5 offsets"),
+    "offsets fall": (assign("corpus.mentions.offsets", 1, 99), "rising from 0"),
+    "offsets end early": (assign("corpus.words.offsets", -1, 0), "rising from 0"),
+    "entity out of range": (assign("corpus.mentions.rows", 0, 99), "outside [0, "),
+    "negative word": (assign("corpus.words.rows", 0, -1), "outside [0, "),
+    "split code": (assign("corpus.splits", 0, 3), "codes below 3"),
+    "speaker code": (assign("corpus.speakers", 0, 2), "codes below 2"),
+    "sentiment code": (assign("corpus.sentiments", 0, 200), "codes below 3"),
+    "is_item code": (assign("entities.is_item", 0, 2), "codes below 2"),
+    "not UTF-8": (assign("corpus.texts.utf8", 0, 0xFF), "is not UTF-8"),
+    "split character": (lambda a: set_strings(a, "kg.relations", [b"\xc3", b"\xa9"]),
+                        "splits a character"),
+    "repeated token": (lambda a: set_strings(a, "entities.tokens", ["I0"] * (
+        len(a["entities.tokens.offsets"]) - 1)), "duplicate entity id"),
+    "repeated word": (lambda a: set_strings(a, "words", ["love"] * 3), "holds a word twice"),
+    "KG edge out of range": (assign("kg.edges", (0, 2), 99), "edge endpoint out of range"),
+    "word pair out of range": (assign("word_graph.pairs", (0, 0), 99), "outside [0, "),
+    "no texts": (lambda a: a.pop("corpus.texts.utf8"), "no array 'corpus.texts.utf8'"),
+    "unknown array": (lambda a: a.update(extra=np.zeros(1)), "'extra' is not one of"),
+    "codes as <i8": (lambda a: a.update({"corpus.splits": a["corpus.splits"].astype("<i8")}),
+                     "another dtype or shape"),
+    "flat KG": (lambda a: a.update({"kg.edges": a["kg.edges"].reshape(-1)}),
+                "another dtype or shape"),
+    "no word graph": (lambda a: a.pop("word_graph.pairs"), "has_word_graph"),
+}
+
+
+@pytest.mark.parametrize("edit", list(CONTAINER_EDITS))
+def test_a_container_that_breaks_a_check_exits_2(runner, toy_bundle, toy_checkpoint,
+                                                   tmp_path, edit):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(toy_bundle, bundle)
+    path = bundle / "arrays.bin"
+    arrays = {name: a.copy() for name, a in convrec.optim.read_arrays(
+        path.read_bytes(), cli._ARRAYS_MAGIC, cli._BUNDLE_FORMAT, "bundle arrays").items()}
+    change, message = CONTAINER_EDITS[edit]
+    change(arrays)
+    convrec.optim.save_arrays(path, cli._ARRAYS_MAGIC, cli._BUNDLE_FORMAT, arrays)
+    with_digest(bundle, path.read_bytes())
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle),
+                                      "--checkpoint", str(toy_checkpoint), "--split", "train"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: {path}: ") and message in result.stderr
+
+
+def test_load_bundle_parses_no_text(toy_bundle, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a text parser ran")
+
+    for module, name in [(convrec.corpus, "_parse_record"), (convrec.corpus, "_tsv_rows"),
+                         (convrec.graphs, "_tsv_rows"), (convrec.corpus, "load_stopwords"),
+                         (cli, "load_stopwords")]:
+        monkeypatch.setattr(module, name, refuse)
+    artifacts = cli.load_bundle(toy_bundle)
+    assert len(artifacts.corpus) == 4 and artifacts.index is not None
+    with pytest.raises(AssertionError, match="a text parser ran"):  # the patches do bite
+        convrec.corpus.load_entity_vocab(toy_bundle / "manifest.json")
 
 
 @pytest.mark.parametrize("option", ["--corpus", "--entities", "--kg", "--word-graph",

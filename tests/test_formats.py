@@ -1,9 +1,11 @@
-"""Corpus and TSV loaders against the line-by-line references in ``oracles``.
+"""Raw files through `convrec ingest` and `load_bundle`, against the line-by-line
+references in ``oracles``.
 
-The loaders check a file a column or a record at a time; the references
-check it one line and one field at a time. On any input both must return
-equal results, or raise the same ConvRecError with the same message and
-line number. Nothing else may escape.
+The loaders check a file a column or a record at a time, and the bundle
+carries what they parsed as arrays; the references check the raw file one
+line and one field at a time. On any input the loaded bundle must equal the
+references' parse, or ingest must raise the same ConvRecError with the same
+message and line number. Nothing else may escape.
 """
 
 import json
@@ -13,16 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from convrec.corpus import (
-    EntityVocab,
-    Sentiment,
-    WordVocab,
-    default_stopwords,
-    load_corpus,
-    load_entity_vocab,
-)
+from convrec import cli
+from convrec.corpus import EntityVocab, Sentiment, WordVocab, default_stopwords
 from convrec.errors import ConvRecError
-from convrec.graphs import build_interaction_graph, load_item_kg, load_word_graph
 from convrec.synthetic import popularity_corpus, write_inputs
 
 from oracles import (
@@ -46,9 +41,8 @@ def outcome(view, load, *args, **kwargs):
         return ("error", type(exc), str(exc), getattr(exc, "line", None))
 
 
-def corpus_view(result):
-    corpus, vocab = result
-    return corpus_records(corpus), vocab.words.words
+def corpus_view(artifacts):
+    return corpus_records(artifacts.corpus), artifacts.vocab.words.words
 
 
 def kg_view(graph):
@@ -67,6 +61,27 @@ def word_graph_view(graph):
 
 def vocab_view(vocab):
     return vocab.tokens, vocab.names, vocab.is_item
+
+
+def ingest_and_load(root, *, corpus=None, entities=None, kg=None, word_graph=None,
+                    lexicon=None, stopwords=frozenset()):
+    """Raw files -> `convrec ingest` -> `load_bundle`: the loaded artifacts, or the
+    ConvRecError ingest raises. A file not given is written: an empty corpus or
+    KG, the ENTITY_ROWS vocabulary; so are ``lexicon`` and ``stopwords``."""
+    raw = root / "raw"
+    raw.mkdir(exist_ok=True)
+
+    def written(name, lines):
+        (raw / name).write_text("".join(line + "\n" for line in lines), "utf-8")
+        return raw / name
+
+    ingest = cli.ingest.callback.__wrapped__  # the command, its errors not mapped to exits
+    ingest(corpus or written("corpus.jsonl", []),
+           entities or written("entities.tsv", (f"{t}\t{n}\t{int(f)}" for t, n, f in ENTITY_ROWS)),
+           kg or written("kg.tsv", []), word_graph,
+           lexicon and written("lexicon.tsv", (f"{w}\t{s.value}" for w, s in lexicon.items())),
+           written("stopwords.txt", sorted(stopwords)), root / "bundle")
+    return cli.load_bundle(root / "bundle")
 
 
 # ---------------------------------------------------------------------------
@@ -101,25 +116,26 @@ def test_loaders_equal_the_line_by_line_references(tmp_path, seed, with_lexicon)
         null_some_sentiments(paths["corpus"])
         lexicon = LEXICON
     stopwords = default_stopwords()
-    entities = load_entity_vocab(paths["entities"])
-    assert vocab_view(entities) == vocab_view(load_entity_vocab_reference(paths["entities"]))
+    loaded = ingest_and_load(tmp_path, corpus=paths["corpus"], entities=paths["entities"],
+                             kg=paths["kg"], word_graph=paths["word_graph"], lexicon=lexicon,
+                             stopwords=stopwords)
+    entities = load_entity_vocab_reference(paths["entities"])
+    assert vocab_view(loaded.vocab.entities) == vocab_view(entities)
 
-    corpus, vocab = load_corpus(paths["corpus"], entities, stopwords=stopwords, lexicon=lexicon)
     want, want_words = load_corpus_reference(paths["corpus"], entities, stopwords=stopwords,
                                              lexicon=lexicon)
-    conversations = corpus_records(corpus)
+    conversations = corpus_records(loaded.corpus)
     assert conversations == want
-    assert vocab.words.words == want_words
+    assert loaded.vocab.words.words == want_words
     if with_lexicon:
         sentiments = {m.sentiment for c in conversations for u in c.utterances
                       for m in u.mentions}
         assert sentiments == set(Sentiment)
 
-    assert kg_view(load_item_kg(paths["kg"], entities)) == kg_view(
-        load_item_kg_reference(paths["kg"], entities))
-    got_words = load_word_graph(paths["word_graph"], vocab.words)
-    assert word_graph_view(got_words) == word_graph_view(
-        load_word_graph_reference(paths["word_graph"], vocab.words))
+    assert kg_view(loaded.kg) == kg_view(load_item_kg_reference(paths["kg"], entities))
+    assert word_graph_view(loaded.word_graph) == word_graph_view(
+        load_word_graph_reference(paths["word_graph"], loaded.vocab.words))
+    assert interaction_view(loaded.interaction) == interaction_graph_reference(want, entities)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +263,8 @@ def test_odd_json_values_fail_as_the_reference_does(tmp_path, field, value):
     FIELDS[field](rec)[field] = value
     path = tmp_path / "corpus.jsonl"
     path.write_text(json.dumps(rec) + "\n", "utf-8")
-    entities = entities_fixture()
-    got = outcome(corpus_view, load_corpus, path, entities, stopwords=frozenset())
-    want = outcome(tuple, load_corpus_reference, path, entities, stopwords=frozenset())
+    got = outcome(corpus_view, ingest_and_load, tmp_path, corpus=path)
+    want = outcome(tuple, load_corpus_reference, path, entities_fixture(), stopwords=frozenset())
     assert got == want
     if (field, value) != ("mentions", []):  # no mentions is a valid utterance
         assert got[0] == "error" and got[3] == 1
@@ -266,12 +281,11 @@ ROBUST = settings(max_examples=300, deadline=None, derandomize=True,
 def test_corpus_loader_matches_reference_on_mutated_records(tmp_path, text, with_lexicon):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(text.encode("utf-8"))
-    entities = entities_fixture()
     lexicon = {"love": Sentiment.LIKE, "hate": Sentiment.DISLIKE} if with_lexicon else None
     stopwords = frozenset({"i", "it"})
-    got = outcome(corpus_view, load_corpus, path, entities, stopwords=stopwords,
-                  lexicon=lexicon)
-    want = outcome(tuple, load_corpus_reference, path, entities, stopwords=stopwords,
+    got = outcome(corpus_view, ingest_and_load, tmp_path, corpus=path, lexicon=lexicon,
+                  stopwords=stopwords)
+    want = outcome(tuple, load_corpus_reference, path, entities_fixture(), stopwords=stopwords,
                    lexicon=lexicon)
     assert got == want
 
@@ -283,7 +297,8 @@ def test_corpus_loader_matches_reference_on_mutated_records(tmp_path, text, with
 def test_entity_vocab_loader_matches_reference(tmp_path, text):
     path = tmp_path / "entities.tsv"
     path.write_bytes(text.encode("utf-8"))
-    got = outcome(vocab_view, load_entity_vocab, path)
+    got = outcome(lambda loaded: vocab_view(loaded.vocab.entities), ingest_and_load, tmp_path,
+                  entities=path)
     want = outcome(vocab_view, load_entity_vocab_reference, path)
     assert got == want
 
@@ -293,29 +308,25 @@ def test_entity_vocab_loader_matches_reference(tmp_path, text):
 def test_item_kg_loader_matches_reference(tmp_path, text):
     path = tmp_path / "kg.tsv"
     path.write_bytes(text.encode("utf-8"))
-    entities = entities_fixture()
-    got = outcome(kg_view, load_item_kg, path, entities)
-    want = outcome(kg_view, load_item_kg_reference, path, entities)
+    got = outcome(lambda loaded: kg_view(loaded.kg), ingest_and_load, tmp_path, kg=path)
+    want = outcome(kg_view, load_item_kg_reference, path, entities_fixture())
     assert got == want
 
 
 @ROBUST
 @given(text=corpus_text())
 def test_interaction_graph_loader_matches_reference(tmp_path, text):
-    # a bundle stores no interaction graph: it is built from the bundle's corpus file
+    # a bundle stores no interaction graph: load_bundle builds it from the bundle's corpus
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(text.encode("utf-8"))
     entities = entities_fixture()
-
-    def load(path):
-        corpus, _ = load_corpus(path, entities, stopwords=frozenset())
-        return build_interaction_graph(corpus, entities)
 
     def reference(path):
         conversations, _ = load_corpus_reference(path, entities, stopwords=frozenset())
         return interaction_graph_reference(conversations, entities)
 
-    got = outcome(interaction_view, load, path)
+    got = outcome(lambda loaded: interaction_view(loaded.interaction), ingest_and_load,
+                  tmp_path, corpus=path)
     want = outcome(lambda expected: expected, reference, path)
     assert got == want
 
@@ -329,7 +340,11 @@ def test_word_graph_loader_matches_reference(tmp_path, text):
     words = WordVocab()
     for word in ("space", "films", "love"):
         words.register(word)
-    got = outcome(word_graph_view, load_word_graph, path, words)
+    corpus = tmp_path / "corpus.jsonl"  # one utterance whose content words are those three
+    corpus.write_text(json.dumps({**VALID_RECORD, "utterances": [
+        {"speaker": "seeker", "text": "space films love", "mentions": []}]}) + "\n", "utf-8")
+    got = outcome(lambda loaded: word_graph_view(loaded.word_graph), ingest_and_load, tmp_path,
+                  corpus=corpus, word_graph=path)
     want = outcome(word_graph_view, load_word_graph_reference, path, words)
     assert got == want
 
@@ -340,12 +355,8 @@ def test_word_graph_loader_matches_reference(tmp_path, text):
 # sha256 of every file `convrec ingest` writes for pinned_inputs(); a change to a
 # writer, or a loader that reads the inputs differently, shows up here
 BUNDLE_SHA256 = {
-    "corpus.jsonl": "fd96e4bfa6004ffbba036b7037c010f5e4e31447ebe10dd75585ea37eff6e504",
-    "entities.tsv": "79ef43bd14d867400322b4ab2f409ce1ebb44e190bcb6fbe00bb997e30b2eb25",
-    "kg.tsv": "ed7de7ed3ab6b3bedfcc3e8c4090db43b6a926ba964c37ce56b74100dea1152e",
-    "manifest.json": "36bee79d544d926156b5522fc97393c7caf98e1c9380a84e7bdce3e7ad7305d3",
-    "stopwords.txt": "1dc35c995e26fc2729be7f52f43de7944039e94c1c69bac3d237829a54518971",
-    "word_graph.tsv": "be09568a8b98b1c936c10e1be7a52b55ba803631792149fe51a9b18a40ae9055",
+    "arrays.bin": "be291792b1d313f86845c2fdfcba332c1f4ca591a273c8368a2568ed56bff78d",
+    "manifest.json": "e9119bb64c98d35771e122b2fe3708aeaf54764fbcdf5407861f613033d82dca",
 }
 
 
