@@ -179,21 +179,33 @@ class _HalfWriter:
         self.fh.close()
 
 
-@pytest.mark.parametrize("name", ["arrays.bin", "manifest.json"])
+# a file of a format-2 bundle, and the write of ingest whose failure must leave
+# it as it was: a format-2 file goes only once the manifest that replaces it is in
+_INTERRUPTED_WRITES = {"arrays.bin": "arrays.bin", "manifest.json": "manifest.json",
+                       **dict.fromkeys(cli._OLD_FORMAT_FILES[2], "manifest.json")}
+
+
+@pytest.mark.parametrize("name", sorted(_INTERRUPTED_WRITES))
 def test_interrupted_ingest_keeps_the_previous_file(runner, tmp_path, monkeypatch, name):
     paths = write_inputs(toy_instance(), tmp_path / "inputs")
     bundle = tmp_path / "bundle"
-    bundle.mkdir()
+    older_bundle(bundle, 2)
     (bundle / name).write_bytes(b"previous bytes\n")
+    before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+    failing = _INTERRUPTED_WRITES[name] + ".tmp"
 
     def failing_open(file, mode="r", *args, **kwargs):
         fh = open(file, mode, *args, **kwargs)
-        return _HalfWriter(fh) if Path(file).name == name + ".tmp" else fh
+        return _HalfWriter(fh) if Path(file).name == failing else fh
 
     monkeypatch.setattr(convrec.optim, "open", failing_open, raising=False)
     result = runner.invoke(cli.main, ingest_args(paths, bundle))
     assert isinstance(result.exception, OSError)
     assert (bundle / name).read_bytes() == b"previous bytes\n"
+    after = {p.name: p.read_bytes() for p in bundle.iterdir()}
+    # only a completed arrays.bin may be new; every file of the previous bundle stays
+    assert {k: v for k, v in after.items() if k in before} == before
+    assert set(after) - set(before) <= {"arrays.bin"}
     assert not list(bundle.glob("*.tmp"))
 
 
