@@ -366,23 +366,40 @@ def scatter_rows(src: Tensor, indices: Sequence[int], n_rows: int) -> Tensor:
     return _record(out, (src,), bw)
 
 
-def spmm(a: sp.spmatrix, a_t: sp.spmatrix, x: Tensor) -> Tensor:
-    """Multiply by a constant sparse matrix: out = a @ x.
+def graph_conv(a: sp.spmatrix, a_t: sp.spmatrix, h: Tensor, w: Tensor) -> Tensor:
+    """One graph-convolution layer: relu((a @ h).reshape(-1, k) @ w) for a (k, m) ``w``.
 
-    ``a_t`` is ``a``'s transpose, which the backward multiplies by. The
-    caller builds it once, with ``a`` (``a.T``, a CSC over a CSR's arrays),
-    so no call builds a sparse matrix.
+    For an (n, d) ``h``, output row i reads rows [i k / d, (i + 1) k / d) of
+    ``a @ h``, side by side. ``a_t`` is ``a``'s transpose, built once
+    by the caller (``a.T``, a CSC over a CSR's arrays) for the backward. The
+    node keeps ``h``, ``w`` and its output: the backward masks with
+    ``out > 0`` and recomputes ``a @ h``, the same bits, as the sparse
+    product is deterministic and tape values are never written in place.
     """
-    if x.values.ndim != 2 or a.shape[1] != x.values.shape[0]:
-        raise ShapeError(f"spmm: shapes {a.shape} and {x.values.shape} incompatible")
+    if h.values.ndim != 2 or w.values.ndim != 2 or a.shape[1] != h.values.shape[0]:
+        raise ShapeError(f"graph_conv: shapes {a.shape}, {h.values.shape} and "
+                         f"{w.values.shape} incompatible")
     if a_t.shape != a.shape[::-1]:
-        raise ShapeError(f"spmm: transpose shape {a_t.shape} does not fit {a.shape}")
-    out = Tensor(np.asarray(a @ x.values))
+        raise ShapeError(f"graph_conv: transpose shape {a_t.shape} does not fit {a.shape}")
+    d, k = h.values.shape[1], w.values.shape[0]
+    if not d or not k or k % d or a.shape[0] % (k // d):
+        raise ShapeError(f"graph_conv: {a.shape[0]} product rows of width {d} "
+                         f"do not fill rows of width {k}")
+
+    def product() -> np.ndarray:
+        return np.asarray(a @ h.values).reshape(-1, k)
+
+    y = product() @ w.values
+    np.maximum(y, 0, out=y)
 
     def bw(g: np.ndarray) -> None:
-        _accum(x, np.asarray(a_t @ g), True)
+        g *= y > 0  # g is consumed here: masked in place
+        if w.requires_grad:
+            _accum(w, product().T @ g, True)
+        if h.requires_grad:
+            _accum(h, np.asarray(a_t @ (g @ w.values.T).reshape(-1, d)), True)
 
-    return _record(out, (x,), bw)
+    return _record(Tensor(y), (h, w), bw)
 
 
 # ---------------------------------------------------------------------------

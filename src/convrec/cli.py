@@ -43,6 +43,7 @@ from .errors import (
     MissingArtifactError,
     NumericError,
     ParseError,
+    StateError,
     ValidationError,
 )
 from .graphs import TypedGraph, WordGraph, build_word_graph, load_item_kg, load_word_graph
@@ -413,15 +414,17 @@ def load_bundle(bundle_dir: str | Path) -> Artifacts:
         parsed = _unpack_bundle(arrays, path)
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return build_artifacts(*parsed)
+    return dataclasses.replace(build_artifacts(*parsed), arrays_sha256=manifest["arrays_sha256"])
 
 
 def _config_sidecar(checkpoint_path: Path) -> Path:
     return checkpoint_path.with_name(checkpoint_path.name + ".config.json")
 
 
-# the sidecar key, beside the config fields, of the checkpoint's sha256
+# the sidecar keys, beside the config fields, of the checkpoint's sha256 and
+# of the bundle container's it was trained on
 _DIGEST_KEY = "checkpoint_sha256"
+_BUNDLE_KEY = "bundle_arrays_sha256"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -437,12 +440,18 @@ def _write_report(report: MetricsReport, text_path: Path, json_path: Path) -> No
 
 
 def save_model_checkpoint(result_model: Model, unused: None, checkpoint_path: Path) -> None:
-    """Write the checkpoint, then its sidecar: the config and the checkpoint's sha256.
+    """Write the checkpoint, then its sidecar: the config, the checkpoint's
+    sha256 and the sha256 of the bundle container the model was trained on.
 
     ``unused`` is always None: the benchmark's worker passes it, by position,
-    where an optimizer state once went, until the benchmark changes.
+    where an optimizer state once went, until the benchmark changes. A model
+    whose artifacts no bundle holds is refused before anything is written.
     """
-    sidecar = {**dataclasses.asdict(result_model.config),
+    bundle_digest = result_model.artifacts.arrays_sha256
+    if bundle_digest is None:
+        raise StateError("the model's artifacts come from no bundle: its checkpoint "
+                         "could never be loaded")
+    sidecar = {**dataclasses.asdict(result_model.config), _BUNDLE_KEY: bundle_digest,
                _DIGEST_KEY: save_checkpoint(checkpoint_path, result_model.store)}
     _write_text(_config_sidecar(checkpoint_path), json.dumps(sidecar, sort_keys=True) + "\n")
 
@@ -450,13 +459,15 @@ def save_model_checkpoint(result_model: Model, unused: None, checkpoint_path: Pa
 def load_model(bundle_dir: str, checkpoint_path: str) -> Model:
     """The model a checkpoint and its sidecar describe, over the bundle's artifacts.
 
-    The checkpoint is read once, after the model is built: its bytes are
-    hashed against the sidecar's digest, then parsed into the store.
+    The bundle's container must be the one the sidecar records, else
+    ParseError. The checkpoint is read once, after the model is built: its
+    bytes are hashed against the sidecar's digest, then parsed into the store.
     """
     ckpt = Path(checkpoint_path)
     sidecar = _config_sidecar(ckpt)
     values = _read_json_object(sidecar, "checkpoint config")
     digest = values.pop(_DIGEST_KEY, None)
+    bundle_digest = values.pop(_BUNDLE_KEY, None)
     for key, value in values.items():
         if key not in _CONFIG_FIELDS:
             raise ParseError(f"{sidecar}: unknown config key {key!r}")
@@ -465,9 +476,15 @@ def load_model(bundle_dir: str, checkpoint_path: str) -> Model:
                              f"{_CONFIG_FIELDS[key]}: {value!r}")
     if type(digest) is not str:
         raise ParseError(f"{sidecar}: no checkpoint sha256 ({_DIGEST_KEY!r})")
+    if type(bundle_digest) is not str:
+        raise ParseError(f"{sidecar}: no bundle sha256 ({_BUNDLE_KEY!r})")
     config = TrainConfig(**values)
     config.validate()
-    model = Model(load_bundle(bundle_dir), config)
+    artifacts = load_bundle(bundle_dir)
+    if artifacts.arrays_sha256 != bundle_digest:
+        raise ParseError(f"{sidecar}: the checkpoint was trained on another bundle: the sha256 "
+                         f"of {Path(bundle_dir) / _BUNDLE_FILES['arrays']} differs from its record")
+    model = Model(artifacts, config)
     with open_input(ckpt, "checkpoint") as fh:
         raw = fh.read()
     if hashlib.sha256(raw).hexdigest() != digest:

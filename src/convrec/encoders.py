@@ -86,10 +86,13 @@ def rgcn_forward(graph: TypedGraph, params: RgcnParams, n_rows: int | None = Non
     bipartite graphs update both node sides synchronously. The graph's cached
     layer operator stacks every A_r and the identity, so a layer is one
     sparse product, reshaped to (n, (R + 1) d), times the stacked weights
-    [W_1; ...; W_R; W_self]. Its rows are node-major, so the last layer
-    computes only the ``n_rows`` (default: all) rows the caller reads by
-    multiplying a leading row block of it. The graph caches each operator
-    with its transpose, which the product's backward multiplies by.
+    [W_1; ...; W_R; W_self]: one ``ad.graph_conv`` tape node, which keeps
+    its input, the stacked weights and its output, and recomputes the
+    (R + 1)-block product in backward rather than keeping it. The operator's
+    rows are node-major, so the last layer computes only the ``n_rows``
+    (default: all) rows the caller reads by multiplying a leading row block
+    of it. The graph caches each operator with its transpose, which the
+    backward multiplies by.
     """
     missing = [r for r in graph.relations if r not in params.rel_weights[0]]
     if missing:
@@ -98,7 +101,7 @@ def rgcn_forward(graph: TypedGraph, params: RgcnParams, n_rows: int | None = Non
         raise ConfigurationError(
             f"embedding table has {params.embedding.shape[0]} rows, graph has {graph.n_nodes} nodes"
         )
-    n, blocks = graph.n_nodes, len(graph.relations) + 1
+    n = graph.n_nodes
     n_rows = n if n_rows is None else n_rows
     if not 0 <= n_rows <= n:
         raise ConfigurationError(f"cannot return {n_rows} rows of a {n}-node graph")
@@ -109,10 +112,7 @@ def rgcn_forward(graph: TypedGraph, params: RgcnParams, n_rows: int | None = Non
         op, op_t = graph.layer_operator(**norm, n_rows=rows)
         weights = ad.concat([*(params.rel_weights[layer][rel] for rel in graph.relations),
                              params.self_weights[layer]])
-        # no local holds the (R + 1)-block product: without a tape it is freed
-        # before the next layer builds its own
-        h = ad.relu(ad.matmul(ad.reshape(ad.spmm(op, op_t, h), (rows, blocks * params.dim)),
-                              weights))
+        h = ad.graph_conv(op, op_t, h, weights)
     return h
 
 
@@ -144,7 +144,7 @@ def gcn_forward(word_graph: WordGraph, params: GcnParams) -> Tensor:
     """Layered ReLU(A_hat @ V @ W) over the word graph's precomputed normalized adjacency."""
     h = params.embedding
     for w in params.weights:
-        h = ad.relu(ad.matmul(ad.spmm(word_graph.adjacency, word_graph.adjacency_t, h), w))
+        h = ad.graph_conv(word_graph.adjacency, word_graph.adjacency_t, h, w)
     return h
 
 

@@ -179,6 +179,9 @@ class Artifacts:
     word_graph: WordGraph | None
     interaction: InteractionGraph
     index: Bm25Index | None
+    # the sha256 of the bundle container the inputs were loaded from; None
+    # when they were built in process
+    arrays_sha256: str | None = None
 
     @functools.cached_property
     def item_ids(self) -> np.ndarray:

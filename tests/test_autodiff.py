@@ -471,8 +471,10 @@ def test_relation_operator_matches_dense_adjacency():
         # relation 0's row block of the layer operator: rows i * (R + 1)
         op = graph.layer_operator(in_degree=in_degree, z=z)[0][0::3]
         np.testing.assert_allclose(op.toarray(), dense * norm[:, None], atol=1e-15)
-        out = ad.spmm(op, op.T, Tensor(h))
-        np.testing.assert_allclose(out.values, (dense @ h) * norm[:, None], atol=1e-14)
+        want = (dense @ h) * norm[:, None]
+        for sign in (1.0, -1.0):  # relu(x) and relu(-x) hold every entry of x between them
+            out = ad.graph_conv(op, op.T, Tensor(h), constant(sign * np.eye(3)))
+            np.testing.assert_allclose(out.values, np.maximum(sign * want, 0), atol=1e-14)
 
 
 def test_relation_operator_gradcheck():
@@ -480,30 +482,96 @@ def test_relation_operator_gradcheck():
     # in-degree values make the operator asymmetric, so the backward must use its transpose
     op = graph.layer_operator(in_degree=True, z=1.0)[0][0::3]  # relation 0's row block
     assert not np.allclose(op.toarray(), op.toarray().T)
-    store = fd_store(h=np.random.default_rng(8).normal(size=(5, 3)))
+    rng = np.random.default_rng(8)
+    store = fd_store(h=rng.normal(size=(5, 3)), w=rng.normal(size=(3, 2)))
 
     def f(s):
-        return total(ad.tanh(ad.spmm(op, op.T, s["h"])))
+        return total(ad.tanh(ad.graph_conv(op, op.T, s["h"], s["w"])))
 
     check(f, store, samples_per_param=6)
 
 
-def test_spmm_matches_dense_and_gradchecks():
+def test_graph_conv_matches_dense_and_gradchecks():
     rng = np.random.default_rng(9)
     dense = rng.random((4, 5))
     dense[dense < 0.5] = 0.0
     a = sp.csr_matrix(dense)
-    store = fd_store(x=rng.normal(size=(5, 2)))
+    store = fd_store(x=rng.normal(size=(5, 2)), w=rng.normal(size=(4, 3)))
 
-    out = ad.spmm(a, a.T, Tensor(store["x"].values))
-    np.testing.assert_allclose(out.values, dense @ store["x"].values, atol=1e-14)
+    # two product rows of width 2 side by side make one row of width 4
+    out = ad.graph_conv(a, a.T, Tensor(store["x"].values), Tensor(store["w"].values))
+    want = np.maximum((dense @ store["x"].values).reshape(2, 4) @ store["w"].values, 0)
+    np.testing.assert_allclose(out.values, want, atol=1e-14)
     with pytest.raises(ShapeError, match="transpose"):
-        ad.spmm(a, a, store["x"])
+        ad.graph_conv(a, a, store["x"], store["w"])
 
     def f(s):
-        return total(ad.relu(ad.spmm(a, a.T, s["x"])))
+        return total(ad.graph_conv(a, a.T, s["x"], s["w"]))
 
     check(f, store, samples_per_param=6)
+
+
+def conv_case(blocks, seed):
+    """A row-trimmed layer operator (the leading 4 of 6 nodes' row groups, with
+    every row of output row 0's group empty), h (6, 3), w (3 blocks, 2) and an
+    upstream gradient with negative entries."""
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(6 * blocks, 6)) * (rng.random((6 * blocks, 6)) < 0.4)
+    dense[:blocks] = 0.0  # output row 0 is exactly zero: the mask meets zeros there
+    op = sp.csr_matrix(dense)[:4 * blocks]
+    return op, rng.normal(size=(6, 3)), rng.normal(size=(3 * blocks, 2)), rng.normal(size=(4, 2))
+
+
+@pytest.mark.parametrize("relations", [0, 1, 4])
+def test_graph_conv_is_the_unfused_chain_bit_for_bit(relations):
+    # the chain graph_conv replaced: spmm, reshape, matmul, relu; each backward as it was
+    op, h, w, g = conv_case(relations + 1, seed=relations)
+    x = np.asarray(op @ h).reshape(4, -1)
+    pre = x @ w
+    want = np.maximum(pre, 0)
+    g_pre = g * (pre > 0)
+    want_gw = x.T @ g_pre
+    want_gh = np.asarray(op.T @ (g_pre @ w.T).reshape(-1, 3))
+
+    th, tw = Tensor(h, requires_grad=True), Tensor(w, requires_grad=True)
+    out = ad.graph_conv(op, op.T, th, tw)
+    backward(total(ad.mul(out, constant(g))))
+    assert out.values.tobytes() == want.tobytes()
+    assert tw.grad.tobytes() == want_gw.tobytes()
+    assert th.grad.tobytes() == want_gh.tobytes()
+    assert (out.values[0] == 0).all() and np.signbit(g_pre[0][g[0] < 0]).all()
+
+
+@pytest.mark.parametrize("relations", [0, 1, 4])
+def test_graph_conv_passes_the_dot_product_test_in_each_argument(relations):
+    # relu(L x) = J x for its Jacobian J at x, so <f(x), y> = <x, J^T y> holds
+    # in h (w fixed) and in w (h fixed), to rounding
+    op, h, w, y = conv_case(relations + 1, seed=10 + relations)
+    th, tw = Tensor(h, requires_grad=True), Tensor(w, requires_grad=True)
+    out = ad.graph_conv(op, op.T, th, tw)
+    backward(total(ad.mul(out, constant(y))))
+    lhs = np.vdot(out.values, y)
+    assert lhs != 0
+    assert np.vdot(h, th.grad) == pytest.approx(lhs, rel=1e-12)
+    assert np.vdot(w, tw.grad) == pytest.approx(lhs, rel=1e-12)
+
+
+def test_graph_conv_rejects_shapes_that_do_not_fit():
+    op, h, w, _ = conv_case(2, seed=0)  # (8, 6) operator, h (6, 3), w (6, 2)
+    th, tw = Tensor(h), Tensor(w)
+    cases = [
+        ((op, op.T, Tensor(h[:5]), tw), "incompatible"),
+        ((op, op.T, Tensor(h[:, 0]), tw), "incompatible"),
+        ((op, op.T, th, Tensor(w[:, 0])), "incompatible"),
+        ((op, op, th, tw), "transpose shape"),
+        ((op, op.T, th, Tensor(w[:4])), "do not fill"),       # 4 is no multiple of 3
+        ((op[:7], op[:7].T, th, tw), "do not fill"),           # 7 rows: no whole pair
+        ((op, op.T, Tensor(h[:, :0]), tw), "do not fill"),     # zero-width h
+        ((op, op.T, th, Tensor(w[:0])), "do not fill"),        # zero-row w
+    ]
+    for args, message in cases:
+        with pytest.raises(ShapeError, match=f"graph_conv: .*{message}"):
+            ad.graph_conv(*args)
 
 
 def test_softmax_normalizes_and_gradchecks():
@@ -728,7 +796,8 @@ def every_op(w, v):
         ad.relu(w), ad.tanh(w), ad.sigmoid(w), ad.matmul(w, v), ad.transpose(w),
         ad.reshape(w, (3, 2)), ad.concat([w, w]), ad.lookup(w, [1, 0, 1]),
         ad.scatter_rows(w, [2, 0], 4),
-        ad.spmm(sp.identity(2, format="csr"), sp.identity(2, format="csc"), w),
+        ad.graph_conv(sp.identity(2, format="csr"), sp.identity(2, format="csc"), w,
+                      ad.transpose(w)),
         ad.softmax(w), ad.segment_softmax(v, groups([0, 1, 1, 3])),
         ad.segment_sum(v, ad.transpose(w), groups([0, 2, 2, 3])),
         ad.cross_entropy(w, ad.Segments([0, 2, 1], [0, 1, 3]))[0],

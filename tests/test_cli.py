@@ -26,7 +26,7 @@ from convrec.corpus import (
     load_entity_vocab,
     split_view,
 )
-from convrec.errors import ConvRecError, NumericError, ParseError
+from convrec.errors import ConvRecError, NumericError, ParseError, StateError
 from convrec.graphs import load_item_kg, load_word_graph
 from convrec.recommender import (
     Model,
@@ -528,10 +528,63 @@ def redigest(ckpt: Path) -> None:
     sidecar.write_text(json.dumps(values), "utf-8")
 
 
-def test_train_sidecar_records_the_checkpoint_sha256(trained_run):
+def test_train_sidecar_records_the_checkpoint_sha256(trained_run, pop_bundle):
     sidecar = json.loads((trained_run / "model.ckpt.config.json").read_text("utf-8"))
     want = hashlib.sha256((trained_run / "model.ckpt").read_bytes()).hexdigest()
     assert sidecar["checkpoint_sha256"] == want
+    manifest = json.loads((pop_bundle / "manifest.json").read_text("utf-8"))
+    assert sidecar["bundle_arrays_sha256"] == manifest["arrays_sha256"]
+
+
+def test_eval_refuses_a_checkpoint_trained_on_another_bundle(runner, pop_bundle, trained_run,
+                                                              tmp_path):
+    # the same inputs but one training mention flipped from like to dislike: a
+    # bundle of the same shapes, against which the checkpoint once loaded and
+    # evaluated to a different report
+    inputs = tmp_path / "inputs"
+    shutil.copytree(pop_bundle.parent / "inputs", inputs)
+    lines = (inputs / "corpus.jsonl").read_text("utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if '"train"' in line and '"like"' in line)
+    lines[at] = lines[at].replace('"sentiment": "like"', '"sentiment": "dislike"', 1)
+    (inputs / "corpus.jsonl").write_text("\n".join(lines) + "\n", "utf-8")
+    other = tmp_path / "bundle"
+    paths = {key: inputs / f"{key}.{'jsonl' if key == 'corpus' else 'tsv'}"
+             for key in ("corpus", "entities", "kg", "word_graph")}
+    assert run(runner, ingest_args(paths, other)).exit_code == 0
+
+    ckpt = trained_run / "model.ckpt"
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(other), "--checkpoint", str(ckpt),
+                                      "--split", "test"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr == (f"error: {cli._config_sidecar(ckpt)}: the checkpoint was trained "
+                             f"on another bundle: the sha256 of {other / 'arrays.bin'} differs "
+                             f"from its record\n")
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(pop_bundle),
+                                      "--checkpoint", str(ckpt), "--split", "test"])
+    assert result.exit_code == 0, result.output
+
+
+def test_eval_sidecar_without_a_bundle_digest_exits_2(runner, toy_bundle, toy_checkpoint,
+                                                      tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    shutil.copy(toy_checkpoint, ckpt)
+    values = json.loads(toy_checkpoint.with_name("model.ckpt.config.json").read_text("utf-8"))
+    del values["bundle_arrays_sha256"]
+    (tmp_path / "model.ckpt.config.json").write_text(json.dumps(values), "utf-8")
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle),
+                                      "--checkpoint", str(ckpt), "--split", "train"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and "no bundle sha256" in result.stderr
+
+
+def test_a_model_over_no_bundle_writes_no_checkpoint(tmp_path):
+    data = toy_instance()
+    model = Model(build_artifacts(data.corpus, data.vocab, data.kg, data.word_graph),
+                  TrainConfig(dim=8, seed=0))
+    with pytest.raises(StateError, match="come from no bundle"):
+        cli.save_model_checkpoint(model, None, tmp_path / "model.ckpt")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_checkpoint_with_a_changed_weight_byte_exits_2(runner, toy_bundle, toy_checkpoint,

@@ -733,6 +733,48 @@ def test_no_tape_outlives_its_step(toy_artifacts, monkeypatch):
     assert len(live) > 2 and live == [0] * len(live)
 
 
+def reachable_arrays(root):
+    """Every array a tape holds from ``root``: node values, what the backward
+    closures (and the functions they call) capture, and the arrays those view."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, ad.Tensor):
+            stack += [obj.values, *obj._parents, obj._backward_fn]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack += [cell.cell_contents for cell in obj.__closure__]
+    return found
+
+
+def test_a_training_step_keeps_no_layer_product():
+    # each graph-convolution layer recomputes its (R + 1)-block product in
+    # backward: no array of its shape, or of its (rows, (R + 1) d) reshape, is
+    # reachable from a training step's loss
+    artifacts = artifacts_of(popularity_corpus(3, n_users=30, n_items=60, n_conversations=120))
+    model = Model(artifacts, small_config(dim=8, without_rt=True))
+    contexts = model.contexts(split_view(artifacts.examples, Split.TRAIN))
+    item_matrix, word_matrix = model.encoder_outputs(model.rows_read(contexts))
+    loss, _ = batch_loss(model, contexts.take(np.arange(16)), item_matrix, word_matrix)
+    del item_matrix, word_matrix
+
+    products = set()
+    for graph in (artifacts.kg, artifacts.interaction):
+        blocks = len(graph.relations) + 1
+        for op, _ in graph._layer_operators.values():
+            products |= {(op.shape[0], 8), (op.shape[0] // blocks, blocks * 8)}
+    assert len(products) >= 6  # two graphs, each with a full and a row-trimmed operator
+    held = [a.shape for a in reachable_arrays(loss) if a.shape in products]
+    assert held == []
+
+
 def test_train_and_evaluate_call_the_sampled_functions_once_per_batch(toy_artifacts,
                                                                       monkeypatch):
     # bench/train_worker.py samples after these three, looked up on convrec.recommender
