@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from itertools import accumulate, chain
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse as sp
 
 from .errors import NumericError, ShapeError, StateError
+
+if TYPE_CHECKING:  # graph_conv multiplies by the operators it is handed; it imports no scipy
+    from scipy import sparse as sp
 
 
 class Tensor:

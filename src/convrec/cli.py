@@ -421,10 +421,19 @@ def _config_sidecar(checkpoint_path: Path) -> Path:
     return checkpoint_path.with_name(checkpoint_path.name + ".config.json")
 
 
-# the sidecar keys, beside the config fields, of the checkpoint's sha256 and
-# of the bundle container's it was trained on
+# the sidecar keys, beside the config fields: the checkpoint's sha256, the
+# bundle container's it was trained on, and the config's (_config_sha256)
 _DIGEST_KEY = "checkpoint_sha256"
 _BUNDLE_KEY = "bundle_arrays_sha256"
+_CONFIG_KEY = "config_sha256"
+# the checkpoint's arrays beside the parameters: what encoder_outputs() of the
+# saved model returns, the item matrix over every entity and the word matrix
+_OUTPUT_NAMES = ("outputs.items", "outputs.words")
+
+
+def _config_sha256(values: dict) -> str:
+    """The sha256 of config values' canonical JSON, the sidecar's form of them."""
+    return hashlib.sha256(json.dumps(values, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -440,46 +449,62 @@ def _write_report(report: MetricsReport, text_path: Path, json_path: Path) -> No
 
 
 def save_model_checkpoint(result_model: Model, unused: None, checkpoint_path: Path) -> None:
-    """Write the checkpoint, then its sidecar: the config, the checkpoint's
-    sha256 and the sha256 of the bundle container the model was trained on.
+    """Write the checkpoint, then its sidecar: the config, its sha256, the
+    checkpoint's sha256 and the sha256 of the bundle container the model was
+    trained on.
 
-    ``unused`` is always None: the benchmark's worker passes it, by position,
-    where an optimizer state once went, until the benchmark changes. A model
-    whose artifacts no bundle holds is refused before anything is written.
+    The checkpoint holds the parameters and, after them, what
+    ``encoder_outputs()`` returns for them, computed here without a tape:
+    ``recommend`` serves from these and runs no encoder. ``unused`` is always
+    None: the benchmark's worker passes it, by position, where an optimizer
+    state once went, until the benchmark changes. A model whose artifacts no
+    bundle holds is refused before anything is written.
     """
     bundle_digest = result_model.artifacts.arrays_sha256
     if bundle_digest is None:
         raise StateError("the model's artifacts come from no bundle: its checkpoint "
                          "could never be loaded")
-    sidecar = {**dataclasses.asdict(result_model.config), _BUNDLE_KEY: bundle_digest,
-               _DIGEST_KEY: save_checkpoint(checkpoint_path, result_model.store)}
+    config = dataclasses.asdict(result_model.config)
+    config_digest = _config_sha256(config)
+    with ad.no_grad():
+        outputs = result_model.encoder_outputs()
+    arrays = {name: t.values for name, t in zip(_OUTPUT_NAMES, outputs) if t is not None}
+    sidecar = {**config, _CONFIG_KEY: config_digest, _BUNDLE_KEY: bundle_digest,
+               _DIGEST_KEY: save_checkpoint(checkpoint_path, result_model.store, arrays)}
     _write_text(_config_sidecar(checkpoint_path), json.dumps(sidecar, sort_keys=True) + "\n")
 
 
 def load_model(bundle_dir: str, checkpoint_path: str) -> Model:
     """The model a checkpoint and its sidecar describe, over the bundle's artifacts.
 
-    The bundle's container must be the one the sidecar records, else
-    ParseError. The checkpoint is read once, after the model is built: its
-    bytes are hashed against the sidecar's digest, then parsed into the store.
+    The sidecar's config values must be those its config sha256 records, and
+    the bundle's container the one it records, else ParseError. The
+    checkpoint is read once, after the model is built: its bytes are hashed
+    against the sidecar's digest, then parsed into the store and into
+    ``Model.stored_outputs``, whose names and shapes are checked too.
     """
     ckpt = Path(checkpoint_path)
     sidecar = _config_sidecar(ckpt)
     values = _read_json_object(sidecar, "checkpoint config")
     digest = values.pop(_DIGEST_KEY, None)
     bundle_digest = values.pop(_BUNDLE_KEY, None)
+    config_digest = values.pop(_CONFIG_KEY, None)
     for key, value in values.items():
         if key not in _CONFIG_FIELDS:
             raise ParseError(f"{sidecar}: unknown config key {key!r}")
         if type(value) not in _JSON_TYPES[_CONFIG_FIELDS[key]]:
             raise ParseError(f"{sidecar}: config key {key!r} is not a JSON "
                              f"{_CONFIG_FIELDS[key]}: {value!r}")
-    if type(digest) is not str:
-        raise ParseError(f"{sidecar}: no checkpoint sha256 ({_DIGEST_KEY!r})")
-    if type(bundle_digest) is not str:
-        raise ParseError(f"{sidecar}: no bundle sha256 ({_BUNDLE_KEY!r})")
+    for key, value, what in ((_DIGEST_KEY, digest, "checkpoint"),
+                             (_BUNDLE_KEY, bundle_digest, "bundle"),
+                             (_CONFIG_KEY, config_digest, "config")):
+        if type(value) is not str:
+            raise ParseError(f"{sidecar}: no {what} sha256 ({key!r})")
     config = TrainConfig(**values)
     config.validate()
+    if _config_sha256(values) != config_digest:
+        raise ParseError(f"{sidecar}: the config differs from the one the checkpoint was "
+                         f"saved with: its sha256 differs from its record")
     artifacts = load_bundle(bundle_dir)
     if artifacts.arrays_sha256 != bundle_digest:
         raise ParseError(f"{sidecar}: the checkpoint was trained on another bundle: the sha256 "
@@ -489,7 +514,12 @@ def load_model(bundle_dir: str, checkpoint_path: str) -> Model:
         raw = fh.read()
     if hashlib.sha256(raw).hexdigest() != digest:
         raise ParseError(f"{ckpt}: sha256 does not match its sidecar's; the checkpoint changed")
-    load_checkpoint(raw, model.store)
+    shapes = {_OUTPUT_NAMES[0]: (len(artifacts.vocab.entities), config.dim)}
+    if model.encodes_words:
+        shapes[_OUTPUT_NAMES[1]] = (artifacts.word_graph.n_nodes, config.dim)
+    stored = load_checkpoint(raw, model.store, shapes)
+    model.stored_outputs = tuple(ad.constant(stored[name]) if name in stored else None
+                                 for name in _OUTPUT_NAMES)
     return model
 
 
@@ -665,12 +695,14 @@ def recommend(bundle_dir, checkpoint_path, k) -> None:
     comma-separated; a part that is not itself an id or a name is split on
     whitespace so bare id lists work without commas. Each answer (k ranked
     lines, then a blank line) is written and flushed at once. The session
-    is forward-only: nothing records a tape.
+    is forward-only: nothing records a tape. It serves from the encoder
+    outputs the checkpoint stores, so no encoder runs and no graph operator is
+    built.
     """
     model = load_model(bundle_dir, checkpoint_path)
     entities = model.artifacts.vocab.entities
     item_ids = model.artifacts.item_ids
-    item_matrix, word_matrix = model.encoder_outputs()
+    item_matrix, word_matrix = model.stored_outputs
     item_rows = ad.lookup(item_matrix, item_ids)
     context: list[int] = []
     for raw in sys.stdin:

@@ -3,12 +3,12 @@ and the interaction graph, a typed graph over items and users."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse as sp
 
 from .corpus import (
     SENTIMENTS,
@@ -22,6 +22,9 @@ from .corpus import (
 )
 from .errors import ValidationError
 from .optim import atomic_write
+
+if TYPE_CHECKING:  # scipy is imported where an operator is built, never by a module import
+    from scipy import sparse as sp
 
 INTERACTION_RELATIONS = ("like", "dislike")
 
@@ -105,6 +108,8 @@ class TypedGraph:
         built once per (normalization, n_rows) and cached, so a training step
         builds no sparse matrix.
         """
+        from scipy import sparse as sp
+
         n, n_blocks = self.n_nodes, len(self.relations) + 1
         n_rows = n if n_rows is None else n_rows
         norm = (True, 1.0) if in_degree else (False, float(z))
@@ -138,6 +143,8 @@ def normalize_adjacency(n_nodes: int,
     Self-loops are forced onto every node; a self pair in the input
     collapses into the same single loop, and so does a repeated pair.
     """
+    from scipy import sparse as sp
+
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     loops = np.arange(n_nodes)
     dst, src = _messages(np.concatenate([pairs[:, 0], loops]),
@@ -153,20 +160,25 @@ class WordGraph:
     """Word graph restricted to words that appear in the edge file.
 
     ``pairs`` is a sorted (E, 2) intp array of the distinct undirected row
-    pairs (min row, max row), self pairs included; ``adjacency`` is their
-    normalized GCN operator and ``adjacency_t`` its transpose, a CSC over
-    the same arrays, built once. ``word_ids[row]`` is the vocabulary id behind
-    graph row ``row``; ``Model.word_row`` is the inverse intp table, -1 for
-    no row. ``Model.contexts`` counts such words in ``missing_words``.
+    pairs (min row, max row), self pairs included. ``word_ids[row]`` is the
+    vocabulary id behind graph row ``row``; ``Model.word_row`` is the inverse
+    intp table, -1 for no row. ``Model.contexts`` counts such words in
+    ``missing_words``.
     """
 
     pairs: np.ndarray
-    adjacency: sp.csr_matrix
     word_ids: list[int]
-    adjacency_t: sp.csc_matrix = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.adjacency_t = self.adjacency.T
+    @functools.cached_property
+    def adjacency(self) -> sp.csr_matrix:
+        """The pairs' normalized GCN operator, built on first use: a process that
+        reads no word-graph encoding builds no operator."""
+        return normalize_adjacency(self.n_nodes, self.pairs)
+
+    @functools.cached_property
+    def adjacency_t(self) -> sp.csc_matrix:
+        """The transpose of :attr:`adjacency`, a CSC over the same arrays."""
+        return self.adjacency.T
 
     @property
     def n_nodes(self) -> int:
@@ -248,11 +260,11 @@ def build_word_graph(word_pairs: np.ndarray | Iterable[tuple[int, int]]) -> Word
     n = len(ids)
     keys = np.unique(row_pairs.min(axis=1) * n + row_pairs.max(axis=1))
     pairs = np.stack(np.divmod(keys, n), axis=1)
-    return WordGraph(pairs=pairs, adjacency=normalize_adjacency(n, pairs), word_ids=ids.tolist())
+    return WordGraph(pairs=pairs, word_ids=ids.tolist())
 
 
 def load_word_graph(path: str | Path, words: WordVocab) -> WordGraph:
-    """Load undirected ``word<TAB>word`` edges and precompute the GCN operator."""
+    """Load undirected ``word<TAB>word`` edges."""
     linenos, (heads, tails), error = _tsv_rows(path, 2, "word graph")
     pairs = _lookup_rows(words._index, words.resolve, [heads, tails], linenos)
     if error:

@@ -18,7 +18,7 @@ from .autodiff import Tensor
 from .errors import ConfigurationError, MissingArtifactError, ParseError, StateError
 
 _MAGIC = b"CVRK"
-_VERSION = 2
+_VERSION = 3
 # entries per Adam block: the block's six arrays (768 KiB) stay in a core's L2 cache
 _ADAM_BLOCK = 16384
 
@@ -353,38 +353,46 @@ def read_arrays(raw: bytes, magic: bytes, version: int, what: str) -> dict[str, 
     return arrays
 
 
-def save_checkpoint(path: str | Path, store: ParamStore) -> str:
-    """Write every parameter, in store order; returns the sha256 of the bytes written."""
-    return save_arrays(path, _MAGIC, _VERSION, {name: t.values for name, t in store.items()})
+def save_checkpoint(path: str | Path, store: ParamStore,
+                    extra: dict[str, np.ndarray] | None = None) -> str:
+    """Write every parameter, in store order, then the ``extra`` arrays; returns
+    the sha256 of the bytes written."""
+    return save_arrays(path, _MAGIC, _VERSION,
+                       {**{name: t.values for name, t in store.items()}, **(extra or {})})
 
 
 def read_checkpoint(source: str | Path | bytes) -> dict[str, np.ndarray]:
-    """A checkpoint file's, or its bytes', parameters, each a read-only float64 view."""
+    """A checkpoint file's, or its bytes', arrays, each a read-only float64 view."""
     if not isinstance(source, bytes):
         with open_input(source, "checkpoint") as fh:
             source = fh.read()
     params = read_arrays(source, _MAGIC, _VERSION, "checkpoint")
     for name, arr in params.items():
         if arr.dtype.str != "<f8":
-            raise ParseError(f"checkpoint parameter {name!r} has dtype {arr.dtype.str}, not <f8")
+            raise ParseError(f"checkpoint array {name!r} has dtype {arr.dtype.str}, not <f8")
     return params
 
 
-def load_checkpoint(source: str | Path | bytes, store: ParamStore) -> None:
-    """Load a checkpoint's values into an existing store; names and shapes must match
-    exactly."""
+def load_checkpoint(source: str | Path | bytes, store: ParamStore,
+                    extra: dict[str, tuple[int, ...]] | None = None) -> dict[str, np.ndarray]:
+    """Load a checkpoint's values into an existing store and return copies of its
+    ``extra`` arrays, named with their shapes. The checkpoint holds exactly the
+    store's parameters and those arrays, each in its shape. A copy, not a view,
+    lets the checkpoint's bytes go."""
     params = read_checkpoint(source)
-    if set(params) != set(store.names()):
-        missing = sorted(set(store.names()) - set(params))
-        extra = sorted(set(params) - set(store.names()))
+    shapes = {**{name: t.values.shape for name, t in store.items()}, **(extra or {})}
+    if set(params) != set(shapes):
+        missing = sorted(set(shapes) - set(params))
+        unexpected = sorted(set(params) - set(shapes))
         raise ConfigurationError(
-            f"checkpoint does not match model: missing {missing}, unexpected {extra}"
+            f"checkpoint does not match model: missing {missing}, unexpected {unexpected}"
         )
     for name, arr in params.items():
-        t = store[name]
-        if arr.shape != t.values.shape:
+        if arr.shape != shapes[name]:
             raise ConfigurationError(
-                f"parameter {name!r}: checkpoint shape {arr.shape} != model shape {t.values.shape}"
+                f"array {name!r}: checkpoint shape {arr.shape} != model shape {shapes[name]}"
             )
-        t.values[...] = arr
+    for name, t in store.items():
+        t.values[...] = params[name]
     store.zero_grads()
+    return {name: params[name].copy() for name in extra or ()}

@@ -254,6 +254,9 @@ class Model:
         self.att_params: AttentionParams = init_attention_params(
             self.store, "att", d, rng, gate_mode=config.gate_mode,
         )
+        # what encoder_outputs() returned when the model was saved, as the
+        # checkpoint stores it; None for a model no checkpoint loaded
+        self.stored_outputs: tuple[Tensor, Tensor | None] | None = None
 
     def encoder_outputs(self, n_rows: int | None = None) -> tuple[Tensor, Tensor | None]:
         """One forward pass over each graph; shared by a whole batch.
@@ -272,9 +275,14 @@ class Model:
             n_rows=n_rows,
         )
         word_matrix = None
-        if self.gcn_params is not None and not cfg.without_cn:
+        if self.encodes_words:
             word_matrix = gcn_forward(self.artifacts.word_graph, self.gcn_params)
         return item_matrix, word_matrix
+
+    @property
+    def encodes_words(self) -> bool:
+        """Whether :meth:`encoder_outputs` returns a word matrix."""
+        return self.gcn_params is not None and not self.config.without_cn
 
     def contexts(self, examples: Examples) -> Contexts:
         """The examples' rows under this config; the only place an example becomes rows.

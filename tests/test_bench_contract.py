@@ -100,6 +100,23 @@ def test_bench_calls_load_save_and_reload_a_model(tmp_path):
         np.testing.assert_array_equal(loaded.store[name].values, t.values)
 
 
+def test_a_recommend_session_checkpoint_stores_a_fresh_encoder_pass(tmp_path):
+    # the seed-201 recommend-session inputs: the catalog KG, 2,404 entities, dim 64
+    workload = workloads.WORKLOADS["recommend-session"]
+    inputs = workloads.generate(workload, 201, tmp_path / "raw")
+    bundle = tmp_path / "bundle"
+    train_worker.ingest(cli, {key: str(path) for key, path in inputs.paths.items()}, bundle)
+    model = Model(cli.load_bundle(bundle), TrainConfig(**workload.config, seed=201))
+    ckpt = tmp_path / "run" / "model.ckpt"
+    ckpt.parent.mkdir()
+    cli.save_model_checkpoint(model, None, ckpt)
+    loaded = cli.load_model(str(bundle), str(ckpt))
+    items, words = loaded.stored_outputs
+    assert items.shape == (inputs.sizes["kg_nodes"], 64) and words is not None
+    for stored, fresh in zip(loaded.stored_outputs, loaded.encoder_outputs()):
+        assert stored.values.tobytes() == fresh.values.tobytes()
+
+
 def test_bench_labels_one_kg_and_one_ig_rgcn_call_per_encoder_pass(monkeypatch):
     # the per-layer metrics encoders.rgcn_forward.kg and .ig split one encoder
     # pass's R-GCN calls by the bench's own label

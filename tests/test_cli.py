@@ -2,8 +2,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +500,146 @@ def test_eval_version_1_checkpoint_exits_2(runner, toy_bundle, toy_checkpoint, t
     assert result.stderr == "error: unsupported checkpoint version 1\n"
 
 
+def checkpoint_arrays(ckpt: Path) -> dict[str, np.ndarray]:
+    """Copies of every array a checkpoint holds, parameters and stored outputs."""
+    return {name: a.copy() for name, a in convrec.optim.read_checkpoint(ckpt).items()}
+
+
+@pytest.mark.parametrize("command", ["eval", "recommend"])
+def test_a_version_2_checkpoint_exits_2(runner, toy_bundle, toy_checkpoint, tmp_path, command):
+    # the parameters alone, in the version-2 layout: refused by its version, not converted
+    ckpt = tmp_path / "model.ckpt"
+    params = {name: a for name, a in checkpoint_arrays(toy_checkpoint).items()
+              if name not in cli._OUTPUT_NAMES}
+    convrec.optim.save_arrays(ckpt, b"CVRK", 2, params)
+    shutil.copy(toy_checkpoint.with_name("model.ckpt.config.json"), tmp_path)
+    redigest(ckpt)  # the digest matches: the reader itself refuses the version
+    result = runner.invoke(cli.main, [command, "--bundle", str(toy_bundle),
+                                      "--checkpoint", str(ckpt)], input="I0\n")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: unsupported checkpoint version 2\n"
+
+
+def drop(name):
+    def edit(arrays):
+        del arrays[name]
+    return edit
+
+
+def put(name, value):
+    def edit(arrays):
+        arrays[name] = value(arrays)
+    return edit
+
+
+# each edit gives the stored encoder outputs another name, dtype or shape
+OUTPUT_EDITS = {
+    "no item matrix": (drop("outputs.items"), "missing ['outputs.items']"),
+    "no word matrix": (drop("outputs.words"), "missing ['outputs.words']"),
+    "another array": (put("outputs.users", lambda a: np.zeros((2, 8))),
+                      "unexpected ['outputs.users']"),
+    "item rows short": (put("outputs.items", lambda a: a["outputs.items"][:-1]),
+                        "array 'outputs.items': checkpoint shape"),
+    "items flat": (put("outputs.items", lambda a: a["outputs.items"].reshape(-1)),
+                   "array 'outputs.items': checkpoint shape"),
+    "word rows long": (put("outputs.words", lambda a: np.concatenate(
+        [a["outputs.words"], a["outputs.words"]])), "array 'outputs.words': checkpoint shape"),
+    "word width": (put("outputs.words", lambda a: a["outputs.words"][:, :4]),
+                   "array 'outputs.words': checkpoint shape"),
+    "items as <i8": (put("outputs.items", lambda a: a["outputs.items"].astype("<i8")),
+                     "array 'outputs.items' has dtype <i8, not <f8"),
+}
+
+
+@pytest.mark.parametrize("edit", list(OUTPUT_EDITS))
+def test_stored_outputs_of_another_name_dtype_or_shape_exit_2(runner, toy_bundle, toy_checkpoint,
+                                                              tmp_path, edit):
+    ckpt = tmp_path / "model.ckpt"
+    arrays = checkpoint_arrays(toy_checkpoint)
+    change, message = OUTPUT_EDITS[edit]
+    change(arrays)
+    convrec.optim.save_arrays(ckpt, b"CVRK", 3, arrays)
+    shutil.copy(toy_checkpoint.with_name("model.ckpt.config.json"), tmp_path)
+    redigest(ckpt)
+    result = runner.invoke(cli.main, ["recommend", "--bundle", str(toy_bundle),
+                                      "--checkpoint", str(ckpt)], input="I0\n")
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and message in result.stderr
+
+
+def test_a_model_without_a_word_encoder_stores_no_word_matrix(runner, toy_bundle, tmp_path):
+    result = run(runner, ["train", "--bundle", str(toy_bundle), "--out", str(tmp_path),
+                          "--without", "cn"] + TRAIN_FLAGS)
+    assert result.exit_code == 0, result.output
+    ckpt = tmp_path / "model.ckpt"
+    assert "outputs.words" not in convrec.optim.read_checkpoint(ckpt)
+    items, words = cli.load_model(str(toy_bundle), str(ckpt)).stored_outputs
+    assert words is None and items.shape == (len(cli.load_bundle(toy_bundle).vocab.entities), 8)
+    result = run(runner, ["recommend", "--bundle", str(toy_bundle), "--checkpoint", str(ckpt)],
+                 input="I0\n")
+    assert result.exit_code == 0, result.output
+
+
+# every TrainConfig field, with the values it may validly take
+CONFIG_VALUES = {
+    **dict.fromkeys(("dim", "layers", "batch_size", "top_n"), st.integers(1, 4096)),
+    "epochs": st.integers(0, 4096),
+    "seed": st.integers(0, 2**63),
+    "lr": st.floats(0, 1e6),
+    **dict.fromkeys(("clip", "z"), st.floats(1e-9, 1e6)),
+    **dict.fromkeys(("without_ig", "without_rt", "without_db", "without_cn",
+                     "candidate_masking"), st.booleans()),
+    "gate_mode": st.sampled_from(["elementwise", "scalar"]),
+    "normalization": st.sampled_from(["constant", "in_degree"]),
+}
+
+
+def test_config_values_cover_every_config_field():
+    assert set(CONFIG_VALUES) == {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+@pytest.mark.parametrize("key", list(CONFIG_VALUES))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_edit_of_a_sidecar_config_value_exits_2(runner, scratch_run, key, data):
+    # once, such edits loaded as another model: a top_n, z, without_ig,
+    # without_rt or candidate_masking edit evaluated to another report
+    bundle, ckpt = scratch_run
+    sidecar = cli._config_sidecar(ckpt)
+    before = sidecar.read_bytes()
+    values = json.loads(before)
+    value = data.draw(CONFIG_VALUES[key].filter(lambda v: v != values[key]))
+    values[key] = value
+    edited = {k: v for k, v in values.items() if k in CONFIG_VALUES}
+    TrainConfig(**edited).validate()  # a valid config, only not the saved one
+    sidecar.write_text(json.dumps(values), "utf-8")
+    try:
+        result = runner.invoke(cli.main, ["eval", "--bundle", str(bundle),
+                                          "--checkpoint", str(ckpt), "--split", "train"])
+    finally:
+        sidecar.write_bytes(before)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (f"error: {sidecar}: the config differs from the one the checkpoint "
+                             f"was saved with: its sha256 differs from its record\n")
+
+
+def test_a_sidecar_without_a_config_value_exits_2(runner, toy_bundle, toy_checkpoint, tmp_path):
+    # a dropped key would load its default: the record refuses that too
+    ckpt = tmp_path / "model.ckpt"
+    shutil.copy(toy_checkpoint, ckpt)
+    values = json.loads(toy_checkpoint.with_name("model.ckpt.config.json").read_text("utf-8"))
+    for key in ("top_n", "config_sha256"):
+        changed = {k: v for k, v in values.items() if k != key}
+        (tmp_path / "model.ckpt.config.json").write_text(json.dumps(changed), "utf-8")
+        result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle),
+                                          "--checkpoint", str(ckpt), "--split", "train"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and (
+            "config differs" if key == "top_n" else "no config sha256") in result.stderr
+
+
 def test_train_refuses_a_z_that_is_not_finite(runner, toy_bundle, tmp_path):
     for z in ("nan", "inf"):
         result = run(runner, ["train", "--bundle", str(toy_bundle), "--out", str(tmp_path),
@@ -877,6 +1020,47 @@ def test_recommend_session_records_no_tape_and_prints_the_recording_route(
     assert result.stdout == expected
 
 
+def test_stored_outputs_are_a_fresh_encoder_pass(toy_bundle, toy_checkpoint):
+    # the bytes an encoder pass over the loaded parameters computes, as copies of their own
+    model = cli.load_model(str(toy_bundle), str(toy_checkpoint))
+    assert model.stored_outputs[1] is not None
+    for stored, fresh in zip(model.stored_outputs, model.encoder_outputs(), strict=True):
+        assert stored.values.dtype == fresh.values.dtype == np.float64
+        assert stored.shape == fresh.shape
+        assert stored.values.tobytes() == fresh.values.tobytes()
+        assert stored.values.base is None and not stored.requires_grad
+
+
+def test_recommend_runs_no_encoder(runner, toy_bundle, toy_checkpoint, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an encoder ran")
+
+    monkeypatch.setattr(Model, "encoder_outputs", refuse)
+    monkeypatch.setattr(convrec.graphs.TypedGraph, "layer_operator", refuse)
+    monkeypatch.setattr(convrec.graphs, "normalize_adjacency", refuse)
+    result = run(runner, ["recommend", "--bundle", str(toy_bundle),
+                          "--checkpoint", str(toy_checkpoint)], input="I0 I3\nI1\n")
+    assert result.exit_code == 0, result.output
+    assert result.stdout.count("\n\n") == 2
+
+
+def test_a_recommend_process_imports_no_scipy(runner, toy_bundle, toy_checkpoint):
+    probe = ("import runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('convrec.cli', run_name='__main__')\n"
+             "finally:\n"
+             "    sys.stderr.write('modules=' + ','.join(sorted(m for m in sys.modules\n"
+             "                                               if m.split('.')[0] == 'scipy')))\n")
+    args = ["recommend", "--bundle", str(toy_bundle), "--checkpoint", str(toy_checkpoint)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe, *args], input="I0 I3\nI1\n", env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "modules="
+    assert proc.stdout == run(runner, args, input="I0 I3\nI1\n").stdout
+
+
 def test_recommend_warns_on_unknown_entity(runner, toy_bundle, toy_checkpoint):
     result = run(runner, ["recommend", "--bundle", str(toy_bundle),
                           "--checkpoint", str(toy_checkpoint), "--k", "2"],
@@ -994,6 +1178,30 @@ def test_a_mutated_text_file_loads_or_raises_a_convrec_error(scratch_run, name, 
         pass
     finally:
         path.write_bytes(raw)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_mutated_checkpoint_under_its_own_digest_loads_or_raises_a_convrec_error(scratch_run,
+                                                                                  data):
+    # header and arrays alike, the stored outputs among them; the sidecar's
+    # digest follows the bytes, so only the checkpoint's own checks refuse them
+    bundle, ckpt = scratch_run
+    sidecar = cli._config_sidecar(ckpt)
+    raw, before = ckpt.read_bytes(), sidecar.read_bytes()
+    ckpt.write_bytes(data.draw(mutations(raw)))
+    redigest(ckpt)
+    try:
+        model = cli.load_model(str(bundle), str(ckpt))
+        items, words = model.stored_outputs
+        assert items.shape == (len(model.artifacts.vocab.entities), 8)
+        assert words.shape == (model.artifacts.word_graph.n_nodes, 8)
+        ad.lookup(items, model.artifacts.item_ids)
+    except ConvRecError:
+        pass
+    finally:
+        ckpt.write_bytes(raw)
+        sidecar.write_bytes(before)
 
 
 def with_digest(bundle, raw):

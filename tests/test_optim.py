@@ -406,7 +406,7 @@ def test_checkpoint_loads_exactly_its_own_length(tmp_path):
             read_checkpoint(path)
 
 
-CKPT_MAGIC, CKPT_VERSION = b"CVRK", 2
+CKPT_MAGIC, CKPT_VERSION = b"CVRK", 3
 
 
 @pytest.mark.parametrize("shape", [
@@ -415,7 +415,7 @@ CKPT_MAGIC, CKPT_VERSION = b"CVRK", 2
     (5,),             # 40 bytes, 1 left
 ], ids=["wraps", "huge", "short"])
 def test_read_checkpoint_bounds_shape_by_file_size(tmp_path, shape):
-    raw = container_reference(CKPT_MAGIC, {"a": ("<f8", shape)}, b"\x00")
+    raw = container_reference(CKPT_MAGIC, {"a": ("<f8", shape)}, b"\x00", CKPT_VERSION)
     assert len(raw) < 128
     path = tmp_path / "bad.ckpt"
     path.write_bytes(raw)
@@ -426,7 +426,8 @@ def test_read_checkpoint_bounds_shape_by_file_size(tmp_path, shape):
 def test_read_checkpoint_refuses_a_rank_numpy_cannot_hold(tmp_path):
     # 70 dimensions whose product, 0, the data holds: a zero, then ones
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(container_reference(CKPT_MAGIC, {"a": ("<f8", (0,) + (1,) * 69)}, b""))
+    path.write_bytes(container_reference(CKPT_MAGIC, {"a": ("<f8", (0,) + (1,) * 69)}, b"",
+                                         CKPT_VERSION))
     with pytest.raises(ParseError, match="maximum supported dimension"):
         read_checkpoint(path)
 
@@ -434,7 +435,15 @@ def test_read_checkpoint_refuses_a_rank_numpy_cannot_hold(tmp_path):
 def test_read_checkpoint_refuses_a_parameter_that_is_not_float64(tmp_path):
     path = tmp_path / "bad.ckpt"
     save_arrays(path, CKPT_MAGIC, CKPT_VERSION, {"a": np.zeros(2), "n": np.arange(3)})
-    with pytest.raises(ParseError, match="^checkpoint parameter 'n' has dtype <i8, not <f8$"):
+    with pytest.raises(ParseError, match="^checkpoint array 'n' has dtype <i8, not <f8$"):
+        read_checkpoint(path)
+
+
+def test_read_checkpoint_refuses_a_version_2_checkpoint(tmp_path):
+    # the parameters-only layout of version 2: refused by its version, not converted
+    path = tmp_path / "model.ckpt"
+    save_arrays(path, CKPT_MAGIC, 2, {"a": np.zeros(2)})
+    with pytest.raises(ParseError, match="^unsupported checkpoint version 2$"):
         read_checkpoint(path)
 
 
@@ -552,15 +561,18 @@ def ckpt_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def toy_checkpoint_bytes(ckpt_dir, toy_artifacts):
-    """The checkpoint of a toy model (3,673 bytes)."""
+    """The checkpoint of a toy model with its stored encoder outputs (5,240 bytes)."""
     path = ckpt_dir / "toy.ckpt"
-    save_checkpoint(path, Model(toy_artifacts, TrainConfig(dim=4, seed=0)).store)
+    model = Model(toy_artifacts, TrainConfig(dim=4, seed=0))
+    items, words = model.encoder_outputs()
+    save_checkpoint(path, model.store, {"outputs.items": items.values,
+                                        "outputs.words": words.values})
     return path.read_bytes()
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.data())
-def test_mutated_checkpoint_bytes_load_exactly_or_raise_parse_error(ckpt_dir,
+def test_mutated_checkpoint_bytes_load_exactly_or_raise_parse_error(ckpt_dir, toy_artifacts,
                                                                     toy_checkpoint_bytes, data):
     path, again = ckpt_dir / "mutated.ckpt", ckpt_dir / "again.ckpt"
     raw = data.draw(mutations(toy_checkpoint_bytes))
@@ -569,12 +581,23 @@ def test_mutated_checkpoint_bytes_load_exactly_or_raise_parse_error(ckpt_dir,
         params = read_checkpoint(path)
     except ParseError:
         return
-    # what loads is what the bytes say: a store of it saves the same bytes back
+    # what loads is what the bytes say: a store of it saves the same bytes back,
+    # the stored outputs, the trailing arrays, included
     store = ParamStore()
     for name, values in params.items():
         store.add(name, values)
     save_checkpoint(again, store)
     assert again.read_bytes() == raw
+    # and loading checks the outputs' names and shapes as exactly as the parameters'
+    model = Model(toy_artifacts, TrainConfig(dim=4, seed=0))
+    shapes = {"outputs.items": (len(toy_artifacts.vocab.entities), 4),
+              "outputs.words": (toy_artifacts.word_graph.n_nodes, 4)}
+    try:
+        outputs = load_checkpoint(raw, model.store, shapes)
+    except ConfigurationError:
+        return
+    assert {name: a.shape for name, a in outputs.items()} == shapes
+    assert all(a.base is None for a in outputs.values())  # copies: raw can go
 
 
 def test_load_checkpoint_name_mismatch(tmp_path):

@@ -71,6 +71,14 @@ def test_importing_the_cli_does_not_load_the_generators():
     assert "convrec.cli" in loaded and "convrec.synthetic" not in loaded
 
 
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported where a graph operator is built, which a served turn never does
+    loaded = modules_after("import convrec.cli")
+    assert "convrec.graphs" in loaded and "convrec.autodiff" in loaded
+    scipy = [m for m in loaded if m.split(".")[0] == "scipy"]
+    assert not scipy, f"import convrec.cli loads {len(scipy)} scipy modules"
+
+
 def test_only_optim_packs_binary_fields():
     # every binary file goes through optim's one container reader and writer
     importers = []
