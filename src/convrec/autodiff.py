@@ -422,6 +422,16 @@ def softmax(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` of integer keys from one sort and an adjacent-difference
+    mask, without np.unique's hash table and its import of ``numpy.ma``."""
+    keys = np.sort(keys, axis=None)
+    new = np.empty(keys.size, bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
+
+
 class Segments:
     """B groups of ints laid out CSR-style: group b is ``rows[offsets[b]:offsets[b + 1]]``.
 
@@ -619,7 +629,7 @@ def cross_entropy(logits: Tensor, labels: Segments) -> tuple[Tensor, np.ndarray]
     def bw(g: np.ndarray) -> None:
         d = p.copy()
         cells = row_idx * z.shape[1] + col_idx
-        if np.unique(cells).size == cells.size:  # no (row, label) repeats: a buffered subtract
+        if sorted_distinct(cells).size == cells.size:  # no (row, label) repeat: buffered subtract
             d[row_idx, col_idx] -= 1.0 / sizes[row_idx]  # is exact, as x - w == x + (-w)
         else:
             np.add.at(d, (row_idx, col_idx), -1.0 / sizes[row_idx])

@@ -478,10 +478,11 @@ def load_model(bundle_dir: str, checkpoint_path: str) -> Model:
     """The model a checkpoint and its sidecar describe, over the bundle's artifacts.
 
     The sidecar's config values must be those its config sha256 records, and
-    the bundle's container the one it records, else ParseError. The
-    checkpoint is read once, after the model is built: its bytes are hashed
-    against the sidecar's digest, then parsed into the store and into
-    ``Model.stored_outputs``, whose names and shapes are checked too.
+    the bundle's container the one it records, else ParseError. The model
+    draws nothing. The checkpoint is read once: its bytes are hashed against
+    the sidecar's digest, then its names and shapes are checked, and its
+    arrays become the parameters and ``Model.stored_outputs``, as read-only
+    views of that read.
     """
     ckpt = Path(checkpoint_path)
     sidecar = _config_sidecar(ckpt)
@@ -509,7 +510,7 @@ def load_model(bundle_dir: str, checkpoint_path: str) -> Model:
     if artifacts.arrays_sha256 != bundle_digest:
         raise ParseError(f"{sidecar}: the checkpoint was trained on another bundle: the sha256 "
                          f"of {Path(bundle_dir) / _BUNDLE_FILES['arrays']} differs from its record")
-    model = Model(artifacts, config)
+    model = Model(artifacts, config, draw=False)
     with open_input(ckpt, "checkpoint") as fh:
         raw = fh.read()
     if hashlib.sha256(raw).hexdigest() != digest:

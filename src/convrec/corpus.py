@@ -26,7 +26,7 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Segments
+from .autodiff import Segments, sorted_distinct
 from .errors import ParseError, ValidationError
 from .optim import atomic_write, open_input
 
@@ -577,7 +577,7 @@ def training_mentions(corpus: Corpus) -> tuple[np.ndarray, Segments, np.ndarray]
 
 def corpus_stats(corpus: Corpus, entities: EntityVocab) -> dict[str, int]:
     """Headline corpus counts: users, conversations, utterances, distinct items mentioned."""
-    mentioned = np.unique(corpus.mentions.rows)
+    mentioned = sorted_distinct(corpus.mentions.rows)
     return {
         "users": len(set(corpus.user_ids)),
         "conversations": len(corpus),

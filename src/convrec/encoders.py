@@ -28,6 +28,15 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], dim: int) -> 
     return rng.uniform(-bound, bound, size=shape)
 
 
+def new_param(store: ParamStore, name: str, shape: tuple[int, ...], dim: int,
+              rng: np.random.Generator | None) -> Tensor:
+    """Parameter ``name`` of ``store``, drawn by :func:`uniform_init` from ``rng``.
+    With no ``rng`` nothing is drawn: it is a read-only zero that holds no
+    buffer, which :func:`convrec.optim.load_checkpoint` replaces."""
+    return store.add(name, np.broadcast_to(0.0, shape) if rng is None
+                     else uniform_init(rng, shape, dim))
+
+
 @dataclass
 class RgcnParams:
     """Embedding table plus per-layer relation and self transforms."""
@@ -51,7 +60,7 @@ def init_rgcn_params(
     n_nodes: int,
     relations: tuple[str, ...],
     dim: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     *,
     layers: int = 2,
     z: float = 1.0,
@@ -63,16 +72,16 @@ def init_rgcn_params(
         raise ConfigurationError(f"an encoder needs at least one layer, got {layers}")
     if normalization == NORM_CONSTANT and z <= 0:
         raise ConfigurationError(f"normalization constant must be positive, got {z}")
-    embedding = store.add(f"{prefix}.emb", uniform_init(rng, (n_nodes, dim), dim))
+    embedding = new_param(store, f"{prefix}.emb", (n_nodes, dim), dim, rng)
     rel_weights: list[dict[str, Tensor]] = []
     self_weights: list[Tensor] = []
     for layer in range(layers):
         per_rel = {
-            rel: store.add(f"{prefix}.l{layer}.rel.{rel}", uniform_init(rng, (dim, dim), dim))
+            rel: new_param(store, f"{prefix}.l{layer}.rel.{rel}", (dim, dim), dim, rng)
             for rel in relations
         }
         rel_weights.append(per_rel)
-        self_weights.append(store.add(f"{prefix}.l{layer}.self", uniform_init(rng, (dim, dim), dim)))
+        self_weights.append(new_param(store, f"{prefix}.l{layer}.self", (dim, dim), dim, rng))
     return RgcnParams(dim=dim, relations=tuple(relations), embedding=embedding,
                       rel_weights=rel_weights, self_weights=self_weights,
                       z=z, normalization=normalization)
@@ -128,13 +137,13 @@ def init_gcn_params(
     prefix: str,
     n_nodes: int,
     dim: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     *,
     layers: int = 2,
 ) -> GcnParams:
-    embedding = store.add(f"{prefix}.emb", uniform_init(rng, (n_nodes, dim), dim))
+    embedding = new_param(store, f"{prefix}.emb", (n_nodes, dim), dim, rng)
     weights = [
-        store.add(f"{prefix}.l{layer}.w", uniform_init(rng, (dim, dim), dim))
+        new_param(store, f"{prefix}.l{layer}.w", (dim, dim), dim, rng)
         for layer in range(layers)
     ]
     return GcnParams(dim=dim, embedding=embedding, weights=weights)

@@ -10,6 +10,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .autodiff import sorted_distinct
 from .corpus import (
     SENTIMENTS,
     Corpus,
@@ -43,22 +44,22 @@ def _distinct_rows(arr: np.ndarray, n_rel: int, n_tail: int) -> np.ndarray:
     """The sorted distinct rows of an (E, 3) array of in-range (head, rel, tail) rows.
 
     Rows in range map one-to-one, in the same order, onto the 1-D key
-    (head * n_rel + rel) * n_tail + tail, so one np.unique of the keys sorts
-    and de-duplicates them.
+    (head * n_rel + rel) * n_tail + tail, so one sorted_distinct of the keys
+    sorts and de-duplicates them.
     """
-    rest, tails = np.divmod(np.unique((arr[:, 0] * n_rel + arr[:, 1]) * n_tail + arr[:, 2]),
-                            n_tail)
+    keys = (arr[:, 0] * n_rel + arr[:, 1]) * n_tail + arr[:, 2]
+    rest, tails = np.divmod(sorted_distinct(keys), n_tail)
     return np.stack([*np.divmod(rest, n_rel), tails], axis=1)
 
 
 def _messages(heads: np.ndarray, tails: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct (dst, src) messages of undirected pairs over ``n`` nodes.
 
-    Both directions of every pair become one key dst * n + src; np.unique
+    Both directions of every pair become one key dst * n + src; sorted_distinct
     sorts by destination, then source, and keeps each message once, so a
     self-loop or a pair given both ways is one message.
     """
-    return np.divmod(np.unique(np.concatenate([heads * n + tails, tails * n + heads])), n)
+    return np.divmod(sorted_distinct(np.concatenate([heads * n + tails, tails * n + heads])), n)
 
 
 class TypedGraph:
@@ -97,7 +98,7 @@ class TypedGraph:
         """The layer operator of nodes [0, n_rows) (default: all) and its transpose.
 
         The full operator is one ((R + 1) n, n) CSR, built from the edges by
-        one np.unique of the keys row * n + column. Row ``i * (R + 1) + r``
+        one sorted_distinct of the keys row * n + column. Row ``i * (R + 1) + r``
         holds a 1 / z entry, or with ``in_degree`` a 1 / (row count) one, in
         column j for each distinct relation-r neighbor j of i: a self-loop or
         a pair given both ways is one entry. Row ``i * (R + 1) + R`` is node
@@ -119,7 +120,7 @@ class TypedGraph:
                 heads, rels, tails = self.edges.T
                 nodes = np.arange(n)
                 # each edge's message both ways, then each node's identity entry
-                rows, cols = np.divmod(np.unique(np.concatenate([
+                rows, cols = np.divmod(sorted_distinct(np.concatenate([
                     (heads * n_blocks + rels) * n + tails, (tails * n_blocks + rels) * n + heads,
                     (nodes * n_blocks + n_blocks - 1) * n + nodes])), n)
                 counts = np.bincount(rows, minlength=n_blocks * n)
@@ -258,7 +259,7 @@ def build_word_graph(word_pairs: np.ndarray | Iterable[tuple[int, int]]) -> Word
     ids, row_of = np.unique(id_pairs, return_inverse=True)
     row_pairs = row_of.reshape(-1, 2)
     n = len(ids)
-    keys = np.unique(row_pairs.min(axis=1) * n + row_pairs.max(axis=1))
+    keys = sorted_distinct(row_pairs.min(axis=1) * n + row_pairs.max(axis=1))
     pairs = np.stack(np.divmod(keys, n), axis=1)
     return WordGraph(pairs=pairs, word_ids=ids.tolist())
 

@@ -35,8 +35,7 @@ class ParamStore:
     :meth:`pack`, which :meth:`AdamState.for_store` calls when training
     starts, moves every parameter's values into one flat float64 arena;
     each ``values`` is then a view of its slice, so writes into a
-    parameter (a checkpoint load, say) land in the arena, and no parameter
-    can be added.
+    parameter land in the arena, and no parameter can be added.
 
     Iteration order is insertion order everywhere (updates, checkpoints,
     gradient norms, the arena's layout), which keeps every downstream
@@ -307,7 +306,8 @@ def save_arrays(path: str | Path, magic: bytes, version: int,
 
 
 def read_arrays(raw: bytes, magic: bytes, version: int, what: str) -> dict[str, np.ndarray]:
-    """The arrays of container bytes ``raw``, in order, each a read-only view of ``raw``.
+    """The arrays of container bytes ``raw``, in order, each a read-only view of
+    one byte array over ``raw``, their common ``base``.
 
     Bytes that :func:`save_arrays` would not write for the arrays they hold
     raise ParseError, so what loads saves back to ``raw``. No array is made
@@ -330,6 +330,7 @@ def read_arrays(raw: bytes, magic: bytes, version: int, what: str) -> dict[str, 
     if not isinstance(header, dict):
         raise ParseError(f"{what} header is not a JSON object")
     arrays, end, left = {}, 0, len(raw) - start
+    data = np.frombuffer(raw, np.uint8)
     for name, entry in header.items():
         if not (isinstance(entry, dict) and entry.get("dtype") in _DTYPES
                 and type(shape := entry.get("shape")) is list
@@ -341,7 +342,8 @@ def read_arrays(raw: bytes, magic: bytes, version: int, what: str) -> dict[str, 
             raise ParseError(f"{what} truncated: header claims shape {tuple(shape)} "
                              f"({dtype.itemsize * count} bytes) but {left - end} bytes remain")
         try:
-            arrays[name] = np.frombuffer(raw, dtype, count, start + end).reshape(shape)
+            at = start + end
+            arrays[name] = data[at:at + dtype.itemsize * count].view(dtype).reshape(shape)
         except ValueError as err:  # a rank above numpy's limit
             raise ParseError(f"{what} array {name!r} of shape {tuple(shape)}: {err}") from None
         end += dtype.itemsize * count
@@ -375,10 +377,13 @@ def read_checkpoint(source: str | Path | bytes) -> dict[str, np.ndarray]:
 
 def load_checkpoint(source: str | Path | bytes, store: ParamStore,
                     extra: dict[str, tuple[int, ...]] | None = None) -> dict[str, np.ndarray]:
-    """Load a checkpoint's values into an existing store and return copies of its
+    """Make each parameter of an unpacked store its checkpoint array and return the
     ``extra`` arrays, named with their shapes. The checkpoint holds exactly the
-    store's parameters and those arrays, each in its shape. A copy, not a view,
-    lets the checkpoint's bytes go."""
+    store's parameters and those arrays, each in its shape, else
+    ConfigurationError before any parameter changes. Nothing is copied: each
+    array is a read-only view of the checkpoint's one read (:func:`read_arrays`)."""
+    if store.arena is not None:
+        raise StateError("cannot load a checkpoint into a packed store")
     params = read_checkpoint(source)
     shapes = {**{name: t.values.shape for name, t in store.items()}, **(extra or {})}
     if set(params) != set(shapes):
@@ -393,6 +398,6 @@ def load_checkpoint(source: str | Path | bytes, store: ParamStore,
                 f"array {name!r}: checkpoint shape {arr.shape} != model shape {shapes[name]}"
             )
     for name, t in store.items():
-        t.values[...] = params[name]
+        t.values = params[name]
     store.zero_grads()
-    return {name: params[name].copy() for name in extra or ()}
+    return {name: params[name] for name in extra or ()}

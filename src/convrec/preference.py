@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoders import uniform_init
+from .encoders import new_param
 from .errors import ShapeError
 from .optim import ParamStore
 
@@ -51,7 +51,7 @@ def init_attention_params(
     store: ParamStore,
     prefix: str,
     dim: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     *,
     gate_mode: str = GATE_ELEMENTWISE,
 ) -> AttentionParams:
@@ -60,11 +60,11 @@ def init_attention_params(
     gate_rows = dim if gate_mode == GATE_ELEMENTWISE else 1
     return AttentionParams(
         dim=dim,
-        w_entity=store.add(f"{prefix}.ent.w", uniform_init(rng, (dim, dim), dim)),
-        b_entity=store.add(f"{prefix}.ent.b", uniform_init(rng, (dim,), dim)),
-        w_word=store.add(f"{prefix}.word.w", uniform_init(rng, (dim, dim), dim)),
-        b_word=store.add(f"{prefix}.word.b", uniform_init(rng, (dim,), dim)),
-        w_gate=store.add(f"{prefix}.gate.w", uniform_init(rng, (gate_rows, 2 * dim), 2 * dim)),
+        w_entity=new_param(store, f"{prefix}.ent.w", (dim, dim), dim, rng),
+        b_entity=new_param(store, f"{prefix}.ent.b", (dim,), dim, rng),
+        w_word=new_param(store, f"{prefix}.word.w", (dim, dim), dim, rng),
+        b_word=new_param(store, f"{prefix}.word.b", (dim,), dim, rng),
+        w_gate=new_param(store, f"{prefix}.gate.w", (gate_rows, 2 * dim), 2 * dim, rng),
         gate_mode=gate_mode,
     )
 

@@ -215,14 +215,20 @@ class Model:
     All groups are created whenever their structure exists, independent of
     ablation flags; flags only gate the forward pass. With a fixed seed every
     ablation variant therefore starts from identical shared weights.
+
+    ``rng``, by default ``default_rng(config.seed)``, draws every parameter.
+    With ``draw`` false no generator is made, and every parameter is a
+    read-only zero for :func:`convrec.optim.load_checkpoint` to replace.
     """
 
     def __init__(self, artifacts: Artifacts, config: TrainConfig,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, *, draw: bool = True):
         config.validate()
         if not len(artifacts.item_ids):
             raise ConfigurationError("entity vocabulary contains no items")
-        if rng is None:
+        if not draw:
+            rng = None
+        elif rng is None:
             rng = np.random.default_rng(config.seed)
         self.artifacts = artifacts
         self.config = config
@@ -435,7 +441,7 @@ def evaluate(model: Model, examples: Examples,
     if not len(examples):
         raise ValidationError("cannot evaluate an empty example set")
     if split_label is None:
-        splits = np.unique(examples.splits)
+        splits = ad.sorted_distinct(examples.splits)
         split_label = SPLITS[splits[0]].value if len(splits) == 1 else "mixed"
     return evaluate_contexts(model, model.contexts(examples), ks, split_label)
 

@@ -444,6 +444,23 @@ def test_segments_take_and_lookup_match_per_group_lists(case):
     assert_field(ad.Segments.none(len(groups)), [[]] * len(groups))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(np.iinfo(np.intp).min, np.iinfo(np.intp).max), max_size=60)
+       | st.lists(st.integers(-3, 3), max_size=60))
+@example([])
+@example([7])
+@example([-5] * 9)
+@example([np.iinfo(np.intp).max, np.iinfo(np.intp).min, 0, np.iinfo(np.intp).max])
+def test_sorted_distinct_is_np_unique(keys):
+    keys = np.asarray(keys, dtype=np.intp)
+    got, want = ad.sorted_distinct(keys), np.unique(keys)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # a matrix of keys is flattened, as np.unique flattens it
+    square = keys[:len(keys) // 2 * 2].reshape(2, -1)
+    assert ad.sorted_distinct(square).tobytes() == np.unique(square).tobytes()
+
+
 @pytest.mark.parametrize("bad", [-1, -2, 3])
 def test_segments_take_refuses_ids_outside_the_groups(bad):
     field = ad.Segments.of([[1], [2, 2], [3, 3, 3]])

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convrec.corpus
+import convrec.encoders
 import convrec.graphs
 import convrec.optim
 import convrec.recommender
@@ -405,10 +407,10 @@ def test_eval_nan_checkpoint_exits_4(runner, tmp_path):
     bundle = tmp_path / "bundle"
     assert run(runner, ingest_args(paths, bundle)).exit_code == 0
     out = tmp_path / "run"
-    result = run(runner, ["train", "--bundle", str(bundle), "--out", str(out),
-                          "--dim", "8", "--epochs", "0", "--seed", "0"])
-    assert result.exit_code == 0, result.output
-    model = cli.load_model(str(bundle), str(out / "model.ckpt"))
+    out.mkdir()
+    # a loaded model's parameters are read-only views of its checkpoint: the NaN
+    # weights go into a model drawn over the bundle, which is then saved
+    model = Model(cli.load_bundle(bundle), TrainConfig(dim=8, epochs=0, seed=0))
     model.store["kg.emb"].values[...] = float("nan")
     cli.save_model_checkpoint(model, None, out / "model.ckpt")
     report_path = tmp_path / "report.txt"
@@ -1021,14 +1023,17 @@ def test_recommend_session_records_no_tape_and_prints_the_recording_route(
 
 
 def test_stored_outputs_are_a_fresh_encoder_pass(toy_bundle, toy_checkpoint):
-    # the bytes an encoder pass over the loaded parameters computes, as copies of their own
+    # the bytes an encoder pass over the loaded parameters computes, as read-only
+    # views of the one read of the checkpoint that the parameters are views of too
     model = cli.load_model(str(toy_bundle), str(toy_checkpoint))
     assert model.stored_outputs[1] is not None
+    base = model.store["att.ent.w"].values.base
     for stored, fresh in zip(model.stored_outputs, model.encoder_outputs(), strict=True):
         assert stored.values.dtype == fresh.values.dtype == np.float64
         assert stored.shape == fresh.shape
         assert stored.values.tobytes() == fresh.values.tobytes()
-        assert stored.values.base is None and not stored.requires_grad
+        assert stored.values.base is base and not stored.values.flags.writeable
+        assert not stored.requires_grad
 
 
 def test_recommend_runs_no_encoder(runner, toy_bundle, toy_checkpoint, monkeypatch):
@@ -1044,13 +1049,63 @@ def test_recommend_runs_no_encoder(runner, toy_bundle, toy_checkpoint, monkeypat
     assert result.stdout.count("\n\n") == 2
 
 
+def test_load_model_draws_nothing(runner, toy_bundle, toy_checkpoint, monkeypatch):
+    commands = [(["eval", "--bundle", str(toy_bundle), "--checkpoint", str(toy_checkpoint),
+                  "--split", "train"], None),
+                (["recommend", "--bundle", str(toy_bundle), "--checkpoint", str(toy_checkpoint)],
+                 "I0 I3\nI1\n")]
+    want = [run(runner, args, input=stdin).stdout for args, stdin in commands]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parameter was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(convrec.encoders, "uniform_init", refuse)
+    for (args, stdin), stdout in zip(commands, want):
+        result = run(runner, args, input=stdin)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == stdout
+
+
+def test_load_model_holds_the_checkpoint_once(pop_bundle, tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    model = Model(cli.load_bundle(pop_bundle), TrainConfig(dim=128, seed=0))
+    cli.save_model_checkpoint(model, None, ckpt)
+    del model
+    cli.load_model(str(pop_bundle), str(ckpt))  # first-call costs (imports, caches) paid here
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli.load_bundle(pop_bundle)
+        bundle_peak = tracemalloc.get_traced_memory()[1] - start
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model = cli.load_model(str(pop_bundle), str(ckpt))
+        load_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = ckpt.stat().st_size
+    assert size > 2 ** 20
+    assert load_peak < bundle_peak + 1.2 * size, (load_peak, bundle_peak, size)
+    # every parameter and stored output is a read-only view of the one read
+    arrays = [*(t.values for _, t in model.store.items()),
+              *(t.values for t in model.stored_outputs if t is not None)]
+    assert len({id(a.base) for a in arrays}) == 1
+    assert isinstance(arrays[0].base.base, bytes) and len(arrays[0].base.base) == size
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[:1] = 0.0
+
+
 def test_a_recommend_process_imports_no_scipy(runner, toy_bundle, toy_checkpoint):
+    # nor numpy.random (the model draws nothing) nor numpy.ma (np.unique imports it)
     probe = ("import runpy, sys\n"
              "try:\n"
              "    runpy.run_module('convrec.cli', run_name='__main__')\n"
              "finally:\n"
-             "    sys.stderr.write('modules=' + ','.join(sorted(m for m in sys.modules\n"
-             "                                               if m.split('.')[0] == 'scipy')))\n")
+             "    sys.stderr.write('modules=' + ','.join(sorted(\n"
+             "        m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+             "        or m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'ma']))))\n")
     args = ["recommend", "--bundle", str(toy_bundle), "--checkpoint", str(toy_checkpoint)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")])))

@@ -257,12 +257,14 @@ def test_packing_makes_every_parameter_a_view_of_one_arena(tmp_path):
     packed = tmp_path / "packed.ckpt"
     save_checkpoint(packed, store)
     assert packed.read_bytes() == path.read_bytes()
-    # load_checkpoint writes through the views into the arena
+    # a load would make the parameters views of the checkpoint, not of the arena:
+    # it is refused, and the arena keeps its values and its views
     other = make_store()
     other.add("s", np.asarray(-1.0))
     save_checkpoint(path, other)
-    load_checkpoint(path, store)
-    np.testing.assert_array_equal(arena, [1.0, -2.0, 3.0, 0.5, 0.25, -0.75, 4.0, -1.0])
+    with pytest.raises(StateError, match="packed"):
+        load_checkpoint(path, store)
+    np.testing.assert_array_equal(arena, np.concatenate([x.ravel() for x in before.values()]))
     assert all(t.values.base is arena for _, t in store.items())
     with pytest.raises(StateError, match="packed"):
         store.add("late", np.zeros(2))
@@ -597,7 +599,10 @@ def test_mutated_checkpoint_bytes_load_exactly_or_raise_parse_error(ckpt_dir, to
     except ConfigurationError:
         return
     assert {name: a.shape for name, a in outputs.items()} == shapes
-    assert all(a.base is None for a in outputs.values())  # copies: raw can go
+    # no copy: the parameters and the outputs are read-only views of one read
+    arrays = [*(t.values for _, t in model.store.items()), *outputs.values()]
+    assert len({id(a.base) for a in arrays}) == 1
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_load_checkpoint_name_mismatch(tmp_path):
