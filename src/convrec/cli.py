@@ -455,9 +455,9 @@ def save_model_checkpoint(result_model: Model, unused: None, checkpoint_path: Pa
 
     The checkpoint holds the parameters and, after them, what
     ``encoder_outputs()`` returns for them, computed here without a tape:
-    ``recommend`` serves from these and runs no encoder. ``unused`` is always
-    None: the benchmark's worker passes it, by position, where an optimizer
-    state once went, until the benchmark changes. A model whose artifacts no
+    ``eval`` and ``recommend`` score against these and run no encoder.
+    ``unused`` is always None: the benchmark's worker passes it, by position,
+    where an optimizer state once went, until the benchmark changes. A model whose artifacts no
     bundle holds is refused before anything is written.
     """
     bundle_digest = result_model.artifacts.arrays_sha256
@@ -482,7 +482,8 @@ def load_model(bundle_dir: str, checkpoint_path: str) -> Model:
     draws nothing. The checkpoint is read once: its bytes are hashed against
     the sidecar's digest, then its names and shapes are checked, and its
     arrays become the parameters and ``Model.stored_outputs``, as read-only
-    views of that read.
+    views of that read. ``eval`` and ``recommend`` score against the stored
+    outputs, so a loaded model runs no encoder and builds no graph operator.
     """
     ckpt = Path(checkpoint_path)
     sidecar = _config_sidecar(ckpt)
@@ -703,7 +704,7 @@ def recommend(bundle_dir, checkpoint_path, k) -> None:
     model = load_model(bundle_dir, checkpoint_path)
     entities = model.artifacts.vocab.entities
     item_ids = model.artifacts.item_ids
-    item_matrix, word_matrix = model.stored_outputs
+    item_matrix, word_matrix = model.scoring_outputs()
     item_rows = ad.lookup(item_matrix, item_ids)
     context: list[int] = []
     for raw in sys.stdin:

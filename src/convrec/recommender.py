@@ -219,6 +219,11 @@ class Model:
     ``rng``, by default ``default_rng(config.seed)``, draws every parameter.
     With ``draw`` false no generator is made, and every parameter is a
     read-only zero for :func:`convrec.optim.load_checkpoint` to replace.
+
+    ``stored_outputs`` is what :meth:`encoder_outputs` returned when the model
+    was saved, as the checkpoint stores it, or None for a model no checkpoint
+    loaded. A loaded model's parameters are read-only views of that same
+    checkpoint read, so the stored outputs cannot go stale.
     """
 
     def __init__(self, artifacts: Artifacts, config: TrainConfig,
@@ -260,8 +265,6 @@ class Model:
         self.att_params: AttentionParams = init_attention_params(
             self.store, "att", d, rng, gate_mode=config.gate_mode,
         )
-        # what encoder_outputs() returned when the model was saved, as the
-        # checkpoint stores it; None for a model no checkpoint loaded
         self.stored_outputs: tuple[Tensor, Tensor | None] | None = None
 
     def encoder_outputs(self, n_rows: int | None = None) -> tuple[Tensor, Tensor | None]:
@@ -284,6 +287,11 @@ class Model:
         if self.encodes_words:
             word_matrix = gcn_forward(self.artifacts.word_graph, self.gcn_params)
         return item_matrix, word_matrix
+
+    def scoring_outputs(self, n_rows: int | None = None) -> tuple[Tensor, Tensor | None]:
+        """The encoder outputs to score against: ``stored_outputs`` when a
+        checkpoint loaded this model, else :meth:`encoder_outputs` of ``n_rows``."""
+        return self.stored_outputs or self.encoder_outputs(n_rows)
 
     @property
     def encodes_words(self) -> bool:
@@ -449,12 +457,17 @@ def evaluate(model: Model, examples: Examples,
 @ad.no_grad()
 def evaluate_contexts(model: Model, contexts: Contexts, ks: Sequence[int],
                       split_label: str) -> MetricsReport:
-    """:func:`evaluate` on a compiled split: one encoder pass, scored in batch_size chunks.
+    """:func:`evaluate` on a compiled split, scored in batch_size chunks.
 
+    A loaded model scores against its ``stored_outputs`` and runs no encoder:
+    its parameters are read-only views of the checkpoint that stores the
+    outputs, so those are what an encoder pass would return. Any other model
+    (training's validation, ``ablate``) runs one encoder pass over the rows
+    the split reads.
     It runs forward-only: nothing records a tape. NaN probabilities raise
     NumericError: against NaN every gold item would count as rank 1.
     """
-    item_matrix, word_matrix = model.encoder_outputs(model.rows_read(contexts))
+    item_matrix, word_matrix = model.scoring_outputs(model.rows_read(contexts))
     item_rows = ad.lookup(item_matrix, model.artifacts.item_ids)
     rank_lists: list[list[int]] = []  # one flat list per chunk, in example order
     for start in range(0, len(contexts), model.config.batch_size):

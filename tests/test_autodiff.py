@@ -573,6 +573,76 @@ def test_graph_conv_passes_the_dot_product_test_in_each_argument(relations):
     assert np.vdot(w, tw.grad) == pytest.approx(lhs, rel=1e-12)
 
 
+def assert_adjoint(out, y, *args):
+    """Claerbout's dot-product test of a linear op (or, given every argument of
+    a bilinear one, of each argument): <f(x), y> = <x, J^T y> for each leaf
+    tensor x in ``args``, with J^T y from one backward seeded by ``y``."""
+    backward(total(ad.mul(out, constant(y))))
+    lhs = np.vdot(out.values, y)
+    assert lhs != 0
+    for x in args:
+        assert x.grad is not None and x.grad.shape == x.values.shape
+        assert np.vdot(x.values, x.grad) == pytest.approx(lhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("indices", [[3, 0, 4], [2, 0, 2, 2, 4, 0], [1, 1]])
+def test_lookup_passes_the_dot_product_test(indices):
+    # distinct rows take the buffered scatter, repeated ones np.add.at
+    rng = np.random.default_rng(len(indices))
+    table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    out = ad.lookup(table, indices)
+    assert_adjoint(out, rng.normal(size=out.shape), table)
+
+
+@pytest.mark.parametrize("indices, n_rows", [([4, 0, 2], 6), ([1, 0], 2), ([5], 7)])
+def test_scatter_rows_passes_the_dot_product_test(indices, n_rows):
+    rng = np.random.default_rng(n_rows)
+    src = Tensor(rng.normal(size=(len(indices), 3)), requires_grad=True)
+    out = ad.scatter_rows(src, indices, n_rows)
+    assert_adjoint(out, rng.normal(size=out.shape), src)
+
+
+@pytest.mark.parametrize("offsets", [[0, 2, 2, 5, 6], [0, 4], [0, 0, 1, 3]])
+def test_segment_sum_passes_the_dot_product_test_in_each_argument(offsets):
+    # bilinear in (weights, rows); the groups include empty ones and single rows
+    rng = np.random.default_rng(len(offsets))
+    n = offsets[-1]
+    weights = Tensor(rng.normal(size=n), requires_grad=True)
+    rows = Tensor(rng.normal(size=(n, 3)), requires_grad=True)
+    out = ad.segment_sum(weights, rows, groups(np.array(offsets)))
+    assert_adjoint(out, rng.normal(size=out.shape), weights, rows)
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (4, 4), (1, 3)])
+def test_transpose_passes_the_dot_product_test(shape):
+    rng = np.random.default_rng(shape[0])
+    a = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = ad.transpose(a)
+    assert_adjoint(out, rng.normal(size=out.shape), a)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_concat_passes_the_dot_product_test_in_each_part(axis):
+    # concat is linear in each part with the others zero: <f(.., x_i, ..), y> =
+    # <x_i, J_i^T y>. A constant part between the others moves every later slice.
+    rng = np.random.default_rng(axis)
+    shapes = [(w, 3) if axis == 0 else (3, w) for w in (2, 3, 1, 2)]
+    parts = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    parts[1] = constant(rng.normal(size=shapes[1]))
+    out = ad.concat(parts, axis=axis)
+    y = rng.normal(size=out.shape)
+    backward(total(ad.mul(out, constant(y))))
+    for i, part in enumerate(parts):
+        if not part.requires_grad:
+            assert part.grad is None
+            continue
+        alone = np.concatenate([p.values if j == i else np.zeros(p.shape)
+                                for j, p in enumerate(parts)], axis=axis)
+        lhs = np.vdot(alone, y)
+        assert lhs != 0 and part.grad is not None and part.grad.shape == part.shape
+        assert np.vdot(part.values, part.grad) == pytest.approx(lhs, rel=1e-12)
+
+
 def test_graph_conv_rejects_shapes_that_do_not_fit():
     op, h, w, _ = conv_case(2, seed=0)  # (8, 6) operator, h (6, 3), w (6, 2)
     th, tw = Tensor(h), Tensor(w)

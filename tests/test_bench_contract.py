@@ -100,21 +100,52 @@ def test_bench_calls_load_save_and_reload_a_model(tmp_path):
         np.testing.assert_array_equal(loaded.store[name].values, t.values)
 
 
-def test_a_recommend_session_checkpoint_stores_a_fresh_encoder_pass(tmp_path):
-    # the seed-201 recommend-session inputs: the catalog KG, 2,404 entities, dim 64
-    workload = workloads.WORKLOADS["recommend-session"]
-    inputs = workloads.generate(workload, 201, tmp_path / "raw")
-    bundle = tmp_path / "bundle"
+@pytest.fixture(scope="module")
+def catalog_bundle(tmp_path_factory):
+    """The seed-201 catalog bundle (2,404 entities), which train-catalog and
+    recommend-session share, and its inputs."""
+    root = tmp_path_factory.mktemp("catalog")
+    inputs = workloads.generate(workloads.WORKLOADS["train-catalog"], 201, root / "raw")
+    bundle = root / "bundle"
     train_worker.ingest(cli, {key: str(path) for key, path in inputs.paths.items()}, bundle)
-    model = Model(cli.load_bundle(bundle), TrainConfig(**workload.config, seed=201))
-    ckpt = tmp_path / "run" / "model.ckpt"
+    return bundle, inputs
+
+
+def saved_and_loaded(bundle, config, ckpt):
+    """``cli.load_model`` of a freshly drawn model's checkpoint at ``ckpt``."""
     ckpt.parent.mkdir()
-    cli.save_model_checkpoint(model, None, ckpt)
-    loaded = cli.load_model(str(bundle), str(ckpt))
+    cli.save_model_checkpoint(Model(cli.load_bundle(bundle), config), None, ckpt)
+    return cli.load_model(str(bundle), str(ckpt))
+
+
+def test_a_recommend_session_checkpoint_stores_a_fresh_encoder_pass(catalog_bundle, tmp_path):
+    # the seed-201 recommend-session inputs: the catalog KG, 2,404 entities, dim 64
+    bundle, inputs = catalog_bundle
+    config = TrainConfig(**workloads.WORKLOADS["recommend-session"].config, seed=201)
+    loaded = saved_and_loaded(bundle, config, tmp_path / "run" / "model.ckpt")
     items, words = loaded.stored_outputs
     assert items.shape == (inputs.sizes["kg_nodes"], 64) and words is not None
     for stored, fresh in zip(loaded.stored_outputs, loaded.encoder_outputs()):
         assert stored.values.tobytes() == fresh.values.tobytes()
+
+
+def test_a_train_catalog_eval_from_stored_outputs_equals_a_recomputed_one(catalog_bundle,
+                                                                          tmp_path):
+    # eval scores a loaded model against its stored outputs; an encoder pass over
+    # the rows each split reads, recomputed from the parameters, gives the same report
+    bundle, inputs = catalog_bundle
+    config = TrainConfig(**{**workloads.WORKLOADS["train-catalog"].config, "epochs": 0},
+                         seed=201)
+    loaded = saved_and_loaded(bundle, config, tmp_path / "run" / "model.ckpt")
+    stored = loaded.stored_outputs
+    for split in ("train", "valid", "test"):
+        examples = corpus.split_view(loaded.artifacts.examples, split)
+        assert len(examples) == inputs.examples[split] > 0
+        loaded.stored_outputs = stored
+        served = evaluate(loaded, examples, split_label=split)
+        loaded.stored_outputs = None
+        recomputed = evaluate(loaded, examples, split_label=split)
+        assert served.to_json() == recomputed.to_json()
 
 
 def test_bench_labels_one_kg_and_one_ig_rgcn_call_per_encoder_pass(monkeypatch):

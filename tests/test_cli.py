@@ -1116,6 +1116,45 @@ def test_a_recommend_process_imports_no_scipy(runner, toy_bundle, toy_checkpoint
     assert proc.stdout == run(runner, args, input="I0 I3\nI1\n").stdout
 
 
+def test_eval_runs_no_encoder(runner, toy_bundle, toy_checkpoint, monkeypatch):
+    # a loaded model scores against the checkpoint's stored encoder outputs
+    # (the toy bundle's examples are all in the train split)
+    args = ["eval", "--bundle", str(toy_bundle), "--checkpoint", str(toy_checkpoint),
+            "--split", "train"]
+    want = run(runner, args)
+    assert want.exit_code == 0, want.output
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an encoder ran")
+
+    monkeypatch.setattr(Model, "encoder_outputs", refuse)
+    monkeypatch.setattr(convrec.graphs.TypedGraph, "layer_operator", refuse)
+    monkeypatch.setattr(convrec.graphs, "normalize_adjacency", refuse)
+    result = run(runner, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == want.stdout
+
+
+def test_an_eval_process_imports_no_scipy(runner, toy_bundle, toy_checkpoint):
+    # nor numpy.random nor numpy.ma, as a recommend process
+    probe = ("import runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('convrec.cli', run_name='__main__')\n"
+             "finally:\n"
+             "    sys.stderr.write('modules=' + ','.join(sorted(\n"
+             "        m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+             "        or m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'ma']))))\n")
+    args = ["eval", "--bundle", str(toy_bundle), "--checkpoint", str(toy_checkpoint),
+            "--split", "train"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "modules="
+    assert proc.stdout == run(runner, args).stdout
+
+
 def test_recommend_warns_on_unknown_entity(runner, toy_bundle, toy_checkpoint):
     result = run(runner, ["recommend", "--bundle", str(toy_bundle),
                           "--checkpoint", str(toy_checkpoint), "--k", "2"],
