@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, StateError
+from .errors import ShapeError, StateError
 
 if TYPE_CHECKING:  # graph_conv multiplies by the operators it is handed; it imports no scipy
     from scipy import sparse as sp
@@ -203,16 +203,6 @@ def add_const(a: Tensor, c) -> Tensor:
     out = Tensor(a.values + c_arr)
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, g, True)
-
-    return _record(out, (a,), bw)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.values, 0))
-
-    def bw(g: np.ndarray) -> None:
-        g *= a.values > 0  # g is consumed here: masked in place, then handed on
         _accum(a, g, True)
 
     return _record(out, (a,), bw)
@@ -636,72 +626,3 @@ def cross_entropy(logits: Tensor, labels: Segments) -> tuple[Tensor, np.ndarray]
         _accum(logits, (g / n_rows) * d, True)
 
     return _record(out, (logits,), bw), p[row_idx, col_idx]
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def finite_diff_check(
-    f: Callable[..., Tensor],
-    store,
-    *,
-    eps: float = 1e-4,
-    coords: Iterable[tuple[str, int]] | None = None,
-    samples_per_param: int = 2,
-    seed: int = 0,
-) -> float:
-    """Compare analytic gradients of ``f(store)`` against central differences.
-
-    Returns the max over checked coordinates of
-    ``|analytic - numeric| / (|numeric| + 1e-12)``. ``coords`` is an iterable
-    of (parameter name, flat index) pairs; when omitted, ``samples_per_param``
-    coordinates are sampled per parameter with the given seed.
-
-    The default step balances truncation against roundoff for loss values of
-    order one in double precision; coordinates with near-zero gradients are
-    the binding case.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
-    def run() -> float:
-        with no_grad():  # only the value is read
-            y = f(store)
-        v = float(y.values)
-        if not np.isfinite(v):
-            raise NumericError(f"objective is not finite: {v}")
-        return v
-
-    store.zero_grads()
-    y = f(store)
-    if not np.isfinite(float(y.values)):
-        raise NumericError(f"objective is not finite: {float(y.values)}")
-    backward(y)
-    analytic = {name: t.grad.copy() for name, t in store.items()}
-
-    if coords is None:
-        rng = np.random.default_rng(seed)
-        picked: list[tuple[str, int]] = []
-        for name, t in store.items():
-            size = t.values.size
-            k = min(samples_per_param, size)
-            for i in rng.choice(size, size=k, replace=False):
-                picked.append((name, int(i)))
-        coords = picked
-
-    worst = 0.0
-    for name, flat_idx in coords:
-        t = store[name]
-        pos = np.unravel_index(flat_idx, t.values.shape)
-        orig = t.values[pos]
-        t.values[pos] = orig + eps
-        f_plus = run()
-        t.values[pos] = orig - eps
-        f_minus = run()
-        t.values[pos] = orig
-        numeric = (f_plus - f_minus) / (2.0 * eps)
-        a = float(analytic[name][pos])
-        rel = abs(a - numeric) / (abs(numeric) + 1e-12)
-        worst = max(worst, rel)
-    return worst

@@ -39,6 +39,7 @@ from .corpus import (
     split_view,
 )
 from .errors import (
+    ConfigurationError,
     ConvRecError,
     MissingArtifactError,
     NumericError,
@@ -436,6 +437,17 @@ def _config_sha256(values: dict) -> str:
     return hashlib.sha256(json.dumps(values, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def _output_dir(path: str | Path) -> Path:
+    """``path`` as a directory, made with its parents if missing; a location
+    that cannot be one raises ConfigurationError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigurationError(f"cannot make directory {out}: {err.strerror}") from None
+    return out
+
+
 def _write_text(path: Path, text: str) -> None:
     """Replace ``path`` with ``text`` in one step: a failed write keeps the old file."""
     with atomic_write(path, text=True) as fh:
@@ -561,7 +573,7 @@ def ingest(corpus_path, entities_path, kg_path, word_graph_path, lexicon_path,
         stale = _OLD_FORMAT_FILES.get(old_format, ()) if type(old_format) is int else ()
     except ConvRecError:
         stale = ()
-    bundle.mkdir(parents=True, exist_ok=True)
+    _output_dir(bundle)
     # the container, then the manifest that records its sha256
     digest = save_arrays(bundle / _BUNDLE_FILES["arrays"], _ARRAYS_MAGIC, _BUNDLE_FORMAT,
                          _bundle_arrays(corpus, vocab, kg, word_graph))
@@ -596,10 +608,8 @@ def train(bundle_dir, out_dir, k_list, **params) -> None:
     config = config_from_params(params)
     ks = parse_ks(k_list)
     artifacts = load_bundle(bundle_dir)
+    out = _output_dir(out_dir)  # before training: a bad --out costs no run
     result = run_train(artifacts, config, ks)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for epoch, report in enumerate(result.epoch_reports):
         _write_report(report, out / f"epoch_{epoch:03d}.metrics.txt",
                      out / f"epoch_{epoch:03d}.metrics.json")
@@ -650,12 +660,11 @@ def ablate(bundle_dir, split, k_list, combined, out_dir, **params) -> None:
     config = config_from_params(params)
     ks = parse_ks(k_list)
     artifacts = load_bundle(bundle_dir)
+    out = _output_dir(out_dir) if out_dir else None  # before training, as in train
     reports = run_ablate(artifacts, config, flags, combined=combined, ks=ks,
                          split=Split(split))
     click.echo(comparison_table(reports, ks), nl=False)
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         for name, report in reports.items():
             _write_report(report, out / f"{name}.metrics.txt", out / f"{name}.metrics.json")
 

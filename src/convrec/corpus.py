@@ -28,7 +28,7 @@ import numpy as np
 
 from .autodiff import Segments, sorted_distinct
 from .errors import ParseError, ValidationError
-from .optim import atomic_write, open_input
+from .optim import open_input
 
 
 class Speaker(str, Enum):
@@ -484,45 +484,6 @@ def load_corpus(
             seen_ids.add(record[0])
             records.append(record)
     return _build_corpus(records, stopwords, words), Vocab(entities=entities, words=words)
-
-
-# the bytes of json.dumps(record, ensure_ascii=False), from one encoder; a record
-# is a fresh tree of str, list and dict, so it cannot hold a cycle
-_ENCODE = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
-
-
-def save_corpus(corpus: Corpus, entities: EntityVocab, path: str | Path) -> None:
-    """Write the corpus back to the corpus format, one line per conversation in corpus order.
-
-    Each line is the record's ``json.dumps(record, ensure_ascii=False)``,
-    keys in the order :func:`load_corpus` documents. Sentiments are written
-    explicitly, so a reload never needs the lexicon.
-    """
-    speakers = [SPEAKERS[c].value for c in corpus.speakers.tolist()]
-    texts = corpus.texts
-    tokens = entities.tokens
-    sentiments = [s.value for s in SENTIMENTS]
-    mentions = [{"entity": tokens[e], "sentiment": sentiments[s]}
-                for e, s in zip(corpus.mentions.rows.tolist(), corpus.sentiments.tolist())]
-    bounds = corpus.mentions.offsets.tolist()
-    first = corpus.utterances.offsets.tolist()
-    with atomic_write(path, text=True) as fh:
-        for c, (conv_id, user_id, split) in enumerate(zip(
-                corpus.conversation_ids, corpus.user_ids, corpus.splits.tolist())):
-            fh.write(_ENCODE({
-                "conversation_id": conv_id,
-                "user_id": user_id,
-                "split": SPLITS[split].value,
-                "utterances": [{"speaker": speakers[u], "text": texts[u],
-                                "mentions": mentions[bounds[u]:bounds[u + 1]]}
-                               for u in range(first[c], first[c + 1])],
-            }) + "\n")
-
-
-def save_entity_vocab(entities: EntityVocab, path: str | Path) -> None:
-    with atomic_write(path, text=True) as fh:
-        for token, name, flag in zip(entities.tokens, entities.names, entities.is_item):
-            fh.write(f"{token}\t{name}\t{1 if flag else 0}\n")
 
 
 def derive_examples(corpus: Corpus, entities: EntityVocab) -> Examples:

@@ -22,7 +22,6 @@ from .corpus import (
     training_mentions,
 )
 from .errors import ValidationError
-from .optim import atomic_write
 
 if TYPE_CHECKING:  # scipy is imported where an operator is built, never by a module import
     from scipy import sparse as sp
@@ -271,17 +270,3 @@ def load_word_graph(path: str | Path, words: WordVocab) -> WordGraph:
     if error:
         raise error
     return build_word_graph(pairs)
-
-
-def save_word_graph(word_graph: WordGraph, words: WordVocab, path: str | Path) -> None:
-    with atomic_write(path, text=True) as fh:
-        for head, tail in word_graph.pairs.tolist():
-            a = words.words[word_graph.word_ids[head]]
-            b = words.words[word_graph.word_ids[tail]]
-            fh.write(f"{a}\t{b}\n")
-
-
-def save_kg(graph: TypedGraph, entities: EntityVocab, path: str | Path) -> None:
-    with atomic_write(path, text=True) as fh:
-        for head, rel, tail in graph.edges.tolist():
-            fh.write(f"{entities.tokens[head]}\t{graph.relations[rel]}\t{entities.tokens[tail]}\n")

@@ -225,14 +225,23 @@ def atomic_write(path: str | Path, text: bool = False) -> Iterator[BinaryIO | Te
 
     Its bytes go to ``<path>.tmp`` in the same directory, which ``os.replace``
     then swaps in, so ``path`` holds the old bytes or the new ones, never a
-    part. On an error the temp file is removed and ``path`` is untouched.
+    part. On an error the temp file is removed and ``path`` is untouched. A
+    location that cannot take the file (no directory to hold it, or ``path``
+    a directory) raises ConfigurationError; a failed write raises as it is.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") if text else open(tmp, "wb") as fh:
+        fh = open(tmp, "w", encoding="utf-8") if text else open(tmp, "wb")
+    except OSError as err:
+        raise ConfigurationError(f"cannot write {path}: {err.strerror}") from None
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as err:
+            raise ConfigurationError(f"cannot write {path}: {err.strerror}") from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -363,28 +372,25 @@ def save_checkpoint(path: str | Path, store: ParamStore,
                        {**{name: t.values for name, t in store.items()}, **(extra or {})})
 
 
-def read_checkpoint(source: str | Path | bytes) -> dict[str, np.ndarray]:
-    """A checkpoint file's, or its bytes', arrays, each a read-only float64 view."""
-    if not isinstance(source, bytes):
-        with open_input(source, "checkpoint") as fh:
-            source = fh.read()
-    params = read_arrays(source, _MAGIC, _VERSION, "checkpoint")
+def read_checkpoint(raw: bytes) -> dict[str, np.ndarray]:
+    """The arrays of checkpoint bytes ``raw``, each a read-only float64 view."""
+    params = read_arrays(raw, _MAGIC, _VERSION, "checkpoint")
     for name, arr in params.items():
         if arr.dtype.str != "<f8":
             raise ParseError(f"checkpoint array {name!r} has dtype {arr.dtype.str}, not <f8")
     return params
 
 
-def load_checkpoint(source: str | Path | bytes, store: ParamStore,
+def load_checkpoint(raw: bytes, store: ParamStore,
                     extra: dict[str, tuple[int, ...]] | None = None) -> dict[str, np.ndarray]:
-    """Make each parameter of an unpacked store its checkpoint array and return the
-    ``extra`` arrays, named with their shapes. The checkpoint holds exactly the
-    store's parameters and those arrays, each in its shape, else
-    ConfigurationError before any parameter changes. Nothing is copied: each
-    array is a read-only view of the checkpoint's one read (:func:`read_arrays`)."""
+    """Make each parameter of an unpacked store its array in checkpoint bytes ``raw``
+    and return the ``extra`` arrays, named with their shapes. The checkpoint
+    holds exactly the store's parameters and those arrays, each in its shape,
+    else ConfigurationError before any parameter changes. Nothing is copied:
+    each array is a read-only view of ``raw`` (:func:`read_arrays`)."""
     if store.arena is not None:
         raise StateError("cannot load a checkpoint into a packed store")
-    params = read_checkpoint(source)
+    params = read_checkpoint(raw)
     shapes = {**{name: t.values.shape for name, t in store.items()}, **(extra or {})}
     if set(params) != set(shapes):
         missing = sorted(set(shapes) - set(params))

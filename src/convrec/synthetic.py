@@ -10,10 +10,15 @@ Three generators:
 - ``cluster_corpus``: users come in taste clusters over disjoint item pools,
   so retrieving a similar conversation injects same-cluster items (often
   near the gold) into the user representation.
+
+``write_inputs`` writes a generated corpus as the raw text files ``convrec
+ingest`` reads; the four format writers it calls live here, beside it, as
+the package itself only reads those formats.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -33,11 +38,10 @@ from .corpus import (
     WordVocab,
     _build_corpus,
     default_stopwords,
-    save_corpus,
-    save_entity_vocab,
     tokenize,
 )
-from .graphs import TypedGraph, WordGraph, build_word_graph, save_kg, save_word_graph
+from .graphs import TypedGraph, WordGraph, build_word_graph
+from .optim import atomic_write
 
 
 # The generators' authoring records. The package reads only ``SyntheticData.corpus``;
@@ -107,6 +111,59 @@ def _assemble(
         kg=kg,
         word_graph=word_graph,
     )
+
+
+# the bytes of json.dumps(record, ensure_ascii=False), from one encoder; a record
+# is a fresh tree of str, list and dict, so it cannot hold a cycle
+_ENCODE = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+
+
+def save_corpus(corpus: Corpus, entities: EntityVocab, path: str | Path) -> None:
+    """Write the corpus back to the corpus format, one line per conversation in corpus order.
+
+    Each line is the record's ``json.dumps(record, ensure_ascii=False)``,
+    keys in the order :func:`convrec.corpus.load_corpus` documents. Sentiments are written
+    explicitly, so a reload never needs the lexicon.
+    """
+    speakers = [SPEAKERS[c].value for c in corpus.speakers.tolist()]
+    texts = corpus.texts
+    tokens = entities.tokens
+    sentiments = [s.value for s in SENTIMENTS]
+    mentions = [{"entity": tokens[e], "sentiment": sentiments[s]}
+                for e, s in zip(corpus.mentions.rows.tolist(), corpus.sentiments.tolist())]
+    bounds = corpus.mentions.offsets.tolist()
+    first = corpus.utterances.offsets.tolist()
+    with atomic_write(path, text=True) as fh:
+        for c, (conv_id, user_id, split) in enumerate(zip(
+                corpus.conversation_ids, corpus.user_ids, corpus.splits.tolist())):
+            fh.write(_ENCODE({
+                "conversation_id": conv_id,
+                "user_id": user_id,
+                "split": SPLITS[split].value,
+                "utterances": [{"speaker": speakers[u], "text": texts[u],
+                                "mentions": mentions[bounds[u]:bounds[u + 1]]}
+                               for u in range(first[c], first[c + 1])],
+            }) + "\n")
+
+
+def save_entity_vocab(entities: EntityVocab, path: str | Path) -> None:
+    with atomic_write(path, text=True) as fh:
+        for token, name, flag in zip(entities.tokens, entities.names, entities.is_item):
+            fh.write(f"{token}\t{name}\t{1 if flag else 0}\n")
+
+
+def save_word_graph(word_graph: WordGraph, words: WordVocab, path: str | Path) -> None:
+    with atomic_write(path, text=True) as fh:
+        for head, tail in word_graph.pairs.tolist():
+            a = words.words[word_graph.word_ids[head]]
+            b = words.words[word_graph.word_ids[tail]]
+            fh.write(f"{a}\t{b}\n")
+
+
+def save_kg(graph: TypedGraph, entities: EntityVocab, path: str | Path) -> None:
+    with atomic_write(path, text=True) as fh:
+        for head, rel, tail in graph.edges.tolist():
+            fh.write(f"{entities.tokens[head]}\t{graph.relations[rel]}\t{entities.tokens[tail]}\n")
 
 
 def write_inputs(data: SyntheticData, directory: str | Path) -> dict[str, Path]:

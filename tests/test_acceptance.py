@@ -50,6 +50,7 @@ from oracles import (
     dense_rgcn,
     example_records,
     examples_of,
+    finite_diff_check,
 )
 from test_retrieval import build_index, doc_conv
 
@@ -81,7 +82,7 @@ def test_criterion_1_gradient_correctness():
     coords = sample_coords(model.store, 50, seed=0)
     groups = {name.split(".")[0] for name, _ in coords}
     assert groups == {"kg", "ig", "word", "att"}
-    worst = ad.finite_diff_check(objective, model.store, coords=coords)
+    worst = finite_diff_check(objective, model.store, coords=coords)
     elapsed = time.monotonic() - start
     verdict(1, worst < 1e-4 and elapsed < 10.0,
             f"end-to-end loss vs central differences, worst rel err {worst:.2e} "

@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 from scipy import sparse as sp
 
 from convrec import autodiff as ad
-from convrec.autodiff import Tensor, backward, constant, finite_diff_check
+from convrec.autodiff import Tensor, backward, constant
 from convrec.errors import NumericError, ShapeError, StateError
 from convrec.graphs import TypedGraph
 from convrec.optim import ParamStore
 
 from conftest import total
-from oracles import softmax_cross_entropy_reference
+from oracles import (
+    finite_diff_check,
+    sigmoid_derivative,
+    softmax_cross_entropy_reference,
+    softmax_jacobian,
+    tanh_derivative,
+)
 
 
 def fd_store(**arrays):
@@ -109,7 +115,7 @@ def test_backward_requires_scalar_root():
 def test_backward_is_repeatable_bitwise():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    y = total(ad.relu(ad.matmul(x, ad.transpose(x))))
+    y = total(ad.tanh(ad.matmul(x, ad.transpose(x))))
     backward(y)
     first = x.grad.copy()
     backward(y)
@@ -643,6 +649,85 @@ def test_concat_passes_the_dot_product_test_in_each_part(axis):
         assert np.vdot(part.values, part.grad) == pytest.approx(lhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("shapes", [((2, 3), (3, 4)), ((3, 3), (3, 3)), ((2, 3), (3,))],
+                         ids=["matrix", "square", "vector"])
+def test_matmul_passes_the_dot_product_test_in_each_argument(shapes):
+    # bilinear; a square b would hide a dropped transpose from a shape check
+    rng = np.random.default_rng(7)
+    a, b = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes)
+    out = ad.matmul(a, b)
+    assert_adjoint(out, rng.normal(size=out.shape), a, b)
+
+
+@pytest.mark.parametrize("leaf", [0, 1])
+def test_add_passes_the_dot_product_test_in_each_argument(leaf):
+    # linear in each argument with the other zero
+    rng = np.random.default_rng(leaf)
+    args = [constant(np.zeros((3, 4))), constant(np.zeros((3, 4)))]
+    args[leaf] = x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out = ad.add(*args)
+    assert_adjoint(out, rng.normal(size=out.shape), x)
+
+
+def test_mul_passes_the_dot_product_test_in_each_argument():
+    rng = np.random.default_rng(2)
+    a, b = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+    out = ad.mul(a, b)
+    assert_adjoint(out, rng.normal(size=out.shape), a, b)
+
+
+@pytest.mark.parametrize("leaf", [1, 2], ids=["a", "b"])
+def test_blend_passes_the_dot_product_test_in_a_and_in_b(leaf):
+    # gate * a + (1 - gate) * b is linear in a with b zero, and in b with a zero
+    rng = np.random.default_rng(leaf)
+    args = [constant(rng.random((3, 4))), constant(np.zeros((3, 4))),
+            constant(np.zeros((3, 4)))]
+    args[leaf] = x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out = ad.blend(*args)
+    assert_adjoint(out, rng.normal(size=out.shape), x)
+
+
+@pytest.mark.parametrize("c", [0.0, np.zeros((3, 4))], ids=["scalar", "array"])
+def test_add_const_passes_the_dot_product_test(c):
+    # a + c is linear in a for a zero c
+    rng = np.random.default_rng(3)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out = ad.add_const(a, c)
+    assert_adjoint(out, rng.normal(size=out.shape), a)
+
+
+@pytest.mark.parametrize("shape, to", [((2, 3), (3, 2)), ((2, 3), (6,)), ((6,), (1, 6)),
+                                       ((4, 3), (2, 6))])
+def test_reshape_passes_the_dot_product_test(shape, to):
+    rng = np.random.default_rng(len(to))
+    a = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = ad.reshape(a, to)
+    assert_adjoint(out, rng.normal(size=out.shape), a)
+
+
+@pytest.mark.parametrize("op, derivative", [(ad.tanh, tanh_derivative),
+                                            (ad.sigmoid, sigmoid_derivative)],
+                         ids=["tanh", "sigmoid"])
+def test_elementwise_backward_is_the_closed_form_derivative(op, derivative):
+    # the Jacobian is diagonal: J^T y is the derivative times y, entry by entry
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(3, 5)) * 2.0, requires_grad=True)
+    y = rng.normal(size=(3, 5))
+    backward(total(ad.mul(op(x), constant(y))))
+    np.testing.assert_allclose(x.grad, derivative(x.values) * y, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (3, 5)])
+def test_softmax_backward_is_the_closed_form_jacobian(shape):
+    # each row's J^T y, with J written out as diag(p) - p p^T
+    rng = np.random.default_rng(shape[1])
+    x = Tensor(rng.normal(size=shape) * 3.0, requires_grad=True)
+    y = rng.normal(size=shape)
+    backward(total(ad.mul(ad.softmax(x), constant(y))))
+    want = np.stack([softmax_jacobian(row).T @ g for row, g in zip(x.values, y)])
+    np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-15)
+
+
 def test_graph_conv_rejects_shapes_that_do_not_fit():
     op, h, w, _ = conv_case(2, seed=0)  # (8, 6) operator, h (6, 3), w (6, 2)
     th, tw = Tensor(h), Tensor(w)
@@ -813,12 +898,18 @@ def test_add_then_mul_gradients():
 
 
 def test_relu_backward_masks_to_the_same_bits_signed_zeros_included():
+    # graph_conv with identity operators and an identity weight is relu(x); its
+    # backward masks where x is negative or a zero of either sign
     x = Tensor(np.asarray([[1.5, -2.0, 0.0], [0.25, -0.0, 3.0]]), requires_grad=True)
     c = np.asarray([[-1.0, -2.0, -3.0], [4.0, 5.0, -6.0]])
-    backward(total(ad.mul(ad.relu(x), constant(c))))
-    want = c * (x.values > 0)
+    out = ad.graph_conv(sp.identity(2, format="csr"), sp.identity(2, format="csc"), x,
+                        constant(np.eye(3)))
+    assert out.values.tobytes() == np.maximum(x.values, 0).tobytes()
+    backward(total(ad.mul(out, constant(c))))
+    # the identity products add each masked entry onto +0.0, so a negative
+    # upstream gradient's -0.0 arrives as +0.0
+    want = c * (x.values > 0) + 0.0
     assert x.grad.tobytes() == want.tobytes()
-    assert np.signbit(x.grad[0, 1:]).all()  # a negative upstream gradient masks to -0.0
 
 
 def test_constant_receives_no_gradient():
@@ -864,7 +955,7 @@ def test_finite_diff_check_records_a_tape_only_for_the_analytic_pass():
     recorded = []
 
     def f(s):
-        y = ad.relu(s["w"])
+        y = ad.tanh(s["w"])
         recorded.append(y.requires_grad)
         return total(y)
 
@@ -880,7 +971,7 @@ def every_op(w, v):
     """One output of each primitive on a (2, 3) matrix w and a (3,) vector v."""
     return [
         ad.add(w, w), ad.mul(w, w), ad.blend(w, w, w), ad.add_const(w, 1.0),
-        ad.relu(w), ad.tanh(w), ad.sigmoid(w), ad.matmul(w, v), ad.transpose(w),
+        ad.tanh(w), ad.sigmoid(w), ad.matmul(w, v), ad.transpose(w),
         ad.reshape(w, (3, 2)), ad.concat([w, w]), ad.lookup(w, [1, 0, 1]),
         ad.scatter_rows(w, [2, 0], 4),
         ad.graph_conv(sp.identity(2, format="csr"), sp.identity(2, format="csc"), w,
@@ -897,7 +988,7 @@ def test_no_grad_records_nothing_even_from_parameters():
     recorded = every_op(store["w"], store["v"])
     with ad.no_grad():
         free = every_op(store["w"], store["v"])
-    assert len(recorded) == len(free) == 18
+    assert len(recorded) == len(free) == 17
     for r, t in zip(recorded, free):
         assert r.requires_grad and r._parents and r._backward_fn is not None
         assert not t.requires_grad and t._parents == () and t._backward_fn is None
@@ -909,9 +1000,9 @@ def test_no_grad_nests_and_restores_the_outer_state():
     x = Tensor(np.ones(2), requires_grad=True)
     with ad.no_grad():
         with ad.no_grad():
-            assert not ad.relu(x).requires_grad
-        assert not ad.relu(x).requires_grad  # the inner exit restores the outer scope
-    assert ad.relu(x).requires_grad
+            assert not ad.tanh(x).requires_grad
+        assert not ad.tanh(x).requires_grad  # the inner exit restores the outer scope
+    assert ad.tanh(x).requires_grad
 
 
 def test_no_grad_restores_recording_when_the_body_raises():
@@ -973,8 +1064,10 @@ def test_relu_composition_gradcheck_property(n, seed):
     while np.abs(x @ x).min() < 0.01:
         x = rng.normal(size=(n, n))
     store = fd_store(x=x)
+    eye = sp.identity(n, format="csr")
 
     def f(s):
-        return total(ad.relu(ad.matmul(s["x"], s["x"])))
+        # graph_conv with an identity operator and w = h is relu(x @ x)
+        return total(ad.graph_conv(eye, eye, s["x"], s["x"]))
 
     check(f, store, tol=1e-5, samples_per_param=2, seed=seed % 1000)

@@ -504,7 +504,7 @@ def test_eval_version_1_checkpoint_exits_2(runner, toy_bundle, toy_checkpoint, t
 
 def checkpoint_arrays(ckpt: Path) -> dict[str, np.ndarray]:
     """Copies of every array a checkpoint holds, parameters and stored outputs."""
-    return {name: a.copy() for name, a in convrec.optim.read_checkpoint(ckpt).items()}
+    return {name: a.copy() for name, a in convrec.optim.read_checkpoint(ckpt.read_bytes()).items()}
 
 
 @pytest.mark.parametrize("command", ["eval", "recommend"])
@@ -576,7 +576,7 @@ def test_a_model_without_a_word_encoder_stores_no_word_matrix(runner, toy_bundle
                           "--without", "cn"] + TRAIN_FLAGS)
     assert result.exit_code == 0, result.output
     ckpt = tmp_path / "model.ckpt"
-    assert "outputs.words" not in convrec.optim.read_checkpoint(ckpt)
+    assert "outputs.words" not in convrec.optim.read_checkpoint(ckpt.read_bytes())
     items, words = cli.load_model(str(toy_bundle), str(ckpt)).stored_outputs
     assert words is None and items.shape == (len(cli.load_bundle(toy_bundle).vocab.entities), 8)
     result = run(runner, ["recommend", "--bundle", str(toy_bundle), "--checkpoint", str(ckpt)],
@@ -739,8 +739,8 @@ def test_eval_checkpoint_with_a_changed_weight_byte_exits_2(runner, toy_bundle, 
     ckpt = tmp_path / "model.ckpt"
     ckpt.write_bytes(bytes(raw))
     shutil.copy(toy_checkpoint.with_name("model.ckpt.config.json"), tmp_path)
-    params = convrec.optim.read_checkpoint(ckpt)  # it parses: only the digest tells it apart
-    assert set(params) == set(convrec.optim.read_checkpoint(toy_checkpoint))
+    params = convrec.optim.read_checkpoint(bytes(raw))  # it parses: only the digest tells it apart
+    assert set(params) == set(convrec.optim.read_checkpoint(toy_checkpoint.read_bytes()))
     loads = []
     original = cli.load_checkpoint
     with pytest.MonkeyPatch.context() as mp:
@@ -1467,3 +1467,57 @@ def test_eval_exits_3_for_a_checkpoint_that_is_a_directory_beside_its_sidecar(
     result = run(runner, ["eval", "--bundle", str(bundle), "--checkpoint", str(fake)])
     assert result.exit_code == 3, result.output
     assert f"checkpoint cannot be read: {fake}" in result.stderr
+
+
+def assert_one_error_line(result, message):
+    """Exit 2 through the error handler: one ``error:`` line, no escaped exception."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert message in result.stderr and "Traceback" not in result.output
+
+
+def not_called(*args, **kwargs):
+    raise AssertionError("ran although the output location is unusable")
+
+
+def test_ingest_out_that_is_a_file_exits_2(runner, tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    result = run(runner, ingest_args(write_inputs(toy_instance(), tmp_path / "inputs"), out))
+    assert_one_error_line(result, f"cannot make directory {out}: File exists")
+    assert out.read_text() == "a file\n"
+
+
+def test_train_out_that_is_a_file_exits_2_before_training(runner, toy_bundle, tmp_path,
+                                                          monkeypatch):
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    monkeypatch.setattr(cli, "run_train", not_called)
+    result = run(runner, ["train", "--bundle", str(toy_bundle), "--out", str(out)] + TRAIN_FLAGS)
+    assert_one_error_line(result, f"cannot make directory {out}: File exists")
+
+
+def test_ablate_out_that_is_a_file_exits_2_before_training(runner, toy_bundle, tmp_path,
+                                                           monkeypatch):
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    monkeypatch.setattr(cli, "run_ablate", not_called)
+    result = run(runner, ["ablate", "--bundle", str(toy_bundle), "--split", "train",
+                          "--without", "rt", "--out", str(out)] + TRAIN_FLAGS)
+    assert_one_error_line(result, f"cannot make directory {out}: File exists")
+
+
+@pytest.mark.parametrize("where, message", [("file/report.txt", "Not a directory"),
+                                            ("directory", "Is a directory")],
+                         ids=["under-a-file", "a-directory"])
+def test_eval_out_that_cannot_take_the_report_exits_2(runner, toy_bundle, toy_checkpoint,
+                                                      tmp_path, where, message):
+    (tmp_path / "file").write_text("a file\n")
+    (tmp_path / "directory").mkdir()
+    out = tmp_path / where
+    result = run(runner, ["eval", "--bundle", str(toy_bundle), "--checkpoint",
+                          str(toy_checkpoint), "--split", "train", "--out", str(out)])
+    assert_one_error_line(result, f"cannot write {out}: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["directory", "file"]
+    assert not any((tmp_path / "directory").iterdir())

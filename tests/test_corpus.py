@@ -17,14 +17,18 @@ from convrec.corpus import (
     load_entity_vocab,
     load_keyword_lexicon,
     load_stopwords,
-    save_corpus,
-    save_entity_vocab,
     split_view,
     tokenize,
 )
 from convrec.errors import MissingArtifactError, ParseError, ShapeError, ValidationError
 
-from convrec.synthetic import cluster_corpus, popularity_corpus, toy_instance
+from convrec.synthetic import (
+    cluster_corpus,
+    popularity_corpus,
+    save_corpus,
+    save_entity_vocab,
+    toy_instance,
+)
 
 from oracles import (
     Conversation,

@@ -21,7 +21,7 @@ from convrec.graphs import InteractionGraph, TypedGraph, build_word_graph
 from convrec.optim import ParamStore
 
 from conftest import total
-from oracles import dense_gcn, dense_rgcn
+from oracles import dense_gcn, dense_rgcn, finite_diff_check
 from test_graphs import typed_graphs
 
 
@@ -150,7 +150,7 @@ def test_rgcn_gradients_flow():
     def objective(_):
         return total(rgcn_forward(graph, params))
 
-    worst = ad.finite_diff_check(objective, store, samples_per_param=3, seed=1)
+    worst = finite_diff_check(objective, store, samples_per_param=3, seed=1)
     assert worst < 1e-4
 
 
@@ -165,7 +165,7 @@ def test_rgcn_gradients_flow_normalized(normalization, z):
     def objective(_):
         return total(rgcn_forward(graph, params))
 
-    worst = ad.finite_diff_check(objective, store, samples_per_param=3, seed=2)
+    worst = finite_diff_check(objective, store, samples_per_param=3, seed=2)
     assert worst < 1e-4
 
 
@@ -203,7 +203,7 @@ def test_rgcn_row_restricted_gradients(n_rows, normalization, z):
     def objective(_):
         return total(ad.mul(c, rgcn_forward(graph, params, n_rows)))
 
-    worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=3)
+    worst = finite_diff_check(objective, store, samples_per_param=4, seed=3)
     assert worst < 1e-4
 
 
@@ -303,7 +303,7 @@ def test_gcn_gradients_flow():
     def objective(_):
         return total(gcn_forward(wg, params))
 
-    worst = ad.finite_diff_check(objective, store, samples_per_param=3, seed=2)
+    worst = finite_diff_check(objective, store, samples_per_param=3, seed=2)
     assert worst < 1e-4
 
 
@@ -383,5 +383,5 @@ def test_encode_items_gradients_flow(aug_setup):
     def objective(_):
         return total(encode_items(kg, interaction, kg_p, ig_p))
 
-    worst = ad.finite_diff_check(objective, store, samples_per_param=2, seed=4)
+    worst = finite_diff_check(objective, store, samples_per_param=2, seed=4)
     assert worst < 1e-4

@@ -14,7 +14,6 @@ from convrec.corpus import (
     Split,
     WordVocab,
     load_corpus,
-    save_corpus,
 )
 from convrec.errors import MissingArtifactError, ParseError, ValidationError
 from convrec.graphs import (
@@ -25,9 +24,8 @@ from convrec.graphs import (
     load_item_kg,
     load_word_graph,
     normalize_adjacency,
-    save_kg,
-    save_word_graph,
 )
+from convrec.synthetic import save_corpus, save_kg, save_word_graph
 
 from oracles import (
     Conversation,

@@ -19,6 +19,7 @@ from convrec.optim import (
     ParamStore,
     adam_step,
     load_checkpoint,
+    open_input,
     read_arrays,
     read_checkpoint,
     save_arrays,
@@ -263,7 +264,7 @@ def test_packing_makes_every_parameter_a_view_of_one_arena(tmp_path):
     other.add("s", np.asarray(-1.0))
     save_checkpoint(path, other)
     with pytest.raises(StateError, match="packed"):
-        load_checkpoint(path, store)
+        load_checkpoint(path.read_bytes(), store)
     np.testing.assert_array_equal(arena, np.concatenate([x.ravel() for x in before.values()]))
     assert all(t.values.base is arena for _, t in store.items())
     with pytest.raises(StateError, match="packed"):
@@ -327,7 +328,7 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     restored.add("emb", np.zeros((5, 3)))
     restored.add("w", np.zeros(3))
     restored.add("s", np.asarray(0.0))
-    load_checkpoint(path, restored)
+    load_checkpoint(path.read_bytes(), restored)
     for name in store.names():
         np.testing.assert_array_equal(restored[name].values, store[name].values)
 
@@ -356,21 +357,21 @@ def test_read_checkpoint_without_store(tmp_path):
     store = make_store()
     path = tmp_path / "raw.ckpt"
     save_checkpoint(path, store)
-    params = read_checkpoint(path)
+    params = read_checkpoint(path.read_bytes())
     assert set(params) == {"a", "b"}
     np.testing.assert_array_equal(params["a"], store["a"].values)
 
 
 def test_checkpoint_missing_file():
-    with pytest.raises(MissingArtifactError):
-        read_checkpoint("/nonexistent/model.ckpt")
+    # read_checkpoint takes bytes; load_model opens the file through open_input
+    with pytest.raises(MissingArtifactError, match="checkpoint not found"):
+        with open_input("/nonexistent/model.ckpt", "checkpoint"):
+            pass
 
 
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "junk.ckpt"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
+def test_checkpoint_bad_magic():
     with pytest.raises(ParseError):
-        read_checkpoint(path)
+        read_checkpoint(b"NOPE" + b"\x00" * 32)
 
 
 def test_checkpoint_with_a_non_utf8_name(tmp_path):
@@ -380,9 +381,8 @@ def test_checkpoint_with_a_non_utf8_name(tmp_path):
     raw = bytearray(path.read_bytes())
     assert raw[16:19] == b'{"a'
     raw[18] = 0xFF  # the first name's first byte, in the header after the 16-byte prefix
-    path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match="checkpoint header is not ASCII JSON"):
-        read_checkpoint(path)
+        read_checkpoint(bytes(raw))
 
 
 def test_checkpoint_truncation(tmp_path):
@@ -390,22 +390,20 @@ def test_checkpoint_truncation(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store)
     raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(ParseError):
-        read_checkpoint(path)
+        read_checkpoint(raw[: len(raw) // 2])
 
 
 def test_checkpoint_loads_exactly_its_own_length(tmp_path):
     store = make_store()
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store)
-    params = read_checkpoint(path)
-    np.testing.assert_array_equal(params["b"], store["b"].values)
     raw = path.read_bytes()
+    params = read_checkpoint(raw)
+    np.testing.assert_array_equal(params["b"], store["b"].values)
     for extra in (b"\x00", b"\x00" * 8):
-        path.write_bytes(raw + extra)
         with pytest.raises(ParseError, match=f"{len(extra)} trailing bytes"):
-            read_checkpoint(path)
+            read_checkpoint(raw + extra)
 
 
 CKPT_MAGIC, CKPT_VERSION = b"CVRK", 3
@@ -416,29 +414,25 @@ CKPT_MAGIC, CKPT_VERSION = b"CVRK", 3
     (2**20, 2**20),   # 8 TiB of values
     (5,),             # 40 bytes, 1 left
 ], ids=["wraps", "huge", "short"])
-def test_read_checkpoint_bounds_shape_by_file_size(tmp_path, shape):
+def test_read_checkpoint_bounds_shape_by_file_size(shape):
     raw = container_reference(CKPT_MAGIC, {"a": ("<f8", shape)}, b"\x00", CKPT_VERSION)
     assert len(raw) < 128
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(raw)
     with pytest.raises(ParseError, match=r"header claims shape .* but 1 bytes remain"):
-        read_checkpoint(path)
+        read_checkpoint(raw)
 
 
-def test_read_checkpoint_refuses_a_rank_numpy_cannot_hold(tmp_path):
+def test_read_checkpoint_refuses_a_rank_numpy_cannot_hold():
     # 70 dimensions whose product, 0, the data holds: a zero, then ones
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(container_reference(CKPT_MAGIC, {"a": ("<f8", (0,) + (1,) * 69)}, b"",
-                                         CKPT_VERSION))
+    raw = container_reference(CKPT_MAGIC, {"a": ("<f8", (0,) + (1,) * 69)}, b"", CKPT_VERSION)
     with pytest.raises(ParseError, match="maximum supported dimension"):
-        read_checkpoint(path)
+        read_checkpoint(raw)
 
 
 def test_read_checkpoint_refuses_a_parameter_that_is_not_float64(tmp_path):
     path = tmp_path / "bad.ckpt"
     save_arrays(path, CKPT_MAGIC, CKPT_VERSION, {"a": np.zeros(2), "n": np.arange(3)})
     with pytest.raises(ParseError, match="^checkpoint array 'n' has dtype <i8, not <f8$"):
-        read_checkpoint(path)
+        read_checkpoint(path.read_bytes())
 
 
 def test_read_checkpoint_refuses_a_version_2_checkpoint(tmp_path):
@@ -446,16 +440,15 @@ def test_read_checkpoint_refuses_a_version_2_checkpoint(tmp_path):
     path = tmp_path / "model.ckpt"
     save_arrays(path, CKPT_MAGIC, 2, {"a": np.zeros(2)})
     with pytest.raises(ParseError, match="^unsupported checkpoint version 2$"):
-        read_checkpoint(path)
+        read_checkpoint(path.read_bytes())
 
 
-def test_read_checkpoint_refuses_a_version_1_checkpoint(tmp_path):
+def test_read_checkpoint_refuses_a_version_1_checkpoint():
     # parameter a = [0.5] in the version-1 layout: a count, then per parameter
     # its name, rank, dimensions and values, then an optimizer flag byte
-    path = tmp_path / "model.ckpt"
-    path.write_bytes(b"CVRK" + struct.pack("<IIH1sBId", 1, 1, 1, b"a", 1, 1, 0.5) + b"\x00")
+    raw = b"CVRK" + struct.pack("<IIH1sBId", 1, 1, 1, b"a", 1, 1, 0.5) + b"\x00"
     with pytest.raises(ParseError, match="^unsupported checkpoint version 1$"):
-        read_checkpoint(path)
+        read_checkpoint(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -576,11 +569,10 @@ def toy_checkpoint_bytes(ckpt_dir, toy_artifacts):
 @given(st.data())
 def test_mutated_checkpoint_bytes_load_exactly_or_raise_parse_error(ckpt_dir, toy_artifacts,
                                                                     toy_checkpoint_bytes, data):
-    path, again = ckpt_dir / "mutated.ckpt", ckpt_dir / "again.ckpt"
+    again = ckpt_dir / "again.ckpt"
     raw = data.draw(mutations(toy_checkpoint_bytes))
-    path.write_bytes(raw)
     try:
-        params = read_checkpoint(path)
+        params = read_checkpoint(raw)
     except ParseError:
         return
     # what loads is what the bytes say: a store of it saves the same bytes back,
@@ -613,7 +605,7 @@ def test_load_checkpoint_name_mismatch(tmp_path):
     other.add("a", np.zeros((2, 2)))
     other.add("c", np.zeros(3))
     with pytest.raises(ConfigurationError, match="missing"):
-        load_checkpoint(path, other)
+        load_checkpoint(path.read_bytes(), other)
 
 
 def test_load_checkpoint_shape_mismatch(tmp_path):
@@ -624,4 +616,4 @@ def test_load_checkpoint_shape_mismatch(tmp_path):
     other.add("a", np.zeros((2, 2)))
     other.add("b", np.zeros(4))
     with pytest.raises(ConfigurationError, match="shape"):
-        load_checkpoint(path, other)
+        load_checkpoint(path.read_bytes(), other)

@@ -15,7 +15,7 @@ from convrec.autodiff import Segments
 from convrec.recommender import Model, TrainConfig, item_logits, rec_loss
 
 from conftest import attention_weights, total
-from oracles import user_vector_reference
+from oracles import finite_diff_check, user_vector_reference
 
 
 def make_params(dim=4, gate_mode=GATE_ELEMENTWISE, seed=0):
@@ -107,7 +107,7 @@ def test_attention_pool_gradcheck():
     def objective(_):
         return total(_pool(matrix, source, params.w_entity, params.b_entity))
 
-    worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=0)
+    worst = finite_diff_check(objective, store, samples_per_param=4, seed=0)
     assert worst < 1e-4
 
 
@@ -206,7 +206,7 @@ def test_gate_fuse_gradcheck_both_modes():
         def objective(_):
             return total(gate_batch(ve, vw, params).vector)
 
-        worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=1)
+        worst = finite_diff_check(objective, store, samples_per_param=4, seed=1)
         assert worst < 1e-4
 
 
@@ -357,7 +357,7 @@ def test_user_representation_gradcheck():
         rep = user_rep(entity_rows, word_rows, item_matrix, word_matrix, params)
         return total(ad.tanh(rep.vector))
 
-    worst = ad.finite_diff_check(objective, store, samples_per_param=4, seed=2)
+    worst = finite_diff_check(objective, store, samples_per_param=4, seed=2)
     assert worst < 1e-4
 
 

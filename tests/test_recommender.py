@@ -44,6 +44,7 @@ from oracles import (
     brute_force_metrics,
     example_records,
     examples_of,
+    finite_diff_check,
     masked_softmax_scores,
     rank_order_reference,
     softmax_cross_entropy_reference,
@@ -253,7 +254,7 @@ def test_rec_loss_gradcheck_unguarded():
         loss, _ = rec_loss(ad.add_const(s["logits"], mask), Segments.of([[0, 2], [3]]))
         return loss
 
-    worst = ad.finite_diff_check(objective, store, samples_per_param=8, seed=0)
+    worst = finite_diff_check(objective, store, samples_per_param=8, seed=0)
     assert worst < 1e-4
 
 
@@ -980,13 +981,13 @@ def test_trimmed_training_loss_gradchecks():
     last = [(name, i) for name in model.store.names() if name.startswith("kg.l1.")
             for i in range(model.store[name].values.size)]
     assert len(last) == 3 * 8 * 8
-    assert ad.finite_diff_check(objective(n), model.store, coords=last) < 1e-4
+    assert finite_diff_check(objective(n), model.store, coords=last) < 1e-4
     # elsewhere the check reads as on the full pass; a sampled coordinate with a
     # near-zero gradient can bind both at the step's roundoff
     coords = sample_coords(model.store, 50, seed=0)
     assert {name.split(".")[0] for name, _ in coords} == {"kg", "ig", "word", "att"}
-    assert (ad.finite_diff_check(objective(n), model.store, coords=coords)
-            == pytest.approx(ad.finite_diff_check(objective(None), model.store, coords=coords),
+    assert (finite_diff_check(objective(n), model.store, coords=coords)
+            == pytest.approx(finite_diff_check(objective(None), model.store, coords=coords),
                              rel=1e-6))
 
 

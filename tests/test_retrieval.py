@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from convrec import retrieval
 from convrec.autodiff import Segments
-from convrec.corpus import EntityVocab, Sentiment, Speaker, Split, load_corpus, save_corpus
+from convrec.corpus import EntityVocab, Sentiment, Speaker, Split, load_corpus
 from convrec.errors import ValidationError
 from convrec.retrieval import bm25_score, retrieve, retrieve_batch
 from convrec.retrieval import build_index as build_corpus_index
+from convrec.synthetic import save_corpus
 
 from oracles import Conversation, Mention, Utterance, bm25_reference, corpus_of
 

@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import pytest
 
 from convrec.corpus import Sentiment, Split, corpus_stats
 from convrec.graphs import build_interaction_graph
@@ -75,3 +78,31 @@ def test_write_inputs_round_trips(tmp_path):
     paths = write_inputs(data, tmp_path)
     for p in paths.values():
         assert p.exists() and p.stat().st_size > 0
+
+
+# sha256 of each raw file write_inputs writes: the bytes ingest reads, pinned
+# below the parse, where a writer change that still parses the same would show
+RAW_SHA256 = {
+    "toy": {
+        "corpus": "e3fb2d015da5a79fa0132c1b6b52f8877c0016619586ae977a67988544bef19a",
+        "entities": "2dce6358afaa8be8d0de0511a0ad4a19e83af31fbf571b62b95ad6c316d27b74",
+        "kg": "dda77e441e4956d9a0e536894acba01b40a5cd4d5352d6c17d4425a92b8f29c1",
+        "word_graph": "58e0d00b52d32466df4e8cc0c55de22873701e8f386f7b6515e1c1022c6ac31d",
+    },
+    "popularity": {
+        "corpus": "168b973237edf3f1a6f295728c885fcab875ad72d847d82af3738d561b8e2373",
+        "entities": "557ba55036e2a5d69bc9b4b7fcdbed1b814a5a130efe5692c620e5c1e610a83e",
+        "kg": "3628dd45d74fbe6c8bd89be02a623d971891b4b4d2bc4941e8e91bda08261e6b",
+        "word_graph": "6807e5791a09cde0bb1f8472a87fa11ad0905b4c4303caf9b356461935bc43c7",
+    },
+}
+
+
+@pytest.mark.parametrize("name, make", [
+    ("toy", toy_instance),
+    ("popularity", lambda: popularity_corpus(3, n_users=20, n_items=15, n_conversations=40)),
+], ids=["toy", "popularity"])
+def test_write_inputs_writes_the_pinned_bytes(tmp_path, name, make):
+    paths = write_inputs(make(), tmp_path)
+    got = {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
+    assert got == RAW_SHA256[name]

@@ -1,6 +1,7 @@
 """The bench finds convrec's functions by name; a rename must fail here, not print `absent`.
 
-Importing the package stays light: what it loads is pinned here too.
+Importing the package stays light: what it loads is pinned here too, and so
+is the package boundary: every public function has a caller outside the tests.
 """
 
 import ast
@@ -11,7 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_bench_contract import KNOWN_ABSENT
+from test_bench_contract import KNOWN_ABSENT, bench_function_names
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,3 +90,56 @@ def test_only_optim_packs_binary_fields():
             if "struct" in names:
                 importers.append(path.stem)
     assert importers == ["optim"], f"convrec modules importing struct: {importers}"
+
+
+# public functions of the package that only the tests call, and why each stays
+TEST_ONLY = {
+    "autodiff.mul": "test objectives seed an upstream gradient with total(mul(out, constant(g)))",
+    "autodiff.reshape": "conftest.total, every gradient check's objective, is built from it",
+    "synthetic.toy_instance": "the tests' fixed corpus; it leaves src/ with synthetic.py, "
+                              "which bench/workloads.py imports",
+    "synthetic.cluster_corpus": "criterion 6's corpus; it leaves src/ with synthetic.py",
+}
+
+
+def references(tree, own=None):
+    """The (module, name) pairs of convrec a file refers to: names it imports from a
+    package module, attributes of a package module it binds (``ad.x`` after
+    ``from . import autodiff as ad``) and, in the package module ``own``, its
+    own names. An attribute of anything else, numpy's ``.reshape`` say, is no use."""
+    bound, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "convrec"
+                                                 or node.module.startswith("convrec.")):
+            module = (node.module or "") if node.level else node.module[len("convrec."):]
+            for alias in node.names:
+                if module:
+                    refs.add((module, alias.name))
+                else:  # from . import autodiff as ad, from convrec import cli
+                    bound[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in bound:
+            refs.add((bound[node.value.id], node.attr))
+        elif own and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add((own, node.id))
+    return refs
+
+
+def test_the_package_defines_no_function_only_tests_call():
+    public, used = set(), {tuple(name.split(".")) for name in bench_function_names()}
+    for path in sorted((ROOT / "src" / "convrec").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        used |= references(tree, own=path.stem)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                public.add((path.stem, node.name))
+                # a command is called by its group, and the group by the entry point
+                if any(ast.unparse(d).startswith(("main.command", "click.group"))
+                       for d in node.decorator_list):
+                    used.add((path.stem, node.name))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        used |= references(ast.parse(path.read_text("utf-8")))
+    only_tests = {".".join(name) for name in public - used}
+    assert only_tests == set(TEST_ONLY), (
+        f"called only by tests: {sorted(only_tests - set(TEST_ONLY))}; "
+        f"called elsewhere after all: {sorted(set(TEST_ONLY) - only_tests)}")
