@@ -195,17 +195,22 @@ def blend(gate: Tensor, a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (gate, a, b), bw)
 
 
-def add_const(a: Tensor, c) -> Tensor:
-    """Add a non-differentiable constant (scalar or same-shape array)."""
-    c_arr = np.asarray(c)
-    if c_arr.ndim != 0 and c_arr.shape != a.values.shape:
-        raise ShapeError(f"add_const: shapes {a.values.shape} and {c_arr.shape} differ")
-    out = Tensor(a.values + c_arr)
+def add_at(a: Tensor, cells: Segments, c: float) -> Tensor:
+    """A (B, n) matrix plus ``c`` at cell (b, j) for each column j in group b of
+    ``cells``, once however often j repeats; elsewhere ``a + 0.0``, so a zero of
+    either sign comes out +0.0, as from adding a zero matrix. Backward: identity."""
+    if a.values.ndim != 2 or len(cells) != a.values.shape[0]:
+        raise ShapeError(f"add_at: {len(cells)} groups of cells for shape {a.values.shape}")
+    cols = cells.rows
+    if cols.size and cols.view(np.uintp).max() >= a.values.shape[1]:
+        raise ShapeError(f"add_at: column out of range for {a.values.shape[1]} columns")
+    vals = a.values + 0.0
+    vals[cells.group_of_rows(), cols] += c  # buffered: a repeated cell takes c once
 
     def bw(g: np.ndarray) -> None:
         _accum(a, g, True)
 
-    return _record(out, (a,), bw)
+    return _record(Tensor(vals), (a,), bw)
 
 
 def tanh(a: Tensor) -> Tensor:

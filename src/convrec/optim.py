@@ -227,7 +227,7 @@ def atomic_write(path: str | Path, text: bool = False) -> Iterator[BinaryIO | Te
     then swaps in, so ``path`` holds the old bytes or the new ones, never a
     part. On an error the temp file is removed and ``path`` is untouched. A
     location that cannot take the file (no directory to hold it, or ``path``
-    a directory) raises ConfigurationError; a failed write raises as it is.
+    a directory) or a write that fails (a full disk) raises ConfigurationError.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -238,12 +238,11 @@ def atomic_write(path: str | Path, text: bool = False) -> Iterator[BinaryIO | Te
     try:
         with fh:
             yield fh
-        try:
-            os.replace(tmp, path)
-        except OSError as err:
-            raise ConfigurationError(f"cannot write {path}: {err.strerror}") from None
-    except BaseException:
+        os.replace(tmp, path)
+    except BaseException as err:
         tmp.unlink(missing_ok=True)
+        if isinstance(err, OSError):
+            raise ConfigurationError(f"cannot write {path}: {err.strerror or err}") from None
         raise
 
 

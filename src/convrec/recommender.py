@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import retrieval
 from .autodiff import Segments, Tensor
 from .corpus import (
     SPLITS,
@@ -138,7 +139,7 @@ class MetricsReport:
 class Contexts:
     """B examples compiled to flat integer arrays, one ``Segments`` field per source.
 
-    No row depends on a parameter. Training batches and evaluation chunks are
+    No row depends on a parameter. Training batches and evaluation blocks are
     :meth:`take` gathers, and a recommend turn is a record with B = 1. A
     field's offsets are right when it is built, so the user side and the loss
     take the fields as they are; a record only checks that each has B groups.
@@ -192,6 +193,14 @@ class Artifacts:
     @functools.cached_property
     def examples(self) -> Examples:
         return derive_examples(self.corpus, self.vocab.entities)
+
+    @functools.cached_property
+    def document_of(self) -> np.ndarray:
+        """(C + 1,) intp: each conversation's document in ``index``, -1 where it
+        has none; the last slot, -1, serves a query's conversation -1."""
+        index_of = self.index.index_of
+        return np.array([index_of.get(c, -1) for c in self.corpus.conversation_ids] + [-1],
+                        np.intp)
 
 
 def build_artifacts(
@@ -311,9 +320,7 @@ class Model:
         index = None if cfg.without_rt else self.artifacts.index
         entities = mentioned = examples.entities
         if index is not None:
-            ids, index_of = self.artifacts.corpus.conversation_ids, index.index_of
-            exclude = np.array([index_of.get(ids[c], -1) if c >= 0 else -1
-                                for c in examples.conversations.tolist()], np.intp)
+            exclude = self.artifacts.document_of[examples.conversations]
             docs, _, found = retrieve_batch(index, mentioned, cfg.top_n, exclude)
             # query b's documents are docs[found[b]:found[b + 1]]
             retrieved = index.doc_entities.take(docs).regroup(found)
@@ -353,10 +360,7 @@ def item_logits(users: Tensor, item_rows: Tensor, masks: Segments) -> Tensor:
     """
     if len(masks) != users.shape[0]:
         raise ValidationError(f"{len(masks)} masks for {users.shape[0]} user rows")
-    logits = ad.matmul(users, ad.transpose(item_rows))
-    shift = np.zeros(logits.shape)
-    shift[masks.group_of_rows(), masks.rows] = MASK_LOGIT
-    return ad.add_const(logits, shift)
+    return ad.add_at(ad.matmul(users, ad.transpose(item_rows)), masks, MASK_LOGIT)
 
 
 def score_all(users: Tensor, item_rows: Tensor, masks: Segments) -> Tensor:
@@ -409,13 +413,17 @@ def _gold_ranks(probs: np.ndarray, gold: Segments) -> list[int]:
 
     Group b of ``gold`` holds row b's gold positions. Position g is preceded
     by every item with a higher probability and by every tied item at a
-    lower position.
+    lower position; the ties are counted only in rows where an item ties g.
     """
     positions = gold.rows
     p = probs[gold.group_of_rows()]  # one row per gold item
     at = p[np.arange(len(positions)), positions][:, None]
-    ahead = (p > at) | ((p == at) & (np.arange(probs.shape[1]) < positions[:, None]))
-    return (1 + np.count_nonzero(ahead, axis=1)).tolist()
+    ranks = 1 + np.count_nonzero(p > at, axis=1)
+    tied = (np.count_nonzero(p == at, axis=1) > 1).nonzero()[0]
+    if tied.size:
+        before = np.arange(probs.shape[1]) < positions[tied, None]
+        ranks[tied] += np.count_nonzero((p[tied] == at[tied]) & before, axis=1)
+    return ranks.tolist()
 
 
 def aggregate_metrics(rank_lists: Iterable[Sequence[int]],
@@ -457,7 +465,9 @@ def evaluate(model: Model, examples: Examples,
 @ad.no_grad()
 def evaluate_contexts(model: Model, contexts: Contexts, ks: Sequence[int],
                       split_label: str) -> MetricsReport:
-    """:func:`evaluate` on a compiled split, scored in batch_size chunks.
+    """:func:`evaluate` on a compiled split, scored in blocks of max(batch_size,
+    ``retrieval.SCRATCH_BYTES`` // (8 n_items)) examples, so that a block's
+    (examples, items) scores fit the scratch budget; no row reads another.
 
     A loaded model scores against its ``stored_outputs`` and runs no encoder:
     its parameters are read-only views of the checkpoint that stores the
@@ -469,14 +479,17 @@ def evaluate_contexts(model: Model, contexts: Contexts, ks: Sequence[int],
     """
     item_matrix, word_matrix = model.scoring_outputs(model.rows_read(contexts))
     item_rows = ad.lookup(item_matrix, model.artifacts.item_ids)
-    rank_lists: list[list[int]] = []  # one flat list per chunk, in example order
-    for start in range(0, len(contexts), model.config.batch_size):
-        chunk = contexts.take(np.arange(start, min(start + model.config.batch_size, len(contexts))))
-        users = model.users(chunk, item_matrix, word_matrix).vector
-        probs = score_all(users, item_rows, chunk.masked)
-        if np.isnan(probs.values).any():
+    size = max(model.config.batch_size, retrieval.SCRATCH_BYTES // (8 * item_rows.shape[0]))
+    rank_lists: list[list[int]] = []  # one flat list per block, in example order
+    for start in range(0, len(contexts), size):
+        block = contexts.take(np.arange(start, min(start + size, len(contexts))))
+        users = model.users(block, item_matrix, word_matrix).vector
+        probs = score_all(users, item_rows, block.masked)
+        # a softmax row is all NaN or has none: a NaN or +inf logit makes the
+        # row's max or its sum NaN, and with it every entry; column 0 tells
+        if np.isnan(probs.values[:, 0]).any():
             raise NumericError(f"NaN item probabilities on the {split_label} split")
-        rank_lists.append(_gold_ranks(probs.values, chunk.gold))
+        rank_lists.append(_gold_ranks(probs.values, block.gold))
     recall, mrr, pairs = aggregate_metrics(rank_lists, ks)
     return MetricsReport(
         split=split_label,

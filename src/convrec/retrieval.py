@@ -23,12 +23,13 @@ K1 = 1.2
 B = 0.75
 
 
-# Each chunk of retrieve_batch scores its queries into one dense
-# (queries, documents) float64 array of at most this many bytes. At 512 KiB a
-# chunk's arrays stay in cache, and the heap the package keeps after freeing
-# them (see allocator.py) stays below the training footprint; at 2 MiB the
-# train-retrieval benchmark's peak RSS rose by about 4 MB.
-SCRATCH_BYTES = 1 << 19
+# The bytes of one dense (rows, catalogue) float64 array: a retrieve_batch
+# chunk's (queries, documents) scores and an evaluation block's (examples,
+# items) scores. At 256 KiB such arrays stay in cache, and the heap the package
+# keeps after freeing them (see allocator.py) stays below the training
+# footprint. With evaluation blocks under it, a 512 KiB or 1 MiB budget raised
+# the train-retrieval benchmark's peak RSS by 0.7 or 3.6 MB.
+SCRATCH_BYTES = 1 << 18
 
 
 def _idf(n_docs: int, df: int) -> float:

@@ -106,8 +106,8 @@ def masked_positions(item_ids, example):
 
 @contextmanager
 def disk_full_after_first_write():
-    """Inside the block an atomic write raises OSError("disk full") at its second
-    ``write``; yields the sizes of the writes that went out."""
+    """Inside the block an atomic write's second ``write`` raises OSError("disk
+    full"), as a full disk would; yields the sizes of the writes that went out."""
     real, written = optim.atomic_write, []
 
     @contextmanager

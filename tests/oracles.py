@@ -17,7 +17,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse as sp
@@ -325,6 +325,17 @@ def softmax_jacobian(x: np.ndarray) -> np.ndarray:
     p = np.exp(x - x.max())
     p /= p.sum()
     return np.diag(p) - np.outer(p, p)
+
+
+def segment_softmax_jacobian(x: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
+    """The (n, n) Jacobian at a vector x of a softmax within each group
+    [offsets[b], offsets[b + 1]): block diagonal, a group's block its own
+    softmax Jacobian, and zero across groups."""
+    jac = np.zeros((len(x), len(x)))
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        if hi > lo:
+            jac[lo:hi, lo:hi] = softmax_jacobian(x[lo:hi])
+    return jac
 
 
 def finite_diff_check(

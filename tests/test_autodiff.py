@@ -15,6 +15,7 @@ from convrec.optim import ParamStore
 from conftest import total
 from oracles import (
     finite_diff_check,
+    segment_softmax_jacobian,
     sigmoid_derivative,
     softmax_cross_entropy_reference,
     softmax_jacobian,
@@ -201,7 +202,7 @@ def test_elementwise_ops_gradcheck():
     def f(s):
         x = ad.add(s["a"], s["b"])
         x = ad.mul(x, ad.blend(ad.tanh(s["b"]), s["a"], s["b"]))
-        x = ad.add_const(x, 1.5)
+        x = ad.add_at(x, ad.Segments.of([[0, 2], [], [1, 1, 3]]), 1.5)
         x = ad.tanh(x)
         return total(ad.mul(ad.sigmoid(x), x))
 
@@ -216,8 +217,11 @@ def test_mismatched_shapes_raise():
             op(a, b)
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    for cells in ([[0]], [[0], [3]], [[-1], []]):  # a group short; a column out of range
+        with pytest.raises(ShapeError):
+            ad.add_at(a, ad.Segments.of(cells), 1.0)
     with pytest.raises(ShapeError):
-        ad.add_const(a, np.ones((2, 2)))
+        ad.add_at(Tensor(np.ones(3)), ad.Segments.of([[0]]), 1.0)
     with pytest.raises(ShapeError):
         ad.softmax(Tensor(np.ones((2, 2, 2))))
     with pytest.raises(ShapeError, match="expected a matrix"):
@@ -687,13 +691,41 @@ def test_blend_passes_the_dot_product_test_in_a_and_in_b(leaf):
     assert_adjoint(out, rng.normal(size=out.shape), x)
 
 
-@pytest.mark.parametrize("c", [0.0, np.zeros((3, 4))], ids=["scalar", "array"])
-def test_add_const_passes_the_dot_product_test(c):
-    # a + c is linear in a for a zero c
+def test_blend_passes_the_dot_product_test_in_the_gate():
+    # gate * (a - b) + b is affine in the gate: its linear part f(gate) - f(0)
+    # passes the test, with b nonzero so that both of the gate's terms count
+    rng = np.random.default_rng(5)
+    a, b = (constant(rng.normal(size=(3, 4))) for _ in range(2))
+    gate = Tensor(rng.random((3, 4)), requires_grad=True)
+    out = ad.blend(gate, a, b)
+    y = rng.normal(size=out.shape)
+    backward(total(ad.mul(out, constant(y))))
+    lhs = np.vdot(out.values - ad.blend(constant(np.zeros((3, 4))), a, b).values, y)
+    assert lhs != 0 and gate.grad is not None
+    assert np.vdot(gate.values, gate.grad) == pytest.approx(lhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("cells", [[[], [], []], [[0, 2], [], [3, 1, 3]]],
+                         ids=["no-cells", "cells"])
+def test_add_at_passes_the_dot_product_test(cells):
+    # a plus c at some cells is linear in a for a zero c
     rng = np.random.default_rng(3)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    out = ad.add_const(a, c)
+    out = ad.add_at(a, ad.Segments.of(cells), 0.0)
     assert_adjoint(out, rng.normal(size=out.shape), a)
+
+
+def test_add_at_adds_once_per_cell_to_the_bits_of_a_dense_shift():
+    # the same bits as adding a matrix that holds c at the cells and 0.0
+    # elsewhere, so a zero of either sign comes out +0.0; a repeated cell takes c once
+    a = Tensor(np.asarray([[1.5, -0.0, 0.0, -2.0], [-0.0, 3.0, -0.0, 0.25]]))
+    cells = ad.Segments.of([[1, 3, 1], [0]])
+    shift = np.zeros(a.shape)
+    shift[[0, 0, 1], [1, 3, 0]] = -1e9
+    out = ad.add_at(a, cells, -1e9)
+    assert out.values.tobytes() == (a.values + shift).tobytes()
+    assert not np.signbit(out.values[:, 2]).any()
+    assert a.values[0, 1] == 0.0 and np.signbit(a.values[0, 1])  # the input is untouched
 
 
 @pytest.mark.parametrize("shape, to", [((2, 3), (3, 2)), ((2, 3), (6,)), ((6,), (1, 6)),
@@ -725,6 +757,18 @@ def test_softmax_backward_is_the_closed_form_jacobian(shape):
     y = rng.normal(size=shape)
     backward(total(ad.mul(ad.softmax(x), constant(y))))
     want = np.stack([softmax_jacobian(row).T @ g for row, g in zip(x.values, y)])
+    np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("offsets", [[0, 6], [0, 1], [0, 2, 2, 5, 6], [0, 3, 4, 4, 7]])
+def test_segment_softmax_backward_is_the_closed_form_jacobian(offsets):
+    # J^T y with J block diagonal: one softmax Jacobian per group, empty and
+    # one-row groups included (a one-row group's block is zero)
+    rng = np.random.default_rng(len(offsets))
+    x = Tensor(rng.normal(size=offsets[-1]) * 3.0, requires_grad=True)
+    y = rng.normal(size=offsets[-1])
+    backward(total(ad.mul(ad.segment_softmax(x, groups(np.array(offsets))), constant(y))))
+    want = segment_softmax_jacobian(x.values, offsets).T @ y
     np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-15)
 
 
@@ -863,13 +907,11 @@ def test_cross_entropy_rows_are_mean_of_vector_losses():
 def test_cross_entropy_gradcheck_masked_multi_gold_rows():
     rng = np.random.default_rng(15)
     store = fd_store(z=rng.normal(size=(3, 6)))
-    mask = np.zeros((3, 6))
-    mask[0, [0, 3]] = -1e9
-    mask[2, 5] = -1e9
+    masked = ad.Segments.of([[0, 3], [], [5]])
 
     def f(s):
         # rows [1, 4], [0] and [2, 2, 4]: a repeated label counts twice
-        return ad.cross_entropy(ad.add_const(s["z"], mask),
+        return ad.cross_entropy(ad.add_at(s["z"], masked, -1e9),
                                 ad.Segments([1, 4, 0, 2, 2, 4], [0, 2, 3, 6]))[0]
 
     check(f, store, samples_per_param=18)
@@ -931,10 +973,10 @@ def test_finite_diff_check_rejects_bad_eps():
 
 
 def test_finite_diff_check_nonfinite_objective():
-    store = fd_store(w=np.asarray([0.0]))
+    store = fd_store(w=np.asarray([[0.0]]))
 
     def f(s):
-        return total(ad.add_const(s["w"], np.inf))
+        return total(ad.add_at(s["w"], ad.Segments.of([[0]]), np.inf))
 
     with pytest.raises(NumericError):
         finite_diff_check(f, store)
@@ -970,7 +1012,7 @@ def test_finite_diff_check_records_a_tape_only_for_the_analytic_pass():
 def every_op(w, v):
     """One output of each primitive on a (2, 3) matrix w and a (3,) vector v."""
     return [
-        ad.add(w, w), ad.mul(w, w), ad.blend(w, w, w), ad.add_const(w, 1.0),
+        ad.add(w, w), ad.mul(w, w), ad.blend(w, w, w), ad.add_at(w, ad.Segments.of([[1], [0, 2]]), 1.0),
         ad.tanh(w), ad.sigmoid(w), ad.matmul(w, v), ad.transpose(w),
         ad.reshape(w, (3, 2)), ad.concat([w, w]), ad.lookup(w, [1, 0, 1]),
         ad.scatter_rows(w, [2, 0], 4),

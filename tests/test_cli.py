@@ -205,7 +205,8 @@ def test_interrupted_ingest_keeps_the_previous_file(runner, tmp_path, monkeypatc
 
     monkeypatch.setattr(convrec.optim, "open", failing_open, raising=False)
     result = runner.invoke(cli.main, ingest_args(paths, bundle))
-    assert isinstance(result.exception, OSError)
+    assert_one_error_line(
+        result, f"cannot write {bundle / _INTERRUPTED_WRITES[name]}: no space left on device")
     assert (bundle / name).read_bytes() == b"previous bytes\n"
     after = {p.name: p.read_bytes() for p in bundle.iterdir()}
     # only a completed arrays.bin may be new; every file of the previous bundle stays
@@ -448,15 +449,26 @@ def test_interrupted_eval_report_keeps_the_previous_file(runner, toy_bundle, toy
     result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle), "--checkpoint",
                                       str(toy_checkpoint), "--split", "train",
                                       "--out", str(tmp_path / "report.txt")])
-    assert isinstance(result.exception, OSError)
+    assert_one_error_line(result, f"cannot write {tmp_path / name}: no space left on device")
     assert (tmp_path / name).read_bytes() == b"previous bytes\n"
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_eval_missing_checkpoint_exits_3(runner, pop_bundle, tmp_path):
+def test_eval_missing_checkpoint_exits_3(runner, toy_bundle, toy_checkpoint, tmp_path):
+    # the sidecar is read first: a valid one beside an absent model.ckpt
+    ckpt = tmp_path / toy_checkpoint.name
+    shutil.copy(cli._config_sidecar(toy_checkpoint), cli._config_sidecar(ckpt))
+    result = runner.invoke(cli.main, ["eval", "--bundle", str(toy_bundle),
+                                      "--checkpoint", str(ckpt)])
+    assert result.exit_code == 3
+    assert f"checkpoint not found: {ckpt}" in result.stderr
+
+
+def test_eval_missing_checkpoint_sidecar_exits_3(runner, pop_bundle, tmp_path):
     result = runner.invoke(cli.main, ["eval", "--bundle", str(pop_bundle),
                                       "--checkpoint", str(tmp_path / "none.ckpt")])
     assert result.exit_code == 3
+    assert f"checkpoint config not found: {tmp_path / 'none.ckpt.config.json'}" in result.stderr
 
 
 def test_eval_empty_split_exits_2(runner, toy_bundle, tmp_path):

@@ -347,7 +347,8 @@ def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path):
     before = path.read_bytes()
     changed = make_store()
     changed["a"].values += 1.0
-    with disk_full_after_first_write() as written, pytest.raises(OSError, match="disk full"):
+    with disk_full_after_first_write() as written, \
+            pytest.raises(ConfigurationError, match=f"cannot write {path}: disk full"):
         save_checkpoint(path, changed)
     assert written and path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import convrec.recommender
 from convrec import autodiff as ad
-from convrec import encoders, graphs
-from convrec.corpus import Split, split_view
+from convrec import encoders, graphs, retrieval
+from convrec.corpus import Examples, Split, split_view
 from convrec.errors import ConfigurationError, NumericError, ShapeError, ValidationError
 from convrec.graphs import TypedGraph
 from convrec.optim import ParamStore
@@ -65,6 +65,12 @@ def small_config(**overrides):
     base = dict(dim=8, epochs=2, batch_size=8, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def eval_blocks_of(monkeypatch, artifacts, rows):
+    """Patch the scratch budget to one (rows, items) score matrix: with a
+    batch_size of at most ``rows``, evaluation scores ``rows`` examples a block."""
+    monkeypatch.setattr(retrieval, "SCRATCH_BYTES", 8 * len(artifacts.item_ids) * rows)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +200,30 @@ def test_counted_ranks_equal_rank_order_ranks(values):
     assert _gold_ranks(probs[None, :], Segments.of([positions])) == rank_at.tolist()
 
 
+def brute_force_ranks(probs, golds):
+    """Each row's gold positions' 1-based places in the row's full order: by
+    descending probability, ties by ascending position."""
+    ranks = []
+    for row, positions in zip(probs.tolist(), golds):
+        order = sorted(range(len(row)), key=lambda i: (-row[i], i))
+        ranks += [order.index(g) + 1 for g in positions]
+    return ranks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.tuples(st.lists(TIE_HEAVY, min_size=n, max_size=n),
+              st.sets(st.integers(0, n - 1), min_size=1)), min_size=1, max_size=4)))
+# ties before and after a gold, a gold tied only with later items, an untied
+# gold, and rows with one gold and with several
+@example([([0.25, 0.5, 0.25, 0.0, 0.25], {2}), ([0.0, 0.0, 0.5, 0.5, 0.0], {1, 3, 4}),
+          ([0.1, 0.4, 0.2, 0.3, 0.0], {0, 3}), ([0.2, 0.2, 0.2, 0.2, 0.2], {0, 4})])
+def test_counted_ranks_of_tie_heavy_rows_equal_the_brute_force_ranks(rows):
+    probs = np.array([values for values, _ in rows])
+    golds = [sorted(positions) for _, positions in rows]
+    assert _gold_ranks(probs, Segments.of(golds)) == brute_force_ranks(probs, golds)
+
+
 # ---------------------------------------------------------------------------
 # loss
 
@@ -248,10 +278,10 @@ def test_rec_loss_requires_gold():
 def test_rec_loss_gradcheck_unguarded():
     store = ParamStore()
     store.add("logits", np.array([[0.3, -0.2, 0.8, 0.1], [0.5, 0.2, -0.4, 0.9]]))
-    mask = np.array([[0.0, 0.0, 0.0, MASK_LOGIT], [0.0, MASK_LOGIT, 0.0, 0.0]])
+    masked = Segments.of([[3], [1]])
 
     def objective(s):
-        loss, _ = rec_loss(ad.add_const(s["logits"], mask), Segments.of([[0, 2], [3]]))
+        loss, _ = rec_loss(ad.add_at(s["logits"], masked, MASK_LOGIT), Segments.of([[0, 2], [3]]))
         return loss
 
     worst = finite_diff_check(objective, store, samples_per_param=8, seed=0)
@@ -418,15 +448,14 @@ def test_evaluate_matches_oracle_on_toy(toy_artifacts):
     assert report.n_examples == len(examples)
 
 
-def test_evaluate_is_independent_of_chunk_size(toy_artifacts):
+def test_evaluate_is_independent_of_chunk_size(toy_artifacts, monkeypatch):
     examples = toy_artifacts.examples
+    model = Model(toy_artifacts, small_config(batch_size=1))
+    assert model.contexts(examples).masked.rows.size  # masks are active
     reports = []
     for b in (1, 3, len(examples)):
-        model = Model(toy_artifacts, small_config(batch_size=b))
-        assert model.contexts(examples).masked.rows.size  # masks are active
-        report = evaluate(model, examples, [1, 3, 6])
-        # the fingerprint covers batch_size; everything measured must agree exactly
-        reports.append(dataclasses.replace(report, config_fingerprint=""))
+        eval_blocks_of(monkeypatch, toy_artifacts, b)
+        reports.append(evaluate(model, examples, [1, 3, 6]))
     assert reports[0] == reports[1] == reports[2]
 
 
@@ -438,6 +467,25 @@ def test_evaluate_split_labels(toy_artifacts):
     assert labeled.split == "anything"
     with pytest.raises(ValidationError):
         evaluate(model, [], [1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_evaluate_raises_on_one_bad_logit_past_the_first_column(toy_artifacts, monkeypatch,
+                                                                bad):
+    # the NaN check reads column 0 only: one NaN or +inf logit, in the last
+    # column of the last row, turns its whole softmax row NaN
+    def poisoned(*args, _fn=convrec.recommender.item_logits):
+        logits = _fn(*args)
+        logits.values[-1, -1] = bad
+        return logits
+
+    model = Model(toy_artifacts, small_config())
+    examples = toy_artifacts.examples
+    assert len(examples) > 1 and len(toy_artifacts.item_ids) > 1
+    evaluate(model, examples, [1])
+    monkeypatch.setattr(convrec.recommender, "item_logits", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="NaN"):
+        evaluate(model, examples, [1])
 
 
 def test_evaluate_nan_probabilities_raise():
@@ -479,7 +527,8 @@ def test_evaluate_records_no_tape_and_reports_what_the_recording_route_does(toy_
         return scored[-1]
 
     monkeypatch.setattr(convrec.recommender, "score_all", spy)
-    model = Model(toy_artifacts, small_config(batch_size=3))
+    eval_blocks_of(monkeypatch, toy_artifacts, 3)
+    model = Model(toy_artifacts, small_config(batch_size=1))
     examples = toy_artifacts.examples
     report = evaluate(model, examples, [1, 3, 6])
     free, scored[:] = scored[:], []
@@ -720,13 +769,18 @@ def test_contexts_take_refuses_ids_outside_the_record(bad):
 
 def test_no_tape_outlives_its_step(toy_artifacts, monkeypatch):
     # when an encoder pass starts, for a training step or a validation pass,
-    # no tape node of an earlier step is alive
+    # no tape node of an earlier step is alive; nodes alive before training
+    # (an earlier failed test's traceback can hold some) are not counted
+    def tape_nodes():
+        return [obj for obj in gc.get_objects()
+                if isinstance(obj, ad.Tensor) and obj._backward_fn is not None]
+
+    older = {id(node): node for node in tape_nodes()}  # held, so no id is reused
     live = []
     real = Model.encoder_outputs
 
     def counting(self, *args):
-        live.append(sum(isinstance(obj, ad.Tensor) and obj._backward_fn is not None
-                        for obj in gc.get_objects()))
+        live.append(sum(id(node) not in older for node in tape_nodes()))
         return real(self, *args)
 
     monkeypatch.setattr(Model, "encoder_outputs", counting)
@@ -786,6 +840,8 @@ def test_train_and_evaluate_call_the_sampled_functions_once_per_batch(toy_artifa
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(convrec.recommender, name, counting)
+    default_budget = retrieval.SCRATCH_BYTES
+    eval_blocks_of(monkeypatch, toy_artifacts, 2)
     config = small_config(epochs=1, batch_size=2)
     n_train = len(split_view(toy_artifacts.examples, Split.TRAIN))
     n_valid = len(split_view(toy_artifacts.examples, Split.VALID))
@@ -798,6 +854,11 @@ def test_train_and_evaluate_call_the_sampled_functions_once_per_batch(toy_artifa
     chunks = -(-len(toy_artifacts.examples) // 2)
     assert chunks > 1
     assert calls == {"build_user_representation": chunks, "score_all": chunks}
+    # under the default budget the toy split is one block
+    calls.clear()
+    monkeypatch.setattr(retrieval, "SCRATCH_BYTES", default_budget)
+    evaluate(result.model, toy_artifacts.examples, [1])
+    assert calls == {"build_user_representation": 1, "score_all": 1}
 
 
 def count_retrieve_batch_calls(monkeypatch):
@@ -810,6 +871,35 @@ def count_retrieve_batch_calls(monkeypatch):
 
     monkeypatch.setattr(convrec.recommender, "retrieve_batch", counting)
     return batch_sizes
+
+
+def test_the_exclude_gather_equals_the_dict_route_on_interleaved_splits(monkeypatch):
+    # each example never retrieves its own conversation's document: the gather
+    # through Artifacts.document_of gives what a lookup by conversation id does
+    data = popularity_corpus(seed=0, n_users=20, n_items=12, n_conversations=60)
+    # test, valid, train, test, ...: the splits interleave and the last
+    # conversation is a training one
+    corpus = dataclasses.replace(data.corpus, splits=(np.arange(len(data.corpus)) % 3)
+                                 .astype(np.int8)[::-1].copy())
+    artifacts = build_artifacts(corpus, data.vocab, data.kg, data.word_graph)
+    excluded = []
+
+    def spy(index, queries, n, exclude):
+        excluded.append(exclude.tolist())
+        return retrieve_batch(index, queries, n, exclude)
+
+    monkeypatch.setattr(convrec.recommender, "retrieve_batch", spy)
+    model = Model(artifacts, small_config())
+    examples = artifacts.examples
+    model.contexts(examples)
+    model.contexts(Examples.query([0, 1]))
+    ids, index_of = corpus.conversation_ids, artifacts.index.index_of
+    want = [index_of.get(ids[c], -1) if c >= 0 else -1 for c in examples.conversations.tolist()]
+    assert excluded == [want, [-1]]
+    assert len(set(examples.splits.tolist())) == 3 and -1 in want
+    assert artifacts.document_of[-2] >= 0  # the last conversation has a document
+    # a training conversation's document index is not its conversation index
+    assert any(0 <= d != c for c, d in zip(examples.conversations.tolist(), want))
 
 
 def test_retrieval_runs_once_per_compile(monkeypatch):
